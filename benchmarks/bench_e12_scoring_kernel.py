@@ -18,22 +18,16 @@ PR that introduced the kernel, so the perf trajectory is tracked from then
 on.  Run ``python benchmarks/bench_e12_scoring_kernel.py --write-baseline``
 to refresh it on representative hardware, or ``--smoke`` for the quick CI
 sanity check (small corpus, equivalence + sanity thresholds, no wall-clock
-assertions).
+assertions).  Guarded by ``check_bench_regression.py``: the three text
+scorers' and the batch path's smoke throughput.
 """
 
 from __future__ import annotations
 
-import json
 import statistics
-import sys
 import time
-from pathlib import Path
 
-try:
-    from _common import print_table
-except ImportError:  # script mode: python benchmarks/bench_e12_scoring_kernel.py
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _common import print_table
+from _common import Bench, Floor
 
 from repro.analysis import analyse_collection
 from repro.index.reference import (
@@ -44,11 +38,6 @@ from repro.index.reference import (
     reference_similar_to_vector,
 )
 from repro.retrieval import EngineConfig, VideoRetrievalEngine
-
-BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_e12.json"
-
-#: Measurement rounds for the latency distribution (per query).
-ROUNDS = 30
 
 _REFERENCE_FACTORIES = {
     "bm25": ReferenceBm25Scorer,
@@ -85,7 +74,7 @@ def _assert_scorer_equivalence(engine, scorer_name, queries):
         )
 
 
-def _text_scorer_rows(corpus, rounds=ROUNDS, verify=True):
+def _text_scorer_rows(corpus, rounds):
     queries = [" ".join(topic.query_terms) for topic in corpus.topics]
     rows = []
     for scorer_name in ("bm25", "tfidf", "lm"):
@@ -98,8 +87,7 @@ def _text_scorer_rows(corpus, rounds=ROUNDS, verify=True):
                 result_cache_size=0,  # measure the kernel, not the cache
             ),
         )
-        if verify:
-            _assert_scorer_equivalence(engine, scorer_name, queries)
+        _assert_scorer_equivalence(engine, scorer_name, queries)
         for query in queries:  # warm the per-term statistic caches
             engine.search_text(query, limit=100)
         latencies = []
@@ -122,7 +110,7 @@ def _text_scorer_rows(corpus, rounds=ROUNDS, verify=True):
     return rows
 
 
-def _cache_row(corpus, rounds=ROUNDS):
+def _cache_row(corpus, rounds):
     """What the persistent result cache adds on a repeated-query workload."""
     engine = VideoRetrievalEngine(
         corpus.collection,
@@ -148,7 +136,7 @@ def _cache_row(corpus, rounds=ROUNDS):
     }
 
 
-def _visual_rows(corpus, rounds=ROUNDS, verify=True):
+def _visual_rows(corpus, rounds):
     engine = VideoRetrievalEngine(corpus.collection)
     visual = engine.visual_index
     probes = visual.shot_ids()[:8]
@@ -163,16 +151,15 @@ def _visual_rows(corpus, rounds=ROUNDS, verify=True):
         {concept: 1.0 for concept in concept_vocabulary[start : start + 3]}
         for start in range(0, min(12, len(concept_vocabulary)), 3)
     ]
-    if verify:
-        for shot_id in probes[:3]:
-            probe = visual.features_of(shot_id)
-            assert visual.similar_to_vector(probe, limit=20) == (
-                reference_similar_to_vector(visual, probe, limit=20)
-            )
-        for weights in concept_queries[:2]:
-            assert visual.score_by_concepts(weights) == (
-                reference_score_by_concepts(visual, weights)
-            )
+    for shot_id in probes[:3]:
+        probe = visual.features_of(shot_id)
+        assert visual.similar_to_vector(probe, limit=20) == (
+            reference_similar_to_vector(visual, probe, limit=20)
+        )
+    for weights in concept_queries[:2]:
+        assert visual.score_by_concepts(weights) == (
+            reference_score_by_concepts(visual, weights)
+        )
 
     similarity_latencies = []
     for _ in range(rounds):
@@ -233,94 +220,61 @@ def _batch_row(corpus, rounds=4):
     }
 
 
-def run_experiment(bench_corpus, rounds=ROUNDS, verify=True):
+def run_experiment(bench_corpus, rounds):
     analyse_collection(bench_corpus.collection)
-    scorer_rows = _text_scorer_rows(bench_corpus, rounds=rounds, verify=verify)
-    scorer_rows.append(_cache_row(bench_corpus, rounds=rounds))
-    visual_rows = _visual_rows(bench_corpus, rounds=max(2, rounds // 3), verify=verify)
-    batch_row = _batch_row(bench_corpus)
-    return scorer_rows, visual_rows, batch_row
+    scorer_rows = _text_scorer_rows(bench_corpus, rounds)
+    scorer_rows.append(_cache_row(bench_corpus, rounds))
+    return {
+        "text_scorers": scorer_rows,
+        "visual": _visual_rows(bench_corpus, max(2, rounds // 3)),
+        "batch": _batch_row(bench_corpus),
+    }
 
 
-def _sanity_check(scorer_rows, visual_rows):
-    by_scorer = {row["scorer"]: row for row in scorer_rows}
+def _sanity_check(tables, smoke):
+    by_scorer = {row["scorer"]: row for row in tables["text_scorers"]}
     for name in ("bm25", "tfidf", "lm"):
         assert by_scorer[name]["qps"] > 0
         assert by_scorer[name]["p95_ms"] >= by_scorer[name]["p50_ms"]
+    assert all(row["qps"] > 0 for row in tables["visual"])
     # The result cache must never be slower than the raw kernel.
-    assert by_scorer["bm25+result_cache"]["qps"] >= by_scorer["bm25"]["qps"]
-    assert all(row["qps"] > 0 for row in visual_rows)
-
-
-def test_e12_scoring_kernel(benchmark, bench_corpus):
-    scorer_rows, visual_rows, batch_row = benchmark.pedantic(
-        run_experiment, args=(bench_corpus,), rounds=1, iterations=1
-    )
-    print_table("E12a: text scoring kernel latency/throughput", scorer_rows)
-    print_table("E12b: visual kernel latency/throughput", visual_rows)
-    print_table("E12c: batch path", [batch_row])
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        print_table(
-            "E12 baseline (from BENCH_e12.json, for trajectory — not asserted)",
-            baseline.get("text_scorers", []),
+    return {
+        "result-cache qps over raw bm25 qps": Floor(
+            by_scorer["bm25+result_cache"]["qps"] / by_scorer["bm25"]["qps"], 1.0
         )
-    _sanity_check(scorer_rows, visual_rows)
+    }
 
 
-def _main(argv):
-    smoke = "--smoke" in argv
-    write_baseline = "--write-baseline" in argv
-    from repro.collection import CollectionConfig, generate_corpus
+def _guarded(tables):
+    metrics = {
+        f"{row['scorer']}_qps": row["qps"]
+        for row in tables["text_scorers"]
+        if row["scorer"] in ("bm25", "tfidf", "lm")
+    }
+    metrics["service_batch_qps"] = tables["batch"]["qps"]
+    return metrics
 
-    if smoke:
-        corpus = generate_corpus(
-            seed=7,
-            config=CollectionConfig(days=4, stories_per_day=5, topic_count=6),
-        )
-        rounds = 3
-    else:
-        corpus = generate_corpus(
-            seed=2008,
-            config=CollectionConfig(
-                days=24, stories_per_day=9, topic_count=16, min_stories_per_topic=3
-            ),
-        )
-        rounds = ROUNDS
-    scorer_rows, visual_rows, batch_row = run_experiment(
-        corpus, rounds=rounds, verify=True
-    )
-    print_table("E12a: text scoring kernel latency/throughput", scorer_rows)
-    print_table("E12b: visual kernel latency/throughput", visual_rows)
-    print_table("E12c: batch path", [batch_row])
-    _sanity_check(scorer_rows, visual_rows)
-    if write_baseline:
-        # Preserve the guarded smoke_baseline section: the regression guard
-        # treats its absence as a failure, and it is refreshed through
-        # check_bench_regression.py --update, not here.
-        smoke_baseline = None
-        if BASELINE_PATH.exists():
-            smoke_baseline = json.loads(BASELINE_PATH.read_text()).get(
-                "smoke_baseline"
-            )
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    **({"smoke_baseline": smoke_baseline} if smoke_baseline else {}),
-                    "corpus": "bench standard (seed 2008)" if not smoke else "smoke",
-                    "rounds": rounds,
-                    "text_scorers": scorer_rows,
-                    "visual": visual_rows,
-                    "batch": batch_row,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"baseline written to {BASELINE_PATH}")
-    print("e12 ok: kernel matches reference rankings; sanity thresholds hold")
-    return 0
 
+BENCH = Bench(
+    name="e12",
+    run_experiment=run_experiment,
+    smoke={"rounds": 6},
+    full={"rounds": 30},
+    tables={
+        "text_scorers": "E12a: text scoring kernel latency/throughput",
+        "visual": "E12b: visual kernel latency/throughput",
+        "batch": "E12c: batch path",
+    },
+    sanity_check=_sanity_check,
+    guarded=_guarded,
+    note=(
+        "Result cache disabled for the kernel rows (one extra row records "
+        "what it adds on repeated queries). Every timed configuration is "
+        "checked against the retained reference scorers before timing."
+    ),
+)
+
+test_e12_scoring_kernel = BENCH.as_test()
 
 if __name__ == "__main__":
-    raise SystemExit(_main(sys.argv[1:]))
+    raise SystemExit(BENCH.main())

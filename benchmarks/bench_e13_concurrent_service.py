@@ -32,16 +32,9 @@ no wall-clock expectations beyond the >= 2x iostall ratio).
 
 from __future__ import annotations
 
-import json
-import sys
 import time
-from pathlib import Path
 
-try:
-    from _common import print_table
-except ImportError:  # script mode: python benchmarks/bench_e13_concurrent_service.py
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _common import print_table
+from _common import Bench, Floor
 
 from repro.feedback.events import EventKind, InteractionEvent
 from repro.index.scoring import Bm25Scorer, TextScorer
@@ -54,8 +47,6 @@ from repro.service import (
     register_scorer,
 )
 from repro.workload import ServiceLoadDriver, WorkloadSpec
-
-BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_e13.json"
 
 #: Modelled per-evaluation backend latency for the ``iostall`` workload.
 IO_STALL_SECONDS = 0.005
@@ -238,106 +229,59 @@ def _loadtest_rows(corpus, users, queries_per_user):
     return rows
 
 
-def _sanity_check(batch_rows):
+def _sanity_check(tables, smoke):
+    batch_rows = tables["batch"]
     by_key = {(row["workload"], row["workers"]): row for row in batch_rows}
     for row in batch_rows:
         assert row["qps"] > 0
     # The acceptance criterion: 8 workers must at least double throughput on
     # the latency-bound workload the pool exists for.
     iostall_speedup = by_key[("iostall", PARALLEL_WORKERS)]["speedup"]
-    assert iostall_speedup >= 2.0, (
-        f"iostall speedup {iostall_speedup:.2f}x < 2x at {PARALLEL_WORKERS} workers"
-    )
+    return {
+        f"iostall speedup at {PARALLEL_WORKERS} workers": Floor(iostall_speedup, 2.0)
+    }
 
 
-def run_experiment(bench_corpus, users=12, rounds=8, queries_per_user=3):
-    batch_rows = _batch_rows(bench_corpus, users=users, rounds=rounds)
-    loadtest_rows = _loadtest_rows(
-        bench_corpus, users=users, queries_per_user=queries_per_user
-    )
-    return batch_rows, loadtest_rows
+def run_experiment(bench_corpus, users, rounds, queries_per_user):
+    return {
+        "batch": _batch_rows(bench_corpus, users=users, rounds=rounds),
+        "loadtest": _loadtest_rows(
+            bench_corpus, users=users, queries_per_user=queries_per_user
+        ),
+    }
 
 
-def test_e13_concurrent_service(benchmark, bench_corpus):
-    batch_rows, loadtest_rows = benchmark.pedantic(
-        run_experiment, args=(bench_corpus,), rounds=1, iterations=1
-    )
-    print_table("E13a: batch search, sequential vs parallel", batch_rows)
-    print_table("E13b: concurrent load driver (deterministic)", loadtest_rows)
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        print_table(
-            "E13 baseline (from BENCH_e13.json, for trajectory — not asserted)",
-            baseline.get("batch", []),
-        )
-    _sanity_check(batch_rows)
+def _guarded(tables):
+    by_key = {(row["workload"], row["workers"]): row for row in tables["batch"]}
+    return {
+        "cpu_parallel_qps": by_key[("cpu", PARALLEL_WORKERS)]["qps"],
+        "iostall_parallel_qps": by_key[("iostall", PARALLEL_WORKERS)]["qps"],
+        "iostall_speedup": by_key[("iostall", PARALLEL_WORKERS)]["speedup"],
+    }
 
 
-def _main(argv):
-    smoke = "--smoke" in argv
-    write_baseline = "--write-baseline" in argv
-    from repro.collection import CollectionConfig, generate_corpus
+BENCH = Bench(
+    name="e13",
+    run_experiment=run_experiment,
+    smoke={"users": 8, "rounds": 3, "queries_per_user": 2},
+    full={"users": 12, "rounds": 8, "queries_per_user": 3},
+    tables={
+        "batch": "E13a: batch search, sequential vs parallel",
+        "loadtest": "E13b: concurrent load driver (deterministic)",
+    },
+    sanity_check=_sanity_check,
+    guarded=_guarded,
+    note=(
+        "cpu rows are GIL-bound on stock CPython (recorded as the honest "
+        "floor); the iostall rows model the per-request backend round trip "
+        "a production deployment overlaps with its thread pool, and carry "
+        "the >=2x acceptance threshold. Rankings verified bit-identical "
+        "sequential vs parallel before timing; loadtest digests identical "
+        "across worker counts and a replay."
+    ),
+)
 
-    if smoke:
-        corpus = generate_corpus(
-            seed=7,
-            config=CollectionConfig(days=4, stories_per_day=5, topic_count=6),
-        )
-        users, rounds, queries = 8, 3, 2
-    else:
-        corpus = generate_corpus(
-            seed=2008,
-            config=CollectionConfig(
-                days=24, stories_per_day=9, topic_count=16, min_stories_per_topic=3
-            ),
-        )
-        users, rounds, queries = 12, 8, 3
-    batch_rows, loadtest_rows = run_experiment(
-        corpus, users=users, rounds=rounds, queries_per_user=queries
-    )
-    print_table("E13a: batch search, sequential vs parallel", batch_rows)
-    print_table("E13b: concurrent load driver (deterministic)", loadtest_rows)
-    _sanity_check(batch_rows)
-    if write_baseline:
-        # Preserve the guarded smoke_baseline section: the regression guard
-        # treats its absence as a failure, and it is refreshed through
-        # check_bench_regression.py --update, not here.
-        smoke_baseline = None
-        if BASELINE_PATH.exists():
-            smoke_baseline = json.loads(BASELINE_PATH.read_text()).get(
-                "smoke_baseline"
-            )
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    **({"smoke_baseline": smoke_baseline} if smoke_baseline else {}),
-                    "corpus": "smoke" if smoke else "bench standard (seed 2008)",
-                    "users": users,
-                    "rounds": rounds,
-                    "parallel_workers": PARALLEL_WORKERS,
-                    "io_stall_seconds": IO_STALL_SECONDS,
-                    "note": (
-                        "cpu rows are GIL-bound on stock CPython (recorded as "
-                        "the honest floor); the iostall rows model the "
-                        "per-request backend round trip a production "
-                        "deployment overlaps with its thread pool, and carry "
-                        "the >=2x acceptance threshold. Rankings verified "
-                        "bit-identical sequential vs parallel before timing."
-                    ),
-                    "batch": batch_rows,
-                    "loadtest": loadtest_rows,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"baseline written to {BASELINE_PATH}")
-    print(
-        "e13 ok: parallel rankings bit-identical; iostall speedup >= 2x; "
-        "loadtest digests deterministic"
-    )
-    return 0
-
+test_e13_concurrent_service = BENCH.as_test()
 
 if __name__ == "__main__":
-    raise SystemExit(_main(sys.argv[1:]))
+    raise SystemExit(BENCH.main())

@@ -29,16 +29,9 @@ with ``--write-baseline`` to refresh on representative hardware, or
 
 from __future__ import annotations
 
-import json
-import sys
 import time
-from pathlib import Path
 
-try:
-    from _common import print_table
-except ImportError:  # script mode: python benchmarks/bench_e15_sharded_retrieval.py
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _common import print_table
+from _common import Bench, Floor
 
 from repro.index.scoring import Bm25Scorer, TextScorer
 from repro.retrieval import Query, VideoRetrievalEngine
@@ -50,8 +43,6 @@ from repro.service import (
     register_scorer,
 )
 from repro.sharding import ShardedEngine
-
-BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_e15.json"
 
 #: Modelled per-document scan latency for the ``iostall`` workload.
 DOC_STALL_SECONDS = 0.00005
@@ -247,115 +238,64 @@ def _parity_row(corpus, rounds, query_count=12):
     }
 
 
-def _sanity_check(scatter_rows, parity_row):
+def _sanity_check(tables, smoke):
+    scatter_rows, parity_row = tables["scatter"], tables["parity"]
     by_shards = {row["shards"]: row for row in scatter_rows}
     for row in scatter_rows:
         assert row["qps"] > 0
-    speedup = by_shards[BENCH_SHARDS]["speedup"]
-    # The acceptance criterion: partitioned scans must pay off on the
-    # latency-bound workload sharding exists for.
-    assert speedup >= 1.5, (
-        f"iostall scatter-gather speedup {speedup:.2f}x < 1.5x at "
-        f"{BENCH_SHARDS} shards"
-    )
-    # One shard must match the single engine within noise (stall dominates,
-    # so the facade overhead is invisible at these bounds).
-    assert 0.7 <= parity_row["ratio"] <= 1.4, (
-        f"one-shard parity ratio {parity_row['ratio']:.2f} outside [0.7, 1.4]"
-    )
+    return {
+        # The acceptance criterion: partitioned scans must pay off on the
+        # latency-bound workload sharding exists for.
+        f"iostall scatter-gather speedup at {BENCH_SHARDS} shards": Floor(
+            by_shards[BENCH_SHARDS]["speedup"], 1.5
+        ),
+        # One shard must match the single engine within noise (stall
+        # dominates, so the facade overhead is invisible at these bounds).
+        "one-shard parity ratio": Floor(parity_row["ratio"], 0.7, 1.4),
+    }
 
 
-def run_experiment(bench_corpus, rounds=6, query_count=12):
+def run_experiment(bench_corpus, rounds, query_count):
     _assert_engine_equivalence(bench_corpus)
-    scatter_rows = _scatter_rows(bench_corpus, rounds=rounds, query_count=query_count)
-    cpu_rows = _cpu_rows(bench_corpus, rounds=rounds, query_count=query_count)
-    parity_row = _parity_row(bench_corpus, rounds=rounds, query_count=query_count)
-    return scatter_rows, cpu_rows, parity_row
+    return {
+        "scatter": _scatter_rows(bench_corpus, rounds=rounds, query_count=query_count),
+        "cpu": _cpu_rows(bench_corpus, rounds=rounds, query_count=query_count),
+        "parity": _parity_row(bench_corpus, rounds=rounds, query_count=query_count),
+    }
 
 
-def test_e15_sharded_retrieval(benchmark, bench_corpus):
-    scatter_rows, cpu_rows, parity_row = benchmark.pedantic(
-        run_experiment, args=(bench_corpus,), rounds=1, iterations=1
-    )
-    print_table("E15a: iostall scan workload, single vs sharded", scatter_rows)
-    print_table("E15b: pure-CPU scatter (GIL floor, not asserted)", cpu_rows)
-    print_table("E15c: one-shard parity", [parity_row])
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        print_table(
-            "E15 baseline (from BENCH_e15.json, for trajectory — not asserted)",
-            baseline.get("scatter", []),
-        )
-    _sanity_check(scatter_rows, parity_row)
+def _guarded(tables):
+    by_shards = {row["shards"]: row for row in tables["scatter"]}
+    return {
+        "iostall_single_qps": by_shards[1]["qps"],
+        "iostall_sharded_qps": by_shards[BENCH_SHARDS]["qps"],
+        "iostall_sharded_speedup": by_shards[BENCH_SHARDS]["speedup"],
+    }
 
 
-def _main(argv):
-    smoke = "--smoke" in argv
-    write_baseline = "--write-baseline" in argv
-    from repro.collection import CollectionConfig, generate_corpus
+BENCH = Bench(
+    name="e15",
+    run_experiment=run_experiment,
+    smoke={"rounds": 3, "query_count": 12},
+    full={"rounds": 6, "query_count": 12},
+    tables={
+        "scatter": "E15a: iostall scan workload, single vs sharded",
+        "cpu": "E15b: pure-CPU scatter (GIL floor, not asserted)",
+        "parity": "E15c: one-shard parity",
+    },
+    sanity_check=_sanity_check,
+    guarded=_guarded,
+    note=(
+        "iostall rows model a scan whose latency is proportional to the "
+        "documents each partition touches; sharding overlaps the per-shard "
+        "scans on the scatter pool and carries the >=1.5x acceptance "
+        "threshold. cpu rows are the honest GIL floor. Rankings verified "
+        "bit-identical single vs sharded (all scorers, shard counts 1/2/4) "
+        "before timing."
+    ),
+)
 
-    if smoke:
-        corpus = generate_corpus(
-            seed=7,
-            config=CollectionConfig(days=4, stories_per_day=5, topic_count=6),
-        )
-        rounds, query_count = 3, 12
-    else:
-        corpus = generate_corpus(
-            seed=2008,
-            config=CollectionConfig(
-                days=24, stories_per_day=9, topic_count=16, min_stories_per_topic=3
-            ),
-        )
-        rounds, query_count = 6, 12
-    scatter_rows, cpu_rows, parity_row = run_experiment(
-        corpus, rounds=rounds, query_count=query_count
-    )
-    print_table("E15a: iostall scan workload, single vs sharded", scatter_rows)
-    print_table("E15b: pure-CPU scatter (GIL floor, not asserted)", cpu_rows)
-    print_table("E15c: one-shard parity", [parity_row])
-    _sanity_check(scatter_rows, parity_row)
-    if write_baseline:
-        # Preserve the guarded smoke_baseline section: the regression guard
-        # treats its absence as a failure, and it is refreshed through
-        # check_bench_regression.py --update, not here.
-        smoke_baseline = None
-        if BASELINE_PATH.exists():
-            smoke_baseline = json.loads(BASELINE_PATH.read_text()).get(
-                "smoke_baseline"
-            )
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    **({"smoke_baseline": smoke_baseline} if smoke_baseline else {}),
-                    "corpus": "smoke" if smoke else "bench standard (seed 2008)",
-                    "rounds": rounds,
-                    "bench_shards": BENCH_SHARDS,
-                    "doc_stall_seconds": DOC_STALL_SECONDS,
-                    "note": (
-                        "iostall rows model a scan whose latency is "
-                        "proportional to the documents each partition "
-                        "touches; sharding overlaps the per-shard scans on "
-                        "the scatter pool and carries the >=1.5x acceptance "
-                        "threshold. cpu rows are the honest GIL floor. "
-                        "Rankings verified bit-identical single vs sharded "
-                        "(all scorers, shard counts 1/2/4) before timing."
-                    ),
-                    "scatter": scatter_rows,
-                    "cpu": cpu_rows,
-                    "parity": parity_row,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"baseline written to {BASELINE_PATH}")
-    print(
-        "e15 ok: sharded rankings bit-identical; iostall scatter speedup "
-        ">= 1.5x; one-shard parity within noise"
-    )
-    return 0
-
+test_e15_sharded_retrieval = BENCH.as_test()
 
 if __name__ == "__main__":
-    raise SystemExit(_main(sys.argv[1:]))
+    raise SystemExit(BENCH.main())

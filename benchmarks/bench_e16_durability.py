@@ -29,20 +29,15 @@ latency and stay unguarded).  Run with ``--write-baseline`` to refresh,
 
 from __future__ import annotations
 
-import json
 import shutil
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-try:
-    from _common import print_table
-except ImportError:  # script mode: python benchmarks/bench_e16_durability.py
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _common import print_table
+from _common import Bench
 
 from repro.durability import RecoveryManager, engine_state_digest
+from repro.durability.replay import document_record, shot_record
 from repro.durability.wal import encode_op
 from repro.service import RetrievalService, ServiceConfig
 from repro.workload.ingest import (
@@ -50,8 +45,6 @@ from repro.workload.ingest import (
     service_feature_dim,
     synthetic_ingest_ops,
 )
-
-BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_e16.json"
 
 #: Snapshot cadence of the bench runs: low enough that compaction and
 #: incremental deltas happen mid-run, so their cost is in the numbers.
@@ -74,18 +67,9 @@ def _logical_bytes(ops):
     total = 0
     for op in ops:
         if op[0] == "doc":
-            record = {
-                "op": "doc",
-                "id": op[1],
-                "tf": dict(tokenizer.term_frequencies(op[2])),
-            }
+            record = document_record(op[1], tokenizer.term_frequencies(op[2]))
         else:
-            record = {
-                "op": "shot",
-                "id": op[1],
-                "features": list(op[2]),
-                "concepts": dict(op[3]),
-            }
+            record = shot_record(op[1], op[2], op[3])
         total += len(encode_op(record))
     return total
 
@@ -164,7 +148,7 @@ def _memory_row(corpus, count):
     }
 
 
-def _recovery_row(corpus, count, workdir, repeats=3):
+def _recovery_row(corpus, count, workdir, repeats):
     """Recovery throughput over a directory with snapshots + a WAL tail."""
     directory = Path(workdir) / "recovery"
     service = RetrievalService(
@@ -199,17 +183,17 @@ def _recovery_row(corpus, count, workdir, repeats=3):
     }
 
 
-def _sanity_check(ingest_rows, recovery_row):
-    by_mode = {row["mode"]: row for row in ingest_rows}
-    for row in ingest_rows:
+def _sanity_check(tables, smoke):
+    by_mode = {row["mode"]: row for row in tables["ingest"]}
+    for row in tables["ingest"]:
         assert row["ops_per_s"] > 0, f"{row['mode']}: no throughput measured"
     # Compaction must actually have run, or the amplification number is
     # measuring an empty snapshot chain.
     assert by_mode["durable-never"]["checkpoints"] >= 1
-    assert recovery_row["recovery_ops_per_s"] > 0
+    assert tables["recovery"]["recovery_ops_per_s"] > 0
 
 
-def run_experiment(bench_corpus, count=256, repeats=3):
+def run_experiment(bench_corpus, count, repeats):
     workdir = tempfile.mkdtemp(prefix="bench-e16-")
     try:
         ingest_rows = [_memory_row(bench_corpus, count)]
@@ -221,87 +205,43 @@ def run_experiment(bench_corpus, count=256, repeats=3):
                 memory_qps / row["ops_per_s"] if row["ops_per_s"] else 0.0
             )
         recovery_row = _recovery_row(bench_corpus, count, workdir, repeats=repeats)
-        return ingest_rows, recovery_row
+        return {"ingest": ingest_rows, "recovery": recovery_row}
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def test_e16_durability(benchmark, bench_corpus):
-    ingest_rows, recovery_row = benchmark.pedantic(
-        run_experiment, args=(bench_corpus,), rounds=1, iterations=1
-    )
-    print_table("E16a: durable ingest write path (digest-verified)", ingest_rows)
-    print_table("E16b: crash recovery (snapshot + WAL replay)", [recovery_row])
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        print_table(
-            "E16 baseline (from BENCH_e16.json, for trajectory — not asserted)",
-            baseline.get("ingest", []),
-        )
-    _sanity_check(ingest_rows, recovery_row)
+def _guarded(tables):
+    """Only the host-stable higher-is-better pair: ingest under
+    ``fsync=never`` (no device sync latency in the number) and recovery."""
+    by_mode = {row["mode"]: row for row in tables["ingest"]}
+    return {
+        "ingest_never_ops_per_s": by_mode["durable-never"]["ops_per_s"],
+        "recovery_ops_per_s": tables["recovery"]["recovery_ops_per_s"],
+    }
 
 
-def _main(argv):
-    smoke = "--smoke" in argv
-    write_baseline = "--write-baseline" in argv
-    from repro.collection import CollectionConfig, generate_corpus
+BENCH = Bench(
+    name="e16",
+    run_experiment=run_experiment,
+    smoke={"count": 128, "repeats": 2},
+    full={"count": 512, "repeats": 3},
+    tables={
+        "ingest": "E16a: durable ingest write path (digest-verified)",
+        "recovery": "E16b: crash recovery (snapshot + WAL replay)",
+    },
+    sanity_check=_sanity_check,
+    guarded=_guarded,
+    note=(
+        "Every durable row recovers its directory and asserts the recovered "
+        "digest equals the live engine's before reporting numbers. "
+        "write_amplification = (WAL appends + live snapshot chain) / "
+        "logical op payload bytes at the bench's snapshot cadence "
+        f"({SNAPSHOT_INTERVAL} ops); fsync=always depends on device sync "
+        "latency and is recorded, never guarded."
+    ),
+)
 
-    if smoke:
-        corpus = generate_corpus(
-            seed=7,
-            config=CollectionConfig(days=4, stories_per_day=5, topic_count=6),
-        )
-        count, repeats = 128, 2
-    else:
-        corpus = generate_corpus(
-            seed=2008,
-            config=CollectionConfig(
-                days=24, stories_per_day=9, topic_count=16, min_stories_per_topic=3
-            ),
-        )
-        count, repeats = 512, 3
-    ingest_rows, recovery_row = run_experiment(corpus, count=count, repeats=repeats)
-    print_table("E16a: durable ingest write path (digest-verified)", ingest_rows)
-    print_table("E16b: crash recovery (snapshot + WAL replay)", [recovery_row])
-    _sanity_check(ingest_rows, recovery_row)
-    if write_baseline:
-        # The guarded smoke_baseline section is refreshed through
-        # check_bench_regression.py --update, not here.
-        smoke_baseline = None
-        if BASELINE_PATH.exists():
-            smoke_baseline = json.loads(BASELINE_PATH.read_text()).get(
-                "smoke_baseline"
-            )
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    **({"smoke_baseline": smoke_baseline} if smoke_baseline else {}),
-                    "corpus": "smoke" if smoke else "bench standard (seed 2008)",
-                    "ops": count,
-                    "snapshot_interval_ops": SNAPSHOT_INTERVAL,
-                    "note": (
-                        "Every durable row recovers its directory and "
-                        "asserts the recovered digest equals the live "
-                        "engine's before reporting numbers. "
-                        "write_amplification = (WAL appends + live snapshot "
-                        "chain) / logical op payload bytes at the bench's "
-                        "snapshot cadence; fsync=always depends on device "
-                        "sync latency and is recorded, never guarded."
-                    ),
-                    "ingest": ingest_rows,
-                    "recovery": recovery_row,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"baseline written to {BASELINE_PATH}")
-    print(
-        "e16 ok: durable ingest digest-verified under all fsync policies; "
-        "recovery restored the byte-identical state"
-    )
-    return 0
-
+test_e16_durability = BENCH.as_test()
 
 if __name__ == "__main__":
-    raise SystemExit(_main(sys.argv[1:]))
+    raise SystemExit(BENCH.main())

@@ -12,10 +12,11 @@ monolithic engine (verified before anything is timed).
 
 The speedup floor is core-count aware: process parallelism cannot
 manufacture cores, so on the 2-3 core hosts CI sometimes schedules the
-floor degrades gracefully, and on a single usable core the assertion only
-requires that the IPC + shared-memory overhead keeps throughput within a
-parity band of the single engine.  The measured core count is recorded in
-``BENCH_e17.json`` so a baseline number is never read without its context.
+floor degrades, and on one or two usable cores the assertion only requires
+that the IPC + shared-memory overhead keeps throughput within a parity
+band of the single engine.  The measured core count is recorded in
+``BENCH_e17.json`` (its ``host`` block) so a baseline number is never read
+without its context.
 
 Rows:
 
@@ -30,24 +31,14 @@ representative hardware, or ``--smoke`` for the quick CI sanity check.
 
 from __future__ import annotations
 
-import json
-import os
-import sys
 import time
-from pathlib import Path
 
-try:
-    from _common import print_table
-except ImportError:  # script mode: python benchmarks/bench_e17_multiproc.py
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _common import print_table
+from _common import Bench, Floor, usable_cores
 
 from repro.retrieval import Query, VideoRetrievalEngine
 from repro.retrieval.engine import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
 from repro.sharding import ShardedEngine
-
-BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_e17.json"
 
 #: Shard count of the acceptance configuration.
 BENCH_SHARDS = 4
@@ -60,31 +51,30 @@ WORKER_COUNTS = (2, 4)
 QUERY_TERMS = 24
 
 
-def usable_cores() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
-
-
 def speedup_floor(cores: int, smoke: bool) -> float:
     """The asserted 4-worker speedup floor for a given core budget.
 
     >= 4 cores carries the acceptance criterion (2x, relaxed to 1.5x in
-    smoke mode where rounds are short and CI vCPUs noisy); fewer cores
-    degrade to what process parallelism can physically deliver; a single
-    usable core only requires the process path to stay within a parity
-    band of the single engine — pipe round trips serialise behind the one
-    core, so the band is wide on the full corpus and very wide in smoke
+    smoke mode where rounds are short and CI vCPUs noisy); three cores
+    degrade to what process parallelism can physically deliver (a grade
+    nobody has measured yet).  On one or two cores the four workers
+    time-share and every pipe round trip serialises behind them, so the
+    floor only requires the process path to stay within a parity band of
+    the single engine — wide on the full corpus and very wide in smoke
     mode, where sub-100us queries make the scatter almost pure IPC.
+
+    The two-core band is measured (a shared 2-core host): single shots
+    read 0.02-0.49x in smoke mode (medians of fifteen 0.11-0.25x) and
+    0.11-0.49x on the full corpus, so it only catches a collapse; a 2x
+    regression is for the guard to see (``cpu_speedup_4workers`` against
+    the host's own ``smoke_baseline``).
     """
     if cores >= 4:
         return 1.5 if smoke else 2.0
     if cores == 3:
         return 1.2 if smoke else 1.3
     if cores == 2:
-        return 1.1 if smoke else 1.15
+        return 0.1
     return 0.1 if smoke else 0.25
 
 
@@ -219,103 +209,58 @@ def cpu_speedup_4workers(rows) -> float:
     raise AssertionError("no 4-worker process row measured")
 
 
-def _sanity_check(rows, smoke):
+def _sanity_check(tables, smoke):
+    rows = tables["cpu"]
     for row in rows:
         assert row["qps"] > 0
     cores = usable_cores()
-    floor = speedup_floor(cores, smoke)
-    speedup = cpu_speedup_4workers(rows)
-    assert speedup >= floor, (
-        f"pure-CPU process scatter speedup {speedup:.2f}x < {floor:.2f}x floor "
-        f"at {max(WORKER_COUNTS)} workers on {cores} usable core(s)"
-    )
+    return {
+        f"pure-CPU process scatter speedup at {max(WORKER_COUNTS)} workers "
+        f"on {cores} usable core(s)": Floor(
+            cpu_speedup_4workers(rows), speedup_floor(cores, smoke)
+        )
+    }
 
 
-def run_experiment(bench_corpus, rounds=6, query_count=12):
+def run_experiment(bench_corpus, rounds, query_count):
     _assert_engine_equivalence(bench_corpus)
-    return _cpu_rows(bench_corpus, rounds=rounds, query_count=query_count)
+    return {"cpu": _cpu_rows(bench_corpus, rounds=rounds, query_count=query_count)}
 
 
-def test_e17_multiproc(benchmark, bench_corpus):
-    rows = benchmark.pedantic(
-        run_experiment, args=(bench_corpus,), rounds=1, iterations=1
-    )
-    print_table("E17: pure-CPU scatter, thread GIL floor vs process workers", rows)
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        print_table(
-            "E17 baseline (from BENCH_e17.json, for trajectory — not asserted)",
-            baseline.get("cpu", []),
-        )
-    _sanity_check(rows, smoke=True)
+def _guarded(tables):
+    """The 4-worker speedup is relative, so it transfers across hosts better
+    than raw qps, but it is still core-count dependent: refresh the baseline
+    (--update) when the reference hardware's core budget changes."""
+    rows = tables["cpu"]
+    by_key = {(row["row"], row["workers"]): row for row in rows}
+    return {
+        "cpu_speedup_4workers": cpu_speedup_4workers(rows),
+        "process_4worker_qps": by_key[("process", max(WORKER_COUNTS))]["qps"],
+    }
 
 
-def _main(argv):
-    smoke = "--smoke" in argv
-    write_baseline = "--write-baseline" in argv
-    from repro.collection import CollectionConfig, generate_corpus
+BENCH = Bench(
+    name="e17",
+    run_experiment=run_experiment,
+    smoke={"rounds": 3, "query_count": 12},
+    full={"rounds": 6, "query_count": 12},
+    tables={"cpu": "E17: pure-CPU scatter, thread GIL floor vs process workers"},
+    sanity_check=_sanity_check,
+    guarded=_guarded,
+    note=(
+        "Pure-CPU bm25 scatter with wide weighted queries. single = "
+        "monolithic engine; thread = 4-shard thread scatter (the GIL floor "
+        "E13/E15 record); process = 4-shard shared-memory process scatter. "
+        "The speedup floor is core-count aware (2x at >= 4 usable cores, "
+        "graded on three, a parity band on one or two) because process "
+        "parallelism cannot manufacture cores; host.usable_cores records "
+        "the budget these numbers were measured under. Rankings verified "
+        "bit-identical monolithic vs thread vs process (all scorers, shard "
+        "counts 1/2/4) before timing."
+    ),
+)
 
-    if smoke:
-        corpus = generate_corpus(
-            seed=7,
-            config=CollectionConfig(days=4, stories_per_day=5, topic_count=6),
-        )
-        rounds, query_count = 3, 12
-    else:
-        corpus = generate_corpus(
-            seed=2008,
-            config=CollectionConfig(
-                days=24, stories_per_day=9, topic_count=16, min_stories_per_topic=3
-            ),
-        )
-        rounds, query_count = 6, 12
-    rows = run_experiment(corpus, rounds=rounds, query_count=query_count)
-    print_table("E17: pure-CPU scatter, thread GIL floor vs process workers", rows)
-    _sanity_check(rows, smoke=smoke)
-    cores = usable_cores()
-    if write_baseline:
-        smoke_baseline = None
-        if BASELINE_PATH.exists():
-            smoke_baseline = json.loads(BASELINE_PATH.read_text()).get(
-                "smoke_baseline"
-            )
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    **({"smoke_baseline": smoke_baseline} if smoke_baseline else {}),
-                    "corpus": "smoke" if smoke else "bench standard (seed 2008)",
-                    "rounds": rounds,
-                    "bench_shards": BENCH_SHARDS,
-                    "worker_counts": list(WORKER_COUNTS),
-                    "usable_cores": cores,
-                    "asserted_floor": speedup_floor(cores, smoke),
-                    "note": (
-                        "Pure-CPU bm25 scatter with wide weighted queries. "
-                        "single = monolithic engine; thread = 4-shard thread "
-                        "scatter (the GIL floor E13/E15 record); process = "
-                        "4-shard shared-memory process scatter. The speedup "
-                        "floor is core-count aware (2x at >= 4 usable cores, "
-                        "graded below, parity band on 1 core) because process "
-                        "parallelism cannot manufacture cores; usable_cores "
-                        "records the budget these numbers were measured "
-                        "under. Rankings verified bit-identical monolithic "
-                        "vs thread vs process (all scorers, shard counts "
-                        "1/2/4) before timing."
-                    ),
-                    "cpu": rows,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"baseline written to {BASELINE_PATH}")
-    print(
-        f"e17 ok: process rankings bit-identical; 4-worker pure-CPU speedup "
-        f"{cpu_speedup_4workers(rows):.2f}x >= "
-        f"{speedup_floor(cores, smoke):.2f}x floor on {cores} usable core(s)"
-    )
-    return 0
-
+test_e17_multiproc = BENCH.as_test()
 
 if __name__ == "__main__":
-    raise SystemExit(_main(sys.argv[1:]))
+    raise SystemExit(BENCH.main())

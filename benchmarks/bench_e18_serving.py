@@ -31,17 +31,10 @@ representative hardware, or ``--smoke`` for the quick CI sanity check.
 from __future__ import annotations
 
 import asyncio
-import json
-import sys
 import threading
 import time
-from pathlib import Path
 
-try:
-    from _common import print_table
-except ImportError:  # script mode: python benchmarks/bench_e18_serving.py
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _common import print_table
+from _common import Bench
 
 from repro.service import RetrievalService, SearchRequest, ServiceConfig
 from repro.serving import (
@@ -55,8 +48,6 @@ from repro.serving import (
 )
 from repro.utils.concurrency import checkpoint_if_cancelled
 from repro.workload import ServiceLoadDriver, WorkloadSpec
-
-BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_e18.json"
 
 #: Shard count of the serving configuration under test.
 BENCH_SHARDS = 2
@@ -273,11 +264,9 @@ def _admission_row(corpus):
     return {"row": "admission", "requests": 18, **outcomes}
 
 
-def _sanity_check(rows) -> None:
-    by_row = {row["row"]: row for row in rows}
-    serve = by_row["serve"]
-    assert serve["qps"] > 0
-    deadline = by_row["deadline"]
+def _sanity_check(tables, smoke) -> None:
+    assert tables["serve"]["qps"] > 0
+    deadline = tables["deadline"]
     assert deadline["stalls"] > 0, "the straggler never fired"
     assert deadline["timeouts"] > 0, "no request ever hit the deadline"
     assert deadline["completed"] > 0, "every request timed out"
@@ -292,103 +281,42 @@ def _sanity_check(rows) -> None:
     )
 
 
-def run_experiment(bench_corpus, rounds: int = 3, request_count: int = 32):
+def run_experiment(bench_corpus, rounds: int, request_count: int):
     _assert_digest_equivalence(bench_corpus)
-    rows = [
-        _serve_row(bench_corpus, rounds=rounds, request_count=request_count),
-        _deadline_row(bench_corpus, request_count=request_count),
-        _admission_row(bench_corpus),
-    ]
-    _sanity_check(rows)
-    return rows
+    return {
+        "serve": _serve_row(bench_corpus, rounds=rounds, request_count=request_count),
+        "deadline": _deadline_row(bench_corpus, request_count=request_count),
+        "admission": _admission_row(bench_corpus),
+    }
 
 
-def _print_rows(rows) -> None:
-    by_row = {row["row"]: row for row in rows}
-    print_table("E18: serving-edge throughput (clean workload)",
-                [by_row["serve"]])
-    print_table("E18: straggler shard under per-request deadlines",
-                [by_row["deadline"]])
-    print_table("E18: admission flood (typed rejections)",
-                [by_row["admission"]])
+BENCH = Bench(
+    name="e18",
+    run_experiment=run_experiment,
+    smoke={"rounds": 2, "request_count": 24},
+    full={"rounds": 4, "request_count": 48},
+    tables={
+        "serve": "E18: serving-edge throughput (clean workload)",
+        "deadline": "E18: straggler shard under per-request deadlines",
+        "admission": "E18: admission flood (typed rejections)",
+    },
+    sanity_check=_sanity_check,
+    guarded=lambda tables: {"serve_qps": tables["serve"]["qps"]},
+    note=(
+        "Async serving edge over the sharded service. serve = "
+        "clean-workload throughput through the frontend (digest verified "
+        "byte-identical to the direct threaded driver before timing). "
+        "deadline = one shard stalls 2s on every 5th scatter while requests "
+        "carry a 150ms deadline; the client-observed p99 across completions "
+        "AND timeouts must stay within deadline + epsilon, proving "
+        "cooperative cancellation bounds the tail. admission = flood of a "
+        "1-slot frontend with a rate-limited tenant; rejections are typed "
+        "AdmissionRejectedError subclasses whose counts match the metrics "
+        "registry."
+    ),
+)
 
-
-def test_e18_serving(benchmark, bench_corpus):
-    rows = benchmark.pedantic(
-        run_experiment, args=(bench_corpus,), rounds=1, iterations=1
-    )
-    _print_rows(rows)
-
-
-def _main(argv):
-    smoke = "--smoke" in argv
-    write_baseline = "--write-baseline" in argv
-    from repro.collection import CollectionConfig, generate_corpus
-
-    if smoke:
-        corpus = generate_corpus(
-            seed=7,
-            config=CollectionConfig(days=4, stories_per_day=5, topic_count=6),
-        )
-        rounds, request_count = 2, 24
-    else:
-        corpus = generate_corpus(
-            seed=2008,
-            config=CollectionConfig(
-                days=24, stories_per_day=9, topic_count=16, min_stories_per_topic=3
-            ),
-        )
-        rounds, request_count = 4, 48
-    rows = run_experiment(corpus, rounds=rounds, request_count=request_count)
-    _print_rows(rows)
-    by_row = {row["row"]: row for row in rows}
-    if write_baseline:
-        smoke_baseline = None
-        if BASELINE_PATH.exists():
-            smoke_baseline = json.loads(BASELINE_PATH.read_text()).get(
-                "smoke_baseline"
-            )
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    **({"smoke_baseline": smoke_baseline} if smoke_baseline else {}),
-                    "corpus": "smoke" if smoke else "bench standard (seed 2008)",
-                    "rounds": rounds,
-                    "bench_shards": BENCH_SHARDS,
-                    "deadline_seconds": DEADLINE_SECONDS,
-                    "deadline_epsilon": DEADLINE_EPSILON,
-                    "straggler_seconds": STRAGGLER_SECONDS,
-                    "note": (
-                        "Async serving edge over the sharded service. serve = "
-                        "clean-workload throughput through the frontend "
-                        "(digest verified byte-identical to the direct "
-                        "threaded driver before timing). deadline = one shard "
-                        "stalls 2s on every 5th scatter while requests carry "
-                        "a 150ms deadline; the client-observed p99 across "
-                        "completions AND timeouts must stay within deadline "
-                        "+ epsilon, proving cooperative cancellation bounds "
-                        "the tail. admission = flood of a 1-slot frontend "
-                        "with a rate-limited tenant; rejections are typed "
-                        "AdmissionRejectedError subclasses whose counts "
-                        "match the metrics registry."
-                    ),
-                    "rows": rows,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"baseline written to {BASELINE_PATH}")
-    deadline = by_row["deadline"]
-    print(
-        f"e18 ok: digests byte-identical through the serving edge; "
-        f"p99 {deadline['p99_s'] * 1000:.0f}ms <= "
-        f"{(DEADLINE_SECONDS + DEADLINE_EPSILON) * 1000:.0f}ms budget with "
-        f"{deadline['stalls']} injected stall(s); "
-        f"admission rejections typed and counted"
-    )
-    return 0
-
+test_e18_serving = BENCH.as_test()
 
 if __name__ == "__main__":
-    raise SystemExit(_main(sys.argv[1:]))
+    raise SystemExit(BENCH.main())

@@ -31,19 +31,13 @@ to refresh, ``--smoke`` for the CI sanity check.
 
 from __future__ import annotations
 
-import json
 import shutil
-import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
 
-try:
-    from _common import print_table
-except ImportError:  # script mode: python benchmarks/bench_e19_replication.py
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _common import print_table
+from _common import Bench
 
 from repro.durability import engine_state_digest
 from repro.replication import ReplicaServer, ReplicatedService
@@ -53,8 +47,6 @@ from repro.workload.ingest import (
     service_feature_dim,
     synthetic_ingest_ops,
 )
-
-BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_e19.json"
 
 SNAPSHOT_INTERVAL = 64
 
@@ -111,7 +103,7 @@ def _apply_row(corpus, count, workdir):
     }
 
 
-def _fanout_rows(corpus, count, workdir, reads=64):
+def _fanout_rows(corpus, count, workdir, reads):
     """Read throughput under a write-hammered primary: primary vs replica.
 
     The writer applies ingest ops in a loop (each op takes the engine's
@@ -233,106 +225,59 @@ def _lag_row(corpus, count, workdir, poll_every=8):
     }
 
 
-def _sanity_check(apply_row, fanout_rows, promotion_row, lag_row):
-    assert apply_row["ops_per_s"] > 0
-    assert promotion_row["ops_per_s"] > 0
-    assert all(row["qps"] > 0 for row in fanout_rows)
+def _sanity_check(tables, smoke):
+    assert all(row["ops_per_s"] > 0 for row in tables["apply_promotion"])
+    assert all(row["qps"] > 0 for row in tables["fanout"])
     # The cadence guarantees the replica actually lagged between polls.
-    assert lag_row["lag_max"] > 0
+    assert tables["lag"]["lag_max"] > 0
 
 
-def run_experiment(bench_corpus, count=256, reads=64):
+def run_experiment(bench_corpus, count, reads):
     workdir = tempfile.mkdtemp(prefix="bench-e19-")
     try:
         apply_row = _apply_row(bench_corpus, count, workdir)
         fanout_rows = _fanout_rows(bench_corpus, count, workdir, reads=reads)
         promotion_row = _promotion_row(bench_corpus, count, workdir)
-        lag_row = _lag_row(bench_corpus, count, workdir)
-        return apply_row, fanout_rows, promotion_row, lag_row
+        return {
+            "apply_promotion": [apply_row, promotion_row],
+            "fanout": fanout_rows,
+            "lag": _lag_row(bench_corpus, count, workdir),
+        }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def test_e19_replication(benchmark, bench_corpus):
-    apply_row, fanout_rows, promotion_row, lag_row = benchmark.pedantic(
-        run_experiment, args=(bench_corpus,), rounds=1, iterations=1
-    )
-    print_table("E19a: replica apply + promotion (digest-verified)",
-                [apply_row, promotion_row])
-    print_table("E19b: read fan-out isolation under writes", fanout_rows)
-    print_table("E19c: replica lag distribution", [lag_row])
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        print_table(
-            "E19 baseline (from BENCH_e19.json, for trajectory — not asserted)",
-            baseline.get("rows", []),
-        )
-    _sanity_check(apply_row, fanout_rows, promotion_row, lag_row)
+def _guarded(tables):
+    """The two host-stable rates; the fan-out speedup and lag distribution
+    depend on thread scheduling and stay unguarded."""
+    apply_row, promotion_row = tables["apply_promotion"]
+    return {
+        "replica_apply_ops_per_s": apply_row["ops_per_s"],
+        "promotion_ops_per_s": promotion_row["ops_per_s"],
+    }
 
 
-def _main(argv):
-    smoke = "--smoke" in argv
-    write_baseline = "--write-baseline" in argv
-    from repro.collection import CollectionConfig, generate_corpus
+BENCH = Bench(
+    name="e19",
+    run_experiment=run_experiment,
+    smoke={"count": 96, "reads": 32},
+    full={"count": 512, "reads": 64},
+    tables={
+        "apply_promotion": "E19a: replica apply + promotion (digest-verified)",
+        "fanout": "E19b: read fan-out isolation under writes",
+        "lag": "E19c: replica lag distribution",
+    },
+    sanity_check=_sanity_check,
+    guarded=_guarded,
+    note=(
+        "Replica apply and promotion rows digest-verify against the live "
+        "primary before reporting numbers. fanout_speedup (replica reads vs "
+        "primary reads under a write-hammering thread) and the lag "
+        "distribution depend on scheduling and are recorded, never guarded."
+    ),
+)
 
-    if smoke:
-        corpus = generate_corpus(
-            seed=7,
-            config=CollectionConfig(days=4, stories_per_day=5, topic_count=6),
-        )
-        count, reads = 96, 32
-    else:
-        corpus = generate_corpus(
-            seed=2008,
-            config=CollectionConfig(
-                days=24, stories_per_day=9, topic_count=16, min_stories_per_topic=3
-            ),
-        )
-        count, reads = 512, 64
-    apply_row, fanout_rows, promotion_row, lag_row = run_experiment(
-        corpus, count=count, reads=reads
-    )
-    print_table("E19a: replica apply + promotion (digest-verified)",
-                [apply_row, promotion_row])
-    print_table("E19b: read fan-out isolation under writes", fanout_rows)
-    print_table("E19c: replica lag distribution", [lag_row])
-    _sanity_check(apply_row, fanout_rows, promotion_row, lag_row)
-    if write_baseline:
-        # The guarded smoke_baseline section is refreshed through
-        # check_bench_regression.py --update, not here.
-        smoke_baseline = None
-        if BASELINE_PATH.exists():
-            smoke_baseline = json.loads(BASELINE_PATH.read_text()).get(
-                "smoke_baseline"
-            )
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    **({"smoke_baseline": smoke_baseline} if smoke_baseline else {}),
-                    "corpus": "smoke" if smoke else "bench standard (seed 2008)",
-                    "ops": count,
-                    "snapshot_interval_ops": SNAPSHOT_INTERVAL,
-                    "note": (
-                        "Replica apply and promotion rows digest-verify "
-                        "against the live primary before reporting numbers. "
-                        "fanout_speedup (replica reads vs primary reads "
-                        "under a write-hammering thread) and the lag "
-                        "distribution depend on scheduling and are "
-                        "recorded, never guarded."
-                    ),
-                    "rows": [apply_row, promotion_row] + fanout_rows + [lag_row],
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"baseline written to {BASELINE_PATH}")
-    print(
-        "e19 ok: replica apply, promotion and fan-out digest-verified; "
-        "replica state byte-identical to the primary at parity"
-    )
-    return 0
-
+test_e19_replication = BENCH.as_test()
 
 if __name__ == "__main__":
-    raise SystemExit(_main(sys.argv[1:]))
+    raise SystemExit(BENCH.main())

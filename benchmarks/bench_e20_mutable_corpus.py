@@ -29,16 +29,9 @@ update/ingest rows are recorded for trajectory, never guarded).  Run with
 
 from __future__ import annotations
 
-import json
-import sys
 import time
-from pathlib import Path
 
-try:
-    from _common import print_table
-except ImportError:  # script mode: python benchmarks/bench_e20_mutable_corpus.py
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from _common import print_table
+from _common import Bench
 
 from repro.durability import engine_state_digest
 from repro.retrieval import Query
@@ -50,9 +43,8 @@ from repro.workload.ingest import (
     synthetic_ingest_ops,
 )
 
-BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_e20.json"
-
 INGEST_SEED = 2008
+
 
 def _queries(corpus, count=3):
     """Queries drawn from the corpus's own transcripts (non-empty hits) plus
@@ -228,94 +220,54 @@ def _mix_row(corpus, epochs, mutations):
     }
 
 
-def _sanity_check(mutation_rows, compaction_row, mix_row):
-    for row in mutation_rows:
+def _sanity_check(tables, smoke):
+    for row in tables["mutation"]:
         assert row["ops_per_s"] > 0, f"{row['row']}: no throughput measured"
-    assert compaction_row["slots_per_s"] > 0
-    assert mix_row["records_per_s"] > 0
-    assert mix_row["reclaimed"] > 0, "mix never reclaimed a tombstone"
+    assert tables["compaction"]["slots_per_s"] > 0
+    assert tables["mix"]["records_per_s"] > 0
+    assert tables["mix"]["reclaimed"] > 0, "mix never reclaimed a tombstone"
 
 
-def run_experiment(bench_corpus, count=256, epochs=4, mutations=12):
-    mutation_rows = _mutation_rows(bench_corpus, count)
-    compaction_row = _compaction_row(bench_corpus, count)
-    mix_row = _mix_row(bench_corpus, epochs, mutations)
-    return mutation_rows, compaction_row, mix_row
+def run_experiment(bench_corpus, count, epochs, mutations):
+    return {
+        "mutation": _mutation_rows(bench_corpus, count),
+        "compaction": _compaction_row(bench_corpus, count),
+        "mix": _mix_row(bench_corpus, epochs, mutations),
+    }
 
 
-def test_e20_mutable_corpus(benchmark, bench_corpus):
-    mutation_rows, compaction_row, mix_row = benchmark.pedantic(
-        run_experiment, args=(bench_corpus,), rounds=1, iterations=1
-    )
-    print_table("E20a: mutation write path (differential-verified)", mutation_rows)
-    print_table("E20b: compaction reclaim", [compaction_row])
-    print_table("E20c: continuous-ingest mix", [mix_row])
-    _sanity_check(mutation_rows, compaction_row, mix_row)
+def _guarded(tables):
+    """The three host-stable rates; the ingest/update rows are recorded
+    for trajectory but never guarded."""
+    by_row = {row["row"]: row for row in tables["mutation"]}
+    return {
+        "delete_ops_per_s": by_row["delete"]["ops_per_s"],
+        "compact_slots_per_s": tables["compaction"]["slots_per_s"],
+        "mix_records_per_s": tables["mix"]["records_per_s"],
+    }
 
 
-def _main(argv):
-    smoke = "--smoke" in argv
-    write_baseline = "--write-baseline" in argv
-    from repro.collection import CollectionConfig, generate_corpus
+BENCH = Bench(
+    name="e20",
+    run_experiment=run_experiment,
+    smoke={"count": 128, "epochs": 3, "mutations": 8},
+    full={"count": 512, "epochs": 6, "mutations": 16},
+    tables={
+        "mutation": "E20a: mutation write path (differential-verified)",
+        "compaction": "E20b: compaction reclaim",
+        "mix": "E20c: continuous-ingest mix",
+    },
+    sanity_check=_sanity_check,
+    guarded=_guarded,
+    note=(
+        "Every row asserts the mutable-corpus differential before reporting "
+        "numbers: rankings after delete/update/compact are bit-identical to "
+        "a from-scratch rebuild over the survivors, and the canonical mix "
+        "log is byte-identical across search worker counts."
+    ),
+)
 
-    if smoke:
-        corpus = generate_corpus(
-            seed=7,
-            config=CollectionConfig(days=4, stories_per_day=5, topic_count=6),
-        )
-        count, epochs, mutations = 128, 3, 8
-    else:
-        corpus = generate_corpus(
-            seed=2008,
-            config=CollectionConfig(
-                days=24, stories_per_day=9, topic_count=16, min_stories_per_topic=3
-            ),
-        )
-        count, epochs, mutations = 512, 6, 16
-    mutation_rows, compaction_row, mix_row = run_experiment(
-        corpus, count=count, epochs=epochs, mutations=mutations
-    )
-    print_table("E20a: mutation write path (differential-verified)", mutation_rows)
-    print_table("E20b: compaction reclaim", [compaction_row])
-    print_table("E20c: continuous-ingest mix", [mix_row])
-    _sanity_check(mutation_rows, compaction_row, mix_row)
-    if write_baseline:
-        # The guarded smoke_baseline section is refreshed through
-        # check_bench_regression.py --update, not here.
-        smoke_baseline = None
-        if BASELINE_PATH.exists():
-            smoke_baseline = json.loads(BASELINE_PATH.read_text()).get(
-                "smoke_baseline"
-            )
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    **({"smoke_baseline": smoke_baseline} if smoke_baseline else {}),
-                    "corpus": "smoke" if smoke else "bench standard (seed 2008)",
-                    "ops": count,
-                    "note": (
-                        "Every row asserts the mutable-corpus differential "
-                        "before reporting numbers: rankings after "
-                        "delete/update/compact are bit-identical to a "
-                        "from-scratch rebuild over the survivors, and the "
-                        "canonical mix log is byte-identical across search "
-                        "worker counts."
-                    ),
-                    "mutation": mutation_rows,
-                    "compaction": compaction_row,
-                    "mix": mix_row,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"baseline written to {BASELINE_PATH}")
-    print(
-        "e20 ok: delete/update/compact rankings differential-verified; "
-        "continuous mix deterministic across worker counts"
-    )
-    return 0
-
+test_e20_mutable_corpus = BENCH.as_test()
 
 if __name__ == "__main__":
-    raise SystemExit(_main(sys.argv[1:]))
+    raise SystemExit(BENCH.main())

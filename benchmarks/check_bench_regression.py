@@ -1,27 +1,25 @@
 """Benchmark regression guard: smoke throughput vs committed baselines.
 
-Runs the E12 (scoring kernel), E13 (concurrent service), E15 (sharded
-scatter-gather), E16 (durability), E17 (multi-process scatter), E18
-(async serving edge), E19 (replication tier) and E20 (mutable corpus)
-benchmarks in their smoke
-configurations and fails if any guarded
-throughput metric drops more than ``BENCH_REGRESSION_TOLERANCE`` (default
-30%) below the ``smoke_baseline`` section committed in ``BENCH_e12.json``
-/ ``BENCH_e13.json`` / ``BENCH_e15.json`` / ``BENCH_e16.json`` /
-``BENCH_e17.json`` / ``BENCH_e18.json`` / ``BENCH_e19.json`` /
-``BENCH_e20.json``.  Every
-equivalence assertion inside the benches still runs, so a ranking
-regression fails before a throughput one.
+Runs every bench registered in :data:`BENCHES` in its smoke configuration
+— the one ``python benchmarks/bench_eNN.py --smoke`` runs —
+``_common.GUARD_REPEATS`` times over.  Every one of those runs has to pass
+the bench's equivalence assertions and the assertions of its
+``_sanity_check`` (a ranking, count or deadline regression fails before a
+throughput one, in whichever run it shows); the timing-ratio floors have
+to hold for the median of the runs; and the guard fails if any guarded
+metric's median drops more than ``BENCH_REGRESSION_TOLERANCE`` (default
+30%) below the ``smoke_baseline`` section committed in that bench's
+``BENCH_eNN.json``.
 
-A committed BENCH json **must** carry a ``smoke_baseline`` section: a
-missing or malformed section is itself a guard failure (with a clear
-message naming the file and the ``--update`` remedy), never a silent pass
-or a ``KeyError``.
+A committed BENCH json of a bench that guards metrics **must** carry a
+``smoke_baseline`` section: a missing or malformed section is itself a
+guard failure (with a clear message naming the file and the ``--update``
+remedy), never a silent pass or a ``KeyError``.
 
-Absolute throughput depends on the host, so the committed baselines are
-deliberately coarse (smoke corpora, small round counts) and the tolerance
-is wide; on sufficiently different hardware, loosen it via the
-environment variable rather than silencing the guard::
+Absolute throughput depends on the host, so the committed baselines
+record the host they were measured on; on sufficiently different
+hardware, loosen the tolerance via the environment variable rather than
+silencing the guard::
 
     BENCH_REGRESSION_TOLERANCE=0.5 python benchmarks/check_bench_regression.py
 
@@ -37,172 +35,26 @@ import os
 import sys
 from pathlib import Path
 
-BENCH_DIR = Path(__file__).resolve().parent
-sys.path.insert(0, str(BENCH_DIR))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import bench_e12_scoring_kernel as e12  # noqa: E402
 import bench_e13_concurrent_service as e13  # noqa: E402
+import bench_e14_adaptation_path as e14  # noqa: E402
 import bench_e15_sharded_retrieval as e15  # noqa: E402
 import bench_e16_durability as e16  # noqa: E402
 import bench_e17_multiproc as e17  # noqa: E402
 import bench_e18_serving as e18  # noqa: E402
 import bench_e19_replication as e19  # noqa: E402
 import bench_e20_mutable_corpus as e20  # noqa: E402
+from _common import host_metadata, measure_guarded, smoke_corpus  # noqa: E402
 
 DEFAULT_TOLERANCE = 0.30
 
-#: Guarded metrics per baseline file: {path: {metric: extractor}}.
-_SMOKE_ROUNDS_E12 = 6
-_SMOKE_USERS_E13 = 8
-_SMOKE_ROUNDS_E13 = 3
-_SMOKE_ROUNDS_E15 = 3
-_SMOKE_OPS_E16 = 128
-_SMOKE_ROUNDS_E17 = 3
-_SMOKE_ROUNDS_E18 = 2
-_SMOKE_REQUESTS_E18 = 24
-_SMOKE_OPS_E19 = 96
-_SMOKE_READS_E19 = 32
-_SMOKE_OPS_E20 = 128
-_SMOKE_EPOCHS_E20 = 3
-_SMOKE_MUTATIONS_E20 = 8
-
-
-def _smoke_corpus():
-    from repro.collection import CollectionConfig, generate_corpus
-
-    return generate_corpus(
-        seed=7, config=CollectionConfig(days=4, stories_per_day=5, topic_count=6)
-    )
-
-
-def measure_e12(corpus):
-    """E12 smoke metrics (kernel + batch throughput, equivalence verified)."""
-    scorer_rows = e12._text_scorer_rows(corpus, rounds=_SMOKE_ROUNDS_E12, verify=True)
-    batch_row = e12._batch_row(corpus, rounds=3)
-    metrics = {
-        f"{row['scorer']}_qps": row["qps"]
-        for row in scorer_rows
-        if row["scorer"] in ("bm25", "tfidf", "lm")
-    }
-    metrics["service_batch_qps"] = batch_row["qps"]
-    return metrics
-
-
-def measure_e13(corpus):
-    """E13 smoke metrics (parallel batch throughput, rankings verified)."""
-    rows = e13._batch_rows(corpus, users=_SMOKE_USERS_E13, rounds=_SMOKE_ROUNDS_E13)
-    by_key = {(row["workload"], row["workers"]): row for row in rows}
-    return {
-        "cpu_parallel_qps": by_key[("cpu", e13.PARALLEL_WORKERS)]["qps"],
-        "iostall_parallel_qps": by_key[("iostall", e13.PARALLEL_WORKERS)]["qps"],
-        "iostall_speedup": by_key[("iostall", e13.PARALLEL_WORKERS)]["speedup"],
-    }
-
-
-def measure_e15(corpus):
-    """E15 smoke metrics (scatter-gather speedup, rankings verified)."""
-    e15._assert_engine_equivalence(corpus)
-    rows = e15._scatter_rows(corpus, rounds=_SMOKE_ROUNDS_E15)
-    by_shards = {row["shards"]: row for row in rows}
-    return {
-        "iostall_single_qps": by_shards[1]["qps"],
-        "iostall_sharded_qps": by_shards[e15.BENCH_SHARDS]["qps"],
-        "iostall_sharded_speedup": by_shards[e15.BENCH_SHARDS]["speedup"],
-    }
-
-
-def measure_e16(corpus):
-    """E16 smoke metrics (durable ingest + recovery, digests verified).
-
-    Only the host-stable higher-is-better pair is guarded: ingest under
-    ``fsync=never`` (no device sync latency in the number) and recovery
-    throughput.  Write amplification and the fsync'd rows are recorded in
-    ``BENCH_e16.json`` for trajectory but never guarded.
-    """
-    ingest_rows, recovery_row = e16.run_experiment(
-        corpus, count=_SMOKE_OPS_E16, repeats=2
-    )
-    by_mode = {row["mode"]: row for row in ingest_rows}
-    return {
-        "ingest_never_ops_per_s": by_mode["durable-never"]["ops_per_s"],
-        "recovery_ops_per_s": recovery_row["recovery_ops_per_s"],
-    }
-
-
-def measure_e17(corpus):
-    """E17 smoke metrics (process-scatter speedup, rankings verified).
-
-    The guarded ``cpu_speedup_4workers`` is the 4-worker process-scatter
-    speedup over the single engine — relative, so it transfers across hosts
-    better than raw qps, but still core-count dependent: the committed
-    baseline records ``usable_cores`` and must be refreshed (--update) when
-    the reference hardware's core budget changes.
-    """
-    e17._assert_engine_equivalence(corpus)
-    rows = e17._cpu_rows(corpus, rounds=_SMOKE_ROUNDS_E17)
-    by_key = {(row["row"], row["workers"]): row for row in rows}
-    return {
-        "cpu_speedup_4workers": e17.cpu_speedup_4workers(rows),
-        "process_4worker_qps": by_key[("process", max(e17.WORKER_COUNTS))]["qps"],
-    }
-
-
-def measure_e18(corpus):
-    """E18 smoke metrics (serving-edge throughput, digest + tail verified).
-
-    Runs the full E18 experiment — digest equivalence through the serving
-    edge, the straggler/deadline tail-latency assertion and the typed
-    admission flood — and guards the clean-workload serving throughput.
-    """
-    rows = e18.run_experiment(
-        corpus, rounds=_SMOKE_ROUNDS_E18, request_count=_SMOKE_REQUESTS_E18
-    )
-    by_row = {row["row"]: row for row in rows}
-    return {"serve_qps": by_row["serve"]["qps"]}
-
-
-def measure_e19(corpus):
-    """E19 smoke metrics (replication tier, digest-verified throughout).
-
-    Runs the full E19 experiment — replica apply to parity, read fan-out
-    under a write-hammered primary, failover promotion, lag sampling —
-    with every state digest asserted, and guards the two host-stable
-    rates: replica apply throughput and promotion throughput.  The
-    fan-out speedup and lag distribution depend on thread scheduling and
-    stay unguarded.
-    """
-    apply_row, fanout_rows, promotion_row, lag_row = e19.run_experiment(
-        corpus, count=_SMOKE_OPS_E19, reads=_SMOKE_READS_E19
-    )
-    e19._sanity_check(apply_row, fanout_rows, promotion_row, lag_row)
-    return {
-        "replica_apply_ops_per_s": apply_row["ops_per_s"],
-        "promotion_ops_per_s": promotion_row["ops_per_s"],
-    }
-
-
-def measure_e20(corpus):
-    """E20 smoke metrics (mutable corpus, differential-verified).
-
-    Runs the full E20 experiment — delete/update/compact rankings
-    asserted bit-identical to a rebuild over the survivors, continuous
-    mix pinned byte-identical across worker counts — and guards the three
-    host-stable rates.  The ingest/update rows are recorded in
-    ``BENCH_e20.json`` for trajectory but never guarded.
-    """
-    mutation_rows, compaction_row, mix_row = e20.run_experiment(
-        corpus,
-        count=_SMOKE_OPS_E20,
-        epochs=_SMOKE_EPOCHS_E20,
-        mutations=_SMOKE_MUTATIONS_E20,
-    )
-    e20._sanity_check(mutation_rows, compaction_row, mix_row)
-    by_row = {row["row"]: row for row in mutation_rows}
-    return {
-        "delete_ops_per_s": by_row["delete"]["ops_per_s"],
-        "compact_slots_per_s": compaction_row["slots_per_s"],
-        "mix_records_per_s": mix_row["records_per_s"],
-    }
+#: Every bench the guard runs.  E14 guards no metric: its smoke run, its
+#: bit-identity sweep and its speed-up floors are checked all the same.
+BENCHES = tuple(
+    module.BENCH for module in (e12, e13, e14, e15, e16, e17, e18, e19, e20)
+)
 
 
 def check_baseline(name, baseline_path, payload, measured, tolerance):
@@ -252,7 +104,7 @@ def load_payload(name, baseline_path):
     if not baseline_path.exists():
         return None, [
             f"{name}: committed baseline file {baseline_path} is missing; "
-            f"run --update to create it"
+            f"record it with the bench's --write-baseline, then run --update"
         ]
     try:
         return json.loads(baseline_path.read_text()), []
@@ -263,47 +115,43 @@ def load_payload(name, baseline_path):
         ]
 
 
-def _update(baseline_path, measured):
-    payload = json.loads(baseline_path.read_text()) if baseline_path.exists() else {}
-    payload["smoke_baseline"] = {
-        **measured,
-        "note": (
-            "Smoke-configuration throughput on the baseline hardware; the "
-            "regression guard (check_bench_regression.py) fails when a "
-            "metric drops more than the tolerance below these values."
-        ),
-    }
-    baseline_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"smoke_baseline updated in {baseline_path.name}")
+def _update(bench, payload, measured):
+    """Re-record ``smoke_baseline`` in a file ``--write-baseline`` recorded.
+
+    Never into a new or foreign file: one holding a ``smoke_baseline`` and
+    nothing else would not have the schema.  Returns failure messages.
+    """
+    if not isinstance(payload, dict) or "host" not in payload:
+        return [
+            f"{bench.name} [{bench.baseline_path}]: not a file the bench's "
+            f"--write-baseline recorded (no 'host' section); not updated"
+        ]
+    payload["host"]["smoke_baseline"] = host_metadata()
+    payload["smoke_baseline"] = measured
+    bench.baseline_path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"smoke_baseline updated in {bench.baseline_path.name}")
+    return []
 
 
 def main(argv):
     update = "--update" in argv
     tolerance = float(os.environ.get("BENCH_REGRESSION_TOLERANCE", DEFAULT_TOLERANCE))
-    corpus = _smoke_corpus()
-    suites = (
-        ("e12", BENCH_DIR / "BENCH_e12.json", measure_e12),
-        ("e13", BENCH_DIR / "BENCH_e13.json", measure_e13),
-        ("e15", BENCH_DIR / "BENCH_e15.json", measure_e15),
-        ("e16", BENCH_DIR / "BENCH_e16.json", measure_e16),
-        ("e17", BENCH_DIR / "BENCH_e17.json", measure_e17),
-        ("e18", BENCH_DIR / "BENCH_e18.json", measure_e18),
-        ("e19", BENCH_DIR / "BENCH_e19.json", measure_e19),
-        ("e20", BENCH_DIR / "BENCH_e20.json", measure_e20),
-    )
+    measurements = measure_guarded(BENCHES, smoke_corpus())
     failures = []
-    for name, path, measure in suites:
-        measured = measure(corpus)
-        if update:
-            _update(path, measured)
+    for bench in BENCHES:
+        measured = measurements[bench.name]
+        if not measured:
+            print(f"{bench.name}: smoke runs and sanity floors ok (no guarded metric)")
             continue
-        payload, load_failures = load_payload(name, path)
-        if load_failures:
-            failures.extend(load_failures)
-            continue
-        failures.extend(
-            check_baseline(name, path, payload, measured, tolerance)
-        )
+        path = bench.baseline_path
+        payload, problems = load_payload(bench.name, path)
+        if problems:
+            pass
+        elif update:
+            problems = _update(bench, payload, measured)
+        else:
+            problems = check_baseline(bench.name, path, payload, measured, tolerance)
+        failures.extend(problems)
     if failures:
         print("\nbenchmark regression guard FAILED:")
         for failure in failures:

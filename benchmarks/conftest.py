@@ -9,26 +9,15 @@ test fixtures but still generates in a few seconds.
 from __future__ import annotations
 
 import pytest
+from _common import standard_corpus
 
-from repro.collection import CollectionConfig, generate_corpus
 from repro.evaluation import ExperimentRunner
-
-#: Seed used by every benchmark; change it to check robustness of the shapes.
-BENCH_SEED = 2008
-
-#: The benchmark collection: ~24 bulletins, ~200 stories, ~1200 shots, 16 topics.
-BENCH_CONFIG = CollectionConfig(
-    days=24,
-    stories_per_day=9,
-    topic_count=16,
-    min_stories_per_topic=3,
-)
 
 
 @pytest.fixture(scope="session")
 def bench_corpus():
     """The shared benchmark corpus."""
-    return generate_corpus(seed=BENCH_SEED, config=BENCH_CONFIG)
+    return standard_corpus()
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,9 @@ setup(
     package_dir={"": "src"},
     python_requires=">=3.8",
     install_requires=[],
-    extras_require={"test": ["pytest"]},
+    # tests/test_properties.py imports hypothesis at module level and every
+    # benchmarks/bench_* test takes pytest-benchmark's `benchmark` fixture.
+    extras_require={"test": ["pytest", "hypothesis", "pytest-benchmark"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
     classifiers=[
         "Development Status :: 4 - Beta",

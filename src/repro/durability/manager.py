@@ -36,6 +36,14 @@ from repro.durability.recovery import (
     RecoveryError,
     read_header,
 )
+from repro.durability.replay import (
+    MUTATION_OPS,
+    delete_record,
+    document_record,
+    feedback_record,
+    shot_record,
+    update_record,
+)
 from repro.durability.snapshots import SnapshotStore, _write_json_atomic
 from repro.durability.wal import META_SEGMENT, WriteAheadLog
 from repro.sharding.router import ShardRouter
@@ -254,14 +262,16 @@ class DurabilityManager:
 
     # -- write-path hooks (called under the engine's exclusive writer) -------------
 
+    def _log_index_op(self, record: Dict[str, object]) -> int:
+        lsn = self._wal.append(self._router.shard_of(record["id"]), record)
+        self._ops_since_checkpoint += 1
+        if record["op"] in MUTATION_OPS:
+            self._rebase_next_checkpoint = True
+        return lsn
+
     def log_document(self, document_id: str, frequencies: Dict[str, int]) -> int:
         """WAL one ``index_document`` op on its owning shard's segment."""
-        lsn = self._wal.append(
-            self._router.shard_of(document_id),
-            {"op": "doc", "id": document_id, "tf": dict(frequencies)},
-        )
-        self._ops_since_checkpoint += 1
-        return lsn
+        return self._log_index_op(document_record(document_id, frequencies))
 
     def log_shot(
         self,
@@ -270,49 +280,21 @@ class DurabilityManager:
         concept_scores: Optional[Dict[str, float]] = None,
     ) -> int:
         """WAL one ``index_shot`` op on its owning shard's segment."""
-        lsn = self._wal.append(
-            self._router.shard_of(shot_id),
-            {
-                "op": "shot",
-                "id": shot_id,
-                "features": [float(value) for value in features],
-                "concepts": dict(concept_scores or {}),
-            },
-        )
-        self._ops_since_checkpoint += 1
-        return lsn
+        return self._log_index_op(shot_record(shot_id, features, concept_scores))
 
     def log_delete_document(self, document_id: str) -> int:
         """WAL one ``delete_document`` op on its owning shard's segment."""
-        lsn = self._wal.append(
-            self._router.shard_of(document_id),
-            {"op": "del", "kind": "doc", "id": document_id},
-        )
-        self._ops_since_checkpoint += 1
-        self._rebase_next_checkpoint = True
-        return lsn
+        return self._log_index_op(delete_record("doc", document_id))
 
     def log_delete_shot(self, shot_id: str) -> int:
         """WAL one ``delete_shot`` op on its owning shard's segment."""
-        lsn = self._wal.append(
-            self._router.shard_of(shot_id),
-            {"op": "del", "kind": "shot", "id": shot_id},
-        )
-        self._ops_since_checkpoint += 1
-        self._rebase_next_checkpoint = True
-        return lsn
+        return self._log_index_op(delete_record("shot", shot_id))
 
     def log_update_document(
         self, document_id: str, frequencies: Dict[str, int]
     ) -> int:
         """WAL one ``update_document`` op (replayed as delete + re-add)."""
-        lsn = self._wal.append(
-            self._router.shard_of(document_id),
-            {"op": "upd", "id": document_id, "tf": dict(frequencies)},
-        )
-        self._ops_since_checkpoint += 1
-        self._rebase_next_checkpoint = True
-        return lsn
+        return self._log_index_op(update_record(document_id, frequencies))
 
     def note_compaction(self) -> None:
         """Engine hook: a compaction adopted re-interned indexes.
@@ -329,13 +311,7 @@ class DurabilityManager:
     ) -> int:
         """WAL one feedback batch on the meta segment."""
         return self._wal.append(
-            META_SEGMENT,
-            {
-                "op": "feedback",
-                "user": user_id,
-                "session": session_id,
-                "events": [event.as_dict() for event in events],
-            },
+            META_SEGMENT, feedback_record(user_id, session_id, events)
         )
 
     # -- checkpoints ---------------------------------------------------------------

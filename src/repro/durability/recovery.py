@@ -9,19 +9,12 @@ its last durable write, from nothing but the durability directory:
 3. scan every WAL segment tolerantly, merge records by LSN, and apply the
    **maximal gap-free prefix** starting at ``wal_lsn + 1``.
 
-The gap-free rule is load-bearing: dense interning order — and therefore
-every score the adaptation kernel and the tie-breaks produce — is defined
-by *insertion order*.  Applying a subsequence with a hole (a record lost to
-a torn tail on one segment while later records survived on another) would
-silently shift every subsequent dense index.  Stopping at the first gap
-instead guarantees the recovered state is a true prefix of the write
-history, which is exactly the crash-consistency contract the fault
-injection suite pins.
-
-Replay is idempotent: records whose id is already present (because a crash
-landed between a checkpoint's manifest rename and its WAL truncation) are
-skipped, so recovering twice — or recovering a directory whose compaction
-was interrupted — converges to the same digest.
+The gap-free walk and the idempotent per-record replay live in
+:mod:`repro.durability.replay`, shared with the WAL-tailing replicas:
+stopping at the first gap guarantees the recovered state is a true prefix
+of the write history — exactly the crash-consistency contract the fault
+injection suite pins — and recovering twice, or recovering a directory
+whose compaction was interrupted, converges to the same digest.
 """
 
 from __future__ import annotations
@@ -31,6 +24,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.durability.digest import state_digest
+from repro.durability.replay import ReplayError, apply_record, gap_free_tail
 from repro.durability.snapshots import SnapshotError, SnapshotStore
 from repro.durability.wal import WriteAheadLog
 from repro.utils.serialization import PathLike, read_json
@@ -133,12 +127,44 @@ class RecoveredState:
         )
 
 
-def _remove_by_id(entries: List[tuple], target: str) -> None:
-    """Remove the (unique) entry whose leading element is ``target``."""
-    for position, entry in enumerate(entries):
-        if entry[0] == target:
-            del entries[position]
-            return
+class _TextItems:
+    """Insertion-ordered ``{document_id: frequencies}`` behind the index write API."""
+
+    def __init__(self, documents) -> None:
+        self.items = dict(documents)
+
+    def has_document(self, document_id: str) -> bool:
+        return document_id in self.items
+
+    def add_document_frequencies(self, document_id: str, frequencies) -> None:
+        self.items[document_id] = frequencies
+
+    def delete_document(self, document_id: str) -> None:
+        del self.items[document_id]
+
+    def update_document_frequencies(self, document_id: str, frequencies) -> None:
+        # Delete + re-add, so the document moves to the end of the
+        # insertion sequence exactly as the live engine re-interns it.
+        del self.items[document_id]
+        self.items[document_id] = frequencies
+
+
+class _VisualItems:
+    """Insertion-ordered ``{shot_id: (features, concepts)}``, same API."""
+
+    def __init__(self, shots) -> None:
+        self.items = {
+            shot_id: (features, concepts) for shot_id, features, concepts in shots
+        }
+
+    def has_shot(self, shot_id: str) -> bool:
+        return shot_id in self.items
+
+    def add_shot(self, shot_id: str, features, concepts) -> None:
+        self.items[shot_id] = (features, concepts)
+
+    def delete_shot(self, shot_id: str) -> None:
+        del self.items[shot_id]
 
 
 class RecoveryManager:
@@ -205,8 +231,6 @@ class RecoveryManager:
 
         state = RecoveredState(
             num_shards=self._num_shards,
-            documents=list(base.documents),
-            shots=list(base.shots),
             applied_lsn=base.wal_lsn,
             checkpoint_id=base.checkpoint_id,
             snapshot_lsn=base.wal_lsn,
@@ -215,9 +239,6 @@ class RecoveryManager:
             baseline_shot_count=base.baseline_shot_count,
             stop_lsn=self._stop_lsn,
         )
-        documents_seen = {document_id for document_id, _ in state.documents}
-        shots_seen = {shot_id for shot_id, _, _ in state.shots}
-
         tail = [record for record in records if int(record["lsn"]) > base.wal_lsn]
         if tail and base.checkpoint_id < 0 and int(tail[0]["lsn"]) != 1:
             raise RecoveryError(
@@ -225,90 +246,33 @@ class RecoveryManager:
                 f"covers the preceding records — the snapshot chain is "
                 f"missing"
             )
-        expected = base.wal_lsn + 1
-        for record in tail:
-            lsn = int(record["lsn"])
-            if self._stop_lsn is not None and lsn > self._stop_lsn:
-                # The point-in-time cut: everything past it is intact on
-                # disk but deliberately excluded from this recovery.
-                state.wal_records_beyond_stop = (
-                    len(tail) - state.wal_index_ops - state.wal_feedback_ops
-                )
-                break
-            if lsn != expected:
-                # A hole: a record on some segment was lost (torn tail or
-                # corruption).  Everything from here on is beyond the
-                # durable prefix, however intact it looks.
-                state.wal_dropped_records += len(tail) - state.wal_index_ops - state.wal_feedback_ops
-                break
-            expected += 1
-            state.applied_lsn = lsn
-            op = record.get("op")
-            if op == "doc":
-                state.wal_index_ops += 1
-                document_id = str(record["id"])
-                if document_id in documents_seen:
-                    state.wal_skipped_duplicates += 1
-                else:
-                    documents_seen.add(document_id)
-                    state.documents.append(
-                        (document_id, {str(t): int(f) for t, f in record["tf"].items()})
-                    )
-            elif op == "shot":
-                state.wal_index_ops += 1
-                shot_id = str(record["id"])
-                if shot_id in shots_seen:
-                    state.wal_skipped_duplicates += 1
-                else:
-                    shots_seen.add(shot_id)
-                    state.shots.append(
-                        (
-                            shot_id,
-                            [float(value) for value in record["features"]],
-                            {str(c): float(s) for c, s in record["concepts"].items()},
-                        )
-                    )
-            elif op == "del":
-                state.wal_index_ops += 1
-                state.wal_mutation_ops += 1
-                target = str(record["id"])
-                if record.get("kind") == "shot":
-                    if target in shots_seen:
-                        shots_seen.discard(target)
-                        _remove_by_id(state.shots, target)
-                    else:
-                        # Idempotent replay: the delete already landed in a
-                        # checkpoint (crash between manifest rename and WAL
-                        # truncation), or the add it undoes never became
-                        # durable.
-                        state.wal_skipped_duplicates += 1
-                else:
-                    if target in documents_seen:
-                        documents_seen.discard(target)
-                        _remove_by_id(state.documents, target)
-                    else:
-                        state.wal_skipped_duplicates += 1
-            elif op == "upd":
-                state.wal_index_ops += 1
-                state.wal_mutation_ops += 1
-                document_id = str(record["id"])
-                if document_id in documents_seen:
-                    _remove_by_id(state.documents, document_id)
-                else:
-                    documents_seen.add(document_id)
-                # The live engine re-interns an updated document at the
-                # dense tail (delete + re-add), so replay appends it at the
-                # end of the insertion sequence too.
-                state.documents.append(
-                    (
-                        document_id,
-                        {str(t): int(f) for t, f in record["tf"].items()},
-                    )
-                )
-            elif op == "feedback":
-                state.wal_feedback_ops += 1
-            else:
-                raise RecoveryError(f"unknown WAL op {op!r} at lsn {lsn}")
+        beyond_stop = 0
+        if self._stop_lsn is not None:
+            within = [r for r in tail if int(r["lsn"]) <= self._stop_lsn]
+            tail, beyond_stop = within, len(tail) - len(within)
+        run, beyond_hole = gap_free_tail(tail, base.wal_lsn)
+        if beyond_hole:
+            # A hole: a record on some segment was lost (torn tail or
+            # corruption).  Everything behind it, past the cut or not, is
+            # beyond the durable prefix, however intact it looks.
+            state.wal_dropped_records = len(beyond_hole) + beyond_stop
+        else:
+            # The point-in-time cut: everything past it is intact on disk
+            # but deliberately excluded from this recovery.
+            state.wal_records_beyond_stop = beyond_stop
+        text, visual = _TextItems(base.documents), _VisualItems(base.shots)
+        try:
+            for record in run:
+                apply_record(record, text, visual, state)
+        except ReplayError as error:
+            raise RecoveryError(str(error)) from None
+        if run:
+            state.applied_lsn = int(run[-1]["lsn"])
+        state.documents = list(text.items.items())
+        state.shots = [
+            (shot_id, features, concepts)
+            for shot_id, (features, concepts) in visual.items.items()
+        ]
         return state
 
 

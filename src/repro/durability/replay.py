@@ -1,0 +1,146 @@
+"""WAL op records: how they are built, walked and replayed.
+
+The one owner of the op-record schema.  The durability manager builds
+every record it appends through the constructors here; crash recovery and
+the WAL-tailing replicas select what to replay with :func:`gap_free_tail`
+and replay it with :func:`apply_record`, so the three cannot drift apart.
+
+Replay is idempotent: a record whose effect is already present (a crash
+landed between a checkpoint's manifest rename and its WAL truncation, or
+the add a delete undoes never became durable) is counted as a skipped
+duplicate instead of applied, so replaying twice converges to the same
+state.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+Record = Dict[str, object]
+
+#: Ops that perturb the live item sequence relative to the parent
+#: checkpoint (incremental snapshots assume a pure append suffix).
+MUTATION_OPS = frozenset({"del", "upd"})
+
+
+class ReplayError(ValueError):
+    """A WAL record names an op this build does not know how to replay."""
+
+
+@dataclass
+class ReplayCounts:
+    """What a replay did, by kind (``RecoveredState`` carries the same fields)."""
+
+    wal_index_ops: int = 0
+    wal_mutation_ops: int = 0
+    wal_feedback_ops: int = 0
+    wal_skipped_duplicates: int = 0
+
+
+def document_record(document_id: str, frequencies: Mapping[str, int]) -> Record:
+    """One ``index_document`` op."""
+    return {"op": "doc", "id": document_id, "tf": dict(frequencies)}
+
+
+def shot_record(
+    shot_id: str,
+    features: Sequence[float],
+    concept_scores: Optional[Mapping[str, float]] = None,
+) -> Record:
+    """One ``index_shot`` op."""
+    return {
+        "op": "shot",
+        "id": shot_id,
+        "features": [float(value) for value in features],
+        "concepts": dict(concept_scores or {}),
+    }
+
+
+def delete_record(kind: str, item_id: str) -> Record:
+    """One ``delete_document`` (``kind="doc"``) or ``delete_shot`` op."""
+    return {"op": "del", "kind": kind, "id": item_id}
+
+
+def update_record(document_id: str, frequencies: Mapping[str, int]) -> Record:
+    """One ``update_document`` op (replayed as delete + re-add)."""
+    return {"op": "upd", "id": document_id, "tf": dict(frequencies)}
+
+
+def feedback_record(user_id: str, session_id: str, events: Sequence) -> Record:
+    """One interaction batch (meta segment; not index state)."""
+    return {
+        "op": "feedback",
+        "user": user_id,
+        "session": session_id,
+        "events": [event.as_dict() for event in events],
+    }
+
+
+def gap_free_tail(
+    records: Sequence[Record], applied_lsn: int
+) -> Tuple[List[Record], List[Record]]:
+    """Split the LSN-sorted records past ``applied_lsn`` into ``(run, rest)``.
+
+    ``run`` is the maximal contiguous LSN run starting at ``applied_lsn +
+    1``; ``rest`` is everything behind the first hole.  Dense interning
+    order — and therefore every score and tie-break — is defined by
+    insertion order, so applying a subsequence with a hole would silently
+    shift every later dense index; only ``run`` is ever a true prefix of
+    the write history.
+    """
+    tail = [record for record in records if int(record["lsn"]) > applied_lsn]
+    for position, record in enumerate(tail):
+        if int(record["lsn"]) != applied_lsn + 1 + position:
+            return tail[:position], tail[position:]
+    return tail, []
+
+
+def apply_record(record: Record, text, visual, counts) -> None:
+    """Replay one record into ``text`` / ``visual``, idempotently.
+
+    The targets speak the index write API (``has_document`` /
+    ``add_document_frequencies`` / ``delete_document`` /
+    ``update_document_frequencies``; ``has_shot`` / ``add_shot`` /
+    ``delete_shot``): live index facades on a replica, insertion-ordered
+    item tables in recovery.  ``counts`` is a :class:`ReplayCounts` (or
+    anything with its fields).
+    """
+    op = record.get("op")
+    if op == "feedback":
+        counts.wal_feedback_ops += 1
+        return
+    if op not in ("doc", "shot", "del", "upd"):
+        raise ReplayError(f"unknown WAL op {op!r} at lsn {record.get('lsn')}")
+    counts.wal_index_ops += 1
+    if op in MUTATION_OPS:
+        counts.wal_mutation_ops += 1
+    item_id = str(record["id"])
+    if op in ("doc", "upd"):
+        frequencies = {str(t): int(f) for t, f in record["tf"].items()}
+        if not text.has_document(item_id):
+            text.add_document_frequencies(item_id, frequencies)
+        elif op == "upd":
+            # Same re-interning as the live engine: delete + re-add at the
+            # dense tail, so live insertion order stays bit-identical.
+            text.update_document_frequencies(item_id, frequencies)
+        else:
+            counts.wal_skipped_duplicates += 1
+    elif op == "shot":
+        if visual.has_shot(item_id):
+            counts.wal_skipped_duplicates += 1
+        else:
+            visual.add_shot(
+                item_id,
+                [float(value) for value in record["features"]],
+                {str(c): float(s) for c, s in record["concepts"].items()},
+            )
+    elif record.get("kind") == "shot":
+        if visual.has_shot(item_id):
+            visual.delete_shot(item_id)
+        else:
+            counts.wal_skipped_duplicates += 1
+    elif text.has_document(item_id):
+        text.delete_document(item_id)
+    else:
+        counts.wal_skipped_duplicates += 1

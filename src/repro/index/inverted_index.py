@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.collection.documents import Collection
+from repro.index.scoring import bm25_norm_table, tfidf_norm_table
 from repro.index.tokenizer import Tokenizer
 
 
@@ -418,15 +419,8 @@ class InvertedIndex:
         cached = self._bm25_norms_cache.get(key)
         if cached is not None:
             return cached
-        average_length = max(1.0, self.average_document_length)
-        # Evaluated with the same expression the scorer historically used per
-        # posting, so precomputed scores stay bit-identical.
-        norms = array(
-            "d",
-            (
-                k1 * (1.0 - b + b * length / average_length)
-                for length in self._doc_lengths
-            ),
+        norms = bm25_norm_table(
+            self._doc_lengths, self.average_document_length, k1, b
         )
         self._bm25_norms_cache[key] = norms
         return norms
@@ -436,11 +430,7 @@ class InvertedIndex:
         cached = self._tfidf_norms_cache
         if cached is not None:
             return cached
-        from math import sqrt
-
-        norms = array(
-            "d", (sqrt(max(1.0, float(length))) for length in self._doc_lengths)
-        )
+        norms = tfidf_norm_table(self._doc_lengths)
         self._tfidf_norms_cache = norms
         return norms
 

@@ -21,11 +21,34 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
-from typing import Dict, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Union
 
-from repro.index.inverted_index import InvertedIndex
+if TYPE_CHECKING:  # the index imports the norm tables below
+    from repro.index.inverted_index import InvertedIndex
 
 QueryTerms = Union[Sequence[str], Mapping[str, float]]
+
+
+def bm25_norm_table(
+    lengths: Sequence[int], average_length: float, k1: float, b: float
+) -> array:
+    """Per-document BM25 length-normalisation denominators.
+
+    ``k1 * (1 - b + b * length / max(1, average_length))`` in the order of
+    ``lengths``.  The monolithic index, the per-shard statistics views and
+    the shm-attached worker shards all build their tables here (a shard
+    passes the **global** average), which is what keeps every document's
+    denominator — and so every score — bit-identical across the three.
+    """
+    average_length = max(1.0, average_length)
+    return array(
+        "d", (k1 * (1.0 - b + b * length / average_length) for length in lengths)
+    )
+
+
+def tfidf_norm_table(lengths: Sequence[int]) -> array:
+    """Per-document cosine length norms ``sqrt(max(1, length))``."""
+    return array("d", (math.sqrt(max(1.0, float(length))) for length in lengths))
 
 
 @lru_cache(maxsize=None)

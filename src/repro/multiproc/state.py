@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from math import sqrt
 from typing import Dict, List, Optional, Tuple
+
+from repro.index.scoring import bm25_norm_table, tfidf_norm_table
 
 try:  # pragma: no cover - exercised indirectly; absence is the fallback path
     from multiprocessing import shared_memory as _shared_memory
@@ -416,36 +417,24 @@ class AttachedShardIndex:
     # -- derived normalisation tables --------------------------------------------
 
     def tfidf_norms(self) -> array:
-        """``sqrt(max(1, length))`` per document — the monolithic expression
-        over shard-local lengths, so values are bit-identical."""
+        """The monolithic table over shard-local lengths (bit-identical)."""
         cached = self._tfidf_norms_cache
         if cached is None:
-            cached = array(
-                "d", (sqrt(max(1.0, float(length))) for length in self._lengths)
-            )
-            self._tfidf_norms_cache = cached
+            cached = self._tfidf_norms_cache = tfidf_norm_table(self._lengths)
         return cached
 
     def bm25_norms(self, k1: float, b: float) -> array:
         """BM25 denominators under the **global** average document length.
 
-        Same expression (and ``max(1.0, ...)`` floor) as
-        :meth:`GlobalStatsView.bm25_norms`, keyed on the combined generation
-        so a write anywhere invalidates the table.
+        Same table builder as :meth:`GlobalStatsView.bm25_norms`, keyed on
+        the combined generation so a write anywhere invalidates the table.
         """
         key = (k1, b)
         generation = self.generation
         cached = self._bm25_norms_cache.get(key)
         if cached is not None and cached[0] == generation:
             return cached[1]
-        average_length = max(1.0, self.average_document_length)
-        norms = array(
-            "d",
-            (
-                k1 * (1.0 - b + b * length / average_length)
-                for length in self._lengths
-            ),
-        )
+        norms = bm25_norm_table(self._lengths, self.average_document_length, k1, b)
         self._bm25_norms_cache[key] = (generation, norms)
         return norms
 

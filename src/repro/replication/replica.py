@@ -41,6 +41,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.durability.digest import engine_state_digest
 from repro.durability.recovery import RecoveryManager, read_header
+from repro.durability.replay import (
+    ReplayCounts,
+    ReplayError,
+    apply_record,
+    gap_free_tail,
+)
 from repro.durability.snapshots import SnapshotStore
 from repro.durability.wal import WriteAheadLog
 from repro.replication.config import ReplicationConfig
@@ -139,10 +145,8 @@ class ReplicaServer:
         self._wal = WriteAheadLog(self._directory, self._num_shards)
         self._applied_lsn = 0
         self._disk_last_lsn = 0
-        self._documents_seen: set = set()
-        self._shots_seen: set = set()
         self._records_applied = 0
-        self._feedback_batches = 0
+        self._replayed = ReplayCounts()
         self._polls = 0
         self._restarts = 0
         self._engine = None
@@ -164,9 +168,7 @@ class ReplicaServer:
         self._engine = engine
         self._applied_lsn = recovered.applied_lsn
         self._disk_last_lsn = max(self._disk_last_lsn, recovered.applied_lsn)
-        self._documents_seen = {doc_id for doc_id, _ in recovered.documents}
-        self._shots_seen = {shot_id for shot_id, _, _ in recovered.shots}
-        self._feedback_batches += recovered.wal_feedback_ops
+        self._replayed.wal_feedback_ops += recovered.wal_feedback_ops
         if old_engine is not None:
             old_engine.close()
 
@@ -205,7 +207,7 @@ class ReplicaServer:
                 "applied_lsn": float(self._applied_lsn),
                 "disk_last_lsn": float(self._disk_last_lsn),
                 "records_applied": float(self._records_applied),
-                "feedback_batches": float(self._feedback_batches),
+                "feedback_batches": float(self._replayed.wal_feedback_ops),
                 "polls": float(self._polls),
                 "restarts": float(self._restarts),
             }
@@ -262,82 +264,29 @@ class ReplicaServer:
         return applied
 
     def _apply_contiguous(self, records: List[Dict[str, object]]) -> int:
-        tail = [
-            record for record in records if int(record["lsn"]) > self._applied_lsn
-        ]
-        if not tail or int(tail[0]["lsn"]) != self._applied_lsn + 1:
-            return 0
-        applied = 0
-        engine = self._engine
-        with engine.exclusive_writer():
-            expected = self._applied_lsn + 1
-            for record in tail:
-                lsn = int(record["lsn"])
-                if lsn != expected:
-                    break  # a hole: everything past it is beyond the prefix
-                self._apply_record_locked(engine, record)
-                self._applied_lsn = lsn
-                expected += 1
-                applied += 1
-                self._records_applied += 1
-        return applied
+        """Replay the gap-free run past the applied LSN into the live engine.
 
-    def _apply_record_locked(self, engine, record: Dict[str, object]) -> None:
-        """Replay one WAL record into the live engine, idempotently.
-
-        Mirrors the recovery replay exactly: WAL records carry tokenised
-        frequencies / feature vectors, which go straight into the index
-        facades (generation bumps invalidate every derived cache).
+        WAL records carry tokenised frequencies / feature vectors, which go
+        straight into the index facades exactly as recovery replays them
+        (generation bumps invalidate every derived cache).  Feedback
+        batches are not index state: they are counted so lag accounting
+        covers the meta segment, replayable into sessions by a future
+        follower tier.
         """
-        op = record.get("op")
-        if op == "doc":
-            document_id = str(record["id"])
-            if document_id not in self._documents_seen:
-                self._documents_seen.add(document_id)
-                engine.inverted_index.add_document_frequencies(
-                    document_id,
-                    {str(t): int(f) for t, f in record["tf"].items()},
-                )
-        elif op == "shot":
-            shot_id = str(record["id"])
-            if shot_id not in self._shots_seen:
-                self._shots_seen.add(shot_id)
-                engine.visual_index.add_shot(
-                    shot_id,
-                    [float(value) for value in record["features"]],
-                    {str(c): float(s) for c, s in record["concepts"].items()},
-                )
-        elif op == "del":
-            target = str(record["id"])
-            if record.get("kind") == "shot":
-                if target in self._shots_seen:
-                    self._shots_seen.discard(target)
-                    engine.visual_index.delete_shot(target)
-            elif target in self._documents_seen:
-                self._documents_seen.discard(target)
-                engine.inverted_index.delete_document(target)
-        elif op == "upd":
-            document_id = str(record["id"])
-            frequencies = {str(t): int(f) for t, f in record["tf"].items()}
-            if document_id in self._documents_seen:
-                # Same re-interning as the primary: delete + re-add at the
-                # dense tail, so live insertion order stays bit-identical.
-                engine.inverted_index.update_document_frequencies(
-                    document_id, frequencies
-                )
-            else:
-                self._documents_seen.add(document_id)
-                engine.inverted_index.add_document_frequencies(
-                    document_id, frequencies
-                )
-        elif op == "feedback":
-            # Not index state: counted so lag accounting covers the meta
-            # segment, replayable into sessions by a future follower tier.
-            self._feedback_batches += 1
-        else:
-            raise ReplicationError(
-                f"unknown WAL op {op!r} at lsn {record.get('lsn')}"
-            )
+        run, _beyond_hole = gap_free_tail(records, self._applied_lsn)
+        if not run:
+            return 0
+        engine = self._engine
+        text, visual = engine.inverted_index, engine.visual_index
+        with engine.exclusive_writer():
+            try:
+                for record in run:
+                    apply_record(record, text, visual, self._replayed)
+                    self._applied_lsn = int(record["lsn"])
+                    self._records_applied += 1
+            except ReplayError as error:
+                raise ReplicationError(str(error)) from None
+        return len(run)
 
     def catch_up(
         self,

@@ -31,6 +31,7 @@ from array import array
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.index.inverted_index import InvertedIndex, Posting
+from repro.index.scoring import bm25_norm_table
 from repro.index.tokenizer import Tokenizer
 
 
@@ -230,8 +231,7 @@ class GlobalStatsView:
     def bm25_norms(self, k1: float, b: float) -> array:
         """Shard documents' BM25 denominators under the **global** average.
 
-        Evaluates ``k1 * (1 - b + b * length / global_average_length)`` with
-        the same expression (and the same ``max(1.0, ...)`` floor) as the
+        Built by the same :func:`~repro.index.scoring.bm25_norm_table` as the
         monolithic index, so each document's denominator is bit-identical to
         what the unsharded engine computes for it.  Cached per ``(k1, b)``
         and keyed on the combined generation: a write to *any* shard moves
@@ -242,13 +242,11 @@ class GlobalStatsView:
         cached = self._bm25_norms_cache.get(key)
         if cached is not None and cached[0] == generation:
             return cached[1]
-        average_length = max(1.0, self._stats.average_document_length)
-        norms = array(
-            "d",
-            (
-                k1 * (1.0 - b + b * length / average_length)
-                for length in self._shard.document_lengths_array
-            ),
+        norms = bm25_norm_table(
+            self._shard.document_lengths_array,
+            self._stats.average_document_length,
+            k1,
+            b,
         )
         self._bm25_norms_cache[key] = (generation, norms)
         return norms

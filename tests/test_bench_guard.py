@@ -19,6 +19,7 @@ import pytest
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCH_DIR))
 
+import _common  # noqa: E402
 import check_bench_regression as guard  # noqa: E402
 
 
@@ -120,18 +121,102 @@ class TestLoadPayload:
         assert payload["smoke_baseline"]["qps"] == 1.0
 
 
+def _fake_bench(sanity_check, values):
+    """A bench whose n-th run measures ``values[n]`` (no real work)."""
+    pending = iter(values)
+    return _common.Bench(
+        name="e99",
+        run_experiment=lambda corpus: {"rows": {"value": next(pending)}},
+        smoke={},
+        full={},
+        tables={"rows": "fake"},
+        sanity_check=sanity_check,
+        note="",
+        guarded=lambda tables: {"value": tables["rows"]["value"]},
+    )
+
+
+class TestMeasureGuarded:
+    """What the guard holds every run to, and what only the median."""
+
+    REPEATS = _common.GUARD_REPEATS
+
+    def test_an_assertion_failing_in_one_run_fails_the_measurement(self):
+        def sanity_check(tables, smoke):
+            assert tables["rows"]["value"] > 0, "nothing was reclaimed"
+
+        values = [5.0] * self.REPEATS
+        values[3] = 0.0  # one run in fifteen
+        with pytest.raises(AssertionError, match="nothing was reclaimed"):
+            _common.measure_guarded([_fake_bench(sanity_check, values)], None)
+
+    def test_a_floor_missed_by_a_minority_is_printed_but_passes(self, capsys):
+        def sanity_check(tables, smoke):
+            return {"speedup": _common.Floor(tables["rows"]["value"], 2.0)}
+
+        values = [3.0] * self.REPEATS
+        values[3] = values[8] = 1.5
+        measured = _common.measure_guarded([_fake_bench(sanity_check, values)], None)
+        assert measured == {"e99": {"value": 3.0}}
+        printed = capsys.readouterr().out
+        assert "outside in 2 (run 4: 1.50x, run 9: 1.50x)" in printed
+
+    def test_a_floor_missed_by_the_median_fails(self):
+        def sanity_check(tables, smoke):
+            return {"parity": _common.Floor(tables["rows"]["value"], 0.7, 1.4)}
+
+        values = [1.0] * (self.REPEATS // 2) + [1.6] * (self.REPEATS // 2 + 1)
+        with pytest.raises(AssertionError, match=r"parity 1.60x, must be in \[0.7x"):
+            _common.measure_guarded([_fake_bench(sanity_check, values)], None)
+
+    def test_update_never_creates_a_baseline_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_common, "BENCH_DIR", tmp_path)
+        monkeypatch.setattr(
+            guard, "measure_guarded", lambda benches, corpus: {"e99": {"value": 1.0}}
+        )
+        monkeypatch.setattr(guard, "BENCHES", (_fake_bench(None, []),))
+        assert guard.main(["--update"]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCommittedBaselines:
-    @pytest.mark.parametrize("name", ("e12", "e13", "e15", "e16", "e17"))
-    def test_committed_bench_jsons_carry_usable_smoke_baselines(self, name):
-        """The repo's own BENCH files must satisfy the guard's contract."""
-        path = BENCH_DIR / f"BENCH_{name}.json"
-        payload, failures = guard.load_payload(name, path)
+    """The repo's own BENCH files must satisfy the harness's contract."""
+
+    #: The keys every ``BENCH_eNN.json`` carries (``benchmarks/_common.py``).
+    COMMON_KEYS = {"bench", "host", "corpus", "params", "note", "tables"}
+
+    def test_every_committed_bench_json_belongs_to_a_registered_bench(self):
+        committed = {path.name for path in BENCH_DIR.glob("BENCH_*.json")}
+        registered = {bench.baseline_path.name for bench in guard.BENCHES}
+        assert committed == registered
+
+    @pytest.mark.parametrize("bench", guard.BENCHES, ids=lambda bench: bench.name)
+    def test_committed_bench_jsons_share_the_one_schema(self, bench):
+        payload, failures = guard.load_payload(bench.name, bench.baseline_path)
+        assert failures == []
+        assert self.COMMON_KEYS <= set(payload)
+        assert payload["bench"] == bench.name
+        assert set(payload["tables"]) == set(bench.tables)
+        # Each recorded section names the host it was measured on.
+        recorded = {"tables"} | ({"smoke_baseline"} & set(payload))
+        assert set(payload["host"]) == recorded
+        assert ("smoke_baseline" in payload) == (bench.guarded is not None)
+
+    @pytest.mark.parametrize(
+        "bench",
+        [bench for bench in guard.BENCHES if bench.guarded is not None],
+        ids=lambda bench: bench.name,
+    )
+    def test_committed_bench_jsons_carry_usable_smoke_baselines(self, bench):
+        payload, failures = guard.load_payload(bench.name, bench.baseline_path)
         assert failures == []
         section = payload["smoke_baseline"]
         assert isinstance(section, dict) and section
         numeric = {
-            key: value
+            key
             for key, value in section.items()
             if isinstance(value, (int, float))
         }
-        assert numeric, f"{path.name} smoke_baseline has no numeric metrics"
+        # The committed tables have the shape run_experiment returns, so the
+        # bench's own extractor names the guarded metrics.
+        assert numeric == set(bench.guarded(payload["tables"]))

@@ -628,6 +628,33 @@ class TestPointInTimeRecovery:
         assert state.applied_lsn == 5
         assert state.wal_records_beyond_stop == 0
 
+    def test_cut_and_hole_are_accounted_separately(self, analysed_corpus, tmp_path):
+        directory = tmp_path / "dur"
+        primary = RetrievalService.from_corpus(
+            analysed_corpus, config=_durable_config(directory)
+        )
+        apply_ingest(primary, _ops(primary, 6))
+        primary.close()
+        segment = WalSegment(directory / segment_filename(0))
+        records, _ = segment.scan()
+        segment.rewrite([r for r in records if int(r["lsn"]) != 4])  # hole at 4
+
+        def accounting(cut):
+            state = RecoveryManager(directory, stop_lsn=cut).recover()
+            return (
+                state.applied_lsn,
+                state.wal_records_beyond_stop,
+                state.wal_dropped_records,
+            )
+
+        assert accounting(None) == (3, 0, 2)
+        # Whichever ends the replay first names the excluded records: a cut
+        # at or before the last record in front of the hole ...
+        assert accounting(2) == (2, 3, 0)
+        assert accounting(3) == (3, 2, 0)
+        # ... or the hole, which also swallows what lies past a later cut.
+        assert accounting(5) == (3, 0, 2)
+
     def test_recover_cli_to_lsn(self, analysed_corpus, tmp_path, capsys):
         import io
 
