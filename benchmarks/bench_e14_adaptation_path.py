@@ -18,8 +18,17 @@ into an incremental, array-backed kernel:
   batch, then several adapted queries per round: the query/refresh/
   reformulate rhythm of a real session) measured end-to-end through
   ``submit_query``, fast vs reference, on separate engines so neither
-  mode warms the other's caches.  Acceptance: **>= 3x** on the full bench
-  corpus.
+  mode warms the other's caches; each mode's qps is the median of
+  ``THROUGHPUT_REPEATS`` interleaved sessions.  Acceptance: the fast path
+  is **never slower** than the reference (>= 1x, both sizes), and both
+  throughputs are guarded against their recorded baselines.  The old
+  ">= 3x" was a ratio over a denominator this bench did not own: nearly
+  all of a reference query was its un-memoised re-rank walking
+  ``VisualIndex.similar_to_shot`` scans, and those are now answered by
+  the index's neighbour table for every caller — the reference session
+  went 83 -> ~3 000 qps, the fast path 5 153 -> ~6 000, so the ratio
+  fell to ~2x while nothing got slower.  What the fast path still saves
+  is the evidence fold, the term extraction and the fused re-rank.
 
 * **Session bring-up** — ``create_session`` cost at 10k-shot corpus
   scale, where the old per-session ``shot_durations`` build made session
@@ -34,11 +43,14 @@ into an incremental, array-backed kernel:
 ``BENCH_e14.json`` next to this file records the baseline numbers.  Run
 ``--write-baseline`` to refresh it on representative hardware, or
 ``--smoke`` for the quick CI sanity check (small corpus, all equivalence
-assertions, relaxed speedup floors).
+assertions, a relaxed session-open floor).  Guarded by
+``check_bench_regression.py``: the fast and the reference adapted-query
+throughput.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from _common import Bench, Floor, scale_corpus
@@ -56,12 +68,16 @@ from repro.profiles import UserProfile
 from repro.retrieval import VideoRetrievalEngine
 from repro.workload import ServiceLoadDriver, WorkloadSpec
 
-#: Speedup floors asserted by the bench (relaxed in smoke mode, where the
-#: tiny corpus shrinks the naive path's work).
-FULL_QUERY_SPEEDUP_FLOOR = 3.0
+#: Speedup floors asserted by the bench (session-open relaxed in smoke
+#: mode, where the tiny corpus shrinks the naive path's work).
+QUERY_SPEEDUP_FLOOR = 1.0
 FULL_OPEN_SPEEDUP_FLOOR = 100.0
-SMOKE_QUERY_SPEEDUP_FLOOR = 1.2
 SMOKE_OPEN_SPEEDUP_FLOOR = 3.0
+
+#: Timed sessions behind each mode's adapted-query qps.  One session is a
+#: window of 2-15 ms, as noisy as the host; the median of fifteen,
+#: alternating the modes, is what the 1x floor and the guard read.
+THROUGHPUT_REPEATS = 15
 
 
 def _feedback_events(shot_ids, base):
@@ -165,42 +181,45 @@ def _throughput_rows(corpus, rounds, queries_per_round):
     topic = corpus.topics.topics()[0]
     relevant = sorted(corpus.qrels.relevant_shots(topic.topic_id))
     policy = combined_policy().with_overrides(demote_seen=0.25)
-    rows = []
-    measured = {}
-    for label, fast in (("reference", False), ("fast", True)):
-        # A private engine per mode: neither mode warms the other's result
-        # cache or per-term statistic tables.
-        system = AdaptiveVideoRetrievalSystem(VideoRetrievalEngine(corpus.collection))
-        profile = UserProfile.single_interest("bench-user", topic.category, 0.8)
+    profile = UserProfile.single_interest("bench-user", topic.category, 0.8)
+    modes = (("reference", False), ("fast", True))
+    # A private engine per mode: neither mode warms the other's result
+    # cache, neighbour table or per-term statistic tables.
+    systems = {
+        label: AdaptiveVideoRetrievalSystem(VideoRetrievalEngine(corpus.collection))
+        for label, _ in modes
+    }
 
-        def make_session():
-            return system.create_session(
-                profile=profile, policy=policy, topic_id=topic.topic_id, fast_path=fast
-            )
-
-        _drive_session(  # warm engine caches and shared state
-            make_session(), topic, relevant, rounds, queries_per_round, capture=False
+    def drive(label, fast):
+        session = systems[label].create_session(
+            profile=profile, policy=policy, topic_id=topic.topic_id, fast_path=fast
         )
-        session = make_session()
         start = time.perf_counter()
-        queries, _ = _drive_session(
-            session, topic, relevant, rounds, queries_per_round, capture=False
-        )
-        elapsed = time.perf_counter() - start
-        measured[label] = queries / elapsed if elapsed else 0.0
+        _drive_session(session, topic, relevant, rounds, queries_per_round, capture=False)
+        return time.perf_counter() - start
+
+    for label, fast in modes:  # warm engine caches and shared state
+        drive(label, fast)
+    samples = {label: [] for label, _ in modes}
+    for _ in range(THROUGHPUT_REPEATS):
+        for label, fast in modes:
+            samples[label].append(drive(label, fast))
+    queries = rounds * queries_per_round
+    rows = []
+    for label, _ in modes:
+        seconds = statistics.median(samples[label])
         rows.append(
             {
                 "workload": "feedback_heavy_session",
                 "mode": label,
                 "queries": queries,
-                "seconds": elapsed,
-                "qps": measured[label],
+                "seconds": seconds,
+                "qps": queries / seconds if seconds else 0.0,
                 "speedup": 1.0,
             }
         )
-    rows[-1]["speedup"] = (
-        measured["fast"] / measured["reference"] if measured["reference"] else 0.0
-    )
+    reference, fast = rows
+    fast["speedup"] = fast["qps"] / reference["qps"] if reference["qps"] else 0.0
     return rows
 
 
@@ -266,15 +285,20 @@ def _loadtest_row(corpus, users, queries_per_user):
 
 
 def _sanity_check(tables, smoke):
-    query_floor = SMOKE_QUERY_SPEEDUP_FLOOR if smoke else FULL_QUERY_SPEEDUP_FLOOR
     open_floor = SMOKE_OPEN_SPEEDUP_FLOOR if smoke else FULL_OPEN_SPEEDUP_FLOOR
     return {
         "adapted-query speedup": Floor(
-            tables["throughput"][-1]["speedup"], query_floor
+            tables["throughput"][-1]["speedup"], QUERY_SPEEDUP_FLOOR
         ),
         "session-open speedup": Floor(
             tables["session_open"][-1]["speedup"], open_floor
         ),
+    }
+
+
+def _guarded(tables):
+    return {
+        f"adapted_query_{row['mode']}_qps": row["qps"] for row in tables["throughput"]
     }
 
 
@@ -321,11 +345,13 @@ BENCH = Bench(
         "loadtest": "E14c: adaptation-heavy service mix",
     },
     sanity_check=_sanity_check,
+    guarded=_guarded,
     note=(
         "Rankings verified bit-identical fast vs reference across all "
         "policies x discount profiles x weighting schemes before timing. "
         "The feedback_heavy_session rows run one observe batch then several "
-        "adapted queries per round through submit_query; the session_open "
+        "adapted queries per round through submit_query, each mode's row the "
+        "median of 15 interleaved sessions; the session_open "
         "rows compare shared-state bring-up against the retained "
         "per-session O(corpus) build at 10k-shot scale."
     ),

@@ -50,8 +50,7 @@ from _common import host_metadata, measure_guarded, smoke_corpus  # noqa: E402
 
 DEFAULT_TOLERANCE = 0.30
 
-#: Every bench the guard runs.  E14 guards no metric: its smoke run, its
-#: bit-identity sweep and its speed-up floors are checked all the same.
+#: Every bench the guard runs.
 BENCHES = tuple(
     module.BENCH for module in (e12, e13, e14, e15, e16, e17, e18, e19, e20)
 )

@@ -13,13 +13,21 @@ Both derivations are **memoised** on an evidence digest plus the index
 generation counters: between two queries whose evidence did not change —
 the common case whenever a user reformulates, pages or refreshes without
 giving new feedback — the model costs two dictionary lookups instead of a
-term extraction and a similarity walk.  The digest preserves evidence
-*insertion order* (see :meth:`~repro.feedback.accumulator.
-EvidenceAccumulator.evidence_digest`) because the folds below are
-order-sensitive in the last ulp; a generation bump on either index
-invalidates every affected entry.  The cache is bounded, LRU and
-thread-safe (one model instance is shared by all sessions under the same
-policy).  The un-memoised derivations are retained as
+term extraction and an evidence fold.  This memo owns *what one body of
+evidence turns into*; it is keyed on the whole digest, so any new feedback
+misses it.  *Which shots are nearest to a shot* depends on neither the
+evidence nor the user and is not this memo's to save: the visual index's
+:class:`~repro.index.visual.NeighbourTable` owns it, shared by every
+session, and :meth:`rerank_scores_uncached` reaches it through
+``similar_to_shot`` whether this memo hit or missed — a miss here costs a
+fold over table look-ups, not a similarity walk.
+
+The digest preserves evidence *insertion order* (see
+:meth:`~repro.feedback.accumulator.EvidenceAccumulator.evidence_digest`)
+because the folds below are order-sensitive in the last ulp; a generation
+bump on either index invalidates every affected entry.  The cache is
+bounded, LRU and thread-safe (one model instance is shared by all sessions
+under the same policy).  The un-memoised derivations are retained as
 :meth:`expansion_term_weights_uncached` / :meth:`rerank_scores_uncached`;
 the equivalence tests pin the memoised results bit-identical to them.
 """

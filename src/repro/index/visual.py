@@ -22,19 +22,188 @@ vector, zero norm) and scrubs the shot out of every concept postings list,
 so scans and concept scoring skip dead slots without a mask and results stay
 bit-identical to an index rebuilt over the surviving shots;
 :meth:`adopt_compacted` reclaims tombstoned slots in place.
+
+The neighbours of a shot depend on the index, not on who asks, so
+:meth:`VisualIndex.similar_to_shot` keeps its answers in a
+:class:`NeighbourTable`: every session, ``engine.visual_scores``,
+``recommendations()`` and the news recommender go through that one method
+and share one table.  The table owns *which shots are nearest to a shot*;
+what a user's evidence makes of those neighbours is the feedback model's
+memo (:mod:`repro.core.feedback_model`).  Writes keep the table exact
+rather than dropping it — an add is insorted into the entries it belongs
+in, a delete drops only the entries that mention the victim, compaction
+moves slots and the table is keyed by ids — so a hit is bit-identical to
+the scan it replaces.  :meth:`similar_to_vector` is the one scan path and
+never consults the table.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import threading
 from array import array
+from bisect import insort
+from collections import OrderedDict
 from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.features import FeatureExtractor, cosine_similarity
 from repro.collection.documents import Collection
 from repro.utils.validation import ensure_positive
+
+#: Bound on the neighbour pairs one :class:`NeighbourTable` stores: 1 024
+#: entries at the feedback model's ``limit=5``.  The adaptive benchmark's
+#: working set is 297 such keys; at ~80 bytes a pair a full table is under
+#: half a megabyte.  A constant, not an option: nothing needs another value.
+NEIGHBOUR_TABLE_PAIRS = 1024 * 5
+
+#: One table entry: the query shot's vector and norm, and its neighbours as
+#: ``(-similarity, shot_id)`` in ascending order.
+_Entry = Tuple[Tuple[float, ...], float, List[Tuple[float, str]]]
+
+
+def _l2_norm(vector: Tuple[float, ...]) -> float:
+    # sum(map(mul, v, v)) adds the same products in the same order as the
+    # historical generator expression, just without per-element bytecode.
+    return math.sqrt(sum(map(mul, vector, vector)))
+
+
+class NeighbourTable:
+    """Answers of ``similar_to_shot``, kept exact under writes.
+
+    A bounded LRU keyed by ``(shot_id, limit)`` — ids, not dense slots, so
+    compaction never touches it.  An entry holds the query shot's vector and
+    norm beside its neighbours as ``(-similarity, shot_id)`` tuples in
+    ascending order, which is the scan's own selection order.  That is
+    enough to correct the entry when a shot is added, because
+    top-k(S ∪ {x}) = top-k(top-k(S) ∪ {x}); a delete cannot be corrected
+    (the k+1-th neighbour is unknown), so it drops the entries that name
+    the victim and the next query re-scans.
+
+    The lock orders concurrent readers' :meth:`get` / :meth:`put`.  Index
+    writes are already exclusive of index reads (the engine's writer lock),
+    so a scan can never be stored after a write it did not see.
+
+    Pickles as an empty table: it is a cache, and a lock cannot be sent.
+    """
+
+    def __init__(self) -> None:
+        self._capacity = NEIGHBOUR_TABLE_PAIRS
+        self._entries: "OrderedDict[Tuple[str, int], _Entry]" = OrderedDict()
+        self._pairs = 0
+        self._hits = 0
+        self._misses = 0
+        self._corrected = 0
+        self._dropped = 0
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return (NeighbourTable, ())
+
+    def __len__(self) -> int:
+        """Entries held; the write path's ``if table:`` is this, unlocked."""
+        return len(self._entries)
+
+    def get(self, shot_id: str, limit: int) -> Optional[List[Tuple[str, float]]]:
+        """The stored answer as a fresh ``[(shot_id, similarity)]``, or ``None``."""
+        key = (shot_id, limit)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._misses += 1
+                return None
+            self._hits += 1
+            self._entries.move_to_end(key)
+            return [(neighbour_id, -negated) for negated, neighbour_id in entry[2]]
+
+    def put(
+        self,
+        shot_id: str,
+        limit: int,
+        vector: Tuple[float, ...],
+        result: Sequence[Tuple[str, float]],
+    ) -> None:
+        """Store a scan's ``result`` for ``shot_id``, whose features are ``vector``.
+
+        An empty result (an index of one shot) is not worth an entry, and
+        leaving it out means the pair bound bounds the entries as well.
+        """
+        if not 0 < len(result) <= self._capacity:
+            return
+        norm = _l2_norm(vector)
+        neighbours = [(-similarity, neighbour_id) for neighbour_id, similarity in result]
+        key = (shot_id, limit)
+        with self._lock:
+            previous = self._entries.pop(key, None)
+            if previous is not None:
+                self._pairs -= len(previous[2])
+            self._entries[key] = (vector, norm, neighbours)
+            self._pairs += len(neighbours)
+            self._evict()
+
+    def _evict(self) -> None:
+        while self._pairs > self._capacity:
+            _, (_, _, neighbours) = self._entries.popitem(last=False)
+            self._pairs -= len(neighbours)
+
+    def shot_added(self, shot_id: str, vector: Tuple[float, ...]) -> None:
+        """Insort a new shot into every entry whose k-th neighbour it beats.
+
+        The similarity is the scan's own expression, operand order and
+        zero-norm rule included.  An entry of another dimensionality is
+        dropped instead, so the next query scans and raises as it would
+        have without a table.
+        """
+        dimensions = len(vector)
+        norm = _l2_norm(vector)
+        with self._lock:
+            entries = self._entries
+            for key, (query, query_norm, neighbours) in list(entries.items()):
+                if len(query) != dimensions:
+                    del entries[key]
+                    self._pairs -= len(neighbours)
+                    self._dropped += 1
+                    continue
+                if query_norm == 0 or norm == 0:
+                    similarity = 0.0
+                else:
+                    similarity = sum(map(mul, query, vector)) / (query_norm * norm)
+                candidate = (-similarity, shot_id)
+                if len(neighbours) < key[1]:
+                    self._pairs += 1
+                elif candidate < neighbours[-1]:
+                    neighbours.pop()
+                else:
+                    continue
+                insort(neighbours, candidate)
+                self._corrected += 1
+            self._evict()
+
+    def shot_deleted(self, shot_id: str) -> None:
+        """Drop the entries keyed by ``shot_id`` or listing it."""
+        with self._lock:
+            entries = self._entries
+            for key, (_, _, neighbours) in list(entries.items()):
+                if key[0] == shot_id or any(
+                    neighbour_id == shot_id for _, neighbour_id in neighbours
+                ):
+                    del entries[key]
+                    self._pairs -= len(neighbours)
+                    self._dropped += 1
+
+    def info(self) -> Dict[str, int]:
+        """Occupancy and counters (``dropped`` counts writes, not evictions)."""
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "pairs": self._pairs,
+                "capacity_pairs": self._capacity,
+                "hits": self._hits,
+                "misses": self._misses,
+                "corrected": self._corrected,
+                "dropped": self._dropped,
+            }
 
 
 class VisualIndex:
@@ -52,6 +221,7 @@ class VisualIndex:
         # Inverted concept postings: concept -> [(shot_index, score)].
         self._concept_postings: Dict[str, List[Tuple[int, float]]] = {}
         self._generation = 0
+        self._neighbours = NeighbourTable()
 
     # -- construction --------------------------------------------------------
 
@@ -69,14 +239,14 @@ class VisualIndex:
         self._shot_ids.append(shot_id)
         self._shot_index[shot_id] = shot_index
         self._vectors.append(vector)
-        # sum(map(mul, v, v)) adds the same products in the same order as the
-        # historical generator expression, just without per-element bytecode.
-        self._norms.append(math.sqrt(sum(map(mul, vector, vector))))
+        self._norms.append(_l2_norm(vector))
         concepts = dict(concept_scores or {})
         self._concept_maps.append(concepts)
         for concept, score in concepts.items():
             self._concept_postings.setdefault(concept, []).append((shot_index, score))
         self._generation += 1
+        if self._neighbours:
+            self._neighbours.shot_added(shot_id, vector)
 
     def delete_shot(self, shot_id: str) -> None:
         """Remove one shot; an unknown id raises ``KeyError``.
@@ -102,6 +272,8 @@ class VisualIndex:
         self._norms[shot_index] = 0.0
         self._concept_maps[shot_index] = {}
         self._generation += 1
+        if self._neighbours:
+            self._neighbours.shot_deleted(shot_id)
 
     # -- compaction ----------------------------------------------------------
 
@@ -132,7 +304,9 @@ class VisualIndex:
 
         Mirrors :meth:`InvertedIndex.adopt_compacted`: object identity is
         preserved for long-lived references, the generation strictly
-        increases, and the number of reclaimed slots is returned.
+        increases, and the number of reclaimed slots is returned.  The
+        neighbour table is keyed by shot ids, which compaction keeps, so it
+        stays as it is.
         """
         reclaimed = len(self._shot_ids) - len(fresh._shot_ids)
         self._shot_ids = fresh._shot_ids
@@ -232,13 +406,26 @@ class VisualIndex:
         return heapq.nsmallest(limit, scored, key=lambda item: (-item[1], item[0]))
 
     def similar_to_shot(self, shot_id: str, limit: int = 20) -> List[Tuple[str, float]]:
-        """Shots most similar to a given shot (the query shot is excluded)."""
+        """Shots most similar to a given shot (the query shot is excluded).
+
+        Served from the :class:`NeighbourTable` when it holds the answer;
+        either way the list is the caller's own.
+        """
+        ensure_positive(limit, "limit")
         shot_index = self._shot_index.get(shot_id)
         if shot_index is None:
             raise KeyError(f"shot {shot_id!r} not in visual index")
-        return self.similar_to_vector(
-            self._vectors[shot_index], limit=limit, exclude=(shot_id,)
-        )
+        cached = self._neighbours.get(shot_id, limit)
+        if cached is not None:
+            return cached
+        vector = self._vectors[shot_index]
+        result = self.similar_to_vector(vector, limit=limit, exclude=(shot_id,))
+        self._neighbours.put(shot_id, limit, vector, result)
+        return result
+
+    def neighbour_table_info(self) -> Dict[str, int]:
+        """Occupancy and hit/miss/correction counters of the neighbour table."""
+        return self._neighbours.info()
 
     def score_by_concepts(
         self, concept_weights: Mapping[str, float]

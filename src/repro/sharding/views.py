@@ -42,7 +42,7 @@ from repro.analysis.features import FeatureExtractor, cosine_similarity
 from repro.collection.documents import Collection
 from repro.index.inverted_index import InvertedIndex, Posting
 from repro.index.tokenizer import Tokenizer
-from repro.index.visual import VisualIndex
+from repro.index.visual import NeighbourTable, VisualIndex
 from repro.sharding.global_stats import GlobalTextStats
 from repro.sharding.router import ShardRouter
 from repro.utils.concurrency import ScatterGather
@@ -369,7 +369,10 @@ class ShardedVisualIndex:
     Gathered similarity reads merge per-shard bounded results under the
     same ``(-similarity, shot_id)`` selection key the monolithic index
     uses, so ``similar_to_vector`` / ``similar_to_shot`` return exactly the
-    list the unsharded index would.
+    list the unsharded index would.  ``similar_to_shot`` answers from the
+    facade's own :class:`~repro.index.visual.NeighbourTable` (global
+    neighbours, kept exact by the facade's writes); the shards are only
+    ever scanned by vector, so their tables stay empty.
     """
 
     def __init__(
@@ -380,6 +383,18 @@ class ShardedVisualIndex:
         self._shards = [VisualIndex() for _ in range(router.num_shards)]
         self._shot_ids: List[Optional[str]] = []
         self._shot_index: Dict[str, int] = {}
+        self._neighbours = NeighbourTable()
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The gather executor owns threads and locks.  A clone gathers
+        # inline, like any facade built standalone, until bind_gather().
+        state = self.__dict__.copy()
+        del state["_gather"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._gather = _INLINE_GATHER
 
     # -- construction --------------------------------------------------------
 
@@ -431,9 +446,12 @@ class ShardedVisualIndex:
         """Add one shot's visual evidence on its owning shard."""
         if shot_id in self._shot_index:
             raise ValueError(f"shot {shot_id!r} already in visual index")
-        self.shard_for(shot_id).add_shot(shot_id, features, concept_scores)
+        shard = self.shard_for(shot_id)
+        shard.add_shot(shot_id, features, concept_scores)
         self._shot_index[shot_id] = len(self._shot_ids)
         self._shot_ids.append(shot_id)
+        if self._neighbours:
+            self._neighbours.shot_added(shot_id, shard.features_of(shot_id))
 
     def delete_shot(self, shot_id: str) -> None:
         """Remove one shot from its owning shard; unknown ids raise."""
@@ -442,6 +460,8 @@ class ShardedVisualIndex:
             raise KeyError(f"shot {shot_id!r} not in visual index")
         self.shard_for(shot_id).delete_shot(shot_id)
         self._shot_ids[shot_index] = None
+        if self._neighbours:
+            self._neighbours.shot_deleted(shot_id)
 
     # -- compaction ----------------------------------------------------------
 
@@ -530,11 +550,25 @@ class ShardedVisualIndex:
         return heapq.nsmallest(limit, merged, key=lambda item: (-item[1], item[0]))
 
     def similar_to_shot(self, shot_id: str, limit: int = 20) -> List[Tuple[str, float]]:
-        """Shots most similar to a given shot (the query shot is excluded)."""
+        """Shots most similar to a given shot (the query shot is excluded).
+
+        Served from the neighbour table when it holds the answer; either
+        way the list is the caller's own.
+        """
+        ensure_positive(limit, "limit")
         if shot_id not in self._shot_index:
             raise KeyError(f"shot {shot_id!r} not in visual index")
+        cached = self._neighbours.get(shot_id, limit)
+        if cached is not None:
+            return cached
         features = self.shard_for(shot_id).features_of(shot_id)
-        return self.similar_to_vector(features, limit=limit, exclude=(shot_id,))
+        result = self.similar_to_vector(features, limit=limit, exclude=(shot_id,))
+        self._neighbours.put(shot_id, limit, features, result)
+        return result
+
+    def neighbour_table_info(self) -> Dict[str, int]:
+        """Occupancy and hit/miss/correction counters of the neighbour table."""
+        return self._neighbours.info()
 
     def score_by_concepts(
         self, concept_weights: Mapping[str, float]

@@ -150,3 +150,34 @@ class TestTombstonedIndexPickle:
         assert clone.tombstone_count == 1
         assert clone.compact() == 1
         assert clone.features_of("shot-b") == (0.0, 1.0)
+
+    def test_visual_index_neighbour_table_pickles_empty(self, protocol):
+        """The table is a cache holding a lock: a clone starts cold and is
+        exact under its own writes."""
+        from repro.index.reference import reference_similar_to_vector
+        from repro.index.visual import VisualIndex
+
+        index = VisualIndex()
+        for shot_id, features in (
+            ("shot-a", [1.0, 0.0]), ("shot-b", [0.0, 1.0]), ("shot-c", [1.0, 1.0]),
+        ):
+            index.add_shot(shot_id, features)
+        for shot_id in index.shot_ids():
+            index.similar_to_shot(shot_id, limit=2)
+        assert index.neighbour_table_info()["entries"] == 3
+        clone = _roundtrip(index, protocol)
+        assert clone.neighbour_table_info()["entries"] == 0
+        assert index.neighbour_table_info()["entries"] == 3
+        clone.similar_to_shot("shot-a", limit=2)  # warm one entry, then write
+        clone.delete_shot("shot-b")
+        clone.add_shot("shot-d", [1.0, 0.5])
+        for shot_id in clone.shot_ids():
+            assert clone.similar_to_shot(shot_id, limit=2) == (
+                reference_similar_to_vector(
+                    clone, clone.features_of(shot_id), limit=2, exclude=(shot_id,)
+                )
+            )
+        # The original never saw the clone's writes.
+        assert [shot_id for shot_id, _ in index.similar_to_shot("shot-a", limit=2)] == [
+            "shot-c", "shot-b"
+        ]
