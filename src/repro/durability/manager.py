@@ -12,8 +12,14 @@ hooks the engine's write path needs:
   serialise behind the WAL's LSN lock; they do not affect index state but
   make the full write history replayable, e.g. by a follower);
 * ``should_checkpoint`` / ``checkpoint`` implement the snapshot cadence:
-  every ``snapshot_interval_ops`` index mutations, the engine state is
-  checkpointed and the WAL compacted up to the checkpoint's watermark.
+  every ``snapshot_interval_ops`` index mutations, a checkpoint moves the
+  WAL's index-op records since the previous one into the snapshot chain
+  (an **ops** checkpoint — its cost is what changed, not the corpus) and
+  the WAL is compacted up to the checkpoint's watermark;
+* ``note_compaction`` is the chain's garbage collection: the checkpoint
+  after an index compaction is a **rebase** — the full live state — so the
+  chain's dead weight (deletes, updates and the adds they undid) is
+  bounded by the same tombstone ratio that bounds dead slots in memory.
 
 Lifecycle: :meth:`create` initialises a fresh directory around a live
 engine (writing a **bootstrap checkpoint** covering the corpus-built
@@ -26,7 +32,7 @@ new append.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.durability.digest import engine_text_items, engine_visual_items
 from repro.durability.recovery import (
@@ -37,25 +43,23 @@ from repro.durability.recovery import (
     read_header,
 )
 from repro.durability.replay import (
-    MUTATION_OPS,
     delete_record,
     document_record,
     feedback_record,
+    gap_free_tail,
     shot_record,
     update_record,
 )
-from repro.durability.snapshots import SnapshotStore, _write_json_atomic
+from repro.durability.snapshots import (
+    SnapshotError,
+    SnapshotStore,
+    _write_json_atomic,
+    manifest_filename,
+    since_rebase,
+)
 from repro.durability.wal import META_SEGMENT, WriteAheadLog
 from repro.sharding.router import ShardRouter
 from repro.utils.serialization import PathLike
-
-
-def _index_generations(index) -> List[int]:
-    """Per-shard generation clocks of a (possibly sharded) index."""
-    shards = getattr(index, "shard_indexes", None)
-    if shards is not None:
-        return [shard.generation for shard in shards]
-    return [index.generation]
 
 
 class DurabilityManager:
@@ -87,10 +91,11 @@ class DurabilityManager:
         self._snapshot_interval_ops = snapshot_interval_ops
         self._ops_since_checkpoint = 0
         self._checkpoints_written = 0
-        # Deletes, updates and compactions perturb the live item sequence
-        # relative to the parent checkpoint (incremental snapshots assume a
-        # pure append suffix), so the next checkpoint after any of them is
-        # written as a full **rebase** checkpoint.
+        self._rebases_written = 0
+        # Op records in the chain's ops checkpoints since its last rebase:
+        # what a recovery replays on top of its full-state base.
+        self._chain_ops_since_rebase = 0
+        # Set by note_compaction(): the next checkpoint is a full rebase.
         self._rebase_next_checkpoint = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -184,10 +189,10 @@ class DurabilityManager:
         # checkpoint; count them toward the next snapshot so an attach/crash
         # loop cannot defer compaction forever.
         manager._ops_since_checkpoint = recovered.wal_index_ops
-        # If the replayed tail mutated existing items (del/upd), the live
-        # sequence no longer extends the parent checkpoint — the next
-        # checkpoint must rebase.
-        manager._rebase_next_checkpoint = recovered.wal_mutation_ops > 0
+        manager._chain_ops_since_rebase = sum(
+            int(manifest["op_records"])
+            for manifest in since_rebase(manager._snapshots.manifest_chain())
+        )
         return manager
 
     def close(self) -> None:
@@ -239,6 +244,8 @@ class DurabilityManager:
             "wal_bytes": float(self._wal.bytes_appended),
             "last_lsn": float(self._wal.last_lsn),
             "checkpoints": float(self._checkpoints_written),
+            "rebases": float(self._rebases_written),
+            "chain_ops_since_rebase": float(self._chain_ops_since_rebase),
             "ops_since_checkpoint": float(self._ops_since_checkpoint),
             "replicas": float(len(acks)),
         }
@@ -265,8 +272,6 @@ class DurabilityManager:
     def _log_index_op(self, record: Dict[str, object]) -> int:
         lsn = self._wal.append(self._router.shard_of(record["id"]), record)
         self._ops_since_checkpoint += 1
-        if record["op"] in MUTATION_OPS:
-            self._rebase_next_checkpoint = True
         return lsn
 
     def log_document(self, document_id: str, frequencies: Dict[str, int]) -> int:
@@ -299,10 +304,15 @@ class DurabilityManager:
     def note_compaction(self) -> None:
         """Engine hook: a compaction adopted re-interned indexes.
 
-        Compaction does not change the live item sequence, but rebasing the
-        next checkpoint keeps the snapshot chain's per-shard generation
-        bookkeeping aligned with the adopted clocks at negligible cost
-        (compactions are rare).
+        Compaction does not change the live item sequence, so nothing
+        *needs* a rebase — this is the chain's garbage collection.  Every
+        delete or update leaves one tombstone in memory and dead records in
+        the chain (itself, and the add it undid); compaction runs when
+        tombstones pass a ratio of the slots, and rebasing at the same
+        moment drops the dead records with them.  What remains between
+        rebases is one add record per live item — what a suffix-state
+        delta held — plus dead weight bounded by that ratio: no knob and
+        no threshold of the chain's own.
         """
         self._rebase_next_checkpoint = True
 
@@ -321,10 +331,10 @@ class DurabilityManager:
         return self._ops_since_checkpoint >= self._snapshot_interval_ops
 
     def checkpoint(self, engine) -> Dict[str, object]:
-        """Snapshot the engine state and compact the WAL behind it.
+        """Checkpoint the engine state and compact the WAL behind it.
 
         Must run under the engine's exclusive writer (the engine's
-        ``maybe_checkpoint`` hook does), so the snapshot is a consistent
+        ``maybe_checkpoint`` hook does), so the checkpoint is a consistent
         cut at ``wal.last_lsn``.  The WAL is synced before the manifest is
         written and truncated only after — a crash at any point leaves
         either the old chain + full WAL, or the new chain + (possibly
@@ -339,16 +349,56 @@ class DurabilityManager:
         return self._write_checkpoint(engine)
 
     def _write_checkpoint(self, engine) -> Dict[str, object]:
+        """Write one checkpoint of either kind, then truncate the WAL.
+
+        The first checkpoint of a directory and the one after a compaction
+        are **full** (the live state); every other one is an **ops**
+        checkpoint built from the WAL itself — the scan ``truncate_through``
+        is about to make anyway — so there is no second copy of the records
+        to keep in step.  The scan must cover ``parent.wal_lsn + 1 .. cut``
+        without a hole, or nothing is written: that holds after ``attach``
+        (the recovered prefix is gap-free from the tip's watermark), after
+        a crash between manifest rename and truncation and under replica
+        hold-back (leftovers at or below the parent's watermark are simply
+        not in the window).
+        """
         self._wal.sync()
-        manifest = self._snapshots.write_checkpoint(
-            text_items=list(engine_text_items(engine)),
-            visual_items=list(engine_visual_items(engine)),
-            wal_lsn=self._wal.last_lsn,
-            text_generations=_index_generations(engine.inverted_index),
-            visual_generations=_index_generations(engine.visual_index),
-            rebase=self._rebase_next_checkpoint,
-        )
-        self._wal.truncate_through(int(manifest["wal_lsn"]))
+        cut = self._wal.last_lsn
+        parent = self._snapshots.latest_manifest
+        if parent is None or self._rebase_next_checkpoint:
+            manifest = self._snapshots.write_full_checkpoint(
+                text_items=list(engine_text_items(engine)),
+                visual_items=list(engine_visual_items(engine)),
+                wal_lsn=cut,
+            )
+            if parent is not None:
+                self._rebases_written += 1
+            self._chain_ops_since_rebase = 0
+        else:
+            parent_lsn = int(parent["wal_lsn"])
+            records, _ = self._wal.scan_all()
+            run, _ = gap_free_tail(records, parent_lsn)
+            if len(run) < cut - parent_lsn:
+                raise SnapshotError(
+                    f"cannot checkpoint through lsn {cut}: the WAL covers "
+                    f"lsn {parent_lsn + 1}..{parent_lsn + len(run)} since "
+                    f"{manifest_filename(int(parent['checkpoint_id']))} — "
+                    f"records are missing, so no manifest was written"
+                )
+            # Feedback batches ride the same LSN sequence (and may land
+            # past the cut while this runs) but are not index state.
+            manifest = self._snapshots.write_ops_checkpoint(
+                [
+                    record
+                    for record in run[: cut - parent_lsn]
+                    if record["op"] != "feedback"
+                ],
+                wal_lsn=cut,
+                text_count=engine.inverted_index.document_count,
+                shot_count=engine.visual_index.shot_count,
+            )
+            self._chain_ops_since_rebase += int(manifest["op_records"])
+        self._wal.truncate_through(cut)
         self._ops_since_checkpoint = 0
         self._checkpoints_written += 1
         self._rebase_next_checkpoint = False

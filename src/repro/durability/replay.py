@@ -1,9 +1,11 @@
 """WAL op records: how they are built, walked and replayed.
 
 The one owner of the op-record schema.  The durability manager builds
-every record it appends through the constructors here; crash recovery and
-the WAL-tailing replicas select what to replay with :func:`gap_free_tail`
-and replay it with :func:`apply_record`, so the three cannot drift apart.
+every record it appends through the constructors here; crash recovery, the
+WAL-tailing replicas and the checkpoint writer select a gap-free run with
+:func:`gap_free_tail`, and recovery, replicas and the snapshot chain's
+fold (an ops checkpoint is a slice of the WAL) replay it with
+:func:`apply_record`, so none of them can drift apart.
 
 Replay is idempotent: a record whose effect is already present (a crash
 landed between a checkpoint's manifest rename and its WAL truncation, or
@@ -19,8 +21,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Record = Dict[str, object]
 
-#: Ops that perturb the live item sequence relative to the parent
-#: checkpoint (incremental snapshots assume a pure append suffix).
+#: Ops that remove or relocate an existing item (reported as
+#: ``mutation-ops``; replay handles them like any other record).
 MUTATION_OPS = frozenset({"del", "upd"})
 
 

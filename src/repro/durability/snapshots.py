@@ -1,28 +1,44 @@
-"""Per-shard incremental snapshots chained by checkpoint manifests.
+"""Checkpoint manifests chaining per-shard delta files: state, then change.
 
 A checkpoint is the durable image of the index state at one WAL watermark.
-Rather than rewriting the whole index every time, a checkpoint writes one
-**delta file per shard that changed** since its parent checkpoint — change
-detection keys off the shard indexes' existing ``generation`` clocks, and
-the per-shard split uses the same :class:`~repro.sharding.router.
-ShardRouter` hash that placed the documents, so a shard's snapshot lineage
-is exactly its own mutation history.
+Each one is a **manifest** naming one delta file per shard it touches — the
+per-shard split uses the same :class:`~repro.sharding.router.ShardRouter`
+hash that placed the documents and routed the WAL records — and links to
+its parent manifest.  There are exactly two kinds:
 
-Because index growth is append-only, a delta is simply the suffix of the
-global insertion sequence since the parent checkpoint.  Every entry carries
-its **global sequence number** (the dense interning index), so recovery can
-merge the per-shard delta files of the whole manifest chain back into the
-exact global insertion order — which is what makes the rebuilt dense id
-tables, and therefore scores, byte-identical.
+* a **full** checkpoint (:meth:`SnapshotStore.write_full_checkpoint`)
+  describes *state*: every live item with its **global sequence number**
+  (the live insertion index, from zero), so the per-shard files merge back
+  into the exact global insertion order — which is what makes the rebuilt
+  dense id tables, and therefore scores, byte-identical.  The bootstrap
+  checkpoint of a fresh directory is one; with a parent it is a
+  **rebase** (``"rebase": true``) and makes every older delta irrelevant.
+* an **ops** checkpoint (:meth:`SnapshotStore.write_ops_checkpoint`)
+  describes *change*: its deltas hold, verbatim, the index-op records the
+  WAL carried for ``parent.wal_lsn < lsn <= wal_lsn`` (``"ops"``), and the
+  manifest counts them (``"op_records"``).  Its cost is the ops since the
+  parent, whatever they were — adds, deletes, updates.
 
-The mutable-corpus tier breaks pure append-only: deletes and updates punch
-holes in (or reorder the tail of) the live sequence.  A checkpoint taken
-after such a mutation is a **rebase**: it re-snapshots the *full live
-state* with sequence numbers renumbered from zero, marks its manifest
-``"rebase": true``, and thereby makes every older delta irrelevant —
-:meth:`SnapshotStore.load_base` merges deltas only from the most recent
-rebase manifest onward.  Checkpoints after a rebase go back to cheap
-suffix deltas against the rebased counts until the next mutation.
+:meth:`SnapshotStore.load_base` **folds** the chain in manifest order from
+the last rebase: full-state entries are appended, op records go through
+the one :func:`~repro.durability.replay.apply_record` into the same
+insertion-ordered item tables crash recovery and the replicas replay the
+WAL tail into, and after every manifest the live counts must equal the
+counts that manifest recorded.  Replay is keyed by id (a delete removes
+its item, an update re-appends it, exactly as the live engine re-interns),
+and compaction preserves live order, so no mutation ever *forces* a
+rebase.  The one remaining trigger is the engine's compaction hook, as the
+chain's garbage collection: every delete or update leaves one tombstone in
+memory and dead records in the chain (itself and the add it undid), so
+rebasing when compaction reclaims the tombstones bounds the dead weight a
+recovery replays by the same ratio that bounds dead slots in memory —
+without a knob of its own.  The rest of the chain is one add record per
+live item, which is what a suffix of full-state entries would hold.
+
+Format 1 directories stay readable: their non-rebase deltas are append-only
+*suffixes* of the sequence (entries numbered from the parent's counts),
+which the fold appends like any other full-state entries.  This build
+writes format 2 only.
 
 Crash safety: delta files are written first, then the manifest, each
 through ``tmp + fsync + os.replace``.  A manifest therefore never names a
@@ -35,16 +51,23 @@ the snapshot chain does not.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.durability.replay import (
+    Record,
+    ReplayCounts,
+    ReplayError,
+    apply_record,
+)
 from repro.sharding.router import ShardRouter
 from repro.utils.serialization import PathLike, read_json
 
-#: On-disk format version of manifests and delta files.
-SNAPSHOT_FORMAT = 1
+#: On-disk format version this build writes (format 1 is still read).
+SNAPSHOT_FORMAT = 2
 
 _MANIFEST_PREFIX = "checkpoint-"
 _MANIFEST_SUFFIX = ".json"
@@ -64,17 +87,57 @@ def delta_filename(checkpoint_id: int, shard: int) -> str:
     return f"delta-cp{checkpoint_id:06d}-shard{shard:04d}.json"
 
 
-def _write_json_atomic(path: Path, payload: object) -> None:
-    """Write a JSON document durably: tmp file, fsync, atomic rename."""
-    import json
+def _write_json_atomic(path: Path, payload: Dict[str, object]) -> None:
+    """Write a JSON object durably: tmp file, fsync, atomic rename.
 
+    The bytes are ``json.dumps(payload, sort_keys=True, separators=(",",
+    ":"))``, produced a piece at a time — each top-level list element by its
+    own C-encoder call — so neither the Python-level encoder ``json.dump``
+    streams through nor a whole multi-megabyte document held in memory is
+    paid for under the writer lock.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     tmp_path = path.with_suffix(path.suffix + ".tmp")
     with tmp_path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+        write = handle.write
+        write("{")
+        for position, key in enumerate(sorted(payload)):
+            write(("," if position else "") + encode(key) + ":")
+            value = payload[key]
+            if isinstance(value, list):
+                write("[")
+                for index, item in enumerate(value):
+                    write(("," if index else "") + encode(item))
+                write("]")
+            else:
+                write(encode(value))
+        write("}\n")
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
+
+
+def since_rebase(chain: Sequence[Dict[str, object]]) -> Sequence[Dict[str, object]]:
+    """The part of a root-to-tip manifest chain that recovery folds.
+
+    A rebase manifest re-snapshots the full live state from sequence zero,
+    so everything before the *last* one describes state that no longer
+    exists.  The ``op_records`` of the returned manifests sum to the replay
+    a recovery pays on top of its base.
+    """
+    for position in range(len(chain) - 1, 0, -1):
+        if chain[position].get("rebase"):
+            return chain[position:]
+    return chain
+
+
+def _check_dense(manifest_name: str, kind: str, live: int, expected: int) -> None:
+    if live != expected:
+        raise SnapshotError(
+            f"snapshot chain {kind} sequence is not dense at {manifest_name}: "
+            f"{live} live for {expected} expected — a delta file is missing "
+            f"or corrupt"
+        )
 
 
 @dataclass
@@ -109,9 +172,8 @@ class SnapshotBase:
 class SnapshotStore:
     """Reads and writes one directory's checkpoint chain.
 
-    The store keeps the latest manifest in memory so an incremental
-    checkpoint knows the previous global counts and per-shard generations
-    without re-reading the chain.
+    The store keeps the latest manifest in memory so the next checkpoint
+    knows its parent's id and watermark without re-reading the chain.
     """
 
     def __init__(self, directory: PathLike, num_shards: int) -> None:
@@ -170,6 +232,7 @@ class SnapshotStore:
             raise SnapshotError(f"checkpoint manifest {path.name}: {error}") from None
         if not isinstance(manifest, dict) or "wal_lsn" not in manifest:
             raise SnapshotError(f"checkpoint manifest {path.name} is malformed")
+        manifest.setdefault("op_records", 0)  # format 1 had full-state deltas only
         return manifest
 
     def _read_latest_manifest(self) -> Optional[Dict[str, object]]:
@@ -193,67 +256,82 @@ class SnapshotStore:
         chain.reverse()
         return chain
 
-    def load_base(self) -> SnapshotBase:
-        """Restore the snapshot chain into one :class:`SnapshotBase`.
+    def _read_delta(self, manifest: Dict[str, object], name: str) -> Dict[str, object]:
+        path = self._directory / name
+        try:
+            delta = read_json(path)
+        except FileNotFoundError:
+            raise SnapshotError(
+                f"snapshot delta {path.name} named by "
+                f"{manifest_filename(int(manifest['checkpoint_id']))} is missing"
+            ) from None
+        except ValueError as error:
+            raise SnapshotError(f"snapshot delta {path.name}: {error}") from None
+        if not isinstance(delta, dict):
+            raise SnapshotError(f"snapshot delta {path.name} is malformed")
+        return delta
 
-        Merges every delta of every manifest (root first) and re-sorts by
-        global sequence number, verifying the sequence is dense — a missing
-        delta file or a hole in the sequence raises :class:`SnapshotError`
-        rather than silently recovering a state with shifted interning.
+    def load_base(self) -> SnapshotBase:
+        """Fold the snapshot chain into one :class:`SnapshotBase`.
+
+        Manifests are folded in order from the last rebase
+        (:func:`since_rebase`).  A full-state manifest's entries are merged
+        across its shard files by global sequence number and appended —
+        each must land on exactly the next live slot; an ops manifest's
+        records are merged by LSN and replayed through
+        :func:`~repro.durability.replay.apply_record` into the same
+        insertion-ordered item tables recovery replays the WAL tail into.
+        After **every** manifest the live counts must equal the counts that
+        manifest recorded, so a missing file, a dropped record or a hole in
+        a sequence raises :class:`SnapshotError` naming the manifest it
+        belongs to, rather than recovering a state with shifted interning.
         """
+        # Deferred: recovery imports this module for SnapshotStore.
+        from repro.durability.recovery import _TextItems, _VisualItems
+
         chain = self.manifest_chain()
         if not chain:
             return SnapshotBase()
-        # A rebase manifest re-snapshots the full live state with sequence
-        # numbers renumbered from zero, so every delta before the *last*
-        # rebase describes state that no longer exists — merging it would
-        # resurrect deleted documents and collide sequence numbers.
-        merge_from = 0
-        for position, manifest in enumerate(chain):
-            if manifest.get("rebase"):
-                merge_from = position
-        documents: List[Tuple[int, str, Dict[str, int]]] = []
-        shots: List[Tuple[int, str, List[float], Dict[str, float]]] = []
-        for manifest in chain[merge_from:]:
+        text, visual = _TextItems(()), _VisualItems(())
+        counts = ReplayCounts()
+        for manifest in since_rebase(chain):
+            name = manifest_filename(int(manifest["checkpoint_id"]))
+            documents: List[list] = []
+            shots: List[list] = []
+            ops: List[Record] = []
             for delta_name in manifest["deltas"]:
-                path = self._directory / str(delta_name)
-                try:
-                    delta = read_json(path)
-                except FileNotFoundError:
-                    raise SnapshotError(
-                        f"snapshot delta {path.name} named by "
-                        f"{manifest_filename(int(manifest['checkpoint_id']))} "
-                        f"is missing"
-                    ) from None
-                except ValueError as error:
-                    raise SnapshotError(f"snapshot delta {path.name}: {error}") from None
-                for seq, document_id, vector in delta.get("documents", []):
-                    documents.append((int(seq), document_id, dict(vector)))
-                for seq, shot_id, features, concepts in delta.get("shots", []):
-                    shots.append(
-                        (int(seq), shot_id, list(features), dict(concepts))
-                    )
-        documents.sort(key=lambda entry: entry[0])
-        shots.sort(key=lambda entry: entry[0])
-        tip = chain[-1]
-        for kind, entries, expected in (
-            ("document", documents, int(tip["text_count"])),
-            ("shot", shots, int(tip["shot_count"])),
-        ):
-            if len(entries) != expected or any(
-                entry[0] != seq for seq, entry in enumerate(entries)
-            ):
+                delta = self._read_delta(manifest, str(delta_name))
+                documents.extend(delta.get("documents", ()))
+                shots.extend(delta.get("shots", ()))
+                ops.extend(delta.get("ops", ()))
+            documents.sort(key=lambda entry: entry[0])
+            shots.sort(key=lambda entry: entry[0])
+            for seq, document_id, vector in documents:
+                _check_dense(name, "document", len(text.items), int(seq))
+                text.add_document_frequencies(document_id, vector)
+            for seq, shot_id, features, concepts in shots:
+                _check_dense(name, "shot", len(visual.items), int(seq))
+                visual.add_shot(shot_id, features, concepts)
+            op_records = int(manifest["op_records"])
+            if len(ops) != op_records:
                 raise SnapshotError(
-                    f"snapshot chain {kind} sequence is not dense: "
-                    f"{len(entries)} entries for {expected} expected — a "
-                    f"delta file is missing or corrupt"
+                    f"{name} counts {op_records} op records but its deltas "
+                    f"hold {len(ops)} — a delta file is truncated or corrupt"
                 )
-        root = chain[0]
+            ops.sort(key=lambda record: int(record["lsn"]))
+            try:
+                for record in ops:
+                    apply_record(record, text, visual, counts)
+            except ReplayError as error:
+                raise SnapshotError(f"snapshot chain at {name}: {error}") from None
+            _check_dense(name, "document", len(text.items), int(manifest["text_count"]))
+            _check_dense(name, "shot", len(visual.items), int(manifest["shot_count"]))
+        root, tip = chain[0], chain[-1]
         return SnapshotBase(
-            documents=[(doc_id, vector) for _, doc_id, vector in documents],
+            documents=list(text.items.items()),
             shots=[
                 (shot_id, features, concepts)
-                for _, shot_id, features, concepts in shots
+                for shot_id, (features, concepts) in visual.items.items()
             ],
             wal_lsn=int(tip["wal_lsn"]),
             checkpoint_id=int(tip["checkpoint_id"]),
@@ -263,98 +341,103 @@ class SnapshotStore:
 
     # -- writing -----------------------------------------------------------------
 
-    def write_checkpoint(
+    def write_full_checkpoint(
         self,
         text_items: Sequence[Tuple[str, Dict[str, int]]],
         visual_items: Sequence[Tuple[str, Sequence[float], Dict[str, float]]],
         wal_lsn: int,
-        text_generations: Sequence[int],
-        visual_generations: Sequence[int],
-        rebase: bool = False,
     ) -> Dict[str, object]:
-        """Write an incremental checkpoint covering the log through ``wal_lsn``.
+        """Write the full live state, numbered from sequence zero.
 
-        ``text_items`` / ``visual_items`` are the *full* current live state
-        in global insertion order (cheap views — nothing is copied until
-        the suffix split); only the suffix past the parent checkpoint's
-        counts is written, and only for shards whose generation clock
-        moved.  With ``rebase=True`` — required after any delete, update or
-        compaction, because those invalidate the append-only suffix
-        assumption — the checkpoint instead writes the full live state
-        renumbered from sequence zero and marks the manifest so
-        :meth:`load_base` ignores every older delta.  Returns the new
-        manifest.
+        ``text_items`` / ``visual_items`` are the current live state in
+        global insertion order.  This is the bootstrap checkpoint of a
+        fresh directory and, with a parent, a **rebase**: the manifest is
+        marked so :meth:`load_base` ignores everything before it.  One
+        delta per shard that holds at least one live item.
         """
-        parent = self._latest
-        parent_text = 0 if rebase else (int(parent["text_count"]) if parent else 0)
-        parent_shot = 0 if rebase else (int(parent["shot_count"]) if parent else 0)
-        parent_text_gens = list(parent["text_generations"]) if parent else [0] * self.num_shards
-        parent_visual_gens = list(parent["visual_generations"]) if parent else [0] * self.num_shards
-        checkpoint_id = int(parent["checkpoint_id"]) + 1 if parent else 0
-        if not rebase and (
-            len(text_items) < parent_text or len(visual_items) < parent_shot
-        ):
-            raise SnapshotError(
-                "index state shrank below the parent checkpoint — incremental "
-                "snapshots assume an append-only suffix (mutations must "
-                "checkpoint with rebase=True)"
-            )
-
-        per_shard_docs: Dict[int, List[list]] = {}
-        for seq in range(parent_text, len(text_items)):
-            document_id, vector = text_items[seq]
+        per_shard: Dict[int, Dict[str, list]] = {}
+        for seq, (document_id, vector) in enumerate(text_items):
             shard = self._router.shard_of(document_id)
-            per_shard_docs.setdefault(shard, []).append(
+            per_shard.setdefault(shard, {}).setdefault("documents", []).append(
                 [seq, document_id, dict(vector)]
             )
-        per_shard_shots: Dict[int, List[list]] = {}
-        for seq in range(parent_shot, len(visual_items)):
-            shot_id, features, concepts = visual_items[seq]
+        for seq, (shot_id, features, concepts) in enumerate(visual_items):
             shard = self._router.shard_of(shot_id)
-            per_shard_shots.setdefault(shard, []).append(
+            per_shard.setdefault(shard, {}).setdefault("shots", []).append(
                 [seq, shot_id, [float(value) for value in features], dict(concepts)]
             )
+        return self._write_checkpoint(
+            per_shard,
+            wal_lsn=wal_lsn,
+            text_count=len(text_items),
+            shot_count=len(visual_items),
+            rebase=self._latest is not None,
+            op_records=0,
+        )
 
+    def write_ops_checkpoint(
+        self,
+        records: Sequence[Record],
+        wal_lsn: int,
+        text_count: int,
+        shot_count: int,
+    ) -> Dict[str, object]:
+        """Write the index-op records since the parent checkpoint.
+
+        ``records`` are the WAL's own op records (each carrying its
+        ``lsn``) for ``parent.wal_lsn < lsn <= wal_lsn``, in LSN order;
+        ``text_count`` / ``shot_count`` are the live counts at the cut,
+        which :meth:`load_base` checks the fold against.  One delta per
+        shard that logged at least one record; the chain must already have
+        a full checkpoint to replay them onto.
+        """
+        per_shard: Dict[int, Dict[str, list]] = {}
+        for record in records:
+            shard = self._router.shard_of(str(record["id"]))
+            per_shard.setdefault(shard, {}).setdefault("ops", []).append(record)
+        return self._write_checkpoint(
+            per_shard,
+            wal_lsn=wal_lsn,
+            text_count=text_count,
+            shot_count=shot_count,
+            rebase=False,
+            op_records=len(records),
+        )
+
+    def _write_checkpoint(
+        self,
+        per_shard: Dict[int, Dict[str, list]],
+        wal_lsn: int,
+        text_count: int,
+        shot_count: int,
+        rebase: bool,
+        op_records: int,
+    ) -> Dict[str, object]:
+        """Deltas first, then the manifest naming them (see module docstring)."""
+        parent = self._latest
+        checkpoint_id = int(parent["checkpoint_id"]) + 1 if parent else 0
         self._directory.mkdir(parents=True, exist_ok=True)
         delta_names: List[str] = []
-        for shard in range(self.num_shards):
-            if rebase:
-                # Generation clocks cannot tell which shards a rebase must
-                # re-cover (an untouched shard still needs its items
-                # rewritten, since older deltas become unreadable): write a
-                # delta for every shard that holds at least one live item.
-                changed = shard in per_shard_docs or shard in per_shard_shots
-            else:
-                changed = (
-                    text_generations[shard] != parent_text_gens[shard]
-                    or visual_generations[shard] != parent_visual_gens[shard]
-                )
-            if not changed:
-                continue
+        for shard in sorted(per_shard):
             name = delta_filename(checkpoint_id, shard)
-            _write_json_atomic(
-                self._directory / name,
-                {
-                    "format": SNAPSHOT_FORMAT,
-                    "checkpoint_id": checkpoint_id,
-                    "shard": shard,
-                    "documents": per_shard_docs.get(shard, []),
-                    "shots": per_shard_shots.get(shard, []),
-                },
-            )
+            payload: Dict[str, object] = {
+                "format": SNAPSHOT_FORMAT,
+                "checkpoint_id": checkpoint_id,
+                "shard": shard,
+            }
+            payload.update(per_shard[shard])
+            _write_json_atomic(self._directory / name, payload)
             delta_names.append(name)
-
         manifest: Dict[str, object] = {
             "format": SNAPSHOT_FORMAT,
             "checkpoint_id": checkpoint_id,
             "parent": int(parent["checkpoint_id"]) if parent else None,
             "wal_lsn": int(wal_lsn),
-            "text_count": len(text_items),
-            "shot_count": len(visual_items),
-            "text_generations": list(text_generations),
-            "visual_generations": list(visual_generations),
+            "text_count": int(text_count),
+            "shot_count": int(shot_count),
             "deltas": delta_names,
-            "rebase": bool(rebase),
+            "rebase": rebase,
+            "op_records": op_records,
         }
         _write_json_atomic(
             self._directory / manifest_filename(checkpoint_id), manifest

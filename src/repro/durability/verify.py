@@ -6,9 +6,11 @@
 * every WAL segment is scanned through the same checksummed-frame reader
   recovery uses, so torn or corrupt tails are found exactly where replay
   would stop;
-* the snapshot manifest chain is walked root-to-tip and its delta files
-  are loaded, so a missing link or a non-dense sequence is reported
-  rather than discovered at recovery time;
+* the snapshot manifest chain is walked root-to-tip and folded exactly as
+  recovery folds it — full-state entries appended, ops deltas replayed —
+  so a missing link, a dropped op record or a non-dense sequence is
+  reported rather than discovered at recovery time, along with how many
+  op records recovery replays on top of the last rebase;
 * the merged LSN stream is checked for holes above the snapshot
   watermark, and the **maximal gap-free LSN** — the point recovery (and a
   tailing replica) would stop at — is reported.
@@ -25,7 +27,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.durability.recovery import RecoveryError, read_header
-from repro.durability.snapshots import SnapshotError, SnapshotStore
+from repro.durability.snapshots import SnapshotError, SnapshotStore, since_rebase
 from repro.durability.wal import WriteAheadLog
 from repro.utils.serialization import PathLike
 
@@ -47,7 +49,10 @@ class VerifyReport:
     ``problems`` is the damage list; an empty list means every byte the
     durability contract relies on checked out.  ``max_gap_free_lsn`` is
     the LSN recovery would restore through — snapshot watermark plus the
-    longest contiguous WAL run above it.
+    longest contiguous WAL run above it.  ``chain_base_id`` /
+    ``chain_manifests`` / ``chain_op_records`` describe the part of the
+    chain recovery folds: from the last rebase (or the bootstrap) to the
+    tip, and the op records its ops checkpoints replay.
     """
 
     directory: str
@@ -56,6 +61,9 @@ class VerifyReport:
     snapshot_wal_lsn: int = 0
     snapshot_documents: int = 0
     snapshot_shots: int = 0
+    chain_base_id: int = 0
+    chain_manifests: int = 0
+    chain_op_records: int = 0
     segments: List[SegmentReport] = field(default_factory=list)
     records_below_watermark: int = 0
     records_in_prefix: int = 0
@@ -80,6 +88,11 @@ class VerifyReport:
                 f"{self.snapshot_wal_lsn}, {self.snapshot_documents} "
                 f"documents + {self.snapshot_shots} shots restored"
             )
+            if self.chain_manifests:
+                out.append(
+                    f"chain: {self.chain_manifests} manifests since rebase "
+                    f"cp{self.chain_base_id}, {self.chain_op_records} op records"
+                )
         else:
             out.append("snapshot chain: empty (no checkpoints)")
         for segment in self.segments:
@@ -122,6 +135,11 @@ def verify_directory(directory: PathLike) -> VerifyReport:
         report.snapshot_wal_lsn = base.wal_lsn
         report.snapshot_documents = base.text_count
         report.snapshot_shots = base.shot_count
+        folded = since_rebase(store.manifest_chain())
+        report.chain_manifests = len(folded)
+        if folded:
+            report.chain_base_id = int(folded[0]["checkpoint_id"])
+        report.chain_op_records = sum(int(m["op_records"]) for m in folded)
     except SnapshotError as error:
         report.problems.append(f"snapshot chain: {error}")
         # The WAL can still be scanned; gap analysis below treats the

@@ -7,7 +7,10 @@ ops — or refuses loudly (:class:`RecoveryError`) when the snapshot chain
 itself is damaged.  Injected faults: kill at every op boundary (directory
 copied mid-run), torn final record, checksum corruption mid-segment,
 orphaned delta files from an interrupted checkpoint, missing delta files,
-broken manifest chains, and a deleted snapshot chain.
+broken manifest chains, a deleted snapshot chain, and — for the ops
+checkpoints that carry WAL records into the chain — damaged ops deltas, a
+checkpoint interrupted before its WAL truncation, truncation held back by a
+replica, and a WAL that lost records the next checkpoint needs.
 
 All tests carry the ``durability`` marker (``pytest -m durability``).
 """
@@ -19,9 +22,14 @@ import shutil
 import pytest
 
 from repro.durability import RecoveryError, RecoveryManager, engine_state_digest
-from repro.durability.snapshots import _write_json_atomic
+from repro.durability.snapshots import (
+    SnapshotError,
+    _write_json_atomic,
+    manifest_filename,
+)
 from repro.durability.wal import WalSegment, segment_filename
 from repro.service import RetrievalService, ServiceConfig
+from repro.utils.serialization import read_json
 from repro.workload.ingest import (
     apply_ingest,
     service_feature_dim,
@@ -217,3 +225,199 @@ class TestSnapshotChainDamage:
             path.unlink()
         with pytest.raises(RecoveryError, match="snapshot chain is missing"):
             RecoveryManager(directory).recover()
+
+
+class TestOpsDeltaFaults:
+    """The chain's ops checkpoints: WAL records folded by ``apply_record``."""
+
+    def _mutating_run(
+        self, corpus, directory, interval=4, after_open=None, before_close=None
+    ):
+        """12 ingests with a delete, an update and a shot delete among them
+        (15 records), checkpointing every ``interval``; returns the live
+        digest."""
+        service = RetrievalService(
+            corpus.collection, config=_durable_config(directory, interval=interval)
+        )
+        if after_open is not None:
+            after_open(service)
+        ops = _ops(service, 12)
+        doc_ids = [op[1] for op in ops if op[0] == "doc"]
+        shot_ids = [op[1] for op in ops if op[0] == "shot"]
+        for index, op in enumerate(ops):
+            apply_ingest(service, [op])
+            if index == 5:
+                service.delete_document(doc_ids[0])
+                service.update_document(doc_ids[1], "verdict launch rewrite")
+            if index == 9:
+                service.delete_shot(shot_ids[0])
+        if before_close is not None:
+            before_close(service)
+        digest = engine_state_digest(service.engine)
+        service.close()
+        return digest
+
+    @staticmethod
+    def _ops_deltas(directory):
+        """``{file name: its op records}`` over every ops delta on disk."""
+        deltas = {}
+        for path in sorted(directory.glob("delta-*.json")):
+            delta = read_json(path)
+            if "ops" in delta:
+                assert delta["format"] == 2
+                deltas[path.name] = delta["ops"]
+        return deltas
+
+    def _assert_no_lsn_twice(self, directory):
+        lsns = [
+            record["lsn"]
+            for records in self._ops_deltas(directory).values()
+            for record in records
+        ]
+        assert lsns and len(lsns) == len(set(lsns))
+
+    def test_mutations_checkpoint_as_ops_not_rebases(
+        self, analysed_corpus, tmp_path
+    ):
+        directory = tmp_path / "d"
+        digest = self._mutating_run(analysed_corpus, directory)
+        manifests = [
+            read_json(path) for path in sorted(directory.glob("checkpoint-*.json"))
+        ]
+        assert [m["op_records"] for m in manifests] == [0, 4, 4, 4]
+        assert not any(m["rebase"] for m in manifests)
+        ops = {
+            record["op"]
+            for records in self._ops_deltas(directory).values()
+            for record in records
+        }
+        assert ops == {"doc", "shot", "del", "upd"}
+        state = RecoveryManager(directory).recover()
+        assert state.state_digest() == digest
+        assert state.wal_index_ops == 3
+
+    def test_missing_ops_delta_is_refused(self, analysed_corpus, tmp_path):
+        directory = tmp_path / "d"
+        self._mutating_run(analysed_corpus, directory)
+        name = next(iter(self._ops_deltas(directory)))
+        (directory / name).unlink()
+        with pytest.raises(RecoveryError, match=f"{name} named by .* is missing"):
+            RecoveryManager(directory).recover()
+
+    def test_ops_delta_with_a_record_removed_is_refused(
+        self, analysed_corpus, tmp_path
+    ):
+        directory = tmp_path / "d"
+        self._mutating_run(analysed_corpus, directory)
+        # Remove the add of the document that the *next* checkpoint
+        # deletes: the delete then replays as a skipped duplicate and the
+        # tip's counts still match, so only the per-manifest check sees it.
+        deltas = self._ops_deltas(directory)
+        deleted = next(
+            record["id"]
+            for records in deltas.values()
+            for record in records
+            if record["op"] == "del" and record["kind"] == "doc"
+        )
+        name = next(
+            name
+            for name, records in deltas.items()
+            if any(r["op"] == "doc" and r["id"] == deleted for r in records)
+        )
+        delta = read_json(directory / name)
+        assert delta["checkpoint_id"] == 1
+        delta["ops"] = [r for r in delta["ops"] if r["id"] != deleted]
+        _write_json_atomic(directory / name, delta)
+        manifest_name = manifest_filename(1)
+        with pytest.raises(
+            RecoveryError, match=f"{manifest_name} counts 4 op records .* hold 3"
+        ):
+            RecoveryManager(directory).recover()
+        manifest = read_json(directory / manifest_name)
+        manifest["op_records"] = 3
+        _write_json_atomic(directory / manifest_name, manifest)
+        with pytest.raises(
+            RecoveryError, match=f"document sequence is not dense at {manifest_name}"
+        ):
+            RecoveryManager(directory).recover()
+
+    def test_unknown_op_inside_a_delta_is_refused(self, analysed_corpus, tmp_path):
+        directory = tmp_path / "d"
+        self._mutating_run(analysed_corpus, directory)
+        name = next(iter(self._ops_deltas(directory)))
+        delta = read_json(directory / name)
+        delta["ops"][0]["op"] = "frobnicate"
+        _write_json_atomic(directory / name, delta)
+        with pytest.raises(RecoveryError, match="unknown WAL op 'frobnicate'"):
+            RecoveryManager(directory).recover()
+
+    def test_crash_before_truncation_then_a_second_checkpoint(
+        self, analysed_corpus, tmp_path
+    ):
+        # Die between the manifest rename and the WAL truncation: the WAL
+        # still holds everything the new tip covers.  The reopened
+        # service's next checkpoint must take only what lies past the
+        # tip's watermark.
+        directory = tmp_path / "d"
+        config = _durable_config(directory, interval=5)
+        service = RetrievalService(analysed_corpus.collection, config=config)
+        service.engine.durability.wal.truncate_through = lambda lsn: 0
+        ops = _ops(service, 9)
+        apply_ingest(service, ops[:5])
+        service.delete_document(ops[0][1])
+        assert service.engine.durability.checkpoints_written == 2
+        del service  # abandoned with an untruncated WAL
+
+        state = RecoveryManager(directory).recover()
+        assert (state.snapshot_lsn, state.wal_index_ops) == (5, 1)
+        reopened = RetrievalService(analysed_corpus.collection, config=config)
+        assert len(reopened.engine.durability.wal.scan_all()[0]) == 6
+        apply_ingest(reopened, ops[5:])
+        assert reopened.engine.durability.checkpoints_written == 1
+        digest = engine_state_digest(reopened.engine)
+        reopened.close()
+        assert RecoveryManager(directory).recover().state_digest() == digest
+        self._assert_no_lsn_twice(directory)
+
+    def test_replica_holdback_across_checkpoints(self, analysed_corpus, tmp_path):
+        # A registered replica that never acknowledges pins the whole WAL;
+        # each checkpoint must still take only its own window of it.
+        directory = tmp_path / "d"
+        held = {}
+
+        def pin(service):
+            service.engine.durability.register_replica("slow", 0)
+
+        def look(service):
+            durability = service.engine.durability
+            held["checkpoints"] = durability.checkpoints_written
+            held["wal_records"] = len(durability.wal.scan_all()[0])
+
+        digest = self._mutating_run(
+            analysed_corpus, directory, after_open=pin, before_close=look
+        )
+        assert held == {"checkpoints": 4, "wal_records": 15}
+        assert RecoveryManager(directory).recover().state_digest() == digest
+        self._assert_no_lsn_twice(directory)
+
+    def test_wal_missing_records_refuses_to_checkpoint(
+        self, analysed_corpus, tmp_path
+    ):
+        # The ops checkpoint is built from the WAL itself; if the WAL no
+        # longer covers parent.wal_lsn + 1 .. cut, writing a manifest
+        # would bless a chain with a hole in it.
+        directory = tmp_path / "d"
+        service = RetrievalService(
+            analysed_corpus.collection, config=_durable_config(directory)
+        )
+        apply_ingest(service, _ops(service, 6))
+        durability = service.engine.durability
+        segment = durability.wal.segments()[0]
+        records, _ = segment.scan()
+        segment.rewrite([r for r in records if r["lsn"] != 3])
+        with service.engine.exclusive_writer():
+            with pytest.raises(SnapshotError, match=r"WAL covers lsn 1\.\.2 since"):
+                durability.checkpoint(service.engine)
+        assert durability.snapshots.manifest_ids() == [0]
+        assert not list(directory.glob("delta-cp000001-*"))
+        service.close()

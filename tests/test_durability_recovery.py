@@ -6,22 +6,30 @@ or a full service reopen — reproduces the **byte-identical** index state
 (same canonical digest, same rankings) that an uninterrupted in-memory
 run would have.  Covered edges: empty WAL, WAL-only (no post-bootstrap
 checkpoint), snapshot-only (fully compacted WAL), replay after
-compaction, replay-twice idempotence, feedback records, and reopening a
-recovered service to continue writing.
+compaction, replay-twice idempotence, feedback records, reopening a
+recovered service to continue writing, and snapshot-format-1 directories
+(read as they are, and written to by this build).
 
 All tests carry the ``durability`` marker (``pytest -m durability``).
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.durability import RecoveryManager, engine_state_digest
-from repro.durability.digest import engine_text_items, engine_visual_items
-from repro.durability.manager import _index_generations
+from repro.durability.digest import (
+    engine_text_items,
+    engine_visual_items,
+    state_digest,
+)
+from repro.durability.snapshots import SnapshotStore, _write_json_atomic
 from repro.feedback import EventKind, InteractionEvent
 from repro.retrieval import Query
 from repro.service import FeedbackBatch, RetrievalService, ServiceConfig
+from repro.utils.serialization import read_json, write_json
 from repro.workload.ingest import (
     apply_ingest,
     service_feature_dim,
@@ -137,12 +145,10 @@ class TestRecoveryEdges:
         live = engine_state_digest(service.engine)
         durability = service.engine.durability
         engine = service.engine
-        durability.snapshots.write_checkpoint(
+        durability.snapshots.write_full_checkpoint(
             text_items=list(engine_text_items(engine)),
             visual_items=list(engine_visual_items(engine)),
             wal_lsn=durability.wal.last_lsn - 3,
-            text_generations=_index_generations(engine.inverted_index),
-            visual_generations=_index_generations(engine.visual_index),
         )
         service.close()
         state = RecoveryManager(tmp_path / "d").recover()
@@ -289,9 +295,10 @@ class TestMutableCorpusRecovery:
         self, analysed_corpus, tmp_path, num_shards
     ):
         # Tight checkpoint cadence: mutations land both inside truncated
-        # (checkpointed) prefixes and in the live WAL tail.  The first
-        # checkpoint after a mutation is a rebase — it rewrites the full
-        # live state so earlier deltas never resurrect a deleted slot.
+        # (checkpointed) prefixes and in the live WAL tail.  Checkpointed
+        # deletes and updates sit in ops deltas as the records they were;
+        # the chain fold replays them by id, so no earlier delta ever
+        # resurrects a deleted item.
         service = _service(
             analysed_corpus, _durable_config(tmp_path / "d", num_shards, interval=4)
         )
@@ -315,9 +322,9 @@ class TestMutableCorpusRecovery:
         assert shot_ids[0] not in [entry[0] for entry in state.shots]
 
     def test_compaction_then_checkpoint_recovers(self, analysed_corpus, tmp_path):
-        # Compaction renumbers dense slots; the rebase checkpoint that
-        # follows must capture the renumbered state so recovery does not
-        # stitch stale deltas across the renumbering.
+        # Compaction renumbers dense slots but keeps live order, which is
+        # all that replay by id depends on: the WAL tail written across
+        # the renumbering recovers to the live digest.
         service = _service(analysed_corpus, _durable_config(tmp_path / "d", 2))
         ops = synthetic_ingest_ops(
             10, seed=5, feature_dim=service_feature_dim(service)
@@ -333,7 +340,7 @@ class TestMutableCorpusRecovery:
             ),
         )
         live = engine_state_digest(service.engine)
-        service.close()  # close checkpoints: first one since the mutations
+        service.close()
         state = RecoveryManager(tmp_path / "d").recover()
         assert state.state_digest() == live
         reopened = _service(analysed_corpus, _durable_config(tmp_path / "d", 2))
@@ -342,24 +349,28 @@ class TestMutableCorpusRecovery:
         finally:
             reopened.close()
 
-    def test_reopen_after_crash_with_mutations_rebases(
+    def test_reopen_after_crash_with_mutations_checkpoints_ops(
         self, analysed_corpus, tmp_path
     ):
-        # Crash (no close-checkpoint) after mutations: the reopened
-        # service must flag its next checkpoint as a rebase, and a third
+        # Crash (no checkpoint) with mutations in the WAL tail: the
+        # reopened service's next checkpoint is an ordinary ops checkpoint
+        # carrying the replayed tail *and* the new writes, and a third
         # generation recovers the continued stream exactly.
         service = _service(analysed_corpus, _durable_config(tmp_path / "d"))
         ops = synthetic_ingest_ops(
             8, seed=7, feature_dim=service_feature_dim(service)
         )
         apply_ingest(service, ops)
-        _mutate_mix(service, ops)
+        mutations = _mutate_mix(service, ops)
         live = engine_state_digest(service.engine)
         del service  # abandoned: no checkpoint, WAL tail only
 
-        reopened = _service(analysed_corpus, _durable_config(tmp_path / "d"))
+        # The cadence counts the recovered tail, so the third new op is due.
+        reopened = _service(
+            analysed_corpus,
+            _durable_config(tmp_path / "d", interval=8 + mutations + 3),
+        )
         assert engine_state_digest(reopened.engine) == live
-        assert reopened.engine.durability._rebase_next_checkpoint
         apply_ingest(
             reopened,
             synthetic_ingest_ops(
@@ -367,10 +378,18 @@ class TestMutableCorpusRecovery:
             ),
         )
         live = engine_state_digest(reopened.engine)
-        reopened.close()  # writes the rebase checkpoint
+        durability = reopened.engine.durability
+        tip = durability.snapshots.latest_manifest
+        reopened.close()
+        assert tip["checkpoint_id"] == 1 and not tip["rebase"]
+        assert tip["op_records"] == 8 + mutations + 3
+        for name in tip["deltas"]:
+            assert "ops" in read_json(tmp_path / "d" / name)
+        assert durability.statistics()["rebases"] == 0
+        assert durability.statistics()["chain_ops_since_rebase"] == tip["op_records"]
         state = RecoveryManager(tmp_path / "d").recover()
         assert state.state_digest() == live
-        assert state.ingested_ops >= 0
+        assert state.checkpoint_id == 1 and state.wal_index_ops == 0
 
     def test_delete_below_bootstrap_clamps_ingested_ops(
         self, analysed_corpus, tmp_path
@@ -387,3 +406,141 @@ class TestMutableCorpusRecovery:
         assert state.state_digest() == live
         assert state.ingested_ops == 0
         assert state.wal_mutation_ops == 1
+
+
+def _write_format_one_directory(directory):
+    """A two-shard directory as the format-1 writer left it: bootstrap,
+    suffix delta, rebase (b deleted, a updated to the tail), suffix delta.
+    Returns the ``(documents, shots)`` it holds, in live order."""
+    directory.mkdir()
+    write_json(
+        directory / "DURABILITY.json",
+        {"format": 1, "num_shards": 2, "fsync_policy": "never"},
+    )
+    a, a2, b, c, d, e = (
+        {"flood": 2, "river": 1},
+        {"flood": 1, "dam": 3},
+        {"summit": 1},
+        {"verdict": 4},
+        {"launch": 1, "orbit": 2},
+        {"election": 2},
+    )
+    s0, s1, s2 = (
+        [0.5, 0.25, 0.125],
+        [1.0, 0.0, -0.75],
+        [0.1, 0.2, 0.3],
+    )
+    checkpoints = [
+        # (rebase, text_count, shot_count, {shard: (documents, shots)})
+        (False, 3, 1, {
+            0: ([[0, "a", a], [2, "c", c]], []),
+            1: ([[1, "b", b]], [[0, "s0", s0, {"crowd": 0.5}]]),
+        }),
+        (False, 4, 2, {1: ([[3, "d", d]], [[1, "s1", s1, {}]])}),
+        (True, 3, 2, {
+            0: ([[1, "d", d]], [[0, "s0", s0, {"crowd": 0.5}]]),
+            1: ([[0, "c", c], [2, "a", a2]], [[1, "s1", s1, {}]]),
+        }),
+        (False, 4, 3, {0: ([[3, "e", e]], [[2, "s2", s2, {"studio": 1.0}]])}),
+    ]
+    for checkpoint_id, (rebase, text_count, shot_count, shards) in enumerate(
+        checkpoints
+    ):
+        names = []
+        for shard, (documents, shots) in shards.items():
+            names.append(f"delta-cp{checkpoint_id:06d}-shard{shard:04d}.json")
+            write_json(
+                directory / names[-1],
+                {
+                    "format": 1,
+                    "checkpoint_id": checkpoint_id,
+                    "shard": shard,
+                    "documents": documents,
+                    "shots": shots,
+                },
+            )
+        write_json(
+            directory / f"checkpoint-{checkpoint_id:06d}.json",
+            {
+                "format": 1,
+                "checkpoint_id": checkpoint_id,
+                "parent": checkpoint_id - 1 if checkpoint_id else None,
+                "wal_lsn": 10 * checkpoint_id,
+                "text_count": text_count,
+                "shot_count": shot_count,
+                "text_generations": [checkpoint_id, checkpoint_id],
+                "visual_generations": [checkpoint_id, checkpoint_id],
+                "deltas": names,
+                "rebase": rebase,
+            },
+        )
+    documents = [("c", c), ("d", d), ("a", a2), ("e", e)]
+    shots = [
+        ("s0", s0, {"crowd": 0.5}),
+        ("s1", s1, {}),
+        ("s2", s2, {"studio": 1.0}),
+    ]
+    return documents, shots
+
+
+def test_atomic_writer_emits_canonical_json_bytes(tmp_path):
+    # The writer frames top-level keys and list elements itself (to encode
+    # piecewise); the bytes must be exactly the canonical dumps.
+    payloads = (
+        {},
+        {"deltas": [], "wal_lsn": 0, "parent": None},
+        {
+            "shots": [[0, "s", [0.1 + 0.2, -1.0], {"b": 0.5, "a": 1e-9}], [1, "t", [], {}]],
+            "ops": [{"op": "upd", "lsn": 7, "id": "é\n\"", "tf": {"z": 1, "a": 2}}],
+            "nested": {"y": [1, {"b": True, "a": None}], "x": "plain"},
+            "format": 2,
+        },
+    )
+    for payload in payloads:
+        _write_json_atomic(tmp_path / "out.json", payload)
+        written = (tmp_path / "out.json").read_text(encoding="utf-8")
+        assert written == json.dumps(
+            payload, sort_keys=True, separators=(",", ":")
+        ) + "\n"
+        assert not (tmp_path / "out.json.tmp").exists()
+
+
+class TestSnapshotFormatOne:
+    def test_format_one_chain_loads_in_order(self, tmp_path):
+        documents, shots = _write_format_one_directory(tmp_path / "d")
+        base = SnapshotStore(tmp_path / "d", 2).load_base()
+        assert base.documents == documents
+        assert base.shots == shots
+        assert (base.wal_lsn, base.checkpoint_id) == (30, 3)
+        assert (base.baseline_text_count, base.baseline_shot_count) == (3, 1)
+        state = RecoveryManager(tmp_path / "d").recover()
+        assert state.state_digest() == state_digest(documents, shots)
+        assert state.applied_lsn == 30
+
+    def test_format_one_directory_written_to_by_this_build(
+        self, analysed_corpus, tmp_path
+    ):
+        # An old directory reopened: this build appends format-2 ops
+        # checkpoints to the format-1 chain, and the mixed chain folds.
+        _write_format_one_directory(tmp_path / "d")
+        service = _service(
+            analysed_corpus, _durable_config(tmp_path / "d", 2, interval=2)
+        )
+        service.index_documents({"f": "ceasefire summit talks"})
+        service.delete_document("d")
+        service.update_document("c", "verdict appeal rewrite")
+        service.index_shot("s3", [0.3, 0.2, 0.1], {"crowd": 0.25})
+        service.delete_shot("s0")
+        live = engine_state_digest(service.engine)
+        statistics = service.engine.durability.statistics()
+        service.close()
+        assert statistics["checkpoints"] == 2
+        assert statistics["chain_ops_since_rebase"] == 4
+        chain = SnapshotStore(tmp_path / "d", 2).manifest_chain()
+        assert [m["format"] for m in chain] == [1, 1, 1, 1, 2, 2]
+        assert [m["op_records"] for m in chain] == [0, 0, 0, 0, 2, 2]
+        state = RecoveryManager(tmp_path / "d").recover()
+        assert state.state_digest() == live
+        assert [doc_id for doc_id, _ in state.documents] == ["a", "e", "f", "c"]
+        assert [shot[0] for shot in state.shots] == ["s1", "s2", "s3"]
+        assert (state.checkpoint_id, state.wal_index_ops) == (5, 1)

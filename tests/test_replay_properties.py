@@ -2,12 +2,17 @@
 
 ``repro.durability.replay`` owns the op-record schema and the one
 ``apply_record``; the live engine, crash recovery and a tailing replica
-are three consumers of the same write history.  For random sequences of
-add / delete / update / add-shot / delete-shot — over fresh ids *and*
-corpus-built ones, with repeats and deletes of unknown ids — the live
-``engine_state_digest``, ``RecoveryManager.recover().state_digest()`` and a
-tailing ``ReplicaServer.state_digest()`` agree after every op, whether the
-prefix ends right behind a checkpoint or on an un-checkpointed WAL tail.
+are three consumers of the same write history — and the snapshot chain is
+a fourth, since an ops checkpoint is a slice of that history folded by the
+same function.  For random sequences of add / delete / update / add-shot /
+delete-shot / compact — over fresh ids *and* corpus-built ones, with
+repeats and deletes of unknown ids — the live ``engine_state_digest``,
+``RecoveryManager.recover().state_digest()`` and a tailing
+``ReplicaServer.state_digest()`` agree after every op, whether the prefix
+ends right behind a checkpoint, on an un-checkpointed WAL tail, or (at
+cadence 1) with every op in its own delta and compactions rebasing the
+chain in between; and a point-in-time recovery at every LSN the tip still
+allows lands on the digest the live engine had at that LSN.
 
 All tests carry the ``replication`` marker (``pytest -m replication``).
 """
@@ -44,13 +49,15 @@ operations = st.lists(
         st.tuples(st.just("delete"), slots),
         st.tuples(st.just("add_shot"), slots, st.integers(0, 9)),
         st.tuples(st.just("delete_shot"), slots),
+        st.tuples(st.just("compact")),
     ),
     min_size=1,
     max_size=12,
 )
-#: Checkpoint every few index ops (prefixes ending behind a checkpoint,
-#: rebases after deletes) or never (pure WAL tails).
-snapshot_intervals = st.sampled_from((2, 3, 5, 10_000))
+#: Checkpoint every op (add X / delete X / re-add X / update X / compact
+#: each in their own delta, and across the rebase a compaction brings),
+#: every few (prefixes ending behind a checkpoint) or never (pure WAL tails).
+snapshot_intervals = st.sampled_from((1, 2, 3, 5, 10_000))
 
 
 def _apply(service, op, documents, shots, feature_dim) -> None:
@@ -65,6 +72,9 @@ def _apply(service, op, documents, shots, feature_dim) -> None:
     """
     kind = op[0]
     durability = service.engine.durability
+    if kind == "compact":
+        service.compact()
+        return
     if kind in ("add", "update", "delete"):
         document_id = documents[op[1] % len(documents)]
         try:
@@ -117,12 +127,20 @@ def test_live_recovered_and_replica_digests_agree_at_every_prefix(
         replica = ReplicaServer(directory, collection=collection)
         try:
             feature_dim = service_feature_dim(service)
+            durability = service.engine.durability
+            digest_at = {0: engine_state_digest(service.engine)}
             for op in ops:
                 _apply(service, op, documents, shots, feature_dim)
                 live = engine_state_digest(service.engine)
+                digest_at[durability.wal.last_lsn] = live
                 assert RecoveryManager(directory).recover().state_digest() == live
                 replica.poll()
                 assert replica.state_digest() == live
+                for lsn in range(
+                    durability.snapshots.latest_wal_lsn, durability.wal.last_lsn + 1
+                ):
+                    cut = RecoveryManager(directory, stop_lsn=lsn).recover()
+                    assert cut.state_digest() == digest_at[lsn], lsn
         finally:
             replica.close()
             service.close()

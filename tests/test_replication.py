@@ -726,6 +726,38 @@ class TestVerifyCommand:
         assert cli.main(["verify", str(directory)], out=out) == 0
         assert "integrity: ok" in out.getvalue()
 
+    def test_reports_the_chain_recovery_folds(self, analysed_corpus, tmp_path):
+        import io
+
+        # Interval 3 over 10 adds with a delete and a compaction after the
+        # fourth: cp1 (3 ops), cp2 the rebase the compaction asks for (in
+        # place of an ops checkpoint), cp3 (3 ops), two records left in
+        # the WAL — recovery folds cp2..cp3.
+        directory = tmp_path / "dur"
+        primary = RetrievalService.from_corpus(
+            analysed_corpus, config=_durable_config(directory, interval=3)
+        )
+        ops = _ops(primary, 10)
+        apply_ingest(primary, ops[:4])
+        primary.delete_document(next(op[1] for op in ops if op[0] == "doc"))
+        primary.compact()
+        apply_ingest(primary, ops[4:])
+        statistics = primary.engine.durability.statistics()
+        primary.close()
+        assert statistics["checkpoints"] == 4  # bootstrap + cp1..cp3
+        assert statistics["rebases"] == 1
+        assert statistics["chain_ops_since_rebase"] == 3
+        report = verify_directory(directory)
+        assert report.ok
+        assert (
+            report.chain_base_id,
+            report.chain_manifests,
+            report.chain_op_records,
+        ) == (2, 2, 3)
+        out = io.StringIO()
+        assert cli.main(["verify", str(directory)], out=out) == 0
+        assert "chain: 2 manifests since rebase cp2, 3 op records" in out.getvalue()
+
 
 class TestChaosHarness:
     def test_schedule_is_deterministic(self):
