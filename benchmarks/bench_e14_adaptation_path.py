@@ -40,6 +40,16 @@ into an incremental, array-backed kernel:
   adaptive-heavy` loadtest), pinning the canonical-log digest across
   worker counts (reported, digest asserted, wall-clock not).
 
+* **Session retention** — a serving session holds O(1) state per search.
+  A baseline session, an implicit session fed feedback before every
+  search and an explicit session re-judging a fixed shot set are each
+  driven under ``tracemalloc``; the bytes held at the late checkpoint must
+  be within ``RETENTION_SLACK_BYTES`` of those held at the early one.
+  Asserted in every run (a count, not a timing), so the regression guard
+  fails on any reintroduced per-search retention;
+  ``tests/test_session_plateau.py`` runs the same check on the unit-test
+  corpus.
+
 ``BENCH_e14.json`` next to this file records the baseline numbers.  Run
 ``--write-baseline`` to refresh it on representative hardware, or
 ``--smoke`` for the quick CI sanity check (small corpus, all equivalence
@@ -50,15 +60,20 @@ throughput.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
+import tracemalloc
 
 from _common import Bench, Floor, scale_corpus
 
 from repro.core import (
     AdaptiveVideoRetrievalSystem,
+    baseline_policy,
     combined_policy,
+    explicit_policy,
     full_policy,
+    implicit_only_policy,
     standard_policies,
 )
 from repro.core.ostensive import DISCOUNT_PROFILES
@@ -78,6 +93,21 @@ SMOKE_OPEN_SPEEDUP_FLOOR = 3.0
 #: window of 2-15 ms, as noisy as the host; the median of fifteen,
 #: alternating the modes, is what the 1x floor and the guard read.
 THROUGHPUT_REPEATS = 15
+
+#: Traced bytes a session may hold at the late retention checkpoint beyond
+#: what it held at the early one: about one ``QueryIteration`` (the session
+#: keeps exactly one, and successive ones differ in size).  Measured growth
+#: is a few hundred bytes; one retained iteration per search would be
+#: 1-17 KB *per search* between the checkpoints.
+RETENTION_SLACK_BYTES = 16 * 1024
+
+#: Shots the retention sessions cycle their feedback over: a fixed set, so
+#: the evidence stores and every engine-side cache (bounded by the distinct
+#: queries and evidence states seen) are full before the early checkpoint
+#: and what could still grow is what the session keeps per search.  Five,
+#: so the explicit session's judge-then-flip cycle is 10 searches long and
+#: checkpoints at multiples of 10 read it in the same phase.
+RETENTION_FEEDBACK_SHOTS = 5
 
 
 def _feedback_events(shot_ids, base):
@@ -255,6 +285,74 @@ def _session_open_rows(corpus, fast_opens, reference_opens):
     return rows
 
 
+def retention_rows(corpus, early, late):
+    """Traced bytes three long sessions hold after ``early`` and ``late`` searches.
+
+    Each session gets a private engine and is created after tracing starts,
+    so the rows count everything a search leaves behind, wherever it is
+    kept.  The explicit session flips its judgement of every shot on each
+    pass over the feedback set.
+    """
+    topic = corpus.topics.topics()[0]
+    shots = sorted(corpus.qrels.relevant_shots(topic.topic_id))
+    shots = shots[:RETENTION_FEEDBACK_SHOTS]
+    queries = (topic.query_terms[0], " ".join(topic.query_terms[:2]))
+
+    def play(step):
+        return _feedback_events([shots[step % len(shots)]], base=10.0 * step)
+
+    def judge(step):
+        relevant = (step // len(shots)) % 2 == 0
+        kind = EventKind.MARK_RELEVANT if relevant else EventKind.MARK_NOT_RELEVANT
+        return [
+            InteractionEvent(
+                kind=kind, timestamp=10.0 * step, shot_id=shots[step % len(shots)]
+            )
+        ]
+
+    rows = []
+    for label, policy, feedback in (
+        ("baseline", baseline_policy(), None),
+        ("implicit", implicit_only_policy(), play),
+        ("explicit", explicit_policy(), judge),
+    ):
+        system = AdaptiveVideoRetrievalSystem(VideoRetrievalEngine(corpus.collection))
+        held = {}
+        tracemalloc.start()
+        try:
+            session = system.create_session(policy=policy, topic_id=topic.topic_id)
+            for step in range(late):
+                if feedback is not None:
+                    session.observe(feedback(step))
+                session.submit_query(queries[step % len(queries)])
+                if step + 1 in (early, late):
+                    gc.collect()
+                    held[step + 1] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rows.append(
+            {
+                "session": label,
+                "early_searches": early,
+                "late_searches": late,
+                "held_early_bytes": held[early],
+                "held_late_bytes": held[late],
+                "growth_bytes": held[late] - held[early],
+            }
+        )
+    return rows
+
+
+def assert_flat_retention(rows):
+    """No session may hold more after the late checkpoint than after the early."""
+    for row in rows:
+        assert row["growth_bytes"] <= RETENTION_SLACK_BYTES, (
+            f"{row['session']} session grew {row['growth_bytes']} traced bytes "
+            f"between search {row['early_searches']} and {row['late_searches']} "
+            f"(allowed {RETENTION_SLACK_BYTES}): per-search state is being retained"
+        )
+
+
 def _loadtest_row(corpus, users, queries_per_user):
     """Adaptation-heavy service mix through the concurrency harness."""
     from repro.service import RetrievalService
@@ -285,6 +383,7 @@ def _loadtest_row(corpus, users, queries_per_user):
 
 
 def _sanity_check(tables, smoke):
+    assert_flat_retention(tables["retention"])
     open_floor = SMOKE_OPEN_SPEEDUP_FLOOR if smoke else FULL_OPEN_SPEEDUP_FLOOR
     return {
         "adapted-query speedup": Floor(
@@ -303,7 +402,13 @@ def _guarded(tables):
 
 
 def run_experiment(
-    bench_corpus, rounds, queries_per_round, fast_opens, reference_opens, open_at_scale
+    bench_corpus,
+    rounds,
+    queries_per_round,
+    fast_opens,
+    reference_opens,
+    open_at_scale,
+    retention_searches,
 ):
     combos = assert_bit_identical(bench_corpus)
     # The session-open criterion is pinned at 10k-shot corpus scale.
@@ -315,6 +420,7 @@ def run_experiment(
             open_corpus, fast_opens=fast_opens, reference_opens=reference_opens
         ),
         "loadtest": _loadtest_row(bench_corpus, users=8, queries_per_user=2),
+        "retention": retention_rows(bench_corpus, *retention_searches),
     }
 
 
@@ -330,6 +436,9 @@ BENCH = Bench(
         "fast_opens": 4000,
         "reference_opens": 400,
         "open_at_scale": False,
+        # 400 searches apart: one retained iteration per search would be
+        # >= 300 KB of growth against the 16 KB allowed.
+        "retention_searches": (200, 600),
     },
     full={
         "rounds": 10,
@@ -337,12 +446,14 @@ BENCH = Bench(
         "fast_opens": 2000,
         "reference_opens": 100,
         "open_at_scale": True,
+        "retention_searches": (200, 2000),
     },
     tables={
         "equivalence": "E14: policy/profile/scheme combos, fast vs reference",
         "throughput": "E14a: adapted-query throughput (feedback-heavy session)",
         "session_open": "E14b: session bring-up",
         "loadtest": "E14c: adaptation-heavy service mix",
+        "retention": "E14d: traced bytes held by one long session",
     },
     sanity_check=_sanity_check,
     guarded=_guarded,
@@ -353,7 +464,9 @@ BENCH = Bench(
         "adapted queries per round through submit_query, each mode's row the "
         "median of 15 interleaved sessions; the session_open "
         "rows compare shared-state bring-up against the retained "
-        "per-session O(corpus) build at 10k-shot scale."
+        "per-session O(corpus) build at 10k-shot scale.  The retention rows "
+        "are tracemalloc bytes held after the early and the late search "
+        "count; growth beyond 16 KB fails every run."
     ),
 )
 

@@ -60,7 +60,12 @@ from repro.retrieval.results import ResultList
 
 @dataclass
 class QueryIteration:
-    """One query iteration within a session (for log analysis and replay)."""
+    """One query iteration within a session (for log analysis and replay).
+
+    A session keeps only its most recent one
+    (:attr:`AdaptiveSession.last_iteration`); callers that want the whole
+    trail collect it after each ``submit_query``.
+    """
 
     query_text: str
     adapted_query: Query
@@ -81,6 +86,11 @@ class AdaptiveSession:
     evidence, un-memoised feedback derivations and the two-stage reference
     re-ranking fold — which is what the equivalence tests and the E14
     bench compare against (rankings are bit-identical by construction).
+
+    Retained state is O(1) per search: the session holds an iteration
+    counter and the last :class:`QueryIteration`, never the trail, so a
+    long-lived serving session does not grow with the searches it has
+    served (its evidence stores grow with the distinct shots touched).
     """
 
     def __init__(
@@ -121,7 +131,8 @@ class AdaptiveSession:
         # membership tests stay O(1).
         self._seen_shots: Dict[str, None] = {}
         self._scratch = DenseScratch()
-        self._iterations: List[QueryIteration] = []
+        self._iteration_count = 0
+        self._last_iteration: Optional[QueryIteration] = None
         self._last_query_text: str = ""
 
     # -- accessors -----------------------------------------------------------------
@@ -142,14 +153,14 @@ class AdaptiveSession:
         return self._topic_id
 
     @property
-    def iterations(self) -> List[QueryIteration]:
-        """All query iterations so far."""
-        return list(self._iterations)
-
-    @property
     def iteration_count(self) -> int:
         """Number of query iterations so far."""
-        return len(self._iterations)
+        return self._iteration_count
+
+    @property
+    def last_iteration(self) -> Optional[QueryIteration]:
+        """The most recent completed query iteration (None before the first)."""
+        return self._last_iteration
 
     @property
     def is_fast_path(self) -> bool:
@@ -159,6 +170,11 @@ class AdaptiveSession:
     def seen_shots(self) -> List[str]:
         """Shots the user has interacted with, in first-touch order."""
         return list(self._seen_shots)
+
+    @property
+    def seen_shot_count(self) -> int:
+        """How many distinct shots the user has interacted with (O(1))."""
+        return len(self._seen_shots)
 
     def implicit_evidence(self) -> Dict[str, float]:
         """Current per-shot implicit evidence."""
@@ -288,11 +304,11 @@ class AdaptiveSession:
     def submit_query(self, query_text: str, limit: Optional[int] = None) -> ResultList:
         """Run one (adapted) query iteration and return the ranked results.
 
-        Session state (iteration log, last-query text) is committed only
-        after the engine search and re-ranking complete, so a query
-        abandoned mid-flight — a deadline cancellation, a shard fault —
-        leaves the session exactly as it was: ``refresh_results`` re-runs
-        the last *successful* query, never the aborted one.
+        Session state (iteration count, last iteration, last-query text) is
+        committed only after the engine search and re-ranking complete, so
+        a query abandoned mid-flight — a deadline cancellation, a shard
+        fault — leaves the session exactly as it was: ``refresh_results``
+        re-runs the last *successful* query, never the aborted one.
         """
         adapted_query = self._adapted_query(query_text)
         results = self._system.engine.search(
@@ -331,16 +347,17 @@ class AdaptiveSession:
             query_text=query_text,
             adapted_query=adapted_query,
             results=results,
-            iteration=len(self._iterations) + 1,
+            iteration=self._iteration_count + 1,
             evidence_snapshot=self._accumulator.evidence(),
         )
-        self._iterations.append(iteration)
+        self._iteration_count = iteration.iteration
+        self._last_iteration = iteration
         self._last_query_text = query_text
         return results
 
     def refresh_results(self, limit: Optional[int] = None) -> ResultList:
         """Re-run the last query with the evidence accumulated since then."""
-        if not self._last_query_text and not self._iterations:
+        if not self._last_query_text and not self._iteration_count:
             raise RuntimeError("no query has been submitted yet")
         return self.submit_query(self._last_query_text, limit=limit)
 

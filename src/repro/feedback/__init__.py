@@ -10,7 +10,7 @@ from repro.feedback.events import (
     EventStream,
     InteractionEvent,
 )
-from repro.feedback.explicit import ExplicitFeedbackStore, ExplicitJudgement
+from repro.feedback.explicit import ExplicitFeedbackStore
 from repro.feedback.graph import GraphEdge, ImplicitGraph
 from repro.feedback.indicators import (
     INDICATOR_NAMES,
@@ -42,7 +42,6 @@ __all__ = [
     "EventStream",
     "InteractionEvent",
     "ExplicitFeedbackStore",
-    "ExplicitJudgement",
     "GraphEdge",
     "ImplicitGraph",
     "INDICATOR_NAMES",

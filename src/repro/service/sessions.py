@@ -124,7 +124,7 @@ class ManagedSession:
                 topic_id=self.session.topic_id,
                 result_limit=self.result_limit,
                 iteration_count=self.session.iteration_count,
-                seen_shot_count=len(self.session.seen_shots()),
+                seen_shot_count=self.session.seen_shot_count,
             )
 
 

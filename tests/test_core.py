@@ -29,6 +29,7 @@ from repro.feedback import EventKind, InteractionEvent, heuristic_scheme
 from repro.index import InvertedIndex, VisualIndex
 from repro.profiles import UserProfile
 from repro.retrieval import VideoRetrievalEngine
+from repro.utils.concurrency import OperationCancelledError
 
 
 class TestOstensiveDiscounts:
@@ -316,11 +317,55 @@ class TestAdaptiveSession:
         topic = medium_corpus.topics.topics()[0]
         session = adaptive_system.create_session(policy=implicit_only_policy(),
                                                  topic_id=topic.topic_id)
-        session.submit_query(topic.query_terms[0])
+        assert session.last_iteration is None
+        first_results = session.submit_query(topic.query_terms[0])
+        first = session.last_iteration
         session.submit_query(" ".join(topic.query_terms[:2]))
+        second = session.last_iteration
         assert session.iteration_count == 2
-        assert session.iterations[0].iteration == 1
-        assert session.iterations[1].query_text == " ".join(topic.query_terms[:2])
+        assert first.iteration == 1
+        assert first.results is first_results
+        assert second.iteration == 2
+        assert second.query_text == " ".join(topic.query_terms[:2])
+
+    def test_aborted_query_leaves_session_untouched(
+        self, medium_corpus, adaptive_system, monkeypatch
+    ):
+        topic = medium_corpus.topics.topics()[0]
+        relevant = sorted(medium_corpus.qrels.relevant_shots(topic.topic_id))
+        session = adaptive_system.create_session(policy=implicit_only_policy(),
+                                                 topic_id=topic.topic_id)
+        engine = adaptive_system.engine
+        real_search = engine.search
+
+        def aborted_search(query, limit=None):
+            real_search(query, limit=limit)  # the work happens, then the abort
+            raise OperationCancelledError("deadline exceeded")
+
+        def abort(query_text):
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "search", aborted_search)
+                with pytest.raises(OperationCancelledError):
+                    session.submit_query(query_text)
+
+        # Aborted before any query succeeded: still a fresh session.
+        abort("poisoned query")
+        assert session.iteration_count == 0
+        assert session.last_iteration is None
+        with pytest.raises(RuntimeError):
+            session.refresh_results()
+
+        session.submit_query(topic.query_terms[0])
+        session.observe(self._play_events(relevant[:2]))
+        committed = session.last_iteration
+        abort("poisoned query")
+        assert session.iteration_count == 1
+        assert session.last_iteration is committed
+        # refresh re-runs the last *successful* query as iteration 2.
+        session.refresh_results()
+        assert session.iteration_count == 2
+        assert session.last_iteration.iteration == 2
+        assert session.last_iteration.query_text == topic.query_terms[0]
 
     def test_seen_shots_tracked(self, medium_corpus, adaptive_system):
         topic = medium_corpus.topics.topics()[0]

@@ -87,11 +87,13 @@ class TestIterationSnapshots:
             topic_id=topic.topic_id,
         )
         session.submit_query(topic.query_terms[0])
+        first = session.last_iteration
         session.observe(_play(relevant[0]))
         session.submit_query(topic.query_terms[0])
-        iterations = session.iterations
-        assert iterations[0].evidence_snapshot == {}
-        assert relevant[0] in iterations[1].evidence_snapshot
+        second = session.last_iteration
+        # The first snapshot is a copy: later evidence does not leak into it.
+        assert first.evidence_snapshot == {}
+        assert relevant[0] in second.evidence_snapshot
 
     def test_adapted_query_carries_expansion_terms(self, medium_corpus, adaptive_system):
         topic = medium_corpus.topics.topics()[0]
@@ -102,5 +104,5 @@ class TestIterationSnapshots:
         session.submit_query(topic.query_terms[0])
         session.observe(_play(relevant[0]) + _play(relevant[1], timestamp=10.0))
         session.submit_query(topic.query_terms[0])
-        adapted = session.iterations[-1].adapted_query
+        adapted = session.last_iteration.adapted_query
         assert adapted.term_weights  # expansion terms were added

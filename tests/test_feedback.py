@@ -273,8 +273,8 @@ class TestDwell:
 class TestExplicitStore:
     def test_record_and_latest_wins(self):
         store = ExplicitFeedbackStore()
-        store.record("s1", True, 1.0)
-        store.record("s1", False, 2.0)
+        store.record("s1", True)
+        store.record("s1", False)
         assert store.non_relevant_shots() == ["s1"]
         assert store.relevant_shots() == []
         assert store.judgement_count() == 2
@@ -302,3 +302,39 @@ class TestExplicitStore:
     def test_event_without_shot_not_recorded(self):
         store = ExplicitFeedbackStore()
         assert not store.record_event(_event(EventKind.MARK_RELEVANT, shot_id=None))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_incremental_store_matches_rebuild_from_list(self, seed):
+        """Differential against the store's former implementation: append
+        every judgement, rebuild the latest-wins map from the list on read.
+        Judge / re-judge / flip sequences over a small shot pool must leave
+        the same lists and the same evidence map, key order included."""
+        rng = RandomSource(seed).spawn("explicit-differential")
+        pool = [f"s{index}" for index in range(rng.randint(1, 12))]
+        store = ExplicitFeedbackStore()
+        judgements = []
+
+        def latest():
+            rebuilt = {}
+            for shot_id, relevant in judgements:
+                rebuilt[shot_id] = relevant
+            return rebuilt
+
+        for _ in range(rng.randint(1, 120)):
+            shot_id = rng.choice(pool)
+            previous = latest().get(shot_id)
+            # Half the re-judgements are forced flips, half a fresh coin.
+            if previous is None or rng.boolean(0.5):
+                relevant = rng.boolean(0.5)
+            else:
+                relevant = not previous
+            store.record(shot_id, relevant)
+            judgements.append((shot_id, relevant))
+            reference = latest()
+            assert store.relevant_shots() == [s for s, r in reference.items() if r]
+            assert store.non_relevant_shots() == [s for s, r in reference.items() if not r]
+            assert list(store.evidence_map(2.0, 0.5).items()) == [
+                (s, 2.0 if r else -0.5) for s, r in reference.items()
+            ]
+            assert store.judged_shots() == set(reference)
+            assert store.judgement_count() == len(store) == len(judgements)
