@@ -21,7 +21,9 @@ without its context.
 Rows:
 
 * ``single``   — monolithic engine, the baseline.
-* ``thread``   — 4-shard thread scatter: the recorded GIL floor.
+* ``thread``   — 4-shard ``executor="thread"`` engine: in-memory kernels,
+  so the shards are scored inline on the calling thread (on the pool they
+  read 0.48-0.56x of ``single`` under the GIL).
 * ``process``  — 4-shard process scatter at 2 and 4 workers.
 
 ``BENCH_e17.json`` carries the ``smoke_baseline`` section guarded by

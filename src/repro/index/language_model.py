@@ -55,6 +55,8 @@ class DirichletLanguageModelScorer(TextScorer):
     as is conventional for inverted-index evaluation).
     """
 
+    may_block = False
+
     def __init__(self, index: InvertedIndex, mu: float = 300.0) -> None:
         self._index = index
         self._mu = ensure_positive(mu, "mu")
@@ -111,6 +113,8 @@ class JelinekMercerLanguageModelScorer(TextScorer):
     Included as an alternative smoothing strategy for the smoothing ablation
     bench; ``lambda_`` is the weight on the document model.
     """
+
+    may_block = False
 
     def __init__(self, index: InvertedIndex, lambda_: float = 0.7) -> None:
         if not 0.0 < lambda_ < 1.0:

@@ -78,6 +78,12 @@ def normalise_query(query_terms: QueryTerms) -> Dict[str, float]:
 class TextScorer:
     """Interface shared by all text scorers."""
 
+    #: Whether :meth:`score` may wait on something other than the CPU (I/O,
+    #: a lock, a remote call).  The sharded scatter only pays for its thread
+    #: pool when some shard's scorer may block; the in-memory kernels of this
+    #: package set it ``False`` and are run inline on the calling thread.
+    may_block = True
+
     def score(self, query_terms: QueryTerms) -> Dict[str, float]:
         """Score all documents that match at least one query term."""
         raise NotImplementedError
@@ -87,68 +93,45 @@ class TextScorer:
         return self.score(query_terms).get(document_id, 0.0)
 
 
-class _CachedIdfMixin:
-    """Per-term IDF and postings-column caches keyed on the index generation."""
+class _CachedColumnsScorer(TextScorer):
+    """The dense accumulate loop over generation-keyed per-term caches.
 
-    _index: InvertedIndex
+    Subclasses supply the IDF and the unit-weight contribution column of a
+    term; both are cached per term and dropped together when the index's
+    ``generation`` moves.
+    """
 
-    def __init__(self) -> None:
+    may_block = False
+
+    def __init__(self, index: InvertedIndex) -> None:
+        self._index = index
         self._idf_cache: Dict[str, float] = {}
-        self._idf_generation = -1
         self._columns_cache: Dict[str, tuple] = {}
-        self._columns_generation = -1
+        self._cache_generation = -1
 
     def _compute_idf(self, term: str) -> float:
         raise NotImplementedError
 
-    def _idf(self, term: str) -> float:
-        if self._idf_generation != self._index.generation:
-            self._idf_cache.clear()
-            self._idf_generation = self._index.generation
-        cached = self._idf_cache.get(term)
-        if cached is None:
-            cached = self._compute_idf(term)
-            self._idf_cache[term] = cached
-        return cached
+    def _contributions(self, docs: array, freqs: array, idf: float) -> array:
+        """Unit-weight contribution of every posting of one term."""
+        raise NotImplementedError
 
+    def _accumulate(self, query_terms: QueryTerms) -> tuple:
+        """``(accumulator, candidates)``: dense score sums by document index
+        and the set of indexes that matched a term.
 
-class TfIdfScorer(_CachedIdfMixin, TextScorer):
-    """Cosine-normalised TF-IDF scoring."""
-
-    def __init__(self, index: InvertedIndex) -> None:
-        super().__init__()
-        self._index = index
-
-    def _compute_idf(self, term: str) -> float:
-        document_frequency = self._index.document_frequency(term)
-        if document_frequency == 0:
-            return 0.0
-        return math.log((self._index.document_count + 1) / (document_frequency + 0.5))
-
-    def _term_columns(self, term: str):
-        """Cached columns ``(doc_indexes, (1 + log(tf)) * idf, doc_index_set)``.
-
-        Unit query weights reproduce the historical per-posting expression
-        bit-for-bit (``1.0 * x == x``); other weights multiply the cached
-        contribution, at most one ulp from the historical association.
+        The index's ``generation`` is read once per call (over a sharded
+        stats view it is a sum over every shard) and both caches are
+        invalidated from that one read.
         """
-        if self._columns_generation != self._index.generation:
-            self._columns_cache.clear()
-            self._columns_generation = self._index.generation
-        columns = self._columns_cache.get(term)
-        if columns is None:
-            docs, freqs = self._index.postings_arrays(term)
-            idf = self._idf(term)
-            log_tf = _log_tf
-            contributions = array("d", (log_tf(freq) * idf for freq in freqs))
-            columns = (docs, contributions, frozenset(docs))
-            self._columns_cache[term] = columns
-        return columns
-
-    def score(self, query_terms: QueryTerms) -> Dict[str, float]:
-        """TF-IDF scores with document-length normalisation."""
         weights = normalise_query(query_terms)
         index = self._index
+        idf_cache, columns_cache = self._idf_cache, self._columns_cache
+        generation = index.generation
+        if self._cache_generation != generation:
+            idf_cache.clear()
+            columns_cache.clear()
+            self._cache_generation = generation
         # A plain list is the fastest dense accumulator in CPython: reads
         # return the stored float object directly, with no array unboxing.
         # Sized by the dense table, not document_count: over a sharded
@@ -157,9 +140,20 @@ class TfIdfScorer(_CachedIdfMixin, TextScorer):
         accumulator = [0.0] * len(index.document_lengths_array)
         candidates: set = set()
         for term, query_weight in weights.items():
-            if self._idf(term) == 0.0:
+            idf = idf_cache.get(term)
+            if idf is None:
+                idf = idf_cache[term] = self._compute_idf(term)
+            if idf == 0.0:
                 continue
-            docs, contributions, doc_set = self._term_columns(term)
+            columns = columns_cache.get(term)
+            if columns is None:
+                docs, freqs = index.postings_arrays(term)
+                columns = columns_cache[term] = (
+                    docs,
+                    self._contributions(docs, freqs, idf),
+                    frozenset(docs),
+                )
+            docs, contributions, doc_set = columns
             if query_weight == 1.0:
                 for doc, contribution in zip(docs, contributions):
                     accumulator[doc] += contribution
@@ -167,12 +161,37 @@ class TfIdfScorer(_CachedIdfMixin, TextScorer):
                 for doc, contribution in zip(docs, contributions):
                     accumulator[doc] += query_weight * contribution
             candidates |= doc_set
-        norms = index.tfidf_norms()
-        doc_ids = index.dense_document_ids()
+        return accumulator, candidates
+
+
+class TfIdfScorer(_CachedColumnsScorer):
+    """Cosine-normalised TF-IDF scoring."""
+
+    def _compute_idf(self, term: str) -> float:
+        document_frequency = self._index.document_frequency(term)
+        if document_frequency == 0:
+            return 0.0
+        return math.log((self._index.document_count + 1) / (document_frequency + 0.5))
+
+    def _contributions(self, docs: array, freqs: array, idf: float) -> array:
+        """``(1 + log(tf)) * idf`` per posting.
+
+        Unit query weights reproduce the historical per-posting expression
+        bit-for-bit (``1.0 * x == x``); other weights multiply the cached
+        contribution, at most one ulp from the historical association.
+        """
+        log_tf = _log_tf
+        return array("d", (log_tf(freq) * idf for freq in freqs))
+
+    def score(self, query_terms: QueryTerms) -> Dict[str, float]:
+        """TF-IDF scores with document-length normalisation."""
+        accumulator, candidates = self._accumulate(query_terms)
+        norms = self._index.tfidf_norms()
+        doc_ids = self._index.dense_document_ids()
         return {doc_ids[doc]: accumulator[doc] / norms[doc] for doc in candidates}
 
 
-class Bm25Scorer(_CachedIdfMixin, TextScorer):
+class Bm25Scorer(_CachedColumnsScorer):
     """Okapi BM25 with the standard ``k1``/``b`` parameterisation."""
 
     def __init__(self, index: InvertedIndex, k1: float = 1.2, b: float = 0.75) -> None:
@@ -180,8 +199,7 @@ class Bm25Scorer(_CachedIdfMixin, TextScorer):
             raise ValueError(f"k1 must be non-negative, got {k1}")
         if not 0.0 <= b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {b}")
-        super().__init__()
-        self._index = index
+        super().__init__(index)
         self._k1 = k1
         self._b = b
 
@@ -203,59 +221,29 @@ class Bm25Scorer(_CachedIdfMixin, TextScorer):
         denominator = document_frequency + 0.5
         return math.log(1.0 + numerator / denominator)
 
-    def _term_columns(self, term: str):
-        """Cached columns ``(doc_indexes, contributions, doc_index_set)``.
+    def _contributions(self, docs: array, freqs: array, idf: float) -> array:
+        """The complete unit-weight BM25 contribution of every posting.
 
-        ``contributions[i]`` is the complete unit-weight BM25 contribution
         ``(idf * (tf * (k1 + 1))) / (tf + k1 * (1 - b + b * length /
-        average_length))`` of posting ``i`` — everything about the posting
-        that does not depend on the query.  Because ``1.0 * idf == idf``
-        exactly, unit-weight queries (every plain keyword search) produce
+        average_length))`` — everything about the posting that does not
+        depend on the query.  Because ``1.0 * idf == idf`` exactly,
+        unit-weight queries (every plain keyword search) produce
         bit-identical scores to the historical per-posting expression; other
         weights multiply the cached contribution, which can differ from the
         historical association by at most one ulp.
         """
-        if self._columns_generation != self._index.generation:
-            self._columns_cache.clear()
-            self._columns_generation = self._index.generation
-        columns = self._columns_cache.get(term)
-        if columns is None:
-            docs, freqs = self._index.postings_arrays(term)
-            idf = self._idf(term)
-            norms = self._index.bm25_norms(self._k1, self._b)
-            k1_plus_1 = self._k1 + 1.0
-            contributions = array(
-                "d",
-                (
-                    idf * (freq * k1_plus_1) / (freq + norms[doc])
-                    for doc, freq in zip(docs, freqs)
-                ),
-            )
-            columns = (docs, contributions, frozenset(docs))
-            self._columns_cache[term] = columns
-        return columns
+        norms = self._index.bm25_norms(self._k1, self._b)
+        k1_plus_1 = self._k1 + 1.0
+        return array(
+            "d",
+            (
+                idf * (freq * k1_plus_1) / (freq + norms[doc])
+                for doc, freq in zip(docs, freqs)
+            ),
+        )
 
     def score(self, query_terms: QueryTerms) -> Dict[str, float]:
         """BM25 scores for all matching documents."""
-        weights = normalise_query(query_terms)
-        index = self._index
-        # A plain list is the fastest dense accumulator in CPython: reads
-        # return the stored float object directly, with no array unboxing.
-        # Sized by the dense table, not document_count: over a sharded
-        # stats view the count is global while postings indexes are
-        # shard-dense (identical on a monolithic index).
-        accumulator = [0.0] * len(index.document_lengths_array)
-        candidates: set = set()
-        for term, query_weight in weights.items():
-            if self._idf(term) == 0.0:
-                continue
-            docs, contributions, doc_set = self._term_columns(term)
-            if query_weight == 1.0:
-                for doc, contribution in zip(docs, contributions):
-                    accumulator[doc] += contribution
-            else:
-                for doc, contribution in zip(docs, contributions):
-                    accumulator[doc] += query_weight * contribution
-            candidates |= doc_set
-        doc_ids = index.dense_document_ids()
+        accumulator, candidates = self._accumulate(query_terms)
+        doc_ids = self._index.dense_document_ids()
         return {doc_ids[doc]: accumulator[doc] for doc in candidates}

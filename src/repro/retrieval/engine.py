@@ -15,7 +15,9 @@ that baseline and adaptive systems share exactly the same substrate.
 
 from __future__ import annotations
 
+import math
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -82,6 +84,51 @@ class EngineConfig:
                 f"near_duplicate_threshold must be in (0, 1], got "
                 f"{self.near_duplicate_threshold!r}"
             )
+
+
+def _decorate(
+    scores: Dict[str, float],
+    weight: float,
+    low: float,
+    span: float,
+    cut: float = -math.inf,
+) -> List[Tuple[float, str]]:
+    """``(-(weight * normalised), shot_id)`` for every candidate whose raw
+    value is at least ``cut`` (by default: every candidate)."""
+    if span == 0.0:
+        return [(-(weight * 1.0), shot_id) for shot_id in scores]
+    return [
+        (-(weight * ((value - low) / span)), shot_id)
+        for shot_id, value in scores.items()
+        if value >= cut
+    ]
+
+
+def _exact_cut(
+    scores: Dict[str, float], weight: float, low: float, span: float, limit: int
+) -> float:
+    """The raw value below which no candidate can rank in the top ``limit``;
+    requires ``weight > 0``, ``span > 0`` and ``len(scores) >= limit``.
+
+    The cut is the ``limit``-th largest raw value.  IEEE subtraction of
+    ``low``, division by a positive ``span`` and multiplication by a positive
+    ``weight`` are each monotone, so a candidate below the cut fuses to no
+    more than the cut does and — with at least ``limit`` candidates at or
+    above the cut — can only displace one of them by *tying* its fused score
+    and winning on shot id.  The largest value below the cut bounds all the
+    others; if even it fuses strictly lower, the top ``limit`` of the
+    candidates at or above the cut is the top ``limit`` of everything, bit
+    for bit.  Otherwise rounding collapsed the pair and nothing can be cut:
+    returns ``-inf``.
+    """
+    ranked = sorted(scores.values())
+    cut = ranked[-limit]
+    below = bisect_left(ranked, cut)
+    if below and weight * ((ranked[below - 1] - low) / span) == weight * (
+        (cut - low) / span
+    ):
+        return -math.inf
+    return cut
 
 
 class VideoRetrievalEngine:
@@ -588,24 +635,23 @@ class VideoRetrievalEngine:
         Applies exactly the arithmetic ``weighted_fusion`` would — min-max
         normalisation scaled by the source weight — but decorates straight
         into ``(-fused_score, shot_id)`` tuples, skipping two intermediate
-        score-map materialisations.  Equivalence with the general path is
-        pinned by the kernel-equivalence tests.
+        score-map materialisations, and only for the candidates that can
+        reach the top ``limit`` (:func:`_exact_cut`).  Equivalence with the
+        general path is pinned by the kernel-equivalence tests, the cut's
+        exactness by ``tests/test_exact_cut_selection.py``.
         """
         if weight == 0:
             return ResultList(query_text=query.text, items=[], topic_id=query.topic_id)
+        limit = limit or self._config.result_limit
         low, span = normalisation_bounds(scores)
-        if span == 0.0:
-            decorated = [(-(weight * 1.0), shot_id) for shot_id in scores]
-        else:
-            decorated = [
-                (-(weight * ((value - low) / span)), shot_id)
-                for shot_id, value in scores.items()
-            ]
+        cut = -math.inf
+        if weight > 0 and span > 0.0 and len(scores) > 2 * limit:
+            cut = _exact_cut(scores, weight, low, span, limit)
         return ResultList.from_decorated(
             query_text=query.text,
-            decorated=decorated,
+            decorated=_decorate(scores, weight, low, span, cut),
             collection=self._collection,
-            limit=limit or self._config.result_limit,
+            limit=limit,
             topic_id=query.topic_id,
         )
 

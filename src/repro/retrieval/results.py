@@ -17,7 +17,7 @@ from repro.collection.documents import Collection
 
 @dataclass(frozen=True)
 class ResultItem:
-    """One entry in a ranked result list."""
+    """One entry in a ranked result list (the service's ``SearchHit``)."""
 
     shot_id: str
     score: float
@@ -29,7 +29,7 @@ class ResultItem:
     duration_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dictionary view for logging."""
+        """Plain-dictionary view for logging and JSON transports."""
         return {
             "shot_id": self.shot_id,
             "score": self.score,

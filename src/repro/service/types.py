@@ -18,45 +18,10 @@ from repro.feedback.events import InteractionEvent
 from repro.retrieval.results import ResultItem, ResultList
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    """One ranked shot in a :class:`SearchResponse`."""
-
-    shot_id: str
-    score: float
-    rank: int
-    story_id: str = ""
-    video_id: str = ""
-    headline: str = ""
-    category: str = ""
-    duration_seconds: float = 0.0
-
-    @classmethod
-    def from_result_item(cls, item: ResultItem) -> "SearchHit":
-        """Convert an internal result item into a service hit."""
-        return cls(
-            shot_id=item.shot_id,
-            score=item.score,
-            rank=item.rank,
-            story_id=item.story_id,
-            video_id=item.video_id,
-            headline=item.headline,
-            category=item.category,
-            duration_seconds=item.duration_seconds,
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dictionary view for logging and JSON transports."""
-        return {
-            "shot_id": self.shot_id,
-            "score": self.score,
-            "rank": self.rank,
-            "story_id": self.story_id,
-            "video_id": self.video_id,
-            "headline": self.headline,
-            "category": self.category,
-            "duration_seconds": self.duration_seconds,
-        }
+#: One ranked shot in a :class:`SearchResponse`: the engine's own frozen
+#: :class:`~repro.retrieval.results.ResultItem`, so a response shares the
+#: records the kernel built instead of copying them field by field.
+SearchHit = ResultItem
 
 
 @dataclass(frozen=True)
@@ -138,7 +103,7 @@ class SearchResponse:
             session_id=session_id,
             user_id=user_id,
             query=results.query_text,
-            hits=tuple(SearchHit.from_result_item(item) for item in results),
+            hits=tuple(results.items),
             topic_id=results.topic_id,
             iteration=iteration,
             policy=policy,

@@ -12,17 +12,22 @@ underneath.  The request path is:
    ``retry_after`` hint — backpressure is explicit, never an unbounded
    buffer.
 2. **Queueing**: the admitted request waits for one of ``max_concurrency``
-   slots on an :class:`asyncio.Semaphore`.  A deadline that fires while
-   queued raises :class:`~repro.serving.errors.DeadlineExceededError`
-   (stage ``"queued"``) without ever touching the engine.
+   slots on an :class:`asyncio.Semaphore`; a free slot is taken without
+   suspending.  A deadline that fires while queued raises
+   :class:`~repro.serving.errors.DeadlineExceededError` (stage
+   ``"queued"``) without ever touching the engine.
 3. **Evaluation**: the request runs on the frontend's thread pool with a
    :class:`~repro.utils.concurrency.CancellationToken` installed in
-   thread-local scope.  The engine's search path and the scatter-gather
-   fan-out carry cooperative checkpoints, so when a deadline fires
-   mid-evaluation the worker unwinds at the next checkpoint and queued
-   shard sub-tasks stop consuming executor slots — the client gets its
-   timeout in ``O(deadline + poll)`` while the abandoned worker releases
-   its slot within one checkpoint interval.
+   thread-local scope.  This hand-off is the only thread hop of a request
+   over in-memory shards (the scatter scores them inline on the worker;
+   it uses its own pool only for shard scorers that may block), and the
+   loop is woken once per request: one completion callback pays the slot
+   back and resolves the awaited future.  The engine's search path and
+   the scatter-gather fan-out carry cooperative checkpoints, so when a
+   deadline fires mid-evaluation the worker unwinds at the next
+   checkpoint and queued shard sub-tasks stop consuming executor slots —
+   the client gets its timeout in ``O(deadline + poll)`` while the
+   abandoned worker releases its slot within one checkpoint interval.
 4. **Accounting**: per-endpoint latency quantiles (p50/p95/p99), queue
    wait, shard fan-out timings, cache hit rates and every
    admission/rejection outcome land in the
@@ -224,7 +229,9 @@ class ServingFrontend:
         # -- queued: wait for one of the max_concurrency slots ------------------
         try:
             remaining = token.remaining()
-            if remaining is None:
+            if remaining is None or not slots.locked():
+                # A free slot is taken without suspending; only a contended
+                # wait needs the deadline's task and timer.
                 await slots.acquire()
             elif remaining <= 0:
                 raise asyncio.TimeoutError
@@ -252,44 +259,53 @@ class ServingFrontend:
 
         # -- running: evaluate on the worker pool under the token ---------------
         loop = asyncio.get_running_loop()
+        outcome: "asyncio.Future[T]" = loop.create_future()
 
-        def release_slot() -> None:
+        def finish(result: Optional[T], error: Optional[BaseException]) -> None:
+            # The one loop wake-up of a request: pay the slot back and
+            # resolve the awaited future.  A caller that already gave up
+            # (deadline, cancellation) cancelled the future, so an abandoned
+            # straggler's outcome is dropped, never "never retrieved".
             with self._state_lock:
                 self._running -= 1
             slots.release()
+            if outcome.done():
+                return
+            if error is not None:
+                outcome.set_exception(error)
+            else:
+                outcome.set_result(result)
 
-        def worker() -> T:
+        def worker() -> None:
             # Quota and slot are paid back when the work *actually* ends —
             # success, failure or cooperative cancellation — never earlier,
             # so an abandoned straggler keeps its slot until it unwinds at
             # a checkpoint (which the cancelled token makes imminent).
+            result, error = None, None
             try:
                 with cancellation_scope(token):
                     token.checkpoint()
-                    return fn()
-            finally:
-                self._quotas.release(tenant)
-                try:
-                    loop.call_soon_threadsafe(release_slot)
-                except RuntimeError:
-                    # Loop already closed (e.g. asyncio.run returned while a
-                    # straggler was still unwinding): the semaphore died
-                    # with the loop, only the running gauge needs fixing.
-                    with self._state_lock:
-                        self._running -= 1
+                    result = fn()
+            except BaseException as caught:  # delivered to the awaiting caller
+                error = caught
+            self._quotas.release(tenant)
+            try:
+                loop.call_soon_threadsafe(finish, result, error)
+            except RuntimeError:
+                # Loop already closed (e.g. asyncio.run returned while a
+                # straggler was still unwinding): the semaphore died
+                # with the loop, only the running gauge needs fixing.
+                with self._state_lock:
+                    self._running -= 1
 
-        future = loop.run_in_executor(self._executor, worker)
-        # Abandoned stragglers must not warn "exception never retrieved".
-        future.add_done_callback(
-            lambda fut: None if fut.cancelled() else fut.exception()
-        )
+        self._executor.submit(worker)
 
         try:
             remaining = token.remaining()
             if remaining is None:
-                result = await asyncio.shield(future)
+                result = await outcome
             else:
-                result = await asyncio.wait_for(asyncio.shield(future), remaining)
+                result = await asyncio.wait_for(outcome, remaining)
         except asyncio.TimeoutError:
             token.cancel("deadline exceeded")
             self._metrics.increment("deadline_running")

@@ -12,6 +12,14 @@ selection, result caches and read/write locking all run unchanged — the
 sharded ranking is bit-identical to the unsharded one by construction, a
 property pinned by ``tests/test_sharding_equivalence.py``.
 
+Where a text scatter runs is decided per query from the live shard scorers:
+the scatter pool is used only when some scorer ``may_block`` (see
+:class:`~repro.index.scoring.TextScorer`; wrappers and registered scorers
+do unless they say otherwise), because only a wait can overlap under the
+GIL.  The built-in kernels are in-memory, so their shards are scored inline
+on the calling thread and the serving edge's worker hand-off is the only
+thread hop of such a request.
+
 Writes inherit the engine's exclusive-writer discipline: ``index_document``
 / ``index_documents`` / ``index_shot`` drain in-flight searches, route each
 id to its owning shard, and bump that shard's generation — which moves the
@@ -33,7 +41,7 @@ from repro.retrieval.engine import EngineConfig, VideoRetrievalEngine
 from repro.sharding.global_stats import GlobalStatsView
 from repro.sharding.router import ShardRouter
 from repro.sharding.views import ShardedInvertedIndex, ShardedVisualIndex
-from repro.utils.concurrency import ScatterGather
+from repro.utils.concurrency import ScatterGather, checkpoint_if_cancelled
 
 #: ``observer(elapsed_seconds, num_shards)`` called after each completed
 #: scatter-gather fan-out (serving metrics hook; never called on failure).
@@ -53,7 +61,8 @@ class ShardedTextScorer(TextScorer):
     its documents with global statistics).
 
     ``shard_scorers`` is exposed as the live list so the fault-injection
-    suite can wrap or replace individual shards.
+    suite can wrap or replace individual shards; the list is re-read on
+    every query, so replacing a scorer also re-decides inline vs pool.
     """
 
     def __init__(
@@ -86,19 +95,31 @@ class ShardedTextScorer(TextScorer):
         return merged
 
     def _scatter_and_merge(self, query_terms: QueryTerms) -> Dict[str, float]:
-        """One scatter over the shard scorers plus the disjoint-map union.
+        """Score every shard and union the disjoint partial maps.
 
-        ``ScatterGather.map`` resolves the caller's thread-local
-        :class:`~repro.utils.concurrency.CancellationToken` (if any), so a
-        deadline firing mid-scatter abandons the fan-out and stops queued
-        shard sub-tasks from consuming executor slots.
+        The pool is used only when some scorer in the live list
+        ``may_block`` (absent attribute counts as ``True``: wrapped,
+        registered and duck-typed scorers) — a stalled shard then overlaps
+        the others and the gather's token poll bounds how long a fired
+        deadline waits for it.  In-memory kernels are pure CPU under the
+        GIL, where a pool hand-off costs more than a shard's score, so
+        they run inline on the calling thread with a cancellation
+        checkpoint before each shard.
         """
-        partials = self._gather.map(
-            lambda scorer: scorer.score(query_terms), self._scorers
-        )
+        scorers = self._scorers
         merged: Dict[str, float] = {}
-        for partial in partials:
-            merged.update(partial)
+        if any(getattr(scorer, "may_block", True) for scorer in scorers):
+            # ``ScatterGather.map`` resolves the caller's thread-local
+            # cancellation token, so a deadline firing mid-scatter abandons
+            # the fan-out and queued shard sub-tasks free their slots.
+            for partial in self._gather.map(
+                lambda scorer: scorer.score(query_terms), scorers
+            ):
+                merged.update(partial)
+        else:
+            for scorer in scorers:
+                checkpoint_if_cancelled()
+                merged.update(scorer.score(query_terms))
         return merged
 
 

@@ -259,7 +259,10 @@ class ScatterGather:
     merges are deterministic), and the first sub-task exception propagates
     to the caller unchanged.  With ``max_workers`` of 1 — or a single item —
     everything runs inline on the calling thread, which keeps the
-    one-shard configuration free of any threading overhead.
+    one-shard configuration free of any threading overhead.  A pool pays
+    only where sub-tasks wait (I/O, a lock, a sleep): callers whose
+    sub-tasks are pure Python computation — the sharded text scorer over
+    in-memory kernels — loop inline instead of calling :meth:`map`.
 
     Worker threads never take engine locks (shard sub-tasks are pure reads
     over the shard's own structures), so scattering from inside the

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import implicit_only_policy
 from repro.feedback import EventKind, InteractionEvent
+from repro.retrieval.results import ResultList
 from repro.service import (
     FeedbackBatch,
     RetrievalService,
@@ -409,6 +410,27 @@ class TestTypedRequests:
         hit = SearchHit(shot_id="s", score=1.0, rank=1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             hit.score = 2.0
+
+    def test_response_shares_the_cached_items_not_the_list(self, service, small_corpus):
+        _topic, query = _topic_query(small_corpus)
+        responses = []
+        for user in ("alice", "bob"):
+            service.open_session(user, policy="baseline")
+            responses.append(service.search(SearchRequest(user_id=user, query=query)))
+        first, second = responses
+        assert isinstance(first.hits, tuple) and len(first.hits) > 1
+        # One frozen record from kernel to response: bob's result-cache hit
+        # hands out the very items alice's miss built.
+        assert all(a is b for a, b in zip(first.hits, second.hits))
+
+        results = ResultList("q", items=list(first.hits))
+        response = SearchResponse.from_result_list(
+            results, session_id="s", user_id="u", iteration=1, policy="baseline"
+        )
+        assert all(hit is item for hit, item in zip(response.hits, results.items))
+        results.items.reverse()
+        results.items.pop()
+        assert response.hits == first.hits
 
     def test_empty_user_rejected(self):
         with pytest.raises(ValueError):

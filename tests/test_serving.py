@@ -622,6 +622,132 @@ class TestDeadlines:
             gate.set()
 
 
+def _record_scoring_threads(scorers, seen):
+    """Note the thread each shard scores on, leaving ``may_block`` the class's."""
+    for scorer in scorers:
+        def recorded(query_terms, inner=scorer.score):
+            seen.append(threading.current_thread().name)
+            return inner(query_terms)
+
+        scorer.score = recorded
+
+
+def _scatter_pool_threads():
+    return {
+        thread for thread in threading.enumerate() if thread.name.startswith("shard")
+    }
+
+
+class _PassThroughScorer:
+    """A duck-typed wrapper: no ``may_block``, so the scatter must assume it may."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def score(self, query_terms):
+        return self.inner.score(query_terms)
+
+
+class _CancellingScorer:
+    """An in-memory shard that fires the request's token while it scores."""
+
+    may_block = False
+
+    def __init__(self, inner, token):
+        self.inner = inner
+        self.token = token
+
+    def score(self, query_terms):
+        self.token.cancel("between shards")
+        return self.inner.score(query_terms)
+
+
+class TestScatterSelection:
+    """Inline scatter for in-memory shards, the pool for anything else."""
+
+    @pytest.fixture()
+    def service(self, small_corpus):
+        service = RetrievalService.from_corpus(
+            small_corpus, config=ServiceConfig(num_shards=4)
+        )
+        service.open_session("alice", policy="baseline")
+        yield service
+        service.close()
+
+    @staticmethod
+    def _request(small_corpus, index):
+        _topic, query = _topic_query(small_corpus, index)
+        return SearchRequest(user_id="alice", query=query)
+
+    def test_wrapper_selects_pool_and_restoring_goes_back_inline(
+        self, small_corpus, service
+    ):
+        scorers = service.engine.text_scorer.shard_scorers
+        seen = []
+        _record_scoring_threads(scorers, seen)
+        here = threading.current_thread().name
+        before = _scatter_pool_threads()
+
+        assert service.search(self._request(small_corpus, 0)).hits
+        assert seen == [here] * 4
+        assert _scatter_pool_threads() == before  # no scatter-pool thread was started
+
+        original, seen[:] = scorers[2], []
+        scorers[2] = _PassThroughScorer(original)
+        assert service.search(self._request(small_corpus, 1)).hits
+        assert len(seen) == 4 and all(name.startswith("shard") for name in seen)
+        assert _scatter_pool_threads() > before
+
+        scorers[2], seen[:] = original, []
+        assert service.search(self._request(small_corpus, 2)).hits
+        assert seen == [here] * 4
+
+    def test_deadline_abandons_blocked_wrapper_within_a_poll(
+        self, small_corpus, service
+    ):
+        gate, started = threading.Event(), threading.Event()
+        scorers = service.engine.text_scorer.shard_scorers
+        scorers[0] = _BlockingScorer(scorers[0], gate, started)
+        try:
+            with ServingFrontend(service) as frontend:
+
+                async def scenario():
+                    with pytest.raises(DeadlineExceededError) as excinfo:
+                        await frontend.search(
+                            self._request(small_corpus, 0), deadline_seconds=0.2
+                        )
+                    assert excinfo.value.stage == "running"
+                    # The shard is still parked on the gate; only the pool's
+                    # token poll lets the worker unwind and pay its slot back.
+                    fired = time.monotonic()
+                    while frontend.metrics_snapshot()["gauges"]["in_flight"]:
+                        assert time.monotonic() - fired < 1.0
+                        await asyncio.sleep(0.005)
+                    return time.monotonic() - fired
+
+                unwound_after = asyncio.run(scenario())
+                assert started.is_set() and not gate.is_set()
+                assert unwound_after < 0.25
+        finally:
+            gate.set()
+
+    def test_token_cancelled_between_inline_shards_stops_the_scatter(
+        self, small_corpus, service
+    ):
+        token = CancellationToken()
+        scorers = service.engine.text_scorer.shard_scorers
+        scorers[0] = _CancellingScorer(scorers[0], token)
+        later_shards = []
+        _record_scoring_threads(scorers[1:], later_shards)
+        with cancellation_scope(token):
+            with pytest.raises(OperationCancelledError, match="between shards"):
+                service.search(self._request(small_corpus, 0))
+        assert later_shards == []
+        assert service.engine.result_cache_stats()["entries"] == 0
+        (info,) = service.list_sessions("alice")
+        assert info.iteration_count == 0
+
+
 class TestAdmission:
     def test_queue_full_is_typed_and_counted(self, small_corpus, sharded_service):
         topic, query = _topic_query(small_corpus)
