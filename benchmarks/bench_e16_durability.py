@@ -8,7 +8,10 @@ before anything is timed:
   the in-memory service on the same deterministic op stream.  The
   ``never`` and ``interval`` rows should stay within a small factor of
   memory speed (the WAL append is one buffered write); ``always`` pays a
-  real fsync per op and is reported honestly, not asserted.
+  real fsync per op and is reported honestly, not asserted.  What is
+  asserted is a count: the timed ingest reads no non-empty WAL segment
+  back (``wal_segment_reads``), because the writer's checkpoints work from
+  its in-memory copy of the log, not from the files.
 
 * **Write amplification** — durable bytes (WAL appends + live snapshot
   chain) per logical payload byte, and WAL bytes per op.  Recorded for
@@ -32,13 +35,14 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from _common import Bench
 
 from repro.durability import RecoveryManager, engine_state_digest
 from repro.durability.replay import document_record, shot_record
-from repro.durability.wal import encode_op
+from repro.durability.wal import WalSegment, encode_op
 from repro.service import RetrievalService, ServiceConfig
 from repro.workload.ingest import (
     apply_ingest,
@@ -89,6 +93,24 @@ def _directory_snapshot_bytes(directory):
     )
 
 
+@contextmanager
+def _segment_reads():
+    """Count reads of non-empty WAL segment files while the block runs."""
+    reads = [0]
+    scan_entries = WalSegment.scan_entries
+
+    def counting(segment):
+        if segment.path.exists() and segment.path.stat().st_size:
+            reads[0] += 1
+        return scan_entries(segment)
+
+    WalSegment.scan_entries = counting
+    try:
+        yield reads
+    finally:
+        WalSegment.scan_entries = scan_entries
+
+
 def _ingest_row(corpus, count, fsync_policy, workdir):
     """One durable ingest run: throughput + WAL/snapshot accounting."""
     directory = Path(workdir) / f"fsync-{fsync_policy}"
@@ -102,9 +124,10 @@ def _ingest_row(corpus, count, fsync_policy, workdir):
         ),
     )
     ops = _ops(service, count)
-    start = time.perf_counter()
-    apply_ingest(service, ops)
-    elapsed = time.perf_counter() - start
+    with _segment_reads() as reads:
+        start = time.perf_counter()
+        apply_ingest(service, ops)
+        elapsed = time.perf_counter() - start
     digest = engine_state_digest(service.engine)
     stats = service.engine.durability.statistics()
     service.close()
@@ -125,6 +148,7 @@ def _ingest_row(corpus, count, fsync_policy, workdir):
         "wal_bytes_per_op": stats["wal_bytes"] / count if count else 0.0,
         "write_amplification": durable_bytes / logical if logical else 0.0,
         "checkpoints": int(stats["checkpoints"]),
+        "wal_segment_reads": reads[0],
     }
 
 
@@ -145,6 +169,7 @@ def _memory_row(corpus, count):
         "wal_bytes_per_op": 0.0,
         "write_amplification": 0.0,
         "checkpoints": 0,
+        "wal_segment_reads": 0,
     }
 
 
@@ -190,6 +215,12 @@ def _sanity_check(tables, smoke):
     # Compaction must actually have run, or the amplification number is
     # measuring an empty snapshot chain.
     assert by_mode["durable-never"]["checkpoints"] >= 1
+    # A count, not a timing: checkpoints take their records from the
+    # writer's in-memory copy, so ingest never reads its own log back.
+    assert by_mode["durable-never"]["wal_segment_reads"] == 0, (
+        f"the timed ingest read {by_mode['durable-never']['wal_segment_reads']} "
+        f"non-empty WAL segment(s) after the service was open"
+    )
     assert tables["recovery"]["recovery_ops_per_s"] > 0
 
 

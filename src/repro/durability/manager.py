@@ -353,14 +353,15 @@ class DurabilityManager:
 
         The first checkpoint of a directory and the one after a compaction
         are **full** (the live state); every other one is an **ops**
-        checkpoint built from the WAL itself — the scan ``truncate_through``
-        is about to make anyway — so there is no second copy of the records
-        to keep in step.  The scan must cover ``parent.wal_lsn + 1 .. cut``
-        without a hole, or nothing is written: that holds after ``attach``
-        (the recovered prefix is gap-free from the tip's watermark), after
-        a crash between manifest rename and truncation and under replica
-        hold-back (leftovers at or below the parent's watermark are simply
-        not in the window).
+        checkpoint: the entries the WAL logged since the parent, taken from
+        the writer's in-memory copy of its segments, each written as the
+        payload bytes the WAL framed.  The window must cover
+        ``parent.wal_lsn + 1 .. cut`` without a hole, or nothing is written:
+        that holds after ``attach`` (the recovered prefix is gap-free from
+        the tip's watermark), after a crash between manifest rename and
+        truncation and under replica hold-back (leftovers at or below the
+        parent's watermark are simply not in the window); an append that
+        raised after its LSN was allocated is a hole.
         """
         self._wal.sync()
         cut = self._wal.last_lsn
@@ -376,8 +377,8 @@ class DurabilityManager:
             self._chain_ops_since_rebase = 0
         else:
             parent_lsn = int(parent["wal_lsn"])
-            records, _ = self._wal.scan_all()
-            run, _ = gap_free_tail(records, parent_lsn)
+            entries = self._wal.entries_since(parent_lsn)
+            run, _ = gap_free_tail([entry.record for entry in entries], parent_lsn)
             if len(run) < cut - parent_lsn:
                 raise SnapshotError(
                     f"cannot checkpoint through lsn {cut}: the WAL covers "
@@ -389,9 +390,9 @@ class DurabilityManager:
             # past the cut while this runs) but are not index state.
             manifest = self._snapshots.write_ops_checkpoint(
                 [
-                    record
-                    for record in run[: cut - parent_lsn]
-                    if record["op"] != "feedback"
+                    entry
+                    for entry in entries[: cut - parent_lsn]
+                    if entry.record["op"] != "feedback"
                 ],
                 wal_lsn=cut,
                 text_count=engine.inverted_index.document_count,

@@ -33,6 +33,23 @@ failure), ``interval`` flushes every append and fsyncs every
 cache.  All three survive a *process* crash (``kill -9``) for everything
 already appended, modulo a torn final record; only an OS/power failure can
 lose flushed-but-unsynced records.
+
+Writer and readers
+------------------
+
+The owning :class:`WriteAheadLog` never reads its segments after open.  It
+holds an exact in-memory copy of every index-op record its shard segments
+carry — the LSN, the record and the payload bytes it framed — filled by
+one scan (the reopen repair, or the first checkpoint of a fresh log) and
+kept in step by ``append``, ``truncate_through`` and ``repair_to``.  A
+checkpoint takes its window from that copy and truncation rewrites a
+segment from the kept payloads, so neither re-reads, re-decodes or
+re-encodes what the writer produced under the same lock.  The meta
+segment is the exception: feedback is never checkpointed and only index
+ops drive the cadence, so it is read from disk where it is needed instead
+of held in memory without a bound.  Scans (:meth:`WriteAheadLog.scan_all`,
+:meth:`WalSegment.scan`) are for readers — recovery, replicas, ``repro
+verify`` — which are other objects and often another process.
 """
 
 from __future__ import annotations
@@ -41,11 +58,12 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Tuple
+from typing import Dict, IO, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.utils.serialization import (
     PathLike,
     RecordError,
+    canonical_json,
     encode_record,
     scan_records,
 )
@@ -73,6 +91,15 @@ def _decode_payload(payload: bytes) -> Dict[str, object]:
     if not isinstance(record, dict) or "lsn" not in record:
         raise RecordError(f"WAL payload is not an op record: {record!r}")
     return record
+
+
+class WalEntry(NamedTuple):
+    """One logged record: its LSN, the record, and the exact payload bytes
+    framed on disk (``encode_op(record)``)."""
+
+    lsn: int
+    record: Dict[str, object]
+    payload: bytes
 
 
 class WalSegment:
@@ -124,40 +151,46 @@ class WalSegment:
             self._handle.close()
             self._handle = None
 
-    def scan(self) -> Tuple[List[Dict[str, object]], "RecordError | None"]:
-        """Decode the segment's clean record prefix (tolerates a torn tail).
+    def scan_entries(self) -> Tuple[List[WalEntry], "RecordError | None"]:
+        """Decode the segment's clean prefix (tolerates a torn tail).
 
-        Returns ``(records, tail_error)``; a missing file is simply an
+        Returns ``(entries, tail_error)``; a missing file is simply an
         empty segment.
         """
         if not self._path.exists():
             return [], None
-        data = self._path.read_bytes()
-        payloads, _, tail_error = scan_records(data)
-        records = []
+        payloads, _, tail_error = scan_records(self._path.read_bytes())
+        entries = []
         for payload in payloads:
             try:
-                records.append(_decode_payload(payload))
+                record = _decode_payload(payload)
             except (RecordError, UnicodeDecodeError, json.JSONDecodeError) as error:
                 # An undecodable-but-checksummed payload means the writer
                 # was broken, not the disk; treat it like a torn tail so
                 # the durable prefix stays clean.
-                return records, RecordError(str(error))
-        return records, tail_error
+                return entries, RecordError(str(error))
+            entries.append(WalEntry(int(record["lsn"]), record, payload))
+        return entries, tail_error
 
-    def rewrite(self, records: List[Dict[str, object]]) -> None:
-        """Atomically replace the segment's contents with ``records``.
+    def scan(self) -> Tuple[List[Dict[str, object]], "RecordError | None"]:
+        """The records of :meth:`scan_entries`: ``(records, tail_error)``."""
+        entries, tail_error = self.scan_entries()
+        return [entry.record for entry in entries], tail_error
+
+    def rewrite(self, payloads: Sequence[bytes]) -> None:
+        """Atomically replace the segment's contents with ``payloads``.
 
         Used by compaction (drop records covered by a snapshot) and by
-        tail repair (drop records past the durable prefix).  The rewrite
-        goes through a temp file + fsync + rename so a crash mid-rewrite
-        leaves either the old or the new segment, never a mix.
+        tail repair (drop records past the durable prefix); each payload
+        is framed exactly as :meth:`append` framed it.  The rewrite goes
+        through a temp file + fsync + rename so a crash mid-rewrite leaves
+        either the old or the new segment, never a mix.
         """
         self.close()
         tmp_path = self._path.with_suffix(".log.tmp")
         with tmp_path.open("wb") as handle:
-            for record in records:
-                handle.write(encode_record(encode_op(record)))
+            for payload in payloads:
+                handle.write(encode_record(payload))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, self._path)
@@ -165,7 +198,7 @@ class WalSegment:
 
 def encode_op(record: Dict[str, object]) -> bytes:
     """Canonical payload bytes of one op record (sorted keys, compact)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return canonical_json(record).encode("utf-8")
 
 
 class WriteAheadLog:
@@ -173,8 +206,10 @@ class WriteAheadLog:
 
     ``append`` allocates the next LSN and writes the frame under one lock,
     so per-segment record order is always LSN order and the union of all
-    segments is the total write order.  The log never *reads* its own
-    segments on the hot path; scans happen only at recovery/compaction.
+    segments is the total write order.  As a writer the log never reads
+    its shard segments after open: it holds their entries in memory (see
+    the module docstring) and checkpoints and truncation work from that
+    copy.  :meth:`scan_all` is the readers' view of the files.
     """
 
     def __init__(
@@ -214,9 +249,15 @@ class WriteAheadLog:
             self._segments[segment_filename(shard)] = WalSegment(
                 self._directory / segment_filename(shard)
             )
-        self._segments[segment_filename(META_SEGMENT)] = WalSegment(
-            self._directory / segment_filename(META_SEGMENT)
-        )
+        self._meta = WalSegment(self._directory / segment_filename(META_SEGMENT))
+        self._segments[segment_filename(META_SEGMENT)] = self._meta
+        # The writer's copy of each shard segment, filled by _held_entries
+        # on first use.  An entry is added only once its frame is written,
+        # so an append that raised leaves a hole here exactly as on disk.
+        self._held: Optional[Dict[str, List[WalEntry]]] = None
+        # Shard segments whose filling scan ended in a torn tail: the next
+        # truncation rewrites them even if it drops nothing.
+        self._torn: Set[str] = set()
 
     # -- accessors ---------------------------------------------------------------
 
@@ -256,6 +297,28 @@ class WriteAheadLog:
     def segments(self) -> List[WalSegment]:
         """The live segment objects (shards first, meta last)."""
         return list(self._segments.values())
+
+    def held_entries(self) -> Dict[str, List[WalEntry]]:
+        """The writer's in-memory copy, by shard segment file name.
+
+        Equal, entry for entry, to what :meth:`WalSegment.scan_entries`
+        reads back from each shard segment; the meta segment is not held.
+        """
+        with self._lock:
+            held = self._held_entries()
+            return {name: list(entries) for name, entries in held.items()}
+
+    def _held_entries(self) -> Dict[str, List[WalEntry]]:
+        """The held copy, filled by one scan on first use (lock held)."""
+        if self._held is None:
+            self._held = {}
+            for name, segment in self._segments.items():
+                if segment is self._meta:
+                    continue
+                self._held[name], tail_error = segment.scan_entries()
+                if tail_error is not None:
+                    self._torn.add(name)
+        return self._held
 
     # -- replication guard ---------------------------------------------------------
 
@@ -326,8 +389,11 @@ class WriteAheadLog:
             )
             if fsync:
                 self._appends_since_sync = 0
-            self._bytes_appended += target.append(encode_op(record), fsync=fsync)
+            payload = encode_op(record)
+            self._bytes_appended += target.append(payload, fsync=fsync)
             self._records_appended += 1
+            if self._held is not None and target is not self._meta:
+                self._held[name].append(WalEntry(lsn, record, payload))
             return lsn
 
     def sync(self) -> None:
@@ -367,6 +433,26 @@ class WriteAheadLog:
         merged.sort(key=lambda record: int(record["lsn"]))
         return merged, tail_errors
 
+    def entries_since(self, lsn: int) -> List[WalEntry]:
+        """Every logged entry with ``entry.lsn > lsn``, in LSN order.
+
+        Index ops come from the held copy.  Feedback batches are read from
+        the meta segment: they share the LSN sequence, so a checkpoint's
+        gap check needs them, and since feedback does not wait for the
+        engine's writer the list may run past the caller's cut.
+        """
+        with self._lock:
+            merged = [
+                entry
+                for entries in self._held_entries().values()
+                for entry in entries
+                if entry.lsn > lsn
+            ]
+        meta, _ = self._meta.scan_entries()
+        merged.extend(entry for entry in meta if entry.lsn > lsn)
+        merged.sort(key=lambda entry: entry.lsn)
+        return merged
+
     def truncate_through(self, lsn: int) -> int:
         """Drop every record with ``record.lsn <= lsn`` (log compaction).
 
@@ -374,6 +460,8 @@ class WriteAheadLog:
         whose snapshot covers the log up to ``lsn``; the rewrite is atomic
         per segment, and a crash between segments only leaves extra
         already-snapshotted records, which recovery skips idempotently.
+        Shard segments are rewritten from the held payloads; only the meta
+        segment is read back.
 
         When replicas are registered (:meth:`register_replica`), the
         truncation point is clamped to the slowest replica's acknowledged
@@ -385,14 +473,20 @@ class WriteAheadLog:
         with self._lock:
             if self._replica_acks:
                 lsn = min(lsn, min(self._replica_acks.values()))
+            held = self._held_entries()
             dropped = 0
-            for segment in self._segments.values():
-                records, tail_error = segment.scan()
-                keep = [record for record in records if int(record["lsn"]) > lsn]
-                if len(keep) != len(records) or tail_error is not None:
-                    dropped += len(records) - len(keep)
-                    segment.rewrite(keep)
-            return dropped
+            for name, entries in held.items():
+                keep = [entry for entry in entries if entry.lsn > lsn]
+                dropped += _rewrite_kept(
+                    self._segments[name], entries, keep, name in self._torn
+                )
+                held[name] = keep
+            self._torn.clear()
+            meta, tail_error = self._meta.scan_entries()
+            keep = [entry for entry in meta if entry.lsn > lsn]
+            return dropped + _rewrite_kept(
+                self._meta, meta, keep, tail_error is not None
+            )
 
     def repair_to(self, lsn: int) -> int:
         """Physically drop every record with ``record.lsn > lsn``.
@@ -401,14 +495,30 @@ class WriteAheadLog:
         (a torn tail, or records stranded past an LSN gap on another
         segment): appending may only resume once nothing newer than the
         recovered prefix remains on disk.  Returns how many records were
-        dropped.
+        dropped.  Its scan is the one that fills the held copy.
         """
         with self._lock:
+            held: Dict[str, List[WalEntry]] = {}
             dropped = 0
-            for segment in self._segments.values():
-                records, tail_error = segment.scan()
-                keep = [record for record in records if int(record["lsn"]) <= lsn]
-                if len(keep) != len(records) or tail_error is not None:
-                    dropped += len(records) - len(keep)
-                    segment.rewrite(keep)
+            for name, segment in self._segments.items():
+                entries, tail_error = segment.scan_entries()
+                keep = [entry for entry in entries if entry.lsn <= lsn]
+                dropped += _rewrite_kept(
+                    segment, entries, keep, tail_error is not None
+                )
+                if segment is not self._meta:
+                    held[name] = keep
+            self._held = held
+            self._torn.clear()
             return dropped
+
+
+def _rewrite_kept(
+    segment: WalSegment, entries: List[WalEntry], keep: List[WalEntry], torn: bool
+) -> int:
+    """Rewrite ``segment`` to ``keep`` when that drops a record or a torn
+    tail; returns how many records were dropped."""
+    if len(keep) == len(entries) and not torn:
+        return 0
+    segment.rewrite([entry.payload for entry in keep])
+    return len(entries) - len(keep)

@@ -82,6 +82,13 @@ def read_json(path: PathLike) -> Any:
         return json.load(handle)
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call: the canonical bytes of WAL payloads and
+#: checkpoint files.  ASCII-only (``ensure_ascii``), and safe to share
+#: across threads (``encode`` keeps no state between calls).
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 # -- binary record framing (uvarint length prefix + CRC32) ------------------------
 
 

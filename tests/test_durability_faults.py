@@ -10,13 +10,15 @@ orphaned delta files from an interrupted checkpoint, missing delta files,
 broken manifest chains, a deleted snapshot chain, and — for the ops
 checkpoints that carry WAL records into the chain — damaged ops deltas, a
 checkpoint interrupted before its WAL truncation, truncation held back by a
-replica, and a WAL that lost records the next checkpoint needs.
+replica, and a WAL append that failed after its LSN was allocated.
 
 All tests carry the ``durability`` marker (``pytest -m durability``).
 """
 
 from __future__ import annotations
 
+import errno
+import json
 import shutil
 
 import pytest
@@ -389,32 +391,51 @@ class TestOpsDeltaFaults:
             service.engine.durability.register_replica("slow", 0)
 
         def look(service):
-            durability = service.engine.durability
-            held["checkpoints"] = durability.checkpoints_written
-            held["wal_records"] = len(durability.wal.scan_all()[0])
+            wal = service.engine.durability.wal
+            held["checkpoints"] = service.engine.durability.checkpoints_written
+            held["wal_records"] = len(wal.scan_all()[0])
+            held["held_entries"] = sum(map(len, wal.held_entries().values()))
 
         digest = self._mutating_run(
             analysed_corpus, directory, after_open=pin, before_close=look
         )
-        assert held == {"checkpoints": 4, "wal_records": 15}
+        # The writer's copy holds exactly what the pin keeps on disk.
+        assert held == {"checkpoints": 4, "wal_records": 15, "held_entries": 15}
         assert RecoveryManager(directory).recover().state_digest() == digest
         self._assert_no_lsn_twice(directory)
 
     def test_wal_missing_records_refuses_to_checkpoint(
-        self, analysed_corpus, tmp_path
+        self, analysed_corpus, tmp_path, monkeypatch
     ):
-        # The ops checkpoint is built from the WAL itself; if the WAL no
-        # longer covers parent.wal_lsn + 1 .. cut, writing a manifest
-        # would bless a chain with a hole in it.
+        """A hole the writer itself leaves is refused, not blessed.
+
+        An append that fails after its LSN was allocated leaves that LSN
+        out of the log, on disk and in the writer's in-memory copy alike;
+        the ops checkpoint must not write a manifest over
+        ``parent.wal_lsn + 1 .. cut`` with a hole in it.  Damage made to a
+        segment file behind a live writer is a different case: the
+        checkpoint copies what was logged, not what is left on disk, and
+        the next truncation overwrites the damaged file from that copy.
+        """
         directory = tmp_path / "d"
         service = RetrievalService(
             analysed_corpus.collection, config=_durable_config(directory)
         )
-        apply_ingest(service, _ops(service, 6))
+        ops = _ops(service, 6)
+        append = WalSegment.append
+
+        def fail_lsn_3(segment, payload, fsync, flush=True):
+            if json.loads(payload)["lsn"] == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return append(segment, payload, fsync, flush)
+
+        monkeypatch.setattr(WalSegment, "append", fail_lsn_3)
+        apply_ingest(service, ops[:2])
+        with pytest.raises(OSError):
+            apply_ingest(service, ops[2:3])
+        apply_ingest(service, ops[3:])
         durability = service.engine.durability
-        segment = durability.wal.segments()[0]
-        records, _ = segment.scan()
-        segment.rewrite([r for r in records if r["lsn"] != 3])
+        assert durability.wal.last_lsn == 6
         with service.engine.exclusive_writer():
             with pytest.raises(SnapshotError, match=r"WAL covers lsn 1\.\.2 since"):
                 durability.checkpoint(service.engine)

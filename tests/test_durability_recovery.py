@@ -26,6 +26,7 @@ from repro.durability.digest import (
     state_digest,
 )
 from repro.durability.snapshots import SnapshotStore, _write_json_atomic
+from repro.durability.wal import encode_op
 from repro.feedback import EventKind, InteractionEvent
 from repro.retrieval import Query
 from repro.service import FeedbackBatch, RetrievalService, ServiceConfig
@@ -496,6 +497,9 @@ def test_atomic_writer_emits_canonical_json_bytes(tmp_path):
             "format": 2,
         },
     )
+    # Lists longer than one encoder chunk, and one ending on its boundary.
+    long = [[index, f"d{index}", {"t": index / 3}] for index in range(600)]
+    payloads += ({"documents": long, "shots": long[:512]},)
     for payload in payloads:
         _write_json_atomic(tmp_path / "out.json", payload)
         written = (tmp_path / "out.json").read_text(encoding="utf-8")
@@ -503,6 +507,13 @@ def test_atomic_writer_emits_canonical_json_bytes(tmp_path):
             payload, sort_keys=True, separators=(",", ":")
         ) + "\n"
         assert not (tmp_path / "out.json.tmp").exists()
+    # A list of bytes is pre-encoded canonical JSON (an ops delta's WAL
+    # payloads), written verbatim: the same file as its decoded values.
+    ops = [{"op": "doc", "lsn": lsn, "id": f"é{lsn}", "tf": {"b": 1, "a": lsn}}
+           for lsn in range(1, 300)]
+    _write_json_atomic(tmp_path / "raw.json", {"ops": [encode_op(op) for op in ops]})
+    _write_json_atomic(tmp_path / "out.json", {"ops": ops})
+    assert (tmp_path / "raw.json").read_bytes() == (tmp_path / "out.json").read_bytes()
 
 
 class TestSnapshotFormatOne:

@@ -68,7 +68,7 @@ class TestWalSegment:
         segment = WalSegment(tmp_path / "seg.log")
         segment.append(b'{"lsn": 1}', fsync=False)
         segment.append(b'{"lsn": 2}', fsync=False)
-        segment.rewrite([{"lsn": 2}])
+        segment.rewrite([b'{"lsn": 2}'])
         segment.append(b'{"lsn": 3}', fsync=False)
         segment.close()
         records, tail_error = segment.scan()
@@ -152,6 +152,38 @@ class TestWriteAheadLog:
         assert tail_errors == {}
         assert reopened.append(0, {"op": "doc", "id": "resume", "tf": {}}) == 6
         reopened.close()
+
+    def test_truncation_rewrites_a_segment_found_torn_once(self, tmp_path):
+        wal = self._wal(tmp_path, num_shards=2)
+        for index in range(6):
+            wal.append(index % 2, {"op": "doc", "id": f"d{index}", "tf": {}})
+        wal.close()
+        victim = tmp_path / segment_filename(1)
+        victim.write_bytes(victim.read_bytes()[:-2])
+        reopened = WriteAheadLog(tmp_path, 2, fsync_policy="never", next_lsn=7)
+        assert reopened.truncate_through(0) == 0
+        assert WalSegment(victim).scan()[1] is None
+        inode = victim.stat().st_ino
+        assert reopened.truncate_through(0) == 0
+        assert victim.stat().st_ino == inode  # not rewritten (renamed over) again
+        for name, entries in reopened.held_entries().items():
+            assert entries == WalSegment(tmp_path / name).scan_entries()[0]
+        reopened.close()
+
+    def test_a_failed_append_is_not_held(self, tmp_path, monkeypatch):
+        wal = self._wal(tmp_path, num_shards=1)
+        wal.append(0, {"op": "doc", "id": "kept", "tf": {}})
+        assert [entry.lsn for entry in wal.held_entries()[segment_filename(0)]] == [1]
+
+        def full_disk(segment, payload, fsync, flush=True):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(WalSegment, "append", full_disk)
+        with pytest.raises(OSError):
+            wal.append(0, {"op": "doc", "id": "lost", "tf": {}})
+        assert wal.last_lsn == 2  # allocated: a hole, never reused
+        assert [entry.lsn for entry in wal.held_entries()[segment_filename(0)]] == [1]
+        wal.close()
 
     def test_scan_all_reports_torn_segment_but_keeps_others(self, tmp_path):
         wal = self._wal(tmp_path, num_shards=2)

@@ -25,7 +25,7 @@ from repro.durability import (
     engine_state_digest,
     verify_directory,
 )
-from repro.durability.wal import WalSegment, segment_filename
+from repro.durability.wal import WalSegment, encode_op, segment_filename
 from repro.feedback import EventKind, InteractionEvent
 from repro.replication import (
     ChaosEvent,
@@ -636,8 +636,8 @@ class TestPointInTimeRecovery:
         apply_ingest(primary, _ops(primary, 6))
         primary.close()
         segment = WalSegment(directory / segment_filename(0))
-        records, _ = segment.scan()
-        segment.rewrite([r for r in records if int(r["lsn"]) != 4])  # hole at 4
+        entries, _ = segment.scan_entries()
+        segment.rewrite([e.payload for e in entries if e.lsn != 4])  # hole at 4
 
         def accounting(cut):
             state = RecoveryManager(directory, stop_lsn=cut).recover()
@@ -709,7 +709,8 @@ class TestVerifyCommand:
         segment = WalSegment(directory / segment_filename(0))
         records, _ = segment.scan()
         assert len(records) >= 3
-        segment.rewrite(records[:1] + records[2:])  # drop a middle record
+        payloads = [encode_op(record) for record in records]
+        segment.rewrite(payloads[:1] + payloads[2:])  # drop a middle record
         report = verify_directory(directory)
         assert not report.ok
         assert report.gap is not None
