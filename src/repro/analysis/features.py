@@ -63,6 +63,7 @@ class FeatureExtractor:
     def __init__(self, config: FeatureConfig = FeatureConfig(), seed: int = 97) -> None:
         self._config = config
         self._seed = int(seed)
+        self._root = RandomSource(self._seed)
         self._projections: Dict[str, List[Tuple[float, ...]]] = {}
 
     @property
@@ -73,7 +74,7 @@ class FeatureExtractor:
     def _projection(self, family: str, bins: int, input_dim: int) -> List[Tuple[float, ...]]:
         key = f"{family}:{bins}:{input_dim}"
         if key not in self._projections:
-            rng = RandomSource(self._seed).spawn("projection", family, bins, input_dim)
+            rng = self._root.spawn("projection", family, bins, input_dim)
             self._projections[key] = [
                 tuple(rng.gauss(0.0, 1.0 / math.sqrt(input_dim)) for _ in range(input_dim))
                 for _ in range(bins)
@@ -84,12 +85,14 @@ class FeatureExtractor:
         self, family: str, bins: int, signal: Sequence[float], noise_rng: RandomSource
     ) -> List[float]:
         projection = self._projection(family, bins, len(signal))
+        sigma = self._config.noise_sigma
         raw = []
         for row in projection:
-            value = sum(weight * component for weight, component in zip(row, signal))
-            value = _sigmoid(value)
-            if self._config.noise_sigma > 0:
-                value += noise_rng.gauss(0.0, self._config.noise_sigma)
+            # Same products, same order as a generator expression (see
+            # cosine_similarity), so the same float.
+            value = _sigmoid(sum(map(operator.mul, row, signal)))
+            if sigma > 0:
+                value += noise_rng.gauss(0.0, sigma)
             raw.append(max(0.0, value))
         total = sum(raw)
         if total <= 0:
@@ -98,7 +101,7 @@ class FeatureExtractor:
 
     def extract(self, keyframe: Keyframe) -> Tuple[float, ...]:
         """Extract the concatenated colour/edge/texture feature vector."""
-        noise_rng = RandomSource(self._seed).spawn("noise", keyframe.keyframe_id)
+        noise_rng = self._root.spawn("noise", keyframe.keyframe_id)
         signal = keyframe.latent_signal
         colour = self._family_histogram("colour", self._config.colour_bins, signal, noise_rng)
         edge = self._family_histogram("edge", self._config.edge_bins, signal, noise_rng)

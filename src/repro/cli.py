@@ -940,11 +940,32 @@ def _command_verify(args: argparse.Namespace, out) -> int:
     return 0 if report.ok else 1
 
 
+def _corpus_problem(path: str) -> Optional[str]:
+    """Why ``path`` is not a directory written by ``repro generate``, or None."""
+    directory = Path(path)
+    if not directory.exists():
+        return "does not exist"
+    if not directory.is_dir():
+        return "is not a directory"
+    if not (directory / "manifest.json").is_file():
+        return "holds no corpus manifest"
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
+    corpus = getattr(args, "corpus", None)
+    problem = corpus is not None and _corpus_problem(corpus)
+    if problem:
+        print(
+            f"{args.command} failed: --corpus {corpus!r} {problem}; "
+            f"write one with 'repro generate --output DIR'",
+            file=sys.stderr,
+        )
+        return 2
     handlers = {
         "generate": _command_generate,
         "search": _command_search,

@@ -79,6 +79,7 @@ class TranscriptGenerator:
         topic_weight: float = 0.25,
     ) -> None:
         self._vocabulary = vocabulary
+        self._all_terms = vocabulary.all_terms()
         self._noise = noise_model
         self._category_weight = ensure_probability(category_weight, "category_weight")
         self._topic_weight = ensure_probability(topic_weight, "topic_weight")
@@ -108,7 +109,7 @@ class TranscriptGenerator:
 
     def corrupt(self, rng: RandomSource, words: Sequence[str]) -> List[str]:
         """Apply the ASR error model to a word sequence."""
-        all_terms = self._vocabulary.all_terms()
+        all_terms = self._all_terms
         output: List[str] = []
         for word in words:
             draw = rng.random()

@@ -15,7 +15,10 @@ so collections are reproducible and no real-world text is required.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from repro.utils.rng import RandomSource
@@ -119,12 +122,28 @@ class CategoryLanguageModel:
             self.probabilities = [weight / total for weight in weights]
         if len(self.probabilities) != len(self.terms):
             raise ValueError("probabilities must align with terms")
+        # The table ``random.choices`` would rebuild on every call.
+        self._cumulative = list(accumulate(self.probabilities))
+        self._total = self._cumulative[-1] + 0.0
+        if not (self._total > 0.0 and math.isfinite(self._total)):
+            raise ValueError(
+                f"probabilities must sum to a positive finite total, got {self._total}"
+            )
+
+    def draw(self, rng: RandomSource) -> str:
+        """Draw one term according to the model.
+
+        This is the expression ``rng.choices(terms, weights=probabilities)``
+        evaluates after building its cumulative table: it consumes one
+        ``random()`` and picks the same term.
+        """
+        return self.terms[
+            bisect(self._cumulative, rng.random() * self._total, 0, len(self.terms) - 1)
+        ]
 
     def sample(self, rng: RandomSource, count: int) -> List[str]:
         """Sample ``count`` terms with replacement according to the model."""
-        if count <= 0:
-            return []
-        return rng.choices(self.terms, weights=self.probabilities, k=count)
+        return [self.draw(rng) for _ in range(count)]
 
     def top_terms(self, count: int) -> List[str]:
         """The ``count`` most central terms of the category."""
@@ -191,15 +210,18 @@ class Vocabulary:
         if category_weight + extra_weight > 1.0:
             raise ValueError("category_weight + extra_weight must not exceed 1.0")
         model = self.model_for(category)
+        background = self.background
+        extras = list(extra_terms)
+        model_weight = extra_weight + category_weight
         words: List[str] = []
         for _ in range(max(count, 0)):
             draw = rng.random()
-            if extra_terms and draw < extra_weight:
-                words.append(rng.choice(list(extra_terms)))
-            elif draw < extra_weight + category_weight:
-                words.extend(model.sample(rng, 1))
+            if extras and draw < extra_weight:
+                words.append(rng.choice(extras))
+            elif draw < model_weight:
+                words.append(model.draw(rng))
             else:
-                words.extend(self.background.sample(rng, 1))
+                words.append(background.draw(rng))
         return words
 
 

@@ -220,3 +220,41 @@ class TestRecoverErrorPaths:
         assert "loadtest failed" in err
         assert "is not a directory" in err
         assert "Traceback" not in err
+
+
+#: Each verb that reads ``--corpus``, with the rest of a valid command line.
+CORPUS_VERBS = {
+    "search": ["--query", "anything"],
+    "simulate": ["--logs", "unused-logs"],
+    "experiment": [],
+    "analyse-logs": ["--logs", "unused-logs"],
+    "loadtest": ["--users", "1", "--queries", "1"],
+}
+
+
+class TestBadCorpus:
+    """A bad ``--corpus`` is one line on stderr and exit 2, for every verb."""
+
+    @pytest.mark.parametrize("verb", sorted(CORPUS_VERBS))
+    @pytest.mark.parametrize(
+        "kind, problem",
+        [
+            ("missing", "does not exist"),
+            ("file", "is not a directory"),
+            ("empty", "holds no corpus manifest"),
+        ],
+    )
+    def test_one_line_error(self, verb, kind, problem, tmp_path, capsys):
+        path = tmp_path / "corpus"
+        if kind == "file":
+            path.write_text("not a corpus\n")
+        elif kind == "empty":
+            path.mkdir()
+        code = main(
+            [verb, "--corpus", str(path)] + CORPUS_VERBS[verb], out=io.StringIO()
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{verb} failed: --corpus {str(path)!r} {problem};")
+        assert "repro generate" in err
+        assert err.strip().count("\n") == 0

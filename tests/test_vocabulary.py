@@ -72,6 +72,17 @@ class TestCategoryLanguageModel:
         with pytest.raises(ValueError):
             CategoryLanguageModel(category="c", terms=["a", "b"], probabilities=[1.0])
 
+    @pytest.mark.parametrize(
+        "probabilities",
+        [[0.0, 0.0], [0.5, -0.5], [1.0, float("inf")], [1.0, float("nan")]],
+    )
+    def test_degenerate_total_rejected(self, probabilities):
+        """The refusal ``random.choices`` made at first sample, made at build."""
+        with pytest.raises(ValueError, match="positive finite total"):
+            CategoryLanguageModel(
+                category="c", terms=["a", "b"], probabilities=probabilities
+            )
+
 
 class TestBuildVocabulary:
     def test_all_default_categories_present(self, vocabulary):
