@@ -31,7 +31,7 @@ from repro.index.inverted_index import InvertedIndex
 from repro.index.language_model import DirichletLanguageModelScorer
 from repro.index.scoring import Bm25Scorer, TextScorer, TfIdfScorer
 from repro.index.tokenizer import Tokenizer
-from repro.index.visual import VisualIndex
+from repro.index.visual import VisualIndex, finite_features
 from repro.retrieval.expansion import RocchioExpander, extract_key_terms
 from repro.retrieval.query import Query
 from repro.retrieval.results import ResultList
@@ -391,12 +391,17 @@ class VideoRetrievalEngine:
         features: Sequence[float],
         concept_scores: Optional[Mapping[str, float]] = None,
     ) -> None:
-        """Add one shot's visual evidence through the writer path."""
+        """Add one shot's visual evidence through the writer path.
+
+        A duplicate id or features of non-finite norm raise ``ValueError``
+        before the WAL append, so a refused shot consumes no LSN.
+        """
         with self.exclusive_writer():
             durability = self._durability
             if durability is not None:
                 if self._visual_index.has_shot(shot_id):
                     raise ValueError(f"shot {shot_id!r} already in visual index")
+                finite_features(shot_id, features)
                 durability.log_shot(shot_id, features, concept_scores)
             self._visual_index.add_shot(shot_id, features, concept_scores)
             self._maybe_checkpoint_locked()

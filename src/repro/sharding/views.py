@@ -443,7 +443,12 @@ class ShardedVisualIndex:
         features: Sequence[float],
         concept_scores: Optional[Mapping[str, float]] = None,
     ) -> None:
-        """Add one shot's visual evidence on its owning shard."""
+        """Add one shot's visual evidence on its owning shard.
+
+        Duplicates and features of non-finite norm raise ``ValueError``
+        before anything changes: the shard's own ``add_shot`` refuses the
+        features before the facade records the shot.
+        """
         if shot_id in self._shot_index:
             raise ValueError(f"shot {shot_id!r} already in visual index")
         shard = self.shard_for(shot_id)
