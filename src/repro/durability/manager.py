@@ -167,7 +167,10 @@ class DurabilityManager:
         Repairs the WAL first: any record past the recovered gap-free
         prefix (torn tails, records stranded beyond a hole) is physically
         dropped, so appends resume from exactly the state the engine was
-        rebuilt to.
+        rebuilt to.  An older directory's header is rewritten to
+        :data:`DURABILITY_FORMAT` before that, so a build that cannot read
+        the packed vectors this one appends refuses the directory in one
+        line instead of failing inside replay.
         """
         header = read_header(directory)
         if int(header["num_shards"]) != recovered.num_shards:
@@ -175,6 +178,11 @@ class DurabilityManager:
                 f"durability directory has {header['num_shards']} shards "
                 f"but the recovered state was built for "
                 f"{recovered.num_shards}"
+            )
+        if header["format"] != DURABILITY_FORMAT:
+            _write_json_atomic(
+                Path(directory) / HEADER_FILENAME,
+                {**header, "format": DURABILITY_FORMAT},
             )
         manager = cls(
             directory,

@@ -32,8 +32,14 @@ from repro.utils.serialization import PathLike, read_json
 #: Directory header naming the layout parameters recovery needs.
 HEADER_FILENAME = "DURABILITY.json"
 
-#: On-disk format version of the durability directory as a whole.
-DURABILITY_FORMAT = 1
+#: On-disk format version of the durability directory as a whole: 2 since
+#: shot vectors are written packed (``utils.serialization.encode_vector``),
+#: which a format-1 build cannot replay.
+DURABILITY_FORMAT = 2
+
+#: Header formats this build reads.  A format-1 directory is readable as is
+#: and is marked format 2 by the first writer that attaches to it.
+READABLE_FORMATS = (1, 2)
 
 
 class RecoveryError(ValueError):
@@ -59,10 +65,11 @@ def read_header(directory: PathLike) -> Dict[str, object]:
         raise RecoveryError(f"durability header {path}: {error}") from None
     if not isinstance(header, dict) or "num_shards" not in header:
         raise RecoveryError(f"durability header {path} is malformed")
-    if int(header.get("format", -1)) != DURABILITY_FORMAT:
+    if header.get("format") not in READABLE_FORMATS:
         raise RecoveryError(
             f"durability header {path} has format {header.get('format')!r}; "
-            f"this build reads format {DURABILITY_FORMAT}"
+            f"this build reads formats "
+            f"{', '.join(map(str, READABLE_FORMATS))}"
         )
     return header
 

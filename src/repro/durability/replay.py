@@ -12,12 +12,20 @@ landed between a checkpoint's manifest rename and its WAL truncation, or
 the add a delete undoes never became durable) is counted as a skipped
 duplicate instead of applied, so replaying twice converges to the same
 state.
+
+A shot record's ``"features"`` is one :func:`~repro.utils.serialization.
+encode_vector` string (packed float64s, exact); records of format-1
+directories carry a JSON list instead, and :func:`apply_record` reads
+both.  A vector that decodes to neither is a :class:`ReplayError` naming
+the record's LSN.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.utils.serialization import VectorDecodeError, decode_vector, encode_vector
 
 Record = Dict[str, object]
 
@@ -27,7 +35,8 @@ MUTATION_OPS = frozenset({"del", "upd"})
 
 
 class ReplayError(ValueError):
-    """A WAL record names an op this build does not know how to replay."""
+    """A WAL record names an op this build does not know how to replay, or
+    carries a feature vector that does not decode."""
 
 
 @dataclass
@@ -50,11 +59,11 @@ def shot_record(
     features: Sequence[float],
     concept_scores: Optional[Mapping[str, float]] = None,
 ) -> Record:
-    """One ``index_shot`` op."""
+    """One ``index_shot`` op (``features`` packed by ``encode_vector``)."""
     return {
         "op": "shot",
         "id": shot_id,
-        "features": [float(value) for value in features],
+        "features": encode_vector(features),
         "concepts": dict(concept_scores or {}),
     }
 
@@ -106,7 +115,8 @@ def apply_record(record: Record, text, visual, counts) -> None:
     ``update_document_frequencies``; ``has_shot`` / ``add_shot`` /
     ``delete_shot``): live index facades on a replica, insertion-ordered
     item tables in recovery.  ``counts`` is a :class:`ReplayCounts` (or
-    anything with its fields).
+    anything with its fields).  A shot's vector is decoded (and a bad one
+    refused) even when the record is a skipped duplicate.
     """
     op = record.get("op")
     if op == "feedback":
@@ -129,12 +139,18 @@ def apply_record(record: Record, text, visual, counts) -> None:
         else:
             counts.wal_skipped_duplicates += 1
     elif op == "shot":
+        try:
+            features = decode_vector(record["features"])
+        except VectorDecodeError as error:
+            raise ReplayError(
+                f"shot {item_id!r} at lsn {record.get('lsn')}: {error}"
+            ) from None
         if visual.has_shot(item_id):
             counts.wal_skipped_duplicates += 1
         else:
             visual.add_shot(
                 item_id,
-                [float(value) for value in record["features"]],
+                features,
                 {str(c): float(s) for c, s in record["concepts"].items()},
             )
     elif record.get("kind") == "shot":

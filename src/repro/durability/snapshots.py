@@ -35,10 +35,20 @@ recovery replays by the same ratio that bounds dead slots in memory —
 without a knob of its own.  The rest of the chain is one add record per
 live item, which is what a suffix of full-state entries would hold.
 
-Format 1 directories stay readable: their non-rebase deltas are append-only
-*suffixes* of the sequence (entries numbered from the parent's counts),
-which the fold appends like any other full-state entries.  This build
-writes format 2 only.
+A shot's feature vector — the third field of a full-state shot entry, and
+the ``"features"`` of a shot op record — is one
+:func:`~repro.utils.serialization.encode_vector` string of packed float64s
+(exact), where formats 1 and 2 held a list of decimals.  Everything else
+(concepts, term frequencies, manifests) stays plain JSON.
+Delta files carry no checksum, so a vector that does not decode is a
+:class:`SnapshotError` naming its file.
+
+Older files stay readable, and a chain may mix them: format 1 non-rebase
+deltas are append-only *suffixes* of the sequence (entries numbered from
+the parent's counts), which the fold appends like any other full-state
+entries, and formats 1 and 2 store vectors as JSON lists, which
+:func:`~repro.utils.serialization.decode_vector` also takes.  This build
+writes format 3 only.
 
 Crash safety: delta files are written first, then the manifest, each
 through ``tmp + fsync + os.replace``.  A manifest therefore never names a
@@ -63,10 +73,17 @@ from repro.durability.replay import (
     apply_record,
 )
 from repro.sharding.router import ShardRouter
-from repro.utils.serialization import PathLike, canonical_json, read_json
+from repro.utils.serialization import (
+    PathLike,
+    VectorDecodeError,
+    canonical_json,
+    decode_vector,
+    encode_vector,
+    read_json,
+)
 
-#: On-disk format version this build writes (format 1 is still read).
-SNAPSHOT_FORMAT = 2
+#: On-disk format version this build writes (formats 1 and 2 are still read).
+SNAPSHOT_FORMAT = 3
 
 _MANIFEST_PREFIX = "checkpoint-"
 _MANIFEST_SUFFIX = ".json"
@@ -310,13 +327,19 @@ class SnapshotStore:
         for manifest in since_rebase(chain):
             name = manifest_filename(int(manifest["checkpoint_id"]))
             documents: List[list] = []
-            shots: List[list] = []
-            ops: List[Record] = []
+            shots: List[tuple] = []
+            ops: List[Tuple[Record, str]] = []
             for delta_name in manifest["deltas"]:
                 delta = self._read_delta(manifest, str(delta_name))
                 documents.extend(delta.get("documents", ()))
-                shots.extend(delta.get("shots", ()))
-                ops.extend(delta.get("ops", ()))
+                try:
+                    shots.extend(
+                        (seq, shot_id, decode_vector(features), concepts)
+                        for seq, shot_id, features, concepts in delta.get("shots", ())
+                    )
+                except VectorDecodeError as error:
+                    raise SnapshotError(f"snapshot delta {delta_name}: {error}") from None
+                ops.extend((record, delta_name) for record in delta.get("ops", ()))
             documents.sort(key=lambda entry: entry[0])
             shots.sort(key=lambda entry: entry[0])
             for seq, document_id, vector in documents:
@@ -331,12 +354,14 @@ class SnapshotStore:
                     f"{name} counts {op_records} op records but its deltas "
                     f"hold {len(ops)} — a delta file is truncated or corrupt"
                 )
-            ops.sort(key=lambda record: int(record["lsn"]))
-            try:
-                for record in ops:
+            ops.sort(key=lambda entry: int(entry[0]["lsn"]))
+            for record, delta_name in ops:
+                try:
                     apply_record(record, text, visual, counts)
-            except ReplayError as error:
-                raise SnapshotError(f"snapshot chain at {name}: {error}") from None
+                except ReplayError as error:
+                    raise SnapshotError(
+                        f"snapshot delta {delta_name} of {name}: {error}"
+                    ) from None
             _check_dense(name, "document", len(text.items), int(manifest["text_count"]))
             _check_dense(name, "shot", len(visual.items), int(manifest["shot_count"]))
         root, tip = chain[0], chain[-1]
@@ -377,7 +402,7 @@ class SnapshotStore:
         for seq, (shot_id, features, concepts) in enumerate(visual_items):
             shard = self._router.shard_of(shot_id)
             per_shard.setdefault(shard, {}).setdefault("shots", []).append(
-                [seq, shot_id, [float(value) for value in features], dict(concepts)]
+                [seq, shot_id, encode_vector(features), dict(concepts)]
             )
         return self._write_checkpoint(
             per_shard,

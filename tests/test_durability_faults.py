@@ -10,13 +10,16 @@ orphaned delta files from an interrupted checkpoint, missing delta files,
 broken manifest chains, a deleted snapshot chain, and — for the ops
 checkpoints that carry WAL records into the chain — damaged ops deltas, a
 checkpoint interrupted before its WAL truncation, truncation held back by a
-replica, and a WAL append that failed after its LSN was allocated.
+replica, and a WAL append that failed after its LSN was allocated — and
+feature vectors that do not decode, in a full-state delta, an ops delta and
+a WAL record.
 
 All tests carry the ``durability`` marker (``pytest -m durability``).
 """
 
 from __future__ import annotations
 
+import base64
 import errno
 import json
 import shutil
@@ -24,12 +27,16 @@ import shutil
 import pytest
 
 from repro.durability import RecoveryError, RecoveryManager, engine_state_digest
+from repro.durability.recovery import _TextItems, _VisualItems
+from repro.durability.replay import ReplayCounts, ReplayError, apply_record
 from repro.durability.snapshots import (
+    SNAPSHOT_FORMAT,
     SnapshotError,
+    SnapshotStore,
     _write_json_atomic,
     manifest_filename,
 )
-from repro.durability.wal import WalSegment, segment_filename
+from repro.durability.wal import WalSegment, encode_op, segment_filename
 from repro.service import RetrievalService, ServiceConfig
 from repro.utils.serialization import read_json
 from repro.workload.ingest import (
@@ -266,7 +273,7 @@ class TestOpsDeltaFaults:
         for path in sorted(directory.glob("delta-*.json")):
             delta = read_json(path)
             if "ops" in delta:
-                assert delta["format"] == 2
+                assert delta["format"] == SNAPSHOT_FORMAT
                 deltas[path.name] = delta["ops"]
         return deltas
 
@@ -442,3 +449,86 @@ class TestOpsDeltaFaults:
         assert durability.snapshots.manifest_ids() == [0]
         assert not list(directory.glob("delta-cp000001-*"))
         service.close()
+
+
+#: Damage to one stored feature vector (a packed string), one per way
+#: ``decode_vector`` refuses it.
+VECTOR_DAMAGE = (
+    # A character outside the base64 alphabet: the default decoder would
+    # skip it and hand back the intact floats.
+    ("junk character", lambda packed: packed[:8] + "*" + packed[8:]),
+    (
+        "partial float64",
+        lambda packed: base64.b64encode(base64.b64decode(packed)[:-1]).decode("ascii"),
+    ),
+    ("neither string nor list", lambda packed: {"features": packed}),
+)
+DAMAGE_IDS = [label for label, _ in VECTOR_DAMAGE]
+
+
+class TestUndecodableVectors:
+    """Every reader of a stored vector refuses a damaged one in one typed
+    line that says where it is: the delta file (deltas carry no CRC, so
+    this is their only guard) or the WAL record's LSN."""
+
+    @staticmethod
+    def _run(corpus, directory):
+        """Ten ingests at interval 4: the bootstrap, two ops checkpoints and
+        a two-record WAL tail (lsn 9 a document, lsn 10 a shot)."""
+        service = RetrievalService(
+            corpus.collection, config=_durable_config(directory, interval=4)
+        )
+        apply_ingest(service, _ops(service, 10))
+        service.close()
+
+    @staticmethod
+    def _refused(directory, match):
+        with pytest.raises(RecoveryError, match=match) as caught:
+            RecoveryManager(directory).recover()
+        assert "\n" not in str(caught.value)
+
+    @pytest.mark.parametrize("label, damage", VECTOR_DAMAGE, ids=DAMAGE_IDS)
+    def test_in_a_full_state_delta(self, analysed_corpus, tmp_path, label, damage):
+        directory = tmp_path / "d"
+        self._run(analysed_corpus, directory)
+        name = "delta-cp000000-shard0000.json"
+        delta = read_json(directory / name)
+        delta["shots"][3][2] = damage(delta["shots"][3][2])
+        _write_json_atomic(directory / name, delta)
+        with pytest.raises(SnapshotError, match=f"^snapshot delta {name}: feature vector"):
+            SnapshotStore(directory, 1).load_base()
+        self._refused(directory, f"^snapshot delta {name}: feature vector")
+
+    @pytest.mark.parametrize("label, damage", VECTOR_DAMAGE, ids=DAMAGE_IDS)
+    def test_in_an_ops_delta(self, analysed_corpus, tmp_path, label, damage):
+        directory = tmp_path / "d"
+        self._run(analysed_corpus, directory)
+        name = "delta-cp000002-shard0000.json"
+        delta = read_json(directory / name)
+        record = next(record for record in delta["ops"] if record["op"] == "shot")
+        record["features"] = damage(record["features"])
+        _write_json_atomic(directory / name, delta)
+        where = (
+            f"^snapshot delta {name} of {manifest_filename(2)}: "
+            f"shot '{record['id']}' at lsn {record['lsn']}: feature vector"
+        )
+        with pytest.raises(SnapshotError, match=where):
+            SnapshotStore(directory, 1).load_base()
+        self._refused(directory, where)
+
+    @pytest.mark.parametrize("label, damage", VECTOR_DAMAGE, ids=DAMAGE_IDS)
+    def test_in_a_wal_record(self, analysed_corpus, tmp_path, label, damage):
+        # Framed with a good CRC: the writer, not the disk, was broken.
+        directory = tmp_path / "d"
+        self._run(analysed_corpus, directory)
+        segment = WalSegment(directory / segment_filename(0))
+        records, _ = segment.scan()
+        assert [(record["lsn"], record["op"]) for record in records] == [
+            (9, "doc"),
+            (10, "shot"),
+        ]
+        records[1]["features"] = damage(records[1]["features"])
+        segment.rewrite([encode_op(record) for record in records])
+        with pytest.raises(ReplayError, match="at lsn 10: feature vector"):
+            apply_record(records[1], _TextItems(()), _VisualItems(()), ReplayCounts())
+        self._refused(directory, f"^shot '{records[1]['id']}' at lsn 10: feature vector")

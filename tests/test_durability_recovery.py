@@ -7,30 +7,42 @@ or a full service reopen — reproduces the **byte-identical** index state
 run would have.  Covered edges: empty WAL, WAL-only (no post-bootstrap
 checkpoint), snapshot-only (fully compacted WAL), replay after
 compaction, replay-twice idempotence, feedback records, reopening a
-recovered service to continue writing, and snapshot-format-1 directories
-(read as they are, and written to by this build).
+recovered service to continue writing, snapshot-format-1 directories
+(read as they are, written to by this build, and marked so an older build
+refuses them), and directories whose shot vectors are partly decimal lists
+and partly packed.
 
 All tests carry the ``durability`` marker (``pytest -m durability``).
 """
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
-from repro.durability import RecoveryManager, engine_state_digest
+from repro import cli
+from repro.durability import (
+    RecoveryError,
+    RecoveryManager,
+    engine_state_digest,
+    verify_directory,
+)
+from repro.durability import recovery as recovery_module
 from repro.durability.digest import (
     engine_text_items,
     engine_visual_items,
     state_digest,
 )
+from repro.durability.recovery import HEADER_FILENAME
 from repro.durability.snapshots import SnapshotStore, _write_json_atomic
-from repro.durability.wal import encode_op
+from repro.durability.wal import WalSegment, WriteAheadLog, encode_op
 from repro.feedback import EventKind, InteractionEvent
+from repro.replication import ReplicaServer
 from repro.retrieval import Query
 from repro.service import FeedbackBatch, RetrievalService, ServiceConfig
-from repro.utils.serialization import read_json, write_json
+from repro.utils.serialization import decode_vector, read_json, write_json
 from repro.workload.ingest import (
     apply_ingest,
     service_feature_dim,
@@ -531,7 +543,7 @@ class TestSnapshotFormatOne:
     def test_format_one_directory_written_to_by_this_build(
         self, analysed_corpus, tmp_path
     ):
-        # An old directory reopened: this build appends format-2 ops
+        # An old directory reopened: this build appends format-3 ops
         # checkpoints to the format-1 chain, and the mixed chain folds.
         _write_format_one_directory(tmp_path / "d")
         service = _service(
@@ -548,10 +560,133 @@ class TestSnapshotFormatOne:
         assert statistics["checkpoints"] == 2
         assert statistics["chain_ops_since_rebase"] == 4
         chain = SnapshotStore(tmp_path / "d", 2).manifest_chain()
-        assert [m["format"] for m in chain] == [1, 1, 1, 1, 2, 2]
+        assert [m["format"] for m in chain] == [1, 1, 1, 1, 3, 3]
         assert [m["op_records"] for m in chain] == [0, 0, 0, 0, 2, 2]
         state = RecoveryManager(tmp_path / "d").recover()
         assert state.state_digest() == live
         assert [doc_id for doc_id, _ in state.documents] == ["a", "e", "f", "c"]
         assert [shot[0] for shot in state.shots] == ["s1", "s2", "s3"]
         assert (state.checkpoint_id, state.wal_index_ops) == (5, 1)
+
+    def test_reopened_format_one_directory_is_marked_format_two(
+        self, analysed_corpus, tmp_path, monkeypatch
+    ):
+        # The header moves to 2 when a writer attaches, before its first
+        # append, so a build that reads format 1 only stops at its header
+        # check instead of failing inside replay on a packed vector.
+        directory = tmp_path / "d"
+        documents, shots = _write_format_one_directory(directory)
+        header = read_json(directory / HEADER_FILENAME)
+        service = _service(analysed_corpus, _durable_config(directory, 2, interval=2))
+        assert read_json(directory / HEADER_FILENAME) == {**header, "format": 2}
+        ingested = [
+            (f"t{index}", [0.125 * index, -0.0, 1e-310], {"crowd": 0.5})
+            for index in range(3)
+        ]
+        for shot in ingested:
+            service.index_shot(*shot)
+        live = engine_state_digest(service.engine)
+        service.close()
+        assert live == state_digest(documents, shots + ingested)
+        state = RecoveryManager(directory).recover()
+        assert state.state_digest() == live
+        assert (state.checkpoint_id, state.wal_index_ops) == (4, 1)
+        monkeypatch.setattr(recovery_module, "READABLE_FORMATS", (1,))
+        with pytest.raises(RecoveryError, match="has format 2; this build reads formats 1$"):
+            RecoveryManager(directory)
+
+    def test_a_newer_header_format_is_refused_in_one_line(
+        self, analysed_corpus, tmp_path
+    ):
+        directory = tmp_path / "d"
+        _write_format_one_directory(directory)
+        header = read_json(directory / HEADER_FILENAME)
+        write_json(directory / HEADER_FILENAME, {**header, "format": 3})
+        refusal = "has format 3; this build reads formats 1, 2$"
+        with pytest.raises(RecoveryError, match=refusal) as caught:
+            RecoveryManager(directory)
+        assert "\n" not in str(caught.value)
+        with pytest.raises(RecoveryError, match=refusal):
+            _service(analysed_corpus, _durable_config(directory, 2))
+        assert verify_directory(directory).problems == [str(caught.value)]
+
+
+def _as_decimal_lists(record):
+    """An op record as the decimal-list writer framed it."""
+    if record.get("op") == "shot":
+        record["features"] = decode_vector(record["features"])
+    return record
+
+
+def _rewrite_vectors_as_lists(directory):
+    """Turn a directory this build wrote into the one the decimal-list
+    writer left for the same stream: every shot vector a JSON list, header
+    format 1, snapshot files format 2."""
+    for path in sorted(directory.iterdir()):
+        if path.suffix == ".log":
+            segment = WalSegment(path)
+            records, tail_error = segment.scan()
+            assert tail_error is None
+            segment.rewrite([encode_op(_as_decimal_lists(r)) for r in records])
+            continue
+        payload = read_json(path)
+        payload["format"] = 1 if path.name == HEADER_FILENAME else 2
+        if "shots" in payload:
+            payload["shots"] = [
+                [seq, shot_id, decode_vector(features), concepts]
+                for seq, shot_id, features, concepts in payload["shots"]
+            ]
+        if "ops" in payload:
+            payload["ops"] = [_as_decimal_lists(record) for record in payload["ops"]]
+        _write_json_atomic(path, payload)
+
+
+class TestMixedVectorEncodings:
+    @pytest.mark.parametrize("num_shards", (1, 4))
+    def test_list_vectors_in_the_base_packed_in_the_tail(
+        self, analysed_corpus, tmp_path, num_shards
+    ):
+        # A directory the decimal-list writer left — list vectors in its
+        # bootstrap, its ops deltas and its WAL tail — reopened by this
+        # build, which appends packed records, checkpoints them and rebases
+        # after a compaction.  Recovery, a replica and `repro verify` read
+        # the mix, and every digest equals an in-memory run of the stream.
+        directory = tmp_path / "d"
+        config = _durable_config(directory, num_shards, interval=4)
+        service = _service(analysed_corpus, config)
+        ops = synthetic_ingest_ops(
+            22, seed=3, feature_dim=service_feature_dim(service)
+        )
+        apply_ingest(service, ops[:10])
+        service.close()
+        _rewrite_vectors_as_lists(directory)
+        tail, _ = WriteAheadLog(directory, num_shards).scan_all()
+        assert any(isinstance(r.get("features"), list) for r in tail)
+
+        reopened = _service(analysed_corpus, config)
+        assert read_json(directory / HEADER_FILENAME)["format"] == 2
+        replica = ReplicaServer(directory, corpus=analysed_corpus, config=config)
+        try:
+            apply_ingest(reopened, ops[10:16])
+            replica.catch_up()
+            assert replica.state_digest() == engine_state_digest(reopened.engine)
+            reopened.delete_shot(ops[1][1])
+            assert reopened.compact().reclaimed > 0
+            apply_ingest(reopened, ops[16:])
+            live = engine_state_digest(reopened.engine)
+            replica.catch_up()
+            assert replica.state_digest() == live
+            assert reopened.engine.durability.statistics()["rebases"] == 1
+        finally:
+            replica.close()
+            reopened.close()
+
+        reference = _service(analysed_corpus, _memory_config(num_shards))
+        apply_ingest(reference, ops)
+        reference.delete_shot(ops[1][1])
+        assert engine_state_digest(reference.engine) == live
+        reference.close()
+        assert RecoveryManager(directory).recover().state_digest() == live
+        out = io.StringIO()
+        assert cli.main(["verify", str(directory)], out=out) == 0
+        assert "integrity: ok" in out.getvalue()

@@ -5,22 +5,39 @@ tail must always be detected (truncation or checksum), and the clean
 prefix before any damage must always decode to exactly the payloads that
 were written.  These tests pin the format byte-for-byte, independent of
 the durability modules built on top.
+
+The feature-vector encoding the durability tier stores shots with is held
+to the same standard: every finite double round-trips bit for bit (compared
+by ``float.hex()``, so ``-0.0`` is not ``0.0``), the JSON lists older
+directories hold decode to the same floats, and each kind of damage is a
+typed one-line error.  Three mutants of the real source show the checks
+have teeth.
 """
 
 from __future__ import annotations
 
+import base64
+import inspect
+import json
+import struct
 import zlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.utils import serialization
 from repro.utils.serialization import (
     ChecksumMismatchError,
     RecordError,
     TruncatedRecordError,
+    VectorDecodeError,
     decode_record,
     decode_uvarint,
+    decode_vector,
     encode_record,
     encode_uvarint,
+    encode_vector,
     iter_records,
     scan_records,
 )
@@ -140,3 +157,117 @@ class TestBufferScans:
 
     def test_scan_empty_buffer(self):
         assert scan_records(b"") == ([], 0, None)
+
+
+# -- feature vectors ----------------------------------------------------------------
+
+SMALLEST_SUBNORMAL = float.fromhex("0x0.0000000000001p-1022")
+LARGEST_SUBNORMAL = float.fromhex("0x0.fffffffffffffp-1022")
+
+#: Signed zeros, both ends of the subnormal range, both ends of the finite
+#: range, and decimals with no short binary form.
+EDGE_VALUES = [
+    -0.0, 0.0, SMALLEST_SUBNORMAL, -LARGEST_SUBNORMAL, 1.7e308, -1.7e308, 0.1, 1 / 3
+]
+
+PACKED = encode_vector([0.5, -0.0, 1e-300])
+
+#: ``(label, stored value)`` pairs ``decode_vector`` must refuse.
+UNDECODABLE = (
+    # The default decoder drops the '*' and returns the three floats.
+    ("junk character", PACKED[:8] + "*" + PACKED[8:]),
+    ("non-ascii", "é" + PACKED),
+    ("bad padding", PACKED[:-1]),
+    ("twelve bytes", base64.b64encode(bytes(12)).decode("ascii")),
+    ("number", 0.5),
+    ("mapping", {"features": PACKED}),
+    ("none", None),
+    ("list of words", ["flood"]),
+    ("nested list", [[0.5]]),
+)
+
+
+def _hexed(values):
+    return [value.hex() for value in values]
+
+
+def check_round_trip(encode, decode, values):
+    """``values`` decode bit for bit, packed and as the JSON list formats 1
+    and 2 stored; raises ``AssertionError`` otherwise."""
+    for store in (encode, lambda floats: json.loads(json.dumps(floats))):
+        try:
+            stored = store(values)
+            decoded = decode(stored)
+        except Exception as error:
+            raise AssertionError(f"{values!r} did not round-trip: {error!r}") from None
+        assert all(type(value) is float for value in decoded), stored
+        assert _hexed(decoded) == _hexed(values), stored
+
+
+def check_refused(decode, stored):
+    """``stored`` raises a one-line ``VectorDecodeError``."""
+    try:
+        decode(stored)
+    except VectorDecodeError as error:
+        assert "\n" not in str(error), str(error)
+        return
+    raise AssertionError(f"{stored!r} decoded")
+
+
+def check_codec(encode, decode):
+    for values in ([], EDGE_VALUES, [float(index) for index in range(64)]):
+        check_round_trip(encode, decode, values)
+    for _, stored in UNDECODABLE:
+        check_refused(decode, stored)
+
+
+class TestFeatureVectors:
+    def test_layout_is_base64_of_little_endian_float64s(self):
+        assert encode_vector([1.0, -2.5]) == base64.b64encode(
+            struct.pack("<2d", 1.0, -2.5)
+        ).decode("ascii")
+        assert encode_vector([]) == ""
+        assert PACKED.isascii() and "\n" not in PACKED
+
+    def test_takes_any_sequence_of_numbers(self):
+        assert encode_vector((1, 0.5)) == encode_vector([1.0, 0.5])
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=64))
+    @example(EDGE_VALUES)
+    @example([-0.0])
+    @example([SMALLEST_SUBNORMAL, LARGEST_SUBNORMAL])
+    @example([1.7e308] * 64)
+    @example([])
+    @settings(max_examples=400, deadline=None)
+    def test_round_trip_is_bit_exact(self, values):
+        check_round_trip(encode_vector, decode_vector, values)
+
+    @pytest.mark.parametrize("label, stored", UNDECODABLE, ids=[u[0] for u in UNDECODABLE])
+    def test_damage_is_a_typed_one_line_error(self, label, stored):
+        check_refused(decode_vector, stored)
+
+    @pytest.mark.parametrize(
+        "original, mutated, count, failure",
+        [
+            # '<f' for '<d' in pack and unpack.
+            ('}d"', '}f"', 2, "did not round-trip"),
+            (
+                "b64decode(value, validate=True)",
+                "b64decode(value, validate=False)",
+                1,
+                r"\*.* decoded",
+            ),
+            # The list branch dropped: format-1 and format-2 vectors unreadable.
+            ("isinstance(value, list)", "False", 1, r"did not round-trip: VectorDecodeError"),
+        ],
+    )
+    def test_codec_checks_fail_on_mutants(self, original, mutated, count, failure):
+        namespace = dict(vars(serialization))
+        found = 0
+        for function in (encode_vector, decode_vector):
+            source = inspect.getsource(function)
+            found += source.count(original)
+            exec(source.replace(original, mutated), namespace)
+        assert found == count
+        with pytest.raises(AssertionError, match=failure):
+            check_codec(namespace["encode_vector"], namespace["decode_vector"])

@@ -13,8 +13,9 @@ to the files it replaces:
   step — and a cold recovery of the directory lands on the live digest.
 * **Byte-neutral.**  A fixed stream (one replica pin, two compactions,
   feedback on the meta segment) leaves a durability directory whose sha256
-  over every ``(name, bytes)`` is a literal recorded when checkpoints still
-  re-read, re-decoded and re-encoded the log.
+  over every ``(name, bytes)`` is a literal: recorded when checkpoints still
+  re-read, re-decoded and re-encoded the log, and re-derived once, when
+  shot vectors went to disk packed (see :data:`DIRECTORY_SHA256`).
 * **Bounded.**  Feedback is never held; index ops are held only until the
   checkpoint that covers them, unless a replica pins them on disk too.
 
@@ -238,11 +239,15 @@ def test_held_copy_equals_the_disk_after_every_step(num_shards, ops, interval):
             run.service.close()
 
 
-#: sha256 of the directory :func:`_fixed_stream` leaves, recorded when the
-#: checkpoint still re-read the WAL files and re-encoded every record.
+#: sha256 of the directory :func:`_fixed_stream` leaves.  First recorded
+#: when the checkpoint still re-read the WAL files and re-encoded every
+#: record; re-derived when shot vectors went to disk packed
+#: (``encode_vector``, header format 2, snapshot format 3).  The directory
+#: the decimal-list writer left converts to exactly these bytes by
+#: re-encoding each vector and bumping the two format fields.
 DIRECTORY_SHA256 = {
-    1: "b6031baebcfde4025084491788cbd950a6251bc69b4c468378a54d7debc4e128",
-    4: "3a966b1991be3675577a46f0ca6818b7313b049eebfef2f82483d49b44b269bc",
+    1: "2be4784ce4c9e2058a570c8eadbf0a647e475048f10e9ed41db5fc07268b69f2",
+    4: "2b46debff2f3044caf97af91543dcccbdd4a89f2feeb99af37e9868d38080c0e",
 }
 
 
