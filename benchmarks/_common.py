@@ -1,4 +1,4 @@
-"""The benchmark harness shared by E12–E20 and the regression guard.
+"""The benchmark harness shared by the system benches and the regression guard.
 
 A bench module holds its measurement helpers, a ``run_experiment(corpus,
 **sizes)`` returning ``{table name: rows}``, a ``_sanity_check(tables,

@@ -5,7 +5,7 @@ pins before timing anything:
 
 1. **Fidelity** — driving the seeded workload through the serving edge
    produces the byte-identical canonical log digest of the direct threaded
-   driver (same contract E15/E17 pin for shards and processes).
+   driver (the same contract E15 pins for shards).
 2. **Tail-latency control** — with a straggler shard injected (one shard
    periodically stalls for ``STRAGGLER_SECONDS``, far past the deadline),
    per-request deadlines cancel the stalled work cooperatively: the

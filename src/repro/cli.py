@@ -138,11 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="index shards the service partitions the corpus "
                                "over (1 = single engine; N > 1 scatter-gathers "
                                "with rankings bit-identical to 1)")
-    loadtest.add_argument("--procs", type=int, default=0,
-                          help="shard-scoring worker processes (0 = thread "
-                               "executor; N > 0 scatters text scoring over N "
-                               "processes via shared-memory shard exports, "
-                               "digests stay byte-identical to thread runs)")
     loadtest.add_argument("--seed", type=int, default=97)
     loadtest.add_argument("--log", default=None,
                           help="file to write the canonical event log to")
@@ -434,16 +429,6 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
     if args.shards < 1:
         print(f"--shards must be positive, got {args.shards}", file=sys.stderr)
         return 2
-    if args.procs < 0:
-        print(f"--procs must be non-negative, got {args.procs}", file=sys.stderr)
-        return 2
-    if args.procs and args.shards < 2:
-        print(
-            "--procs needs --shards >= 2: a single-shard engine has no "
-            "scatter phase to run on worker processes",
-            file=sys.stderr,
-        )
-        return 2
     if args.durable and args.verify:
         print(
             "--verify re-runs the workload against a fresh service, which a "
@@ -525,23 +510,15 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
     stored = load_corpus(args.corpus)
     from repro.service import ServiceConfig
 
-    executor = "process" if args.procs else "thread"
-    process_workers = args.procs or None
     if args.durable:
         service_config = ServiceConfig(
             num_shards=args.shards,
-            executor=executor,
-            process_workers=process_workers,
             durability_dir=args.durable,
             fsync_policy=args.fsync,
             snapshot_interval_ops=args.snapshot_interval,
         )
     else:
-        service_config = ServiceConfig(
-            num_shards=args.shards,
-            executor=executor,
-            process_workers=process_workers,
-        )
+        service_config = ServiceConfig(num_shards=args.shards)
 
     if args.replicas:
         return _run_replicated_loadtest(args, stored, out)
@@ -607,14 +584,10 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
         )
         return 1
     digest = result.digest()
-    executor_label = (
-        f"process[{process_workers}]" if executor == "process" else "thread"
-    )
     print(
         f"loadtest: {spec.users} users x {spec.queries_per_user} queries "
         f"x {spec.feedback_per_query} feedback "
-        f"({args.workers} workers, {args.shards} shard(s), executor "
-        f"{executor_label}, policy "
+        f"({args.workers} workers, {args.shards} shard(s), policy "
         f"{spec.policy}, seed {spec.seed}): "
         f"{result.request_count} requests in {result.wall_seconds:.3f}s "
         f"({result.throughput_rps:.1f} req/s)",
@@ -735,8 +708,6 @@ def _run_replicated_loadtest(args: argparse.Namespace, stored, out) -> int:
 
     base_config = ServiceConfig(
         num_shards=args.shards,
-        executor="process" if args.procs else "thread",
-        process_workers=args.procs or None,
         fsync_policy=args.fsync,
         snapshot_interval_ops=args.snapshot_interval,
     )

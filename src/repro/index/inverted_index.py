@@ -228,7 +228,7 @@ class InvertedIndex:
         """Swap ``fresh``'s dense state into **this** object, in place.
 
         Long-lived references to the index (sharded scorer stats views,
-        engine fields, shared-memory exporters) keep working because the
+        engine fields) keep working because the
         object identity is preserved; only the internals move.  The
         generation strictly increases so every derived cache re-validates.
         Returns the number of dense slots reclaimed.

@@ -57,15 +57,11 @@ class ServiceConfig:
         :class:`~repro.sharding.ShardedEngine` whose scatter-gather merge
         is bit-identical to the single engine.  Must be positive.
     executor:
-        Scatter substrate for sharded text scoring: ``"thread"`` (default)
-        keeps the in-process pool, ``"process"`` runs shard scoring on
-        worker processes with shared-memory postings exports — true CPU
-        parallelism past the GIL, same bit-identical rankings.  Only takes
-        effect when ``num_shards > 1`` (a single-shard engine has no
-        scatter phase to parallelise).
-    process_workers:
-        Worker-process count for ``executor="process"`` (capped at
-        ``num_shards``; ``None`` means one worker per shard).
+        Kept only because ``benchmarks/e2e/workloads.py`` (the E21
+        workload definitions) passes ``executor="thread"``; ``"thread"``
+        is the only accepted value.
+        The process executor was removed (it never beat one engine on a
+        GIL build); the field goes once that caller drops it.
     durability_dir:
         When set, the service is durable: every index mutation is
         write-ahead-logged into this directory before it is applied, and
@@ -117,7 +113,6 @@ class ServiceConfig:
     result_cache_size: int = 256
     num_shards: int = 1
     executor: str = "thread"
-    process_workers: Optional[int] = None
     durability_dir: Optional[str] = None
     fsync_policy: str = "interval"
     snapshot_interval_ops: int = 256
@@ -129,20 +124,10 @@ class ServiceConfig:
         ensure_positive(self.result_limit, "result_limit")
         ensure_positive(self.max_sessions, "max_sessions")
         ensure_positive(self.num_shards, "num_shards")
-        if self.executor not in ("thread", "process"):
+        if self.executor != "thread":
             raise ValueError(
-                f"executor must be 'thread' or 'process', got {self.executor!r}"
-            )
-        if self.process_workers is not None:
-            ensure_positive(self.process_workers, "process_workers")
-        if self.executor == "process" and self.num_shards == 1:
-            # A single-shard engine has no scatter phase, so the process
-            # executor would be silently ignored — refuse the contradiction
-            # instead of quietly running on the calling thread.
-            raise ValueError(
-                "executor='process' requires num_shards > 1: a single-shard "
-                "engine has no scatter phase to run on worker processes "
-                "(set num_shards>=2 or use executor='thread')"
+                f"executor={self.executor!r}: the process executor was removed; "
+                "'thread' is the only scatter executor"
             )
         ensure_positive(self.snapshot_interval_ops, "snapshot_interval_ops")
         if self.fsync_policy not in FSYNC_POLICIES:

@@ -141,9 +141,6 @@ def build_engine(
             shard_scorer_factory=lambda view: create_scorer(
                 config.scorer, view, config
             ),
-            executor=config.executor,
-            process_workers=config.process_workers,
-            process_scorer=(config.scorer, config),
             **sharded_kwargs,
         )
     if recovered is not None:

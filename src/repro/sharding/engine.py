@@ -31,7 +31,7 @@ caches) in one stroke.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.collection.documents import Collection
 from repro.index.language_model import DirichletLanguageModelScorer
@@ -86,16 +86,7 @@ class ShardedTextScorer(TextScorer):
         self._fanout_observer = observer
 
     def score(self, query_terms: QueryTerms) -> Dict[str, float]:
-        """Gathered scores for all matching documents across shards."""
-        started = time.perf_counter()
-        merged = self._scatter_and_merge(query_terms)
-        observer = self._fanout_observer
-        if observer is not None:
-            observer(time.perf_counter() - started, len(self._scorers))
-        return merged
-
-    def _scatter_and_merge(self, query_terms: QueryTerms) -> Dict[str, float]:
-        """Score every shard and union the disjoint partial maps.
+        """Gathered scores for all matching documents across shards.
 
         The pool is used only when some scorer in the live list
         ``may_block`` (absent attribute counts as ``True``: wrapped,
@@ -106,6 +97,7 @@ class ShardedTextScorer(TextScorer):
         they run inline on the calling thread with a cancellation
         checkpoint before each shard.
         """
+        started = time.perf_counter()
         scorers = self._scorers
         merged: Dict[str, float] = {}
         if any(getattr(scorer, "may_block", True) for scorer in scorers):
@@ -120,6 +112,9 @@ class ShardedTextScorer(TextScorer):
             for scorer in scorers:
                 checkpoint_if_cancelled()
                 merged.update(scorer.score(query_terms))
+        observer = self._fanout_observer
+        if observer is not None:
+            observer(time.perf_counter() - started, len(scorers))
         return merged
 
 
@@ -145,15 +140,6 @@ class ShardedEngine(VideoRetrievalEngine):
     is used.  ``parallel=False`` forces inline (sequential) gathering,
     which the equivalence suite uses to separate merge correctness from
     scheduling.
-
-    ``executor`` selects the scatter substrate for text scoring:
-    ``"thread"`` (default) keeps the in-process pool, ``"process"`` runs
-    the scatter phase on :class:`~repro.multiproc.ProcessScatterGather`
-    workers with shared-memory shard exports — true CPU parallelism, same
-    bit-identical rankings.  ``process_workers`` caps the worker processes
-    (default: one per shard); ``process_scorer`` names the registry scorer
-    and picklable config workers rebuild per shard (default: the engine
-    config's built-in scorer).
     """
 
     def __init__(
@@ -167,14 +153,7 @@ class ShardedEngine(VideoRetrievalEngine):
         parallel: bool = True,
         text_index: Optional[ShardedInvertedIndex] = None,
         visual_index: Optional[ShardedVisualIndex] = None,
-        executor: str = "thread",
-        process_workers: Optional[int] = None,
-        process_scorer: Optional[Tuple[str, object]] = None,
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         if text_index is not None:
             router = text_index.router
         else:
@@ -203,43 +182,16 @@ class ShardedEngine(VideoRetrievalEngine):
             factory(GlobalStatsView(shard, text_index.stats))
             for shard in text_index.shard_indexes
         ]
-        process_gather = None
-        if executor == "process":
-            # Imported lazily: repro.multiproc pulls in the service registry,
-            # which must not be a hard import-time dependency of sharding.
-            from repro.multiproc import ProcessScatterGather, ProcessShardedTextScorer
-
-            workers = process_workers or router.num_shards
-            workers = max(1, min(workers, router.num_shards))
-            process_gather = ProcessScatterGather(workers)
-            scorer_name, scorer_config = process_scorer or (config.scorer, None)
-            if scorer_config is None:
-                from repro.service.config import ServiceConfig
-
-                scorer_config = ServiceConfig.from_engine_config(config)
-            text_scorer: ShardedTextScorer = ProcessShardedTextScorer(
-                shard_scorers,
-                gather,
-                process_gather,
-                text_index.shard_indexes,
-                text_index.stats,
-                scorer_name,
-                scorer_config,
-            )
-        else:
-            text_scorer = ShardedTextScorer(shard_scorers, gather)
         super().__init__(
             collection,
             inverted_index=text_index,
             visual_index=visual_index,
             config=config,
             tokenizer=tokenizer,
-            text_scorer=text_scorer,
+            text_scorer=ShardedTextScorer(shard_scorers, gather),
         )
         self._router = router
         self._gather = gather
-        self._process_gather = process_gather
-        self._executor = executor
 
     # -- sharding accessors -------------------------------------------------------
 
@@ -252,16 +204,6 @@ class ShardedEngine(VideoRetrievalEngine):
     def num_shards(self) -> int:
         """How many shards the substrate is partitioned into."""
         return self._router.num_shards
-
-    @property
-    def executor(self) -> str:
-        """The scatter substrate for text scoring: ``thread`` or ``process``."""
-        return self._executor
-
-    @property
-    def process_gather(self):
-        """The process executor when ``executor="process"``, else ``None``."""
-        return self._process_gather
 
     @property
     def text_scorer(self) -> ShardedTextScorer:
@@ -287,8 +229,6 @@ class ShardedEngine(VideoRetrievalEngine):
         self._text_scorer.set_fanout_observer(observer)
 
     def close(self) -> None:
-        """Shut down the scatter pools (thread and process) and durability."""
+        """Shut down the scatter pool and durability."""
         super().close()
         self._gather.close()
-        if self._process_gather is not None:
-            self._process_gather.close()

@@ -49,7 +49,7 @@ class ShardRouter:
     def __eq__(self, other: object) -> bool:
         # Routing is a pure function of num_shards, so two routers with the
         # same shard count are interchangeable — which is what pickle
-        # round-trip equality (process-boundary crossing) should mean.
+        # round-trip equality should mean.
         if not isinstance(other, ShardRouter):
             return NotImplemented
         return self._num_shards == other._num_shards

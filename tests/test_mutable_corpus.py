@@ -6,7 +6,7 @@ and rankings are **bit-identical** to a from-scratch rebuild over the
 surviving documents.  Covered layers: the dense-id indexes themselves,
 the engine writer path (atomic batches, result-cache invalidation,
 near-duplicate screening), the background compactor, and a differential
-matrix across scorers × shard counts × executors.
+matrix across scorers × shard counts.
 """
 
 from __future__ import annotations
@@ -396,15 +396,11 @@ def _assert_same_rankings(reference, candidate, queries):
 
 
 class TestDifferentialMatrix:
-    """Satellite: delete+compact ≡ rebuild, across scorers × shards × executors."""
+    """Satellite: delete+compact ≡ rebuild, across scorers × shards."""
 
-    def _run(self, corpus, scorer, num_shards, executor):
+    def _run(self, corpus, scorer, num_shards):
         config = ServiceConfig(
-            scorer=scorer,
-            num_shards=num_shards,
-            executor=executor,
-            process_workers=2,
-            result_cache_size=0,
+            scorer=scorer, num_shards=num_shards, result_cache_size=0
         )
         mutant = RetrievalService(corpus.collection, config=config)
         reference = None
@@ -444,11 +440,7 @@ class TestDifferentialMatrix:
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_delete_compact_equals_rebuild(self, analysed_corpus, scorer,
                                            num_shards):
-        self._run(analysed_corpus, scorer, num_shards, "thread")
-
-    @pytest.mark.multiproc
-    def test_delete_compact_equals_rebuild_process_executor(self, analysed_corpus):
-        self._run(analysed_corpus, "bm25", 3, "process")
+        self._run(analysed_corpus, scorer, num_shards)
 
 
 class TestEngineCompaction:

@@ -1,12 +1,10 @@
-"""Pickle round-trip regression tests for everything the process boundary ships.
+"""Pickle round-trip regression tests for the index, config, router and query types.
 
-The multi-process scatter executor pickles configs, routers, query weights
-and shard-state descriptors across a ``multiprocessing.Pipe``.  Anything
-that silently stops round-tripping (an added lock field, a lambda default,
-an unhashable cache) breaks process workers at runtime with an opaque pipe
-error — these tests fail loudly at the type level instead.  Each value is
-round-tripped at the highest protocol *and* protocol 2 (what a conservative
-spawn-context pipe may negotiate), and equality is checked structurally.
+They guard the ``__getstate__`` / ``__reduce__`` hooks that keep these
+values copyable: anything that silently stops round-tripping (an added lock
+field, a lambda default, an unhashable cache) fails here at the type level.
+Each value is round-tripped at the highest protocol *and* protocol 2, and
+equality is checked structurally.
 """
 
 from __future__ import annotations
@@ -15,12 +13,6 @@ import pickle
 
 import pytest
 
-from repro.multiproc.state import (
-    GlobalStatsDescriptor,
-    ShardStateDescriptor,
-    export_global_stats,
-    export_shard_state,
-)
 from repro.index.inverted_index import InvertedIndex
 from repro.retrieval import Query
 from repro.retrieval.engine import EngineConfig
@@ -46,13 +38,10 @@ class TestPickleRoundTrip:
         assert clone.lm_mu == 1500.0
 
     def test_service_config(self, protocol):
-        config = ServiceConfig(
-            scorer="tfidf", num_shards=4, executor="process", process_workers=2
-        )
+        config = ServiceConfig(scorer="tfidf", num_shards=4)
         clone = _roundtrip(config, protocol)
         assert clone == config
-        assert clone.executor == "process"
-        assert clone.process_workers == 2
+        assert clone.num_shards == 4
 
     def test_shard_router(self, protocol):
         router = ShardRouter(num_shards=5)
@@ -89,32 +78,6 @@ class TestPickleRoundTrip:
         )
         clone = _roundtrip(query, protocol)
         assert clone == query
-
-    def test_state_descriptors(self, protocol):
-        index = InvertedIndex()
-        index.add_document("doc-a", "alpha beta alpha")
-        index.add_document("doc-b", "beta gamma")
-
-        class _Stats:
-            shard_indexes = (index,)
-            generation = index.generation
-            document_count = index.document_count
-            total_terms = index.total_terms
-
-        stats_descriptor = export_global_stats("p/global", _Stats())
-        shard_descriptor, shm = export_shard_state(
-            "p/shard", 0, index, "p/global", "bm25", ServiceConfig(),
-            use_shared_memory=False,
-        )
-        assert shm is None
-        stats_clone = _roundtrip(stats_descriptor, protocol)
-        shard_clone = _roundtrip(shard_descriptor, protocol)
-        assert isinstance(stats_clone, GlobalStatsDescriptor)
-        assert isinstance(shard_clone, ShardStateDescriptor)
-        assert stats_clone == stats_descriptor
-        assert shard_clone == shard_descriptor
-        assert shard_clone.payload == shard_descriptor.payload
-        assert list(shard_clone.term_offsets) == list(shard_descriptor.term_offsets)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

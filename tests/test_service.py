@@ -494,17 +494,12 @@ class TestServiceConstruction:
         with pytest.raises(ValueError):
             ServiceConfig(visual_weight=-0.1)
 
-    def test_process_executor_requires_multiple_shards(self):
-        # Regression: this combination used to construct a service whose
-        # process pool had no scatter work to run; now it is rejected at
-        # config time with an actionable message.
-        with pytest.raises(ValueError, match="requires num_shards > 1"):
-            ServiceConfig(executor="process", num_shards=1)
-        with pytest.raises(ValueError, match="requires num_shards > 1"):
-            ServiceConfig(executor="process", num_shards=1, process_workers=4)
-        # The valid combinations stay valid.
-        assert ServiceConfig(executor="process", num_shards=2).executor == "process"
-        assert ServiceConfig(executor="thread", num_shards=1).executor == "thread"
+    def test_process_executor_is_refused(self):
+        with pytest.raises(ValueError, match="removed"):
+            ServiceConfig(executor="process", num_shards=2)
+        with pytest.raises(TypeError):
+            ServiceConfig(process_workers=2)
+        assert ServiceConfig(executor="thread", num_shards=4).executor == "thread"
 
     def test_experiment_runner_rejects_conflicting_configs(self, small_corpus):
         from repro.evaluation import ExperimentRunner

@@ -15,6 +15,7 @@ All tests carry the ``shard`` marker (``pytest -m shard``).
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 from typing import List
 
@@ -22,7 +23,8 @@ import pytest
 
 from repro.feedback import EventKind, InteractionEvent
 from repro.index.inverted_index import InvertedIndex
-from repro.index.scoring import TextScorer
+from repro.index.language_model import DirichletLanguageModelScorer
+from repro.index.scoring import Bm25Scorer, TextScorer, TfIdfScorer
 from repro.retrieval import Query, VideoRetrievalEngine
 from repro.retrieval.engine import EngineConfig
 from repro.service import (
@@ -267,7 +269,7 @@ class TestShardedRankingEquivalence:
         assert_identical_rankings(mono, sharded, queries)
 
     @pytest.mark.parametrize("num_shards", (2, 3, 8))
-    @pytest.mark.parametrize("scorer", ("bm25", "lm"))
+    @pytest.mark.parametrize("scorer", ("bm25", "lm", "tfidf"))
     def test_bit_identical_after_interleaved_writes(
         self, sharding_corpus, make_random_queries, make_random_documents,
         scorer, num_shards,
@@ -333,6 +335,157 @@ class TestShardedRankingEquivalence:
             # Twice: second pass is served from caches on both sides.
             assert_identical_rankings(mono, sharded, queries)
             assert_identical_rankings(mono, sharded, queries)
+
+
+class _RecordingScorer(TextScorer):
+    """A pass-through shard wrapper noting the thread each score runs on.
+
+    It inherits ``may_block = True``, so a scatter over it takes the pool.
+    """
+
+    def __init__(self, inner: TextScorer, seen: List[str]) -> None:
+        self._inner = inner
+        self._seen = seen
+
+    def score(self, query_terms):
+        self._seen.append(threading.current_thread().name)
+        return self._inner.score(query_terms)
+
+
+def _record_shard_threads(engine: ShardedEngine) -> List[str]:
+    """Wrap every shard scorer of ``engine``; returns the shared thread log."""
+    seen: List[str] = []
+    scorers = engine.text_scorer.shard_scorers
+    scorers[:] = [_RecordingScorer(scorer, seen) for scorer in scorers]
+    return seen
+
+
+class TestPooledScatterEquivalence:
+    """The pool branch of the text scatter merges exactly like the inline one.
+
+    Built-in kernels score inline, so the matrix above never leaves the
+    calling thread for text; wrapping each shard scorer in a scorer that may
+    block routes the same scatter through the shard pool instead.
+    """
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("scorer", ("bm25", "tfidf", "lm"))
+    def test_bit_identical_rankings(
+        self, sharding_corpus, make_random_queries, scorer, num_shards
+    ):
+        config = _config(scorer, "multimodal")
+        mono = _monolithic(sharding_corpus, config)
+        sharded = ShardedEngine(
+            sharding_corpus.collection, config=config, num_shards=num_shards
+        )
+        try:
+            seen = _record_shard_threads(sharded)
+            queries = make_random_queries(
+                sharding_corpus, seed=520 + num_shards, count=8
+            )
+            assert_identical_rankings(mono, sharded, queries)
+            assert seen
+            if num_shards == 1:
+                # A single shard is a single item: it never leaves the caller.
+                assert set(seen) == {threading.current_thread().name}
+            else:
+                assert all(name.startswith("shard") for name in seen)
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("scorer", ("bm25", "tfidf", "lm"))
+    def test_generation_refresh_after_interleaved_writes(
+        self, sharding_corpus, make_random_queries, make_random_documents, scorer
+    ):
+        config = _config(scorer, "text_only")
+        mono = VideoRetrievalEngine(sharding_corpus.collection, config=config)
+        sharded = ShardedEngine(
+            sharding_corpus.collection, config=config, num_shards=4
+        )
+        try:
+            seen = _record_shard_threads(sharded)
+            for round_index in range(3):
+                queries = make_random_queries(
+                    sharding_corpus, seed=700 + round_index, count=4
+                )
+                assert_identical_rankings(mono, sharded, queries)
+                documents = make_random_documents(
+                    sharding_corpus, seed=800 + round_index, count=5, prefix="pool"
+                )
+                mono.index_documents(documents)
+                sharded.index_documents(documents)
+            queries = make_random_queries(sharding_corpus, seed=790, count=6)
+            assert_identical_rankings(mono, sharded, queries)
+            assert seen and all(name.startswith("shard") for name in seen)
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("scorer", ("bm25", "tfidf", "lm"))
+    def test_search_after_engine_close_runs_inline(self, sharding_corpus, scorer):
+        config = _config(scorer, "text_only")
+        mono = _monolithic(sharding_corpus, config)
+        sharded = ShardedEngine(
+            sharding_corpus.collection, config=config, num_shards=3
+        )
+        seen = _record_shard_threads(sharded)
+        query = Query(text="government election report")
+        before = sharded.search(query)
+        assert seen and all(name.startswith("shard") for name in seen)
+        sharded.close()
+        seen.clear()
+        after = sharded.search(query)
+        expected = mono.search(query)
+        assert before.shot_ids() == after.shot_ids() == expected.shot_ids()
+        assert [item.score for item in after.items] == [
+            item.score for item in expected.items
+        ]
+        # The closed pool is never resurrected: every shard scored here.
+        assert seen == [threading.current_thread().name] * 3
+        sharded.close()  # idempotent
+
+
+class TestShardScorerEquivalence:
+    """Each shard's scorer, over its global-statistics view, scores its own
+    documents exactly as the monolithic scorer does — the property that
+    lets the gather be a plain union."""
+
+    SCORERS = {
+        "bm25": Bm25Scorer,
+        "tfidf": TfIdfScorer,
+        "lm": DirichletLanguageModelScorer,
+    }
+
+    @pytest.mark.parametrize("num_shards", (2, 3, 8))
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    def test_each_shard_scores_its_documents_as_monolithic(
+        self, sharding_corpus, scorer, num_shards
+    ):
+        scorer_class = self.SCORERS[scorer]
+        mono = InvertedIndex.from_collection(sharding_corpus.collection)
+        sharded = ShardedInvertedIndex.from_collection(
+            sharding_corpus.collection, ShardRouter(num_shards)
+        )
+        terms = sorted(mono.terms())
+        queries = [
+            terms[::97] + ["no-such-term"],
+            {term: 0.5 + (index % 4) for index, term in enumerate(terms[3::53])},
+        ]
+        mono_scorer = scorer_class(mono)
+        for query_terms in queries:
+            expected = mono_scorer.score(query_terms)
+            merged = {}
+            for shard in sharded.shard_indexes:
+                view = GlobalStatsView(shard, sharded.stats)
+                actual = scorer_class(view).score(query_terms)
+                owned = set(shard.dense_document_ids())
+                assert set(actual) <= owned
+                assert actual == {
+                    doc_id: score
+                    for doc_id, score in expected.items()
+                    if doc_id in owned
+                }
+                merged.update(actual)
+            assert merged == expected
 
 
 # -- service-level equivalence ---------------------------------------------------
@@ -577,10 +730,85 @@ class TestScatterGather:
         finally:
             gather.close()
 
+    def test_pool_stays_usable_after_a_task_error(self):
+        gather = ScatterGather(2)
+        try:
+            with pytest.raises(ZeroDivisionError):
+                gather.map(lambda item: 1 // item, [1, 0, 2])
+            assert gather.map(lambda item: item * item, [5, 6]) == [25, 36]
+            assert not gather.closed
+        finally:
+            gather.close()
+
+    def test_single_item_runs_inline_on_a_multi_worker_gather(self):
+        gather = ScatterGather(4)
+        try:
+            assert gather.map(lambda item: threading.current_thread().name, [7]) == [
+                threading.current_thread().name
+            ]
+        finally:
+            gather.close()
+
+    def test_pool_threads_are_bounded_and_reused(self):
+        gather = ScatterGather(3, thread_name_prefix="reuse")
+        names: List[str] = []
+
+        def task(item):
+            time.sleep(0.01)
+            names.append(threading.current_thread().name)
+            return item
+
+        try:
+            for _ in range(4):
+                assert gather.map(task, list(range(6))) == list(range(6))
+            assert len(names) == 24
+            assert all(name.startswith("reuse") for name in names)
+            assert len(set(names)) <= 3
+        finally:
+            gather.close()
+
+    def test_map_after_close_runs_on_the_calling_thread(self):
+        gather = ScatterGather(3)
+        here = threading.current_thread().name
+        assert all(
+            name != here
+            for name in gather.map(
+                lambda _: threading.current_thread().name, [1, 2, 3]
+            )
+        )
+        gather.close()
+        assert gather.map(lambda _: threading.current_thread().name, [1, 2, 3]) == [
+            here
+        ] * 3
+
+    def test_close_racing_slow_maps_finishes_every_batch(self):
+        gather = ScatterGather(2)
+        errors: List[BaseException] = []
+        results: List[List[int]] = []
+
+        def slow_square(value: int) -> int:
+            time.sleep(0.05)
+            return value * value
+
+        def mapper() -> None:
+            try:
+                for _ in range(5):
+                    results.append(gather.map(slow_square, [1, 2, 3]))
+            except BaseException as error:  # pragma: no cover - the failure mode
+                errors.append(error)
+
+        threads = [threading.Thread(target=mapper) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.08)
+        gather.close()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert results == [[1, 4, 9]] * 15
+
     def test_single_worker_runs_inline(self):
         gather = ScatterGather(1)
-        import threading
-
         thread_names = []
         gather.map(
             lambda item: thread_names.append(threading.current_thread().name),
@@ -593,7 +821,55 @@ class TestScatterGather:
         assert gather.map(lambda item: item + 1, [1, 2, 3]) == [2, 3, 4]
         gather.close()
         gather.close()
+        assert gather.closed
         assert gather.map(lambda item: item + 1, [1, 2, 3]) == [2, 3, 4]
+
+    def test_close_racing_maps_never_hands_out_a_dead_pool(self):
+        """Many maps racing many closes: no 'cannot schedule new futures'."""
+        for _ in range(20):
+            gather = ScatterGather(4)
+            errors: List[BaseException] = []
+            barrier = threading.Barrier(4)
+
+            def mapper() -> None:
+                try:
+                    barrier.wait()
+                    for _ in range(10):
+                        assert gather.map(lambda value: value * 2, [1, 2, 3]) == [
+                            2,
+                            4,
+                            6,
+                        ]
+                except BaseException as error:
+                    errors.append(error)
+
+            def closer() -> None:
+                barrier.wait()
+                gather.close()
+
+            threads = [threading.Thread(target=mapper) for _ in range(3)]
+            threads.append(threading.Thread(target=closer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors
+
+    def test_concurrent_closes_race_cleanly(self):
+        gather = ScatterGather(4)
+        gather.map(lambda value: value, [1, 2])  # materialise the pool
+        barrier = threading.Barrier(4)
+
+        def closer() -> None:
+            barrier.wait()
+            gather.close()
+
+        threads = [threading.Thread(target=closer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert gather.closed
 
     def test_validation(self):
         with pytest.raises(ValueError):
