@@ -19,8 +19,16 @@ on.  Run ``python benchmarks/bench_e12_scoring_kernel.py --write-baseline``
 to refresh it on representative hardware, or ``--smoke`` for the quick CI
 sanity check (small corpus, equivalence + sanity thresholds, no wall-clock
 assertions).  Guarded by ``check_bench_regression.py``: the three text
-scorers', the batch path's and the visual scan's smoke throughput, and the
-visual scan's throughput over the reference scan's, timed in the same run.
+scorers', BM25's under writes, the batch path's and the visual scan's smoke
+throughput, and the visual scan's throughput over the reference scan's,
+timed in the same run.
+
+The ``bm25_under_writes`` row scores beside a writer: one text write every
+``WRITE_EVERY`` queries, the reader-to-text-write ratio of E21's
+``read_under_ingest``.  Each write moves the index generation, so it times
+what a write costs the queries after it: every term's statistics rebuilt,
+each term scored straight from its postings on its first use and from a
+cached column after that.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import time
 from _common import Bench, Floor
 
 from repro.analysis import analyse_collection
+from repro.index import Bm25Scorer, InvertedIndex
 from repro.index.reference import (
     ReferenceBm25Scorer,
     ReferenceDirichletScorer,
@@ -46,6 +55,9 @@ _REFERENCE_FACTORIES = {
     "lm": ReferenceDirichletScorer,
 }
 
+#: Queries per text write in the ``bm25_under_writes`` row.
+WRITE_EVERY = 12
+
 
 def _percentile(samples, fraction):
     ordered = sorted(samples)
@@ -57,21 +69,32 @@ def _ranking(scores):
     return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
 
+def _term_weights(tokenizer, query):
+    term_weights = {}
+    for token in tokenizer.tokenize(query):
+        term_weights[token] = term_weights.get(token, 0.0) + 1.0
+    return term_weights
+
+
+def _assert_same_ranking(kernel_scores, reference_scores):
+    kernel_ranked = _ranking(kernel_scores)
+    reference_ranked = _ranking(reference_scores)
+    assert [doc for doc, _ in kernel_ranked] == [doc for doc, _ in reference_ranked]
+    assert all(
+        abs(kernel_score - reference_score) <= 1e-9
+        for (_, kernel_score), (_, reference_score) in zip(
+            kernel_ranked, reference_ranked
+        )
+    )
+
+
 def _assert_scorer_equivalence(engine, scorer_name, queries):
     """The kernel must rank exactly like the retained reference scorer."""
     reference = _REFERENCE_FACTORIES[scorer_name](engine.inverted_index)
     for query in queries:
-        term_weights = {}
-        for token in engine.tokenizer.tokenize(query):
-            term_weights[token] = term_weights.get(token, 0.0) + 1.0
-        kernel_ranked = _ranking(engine._text_scorer.score(term_weights))
-        reference_ranked = _ranking(reference.score(term_weights))
-        assert [doc for doc, _ in kernel_ranked] == [doc for doc, _ in reference_ranked]
-        assert all(
-            abs(kernel_score - reference_score) <= 1e-9
-            for (_, kernel_score), (_, reference_score) in zip(
-                kernel_ranked, reference_ranked
-            )
+        term_weights = _term_weights(engine.tokenizer, query)
+        _assert_same_ranking(
+            engine._text_scorer.score(term_weights), reference.score(term_weights)
         )
 
 
@@ -109,6 +132,45 @@ def _text_scorer_rows(corpus, rounds):
             }
         )
     return rows
+
+
+def _under_writes_row(corpus, rounds):
+    """BM25 scoring with one text write before every ``WRITE_EVERY`` queries.
+
+    A write adds a document or deletes the one the write before it added,
+    so the corpus keeps its size.  Only ``score`` is timed; the first query
+    after each write is checked against the reference scorer.
+    """
+    index = InvertedIndex.from_collection(corpus.collection)
+    scorer, reference = Bm25Scorer(index), ReferenceBm25Scorer(index)
+    queries = [
+        _term_weights(index.tokenizer, " ".join(topic.query_terms))
+        for topic in corpus.topics
+    ]
+    texts = [shot.transcript for shot in corpus.collection.iter_shots()]
+    latencies = []
+    for number in range(rounds * 8 * len(queries)):
+        write, due = divmod(number, WRITE_EVERY)
+        if not due:
+            if write % 2:
+                index.delete_document(f"e12-write-{write - 1}")
+            else:
+                index.add_document(f"e12-write-{write}", texts[write % len(texts)])
+        term_weights = queries[number % len(queries)]
+        start = time.perf_counter()
+        scores = scorer.score(term_weights)
+        latencies.append(time.perf_counter() - start)
+        if not due:
+            _assert_same_ranking(scores, reference.score(term_weights))
+    total = sum(latencies)
+    return {
+        "scorer": "bm25_under_writes",
+        "queries": len(latencies),
+        "p50_ms": _percentile(latencies, 0.50) * 1e3,
+        "p95_ms": _percentile(latencies, 0.95) * 1e3,
+        "mean_ms": statistics.mean(latencies) * 1e3,
+        "qps": len(latencies) / total if total else 0.0,
+    }
 
 
 def _cache_row(corpus, rounds):
@@ -252,6 +314,7 @@ def _batch_row(corpus, rounds=4):
 def run_experiment(bench_corpus, rounds):
     analyse_collection(bench_corpus.collection)
     scorer_rows = _text_scorer_rows(bench_corpus, rounds)
+    scorer_rows.append(_under_writes_row(bench_corpus, rounds))
     scorer_rows.append(_cache_row(bench_corpus, rounds))
     return {
         "text_scorers": scorer_rows,
@@ -262,7 +325,7 @@ def run_experiment(bench_corpus, rounds):
 
 def _sanity_check(tables, smoke):
     by_scorer = {row["scorer"]: row for row in tables["text_scorers"]}
-    for name in ("bm25", "tfidf", "lm"):
+    for name in ("bm25", "tfidf", "lm", "bm25_under_writes"):
         assert by_scorer[name]["qps"] > 0
         assert by_scorer[name]["p95_ms"] >= by_scorer[name]["p50_ms"]
     assert all(row["qps"] > 0 for row in tables["visual"])
@@ -286,7 +349,7 @@ def _guarded(tables):
     metrics = {
         f"{row['scorer']}_qps": row["qps"]
         for row in tables["text_scorers"]
-        if row["scorer"] in ("bm25", "tfidf", "lm")
+        if row["scorer"] in ("bm25", "tfidf", "lm", "bm25_under_writes")
     }
     metrics["service_batch_qps"] = tables["batch"]["qps"]
     metrics["visual_similarity_qps"] = next(
@@ -310,7 +373,9 @@ BENCH = Bench(
     note=(
         "Result cache disabled for the kernel rows (one extra row records "
         "what it adds on repeated queries). Every timed configuration is "
-        "checked against the retained reference scorers before timing."
+        "checked against the retained reference scorers before timing; "
+        "bm25_under_writes writes one text every 12 queries and checks the "
+        "first query after each write."
     ),
 )
 

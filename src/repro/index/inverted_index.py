@@ -15,10 +15,10 @@ layout designed for the access pattern of the scoring loop:
 * collection statistics (collection frequency per term, total terms) are
   maintained incrementally on :meth:`add_document`, so they are O(1) reads.
 
-Derived per-document normalisation tables used by the scorers (BM25 length
-denominators, TF-IDF cosine norms) are computed lazily and cached; the
-:attr:`generation` counter ticks on every mutation so scorers can invalidate
-their own per-term caches (IDF, collection probabilities) cheaply.
+The index keeps no derived scoring tables: the :attr:`generation` counter
+ticks on every mutation, and each scorer keys its own caches on it (IDF,
+contribution columns, length norms, collection probabilities) and drops
+them when it moves.
 
 The corpus is **mutable**: :meth:`delete_document` tombstones a dense slot
 (``None`` id, zero length, empty vector) and eagerly scrubs the document out
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.collection.documents import Collection
-from repro.index.scoring import bm25_norm_table, tfidf_norm_table
 from repro.index.tokenizer import Tokenizer
 
 
@@ -79,8 +78,6 @@ class InvertedIndex:
         self._total_terms = 0
         # Mutation counter; derived caches check it before serving.
         self._generation = 0
-        self._bm25_norms_cache: Dict[Tuple[float, float], array] = {}
-        self._tfidf_norms_cache: Optional[array] = None
 
     # -- construction -----------------------------------------------------------
 
@@ -126,8 +123,6 @@ class InvertedIndex:
                 collection_frequencies.get(term, 0) + frequency
             )
         self._generation += 1
-        self._bm25_norms_cache.clear()
-        self._tfidf_norms_cache = None
 
     def add_documents(self, documents: Mapping[str, str]) -> None:
         """Index a mapping of ``document_id -> text`` atomically.
@@ -175,8 +170,6 @@ class InvertedIndex:
         self._doc_lengths[doc_index] = 0
         self._doc_vectors[doc_index] = {}
         self._generation += 1
-        self._bm25_norms_cache.clear()
-        self._tfidf_norms_cache = None
 
     def update_document(self, document_id: str, text: str) -> None:
         """Replace one document's text; an unknown id raises ``KeyError``."""
@@ -242,8 +235,6 @@ class InvertedIndex:
         self._collection_frequencies = fresh._collection_frequencies
         self._total_terms = fresh._total_terms
         self._generation += 1
-        self._bm25_norms_cache.clear()
-        self._tfidf_norms_cache = None
         return reclaimed
 
     def compact(self) -> int:
@@ -407,32 +398,6 @@ class InvertedIndex:
     def document_lengths_array(self) -> array:
         """Document lengths in dense-index order (read-only ``array('i')``)."""
         return self._doc_lengths
-
-    def bm25_norms(self, k1: float, b: float) -> array:
-        """Per-document BM25 length-normalisation denominators.
-
-        ``k1 * (1 - b + b * length / average_length)`` for every document in
-        dense-index order, cached per ``(k1, b)`` and invalidated whenever a
-        document is added (the average length moves).
-        """
-        key = (k1, b)
-        cached = self._bm25_norms_cache.get(key)
-        if cached is not None:
-            return cached
-        norms = bm25_norm_table(
-            self._doc_lengths, self.average_document_length, k1, b
-        )
-        self._bm25_norms_cache[key] = norms
-        return norms
-
-    def tfidf_norms(self) -> array:
-        """Per-document cosine length norms ``sqrt(max(1, length))``."""
-        cached = self._tfidf_norms_cache
-        if cached is not None:
-            return cached
-        norms = tfidf_norm_table(self._doc_lengths)
-        self._tfidf_norms_cache = norms
-        return norms
 
     # -- export -----------------------------------------------------------------
 

@@ -10,10 +10,18 @@ Since the scoring-kernel rework both scorers run over the index's dense
 layout: postings arrive as parallel ``array('i')`` columns of document
 indexes and term frequencies, scores accumulate into a flat dense buffer
 indexed by document index, and the string-keyed ``{doc_id: score}`` mapping
-is materialised only at the very end (the fusion boundary).  Per-term IDF is
-cached and invalidated via the index's ``generation`` counter.  The scores
+is materialised only at the very end (the fusion boundary).  The scores
 produced are bit-identical to the original per-``Posting`` loops (see
 :mod:`repro.index.reference`, which retains them for equivalence testing).
+
+Everything a scorer derives from the index lives for one ``generation`` of
+it and is dropped on the first read that sees the counter move: per-term
+IDF, one length-normalisation norm per distinct document length (a BM25
+denominator and a TF-IDF cosine norm depend on nothing else about a
+document), and per-term contribution columns.  A column is built on a
+term's *second* use in a generation; its first use scores the postings
+straight into the accumulator, with the same arithmetic, so a reader
+beside a writer pays only for the terms it scores.
 """
 
 from __future__ import annotations
@@ -21,34 +29,15 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Union
+from typing import Dict, Mapping, Sequence, Union
 
-if TYPE_CHECKING:  # the index imports the norm tables below
-    from repro.index.inverted_index import InvertedIndex
+from repro.index.inverted_index import InvertedIndex
 
 QueryTerms = Union[Sequence[str], Mapping[str, float]]
 
-
-def bm25_norm_table(
-    lengths: Sequence[int], average_length: float, k1: float, b: float
-) -> array:
-    """Per-document BM25 length-normalisation denominators.
-
-    ``k1 * (1 - b + b * length / max(1, average_length))`` in the order of
-    ``lengths``.  The monolithic index, the per-shard statistics views and
-    the shm-attached worker shards all build their tables here (a shard
-    passes the **global** average), which is what keeps every document's
-    denominator — and so every score — bit-identical across the three.
-    """
-    average_length = max(1.0, average_length)
-    return array(
-        "d", (k1 * (1.0 - b + b * length / average_length) for length in lengths)
-    )
-
-
-def tfidf_norm_table(lengths: Sequence[int]) -> array:
-    """Per-document cosine length norms ``sqrt(max(1, length))``."""
-    return array("d", (math.sqrt(max(1.0, float(length))) for length in lengths))
+#: The ``_columns_cache`` entry of a term used once in this generation.
+#: Falsy, unlike every cached ``(docs, contributions, doc_set)`` triple.
+_SEEN_ONCE = ()
 
 
 @lru_cache(maxsize=None)
@@ -65,11 +54,22 @@ def normalise_query(query_terms: QueryTerms) -> Dict[str, float]:
     """Normalise a query into a ``{term: weight}`` mapping.
 
     A plain sequence of terms becomes weights equal to the term's repetition
-    count, which matches the behaviour of classic keyword queries.
+    count, which matches the behaviour of classic keyword queries.  Zero
+    weights are dropped; a NaN or infinite weight raises ``ValueError``,
+    since it would poison every score it touches.
     """
+    weights: Dict[str, float]
     if isinstance(query_terms, Mapping):
-        return {term: float(weight) for term, weight in query_terms.items() if weight != 0}
-    weights: Dict[str, float] = {}
+        weights = {
+            term: float(weight) for term, weight in query_terms.items() if weight != 0
+        }
+        if not all(map(math.isfinite, weights.values())):
+            term, weight = next(
+                item for item in weights.items() if not math.isfinite(item[1])
+            )
+            raise ValueError(f"query term {term!r} has a non-finite weight {weight}")
+        return weights
+    weights = {}
     for term in query_terms:
         weights[term] = weights.get(term, 0.0) + 1.0
     return weights
@@ -94,11 +94,13 @@ class TextScorer:
 
 
 class _CachedColumnsScorer(TextScorer):
-    """The dense accumulate loop over generation-keyed per-term caches.
+    """The dense accumulate loop over generation-keyed caches.
 
-    Subclasses supply the IDF and the unit-weight contribution column of a
-    term; both are cached per term and dropped together when the index's
-    ``generation`` moves.
+    Subclasses supply a term's IDF, its unit-weight contributions and the
+    table from document length to length norm.  All three are cached and
+    dropped together when the index's ``generation`` moves; a term's
+    contribution column is cached only from its second use in a generation
+    (module docstring).
     """
 
     may_block = False
@@ -107,13 +109,37 @@ class _CachedColumnsScorer(TextScorer):
         self._index = index
         self._idf_cache: Dict[str, float] = {}
         self._columns_cache: Dict[str, tuple] = {}
+        self._length_norms: Dict[int, float] = {}
         self._cache_generation = -1
 
     def _compute_idf(self, term: str) -> float:
         raise NotImplementedError
 
+    def _norm_table(self) -> Dict[int, float]:
+        """The length norm of every distinct document length of the index.
+
+        Built over ``set(document_lengths_array)``, so its size is the
+        number of distinct lengths, not the largest one.
+        """
+        raise NotImplementedError
+
     def _contributions(self, docs: array, freqs: array, idf: float) -> array:
-        """Unit-weight contribution of every posting of one term."""
+        """Unit-weight contribution of every posting of one term (a column)."""
+        raise NotImplementedError
+
+    def _add_contributions(
+        self,
+        accumulator: list,
+        docs: array,
+        freqs: array,
+        idf: float,
+        query_weight: float,
+    ) -> None:
+        """Add ``query_weight *`` each contribution to ``accumulator[doc]``.
+
+        The first use of a term in a generation, with no column built: the
+        values added are exactly those the cached column's loop adds.
+        """
         raise NotImplementedError
 
     def _accumulate(self, query_terms: QueryTerms) -> tuple:
@@ -121,8 +147,10 @@ class _CachedColumnsScorer(TextScorer):
         and the set of indexes that matched a term.
 
         The index's ``generation`` is read once per call (over a sharded
-        stats view it is a sum over every shard) and both caches are
-        invalidated from that one read.
+        stats view it is a sum over every shard) and every cache is
+        invalidated from that one read.  The norm table is replaced before
+        the generation is recorded, so a concurrent reader that sees the
+        new generation never reads the previous table.
         """
         weights = normalise_query(query_terms)
         index = self._index
@@ -131,6 +159,7 @@ class _CachedColumnsScorer(TextScorer):
         if self._cache_generation != generation:
             idf_cache.clear()
             columns_cache.clear()
+            self._length_norms = self._norm_table()
             self._cache_generation = generation
         # A plain list is the fastest dense accumulator in CPython: reads
         # return the stored float object directly, with no array unboxing.
@@ -146,8 +175,15 @@ class _CachedColumnsScorer(TextScorer):
             if idf == 0.0:
                 continue
             columns = columns_cache.get(term)
-            if columns is None:
+            if not columns:
                 docs, freqs = index.postings_arrays(term)
+                if columns is None:
+                    # First use in this generation: scored straight from
+                    # the postings, and only the sighting is cached.
+                    self._add_contributions(accumulator, docs, freqs, idf, query_weight)
+                    candidates.update(docs)
+                    columns_cache[term] = _SEEN_ONCE
+                    continue
                 columns = columns_cache[term] = (
                     docs,
                     self._contributions(docs, freqs, idf),
@@ -173,22 +209,41 @@ class TfIdfScorer(_CachedColumnsScorer):
             return 0.0
         return math.log((self._index.document_count + 1) / (document_frequency + 0.5))
 
+    def _norm_table(self) -> Dict[int, float]:
+        """Cosine length norms ``sqrt(max(1, length))``."""
+        return {
+            length: math.sqrt(max(1.0, float(length)))
+            for length in set(self._index.document_lengths_array)
+        }
+
     def _contributions(self, docs: array, freqs: array, idf: float) -> array:
         """``(1 + log(tf)) * idf`` per posting.
 
         Unit query weights reproduce the historical per-posting expression
-        bit-for-bit (``1.0 * x == x``); other weights multiply the cached
+        bit-for-bit (``1.0 * x == x``); other weights multiply the
         contribution, at most one ulp from the historical association.
         """
         log_tf = _log_tf
         return array("d", (log_tf(freq) * idf for freq in freqs))
 
+    def _add_contributions(self, accumulator, docs, freqs, idf, query_weight) -> None:
+        log_tf = _log_tf
+        if query_weight == 1.0:
+            for doc, freq in zip(docs, freqs):
+                accumulator[doc] += log_tf(freq) * idf
+        else:
+            for doc, freq in zip(docs, freqs):
+                accumulator[doc] += query_weight * (log_tf(freq) * idf)
+
     def score(self, query_terms: QueryTerms) -> Dict[str, float]:
         """TF-IDF scores with document-length normalisation."""
         accumulator, candidates = self._accumulate(query_terms)
-        norms = self._index.tfidf_norms()
+        norms = self._length_norms
+        lengths = self._index.document_lengths_array
         doc_ids = self._index.dense_document_ids()
-        return {doc_ids[doc]: accumulator[doc] / norms[doc] for doc in candidates}
+        return {
+            doc_ids[doc]: accumulator[doc] / norms[lengths[doc]] for doc in candidates
+        }
 
 
 class Bm25Scorer(_CachedColumnsScorer):
@@ -221,6 +276,20 @@ class Bm25Scorer(_CachedColumnsScorer):
         denominator = document_frequency + 0.5
         return math.log(1.0 + numerator / denominator)
 
+    def _norm_table(self) -> Dict[int, float]:
+        """BM25 denominators ``k1 * (1 - b + b * length / max(1, average))``.
+
+        Over a sharded stats view the lengths are the shard's own and the
+        average is the global one, so each document's denominator is
+        bit-identical to the one the monolithic index gives it.
+        """
+        k1, b = self._k1, self._b
+        average_length = max(1.0, self._index.average_document_length)
+        return {
+            length: k1 * (1.0 - b + b * length / average_length)
+            for length in set(self._index.document_lengths_array)
+        }
+
     def _contributions(self, docs: array, freqs: array, idf: float) -> array:
         """The complete unit-weight BM25 contribution of every posting.
 
@@ -229,18 +298,34 @@ class Bm25Scorer(_CachedColumnsScorer):
         depend on the query.  Because ``1.0 * idf == idf`` exactly,
         unit-weight queries (every plain keyword search) produce
         bit-identical scores to the historical per-posting expression; other
-        weights multiply the cached contribution, which can differ from the
+        weights multiply the contribution, which can differ from the
         historical association by at most one ulp.
         """
-        norms = self._index.bm25_norms(self._k1, self._b)
+        norms = self._length_norms
+        lengths = self._index.document_lengths_array
         k1_plus_1 = self._k1 + 1.0
         return array(
             "d",
             (
-                idf * (freq * k1_plus_1) / (freq + norms[doc])
+                idf * (freq * k1_plus_1) / (freq + norms[lengths[doc]])
                 for doc, freq in zip(docs, freqs)
             ),
         )
+
+    def _add_contributions(self, accumulator, docs, freqs, idf, query_weight) -> None:
+        norms = self._length_norms
+        lengths = self._index.document_lengths_array
+        k1_plus_1 = self._k1 + 1.0
+        if query_weight == 1.0:
+            for doc, freq in zip(docs, freqs):
+                accumulator[doc] += (
+                    idf * (freq * k1_plus_1) / (freq + norms[lengths[doc]])
+                )
+        else:
+            for doc, freq in zip(docs, freqs):
+                accumulator[doc] += query_weight * (
+                    idf * (freq * k1_plus_1) / (freq + norms[lengths[doc]])
+                )
 
     def score(self, query_terms: QueryTerms) -> Dict[str, float]:
         """BM25 scores for all matching documents."""

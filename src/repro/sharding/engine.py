@@ -24,8 +24,8 @@ Writes inherit the engine's exclusive-writer discipline: ``index_document``
 / ``index_documents`` / ``index_shot`` drain in-flight searches, route each
 id to its owning shard, and bump that shard's generation — which moves the
 facades' combined generation and invalidates every derived cache (global
-df/cf sums, per-shard norm tables, scorer term caches, engine result
-caches) in one stroke.
+df/cf sums, scorer term caches and length norms, engine result caches) in
+one stroke.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from array import array
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.index.inverted_index import InvertedIndex, Posting
-from repro.index.scoring import bm25_norm_table
 from repro.index.tokenizer import Tokenizer
 
 
@@ -110,9 +109,10 @@ class GlobalStatsView:
     (``document_count``, ``document_frequency``, ``collection_frequency``,
     ``total_terms``, ``average_document_length``, ``generation``) are
     global, while postings columns, the dense id table, document lengths
-    and per-document vectors are the shard's own.  ``bm25_norms`` is
-    recomputed here because its value couples both: per-document lengths
-    (shard-local) normalised by the average document length (global).
+    and per-document vectors are the shard's own.  A BM25 scorer's length
+    norms couple the two: it builds them from this view's lengths
+    (shard-local) and average document length (global), which is what
+    keeps each denominator bit-identical to the monolithic one.
 
     ``generation`` is the combined clock, so a scorer's per-term caches
     invalidate when *any* shard is written — global idf moves even when the
@@ -122,7 +122,6 @@ class GlobalStatsView:
     def __init__(self, shard_index: InvertedIndex, stats: GlobalTextStats) -> None:
         self._shard = shard_index
         self._stats = stats
-        self._bm25_norms_cache: Dict[Tuple[float, float], Tuple[int, array]] = {}
 
     # -- global statistics -------------------------------------------------------
 
@@ -221,32 +220,3 @@ class GlobalStatsView:
 
     def __contains__(self, term: str) -> bool:
         return term in self._shard
-
-    # -- derived normalisation tables --------------------------------------------
-
-    def tfidf_norms(self) -> array:
-        """Per-document cosine norms (purely length-local, so shard-owned)."""
-        return self._shard.tfidf_norms()
-
-    def bm25_norms(self, k1: float, b: float) -> array:
-        """Shard documents' BM25 denominators under the **global** average.
-
-        Built by the same :func:`~repro.index.scoring.bm25_norm_table` as the
-        monolithic index, so each document's denominator is bit-identical to
-        what the unsharded engine computes for it.  Cached per ``(k1, b)``
-        and keyed on the combined generation: a write to *any* shard moves
-        the global average and invalidates every shard's table.
-        """
-        key = (k1, b)
-        generation = self._stats.generation
-        cached = self._bm25_norms_cache.get(key)
-        if cached is not None and cached[0] == generation:
-            return cached[1]
-        norms = bm25_norm_table(
-            self._shard.document_lengths_array,
-            self._stats.average_document_length,
-            k1,
-            b,
-        )
-        self._bm25_norms_cache[key] = (generation, norms)
-        return norms

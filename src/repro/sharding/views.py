@@ -24,8 +24,8 @@ retrieval engine and the adaptive layer:
   unsharded evaluation (per-shard top-``limit`` lists always contain the
   global top-``limit`` under the shared ``(-score, id)`` order).
 
-The text facade deliberately does **not** implement ``postings_arrays`` /
-``bm25_norms``: per-shard postings columns use shard-dense indexes, so a
+The text facade deliberately does **not** implement ``postings_arrays``:
+per-shard postings columns use shard-dense indexes, so a
 scorer must be built over a per-shard
 :class:`~repro.sharding.global_stats.GlobalStatsView`, never over this
 facade.  Attempting it fails loudly with ``AttributeError``.

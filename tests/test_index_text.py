@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.index import (
@@ -116,6 +118,12 @@ class TestNormaliseQuery:
 
     def test_mapping_passthrough_drops_zeros(self):
         assert normalise_query({"a": 0.5, "b": 0.0}) == {"a": 0.5}
+
+    @pytest.mark.parametrize("weight", (math.nan, math.inf, -math.inf))
+    def test_non_finite_weight_raises_naming_term_and_value(self, weight):
+        with pytest.raises(ValueError) as raised:
+            normalise_query({"a": 1.0, "b": weight, "c": 0.0})
+        assert str(raised.value) == f"query term 'b' has a non-finite weight {weight}"
 
 
 class TestScorers:

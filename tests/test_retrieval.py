@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import pytest
 
 from repro.index import InvertedIndex
@@ -17,6 +20,7 @@ from repro.retrieval import (
     rerank_with_scores,
     story_scores_from_shots,
 )
+from repro.service import RetrievalService, ServiceConfig
 
 
 class TestQuery:
@@ -148,6 +152,47 @@ class TestEngine:
         first = engine_a.search_text(" ".join(topic.query_terms)).shot_ids()
         second = engine_b.search_text(" ".join(topic.query_terms)).shot_ids()
         assert first == second
+
+
+def _scored(results):
+    return [(item.shot_id, item.score.hex()) for item in results]
+
+
+def _assert_refuses_non_finite_weights(engine):
+    """A NaN or infinite term weight raises one line naming term and value
+    (it used to rank by ``nan``); a zero weight is still dropped."""
+    text, weighted = engine.inverted_index.terms()[:2]
+    term = engine.tokenizer.stem_token(weighted)
+    for weight in (math.nan, math.inf, -math.inf):
+        query = Query(text=text, term_weights={weighted: weight})
+        message = f"query term {term!r} has a non-finite weight {weight}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            engine.search(query)
+    plain = engine.search(Query(text=text), limit=None)
+    zero = engine.search(Query(text=text, term_weights={weighted: 0.0}), limit=None)
+    assert len(plain) > 0
+    assert _scored(zero) == _scored(plain)
+
+
+class TestNonFiniteTermWeights:
+    @pytest.mark.parametrize("scorer", ("bm25", "tfidf", "lm"))
+    def test_engine(self, small_corpus, scorer):
+        _assert_refuses_non_finite_weights(
+            VideoRetrievalEngine(
+                small_corpus.collection,
+                config=EngineConfig(scorer=scorer, result_cache_size=0),
+            )
+        )
+
+    @pytest.mark.parametrize("shards", (1, 4))
+    def test_service(self, small_corpus, shards):
+        service = RetrievalService.from_corpus(
+            small_corpus, config=ServiceConfig(num_shards=shards)
+        )
+        try:
+            _assert_refuses_non_finite_weights(service.engine)
+        finally:
+            service.close()
 
 
 class TestExpansion:

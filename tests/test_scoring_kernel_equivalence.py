@@ -12,7 +12,9 @@ generated corpora and queries.
 
 from __future__ import annotations
 
+import inspect
 import random
+import textwrap
 
 import pytest
 
@@ -36,8 +38,12 @@ from repro.index.reference import (
     reference_similar_to_vector,
     reference_top_documents,
 )
+from repro.index import scoring as scoring_module
 from repro.index.visual import VisualIndex
 from repro.retrieval import EngineConfig, Query, VideoRetrievalEngine
+from repro.sharding import GlobalStatsView, ShardedInvertedIndex, ShardRouter
+from repro.sharding.engine import ShardedTextScorer
+from repro.utils.concurrency import ScatterGather
 
 SEED = 20080731
 
@@ -319,3 +325,200 @@ class TestEndToEndEquivalence:
         )
         assert top == rebuilt
         assert top.as_dict() == rebuilt.as_dict()
+
+
+# -- the scorers under writes ----------------------------------------------------
+#
+# A scorer keeps, per index generation, each term's IDF, one norm per distinct
+# document length and, from a term's second use on, its contribution column;
+# a term's first use is scored straight into the accumulator.  The generated
+# differential below interleaves adds, updates, deletes and compactions with
+# queries and checks, after every step, that each score map equals the
+# reference scorer's over a fresh rebuild of the live documents, by
+# ``float.hex()``.  After every write the next query runs three times, so
+# each of its terms is scored on its first use, its second use and warm.
+# Weights are powers of two: scaling by one is exact, so the kernel's
+# ``weight * (idf * x / d)`` and the reference's ``weight * idf * x / d``
+# agree in every bit (other weights may differ by an ulp).
+
+WRITE_VOCABULARY = tuple(f"w{number:02d}" for number in range(12))
+WRITE_WEIGHTS = (0.25, 0.5, 1.0, 2.0, 4.0, -0.5)
+WRITE_SHARDS = (0, 4)  # 0: the monolithic index; 4: four shards
+WRITE_SEEDS = range(4)
+WRITE_STEPS = 60
+
+WRITE_SCORERS = {
+    "bm25": (Bm25Scorer, ReferenceBm25Scorer),
+    "tfidf": (TfIdfScorer, ReferenceTfIdfScorer),
+}
+
+
+def _frequencies(rng):
+    """A term-frequency map; one in eight documents is long."""
+    size = rng.randint(1, 6)
+    top = 30 if rng.random() < 0.125 else 4
+    terms = rng.sample(WRITE_VOCABULARY[: rng.choice((6, 12))], size)
+    return {term: rng.randint(1, top) for term in terms}
+
+
+def _write_query(rng, cycle):
+    """Unit weights (repeats count) or a mapping of power-of-two weights.
+
+    ``cycle`` is always among the terms, so the queries after writes cover
+    the whole vocabulary; now and then an unknown term rides along.
+    """
+    others = [term for term in WRITE_VOCABULARY if term != cycle]
+    terms = [cycle] + rng.sample(others, rng.randint(0, 3))
+    if rng.random() < 0.1:
+        terms.append("unknown")
+    if rng.random() < 0.5:
+        return terms + terms[: rng.randint(0, len(terms))]
+    return {term: rng.choice(WRITE_WEIGHTS) for term in terms}
+
+
+def _write_scorer(shards, scorer_class):
+    if not shards:
+        index = InvertedIndex()
+        return index, scorer_class(index), [None]
+    index = ShardedInvertedIndex(ShardRouter(shards))
+    shard_scorers = [
+        scorer_class(GlobalStatsView(shard, index.stats)) for shard in index.shard_indexes
+    ]
+    return index, ShardedTextScorer(shard_scorers, ScatterGather(1)), shard_scorers
+
+
+def _touch(scorer, term):
+    """Which use of ``term`` in this generation the next score call is."""
+    if scorer._cache_generation != scorer._index.generation:
+        return "first"
+    entry = scorer._columns_cache.get(term)
+    return "first" if entry is None else "warm" if entry else "second"
+
+
+def run_under_writes(scorer_name, shards, seed, steps=WRITE_STEPS):
+    """Run one generated sequence; returns the ``(term, use)`` pairs scored."""
+    scorer_class, reference_class = WRITE_SCORERS[scorer_name]
+    rng = random.Random(f"{scorer_name}:{shards}:{seed}")
+    index, scorer, kernels = _write_scorer(shards, scorer_class)
+    live = {}
+    for number in range(12):
+        live[f"d{number:03d}"] = _frequencies(rng)
+        index.add_document_frequencies(f"d{number:03d}", live[f"d{number:03d}"])
+    reference = None
+    touched = set()
+    added, writes = 12, 0
+    for step in range(steps):
+        roll = rng.random()
+        if roll < 0.5:
+            repeats = 1
+        else:
+            repeats, writes = 3, writes + 1
+            if roll < 0.65 or len(live) < 4:
+                document_id, added = f"d{added:03d}", added + 1
+                live[document_id] = _frequencies(rng)
+                index.add_document_frequencies(document_id, live[document_id])
+            elif roll < 0.78:
+                document_id = rng.choice(sorted(live))
+                del live[document_id]  # an update moves to the end, like the index
+                live[document_id] = _frequencies(rng)
+                index.update_document_frequencies(document_id, live[document_id])
+            elif roll < 0.92:
+                document_id = rng.choice(sorted(live))
+                del live[document_id]
+                index.delete_document(document_id)
+            else:
+                index.compact()
+            reference = None
+        if reference is None:
+            fresh = InvertedIndex()
+            for document_id, frequencies in live.items():
+                fresh.add_document_frequencies(document_id, frequencies)
+            reference = reference_class(fresh)
+        query = _write_query(rng, WRITE_VOCABULARY[writes % len(WRITE_VOCABULARY)])
+        expected = {doc: score.hex() for doc, score in reference.score(query).items()}
+        for _ in range(repeats):
+            for kernel in kernels:
+                kernel = kernel or scorer
+                for term in query:
+                    if index.document_frequency(term):
+                        touched.add((term, _touch(kernel, term)))
+            actual = {doc: score.hex() for doc, score in scorer.score(query).items()}
+            assert actual == expected, (scorer_name, shards, seed, step, query)
+    return touched
+
+
+class TestScoringUnderWrites:
+    @pytest.mark.parametrize("seed", WRITE_SEEDS)
+    @pytest.mark.parametrize("shards", WRITE_SHARDS)
+    @pytest.mark.parametrize("scorer_name", sorted(WRITE_SCORERS))
+    def test_generated_writes_match_reference(self, scorer_name, shards, seed):
+        touched = run_under_writes(scorer_name, shards, seed)
+        for term in WRITE_VOCABULARY:
+            assert {use for name, use in touched if name == term} == {
+                "first", "second", "warm"
+            }, term
+
+    @pytest.mark.parametrize(
+        "owner, function, replacements, shards",
+        [
+            # The per-length table survives a generation change.
+            (
+                "_CachedColumnsScorer",
+                "_accumulate",
+                [(
+                    "self._length_norms = self._norm_table()",
+                    "self._length_norms = {**self._norm_table(), **self._length_norms}",
+                )],
+                0,
+            ),
+            # A first use leaves its documents out of the candidates.
+            (
+                "_CachedColumnsScorer",
+                "_accumulate",
+                [("candidates.update(docs)", "pass")],
+                0,
+            ),
+            # The second use builds its column with the previous
+            # generation's IDF.
+            (
+                "_CachedColumnsScorer",
+                "_accumulate",
+                [
+                    (
+                        "idf_cache.clear()",
+                        "self._stale_idf = dict(idf_cache); idf_cache.clear()",
+                    ),
+                    (
+                        "self._contributions(docs, freqs, idf)",
+                        "self._contributions(docs, freqs, "
+                        "getattr(self, '_stale_idf', {}).get(term, idf))",
+                    ),
+                ],
+                0,
+            ),
+            # A shard's table is built on the shard's own average length.
+            (
+                "Bm25Scorer",
+                "_norm_table",
+                [(
+                    "self._index.average_document_length",
+                    "getattr(self._index, 'shard_index', self._index)"
+                    ".average_document_length",
+                )],
+                4,
+            ),
+        ],
+    )
+    def test_differential_fails_on_mutants(
+        self, monkeypatch, owner, function, replacements, shards
+    ):
+        owner = getattr(scoring_module, owner)
+        source = textwrap.dedent(inspect.getsource(getattr(owner, function)))
+        for original, mutated in replacements:
+            assert source.count(original) == 1
+            source = source.replace(original, mutated)
+        namespace = dict(vars(scoring_module))
+        exec(source, namespace)
+        monkeypatch.setattr(owner, function, namespace[function])
+        with pytest.raises(AssertionError):
+            run_under_writes("bm25", shards, seed=0)

@@ -179,17 +179,30 @@ class TestShardedFacades:
             )
         assert sharded.statistics() == mono.statistics()
 
-    def test_stats_view_bm25_norms_match_monolithic(self, sharding_corpus):
+    @pytest.mark.parametrize("scorer_class", (Bm25Scorer, TfIdfScorer))
+    def test_shard_scorer_length_norms_match_monolithic(
+        self, sharding_corpus, scorer_class
+    ):
+        # A shard scorer's per-length table is built from the shard's own
+        # lengths under the global average; every live length of a shard
+        # must map to the monolithic scorer's norm, bit for bit, also
+        # after a write that moves the global average.
         mono = InvertedIndex.from_collection(sharding_corpus.collection)
         sharded = ShardedInvertedIndex.from_collection(
             sharding_corpus.collection, ShardRouter(3)
         )
-        mono_norms = mono.bm25_norms(1.2, 0.75)
-        for shard in sharded.shard_indexes:
-            view = GlobalStatsView(shard, sharded.stats)
-            norms = view.bm25_norms(1.2, 0.75)
-            for local_index, document_id in enumerate(shard.dense_document_ids()):
-                assert norms[local_index] == mono_norms[mono.doc_index_of(document_id)]
+        for step in range(2):
+            if step:
+                text = "election summit vote " * 40
+                mono.add_document("long-doc", text)
+                sharded.add_document("long-doc", text)
+            mono_norms = scorer_class(mono)._norm_table()
+            for shard in sharded.shard_indexes:
+                norms = scorer_class(GlobalStatsView(shard, sharded.stats))._norm_table()
+                live = {shard.document_length(d) for d in shard.document_ids()}
+                assert live <= set(norms)
+                for length in live:
+                    assert norms[length].hex() == mono_norms[length].hex()
 
     def test_writes_route_to_owning_shard_only(self, sharding_corpus):
         router = ShardRouter(3)
@@ -246,7 +259,12 @@ class TestShardedFacades:
             sharding_corpus.collection, ShardRouter(2)
         )
         assert not hasattr(sharded, "postings_arrays")
-        assert not hasattr(sharded, "bm25_norms")
+        # Norms are derived inside the scorers; the facade has no norm API.
+        assert not any("norm" in name for name in dir(sharded))
+        term = sharded.terms()[0]
+        for scorer_class in (Bm25Scorer, TfIdfScorer):
+            with pytest.raises(AttributeError):
+                scorer_class(sharded).score([term])
 
 
 # -- the equivalence matrix ------------------------------------------------------
