@@ -20,8 +20,14 @@ pins before timing anything:
 Rows:
 
 * ``serve``     — serving-edge throughput on the clean workload (guarded).
+  Its shards are in-memory, so this row measures the *inline* path: each
+  request is evaluated on the event loop's thread.
 * ``deadline``  — straggler + deadline: completions, timeout counts, p99.
+  The straggler is a duck-typed shard that may block, so this row
+  measures the *pool* path.
 * ``admission`` — flood outcomes: completed / queue-full / quota counts.
+  Inline requests never wait, so a gated duck-typed shard holds the one
+  slot (pool path) while the flood is admitted.
 
 ``BENCH_e18.json`` carries the ``smoke_baseline`` section guarded by
 ``check_bench_regression.py``.  Run with ``--write-baseline`` to refresh on
@@ -92,6 +98,22 @@ class _StragglerScorer:
                 # stages do, so a fired deadline unwinds it in ~one poll.
                 checkpoint_if_cancelled()
                 time.sleep(0.01)
+        return self.inner.score(query_terms)
+
+
+class _GatedScorer:
+    """Wraps one shard scorer; every call parks until the gate opens.
+
+    Duck-typed (no ``may_block``), so its requests go to the worker pool
+    and hold their slot while parked.
+    """
+
+    def __init__(self, inner, gate: threading.Event) -> None:
+        self.inner = inner
+        self.gate = gate
+
+    def score(self, query_terms):
+        self.gate.wait(timeout=30.0)
         return self.inner.score(query_terms)
 
 
@@ -227,6 +249,9 @@ def _admission_row(corpus):
     requests = _requests(corpus, 16)
     for request in requests:
         service.open_session(request.user_id, topic_id=request.topic_id)
+    gate = threading.Event()
+    scorers = service.engine.text_scorer.shard_scorers
+    scorers[0] = _GatedScorer(scorers[0], gate)
     config = ServingConfig(
         max_concurrency=1,
         max_queue_depth=2,
@@ -248,12 +273,19 @@ def _admission_row(corpus):
             async def flood():
                 # user-0 twice: the second trip must hit the rate limit.
                 victims = [requests[0]] + requests + [requests[0]]
-                return await asyncio.gather(*(one(r) for r in victims))
+                results = asyncio.gather(*(one(r) for r in victims))
+                # One scheduler pass runs every admission (each happens
+                # before the request's first await) while the first
+                # request holds the slot, parked on the gate.
+                await asyncio.sleep(0)
+                gate.set()
+                return await results
 
             for outcome in asyncio.run(flood()):
                 outcomes[outcome] += 1
             counters = frontend.metrics.snapshot()["counters"]
     finally:
+        gate.set()
         service.close()
     assert outcomes["queue_full"] > 0, "flood never filled the waiting room"
     assert outcomes["quota"] > 0, "rate-limited tenant was never refused"
@@ -304,13 +336,15 @@ BENCH = Bench(
     guarded=lambda tables: {"serve_qps": tables["serve"]["qps"]},
     note=(
         "Async serving edge over the sharded service. serve = "
-        "clean-workload throughput through the frontend (digest verified "
-        "byte-identical to the direct threaded driver before timing). "
-        "deadline = one shard stalls 2s on every 5th scatter while requests "
-        "carry a 150ms deadline; the client-observed p99 across completions "
-        "AND timeouts must stay within deadline + epsilon, proving "
-        "cooperative cancellation bounds the tail. admission = flood of a "
-        "1-slot frontend with a rate-limited tenant; rejections are typed "
+        "clean-workload throughput through the frontend, evaluated inline "
+        "on the event loop (digest verified byte-identical to the direct "
+        "threaded driver before timing). deadline = one shard stalls 2s on "
+        "every 5th scatter while requests carry a 150ms deadline (pool "
+        "path); the client-observed p99 across completions AND timeouts "
+        "must stay within deadline + epsilon, proving cooperative "
+        "cancellation bounds the tail. admission = flood of a 1-slot "
+        "frontend whose slot a gated shard holds, with a rate-limited "
+        "tenant; rejections are typed "
         "AdmissionRejectedError subclasses whose counts match the metrics "
         "registry."
     ),

@@ -60,6 +60,7 @@ from repro.service import (
     create_policy,
 )
 from repro.simulation import shot_durations_from_collection
+from repro.utils.validation import ensure_deadline
 
 #: The four classic experimental systems, shown as examples in help text;
 #: every registered policy name is accepted.
@@ -438,11 +439,10 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
         )
         return 2
     serve = args.serve or args.serve_stats or args.serve_deadline is not None
-    if args.serve_deadline is not None and args.serve_deadline <= 0:
-        print(
-            f"--serve-deadline must be positive, got {args.serve_deadline}",
-            file=sys.stderr,
-        )
+    try:
+        ensure_deadline(args.serve_deadline, "--serve-deadline")
+    except ValueError as error:
+        print(error, file=sys.stderr)
         return 2
     if args.serve_concurrency < 1:
         print(

@@ -258,6 +258,21 @@ class VideoRetrievalEngine:
         """The attached durability manager, or ``None``."""
         return self._durability
 
+    @property
+    def may_block(self) -> bool:
+        """Whether a request on this engine may wait on something but the CPU.
+
+        ``True`` when a durability manager is attached — a durable writer
+        holds the exclusive lock across WAL fsyncs and checkpoint writes,
+        so a reader can wait on I/O — or when the text scorer may block (an
+        absent attribute counts as ``True``).  Built-in in-memory scorers,
+        monolithic or sharded, make it ``False``.  Read per request, so a
+        scorer swapped in mid-run changes the answer for the next one.
+        """
+        return self._durability is not None or getattr(
+            self._text_scorer, "may_block", True
+        )
+
     def _apply_document_locked(self, document_id: str, text: str) -> bool:
         """Log-then-apply one document under the already-held writer lock.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import ensure_deadline, ensure_positive
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,7 @@ class ServingConfig:
             raise ValueError(
                 f"max_queue_depth must be non-negative, got {self.max_queue_depth}"
             )
-        if self.default_deadline_seconds is not None and self.default_deadline_seconds <= 0:
-            raise ValueError(
-                f"default_deadline_seconds must be positive, got "
-                f"{self.default_deadline_seconds}"
-            )
+        ensure_deadline(self.default_deadline_seconds, "default_deadline_seconds")
         if self.drain_grace_seconds < 0:
             raise ValueError(
                 f"drain_grace_seconds must be non-negative, got "

@@ -16,18 +16,31 @@ underneath.  The request path is:
    suspending.  A deadline that fires while queued raises
    :class:`~repro.serving.errors.DeadlineExceededError` (stage
    ``"queued"``) without ever touching the engine.
-3. **Evaluation**: the request runs on the frontend's thread pool with a
+3. **Evaluation**: the request runs under a
    :class:`~repro.utils.concurrency.CancellationToken` installed in
-   thread-local scope.  This hand-off is the only thread hop of a request
-   over in-memory shards (the scatter scores them inline on the worker;
-   it uses its own pool only for shard scorers that may block), and the
-   loop is woken once per request: one completion callback pays the slot
-   back and resolves the awaited future.  The engine's search path and
-   the scatter-gather fan-out carry cooperative checkpoints, so when a
-   deadline fires mid-evaluation the worker unwinds at the next
-   checkpoint and queued shard sub-tasks stop consuming executor slots —
-   the client gets its timeout in ``O(deadline + poll)`` while the
-   abandoned worker releases its slot within one checkpoint interval.
+   thread-local scope, in one of two places, decided per request from
+   :attr:`~repro.retrieval.engine.VideoRetrievalEngine.may_block`:
+
+   * *Inline*, when the engine cannot block (in-memory scorers, monolithic
+     or sharded, and no durability manager): the request is evaluated on
+     the event loop's own thread — no worker hand-off, no completion
+     wake-up, no deadline timer.  Its deadline self-fires at the engine's
+     checkpoints.  The trade-off: while an in-memory evaluation runs
+     (a fraction of a millisecond), the loop is busy; under the GIL it
+     was busy anyway, and a free slot is taken without suspending, so a
+     client that issues requests back to back holds the loop until it
+     awaits something else.
+   * *On the worker pool* otherwise (durable engines, whose readers can
+     wait on a writer's fsync; wrapped, registered or duck-typed
+     scorers).  One completion callback pays the slot back and resolves
+     the awaited future, and the loop's deadline timer gives the client
+     its timeout in ``O(deadline + poll)`` while the abandoned worker
+     unwinds at its next checkpoint — queued shard sub-tasks stop
+     consuming executor slots — and releases its slot.
+
+   Both paths share the request body and the outcome mapping: a token
+   that fires at a checkpoint, or a result that finishes past its
+   deadline, becomes ``DeadlineExceededError(stage="running")``.
 4. **Accounting**: per-endpoint latency quantiles (p50/p95/p99), queue
    wait, shard fan-out timings, cache hit rates and every
    admission/rejection outcome land in the
@@ -36,7 +49,7 @@ underneath.  The request path is:
 
 Determinism: the frontend never reorders, splits or merges the work a
 request submits — each request maps to exactly one facade call on one
-worker thread — so rankings for *completed* requests are bit-identical to
+thread — so rankings for *completed* requests are bit-identical to
 calling :class:`~repro.service.RetrievalService` directly.  The serving
 tests and the E18 benchmark pin that with canonical digests.
 """
@@ -59,6 +72,7 @@ from repro.serving.errors import (
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.quotas import TenantQuotaManager
 from repro.utils.concurrency import CancellationToken, OperationCancelledError, cancellation_scope
+from repro.utils.validation import ensure_deadline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service embeds us)
     from repro.service.service import RetrievalService
@@ -73,9 +87,10 @@ _DEFAULT_RETRY_HINT = 0.05
 class ServingFrontend:
     """Deadline-aware, admission-controlled async edge over one service.
 
-    The frontend owns a worker pool of ``max_concurrency`` threads; the
-    service underneath stays the single source of truth for sessions and
-    rankings.  All coroutine methods must be awaited from one event loop
+    The frontend owns a worker pool of ``max_concurrency`` threads, started
+    only once a request that may block arrives; the service underneath
+    stays the single source of truth for sessions and rankings.  All
+    coroutine methods must be awaited from one event loop
     at a time (the slot semaphore is loop-bound; an idle frontend rebinds
     automatically, so separate ``asyncio.run`` invocations work).
     """
@@ -137,7 +152,9 @@ class ServingFrontend:
         """One adaptive search through the serving edge.
 
         ``deadline_seconds`` overrides the config default; ``None`` with no
-        config default means the request may run indefinitely.
+        config default means the request may run indefinitely.  Anything
+        but ``None`` or a finite value > 0 raises ``ValueError`` before
+        admission.
         """
         return await self._serve(
             "search",
@@ -177,9 +194,8 @@ class ServingFrontend:
 
     def _retry_hint(self, endpoint: str, depth: int) -> float:
         """Crude retry-after estimate: queued work over service throughput."""
-        track = self._metrics.snapshot()["endpoints"].get(endpoint)
-        if track and track.get("count"):
-            mean = float(track.get("mean", _DEFAULT_RETRY_HINT))
+        count, mean = self._metrics.endpoint_count_and_mean(endpoint)
+        if count:
             return max(
                 _DEFAULT_RETRY_HINT,
                 (depth + 1) * mean / self._config.max_concurrency,
@@ -216,13 +232,15 @@ class ServingFrontend:
         fn: Callable[[], T],
         deadline_seconds: Optional[float],
     ) -> T:
+        # Refused before admission: a bad deadline consumes no quota or slot.
+        ensure_deadline(deadline_seconds, "deadline_seconds")
         if deadline_seconds is None:
             deadline_seconds = self._config.default_deadline_seconds
         started = self._clock()
         slots = self._slots_for_loop()
         self._admit(endpoint, tenant)
         token = CancellationToken(
-            deadline=(started + deadline_seconds) if deadline_seconds else None,
+            deadline=None if deadline_seconds is None else started + deadline_seconds,
             clock=self._clock,
         )
 
@@ -257,7 +275,64 @@ class ServingFrontend:
         self._metrics.observe_queue_wait(self._clock() - started)
         self._metrics.increment("admitted")
 
-        # -- running: evaluate on the worker pool under the token ---------------
+        # -- running: here if the engine cannot block, else on the pool ---------
+        def evaluate() -> T:
+            # The one request body, wherever it runs.  The checkpoint after
+            # ``fn`` refuses a result that finished past its deadline even
+            # when no engine checkpoint ran after the expiry.
+            with cancellation_scope(token):
+                token.checkpoint()
+                result = fn()
+                token.checkpoint()
+            return result
+
+        try:
+            if self._service.engine.may_block:
+                result = await self._evaluate_on_pool(evaluate, tenant, slots, token)
+            else:
+                try:
+                    result = evaluate()
+                finally:
+                    self._quotas.release(tenant)
+                    with self._state_lock:
+                        self._running -= 1
+                    slots.release()
+        except asyncio.TimeoutError:
+            # The pool wait's deadline timer won the race.
+            token.cancel("deadline exceeded")
+            self._metrics.increment("deadline_running")
+            raise DeadlineExceededError(
+                deadline_seconds or 0.0, self._clock() - started, stage="running"
+            ) from None
+        except OperationCancelledError as error:
+            # The token's deadline was observed at a checkpoint (inline, or
+            # on the pool before the wait's timer fired): same type.
+            self._metrics.increment("deadline_running")
+            raise DeadlineExceededError(
+                deadline_seconds or 0.0,
+                self._clock() - started,
+                stage="running",
+                detail=f"cancelled at checkpoint: {error.reason}",
+            ) from error
+        except asyncio.CancelledError:
+            token.cancel("caller cancelled")
+            raise
+        except Exception:
+            self._metrics.increment("errors")
+            raise
+
+        self._metrics.increment("completed")
+        self._metrics.observe_latency(endpoint, self._clock() - started, tenant=tenant)
+        return result
+
+    async def _evaluate_on_pool(
+        self,
+        evaluate: Callable[[], T],
+        tenant: str,
+        slots: asyncio.Semaphore,
+        token: CancellationToken,
+    ) -> T:
+        """Run ``evaluate`` on a worker; wait for it until the token's deadline."""
         loop = asyncio.get_running_loop()
         outcome: "asyncio.Future[T]" = loop.create_future()
 
@@ -283,9 +358,7 @@ class ServingFrontend:
             # a checkpoint (which the cancelled token makes imminent).
             result, error = None, None
             try:
-                with cancellation_scope(token):
-                    token.checkpoint()
-                    result = fn()
+                result = evaluate()
             except BaseException as caught:  # delivered to the awaiting caller
                 error = caught
             self._quotas.release(tenant)
@@ -299,39 +372,10 @@ class ServingFrontend:
                     self._running -= 1
 
         self._executor.submit(worker)
-
-        try:
-            remaining = token.remaining()
-            if remaining is None:
-                result = await outcome
-            else:
-                result = await asyncio.wait_for(outcome, remaining)
-        except asyncio.TimeoutError:
-            token.cancel("deadline exceeded")
-            self._metrics.increment("deadline_running")
-            raise DeadlineExceededError(
-                deadline_seconds or 0.0, self._clock() - started, stage="running"
-            ) from None
-        except OperationCancelledError as error:
-            # The worker observed the token's deadline at a checkpoint
-            # before our wait_for timer fired — same outcome, same type.
-            self._metrics.increment("deadline_running")
-            raise DeadlineExceededError(
-                deadline_seconds or 0.0,
-                self._clock() - started,
-                stage="running",
-                detail=f"cancelled at checkpoint: {error.reason}",
-            ) from error
-        except asyncio.CancelledError:
-            token.cancel("caller cancelled")
-            raise
-        except Exception:
-            self._metrics.increment("errors")
-            raise
-
-        self._metrics.increment("completed")
-        self._metrics.observe_latency(endpoint, self._clock() - started, tenant=tenant)
-        return result
+        remaining = token.remaining()
+        if remaining is None:
+            return await outcome
+        return await asyncio.wait_for(outcome, remaining)
 
     # -- metrics ------------------------------------------------------------------
 

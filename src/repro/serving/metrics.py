@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from bisect import insort
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 #: Observation count up to which quantiles are answered exactly from a
 #: sorted buffer; past it the P² markers take over.
@@ -173,6 +173,12 @@ class LatencyTrack:
             for sketch in self._sketches:
                 sketch.observe(seconds)
 
+    def count_and_mean(self) -> Tuple[int, float]:
+        """Observation count and mean, without computing any quantile."""
+        with self._lock:
+            count = self._count
+            return count, (self._total / count if count else 0.0)
+
     def snapshot(self) -> Dict[str, float]:
         """Count, mean, max and the tracked quantiles, as a plain dict."""
         with self._lock:
@@ -242,6 +248,16 @@ class MetricsRegistry:
         track.observe(seconds)
         if tenant_track is not None:
             tenant_track.observe(seconds)
+
+    def endpoint_count_and_mean(self, endpoint: str) -> Tuple[int, float]:
+        """One endpoint's latency count and mean; ``(0, 0.0)`` if unseen.
+
+        A cheap read for the admission path: no other track is touched and
+        no quantile is computed.
+        """
+        with self._lock:
+            track = self._latency.get(endpoint)
+        return track.count_and_mean() if track is not None else (0, 0.0)
 
     def observe_queue_wait(self, seconds: float) -> None:
         """Record how long one admitted request waited for a slot."""

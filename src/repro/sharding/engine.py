@@ -13,12 +13,14 @@ sharded ranking is bit-identical to the unsharded one by construction, a
 property pinned by ``tests/test_sharding_equivalence.py``.
 
 Where a text scatter runs is decided per query from the live shard scorers:
-the scatter pool is used only when some scorer ``may_block`` (see
-:class:`~repro.index.scoring.TextScorer`; wrappers and registered scorers
-do unless they say otherwise), because only a wait can overlap under the
-GIL.  The built-in kernels are in-memory, so their shards are scored inline
-on the calling thread and the serving edge's worker hand-off is the only
-thread hop of such a request.
+the scatter pool is used only when :attr:`ShardedTextScorer.may_block`,
+i.e. some scorer ``may_block`` (see :class:`~repro.index.scoring.
+TextScorer`; wrappers and registered scorers do unless they say
+otherwise), because only a wait can overlap under the GIL.  The built-in
+kernels are in-memory, so their shards are scored inline on the calling
+thread.  The same property feeds :attr:`~repro.retrieval.engine.
+VideoRetrievalEngine.may_block`, which the serving edge reads to evaluate
+such a request on the event loop's own thread: no thread hop at all.
 
 Writes inherit the engine's exclusive-writer discipline: ``index_document``
 / ``index_documents`` / ``index_shot`` drain in-flight searches, route each
@@ -77,6 +79,16 @@ class ShardedTextScorer(TextScorer):
         """The live per-shard scorer list (mutable, for fault injection)."""
         return self._scorers
 
+    @property
+    def may_block(self) -> bool:
+        """True when some live shard scorer may block.
+
+        An absent attribute counts as ``True`` (wrapped, registered and
+        duck-typed scorers), and the list is read on every call, so
+        replacing a shard changes the answer for the very next query.
+        """
+        return any(getattr(scorer, "may_block", True) for scorer in self._scorers)
+
     def set_fanout_observer(self, observer: Optional[FanoutObserver]) -> None:
         """Install (or clear) the fan-out timing callback.
 
@@ -88,19 +100,18 @@ class ShardedTextScorer(TextScorer):
     def score(self, query_terms: QueryTerms) -> Dict[str, float]:
         """Gathered scores for all matching documents across shards.
 
-        The pool is used only when some scorer in the live list
-        ``may_block`` (absent attribute counts as ``True``: wrapped,
-        registered and duck-typed scorers) — a stalled shard then overlaps
-        the others and the gather's token poll bounds how long a fired
-        deadline waits for it.  In-memory kernels are pure CPU under the
-        GIL, where a pool hand-off costs more than a shard's score, so
-        they run inline on the calling thread with a cancellation
-        checkpoint before each shard.
+        The pool is used only when :attr:`may_block` — a stalled shard then
+        overlaps the others and the gather's token poll bounds how long a
+        fired deadline waits for it.  In-memory kernels are pure CPU under
+        the GIL, where a pool hand-off costs more than a shard's score, so
+        they run inline on the calling thread (which, behind the serving
+        edge, is the event loop's own) with a cancellation checkpoint
+        before each shard.
         """
         started = time.perf_counter()
         scorers = self._scorers
         merged: Dict[str, float] = {}
-        if any(getattr(scorer, "may_block", True) for scorer in scorers):
+        if self.may_block:
             # ``ScatterGather.map`` resolves the caller's thread-local
             # cancellation token, so a deadline firing mid-scatter abandons
             # the fan-out and queued shard sub-tasks free their slots.

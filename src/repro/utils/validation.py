@@ -6,13 +6,25 @@ messages, which the test suite asserts against.
 
 from __future__ import annotations
 
-from typing import Any, Sized, Type
+import math
+from typing import Any, Optional, Sized, Type
 
 
 def ensure_positive(value: float, name: str) -> float:
     """Return ``value`` if strictly positive, else raise ``ValueError``."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def ensure_deadline(value: Optional[float], name: str) -> Optional[float]:
+    """Return a deadline in seconds if ``None`` or finite and > 0, else raise.
+
+    Zero, negative, NaN and infinite deadlines are refused rather than
+    read as "no deadline" or as "already expired".
+    """
+    if value is not None and not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 

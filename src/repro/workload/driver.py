@@ -38,7 +38,7 @@ from repro.serving.frontend import ServingFrontend
 from repro.simulation.noise import JudgementModel
 from repro.simulation.user import SimulatedUser
 from repro.utils.rng import RandomSource
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import ensure_deadline, ensure_positive
 from repro.workload.generator import FEEDBACK, SEARCH, UserWorkload, generate_workload
 from repro.workload.spec import WorkloadSpec
 
@@ -254,10 +254,7 @@ class ServiceLoadDriver:
         deadline_seconds: Optional[float] = None,
     ) -> None:
         ensure_positive(max_workers, "max_workers")
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError(
-                f"deadline_seconds must be positive, got {deadline_seconds}"
-            )
+        ensure_deadline(deadline_seconds, "deadline_seconds")
         self._service_factory = service_factory
         self._max_workers = max_workers
         self._serve = serve or serving_config is not None or deadline_seconds is not None

@@ -12,6 +12,10 @@ Four layers, bottom up:
    in both the queued and running stages, rejections are typed and
    counted, timed-out requests never poison the engine caches, and the
    eviction-vs-cancellation race leaves the session pool consistent.
+   In-memory requests are evaluated on the loop's thread and durable or
+   possibly blocking ones on the worker pool; four mutants of the real
+   source show those checks have teeth.  Bad deadlines are refused at
+   every entry point before admission.
 4. The workload driver's async client mode — canonical digests stay
    byte-identical to threaded runs when nothing fails, and failures stay
    out of the canonical log.
@@ -23,22 +27,32 @@ the only real-time waits are sub-second deadline expiries.
 from __future__ import annotations
 
 import asyncio
+import inspect
+import math
+import textwrap
 import threading
 import time
 
 import pytest
 
+from repro.feedback import EventKind, InteractionEvent
+from repro.index import Bm25Scorer
+from repro.retrieval.engine import VideoRetrievalEngine
 from repro.service import (
+    FeedbackBatch,
     RetrievalService,
     SearchRequest,
     ServiceConfig,
     SessionNotFoundError,
+    register_scorer,
 )
+from repro.service.registry import SCORER_REGISTRY
 from repro.service.sessions import SessionExpiredError
 from repro.serving import (
     AdmissionRejectedError,
     DeadlineExceededError,
     DrainingError,
+    LatencyTrack,
     MetricsRegistry,
     P2Quantile,
     QueueFullError,
@@ -49,6 +63,7 @@ from repro.serving import (
     TenantQuotaManager,
     TokenBucket,
 )
+from repro.sharding.engine import ShardedTextScorer
 from repro.utils.concurrency import (
     CancellationToken,
     OperationCancelledError,
@@ -748,6 +763,401 @@ class TestScatterSelection:
         assert info.iteration_count == 0
 
 
+# -- where the frontend evaluates a request -------------------------------------
+
+#: Registry name of :class:`_RecordingScorer` over BM25 (see the fixture).
+_RECORDING = "inline-recording"
+
+
+class _RecordingScorer:
+    """An in-memory wrapper that says so, noting the thread each score runs on."""
+
+    may_block = False
+
+    def __init__(self, inner, seen):
+        self.inner = inner
+        self.seen = seen
+
+    def score(self, query_terms):
+        self.seen.append(threading.current_thread().name)
+        return self.inner.score(query_terms)
+
+
+class _ClockAdvancingScorer:
+    """An in-memory shard whose scoring takes ``seconds`` of a fake clock."""
+
+    may_block = False
+
+    def __init__(self, inner, clock, seconds):
+        self.inner = inner
+        self.clock = clock
+        self.seconds = seconds
+
+    def score(self, query_terms):
+        self.clock.advance(self.seconds)
+        return self.inner.score(query_terms)
+
+
+class _FailingScorer:
+    """An in-memory shard that raises."""
+
+    may_block = False
+
+    def score(self, query_terms):
+        raise RuntimeError("shard exploded")
+
+
+@pytest.fixture()
+def recording_scorer():
+    """Register :data:`_RECORDING`; yields the list of scoring threads."""
+    seen = []
+    register_scorer(
+        _RECORDING, lambda index, config: _RecordingScorer(Bm25Scorer(index), seen)
+    )
+    yield seen
+    SCORER_REGISTRY.unregister(_RECORDING)
+
+
+def _record_facade_threads(service):
+    """Note the thread each facade search / feedback call runs on."""
+    seen = []
+    for endpoint in ("search", "submit_feedback"):
+        def recorded(request, inner=getattr(service, endpoint)):
+            seen.append(threading.current_thread().name)
+            return inner(request)
+
+        setattr(service, endpoint, recorded)
+    return seen
+
+
+def _serve_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("serve")}
+
+
+def _search_then_feedback(frontend, query, **kwargs):
+    """One search and one feedback batch on its top hit, through the edge."""
+
+    async def scenario():
+        response = await frontend.search(
+            SearchRequest(user_id="alice", query=query), **kwargs
+        )
+        hit = response.hits[0]
+        event = InteractionEvent(
+            kind=EventKind.PLAY_CLICK, timestamp=1.0, shot_id=hit.shot_id, rank=hit.rank
+        )
+        await frontend.submit_feedback(
+            FeedbackBatch(user_id="alice", events=(event,)), **kwargs
+        )
+
+    asyncio.run(scenario())
+
+
+def _outcome(awaitable):
+    """What ``asyncio.run`` returns, or the exception it raised."""
+    try:
+        return asyncio.run(awaitable)
+    except Exception as error:  # noqa: BLE001 - the checks inspect it
+        return error
+
+
+def _in_memory_service(corpus, num_shards=4):
+    service = RetrievalService.from_corpus(
+        corpus, config=ServiceConfig(num_shards=num_shards)
+    )
+    service.open_session("alice", policy="baseline")
+    return service
+
+
+def _check_durable_service_uses_the_pool(corpus, tmp_path):
+    _topic, query = _topic_query(corpus)
+    service = RetrievalService.from_corpus(
+        corpus, config=ServiceConfig(durability_dir=str(tmp_path / "durable"))
+    )
+    try:
+        service.open_session("alice", policy="baseline")
+        seen = _record_facade_threads(service)
+        with ServingFrontend(service) as frontend:
+            _search_then_feedback(frontend, query)
+        assert len(seen) == 2 and all(name.startswith("serve") for name in seen)
+    finally:
+        service.close()
+
+
+def _check_duck_typed_shard_uses_the_pool(corpus):
+    """A shard past the first that may block sends the next request to the pool."""
+    service = _in_memory_service(corpus)
+    try:
+        here = threading.current_thread().name
+        scorers = service.engine.text_scorer.shard_scorers
+        original = scorers[2]
+        seen = _record_facade_threads(service)
+        with ServingFrontend(service) as frontend:
+            for index, wrapped in enumerate((False, True, False)):
+                scorers[2] = _PassThroughScorer(original) if wrapped else original
+                _, query = _topic_query(corpus, index)
+                seen.clear()
+                assert asyncio.run(
+                    frontend.search(SearchRequest(user_id="alice", query=query))
+                ).hits
+                expected = "serve" if wrapped else here
+                assert len(seen) == 1 and seen[0].startswith(expected), (index, seen)
+    finally:
+        service.close()
+
+
+def _check_inline_failure_pays_back(corpus):
+    """A scorer exception on the inline path: counted, slot and quota paid back."""
+    _topic, query = _topic_query(corpus)
+    service = _in_memory_service(corpus)
+    scorers = service.engine.text_scorer.shard_scorers
+    original = scorers[1]
+    scorers[1] = _FailingScorer()
+    config = ServingConfig(
+        max_concurrency=1, default_quota=TenantQuota(max_in_flight=1)
+    )
+    try:
+        with ServingFrontend(service, config) as frontend:
+            error = _outcome(frontend.search(SearchRequest(user_id="alice", query=query)))
+            assert isinstance(error, RuntimeError) and "shard exploded" in str(error)
+            snapshot = frontend.metrics_snapshot()
+            assert snapshot["counters"]["errors"] == 1
+            assert snapshot["gauges"]["in_flight"] == 0.0
+            scorers[1] = original
+            # The one slot and alice's one in-flight allowance are free again:
+            # a leaked slot would time out queued, a leaked quota be refused.
+            retry = _outcome(
+                frontend.search(
+                    SearchRequest(user_id="alice", query=query), deadline_seconds=5.0
+                )
+            )
+            assert not isinstance(retry, Exception), retry
+            assert frontend.metrics.counter("completed") == 1
+    finally:
+        service.close()
+
+
+def _check_post_deadline_result_is_refused(corpus):
+    """A result that finished past its deadline, with no later checkpoint."""
+    _topic, query = _topic_query(corpus)
+    service = _in_memory_service(corpus)
+    clock = _FakeClock()
+    search = service.search
+
+    def slow_search(request):
+        response = search(request)
+        clock.advance(10.0)  # after every engine checkpoint
+        return response
+
+    service.search = slow_search
+    try:
+        with ServingFrontend(service, clock=clock) as frontend:
+            error = _outcome(
+                frontend.search(
+                    SearchRequest(user_id="alice", query=query), deadline_seconds=1.0
+                )
+            )
+            assert isinstance(error, DeadlineExceededError), error
+            assert error.stage == "running"
+            assert frontend.metrics.counter("deadline_running") == 1
+            assert frontend.metrics.counter("completed") == 0
+    finally:
+        service.close()
+
+
+class TestEvaluationPath:
+    """In-memory requests run on the loop's thread; anything else on the pool."""
+
+    @pytest.mark.parametrize("num_shards", (1, 4))
+    def test_in_memory_requests_run_on_the_loop_thread(
+        self, small_corpus, recording_scorer, num_shards
+    ):
+        _topic, query = _topic_query(small_corpus)
+        service = RetrievalService.from_corpus(
+            small_corpus, config=ServiceConfig(scorer=_RECORDING, num_shards=num_shards)
+        )
+        service.open_session("alice", policy="baseline")
+        here = threading.current_thread().name
+        before = _serve_threads()
+        try:
+            assert not service.engine.may_block
+            facade = _record_facade_threads(service)
+            with ServingFrontend(service) as frontend:
+                _search_then_feedback(frontend, query, deadline_seconds=30.0)
+                counters = frontend.metrics.snapshot()["counters"]
+            assert facade == [here, here]
+            assert recording_scorer == [here] * num_shards
+            assert not _serve_threads() - before
+            assert counters["completed"] == 2 and "deadline_running" not in counters
+        finally:
+            service.close()
+
+    def test_may_block_reads_durability_and_every_shard(self, small_corpus, tmp_path):
+        monolithic = RetrievalService.from_corpus(small_corpus)
+        sharded = _in_memory_service(small_corpus)
+        durable = RetrievalService.from_corpus(
+            small_corpus,
+            config=ServiceConfig(num_shards=2, durability_dir=str(tmp_path / "d")),
+        )
+        try:
+            assert not monolithic.engine.may_block
+            assert not sharded.engine.may_block
+            assert durable.engine.may_block
+            assert not durable.engine.text_scorer.may_block
+            scorers = sharded.engine.text_scorer.shard_scorers
+            for index in range(len(scorers)):
+                original = scorers[index]
+                scorers[index] = _PassThroughScorer(original)
+                assert sharded.engine.text_scorer.may_block
+                assert sharded.engine.may_block
+                scorers[index] = original
+            assert not sharded.engine.may_block
+        finally:
+            for service in (monolithic, sharded, durable):
+                service.close()
+
+    def test_durable_service_uses_the_pool(self, small_corpus, tmp_path):
+        _check_durable_service_uses_the_pool(small_corpus, tmp_path)
+
+    def test_duck_typed_shard_uses_the_pool_until_restored(self, small_corpus):
+        _check_duck_typed_shard_uses_the_pool(small_corpus)
+
+    def test_inline_deadline_fires_at_an_engine_checkpoint(self, small_corpus):
+        _topic, query = _topic_query(small_corpus)
+        service = _in_memory_service(small_corpus)
+        clock = _FakeClock()
+        scorers = service.engine.text_scorer.shard_scorers
+        scorers[0] = _ClockAdvancingScorer(scorers[0], clock, 5.0)
+        later_shards = []
+        _record_scoring_threads(scorers[1:], later_shards)
+        config = ServingConfig(default_quota=TenantQuota(max_in_flight=1))
+        try:
+            with ServingFrontend(service, config, clock=clock) as frontend:
+                error = _outcome(
+                    frontend.search(
+                        SearchRequest(user_id="alice", query=query), deadline_seconds=1.0
+                    )
+                )
+                assert isinstance(error, DeadlineExceededError)
+                assert error.stage == "running"
+                assert "cancelled at checkpoint" in str(error)
+                assert later_shards == []  # the checkpoint before shard 1 fired
+                snapshot = frontend.metrics_snapshot()
+                assert snapshot["counters"]["deadline_running"] == 1
+                assert snapshot["gauges"]["in_flight"] == 0.0
+                assert snapshot["result_cache"]["entries"] == 0
+                (info,) = service.list_sessions("alice")
+                assert info.iteration_count == 0
+                # alice's one in-flight allowance was paid back.
+                response = asyncio.run(
+                    frontend.search(SearchRequest(user_id="alice", query=query))
+                )
+                assert response.iteration == 1
+        finally:
+            service.close()
+
+    def test_result_past_its_deadline_is_refused(self, small_corpus):
+        _check_post_deadline_result_is_refused(small_corpus)
+
+    def test_scorer_failure_is_counted_and_paid_back(self, small_corpus):
+        _check_inline_failure_pays_back(small_corpus)
+
+    @pytest.mark.parametrize(
+        "owner, function, original, mutated, check",
+        [
+            pytest.param(
+                ServingFrontend, "_serve",
+                "try:\n                result = evaluate()\n            finally:",
+                "if True:\n                result = evaluate()\n            if True:",
+                "failure", id="inline-skips-release",
+            ),
+            pytest.param(
+                VideoRetrievalEngine, "may_block",
+                "self._durability is not None or ", "",
+                "durable", id="predicate-ignores-durability",
+            ),
+            pytest.param(
+                ShardedTextScorer, "may_block",
+                'any(getattr(scorer, "may_block", True) for scorer in self._scorers)',
+                'getattr(self._scorers[0], "may_block", True)',
+                "shard", id="first-shard-only",
+            ),
+            pytest.param(
+                ServingFrontend, "_serve",
+                "result = fn()\n            token.checkpoint()",
+                "result = fn()",
+                "deadline", id="post-deadline-result-delivered",
+            ),
+        ],
+    )
+    def test_checks_fail_on_mutants(
+        self, monkeypatch, small_corpus, tmp_path, owner, function, original, mutated, check
+    ):
+        attribute = owner.__dict__[function]
+        target = attribute.fget if isinstance(attribute, property) else attribute
+        source = textwrap.dedent(inspect.getsource(target))
+        assert source.count(original) == 1
+        namespace = dict(vars(inspect.getmodule(owner)))
+        exec(source.replace(original, mutated), namespace)
+        monkeypatch.setattr(owner, function, namespace[function])
+        checks = {
+            "failure": lambda: _check_inline_failure_pays_back(small_corpus),
+            "durable": lambda: _check_durable_service_uses_the_pool(small_corpus, tmp_path),
+            "shard": lambda: _check_duck_typed_shard_uses_the_pool(small_corpus),
+            "deadline": lambda: _check_post_deadline_result_is_refused(small_corpus),
+        }
+        with pytest.raises(AssertionError):
+            checks[check]()
+
+
+class TestDeadlineValidation:
+    """Zero, negative, NaN and infinite deadlines are refused everywhere."""
+
+    BAD = (0.0, -1.0, math.nan, math.inf, -math.inf)
+
+    @pytest.mark.parametrize("deadline", BAD)
+    def test_frontend_refuses_before_admission(self, small_corpus, deadline):
+        _topic, query = _topic_query(small_corpus)
+        service = RetrievalService.from_corpus(small_corpus)
+        service.open_session("alice", policy="baseline")
+        config = ServingConfig(
+            max_concurrency=1,
+            default_deadline_seconds=30.0,
+            default_quota=TenantQuota(max_in_flight=1),
+        )
+        try:
+            with ServingFrontend(service, config) as frontend:
+                with pytest.raises(ValueError, match="deadline_seconds must be positive and finite"):
+                    asyncio.run(
+                        frontend.search(
+                            SearchRequest(user_id="alice", query=query),
+                            deadline_seconds=deadline,
+                        )
+                    )
+                snapshot = frontend.metrics_snapshot()
+                assert snapshot["counters"] == {}
+                assert snapshot["gauges"]["queue_depth"] == 0.0
+                assert snapshot["gauges"]["in_flight"] == 0.0
+                # Neither the one slot nor alice's one allowance was taken.
+                assert asyncio.run(
+                    frontend.search(SearchRequest(user_id="alice", query=query))
+                ).hits
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("deadline", BAD)
+    def test_serving_config_refuses(self, deadline):
+        with pytest.raises(ValueError, match="default_deadline_seconds must be positive and finite"):
+            ServingConfig(default_deadline_seconds=deadline)
+
+    @pytest.mark.parametrize("deadline", BAD)
+    def test_load_driver_refuses(self, small_corpus, deadline):
+        with pytest.raises(ValueError, match="deadline_seconds must be positive and finite"):
+            ServiceLoadDriver(
+                lambda: RetrievalService.from_corpus(small_corpus),
+                deadline_seconds=deadline,
+            )
+
+
 class TestAdmission:
     def test_queue_full_is_typed_and_counted(self, small_corpus, sharded_service):
         topic, query = _topic_query(small_corpus)
@@ -900,6 +1310,36 @@ class TestAdmission:
         assert snapshot["endpoints"]["search"]["count"] == 1
         assert "hit_rate" in snapshot["result_cache"]
         service.close()
+
+    def test_rejection_hint_reads_one_track(self, small_corpus, monkeypatch):
+        """A rejection reads one endpoint's count and mean, no tenant's quantiles."""
+        _topic, query = _topic_query(small_corpus)
+        service = RetrievalService.from_corpus(small_corpus)
+        config = ServingConfig(max_concurrency=4, max_queue_depth=0)
+        try:
+            with ServingFrontend(service, config) as frontend:
+                for index in range(64):
+                    frontend.metrics.observe_latency(
+                        "search", 0.1 + index / 100.0, tenant=f"tenant-{index}"
+                    )
+                mean = frontend.metrics.snapshot()["endpoints"]["search"]["mean"]
+                snapshotted = []
+                snapshot = LatencyTrack.snapshot
+                monkeypatch.setattr(
+                    LatencyTrack,
+                    "snapshot",
+                    lambda track: snapshotted.append(track) or snapshot(track),
+                )
+                with pytest.raises(QueueFullError) as excinfo:
+                    asyncio.run(
+                        frontend.search(SearchRequest(user_id="alice", query=query))
+                    )
+                assert snapshotted == []
+                # The hint the whole-snapshot read gave: (depth + 1) * mean / slots.
+                assert excinfo.value.retry_after == max(0.05, (0 + 1) * mean / 4)
+                assert excinfo.value.retry_after > 0.05
+        finally:
+            service.close()
 
 
 class TestEvictionCancellationRace:
@@ -1078,13 +1518,14 @@ class TestServeCli:
         assert "counters:" in text and "completed=" in text
         assert "result cache:" in text and "hit rate" in text
 
-    def test_serve_rejects_bad_deadline(self, corpus_dir, capsys):
+    @pytest.mark.parametrize("deadline", ("0", "nan", "inf"))
+    def test_serve_rejects_bad_deadline(self, corpus_dir, capsys, deadline):
         import io
 
         from repro.cli import main
 
         assert main(
-            ["loadtest", "--corpus", corpus_dir, "--serve-deadline", "0"],
+            ["loadtest", "--corpus", corpus_dir, "--serve-deadline", deadline],
             out=io.StringIO(),
         ) == 2
         assert "--serve-deadline must be positive" in capsys.readouterr().err
