@@ -14,7 +14,14 @@ from repro.index.language_model import (
     DirichletLanguageModelScorer,
     JelinekMercerLanguageModelScorer,
 )
-from repro.index.scoring import Bm25Scorer, TextScorer, TfIdfScorer, normalise_query
+from repro.index.scoring import (
+    Bm25Scorer,
+    DenseScores,
+    StaleScoresError,
+    TextScorer,
+    TfIdfScorer,
+    normalise_query,
+)
 from repro.index.storage import (
     load_inverted_index,
     load_visual_index,
@@ -37,6 +44,8 @@ __all__ = [
     "DirichletLanguageModelScorer",
     "JelinekMercerLanguageModelScorer",
     "Bm25Scorer",
+    "DenseScores",
+    "StaleScoresError",
     "TextScorer",
     "TfIdfScorer",
     "normalise_query",

@@ -1,17 +1,20 @@
 """Classic bag-of-words scoring functions: TF-IDF and Okapi BM25.
 
-Scorers share a tiny interface — ``score(query_terms) -> {doc_id: score}`` —
-so the retrieval engine, fusion layer and adaptive model can swap them
-freely.  Query terms may carry weights (a ``{term: weight}`` mapping), which
-is how relevance feedback and profile expansion inject evidence into the
-ranking function.
+Scorers share a tiny interface — ``score(query_terms)`` returns a read-only
+``{doc_id: score}`` mapping — so the retrieval engine, fusion layer and
+adaptive model can swap them freely.  Query terms may carry weights (a
+``{term: weight}`` mapping), which is how relevance feedback and profile
+expansion inject evidence into the ranking function.
 
 Since the scoring-kernel rework both scorers run over the index's dense
 layout: postings arrive as parallel ``array('i')`` columns of document
-indexes and term frequencies, scores accumulate into a flat dense buffer
-indexed by document index, and the string-keyed ``{doc_id: score}`` mapping
-is materialised only at the very end (the fusion boundary).  The scores
-produced are bit-identical to the original per-``Posting`` loops (see
+indexes and term frequencies, and scores accumulate into a flat dense buffer
+indexed by document index.  The answer is that buffer itself, wrapped in a
+read-only :class:`DenseScores` mapping: the engine ranks straight off the
+dense values and reads a document id only for a candidate that survives its
+exact cut, and a string-keyed dict is built only when some caller reads the
+map by key (fusion of several sources, tests, tools).  The scores produced
+are bit-identical to the original per-``Posting`` loops (see
 :mod:`repro.index.reference`, which retains them for equivalence testing).
 
 Everything a scorer derives from the index lives for one ``generation`` of
@@ -29,7 +32,18 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
-from typing import Dict, Mapping, Sequence, Union
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.index.inverted_index import InvertedIndex
 
@@ -75,6 +89,113 @@ def normalise_query(query_terms: QueryTerms) -> Dict[str, float]:
     return weights
 
 
+#: One ``(ids, scores, candidates)`` part of a :class:`DenseScores`.
+ScorePart = Tuple[Sequence[Optional[str]], Sequence[float], Collection[int]]
+
+
+class StaleScoresError(RuntimeError):
+    """A :class:`DenseScores` was first read by key after a candidate of it
+    was deleted (or updated) from the index it was scored on."""
+
+
+class DenseScores(Mapping):
+    """A read-only ``{doc_id: score}`` map over dense score columns.
+
+    ``parts`` is a list of ``(ids, scores, candidates)``: for each dense
+    index ``d`` in ``candidates``, document ``ids[d]`` scored ``scores[d]``.
+    Parts never share a document (shards partition the corpus).  ``len``
+    sums the candidate counts; any access by key (``[]``, ``get``, ``in``,
+    iteration, ``==``, ``items``) builds one dict, once, in part order and
+    each part's candidate order — the order a dict built by the scorer
+    itself would have.
+
+    ``ids`` is the index's own id table (``dense_document_ids()``), read
+    lazily.  That is exact: appends never touch an existing slot,
+    compaction swaps in a new list object, and the only in-place write is a
+    delete's tombstone, which reads ``None``.  So the one case a lazy read
+    cannot answer — a candidate deleted after scoring — is detected when
+    the dict is built and raises :class:`StaleScoresError`.  The engine
+    reads every map under the read lock it scored under, where no delete
+    can land.
+    """
+
+    __slots__ = ("parts", "_built")
+
+    def __init__(self, parts: List[ScorePart]) -> None:
+        self.parts = parts
+        self._built: Optional[Dict[str, float]] = None
+
+    @classmethod
+    def of(cls, mapping: Mapping[str, float]) -> "DenseScores":
+        """``mapping`` itself if it is a :class:`DenseScores`, else one part
+        over its keys and values (visual/concept maps, dict scorers)."""
+        if isinstance(mapping, DenseScores):
+            return mapping
+        return cls([(list(mapping), list(mapping.values()), range(len(mapping)))])
+
+    @classmethod
+    def union(cls, partials: Iterable[Mapping[str, float]]) -> "DenseScores":
+        """The parts of every partial map, concatenated in order.
+
+        The partials must be disjoint (per-shard maps are), so this is the
+        ``dict.update`` merge without building a dict.
+        """
+        parts: List[ScorePart] = []
+        for partial in partials:
+            parts.extend(cls.of(partial).parts)
+        return cls(parts)
+
+    def __len__(self) -> int:
+        return sum(len(candidates) for _, _, candidates in self.parts)
+
+    def _materialise(self) -> Dict[str, float]:
+        built = self._built
+        if built is None:
+            built = {}
+            for ids, scores, candidates in self.parts:
+                built.update(
+                    zip(
+                        map(ids.__getitem__, candidates),
+                        map(scores.__getitem__, candidates),
+                    )
+                )
+            if None in built:
+                raise StaleScoresError(
+                    "score map read after one of its documents was deleted; "
+                    "read it under the lock it was scored under"
+                )
+            self._built = built
+        return built
+
+    # Key reads go to the built dict itself, whose views are the fast ones
+    # multi-source fusion iterates (the ``Mapping`` mixins would look every
+    # key up again).
+
+    def __getitem__(self, document_id: str) -> float:
+        return self._materialise()[document_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._materialise())
+
+    def __contains__(self, document_id: object) -> bool:
+        return document_id in self._materialise()
+
+    def get(self, document_id: str, default=None):
+        return self._materialise().get(document_id, default)
+
+    def keys(self):
+        return self._materialise().keys()
+
+    def values(self):
+        return self._materialise().values()
+
+    def items(self):
+        return self._materialise().items()
+
+    def __repr__(self) -> str:
+        return f"DenseScores({self._materialise()!r})"
+
+
 class TextScorer:
     """Interface shared by all text scorers."""
 
@@ -84,7 +205,7 @@ class TextScorer:
     #: package set it ``False`` and are run inline on the calling thread.
     may_block = True
 
-    def score(self, query_terms: QueryTerms) -> Dict[str, float]:
+    def score(self, query_terms: QueryTerms) -> Mapping[str, float]:
         """Score all documents that match at least one query term."""
         raise NotImplementedError
 
@@ -235,15 +356,17 @@ class TfIdfScorer(_CachedColumnsScorer):
             for doc, freq in zip(docs, freqs):
                 accumulator[doc] += query_weight * (log_tf(freq) * idf)
 
-    def score(self, query_terms: QueryTerms) -> Dict[str, float]:
-        """TF-IDF scores with document-length normalisation."""
+    def score(self, query_terms: QueryTerms) -> DenseScores:
+        """TF-IDF scores with document-length normalisation.
+
+        The norm divides each candidate's accumulator slot in place.
+        """
         accumulator, candidates = self._accumulate(query_terms)
         norms = self._length_norms
         lengths = self._index.document_lengths_array
-        doc_ids = self._index.dense_document_ids()
-        return {
-            doc_ids[doc]: accumulator[doc] / norms[lengths[doc]] for doc in candidates
-        }
+        for doc in candidates:
+            accumulator[doc] /= norms[lengths[doc]]
+        return DenseScores([(self._index.dense_document_ids(), accumulator, candidates)])
 
 
 class Bm25Scorer(_CachedColumnsScorer):
@@ -327,8 +450,7 @@ class Bm25Scorer(_CachedColumnsScorer):
                     idf * (freq * k1_plus_1) / (freq + norms[lengths[doc]])
                 )
 
-    def score(self, query_terms: QueryTerms) -> Dict[str, float]:
+    def score(self, query_terms: QueryTerms) -> DenseScores:
         """BM25 scores for all matching documents."""
         accumulator, candidates = self._accumulate(query_terms)
-        doc_ids = self._index.dense_document_ids()
-        return {doc_ids[doc]: accumulator[doc] for doc in candidates}
+        return DenseScores([(self._index.dense_document_ids(), accumulator, candidates)])

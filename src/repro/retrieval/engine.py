@@ -26,17 +26,23 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from repro.collection.documents import Collection
 from repro.index.compaction import CompactionStats, compact_engine
 from repro.index.dedup import NearDuplicateDetector
-from repro.index.fusion import normalisation_bounds, weighted_fusion
+from repro.index.fusion import normalisation_bounds_of_values, weighted_fusion
 from repro.index.inverted_index import InvertedIndex
 from repro.index.language_model import DirichletLanguageModelScorer
-from repro.index.scoring import Bm25Scorer, TextScorer, TfIdfScorer
+from repro.index.scoring import (
+    Bm25Scorer,
+    DenseScores,
+    ScorePart,
+    TextScorer,
+    TfIdfScorer,
+)
 from repro.index.tokenizer import Tokenizer
 from repro.index.visual import VisualIndex, finite_features
 from repro.retrieval.expansion import RocchioExpander, extract_key_terms
 from repro.retrieval.query import Query
 from repro.retrieval.results import ResultList
 from repro.utils.concurrency import ReadWriteLock, checkpoint_if_cancelled
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import ensure_number, ensure_positive, ensure_probability
 
 
 @dataclass(frozen=True)
@@ -70,13 +76,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.scorer not in ("bm25", "tfidf", "lm"):
             raise ValueError(f"unknown scorer {self.scorer!r}")
-        if min(self.text_weight, self.visual_weight, self.concept_weight) < 0:
-            raise ValueError("fusion weights must be non-negative")
-        ensure_positive(self.result_limit, "result_limit")
-        if self.result_cache_size < 0:
-            raise ValueError(
-                f"result_cache_size must be non-negative, got {self.result_cache_size}"
-            )
+        validate_ranking_parameters(self)
         if self.near_duplicate_threshold is not None and not (
             0.0 < self.near_duplicate_threshold <= 1.0
         ):
@@ -86,29 +86,52 @@ class EngineConfig:
             )
 
 
+def validate_ranking_parameters(config) -> None:
+    """Refuse ranking parameters outside the domain the ranking assumes.
+
+    Shared by :class:`EngineConfig` and the service configuration: fusion
+    weights and ``bm25_k1`` finite and ``>= 0``, ``bm25_b`` in ``[0, 1]``,
+    ``lm_mu`` finite and ``> 0``, ``result_limit`` a positive integer and
+    ``result_cache_size`` a non-negative one.
+    """
+    for name in ("text_weight", "visual_weight", "concept_weight", "bm25_k1"):
+        ensure_number(getattr(config, name), name)
+    ensure_probability(ensure_number(config.bm25_b, "bm25_b"), "bm25_b")
+    ensure_number(config.lm_mu, "lm_mu", positive=True)
+    ensure_number(config.result_limit, "result_limit", positive=True, integer=True)
+    ensure_number(config.result_cache_size, "result_cache_size", integer=True)
+
+
 def _decorate(
-    scores: Dict[str, float],
+    parts: List[ScorePart],
     weight: float,
     low: float,
     span: float,
     cut: float = -math.inf,
 ) -> List[Tuple[float, str]]:
-    """``(-(weight * normalised), shot_id)`` for every candidate whose raw
-    value is at least ``cut`` (by default: every candidate)."""
-    if span == 0.0:
-        return [(-(weight * 1.0), shot_id) for shot_id in scores]
-    return [
-        (-(weight * ((value - low) / span)), shot_id)
-        for shot_id, value in scores.items()
-        if value >= cut
-    ]
+    """``(-(weight * normalised), shot_id)`` for every candidate of the
+    :class:`~repro.index.scoring.DenseScores` parts whose raw value is at
+    least ``cut`` (by default: every candidate).  A shot id is read only
+    for a candidate that is decorated."""
+    decorated: List[Tuple[float, str]] = []
+    for ids, scores, candidates in parts:
+        if span == 0.0:
+            decorated += [(-(weight * 1.0), ids[d]) for d in candidates]
+        else:
+            decorated += [
+                (-(weight * ((scores[d] - low) / span)), ids[d])
+                for d in candidates
+                if scores[d] >= cut
+            ]
+    return decorated
 
 
 def _exact_cut(
-    scores: Dict[str, float], weight: float, low: float, span: float, limit: int
+    ranked: List[float], weight: float, low: float, span: float, limit: int
 ) -> float:
     """The raw value below which no candidate can rank in the top ``limit``;
-    requires ``weight > 0``, ``span > 0`` and ``len(scores) >= limit``.
+    ``ranked`` holds every candidate's raw value in ascending order, and
+    requires ``weight > 0``, ``span > 0`` and ``len(ranked) >= limit``.
 
     The cut is the ``limit``-th largest raw value.  IEEE subtraction of
     ``low``, division by a positive ``span`` and multiplication by a positive
@@ -121,7 +144,6 @@ def _exact_cut(
     for bit.  Otherwise rounding collapsed the pair and nothing can be cut:
     returns ``-inf``.
     """
-    ranked = sorted(scores.values())
     cut = ranked[-limit]
     below = bisect_left(ranked, cut)
     if below and weight * ((ranked[below - 1] - low) / span) == weight * (
@@ -434,8 +456,14 @@ class VideoRetrievalEngine:
             term_weights[normalised] = term_weights.get(normalised, 0.0) + weight
         return term_weights
 
-    def text_scores(self, query: Query) -> Dict[str, float]:
-        """Text-evidence scores for a query (terms from text plus weights)."""
+    def text_scores(self, query: Query) -> Mapping[str, float]:
+        """Text-evidence scores for a query (terms from text plus weights).
+
+        The built-in scorers answer with a
+        :class:`~repro.index.scoring.DenseScores`: read it by key only
+        under the read lock it was scored under (:meth:`read_access`), or
+        a delete landing in between makes it raise ``StaleScoresError``.
+        """
         term_weights = self._query_term_weights(query)
         if not term_weights:
             return {}
@@ -610,7 +638,7 @@ class VideoRetrievalEngine:
     def _search_uncached(self, query: Query, limit: Optional[int] = None) -> ResultList:
         if query.is_empty():
             return ResultList(query_text=query.text, items=[], topic_id=query.topic_id)
-        score_maps: List[Dict[str, float]] = []
+        score_maps: List[Mapping[str, float]] = []
         weights: List[float] = []
         # Checkpoints between evidence sources: a deadline firing mid-search
         # abandons the evaluation before fusion, so no partial ranking can
@@ -646,30 +674,43 @@ class VideoRetrievalEngine:
     def _single_source_results(
         self,
         query: Query,
-        scores: Dict[str, float],
+        scores: Mapping[str, float],
         weight: float,
         limit: Optional[int],
     ) -> ResultList:
         """Fast path for single-evidence searches (e.g. text-only configs).
 
         Applies exactly the arithmetic ``weighted_fusion`` would — min-max
-        normalisation scaled by the source weight — but decorates straight
-        into ``(-fused_score, shot_id)`` tuples, skipping two intermediate
-        score-map materialisations, and only for the candidates that can
-        reach the top ``limit`` (:func:`_exact_cut`).  Equivalence with the
-        general path is pinned by the kernel-equivalence tests, the cut's
-        exactness by ``tests/test_exact_cut_selection.py``.
+        normalisation scaled by the source weight — but straight off the
+        dense parts of the map (:class:`~repro.index.scoring.DenseScores`;
+        a visual or concept dict is wrapped as one part): one sorted list
+        of raw values gives the bounds and the exact cut
+        (:func:`_exact_cut`), and only the candidates at or above the cut
+        are decorated into ``(-fused_score, shot_id)`` tuples, the only ones
+        whose shot id is read.  No ``{shot_id: score}`` dict is built.
+        Called under the read lock the scores were computed under, so the
+        lazy id reads are exact.  Equivalence with the general path is
+        pinned by the kernel-equivalence tests and
+        ``tests/test_dense_scores.py``, the cut's exactness by
+        ``tests/test_exact_cut_selection.py``.
         """
-        if weight == 0:
+        if weight == 0 or not scores:
             return ResultList(query_text=query.text, items=[], topic_id=query.topic_id)
         limit = limit or self._config.result_limit
-        low, span = normalisation_bounds(scores)
+        parts = DenseScores.of(scores).parts
+        ranked = [column[d] for _, column, candidates in parts for d in candidates]
+        ranked.sort()
+        # The ends of the sorted list are the bounds min/max would give: a
+        # stable sort keeps the first minimum first, and a last maximum that
+        # differs from the first only in the sign of zero changes ``span``
+        # only when it is zero, which both paths read alike.
+        low, span = normalisation_bounds_of_values((ranked[0], ranked[-1]))
         cut = -math.inf
-        if weight > 0 and span > 0.0 and len(scores) > 2 * limit:
-            cut = _exact_cut(scores, weight, low, span, limit)
+        if weight > 0 and span > 0.0 and len(ranked) > 2 * limit:
+            cut = _exact_cut(ranked, weight, low, span, limit)
         return ResultList.from_decorated(
             query_text=query.text,
-            decorated=_decorate(scores, weight, low, span, cut),
+            decorated=_decorate(parts, weight, low, span, cut),
             collection=self._collection,
             limit=limit,
             topic_id=query.topic_id,

@@ -15,9 +15,9 @@ from typing import Optional
 
 from repro.durability.wal import FSYNC_POLICIES
 from repro.replication.config import ReplicationConfig
-from repro.retrieval.engine import EngineConfig
+from repro.retrieval.engine import EngineConfig, validate_ranking_parameters
 from repro.serving.config import ServingConfig
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import ensure_number
 
 #: Scorer names the engine can build natively (no registry override needed).
 _BUILTIN_SCORERS = ("bm25", "tfidf", "lm")
@@ -121,25 +121,18 @@ class ServiceConfig:
     near_duplicate_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
-        ensure_positive(self.result_limit, "result_limit")
-        ensure_positive(self.max_sessions, "max_sessions")
-        ensure_positive(self.num_shards, "num_shards")
+        validate_ranking_parameters(self)
+        for name in ("max_sessions", "num_shards", "snapshot_interval_ops"):
+            ensure_number(getattr(self, name), name, positive=True, integer=True)
         if self.executor != "thread":
             raise ValueError(
                 f"executor={self.executor!r}: the process executor was removed; "
                 "'thread' is the only scatter executor"
             )
-        ensure_positive(self.snapshot_interval_ops, "snapshot_interval_ops")
         if self.fsync_policy not in FSYNC_POLICIES:
             raise ValueError(
                 f"unknown fsync policy {self.fsync_policy!r}; expected one "
                 f"of {FSYNC_POLICIES}"
-            )
-        if min(self.text_weight, self.visual_weight, self.concept_weight) < 0:
-            raise ValueError("fusion weights must be non-negative")
-        if self.result_cache_size < 0:
-            raise ValueError(
-                f"result_cache_size must be non-negative, got {self.result_cache_size}"
             )
         if self.near_duplicate_threshold is not None and not (
             0.0 < self.near_duplicate_threshold <= 1.0

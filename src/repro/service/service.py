@@ -87,7 +87,7 @@ from repro.service.types import (
     SearchResponse,
     SessionInfo,
 )
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import ensure_number, ensure_positive
 
 #: A corpus the service can be built from directly.
 CorpusLike = Union[SyntheticCorpus, StoredCorpus]
@@ -345,7 +345,7 @@ class RetrievalService:
         if not user_id:
             raise ValueError("user_id must be non-empty")
         if result_limit is not None:
-            ensure_positive(result_limit, "result_limit")
+            ensure_number(result_limit, "result_limit", positive=True, integer=True)
         policy_name, policy_obj = self._resolve_policy(policy)
         scheme_name, scheme_obj = self._resolve_scheme(scheme)
         limit = result_limit or self._config.result_limit

@@ -16,6 +16,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.feedback.events import InteractionEvent
 from repro.retrieval.results import ResultItem, ResultList
+from repro.utils.validation import ensure_number
 
 
 #: One ranked shot in a :class:`SearchResponse`: the engine's own frozen
@@ -54,8 +55,8 @@ class SearchRequest:
     def __post_init__(self) -> None:
         if not self.user_id:
             raise ValueError("SearchRequest.user_id must be non-empty")
-        if self.limit is not None and self.limit <= 0:
-            raise ValueError("SearchRequest.limit must be positive when given")
+        if self.limit is not None:
+            ensure_number(self.limit, "SearchRequest.limit", positive=True, integer=True)
 
 
 @dataclass(frozen=True)

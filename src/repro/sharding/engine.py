@@ -5,12 +5,13 @@ VideoRetrievalEngine` whose substrate is partitioned: documents and shots
 are hash-routed onto N per-shard indexes, every text query scatters to one
 scorer per shard (each built over a :class:`~repro.sharding.global_stats.
 GlobalStatsView`, so idf / average-length / collection-probability inputs
-are global), and the gathered partial score maps are merged into exactly
-the score map the monolithic engine computes.  Because the merge happens
-*before* fusion, the engine's inherited fusion, normalisation, top-k
-selection, result caches and read/write locking all run unchanged — the
-sharded ranking is bit-identical to the unsharded one by construction, a
-property pinned by ``tests/test_sharding_equivalence.py``.
+are global), and the gathered partial score maps are concatenated into one
+:class:`~repro.index.scoring.DenseScores` holding exactly the scores the
+monolithic engine computes — no per-shard dict and no merged dict is built.
+Because the union happens *before* fusion, the engine's inherited fusion,
+normalisation, top-k selection, result caches and read/write locking all
+run unchanged — the sharded ranking is bit-identical to the unsharded one
+by construction, a property pinned by ``tests/test_sharding_equivalence.py``.
 
 Where a text scatter runs is decided per query from the live shard scorers:
 the scatter pool is used only when :attr:`ShardedTextScorer.may_block`,
@@ -33,11 +34,17 @@ one stroke.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.collection.documents import Collection
 from repro.index.language_model import DirichletLanguageModelScorer
-from repro.index.scoring import Bm25Scorer, QueryTerms, TextScorer, TfIdfScorer
+from repro.index.scoring import (
+    Bm25Scorer,
+    DenseScores,
+    QueryTerms,
+    TextScorer,
+    TfIdfScorer,
+)
 from repro.index.tokenizer import Tokenizer
 from repro.retrieval.engine import EngineConfig, VideoRetrievalEngine
 from repro.sharding.global_stats import GlobalStatsView
@@ -54,11 +61,12 @@ ShardScorerFactory = Callable[[GlobalStatsView], TextScorer]
 
 
 class ShardedTextScorer(TextScorer):
-    """Scatter a text query across per-shard scorers and merge the maps.
+    """Scatter a text query across per-shard scorers and union the maps.
 
-    Shards partition the document space, so the per-shard ``{doc_id:
-    score}`` maps are disjoint and the merge is a plain union — no score
-    arithmetic happens at the gather, which is what keeps merged scores
+    Shards partition the document space, so the per-shard score maps are
+    disjoint and the union is a concatenation of their dense parts
+    (:meth:`~repro.index.scoring.DenseScores.union`) — no score arithmetic
+    happens at the gather, which is what keeps the gathered scores
     bit-identical to the monolithic evaluation (each shard already scored
     its documents with global statistics).
 
@@ -97,7 +105,7 @@ class ShardedTextScorer(TextScorer):
         """
         self._fanout_observer = observer
 
-    def score(self, query_terms: QueryTerms) -> Dict[str, float]:
+    def score(self, query_terms: QueryTerms) -> DenseScores:
         """Gathered scores for all matching documents across shards.
 
         The pool is used only when :attr:`may_block` — a stalled shard then
@@ -110,23 +118,23 @@ class ShardedTextScorer(TextScorer):
         """
         started = time.perf_counter()
         scorers = self._scorers
-        merged: Dict[str, float] = {}
         if self.may_block:
             # ``ScatterGather.map`` resolves the caller's thread-local
             # cancellation token, so a deadline firing mid-scatter abandons
             # the fan-out and queued shard sub-tasks free their slots.
-            for partial in self._gather.map(
+            partials = self._gather.map(
                 lambda scorer: scorer.score(query_terms), scorers
-            ):
-                merged.update(partial)
+            )
         else:
+            partials = []
             for scorer in scorers:
                 checkpoint_if_cancelled()
-                merged.update(scorer.score(query_terms))
+                partials.append(scorer.score(query_terms))
+        scores = DenseScores.union(partials)
         observer = self._fanout_observer
         if observer is not None:
             observer(time.perf_counter() - started, len(scorers))
-        return merged
+        return scores
 
 
 def _shard_scorer_from_config(

@@ -20,6 +20,7 @@ from repro.utils.serialization import (
 from repro.utils.validation import (
     ensure_in_range,
     ensure_non_empty,
+    ensure_number,
     ensure_positive,
     ensure_probability,
     ensure_type,
@@ -42,6 +43,7 @@ __all__ = [
     "write_jsonl",
     "ensure_in_range",
     "ensure_non_empty",
+    "ensure_number",
     "ensure_positive",
     "ensure_probability",
     "ensure_type",

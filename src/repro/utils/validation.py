@@ -7,6 +7,7 @@ messages, which the test suite asserts against.
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import Any, Optional, Sized, Type
 
 
@@ -14,6 +15,30 @@ def ensure_positive(value: float, name: str) -> float:
     """Return ``value`` if strictly positive, else raise ``ValueError``."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def ensure_number(
+    value: Any, name: str, *, positive: bool = False, integer: bool = False
+) -> Any:
+    """Return ``value`` if it is a finite number ``>= 0`` (``> 0`` when
+    ``positive``), and an ``int`` that is not a ``bool`` when ``integer``;
+    else raise ``ValueError``.
+
+    The domain of every ranking parameter: a NaN or infinite weight or
+    ``k1`` ranks by ``nan`` or drops every hit, and a float count reaches
+    list slicing deep inside the ranking.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integer else Real):
+        kind = "an integer" if integer else "a real number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if not (value > 0 if positive else value >= 0) or not (
+        integer or math.isfinite(value)
+    ):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(
+            f"{name} must be {sign}{'' if integer else ' and finite'}, got {value!r}"
+        )
     return value
 
 

@@ -2,9 +2,12 @@
 
 ``VideoRetrievalEngine._single_source_results`` decorates only the
 candidates at or above the ``limit``-th raw value and decorates everything
-when rounding collapses the cut onto the value below it.  These tests compare it, ids and score bits, against the retained full
-path over generated score maps built to sit on that edge, and show the
-comparison has teeth by running it against two mutants of the real source.
+when rounding collapses the cut onto the value below it.  These tests
+compare it, ids and score bits, against the retained full path over
+generated score maps built to sit on that edge, and show the comparison has
+teeth by running it against two mutants of the real source.  The helpers
+take the dense parts of a :class:`~repro.index.scoring.DenseScores` and the
+sorted list of raw values, as the engine hands them over.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.index.fusion import normalisation_bounds
+from repro.index.scoring import DenseScores
 from repro.retrieval import Query
 from repro.retrieval import engine as engine_module
 from repro.retrieval.engine import _decorate, _exact_cut
@@ -29,7 +33,7 @@ def _full_path(scores, weight, limit):
     if weight == 0:
         return []
     low, span = normalisation_bounds(scores)
-    decorated = sorted(_decorate(scores, weight, low, span))[:limit]
+    decorated = sorted(_decorate(DenseScores.of(scores).parts, weight, low, span))[:limit]
     return [(shot_id, (-negated).hex()) for negated, shot_id in decorated]
 
 
@@ -94,13 +98,14 @@ class TestExactCut:
         for scores, weight, limit in (ABSORBED_ULP, SUBNORMAL_WEIGHT):
             low, span = normalisation_bounds(scores)
             assert len(scores) > 2 * limit and span > 0 and weight > 0
-            assert _exact_cut(scores, weight, low, span, limit) == -math.inf
+            ranked = sorted(scores.values())
+            assert _exact_cut(ranked, weight, low, span, limit) == -math.inf
 
     def test_cut_prunes_when_nothing_collapses(self):
         scores, weight, limit = TIE_AT_CUT
         low, span = normalisation_bounds(scores)
-        cut = _exact_cut(scores, weight, low, span, limit)
-        survivors = _decorate(scores, weight, low, span, cut)
+        cut = _exact_cut(sorted(scores.values()), weight, low, span, limit)
+        survivors = _decorate(DenseScores.of(scores).parts, weight, low, span, cut)
         assert cut == 2.0
         assert sorted(shot_id for _, shot_id in survivors) == [
             "s000", "s001", "s002", "s003",
@@ -109,7 +114,7 @@ class TestExactCut:
     @pytest.mark.parametrize(
         "function, original, mutated, caught_by",
         [
-            ("_decorate", "if value >= cut", "if value > cut", TIE_AT_CUT),
+            ("_decorate", "if scores[d] >= cut", "if scores[d] > cut", TIE_AT_CUT),
             ("_exact_cut", "if below and ", "if False and ", ABSORBED_ULP),
             ("_exact_cut", "if below and ", "if False and ", SUBNORMAL_WEIGHT),
         ],

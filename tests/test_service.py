@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import implicit_only_policy
 from repro.feedback import EventKind, InteractionEvent
+from repro.retrieval import EngineConfig
 from repro.retrieval.results import ResultList
 from repro.service import (
     FeedbackBatch,
@@ -520,6 +521,60 @@ class TestServiceConstruction:
         # Custom scorer names fall back to a builtin placeholder; the real
         # scorer instance is injected from the registry.
         assert ServiceConfig(scorer="custom").engine_config().scorer == "bm25"
+
+
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+#: Ranking parameters that take any finite number in their domain.
+REAL_FIELDS = ("text_weight", "visual_weight", "concept_weight", "bm25_k1", "lm_mu")
+#: Counts: a positive (cache size: non-negative) integer, never a float.
+COUNT_FIELDS = ("result_limit", "result_cache_size")
+
+
+class TestRankingParameterDomain:
+    """Non-finite or non-integer ranking parameters are refused up front.
+
+    NaN weights ranked every hit by ``nan``, an infinite one by ``inf`` and
+    ``nan``, a NaN or infinite ``bm25_k1`` returned no hits at all, and a
+    float limit was accepted and raised a raw ``TypeError`` from inside the
+    ranking on the first search.
+    """
+
+    @pytest.mark.parametrize("config_class", [ServiceConfig, EngineConfig])
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    def test_real_fields_refuse_non_finite(self, config_class, field):
+        for value in NON_FINITE:
+            with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+                config_class(**{field: value})
+        assert getattr(config_class(**{field: 2.5}), field) == 2.5
+
+    @pytest.mark.parametrize(
+        "config_class, field",
+        [(ServiceConfig, field) for field in COUNT_FIELDS + ("max_sessions",)]
+        + [(EngineConfig, field) for field in COUNT_FIELDS],
+    )
+    def test_counts_refuse_non_integers(self, config_class, field):
+        for value in NON_FINITE + (2.5, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                config_class(**{field: value})
+        assert getattr(config_class(**{field: 3}), field) == 3
+
+    def test_bm25_b_refuses_nan(self):
+        for config_class in (ServiceConfig, EngineConfig):
+            with pytest.raises(ValueError, match="bm25_b"):
+                config_class(bm25_b=float("nan"))
+
+    def test_search_request_limit(self):
+        for value in NON_FINITE + (2.5, True):
+            with pytest.raises(ValueError, match="SearchRequest.limit must be an integer"):
+                SearchRequest(user_id="u", query="q", limit=value)
+        assert SearchRequest(user_id="u", query="q", limit=7).limit == 7
+
+    def test_open_session_result_limit_refused_before_any_work(self, service):
+        for value in NON_FINITE + (2.5,):
+            with pytest.raises(ValueError, match="result_limit must be an integer"):
+                service.open_session("alice", result_limit=value)
+        assert service.session_count == 0
+        assert service.open_session("alice", result_limit=4).result_limit == 4
 
 
 class TestErrorPaths:

@@ -9,6 +9,7 @@ from repro.utils import (
     derive_seed,
     ensure_in_range,
     ensure_non_empty,
+    ensure_number,
     ensure_positive,
     ensure_probability,
     ensure_type,
@@ -133,6 +134,25 @@ class TestValidation:
         assert ensure_non_empty([1], "items") == [1]
         with pytest.raises(ValueError):
             ensure_non_empty([], "items")
+
+    def test_ensure_number(self):
+        assert ensure_number(0.0, "w") == 0.0
+        assert ensure_number(2, "w") == 2
+        assert ensure_number(5e-324, "w", positive=True) == 5e-324
+        assert ensure_number(3, "n", positive=True, integer=True) == 3
+        for value in (float("nan"), float("inf"), -float("inf"), -0.5):
+            with pytest.raises(ValueError, match="w must be non-negative and finite"):
+                ensure_number(value, "w")
+        with pytest.raises(ValueError, match="w must be positive and finite"):
+            ensure_number(0.0, "w", positive=True)
+        for value in (2.5, float("nan"), True, "3", None):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                ensure_number(value, "n", integer=True)
+        with pytest.raises(ValueError, match="n must be positive, got 0"):
+            ensure_number(0, "n", positive=True, integer=True)
+        for value in (True, "1.0", None):
+            with pytest.raises(ValueError, match="w must be a real number"):
+                ensure_number(value, "w")
 
     def test_ensure_type(self):
         assert ensure_type("abc", str, "s") == "abc"
