@@ -13,11 +13,11 @@ scoring:
   construction O(1) instead of O(corpus).
 * :class:`DenseScratch` plus :func:`rerank_and_demote` fuse the
   evidence-interpolation and seen-shot-demotion folds into one pass over a
-  flat ``array('d')`` buffer indexed by the inverted index's dense document
-  indexes (stamp-validated, so no O(corpus) zeroing between queries),
-  converting back to ``(score, shot_id)`` pairs only at the fusion
-  boundary where the final :class:`~repro.retrieval.results.ResultList` is
-  built.  Shot ids that were never indexed (feedback on alien ids) fall
+  flat ``array('d')`` buffer indexed by the inverted index's slots (see
+  :mod:`repro.index.slots`; stamp-validated, so no O(corpus) zeroing
+  between queries), converting back to ``(score, shot_id)`` pairs only at
+  the fusion boundary where the final
+  :class:`~repro.retrieval.results.ResultList` is built.  Shot ids that were never indexed (feedback on alien ids) fall
   back to a small overflow map.
 
 Everything here is **bit-identical** to the retained reference
@@ -104,7 +104,7 @@ def profile_affinity_shared(
 
 
 class DenseScratch:
-    """Reusable dense accumulation buffer over the doc-index space.
+    """Reusable dense accumulation buffer over an index's slots.
 
     ``values`` holds per-document partial scores; ``stamps`` marks which
     entries belong to the current pass (a monotonically increasing token),
@@ -122,8 +122,8 @@ class DenseScratch:
         self.token = 0
 
     def begin(self, size: int) -> int:
-        """Start a pass over an index of ``size`` documents; returns the
-        pass token."""
+        """Start a pass over an index of ``size`` slots; returns the pass
+        token."""
         if len(self.values) < size:
             grow = size - len(self.values)
             self.values.extend([0.0] * grow)
@@ -162,10 +162,13 @@ def rerank_and_demote(
     if apply_evidence:
         # Interpolation: (1 - w) * normalised(original) + w * normalised(evidence)
         # over the union of both maps, into the dense buffer.
-        token = scratch.begin(index.document_count)
+        # Sized by slots, not live documents: a tombstoned slot keeps its
+        # number, so live slots can lie past the live count.
+        slots = index.slots
+        token = scratch.begin(slots.slot_count)
         values = scratch.values
         stamps = scratch.stamps
-        doc_index_get = index.doc_index_get
+        slot_of = slots.get
         touched: list = []
         overflow: Dict[str, float] = {}
         items = results.items
@@ -177,7 +180,7 @@ def rerank_and_demote(
                     contribution = primary_weight * 1.0
                 else:
                     contribution = primary_weight * ((item.score - low) / span)
-                doc = doc_index_get(item.shot_id)
+                doc = slot_of(item.shot_id)
                 if doc is None:
                     overflow[item.shot_id] = contribution
                 else:
@@ -190,7 +193,7 @@ def rerank_and_demote(
                 contribution = weight * 1.0
             else:
                 contribution = weight * ((value - low) / span)
-            doc = doc_index_get(shot_id)
+            doc = slot_of(shot_id)
             if doc is None:
                 if shot_id in overflow:
                     overflow[shot_id] += contribution
@@ -202,8 +205,8 @@ def rerank_and_demote(
                 values[doc] = contribution
                 stamps[doc] = token
                 touched.append(doc)
-        doc_id_at = index.doc_id_at
-        decorated = [(-values[doc], doc_id_at(doc)) for doc in touched]
+        ids = slots.ids
+        decorated = [(-values[doc], ids[doc]) for doc in touched]
         if overflow:
             decorated.extend((-value, shot_id) for shot_id, value in overflow.items())
         if not apply_demote:

@@ -66,13 +66,11 @@ def engine_text_items(engine) -> Iterable[TextItem]:
 
     Works identically over a monolithic :class:`~repro.index.
     inverted_index.InvertedIndex` and a :class:`~repro.sharding.views.
-    ShardedInvertedIndex` facade — both expose the global dense id table
-    and per-document vectors.
+    ShardedInvertedIndex` facade — both list their live ids in slot order.
     """
     index = engine.inverted_index
-    for document_id in index.dense_document_ids():
-        if document_id is not None:
-            yield document_id, index.document_vector_view(document_id)
+    for document_id in index.document_ids():
+        yield document_id, index.document_vector_view(document_id)
 
 
 def engine_visual_items(engine) -> Iterable[VisualItem]:

@@ -1,10 +1,10 @@
 """Generation-safe background compaction of tombstoned indexes.
 
-Deletes and updates tombstone dense slots (see
-:mod:`repro.index.inverted_index`); scoring stays exact because postings are
-scrubbed eagerly, but the interned id space and the per-slot arrays keep
-growing.  Compaction re-interns the live documents — in slot order, which is
-exactly the order a from-scratch rebuild or WAL replay would use, so
+Deletes and updates tombstone dense slots (see :mod:`repro.index.slots`);
+scoring stays exact because postings are scrubbed eagerly, but the interned
+id space and the per-slot arrays keep growing.  Compaction re-interns the
+live documents — in slot order, which is exactly the order a from-scratch
+rebuild or WAL replay would use, so
 rankings are unchanged bit-for-bit — and swaps the rebuilt state into the
 *existing* index objects in place, because sharded scorers and stats views
 hold direct references to the physical shards.
@@ -85,9 +85,7 @@ def _adopt(engine, prepared_text, prepared_visual, retries: int) -> CompactionSt
     """Swap prepared states in (caller holds the exclusive writer)."""
     documents = engine.inverted_index.adopt_compacted(prepared_text)
     shots = engine.visual_index.adopt_compacted(prepared_visual)
-    note = getattr(engine, "note_compaction_locked", None)
-    if note is not None:
-        note()
+    engine.note_compaction_locked()
     return CompactionStats(documents, shots, retries)
 
 

@@ -91,7 +91,7 @@ class DirichletLanguageModelScorer(TextScorer):
                 term_constants.append((weights[term], mu * collection_probability))
 
         lengths = index.document_lengths_array
-        doc_ids = index.dense_document_ids()
+        doc_ids = index.slots.ids
         log = math.log
         scores: Dict[str, float] = {}
         for doc, row in candidates.items():
@@ -147,7 +147,7 @@ class JelinekMercerLanguageModelScorer(TextScorer):
         ]
 
         lengths = index.document_lengths_array
-        doc_ids = index.dense_document_ids()
+        doc_ids = index.slots.ids
         log = math.log
         scores: Dict[str, float] = {}
         for doc, row in candidates.items():

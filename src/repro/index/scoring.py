@@ -109,7 +109,7 @@ class DenseScores(Mapping):
     each part's candidate order — the order a dict built by the scorer
     itself would have.
 
-    ``ids`` is the index's own id table (``dense_document_ids()``), read
+    ``ids`` is the index's own id table (``index.slots.ids``), read
     lazily.  That is exact: appends never touch an existing slot,
     compaction swaps in a new list object, and the only in-place write is a
     delete's tombstone, which reads ``None``.  So the one case a lazy read
@@ -366,7 +366,7 @@ class TfIdfScorer(_CachedColumnsScorer):
         lengths = self._index.document_lengths_array
         for doc in candidates:
             accumulator[doc] /= norms[lengths[doc]]
-        return DenseScores([(self._index.dense_document_ids(), accumulator, candidates)])
+        return DenseScores([(self._index.slots.ids, accumulator, candidates)])
 
 
 class Bm25Scorer(_CachedColumnsScorer):
@@ -453,4 +453,4 @@ class Bm25Scorer(_CachedColumnsScorer):
     def score(self, query_terms: QueryTerms) -> DenseScores:
         """BM25 scores for all matching documents."""
         accumulator, candidates = self._accumulate(query_terms)
-        return DenseScores([(self._index.dense_document_ids(), accumulator, candidates)])
+        return DenseScores([(self._index.slots.ids, accumulator, candidates)])

@@ -9,9 +9,11 @@ Two visual evidence sources are supported, mirroring TRECVID-era systems:
   used when a query or profile is mapped onto the concept vocabulary.
 
 Storage is array-backed to match the access pattern of the scoring loops:
-shot ids are interned to dense integer indexes, feature-vector L2 norms are
-precomputed once at ``add_shot`` time, concept scores are additionally
-inverted into per-concept postings (``concept -> [(shot_index, score)]``)
+shot ids are interned to dense slots by the index's
+:class:`~repro.index.slots.SlotTable` (``index.slots``, which also holds the
+tombstones, the generation clock and the compaction protocol), feature-vector
+L2 norms are precomputed once at ``add_shot`` time, concept scores are
+additionally inverted into per-concept postings (``concept -> [(slot, score)]``)
 so ``score_by_concepts`` touches only shots that actually carry a queried
 concept, and top-k selection uses a bounded heap instead of sorting every
 candidate.  ``add_shot`` refuses a vector whose norm is not finite (a NaN
@@ -34,12 +36,10 @@ live slots of the current generation (:class:`_ScanView`):
    result is bit-identical to scoring every shot.
 
 Like :class:`repro.index.inverted_index.InvertedIndex`, the corpus is
-mutable: :meth:`delete_shot` tombstones the dense slot (``None`` id, empty
-vector, zero norm) and scrubs the shot out of every concept postings list,
-so concept scoring skips dead slots without a mask, the scan's view leaves
-them out, and results stay bit-identical to an index rebuilt over the
-surviving shots;
-:meth:`adopt_compacted` reclaims tombstoned slots in place.
+mutable: :meth:`delete_shot` tombstones the slot (empty vector, zero norm)
+and scrubs the shot out of every concept postings list, so concept scoring
+skips dead slots without a mask, the scan's view leaves them out, and
+results stay bit-identical to an index rebuilt over the surviving shots.
 
 The neighbours of a shot depend on the index, not on who asks, so
 :meth:`VisualIndex.similar_to_shot` keeps its answers in a
@@ -69,6 +69,7 @@ from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequenc
 
 from repro.analysis.features import FeatureExtractor, cosine_similarity
 from repro.collection.documents import Collection
+from repro.index.slots import SlotTable, SlottedIndex
 from repro.utils.validation import ensure_positive
 
 #: Bound on the neighbour pairs one :class:`NeighbourTable` stores: 1 024
@@ -301,21 +302,66 @@ class NeighbourTable:
             }
 
 
-class VisualIndex:
+class VisualIndexBase(SlottedIndex):
+    """The visual API :class:`VisualIndex` and the sharded facade share.
+
+    Both hold their live ids in ``slots`` and their answers to
+    :meth:`similar_to_shot` in ``_neighbours``; a subclass implements
+    ``features_of`` and ``similar_to_vector``.
+    """
+
+    _neighbours: NeighbourTable
+
+    @property
+    def shot_count(self) -> int:
+        """Number of **live** indexed shots (tombstones excluded)."""
+        return self.slots.live_count
+
+    def has_shot(self, shot_id: str) -> bool:
+        """True if the shot has visual evidence."""
+        return shot_id in self.slots
+
+    def shot_ids(self) -> List[str]:
+        """All **live** shot ids, in slot (insertion/replay) order."""
+        return self.slots.live_ids()
+
+    def similar_to_shot(self, shot_id: str, limit: int = 20) -> List[Tuple[str, float]]:
+        """Shots most similar to a given shot (the query shot is excluded).
+
+        Served from the :class:`NeighbourTable` when it holds the answer;
+        either way the list is the caller's own.
+        """
+        ensure_positive(limit, "limit")
+        vector = self.features_of(shot_id)
+        cached = self._neighbours.get(shot_id, limit)
+        if cached is not None:
+            return cached
+        result = self.similar_to_vector(vector, limit=limit, exclude=(shot_id,))
+        self._neighbours.put(shot_id, limit, vector, result)
+        return result
+
+    def neighbour_table_info(self) -> Dict[str, int]:
+        """Occupancy and hit/miss/correction counters of the neighbour table."""
+        return self._neighbours.info()
+
+    def similarity(self, first_shot_id: str, second_shot_id: str) -> float:
+        """Cosine similarity between two indexed shots."""
+        return cosine_similarity(
+            self.features_of(first_shot_id), self.features_of(second_shot_id)
+        )
+
+
+class VisualIndex(VisualIndexBase):
     """Stores one feature vector and one concept-score map per shot."""
 
     def __init__(self) -> None:
-        # Dense shot interning: index -> id and id -> index.  Deleted shots
-        # leave a ``None`` tombstone in the id table, so live count is
-        # len(_shot_index).
-        self._shot_ids: List[Optional[str]] = []
-        self._shot_index: Dict[str, int] = {}
+        self.slots = SlotTable("shot", "in visual index")
+        # Payload columns, indexed by slot.
         self._vectors: List[Tuple[float, ...]] = []
         self._norms = array("d")
         self._concept_maps: List[Dict[str, float]] = []
-        # Inverted concept postings: concept -> [(shot_index, score)].
+        # Inverted concept postings: concept -> [(slot, score)].
         self._concept_postings: Dict[str, List[Tuple[int, float]]] = {}
-        self._generation = 0
         self._neighbours = NeighbourTable()
         self._scan: Optional[_ScanView] = None
 
@@ -338,97 +384,61 @@ class VisualIndex:
         Duplicates and features of non-finite norm raise ``ValueError``
         before anything changes.
         """
-        if shot_id in self._shot_index:
-            raise ValueError(f"shot {shot_id!r} already in visual index")
+        self.slots.check_new((shot_id,))
         vector, norm = finite_features(shot_id, features)
-        shot_index = len(self._shot_ids)
-        self._shot_ids.append(shot_id)
-        self._shot_index[shot_id] = shot_index
+        concepts = dict(concept_scores or {})
+        slot = self.slots.add(shot_id)
         self._vectors.append(vector)
         self._norms.append(norm)
-        concepts = dict(concept_scores or {})
         self._concept_maps.append(concepts)
         for concept, score in concepts.items():
-            self._concept_postings.setdefault(concept, []).append((shot_index, score))
-        self._generation += 1
+            self._concept_postings.setdefault(concept, []).append((slot, score))
         if self._neighbours:
             self._neighbours.shot_added(shot_id, vector)
 
     def delete_shot(self, shot_id: str) -> None:
         """Remove one shot; an unknown id raises ``KeyError``.
 
-        The dense slot is tombstoned and the shot is scrubbed out of every
+        The slot is tombstoned and the shot is scrubbed out of every
         concept postings list it appears in, so searches never need a
         tombstone mask.
         """
-        shot_index = self._shot_index.pop(shot_id, None)
-        if shot_index is None:
-            raise KeyError(f"shot {shot_id!r} not in visual index")
+        slot = self.slots.remove(shot_id)
         concept_postings = self._concept_postings
-        for concept in self._concept_maps[shot_index]:
-            postings = [
-                entry for entry in concept_postings[concept] if entry[0] != shot_index
-            ]
+        for concept in self._concept_maps[slot]:
+            postings = [entry for entry in concept_postings[concept] if entry[0] != slot]
             if postings:
                 concept_postings[concept] = postings
             else:
                 del concept_postings[concept]
-        self._shot_ids[shot_index] = None
-        self._vectors[shot_index] = ()
-        self._norms[shot_index] = 0.0
-        self._concept_maps[shot_index] = {}
-        self._generation += 1
+        self._vectors[slot] = ()
+        self._norms[slot] = 0.0
+        self._concept_maps[slot] = {}
         if self._neighbours:
             self._neighbours.shot_deleted(shot_id)
 
     # -- compaction ----------------------------------------------------------
 
-    @property
-    def tombstone_count(self) -> int:
-        """Number of tombstoned (deleted, not yet compacted) dense slots."""
-        return len(self._shot_ids) - len(self._shot_index)
-
-    def live_items(
-        self,
-    ) -> List[Tuple[str, Tuple[float, ...], Dict[str, float]]]:
-        """``(shot_id, features, concept_scores)`` for live shots in slot order."""
-        return [
-            (shot_id, self._vectors[shot_index], self._concept_maps[shot_index])
-            for shot_index, shot_id in enumerate(self._shot_ids)
-            if shot_id is not None
-        ]
-
     def compacted_copy(self) -> "VisualIndex":
         """A fresh index holding only the live shots, re-interned densely."""
         fresh = VisualIndex()
-        for shot_id, features, concepts in self.live_items():
-            fresh.add_shot(shot_id, features, concepts)
+        for slot, shot_id in enumerate(self.slots.ids):
+            if shot_id is not None:
+                fresh.add_shot(shot_id, self._vectors[slot], self._concept_maps[slot])
         return fresh
 
     def adopt_compacted(self, fresh: "VisualIndex") -> int:
-        """Swap ``fresh``'s dense state into this object in place.
+        """Swap ``fresh``'s state into this object in place.
 
-        Mirrors :meth:`InvertedIndex.adopt_compacted`: object identity is
-        preserved for long-lived references, the generation strictly
-        increases, and the number of reclaimed slots is returned.  The
-        neighbour table is keyed by shot ids, which compaction keeps, so it
-        stays as it is.
+        Mirrors :meth:`InvertedIndex.adopt_compacted`.  The neighbour table
+        is keyed by shot ids, which compaction keeps, so it stays as it is.
         """
-        reclaimed = len(self._shot_ids) - len(fresh._shot_ids)
-        self._shot_ids = fresh._shot_ids
-        self._shot_index = fresh._shot_index
+        reclaimed = self.slots.adopt(fresh.slots)
         self._vectors = fresh._vectors
         self._norms = fresh._norms
         self._concept_maps = fresh._concept_maps
         self._concept_postings = fresh._concept_postings
-        self._generation += 1
         return reclaimed
-
-    def compact(self) -> int:
-        """Reclaim tombstoned slots in place; no-op when there are none."""
-        if self.tombstone_count == 0:
-            return 0
-        return self.adopt_compacted(self.compacted_copy())
 
     @classmethod
     def from_collection(
@@ -451,34 +461,16 @@ class VisualIndex:
 
     # -- statistics ----------------------------------------------------------
 
-    @property
-    def shot_count(self) -> int:
-        """Number of **live** indexed shots (tombstones excluded)."""
-        return len(self._shot_index)
-
-    @property
-    def generation(self) -> int:
-        """Mutation counter; changes on every add, delete or compact."""
-        return self._generation
-
-    def has_shot(self, shot_id: str) -> bool:
-        """True if the shot has visual evidence."""
-        return shot_id in self._shot_index
-
-    def shot_ids(self) -> List[str]:
-        """All **live** shot ids, in dense-slot (insertion/replay) order."""
-        return [shot_id for shot_id in self._shot_ids if shot_id is not None]
-
     def features_of(self, shot_id: str) -> Tuple[float, ...]:
-        """Feature vector of one shot."""
-        return self._vectors[self._shot_index[shot_id]]
+        """Feature vector of one shot; an unknown id raises ``KeyError``."""
+        return self._vectors[self.slots[shot_id]]
 
     def concept_scores_of(self, shot_id: str) -> Dict[str, float]:
         """Concept confidence scores of one shot (a copy)."""
-        shot_index = self._shot_index.get(shot_id)
-        if shot_index is None:
+        slot = self.slots.get(shot_id)
+        if slot is None:
             return {}
-        return dict(self._concept_maps[shot_index])
+        return dict(self._concept_maps[slot])
 
     # -- search -----------------------------------------------------------------
 
@@ -488,15 +480,16 @@ class VisualIndex:
         Readers racing to build it build equal views; writes are exclusive
         of scans, so a view never mixes two generations.
         """
+        slots = self.slots
         view = self._scan
-        if view is not None and view.generation == self._generation:
+        if view is not None and view.generation == slots.generation:
             return view
-        live = list(map(is_not, self._shot_ids, repeat(None)))
+        live = list(map(is_not, slots.ids, repeat(None)))
         vectors = list(compress(self._vectors, live))
         norms = list(compress(self._norms, live))
         view = _ScanView(
-            generation=self._generation,
-            shot_ids=list(compress(self._shot_ids, live)),
+            generation=slots.generation,
+            shot_ids=list(compress(slots.ids, live)),
             vectors=vectors,
             norms=norms,
             squared_norms=list(map(mul, norms, norms)),
@@ -560,51 +553,23 @@ class VisualIndex:
             scored.append((shot_id, similarity))
         return heapq.nsmallest(limit, scored, key=lambda item: (-item[1], item[0]))
 
-    def similar_to_shot(self, shot_id: str, limit: int = 20) -> List[Tuple[str, float]]:
-        """Shots most similar to a given shot (the query shot is excluded).
-
-        Served from the :class:`NeighbourTable` when it holds the answer;
-        either way the list is the caller's own.
-        """
-        ensure_positive(limit, "limit")
-        shot_index = self._shot_index.get(shot_id)
-        if shot_index is None:
-            raise KeyError(f"shot {shot_id!r} not in visual index")
-        cached = self._neighbours.get(shot_id, limit)
-        if cached is not None:
-            return cached
-        vector = self._vectors[shot_index]
-        result = self.similar_to_vector(vector, limit=limit, exclude=(shot_id,))
-        self._neighbours.put(shot_id, limit, vector, result)
-        return result
-
-    def neighbour_table_info(self) -> Dict[str, int]:
-        """Occupancy and hit/miss/correction counters of the neighbour table."""
-        return self._neighbours.info()
-
     def score_by_concepts(
         self, concept_weights: Mapping[str, float]
     ) -> Dict[str, float]:
         """Score every shot by a weighted sum of its concept confidences."""
-        accumulator = [0.0] * len(self._shot_ids)
+        shot_ids = self.slots.ids
+        accumulator = [0.0] * len(shot_ids)
         touched: List[int] = []
-        seen = bytearray(len(self._shot_ids))
+        seen = bytearray(len(shot_ids))
         for concept, weight in concept_weights.items():
-            for shot_index, score in self._concept_postings.get(concept, ()):
-                accumulator[shot_index] += weight * score
-                if not seen[shot_index]:
-                    seen[shot_index] = 1
-                    touched.append(shot_index)
-        shot_ids = self._shot_ids
+            for slot, score in self._concept_postings.get(concept, ()):
+                accumulator[slot] += weight * score
+                if not seen[slot]:
+                    seen[slot] = 1
+                    touched.append(slot)
         scores: Dict[str, float] = {}
-        for shot_index in sorted(touched):
-            total = accumulator[shot_index]
+        for slot in sorted(touched):
+            total = accumulator[slot]
             if total != 0.0:
-                scores[shot_ids[shot_index]] = total
+                scores[shot_ids[slot]] = total
         return scores
-
-    def similarity(self, first_shot_id: str, second_shot_id: str) -> float:
-        """Cosine similarity between two indexed shots."""
-        return cosine_similarity(
-            self.features_of(first_shot_id), self.features_of(second_shot_id)
-        )

@@ -15,8 +15,9 @@ collection frequency and total term count.  Two classes provide that:
 
 * :class:`GlobalStatsView` is what a per-shard scorer is built over: it
   quacks like an :class:`~repro.index.inverted_index.InvertedIndex` whose
-  postings/lengths/id-table are one shard's but whose statistics are
-  global.  An unmodified :class:`~repro.index.scoring.Bm25Scorer` /
+  postings, lengths and slot table (``slots``, see :mod:`repro.index.slots`)
+  are one shard's but whose statistics are global.  An unmodified
+  :class:`~repro.index.scoring.Bm25Scorer` /
   :class:`~repro.index.scoring.TfIdfScorer` /
   :class:`~repro.index.language_model.DirichletLanguageModelScorer` (or any
   registry-registered scorer that sticks to the index API) therefore
@@ -28,9 +29,10 @@ collection frequency and total term count.  Two classes provide that:
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.index.inverted_index import InvertedIndex, Posting
+from repro.index.slots import SlotTable
 from repro.index.tokenizer import Tokenizer
 
 
@@ -108,8 +110,8 @@ class GlobalStatsView:
     The view implements the read API scorers use: statistics
     (``document_count``, ``document_frequency``, ``collection_frequency``,
     ``total_terms``, ``average_document_length``, ``generation``) are
-    global, while postings columns, the dense id table, document lengths
-    and per-document vectors are the shard's own.  A BM25 scorer's length
+    global, while postings columns, the slot table, document lengths and
+    per-document vectors are the shard's own.  A BM25 scorer's length
     norms couple the two: it builds them from this view's lengths
     (shard-local) and average document length (global), which is what
     keeps each denominator bit-identical to the monolithic one.
@@ -173,26 +175,15 @@ class GlobalStatsView:
         """The shard's object-view postings for a term."""
         return self._shard.postings(term)
 
-    def dense_document_ids(self) -> List[str]:
-        """The shard's id table in dense-index order."""
-        return self._shard.dense_document_ids()
+    @property
+    def slots(self) -> SlotTable:
+        """The shard's slot table (its postings' slots are shard-dense)."""
+        return self._shard.slots
 
     @property
     def document_lengths_array(self) -> array:
-        """The shard's document lengths in dense-index order."""
+        """The shard's document lengths in slot order."""
         return self._shard.document_lengths_array
-
-    def doc_index_of(self, document_id: str) -> int:
-        """Shard-dense index of a document id."""
-        return self._shard.doc_index_of(document_id)
-
-    def doc_index_get(self, document_id: str, default: Optional[int] = None):
-        """Shard-dense index of a document id, or ``default``."""
-        return self._shard.doc_index_get(document_id, default)
-
-    def doc_id_at(self, doc_index: int) -> str:
-        """Document id at a shard-dense index."""
-        return self._shard.doc_id_at(doc_index)
 
     def has_document(self, document_id: str) -> bool:
         """True if this shard holds the document."""

@@ -3,16 +3,20 @@
 :class:`ShardedInvertedIndex` and :class:`ShardedVisualIndex` present the
 read/write API of their monolithic counterparts while storing documents and
 shots in per-shard indexes chosen by a :class:`~repro.sharding.router.
-ShardRouter`.  Three properties make them drop-in substrates for the
-retrieval engine and the adaptive layer:
+ShardRouter`.  What reads only the slot table or the index's own methods
+is inherited from the base the monolithic class has too
+(:class:`~repro.index.inverted_index.TextIndexBase`,
+:class:`~repro.index.visual.VisualIndexBase`).  Three properties make them
+drop-in substrates for the retrieval engine and the adaptive layer:
 
-* **Global interning.**  The facades keep their own dense id tables in
-  insertion order, so ``doc_index_get`` / ``doc_id_at`` /
-  ``document_count`` behave exactly like the monolithic index built from
-  the same insertion sequence — the adaptation kernel's dense scratch
-  passes run unchanged over a sharded engine.
+* **Global interning.**  Each facade keeps a global
+  :class:`~repro.index.slots.SlotTable` (``slots``) in insertion order,
+  numbered exactly like the monolithic index built from the same insertion
+  sequence — the adaptation kernel's dense scratch passes run unchanged
+  over a sharded engine.  Compaction prepares that table and every shard
+  (``compacted_copy``) and adopts them together.
 * **Write routing.**  ``add_document`` / ``add_shot`` land on the owning
-  shard (duplicate ids are rejected globally, with the monolithic error
+  shard (a duplicate id is refused by its shard, with the monolithic error
   message).  ``generation`` is the sum of the shard generations — a strict
   logical clock because all mutation is serialised behind the engine's
   exclusive writer — so every generation-keyed derived cache above the
@@ -25,24 +29,23 @@ retrieval engine and the adaptive layer:
   global top-``limit`` under the shared ``(-score, id)`` order).
 
 The text facade deliberately does **not** implement ``postings_arrays``:
-per-shard postings columns use shard-dense indexes, so a
-scorer must be built over a per-shard
-:class:`~repro.sharding.global_stats.GlobalStatsView`, never over this
+per-shard postings columns use shard-dense slots, so a scorer must be
+built over a per-shard :class:`~repro.sharding.global_stats.GlobalStatsView`,
+never over this
 facade.  Attempting it fails loudly with ``AttributeError``.
 """
 
 from __future__ import annotations
 
 import heapq
-from array import array
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.features import FeatureExtractor, cosine_similarity
+from repro.analysis.features import FeatureExtractor
 from repro.collection.documents import Collection
-from repro.index.inverted_index import InvertedIndex, Posting
+from repro.index.inverted_index import InvertedIndex, Posting, TextIndexBase
+from repro.index.slots import SlotTable, SlottedIndex
 from repro.index.tokenizer import Tokenizer
-from repro.index.visual import NeighbourTable, VisualIndex
+from repro.index.visual import NeighbourTable, VisualIndex, VisualIndexBase
 from repro.sharding.global_stats import GlobalTextStats
 from repro.sharding.router import ShardRouter
 from repro.utils.concurrency import ScatterGather
@@ -52,41 +55,65 @@ from repro.utils.validation import ensure_positive
 _INLINE_GATHER = ScatterGather(1)
 
 
-@dataclass
-class _CompactedTextState:
-    """Prepared compaction for :class:`ShardedInvertedIndex` (see adopt)."""
+class _ShardedIndex(SlottedIndex):
+    """What both facades share: the router, the shards, a global slot table.
 
-    shards: List[InvertedIndex]
-    doc_ids: List[str]
-    doc_index: Dict[str, int]
-    doc_lengths: array
+    The global table numbers ids in facade insertion order, tombstones
+    included; the shards hold the payload.  The facade's clock is the sum
+    of the shard generations, not the table's.
+    """
+
+    def __init__(self, router: ShardRouter, shards: list, slots: SlotTable) -> None:
+        self._router = router
+        self._shards = shards
+        self.slots = slots
+
+    @property
+    def router(self) -> ShardRouter:
+        """The id router deciding shard ownership."""
+        return self._router
+
+    @property
+    def shard_indexes(self) -> tuple:
+        """The physical per-shard indexes."""
+        return tuple(self._shards)
+
+    def shard_for(self, item_id: str):
+        """The shard index owning an id."""
+        return self._shards[self._router.shard_of(item_id)]
+
+    @property
+    def generation(self) -> int:
+        """Combined mutation clock (sum of shard generations)."""
+        return sum(shard.generation for shard in self._shards)
+
+    def compacted_copy(self) -> Tuple[SlotTable, list]:
+        """``(global table, shards)``, each freshly compacted.
+
+        Pure preparation — this object is untouched, so the (possibly
+        expensive) re-interning can run outside the engine's writer lock.
+        """
+        return self.slots.compacted(), [shard.compacted_copy() for shard in self._shards]
+
+    def adopt_compacted(self, prepared: Tuple[SlotTable, list]) -> int:
+        """Swap a prepared compaction in, preserving shard identities."""
+        table, shards = prepared
+        for shard, fresh in zip(self._shards, shards):
+            shard.adopt_compacted(fresh)
+        return self.slots.adopt(table)
 
 
-@dataclass
-class _CompactedVisualState:
-    """Prepared compaction for :class:`ShardedVisualIndex` (see adopt)."""
-
-    shards: List[VisualIndex]
-    shot_ids: List[str]
-    shot_index: Dict[str, int]
-
-
-class ShardedInvertedIndex:
+class ShardedInvertedIndex(_ShardedIndex, TextIndexBase):
     """One logical inverted index hash-partitioned over N shards."""
 
     def __init__(self, router: ShardRouter, tokenizer: Optional[Tokenizer] = None) -> None:
-        self._router = router
         self._tokenizer = tokenizer or Tokenizer()
-        self._shards = [
-            InvertedIndex(tokenizer=self._tokenizer) for _ in range(router.num_shards)
-        ]
+        super().__init__(
+            router,
+            [InvertedIndex(tokenizer=self._tokenizer) for _ in range(router.num_shards)],
+            SlotTable("document", "indexed"),
+        )
         self._stats = GlobalTextStats(self._shards)
-        # Global dense interning, in insertion order — identical numbering
-        # to a monolithic index fed the same documents in the same order.
-        # Deleted documents leave a ``None`` tombstone, like the monolith.
-        self._doc_ids: List[Optional[str]] = []
-        self._doc_index: Dict[str, int] = {}
-        self._doc_lengths = array("i")
 
     # -- construction -----------------------------------------------------------
 
@@ -104,59 +131,20 @@ class ShardedInvertedIndex:
         return index
 
     @property
-    def tokenizer(self) -> Tokenizer:
-        """The tokenizer shared by every shard."""
-        return self._tokenizer
-
-    @property
-    def router(self) -> ShardRouter:
-        """The id router deciding shard ownership."""
-        return self._router
-
-    @property
-    def shard_indexes(self) -> Tuple[InvertedIndex, ...]:
-        """The physical per-shard indexes."""
-        return tuple(self._shards)
-
-    @property
     def stats(self) -> GlobalTextStats:
         """The global statistics aggregator over the shards."""
         return self._stats
 
-    def shard_for(self, document_id: str) -> InvertedIndex:
-        """The shard index owning a document id."""
-        return self._shards[self._router.shard_of(document_id)]
-
-    def add_document(self, document_id: str, text: str) -> None:
-        """Index one document on its owning shard; duplicates raise."""
-        self.add_document_frequencies(
-            document_id, self._tokenizer.term_frequencies(text)
-        )
-
     def add_document_frequencies(
         self, document_id: str, frequencies: Mapping[str, int]
     ) -> None:
-        """Index an already-tokenised document on its owning shard."""
-        if document_id in self._doc_index:
-            raise ValueError(f"document {document_id!r} already indexed")
-        shard = self.shard_for(document_id)
-        shard.add_document_frequencies(document_id, frequencies)
-        self._doc_index[document_id] = len(self._doc_ids)
-        self._doc_ids.append(document_id)
-        self._doc_lengths.append(shard.document_length(document_id))
+        """Index an already-tokenised document on its owning shard.
 
-    def add_documents(self, documents: Mapping[str, str]) -> None:
-        """Index a mapping of ``document_id -> text`` atomically.
-
-        Mirrors the monolithic index: every id is validated globally before
-        any document lands on a shard, so a duplicate anywhere in the batch
-        leaves every shard (and the global tables) untouched.
+        The owning shard refuses a duplicate before the global table
+        records the id.
         """
-        for document_id in documents:
-            if document_id in self._doc_index:
-                raise ValueError(f"document {document_id!r} already indexed")
-        for document_id, text in documents.items():
-            self.add_document(document_id, text)
+        self.shard_for(document_id).add_document_frequencies(document_id, frequencies)
+        self.slots.add(document_id)
 
     # -- mutation ---------------------------------------------------------------
 
@@ -164,78 +152,13 @@ class ShardedInvertedIndex:
         """Remove one document from its owning shard; unknown ids raise.
 
         The owning shard scrubs its postings; the facade tombstones its
-        global dense slot so global interning matches a monolithic index
-        that saw the same delete.
+        global slot so global interning matches a monolithic index that saw
+        the same delete.
         """
-        doc_index = self._doc_index.pop(document_id, None)
-        if doc_index is None:
-            raise KeyError(f"document {document_id!r} not indexed")
+        self.slots.remove(document_id)
         self.shard_for(document_id).delete_document(document_id)
-        self._doc_ids[doc_index] = None
-        self._doc_lengths[doc_index] = 0
-
-    def update_document(self, document_id: str, text: str) -> None:
-        """Replace one document's text; an unknown id raises ``KeyError``."""
-        self.update_document_frequencies(
-            document_id, self._tokenizer.term_frequencies(text)
-        )
-
-    def update_document_frequencies(
-        self, document_id: str, frequencies: Mapping[str, int]
-    ) -> None:
-        """Replace one document (delete + re-add on the owning shard)."""
-        if document_id not in self._doc_index:
-            raise KeyError(f"document {document_id!r} not indexed")
-        self.delete_document(document_id)
-        self.add_document_frequencies(document_id, frequencies)
-
-    # -- compaction --------------------------------------------------------------
-
-    @property
-    def tombstone_count(self) -> int:
-        """Tombstoned global dense slots not yet reclaimed by compaction."""
-        return len(self._doc_ids) - len(self._doc_index)
-
-    def compacted_copy(self) -> "_CompactedTextState":
-        """Freshly compacted per-shard copies plus rebuilt global tables.
-
-        Pure preparation — this object is untouched, so the (possibly
-        expensive) re-interning can run outside the engine's writer lock.
-        """
-        live_ids = [d for d in self._doc_ids if d is not None]
-        doc_index = {document_id: i for i, document_id in enumerate(live_ids)}
-        lengths = array(
-            "i", (self._doc_lengths[self._doc_index[d]] for d in live_ids)
-        )
-        return _CompactedTextState(
-            shards=[shard.compacted_copy() for shard in self._shards],
-            doc_ids=live_ids,
-            doc_index=doc_index,
-            doc_lengths=lengths,
-        )
-
-    def adopt_compacted(self, state: "_CompactedTextState") -> int:
-        """Swap a prepared compacted state in, preserving shard identities."""
-        reclaimed = len(self._doc_ids) - len(state.doc_ids)
-        for shard, fresh in zip(self._shards, state.shards):
-            shard.adopt_compacted(fresh)
-        self._doc_ids = state.doc_ids
-        self._doc_index = state.doc_index
-        self._doc_lengths = state.doc_lengths
-        return reclaimed
-
-    def compact(self) -> int:
-        """Reclaim tombstoned slots in place; no-op when there are none."""
-        if self.tombstone_count == 0:
-            return 0
-        return self.adopt_compacted(self.compacted_copy())
 
     # -- statistics -------------------------------------------------------------
-
-    @property
-    def document_count(self) -> int:
-        """Total **live** documents across all shards."""
-        return len(self._doc_index)
 
     @property
     def vocabulary_size(self) -> int:
@@ -250,29 +173,9 @@ class ShardedInvertedIndex:
         """Total term occurrences across all shards."""
         return self._stats.total_terms
 
-    @property
-    def average_document_length(self) -> float:
-        """Global mean **live** document length in terms."""
-        if not self._doc_index:
-            return 0.0
-        return self._stats.total_terms / len(self._doc_index)
-
-    @property
-    def generation(self) -> int:
-        """Combined mutation clock (sum of shard generations)."""
-        return self._stats.generation
-
     def document_length(self, document_id: str) -> int:
         """Length (term count) of one document."""
-        return self._doc_lengths[self._doc_index[document_id]]
-
-    def has_document(self, document_id: str) -> bool:
-        """True if the document is indexed on any shard."""
-        return document_id in self._doc_index
-
-    def document_ids(self) -> List[str]:
-        """All **live** document ids, in global insertion order."""
-        return [document_id for document_id in self._doc_ids if document_id is not None]
+        return self.shard_for(document_id).document_length(document_id)
 
     def document_frequency(self, term: str) -> int:
         """Global document frequency of a term."""
@@ -309,45 +212,7 @@ class ShardedInvertedIndex:
         """Frequency of ``term`` in ``document_id`` (0 if absent)."""
         return self.shard_for(document_id).term_frequency(term, document_id)
 
-    # -- dense (global) views -----------------------------------------------------
-
-    def doc_index_of(self, document_id: str) -> int:
-        """Global dense index of a document id (raises ``KeyError`` if absent)."""
-        return self._doc_index[document_id]
-
-    def doc_id_at(self, doc_index: int) -> str:
-        """Document id at a global dense index."""
-        return self._doc_ids[doc_index]
-
-    def doc_index_get(self, document_id: str, default: Optional[int] = None):
-        """Global dense index of a document id, or ``default`` if absent."""
-        return self._doc_index.get(document_id, default)
-
-    def dense_document_ids(self) -> List[str]:
-        """The global id table in dense-index order (read-only)."""
-        return self._doc_ids
-
-    @property
-    def document_lengths_array(self) -> array:
-        """Document lengths in global dense-index order (read-only)."""
-        return self._doc_lengths
-
     # -- export -----------------------------------------------------------------
-
-    def iter_postings(self) -> Iterable[Tuple[str, Posting]]:
-        """Iterate ``(term, posting)`` pairs shard by shard."""
-        for shard in self._shards:
-            for term, posting in shard.iter_postings():
-                yield term, posting
-
-    def statistics(self) -> Dict[str, float]:
-        """Summary statistics for reports."""
-        return {
-            "documents": float(self.document_count),
-            "vocabulary": float(self.vocabulary_size),
-            "total_terms": float(self.total_terms),
-            "average_document_length": self.average_document_length,
-        }
 
     def shard_document_counts(self) -> List[int]:
         """Documents per shard (for balance reporting and benchmarks)."""
@@ -363,7 +228,7 @@ class ShardedInvertedIndex:
         )
 
 
-class ShardedVisualIndex:
+class ShardedVisualIndex(_ShardedIndex, VisualIndexBase):
     """One logical visual index hash-partitioned over N shards.
 
     Gathered similarity reads merge per-shard bounded results under the
@@ -378,11 +243,12 @@ class ShardedVisualIndex:
     def __init__(
         self, router: ShardRouter, gather: Optional[ScatterGather] = None
     ) -> None:
-        self._router = router
+        super().__init__(
+            router,
+            [VisualIndex() for _ in range(router.num_shards)],
+            SlotTable("shot", "in visual index"),
+        )
         self._gather = gather or _INLINE_GATHER
-        self._shards = [VisualIndex() for _ in range(router.num_shards)]
-        self._shot_ids: List[Optional[str]] = []
-        self._shot_index: Dict[str, int] = {}
         self._neighbours = NeighbourTable()
 
     def __getstate__(self) -> Dict[str, object]:
@@ -414,11 +280,6 @@ class ShardedVisualIndex:
             index.add_shot(shot.shot_id, features, shot.concept_scores)
         return index
 
-    @property
-    def router(self) -> ShardRouter:
-        """The id router deciding shard ownership."""
-        return self._router
-
     def bind_gather(self, gather: ScatterGather) -> None:
         """Adopt an engine's scatter-gather executor.
 
@@ -427,15 +288,6 @@ class ShardedVisualIndex:
         shard pool here, before serving traffic.
         """
         self._gather = gather
-
-    @property
-    def shard_indexes(self) -> Tuple[VisualIndex, ...]:
-        """The physical per-shard indexes."""
-        return tuple(self._shards)
-
-    def shard_for(self, shot_id: str) -> VisualIndex:
-        """The shard index owning a shot id."""
-        return self._shards[self._router.shard_of(shot_id)]
 
     def add_shot(
         self,
@@ -446,83 +298,26 @@ class ShardedVisualIndex:
         """Add one shot's visual evidence on its owning shard.
 
         Duplicates and features of non-finite norm raise ``ValueError``
-        before anything changes: the shard's own ``add_shot`` refuses the
-        features before the facade records the shot.
+        before anything changes: the shard's own ``add_shot`` refuses both
+        before the facade records the shot.
         """
-        if shot_id in self._shot_index:
-            raise ValueError(f"shot {shot_id!r} already in visual index")
         shard = self.shard_for(shot_id)
         shard.add_shot(shot_id, features, concept_scores)
-        self._shot_index[shot_id] = len(self._shot_ids)
-        self._shot_ids.append(shot_id)
+        self.slots.add(shot_id)
         if self._neighbours:
             self._neighbours.shot_added(shot_id, shard.features_of(shot_id))
 
     def delete_shot(self, shot_id: str) -> None:
         """Remove one shot from its owning shard; unknown ids raise."""
-        shot_index = self._shot_index.pop(shot_id, None)
-        if shot_index is None:
-            raise KeyError(f"shot {shot_id!r} not in visual index")
+        self.slots.remove(shot_id)
         self.shard_for(shot_id).delete_shot(shot_id)
-        self._shot_ids[shot_index] = None
         if self._neighbours:
             self._neighbours.shot_deleted(shot_id)
 
-    # -- compaction ----------------------------------------------------------
-
-    @property
-    def tombstone_count(self) -> int:
-        """Tombstoned global dense slots not yet reclaimed by compaction."""
-        return len(self._shot_ids) - len(self._shot_index)
-
-    def compacted_copy(self) -> "_CompactedVisualState":
-        """Freshly compacted per-shard copies plus rebuilt global tables."""
-        live_ids = [s for s in self._shot_ids if s is not None]
-        return _CompactedVisualState(
-            shards=[shard.compacted_copy() for shard in self._shards],
-            shot_ids=live_ids,
-            shot_index={shot_id: i for i, shot_id in enumerate(live_ids)},
-        )
-
-    def adopt_compacted(self, state: "_CompactedVisualState") -> int:
-        """Swap a prepared compacted state in, preserving shard identities."""
-        reclaimed = len(self._shot_ids) - len(state.shot_ids)
-        for shard, fresh in zip(self._shards, state.shards):
-            shard.adopt_compacted(fresh)
-        self._shot_ids = state.shot_ids
-        self._shot_index = state.shot_index
-        return reclaimed
-
-    def compact(self) -> int:
-        """Reclaim tombstoned slots in place; no-op when there are none."""
-        if self.tombstone_count == 0:
-            return 0
-        return self.adopt_compacted(self.compacted_copy())
-
     # -- statistics ----------------------------------------------------------
 
-    @property
-    def shot_count(self) -> int:
-        """Total **live** shots across all shards."""
-        return len(self._shot_index)
-
-    @property
-    def generation(self) -> int:
-        """Combined mutation clock (sum of shard generations)."""
-        return sum(shard.generation for shard in self._shards)
-
-    def has_shot(self, shot_id: str) -> bool:
-        """True if the shot has visual evidence on any shard."""
-        return shot_id in self._shot_index
-
-    def shot_ids(self) -> List[str]:
-        """All **live** shot ids, in global insertion order."""
-        return [shot_id for shot_id in self._shot_ids if shot_id is not None]
-
     def features_of(self, shot_id: str) -> Tuple[float, ...]:
-        """Feature vector of one shot."""
-        if shot_id not in self._shot_index:
-            raise KeyError(shot_id)
+        """Feature vector of one shot; an unknown id raises ``KeyError``."""
         return self.shard_for(shot_id).features_of(shot_id)
 
     def concept_scores_of(self, shot_id: str) -> Dict[str, float]:
@@ -554,27 +349,6 @@ class ShardedVisualIndex:
         merged = [item for partial in partials for item in partial]
         return heapq.nsmallest(limit, merged, key=lambda item: (-item[1], item[0]))
 
-    def similar_to_shot(self, shot_id: str, limit: int = 20) -> List[Tuple[str, float]]:
-        """Shots most similar to a given shot (the query shot is excluded).
-
-        Served from the neighbour table when it holds the answer; either
-        way the list is the caller's own.
-        """
-        ensure_positive(limit, "limit")
-        if shot_id not in self._shot_index:
-            raise KeyError(f"shot {shot_id!r} not in visual index")
-        cached = self._neighbours.get(shot_id, limit)
-        if cached is not None:
-            return cached
-        features = self.shard_for(shot_id).features_of(shot_id)
-        result = self.similar_to_vector(features, limit=limit, exclude=(shot_id,))
-        self._neighbours.put(shot_id, limit, features, result)
-        return result
-
-    def neighbour_table_info(self) -> Dict[str, int]:
-        """Occupancy and hit/miss/correction counters of the neighbour table."""
-        return self._neighbours.info()
-
     def score_by_concepts(
         self, concept_weights: Mapping[str, float]
     ) -> Dict[str, float]:
@@ -586,12 +360,6 @@ class ShardedVisualIndex:
         for partial in partials:
             merged.update(partial)
         return merged
-
-    def similarity(self, first_shot_id: str, second_shot_id: str) -> float:
-        """Cosine similarity between two indexed shots (any shards)."""
-        return cosine_similarity(
-            self.features_of(first_shot_id), self.features_of(second_shot_id)
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -115,7 +115,7 @@ class TestTombstonedIndexSnapshot:
         save_inverted_index(index, path)
         loaded = load_inverted_index(path)
         compacted = index.compacted_copy()
-        assert loaded.dense_document_ids() == compacted.dense_document_ids()
+        assert loaded.slots.ids == compacted.slots.ids
         assert loaded.tombstone_count == 0
         assert loaded.document_count == index.document_count
         assert loaded.total_terms == index.total_terms

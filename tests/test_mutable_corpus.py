@@ -3,7 +3,8 @@
 The contract under test everywhere in this module: after any sequence of
 deletes and updates (and optionally a compaction), collection statistics
 and rankings are **bit-identical** to a from-scratch rebuild over the
-surviving documents.  Covered layers: the dense-id indexes themselves,
+surviving documents.  Covered layers: the dense-id indexes themselves
+(one lifecycle contract over the four classes that share a slot table),
 the engine writer path (atomic batches, result-cache invalidation,
 near-duplicate screening), the background compactor, and a differential
 matrix across scorers × shard counts.
@@ -14,11 +15,13 @@ from __future__ import annotations
 import pytest
 
 from repro.durability import engine_state_digest
+from repro.feedback import EventKind, InteractionEvent
 from repro.index import InvertedIndex, VisualIndex
 from repro.index.compaction import BackgroundCompactor, compact_engine
 from repro.index.dedup import NearDuplicateDetector
 from repro.retrieval import EngineConfig, Query, VideoRetrievalEngine
-from repro.service import RetrievalService, ServiceConfig
+from repro.service import FeedbackBatch, RetrievalService, SearchRequest, ServiceConfig
+from repro.sharding import ShardedInvertedIndex, ShardedVisualIndex, ShardRouter
 from repro.workload.ingest import (
     apply_ingest,
     service_feature_dim,
@@ -76,14 +79,6 @@ class TestInvertedIndexMutations:
         assert index.tombstone_count == 2
         assert not index.has_document("d1")
 
-    def test_delete_unknown_document_raises(self):
-        index = _fresh_text_index(_DOCS)
-        with pytest.raises(KeyError):
-            index.delete_document("missing")
-        with pytest.raises(KeyError):
-            index.delete_document("d0")  # second delete of the same id
-            index.delete_document("d0")
-
     def test_delete_scrubs_term_entirely_owned_by_victim(self):
         index = _fresh_text_index(_DOCS)
         assert "tournament" in index
@@ -102,7 +97,7 @@ class TestInvertedIndexMutations:
         # An update moves the document to a fresh dense slot and leaves a
         # tombstone behind — exactly what WAL replay of del+add produces.
         assert updated.tombstone_count == 1
-        assert updated.doc_index_of("d2") == len(_DOCS)
+        assert updated.slots["d2"] == len(_DOCS)
 
     def test_update_unknown_document_raises(self):
         index = _fresh_text_index(_DOCS)
@@ -120,20 +115,105 @@ class TestInvertedIndexMutations:
         assert index.tombstone_count == 0
         assert index.generation > generation
         assert _text_fingerprint(index) == before
-        assert None not in index.dense_document_ids()
+        assert None not in index.slots.ids
         # Compacting a hole-free index is a no-op.
         assert index.compact() == 0
 
-    def test_add_documents_batch_is_atomic(self):
-        # Satellite regression: the batch validates every id up front, so a
-        # duplicate anywhere leaves the index completely untouched — even
-        # when valid documents precede the duplicate in iteration order.
-        index = _fresh_text_index(_DOCS)
-        before = _text_fingerprint(index)
-        with pytest.raises(ValueError):
-            index.add_documents({"fresh-a": "flood summit", "d3": "economy"})
-        assert not index.has_document("fresh-a")
-        assert _text_fingerprint(index) == before
+
+#: The four index classes that keep their ids in a slot table.
+_SLOTTED = {
+    "InvertedIndex": InvertedIndex,
+    "VisualIndex": VisualIndex,
+    "ShardedInvertedIndex": lambda: ShardedInvertedIndex(ShardRouter(3)),
+    "ShardedVisualIndex": lambda: ShardedVisualIndex(ShardRouter(3)),
+}
+
+
+def _is_text(index) -> bool:
+    return hasattr(index, "add_document")
+
+
+def _add(index, item_id: str) -> None:
+    if _is_text(index):
+        index.add_document(item_id, f"flood summit {item_id}")
+    else:
+        index.add_shot(item_id, [1.0, float(len(item_id)), 0.5], {"crowd": 0.5})
+
+
+def _delete(index, item_id: str) -> None:
+    if _is_text(index):
+        index.delete_document(item_id)
+    else:
+        index.delete_shot(item_id)
+
+
+def _slotted_state(index) -> tuple:
+    """``(live ids, payloads, statistics, slot ids, tombstones, generation)``."""
+    if _is_text(index):
+        ids = index.document_ids()
+        payloads = [index.document_vector(item_id) for item_id in ids]
+        statistics = index.statistics()
+    else:
+        ids = index.shot_ids()
+        payloads = [(index.features_of(i), index.concept_scores_of(i)) for i in ids]
+        statistics = index.score_by_concepts({"crowd": 1.0})
+    return (
+        ids, payloads, statistics, list(index.slots.ids),
+        index.tombstone_count, index.generation,
+    )
+
+
+@pytest.fixture(params=list(_SLOTTED))
+def slotted(request):
+    """One of the four slotted index classes, holding six items."""
+    index = _SLOTTED[request.param]()
+    for number in range(6):
+        _add(index, f"item-{number}")
+    return index
+
+
+class TestSlotLifecycle:
+    """The add/delete/compact contract every index shares through its slots."""
+
+    def test_duplicate_add_leaves_index_untouched(self, slotted):
+        before = _slotted_state(slotted)
+        with pytest.raises(ValueError, match="'item-2' already"):
+            _add(slotted, "item-2")
+        if _is_text(slotted):
+            # The batch validates every id up front, so a duplicate anywhere
+            # lands none of it, not even the valid ids before it.
+            with pytest.raises(ValueError, match="'item-3' already indexed"):
+                slotted.add_documents({"fresh-a": "flood summit", "item-3": "economy"})
+            assert not slotted.has_document("fresh-a")
+        assert _slotted_state(slotted) == before
+
+    def test_unknown_delete_raises_and_leaves_index_untouched(self, slotted):
+        _delete(slotted, "item-1")
+        before = _slotted_state(slotted)
+        for unknown in ("missing", "item-1"):  # never added; already deleted
+            with pytest.raises(KeyError, match=f"'{unknown}' not"):
+                _delete(slotted, unknown)
+        assert _slotted_state(slotted) == before
+
+    def test_compact_without_tombstones_keeps_generation(self, slotted):
+        before = _slotted_state(slotted)
+        assert slotted.compact() == 0
+        assert _slotted_state(slotted) == before
+
+    def test_compact_reclaims_tombstones_in_place(self, slotted):
+        _delete(slotted, "item-0")
+        _delete(slotted, "item-4")
+        ids, payloads, statistics, _, tombstones, generation = _slotted_state(slotted)
+        assert tombstones == 2
+        table, shards = slotted.slots, getattr(slotted, "shard_indexes", ())
+        assert slotted.compact() == 2
+        assert _slotted_state(slotted)[:5] == (ids, payloads, statistics, ids, 0)
+        assert slotted.generation > generation
+        assert slotted.slots is table
+        assert all(
+            after is before
+            for after, before in zip(getattr(slotted, "shard_indexes", ()), shards)
+        )
 
 
 class TestVisualIndexMutations:
@@ -297,6 +377,52 @@ class TestNearDuplicateScreening:
             assert service.engine.near_duplicate_stats()["skipped"] == 1.0
         finally:
             service.close()
+
+
+def _play_top_two(response) -> tuple:
+    """Click and watch the top two hits of a response to the end."""
+    events, clock = [], 0.0
+    for hit in response.top(2):
+        clock += 2.0
+        events.append(InteractionEvent(kind=EventKind.PLAY_CLICK, timestamp=clock,
+                                       shot_id=hit.shot_id, rank=hit.rank))
+        clock += max(1.0, hit.duration_seconds)
+        events.append(InteractionEvent(kind=EventKind.PLAY_COMPLETE, timestamp=clock,
+                                       shot_id=hit.shot_id, rank=hit.rank))
+    return tuple(events)
+
+
+class TestAdaptationOverTombstones:
+    """Implicit evidence re-ranks over slots, and a delete keeps slot numbers."""
+
+    @staticmethod
+    def _implicit_session(service, corpus) -> tuple:
+        topic = corpus.topics.topics()[0]
+        info = service.open_session("viewer", policy="implicit", topic_id=topic.topic_id)
+        request = SearchRequest(user_id="viewer", query=" ".join(topic.query_terms[:2]),
+                                session_id=info.session_id)
+        first = service.search(request)
+        service.submit_feedback(FeedbackBatch(user_id="viewer", events=_play_top_two(first),
+                                              session_id=info.session_id))
+        return first.hits, service.search(request).hits
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_search_feedback_search_matches_compacted(self, small_corpus, num_shards):
+        config = ServiceConfig(num_shards=num_shards)
+        tombstoned = RetrievalService(small_corpus.collection, config=config)
+        compacted = RetrievalService(small_corpus.collection, config=config)
+        try:
+            for service in (tombstoned, compacted):
+                for document_id in service.engine.inverted_index.document_ids()[::2]:
+                    service.delete_document(document_id)
+            assert compacted.compact().documents_reclaimed > 0
+            assert tombstoned.engine.inverted_index.tombstone_count > 0
+            hits = self._implicit_session(tombstoned, small_corpus)
+            assert hits[1]
+            assert hits == self._implicit_session(compacted, small_corpus)
+        finally:
+            tombstoned.close()
+            compacted.close()
 
 
 class TestBackgroundCompactor:

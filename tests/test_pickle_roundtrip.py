@@ -14,10 +14,11 @@ import pickle
 import pytest
 
 from repro.index.inverted_index import InvertedIndex
+from repro.index.visual import VisualIndex
 from repro.retrieval import Query
 from repro.retrieval.engine import EngineConfig
 from repro.service import ServiceConfig
-from repro.sharding import ShardRouter
+from repro.sharding import ShardedInvertedIndex, ShardedVisualIndex, ShardRouter
 
 PROTOCOLS = (2, pickle.HIGHEST_PROTOCOL)
 
@@ -82,8 +83,13 @@ class TestPickleRoundTrip:
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 class TestTombstonedIndexPickle:
-    def test_inverted_index_with_tombstones(self, protocol):
-        index = InvertedIndex()
+    @pytest.mark.parametrize(
+        "build",
+        [InvertedIndex, lambda: ShardedInvertedIndex(ShardRouter(3))],
+        ids=["InvertedIndex", "ShardedInvertedIndex"],
+    )
+    def test_inverted_index_with_tombstones(self, protocol, build):
+        index = build()
         index.add_document("doc-a", "alpha beta alpha")
         index.add_document("doc-b", "beta gamma")
         index.add_document("doc-c", "gamma delta")
@@ -93,7 +99,7 @@ class TestTombstonedIndexPickle:
         assert clone.document_count == index.document_count
         assert clone.tombstone_count == index.tombstone_count
         assert clone.total_terms == index.total_terms
-        assert clone.dense_document_ids() == index.dense_document_ids()
+        assert clone.slots.ids == index.slots.ids
         assert sorted(clone.document_ids()) == ["doc-a", "doc-c"]
         assert clone.document_vector("doc-c") == {"epsilon": 1, "beta": 1}
         # The clone is fully mutable: compaction reclaims the same holes.
@@ -101,10 +107,13 @@ class TestTombstonedIndexPickle:
         assert clone.tombstone_count == 0
         assert clone.document_count == 2
 
-    def test_visual_index_with_tombstones(self, protocol):
-        from repro.index.visual import VisualIndex
-
-        index = VisualIndex()
+    @pytest.mark.parametrize(
+        "build",
+        [VisualIndex, lambda: ShardedVisualIndex(ShardRouter(3))],
+        ids=["VisualIndex", "ShardedVisualIndex"],
+    )
+    def test_visual_index_with_tombstones(self, protocol, build):
+        index = build()
         index.add_shot("shot-a", [1.0, 0.0], {"crowd": 0.5})
         index.add_shot("shot-b", [0.0, 1.0], {"flag": 0.5})
         index.delete_shot("shot-a")
@@ -118,7 +127,6 @@ class TestTombstonedIndexPickle:
         """The table is a cache holding a lock: a clone starts cold and is
         exact under its own writes."""
         from repro.index.reference import reference_similar_to_vector
-        from repro.index.visual import VisualIndex
 
         index = VisualIndex()
         for shot_id, features in (

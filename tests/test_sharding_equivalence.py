@@ -150,12 +150,9 @@ class TestShardedFacades:
             sharding_corpus.collection, ShardRouter(3)
         )
         assert sharded.document_count == mono.document_count
-        assert sharded.dense_document_ids() == mono.dense_document_ids()
-        assert list(sharded.document_lengths_array) == list(
-            mono.document_lengths_array
-        )
+        assert sharded.slots.ids == mono.slots.ids
         for document_id in mono.document_ids():
-            assert sharded.doc_index_of(document_id) == mono.doc_index_of(document_id)
+            assert sharded.slots[document_id] == mono.slots[document_id]
             assert sharded.document_vector(document_id) == mono.document_vector(
                 document_id
             )
@@ -495,7 +492,7 @@ class TestShardScorerEquivalence:
             for shard in sharded.shard_indexes:
                 view = GlobalStatsView(shard, sharded.stats)
                 actual = scorer_class(view).score(query_terms)
-                owned = set(shard.dense_document_ids())
+                owned = set(shard.slots.ids)
                 assert set(actual) <= owned
                 assert actual == {
                     doc_id: score
