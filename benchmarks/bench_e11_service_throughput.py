@@ -5,9 +5,9 @@ benchmark records the first scaling numbers of the service facade: how many
 queries per second flow through ``RetrievalService.search_batch`` compared
 to issuing the same requests sequentially through ``search``, for a fleet
 of concurrent sessions issuing (a) one shared hot query and (b) distinct
-per-user queries.  The batch path amortises engine evaluations across
-sessions whose adapted queries coincide, and is verified here to return
-rankings identical to the sequential path — future scaling PRs (sharding,
+per-user queries.  Both paths share evaluations of coinciding adapted
+queries through the engine's result cache, and the batch path is verified
+here to return rankings identical to the sequential path — future scaling PRs (sharding,
 async, remote transports) should move these numbers without breaking that
 equality.
 """

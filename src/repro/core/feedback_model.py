@@ -9,8 +9,10 @@ accumulator) into the two things the retrieval engine can actually use:
   similar shots (a user who liked a shot probably also likes shots that look
   like it — the video-specific twist implicit feedback gains over text).
 
-Both derivations are **memoised** on an evidence digest plus the index
-generation counters: between two queries whose evidence did not change —
+Both derivations are **memoised** on an evidence digest, in a memo that
+lives for one generation pair of the two indexes (a
+:class:`~repro.index.slots.PerGeneration` value): between two queries
+whose evidence did not change —
 the common case whenever a user reformulates, pages or refreshes without
 giving new feedback — the model costs two dictionary lookups instead of a
 term extraction and an evidence fold.  This memo owns *what one body of
@@ -24,8 +26,8 @@ fold over table look-ups, not a similarity walk.
 
 The digest preserves evidence *insertion order* (see
 :meth:`~repro.feedback.accumulator.EvidenceAccumulator.evidence_digest`)
-because the folds below are order-sensitive in the last ulp; a generation
-bump on either index invalidates every affected entry.  The cache is
+because the folds below are order-sensitive in the last ulp; a write to
+either index drops the whole memo on the next read.  The cache is
 bounded, LRU and thread-safe (one model instance is shared by all sessions
 under the same policy).  The un-memoised derivations are retained as
 :meth:`expansion_term_weights_uncached` / :meth:`rerank_scores_uncached`;
@@ -39,9 +41,10 @@ from collections import OrderedDict
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.index.inverted_index import InvertedIndex
+from repro.index.slots import PerGeneration
 from repro.index.visual import VisualIndex
 from repro.retrieval.expansion import extract_key_terms
-from repro.utils.validation import ensure_in_range, ensure_positive
+from repro.utils.validation import ensure_in_range, ensure_number, ensure_positive
 
 #: Digest type: evidence items in insertion order.
 EvidenceDigest = Tuple[Tuple[str, float], ...]
@@ -66,19 +69,14 @@ class ImplicitFeedbackModel:
             visual_propagation, 0.0, 1.0, "visual_propagation"
         )
         self._neighbours = ensure_positive(propagation_neighbours, "propagation_neighbours")
-        if cache_size < 0:
-            raise ValueError(f"cache_size must be non-negative, got {cache_size}")
-        self._cache_size = cache_size
-        self._cache: "OrderedDict[Tuple, Dict[str, float]]" = OrderedDict()
+        self._cache_size = ensure_number(cache_size, "cache_size", integer=True)
+        clock = (inverted_index,) if visual_index is None else (inverted_index, visual_index)
+        self._cache: "PerGeneration[OrderedDict[Tuple, Dict[str, float]]]" = (
+            PerGeneration(clock, OrderedDict)
+        )
         self._cache_lock = threading.Lock()
 
     # -- memoisation ------------------------------------------------------------
-
-    def _generations(self) -> Tuple[int, int]:
-        return (
-            self._index.generation,
-            self._visual.generation if self._visual is not None else -1,
-        )
 
     def _memoised(
         self,
@@ -91,26 +89,29 @@ class ImplicitFeedbackModel:
             return compute(shot_evidence)
         if digest is None:
             digest = tuple(shot_evidence.items())
-        key = (kind, digest, self._generations())
+        key = (kind, digest)
+        # Fetched once: a result computed across a write lands in the memo
+        # of the generation it started in, which is never served again.
         with self._cache_lock:
-            cached = self._cache.get(key)
+            memo = self._cache.get()
+            cached = memo.get(key)
             if cached is not None:
-                self._cache.move_to_end(key)
+                memo.move_to_end(key)
                 # Callers mutate the returned map (explicit-evidence folds,
                 # seen-shot pops), so hand out a copy, never the cache entry.
                 return dict(cached)
         result = compute(shot_evidence)
         with self._cache_lock:
-            self._cache[key] = dict(result)
-            self._cache.move_to_end(key)
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
+            memo[key] = dict(result)
+            memo.move_to_end(key)
+            while len(memo) > self._cache_size:
+                memo.popitem(last=False)
         return result
 
     def cache_info(self) -> Dict[str, int]:
         """Current memo-cache occupancy (for tests and reports)."""
         with self._cache_lock:
-            return {"entries": len(self._cache), "capacity": self._cache_size}
+            return {"entries": len(self._cache.get()), "capacity": self._cache_size}
 
     # -- query expansion --------------------------------------------------------
 

@@ -15,9 +15,10 @@ pattern of the scoring loop:
 * collection statistics (collection frequency per term, total terms) are
   maintained incrementally on :meth:`add_document`, so they are O(1) reads.
 
-The index keeps no derived scoring tables: each scorer keys its own caches
-on :attr:`generation` (IDF, contribution columns, length norms, collection
-probabilities) and drops them when it moves.
+The index keeps no derived scoring tables: the TF-IDF and BM25 scorers hold
+theirs (IDF, contribution columns, length norms) for one :attr:`generation`
+in a :class:`~repro.index.slots.PerGeneration` cell; the language-model
+scorers derive nothing between queries.
 
 The corpus is **mutable**: :meth:`delete_document` tombstones the slot
 (zero length, empty vector) and eagerly scrubs the document out of every

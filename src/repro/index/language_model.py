@@ -21,7 +21,7 @@ from typing import Dict, List
 
 from repro.index.inverted_index import InvertedIndex
 from repro.index.scoring import QueryTerms, TextScorer, normalise_query
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import ensure_number
 
 
 def _candidate_rows(
@@ -59,7 +59,7 @@ class DirichletLanguageModelScorer(TextScorer):
 
     def __init__(self, index: InvertedIndex, mu: float = 300.0) -> None:
         self._index = index
-        self._mu = ensure_positive(mu, "mu")
+        self._mu = ensure_number(mu, "mu", positive=True)
 
     @property
     def mu(self) -> float:

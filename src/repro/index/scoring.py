@@ -17,11 +17,12 @@ map by key (fusion of several sources, tests, tools).  The scores produced
 are bit-identical to the original per-``Posting`` loops (see
 :mod:`repro.index.reference`, which retains them for equivalence testing).
 
-Everything a scorer derives from the index lives for one ``generation`` of
-it and is dropped on the first read that sees the counter move: per-term
-IDF, one length-normalisation norm per distinct document length (a BM25
-denominator and a TF-IDF cosine norm depend on nothing else about a
-document), and per-term contribution columns.  A column is built on a
+Everything a scorer derives from the index is one
+:class:`~repro.index.slots.PerGeneration` value ``(idf, columns, norms)``,
+rebuilt on the first read that sees the index's ``generation`` move:
+per-term IDF, per-term contribution columns, and one length-normalisation
+norm per distinct document length (a BM25 denominator and a TF-IDF cosine
+norm depend on nothing else about a document).  A column is built on a
 term's *second* use in a generation; its first use scores the postings
 straight into the accumulator, with the same arithmetic, so a reader
 beside a writer pays only for the terms it scores.
@@ -46,10 +47,12 @@ from typing import (
 )
 
 from repro.index.inverted_index import InvertedIndex
+from repro.index.slots import PerGeneration
+from repro.utils.validation import ensure_number, ensure_probability
 
 QueryTerms = Union[Sequence[str], Mapping[str, float]]
 
-#: The ``_columns_cache`` entry of a term used once in this generation.
+#: The columns-table entry of a term used once in this generation.
 #: Falsy, unlike every cached ``(docs, contributions, doc_set)`` triple.
 _SEEN_ONCE = ()
 
@@ -215,23 +218,26 @@ class TextScorer:
 
 
 class _CachedColumnsScorer(TextScorer):
-    """The dense accumulate loop over generation-keyed caches.
+    """The dense accumulate loop over tables derived per generation.
 
     Subclasses supply a term's IDF, its unit-weight contributions and the
-    table from document length to length norm.  All three are cached and
-    dropped together when the index's ``generation`` moves; a term's
-    contribution column is cached only from its second use in a generation
-    (module docstring).
+    table from document length to length norm.  The three tables
+    ``(idf, columns, norms)`` are one :class:`~repro.index.slots.
+    PerGeneration` value, so they are built and dropped together; a
+    term's contribution column is cached only from its second use in a
+    generation (module docstring).
     """
 
     may_block = False
 
     def __init__(self, index: InvertedIndex) -> None:
         self._index = index
-        self._idf_cache: Dict[str, float] = {}
-        self._columns_cache: Dict[str, tuple] = {}
-        self._length_norms: Dict[int, float] = {}
-        self._cache_generation = -1
+        self._tables: PerGeneration[
+            Tuple[Dict[str, float], Dict[str, tuple], Dict[int, float]]
+        ] = PerGeneration(index, self._fresh_tables)
+
+    def _fresh_tables(self) -> tuple:
+        return {}, {}, self._norm_table()
 
     def _compute_idf(self, term: str) -> float:
         raise NotImplementedError
@@ -244,7 +250,9 @@ class _CachedColumnsScorer(TextScorer):
         """
         raise NotImplementedError
 
-    def _contributions(self, docs: array, freqs: array, idf: float) -> array:
+    def _contributions(
+        self, docs: array, freqs: array, idf: float, norms: Dict[int, float]
+    ) -> array:
         """Unit-weight contribution of every posting of one term (a column)."""
         raise NotImplementedError
 
@@ -255,6 +263,7 @@ class _CachedColumnsScorer(TextScorer):
         freqs: array,
         idf: float,
         query_weight: float,
+        norms: Dict[int, float],
     ) -> None:
         """Add ``query_weight *`` each contribution to ``accumulator[doc]``.
 
@@ -264,24 +273,17 @@ class _CachedColumnsScorer(TextScorer):
         raise NotImplementedError
 
     def _accumulate(self, query_terms: QueryTerms) -> tuple:
-        """``(accumulator, candidates)``: dense score sums by document index
-        and the set of indexes that matched a term.
+        """``(accumulator, candidates, norms)``: dense score sums by
+        document index, the set of indexes that matched a term, and the
+        length-norm table of the generation they were scored in.
 
-        The index's ``generation`` is read once per call (over a sharded
-        stats view it is a sum over every shard) and every cache is
-        invalidated from that one read.  The norm table is replaced before
-        the generation is recorded, so a concurrent reader that sees the
-        new generation never reads the previous table.
+        The tables are fetched once per call (over a sharded stats view
+        the clock is a sum over every shard), so one call never mixes two
+        generations.
         """
         weights = normalise_query(query_terms)
         index = self._index
-        idf_cache, columns_cache = self._idf_cache, self._columns_cache
-        generation = index.generation
-        if self._cache_generation != generation:
-            idf_cache.clear()
-            columns_cache.clear()
-            self._length_norms = self._norm_table()
-            self._cache_generation = generation
+        idf_cache, columns_cache, norms = self._tables.get()
         # A plain list is the fastest dense accumulator in CPython: reads
         # return the stored float object directly, with no array unboxing.
         # Sized by the dense table, not document_count: over a sharded
@@ -301,13 +303,15 @@ class _CachedColumnsScorer(TextScorer):
                 if columns is None:
                     # First use in this generation: scored straight from
                     # the postings, and only the sighting is cached.
-                    self._add_contributions(accumulator, docs, freqs, idf, query_weight)
+                    self._add_contributions(
+                        accumulator, docs, freqs, idf, query_weight, norms
+                    )
                     candidates.update(docs)
                     columns_cache[term] = _SEEN_ONCE
                     continue
                 columns = columns_cache[term] = (
                     docs,
-                    self._contributions(docs, freqs, idf),
+                    self._contributions(docs, freqs, idf, norms),
                     frozenset(docs),
                 )
             docs, contributions, doc_set = columns
@@ -318,7 +322,7 @@ class _CachedColumnsScorer(TextScorer):
                 for doc, contribution in zip(docs, contributions):
                     accumulator[doc] += query_weight * contribution
             candidates |= doc_set
-        return accumulator, candidates
+        return accumulator, candidates, norms
 
 
 class TfIdfScorer(_CachedColumnsScorer):
@@ -337,7 +341,7 @@ class TfIdfScorer(_CachedColumnsScorer):
             for length in set(self._index.document_lengths_array)
         }
 
-    def _contributions(self, docs: array, freqs: array, idf: float) -> array:
+    def _contributions(self, docs, freqs, idf, norms) -> array:
         """``(1 + log(tf)) * idf`` per posting.
 
         Unit query weights reproduce the historical per-posting expression
@@ -347,7 +351,7 @@ class TfIdfScorer(_CachedColumnsScorer):
         log_tf = _log_tf
         return array("d", (log_tf(freq) * idf for freq in freqs))
 
-    def _add_contributions(self, accumulator, docs, freqs, idf, query_weight) -> None:
+    def _add_contributions(self, accumulator, docs, freqs, idf, query_weight, norms) -> None:
         log_tf = _log_tf
         if query_weight == 1.0:
             for doc, freq in zip(docs, freqs):
@@ -361,8 +365,7 @@ class TfIdfScorer(_CachedColumnsScorer):
 
         The norm divides each candidate's accumulator slot in place.
         """
-        accumulator, candidates = self._accumulate(query_terms)
-        norms = self._length_norms
+        accumulator, candidates, norms = self._accumulate(query_terms)
         lengths = self._index.document_lengths_array
         for doc in candidates:
             accumulator[doc] /= norms[lengths[doc]]
@@ -373,13 +376,9 @@ class Bm25Scorer(_CachedColumnsScorer):
     """Okapi BM25 with the standard ``k1``/``b`` parameterisation."""
 
     def __init__(self, index: InvertedIndex, k1: float = 1.2, b: float = 0.75) -> None:
-        if k1 < 0:
-            raise ValueError(f"k1 must be non-negative, got {k1}")
-        if not 0.0 <= b <= 1.0:
-            raise ValueError(f"b must be in [0, 1], got {b}")
+        self._k1 = ensure_number(k1, "k1")
+        self._b = ensure_probability(ensure_number(b, "b"), "b")
         super().__init__(index)
-        self._k1 = k1
-        self._b = b
 
     @property
     def k1(self) -> float:
@@ -413,7 +412,7 @@ class Bm25Scorer(_CachedColumnsScorer):
             for length in set(self._index.document_lengths_array)
         }
 
-    def _contributions(self, docs: array, freqs: array, idf: float) -> array:
+    def _contributions(self, docs, freqs, idf, norms) -> array:
         """The complete unit-weight BM25 contribution of every posting.
 
         ``(idf * (tf * (k1 + 1))) / (tf + k1 * (1 - b + b * length /
@@ -424,7 +423,6 @@ class Bm25Scorer(_CachedColumnsScorer):
         weights multiply the contribution, which can differ from the
         historical association by at most one ulp.
         """
-        norms = self._length_norms
         lengths = self._index.document_lengths_array
         k1_plus_1 = self._k1 + 1.0
         return array(
@@ -435,8 +433,7 @@ class Bm25Scorer(_CachedColumnsScorer):
             ),
         )
 
-    def _add_contributions(self, accumulator, docs, freqs, idf, query_weight) -> None:
-        norms = self._length_norms
+    def _add_contributions(self, accumulator, docs, freqs, idf, query_weight, norms) -> None:
         lengths = self._index.document_lengths_array
         k1_plus_1 = self._k1 + 1.0
         if query_weight == 1.0:
@@ -452,5 +449,5 @@ class Bm25Scorer(_CachedColumnsScorer):
 
     def score(self, query_terms: QueryTerms) -> DenseScores:
         """BM25 scores for all matching documents."""
-        accumulator, candidates = self._accumulate(query_terms)
+        accumulator, candidates, _ = self._accumulate(query_terms)
         return DenseScores([(self._index.slots.ids, accumulator, candidates)])

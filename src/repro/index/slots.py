@@ -17,8 +17,8 @@ facade (:mod:`repro.sharding.views`) owns a global one beside its shards'.
 * A new id always takes the next slot, a re-added one too, which is where
   a from-scratch replay of the same writes puts it.
 * ``generation`` ticks on every add, remove and adoption.  It is the clock
-  a monolithic index's derived caches are keyed on; a facade's clock is
-  the sum of its shards' instead.
+  a monolithic index's derived state is keyed on; a facade's clock is the
+  sum of its shards' instead.
 * :meth:`SlotTable.compacted` re-interns the live ids in slot order and
   :meth:`SlotTable.adopt` swaps them in place.  ``ids`` becomes a new list,
   so a reader still holding the old one (a
@@ -30,11 +30,19 @@ compact`, over each class's own ``compacted_copy`` / ``adopt_compacted``
 pair — prepare with pure reads, then adopt in place so long-lived
 references to the index object survive (:mod:`repro.index.compaction`
 runs the two under different locks).
+
+:class:`PerGeneration` is the one place that remembers a generation: a
+value derived from one or more clocks (a scorer's IDF/column/norm tables,
+the visual scan view, the global df/cf sums, the result cache, the
+feedback model's re-rank memo), rebuilt on the first read that sees a
+clock move.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Generic, Iterable, List, Optional, TypeVar
+
+T = TypeVar("T")
 
 
 class SlotTable:
@@ -176,3 +184,47 @@ class SlottedIndex:
         if self.slots.tombstone_count == 0:
             return 0
         return self.adopt_compacted(self.compacted_copy())
+
+
+class PerGeneration(Generic[T]):
+    """A value derived from ``clock`` that lives for one generation of it.
+
+    ``clock`` is anything with a ``generation`` (an index, a facade, a
+    view), or a tuple of such things, whose generations are then read as
+    one tuple.  :meth:`get` reads the clock, then returns the held value
+    if it was built at that reading, else ``build()``'s fresh one.  The
+    ``(generation, value)`` pair is held as one tuple and swapped whole,
+    so a reader never pairs one generation with another's value; racing
+    readers at worst build equal values.  The clock is read *before* the
+    build, so a value built across a write is stamped with the generation
+    it started from and is dropped by the next read.
+
+    A write never touches a value already handed out; it only stops the
+    cell serving it.  So a caller that fetches a mutable value (a memo)
+    once and fills it after a computation can never put a result computed
+    across a write into the value the cell serves next.
+
+    Pickles as an empty cell: the value is derived, so a clone rebuilds it.
+    """
+
+    __slots__ = ("_clock", "_build", "_held")
+
+    def __init__(self, clock, build: Callable[[], T]) -> None:
+        self._clock = clock
+        self._build = build
+        self._held: tuple = (None, None)
+
+    def __reduce__(self):
+        return (PerGeneration, (self._clock, self._build))
+
+    def get(self) -> T:
+        """The value for the clock's current generation."""
+        clock = self._clock
+        if clock.__class__ is tuple:
+            generation = tuple([part.generation for part in clock])
+        else:
+            generation = clock.generation
+        held = self._held
+        if held[0] != generation:
+            held = self._held = (generation, self._build())
+        return held[1]

@@ -69,7 +69,7 @@ from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequenc
 
 from repro.analysis.features import FeatureExtractor, cosine_similarity
 from repro.collection.documents import Collection
-from repro.index.slots import SlotTable, SlottedIndex
+from repro.index.slots import PerGeneration, SlotTable, SlottedIndex
 from repro.utils.validation import ensure_positive
 
 #: Bound on the neighbour pairs one :class:`NeighbourTable` stores: 1 024
@@ -152,7 +152,6 @@ def _scan_margin(dimensions: int, query_norm: float, low: float, high: float) ->
 class _ScanView(NamedTuple):
     """The live slots of one index generation, laid out for the scan."""
 
-    generation: int
     shot_ids: List[str]
     vectors: List[Tuple[float, ...]]
     norms: List[float]
@@ -363,13 +362,7 @@ class VisualIndex(VisualIndexBase):
         # Inverted concept postings: concept -> [(slot, score)].
         self._concept_postings: Dict[str, List[Tuple[int, float]]] = {}
         self._neighbours = NeighbourTable()
-        self._scan: Optional[_ScanView] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The scan view is derived from the rest; a clone rebuilds it.
-        state = self.__dict__.copy()
-        state["_scan"] = None
-        return state
+        self._scan: PerGeneration[_ScanView] = PerGeneration(self, self._build_scan)
 
     # -- construction --------------------------------------------------------
 
@@ -474,21 +467,17 @@ class VisualIndex(VisualIndexBase):
 
     # -- search -----------------------------------------------------------------
 
-    def _scan_view(self) -> _ScanView:
+    def _build_scan(self) -> _ScanView:
         """The live slots of this generation, built on the first scan after a write.
 
         Readers racing to build it build equal views; writes are exclusive
         of scans, so a view never mixes two generations.
         """
         slots = self.slots
-        view = self._scan
-        if view is not None and view.generation == slots.generation:
-            return view
         live = list(map(is_not, slots.ids, repeat(None)))
         vectors = list(compress(self._vectors, live))
         norms = list(compress(self._norms, live))
-        view = _ScanView(
-            generation=slots.generation,
+        return _ScanView(
             shot_ids=list(compress(slots.ids, live)),
             vectors=vectors,
             norms=norms,
@@ -498,8 +487,6 @@ class VisualIndex(VisualIndexBase):
             low=min(filter(None, norms), default=math.inf),
             high=max(norms, default=0.0),
         )
-        self._scan = view
-        return view
 
     def similar_to_vector(
         self, vector: Sequence[float], limit: int = 20, exclude: Sequence[str] = ()
@@ -514,7 +501,7 @@ class VisualIndex(VisualIndexBase):
         query = tuple(vector)
         query_dimensions = len(query)
         query_norm = math.sqrt(sum(map(mul, query, query)))
-        view = self._scan_view()
+        view = self._scan.get()
         if view.dimensions - {query_dimensions}:
             other = next(len(f) for f in view.vectors if len(f) != query_dimensions)
             raise ValueError(

@@ -36,6 +36,7 @@ from repro.index.scoring import (
     TextScorer,
     TfIdfScorer,
 )
+from repro.index.slots import PerGeneration
 from repro.index.tokenizer import Tokenizer
 from repro.index.visual import VisualIndex, finite_features
 from repro.retrieval.expansion import RocchioExpander, extract_key_terms
@@ -175,16 +176,14 @@ class VideoRetrievalEngine:
         # An explicit scorer instance (e.g. from the service registry) takes
         # precedence over the name in the config.
         self._text_scorer = text_scorer or self._build_scorer(config)
-        self._search_cache: Optional[Dict[Tuple, ResultList]] = None
-        self._search_cache_lock = threading.Lock()
-        self._search_cache_depth = 0
-        # Persistent LRU of fully-evaluated searches.  Entries are keyed on
-        # the query fingerprint plus limit and guarded by the index
-        # generation counters, so a mutation (add_document / add_shot)
-        # implicitly invalidates every cached result.
-        self._result_cache: "OrderedDict[Tuple, ResultList]" = OrderedDict()
+        # Persistent LRU of fully-evaluated searches, keyed on the query
+        # fingerprint plus limit.  The store lives for one generation pair
+        # of the two indexes, so a mutation (add_document / add_shot)
+        # implicitly drops every cached result.
+        self._result_cache: "PerGeneration[OrderedDict[Tuple, ResultList]]" = (
+            PerGeneration((self._inverted_index, self._visual_index), OrderedDict)
+        )
         self._result_cache_lock = threading.Lock()
-        self._result_cache_generations = (-1, -1)
         self._result_cache_hits = 0
         self._result_cache_misses = 0
         # Read-mostly discipline: searches take the shared side (they never
@@ -491,31 +490,6 @@ class VideoRetrievalEngine:
 
     # -- search ---------------------------------------------------------------------
 
-    @contextmanager
-    def batch_search_cache(self) -> Iterator[None]:
-        """Memoise identical queries for the duration of a batch.
-
-        Within the ``with`` block, calls to :meth:`search` whose query
-        fingerprint and limit coincide are evaluated once and served from a
-        per-batch cache.  The engine is deterministic and stateless per
-        query, so cached answers are identical to fresh evaluations; each
-        caller receives its own shallow copy so downstream re-ranking cannot
-        alias across sessions.  Scopes may nest or overlap across threads:
-        a depth counter keeps one shared cache alive until the outermost
-        scope exits, so the cache can never outlive the last batch.
-        """
-        with self._search_cache_lock:
-            if self._search_cache_depth == 0:
-                self._search_cache = {}
-            self._search_cache_depth += 1
-        try:
-            yield
-        finally:
-            with self._search_cache_lock:
-                self._search_cache_depth -= 1
-                if self._search_cache_depth == 0:
-                    self._search_cache = None
-
     @staticmethod
     def _copy_results(results: ResultList) -> ResultList:
         return ResultList(
@@ -523,25 +497,6 @@ class VideoRetrievalEngine:
             items=list(results.items),
             topic_id=results.topic_id,
         )
-
-    def _result_cache_get(self, cache_key: Tuple) -> Optional[ResultList]:
-        with self._result_cache_lock:
-            generations = (
-                self._inverted_index.generation,
-                self._visual_index.generation,
-            )
-            if generations != self._result_cache_generations:
-                self._result_cache.clear()
-                self._result_cache_generations = generations
-                self._result_cache_misses += 1
-                return None
-            cached = self._result_cache.get(cache_key)
-            if cached is None:
-                self._result_cache_misses += 1
-                return None
-            self._result_cache.move_to_end(cache_key)
-            self._result_cache_hits += 1
-            return self._copy_results(cached)
 
     def result_cache_stats(self) -> Dict[str, float]:
         """Hit/miss counters of the persistent result cache.
@@ -552,7 +507,7 @@ class VideoRetrievalEngine:
         """
         with self._result_cache_lock:
             hits, misses = self._result_cache_hits, self._result_cache_misses
-            entries = len(self._result_cache)
+            entries = len(self._result_cache.get())
         lookups = hits + misses
         return {
             "hits": float(hits),
@@ -562,39 +517,15 @@ class VideoRetrievalEngine:
             "hit_rate": (hits / lookups) if lookups else 0.0,
         }
 
-    def _result_cache_put(
-        self,
-        cache_key: Tuple,
-        results: ResultList,
-        evaluation_generations: Tuple[int, int],
-    ) -> None:
-        with self._result_cache_lock:
-            generations = (
-                self._inverted_index.generation,
-                self._visual_index.generation,
-            )
-            if generations != evaluation_generations:
-                # An index was mutated while this search was being evaluated;
-                # the results may predate the mutation, so never cache them.
-                return
-            if generations != self._result_cache_generations:
-                self._result_cache.clear()
-                self._result_cache_generations = generations
-            self._result_cache[cache_key] = self._copy_results(results)
-            self._result_cache.move_to_end(cache_key)
-            while len(self._result_cache) > self._config.result_cache_size:
-                self._result_cache.popitem(last=False)
-
     def search(self, query: Query, limit: Optional[int] = None) -> ResultList:
         """Run a multimodal search and return a ranked result list.
 
         Concurrent calls are safe and never block one another: evaluation
         runs on the shared side of the engine's read/write discipline, the
-        caches carry their own locks (or tolerate benign duplicate
-        evaluation — the engine is deterministic, so two threads racing on
-        the same per-batch cache key store identical values), and an
-        exclusive writer (:meth:`exclusive_writer`) is the only thing a
-        search ever waits for.
+        result cache carries its own lock (two threads missing on the same
+        key both evaluate and store identical values — the engine is
+        deterministic), and an exclusive writer (:meth:`exclusive_writer`)
+        is the only thing a search ever waits for.
         """
         with self._rw_lock.read_locked():
             return self._search_read_locked(query, limit)
@@ -603,36 +534,29 @@ class VideoRetrievalEngine:
         # Cancellation checkpoint at entry: a request whose deadline already
         # fired stops here, before any cache has been read or written.
         checkpoint_if_cancelled()
-        cache = self._search_cache
-        # The generation pair is part of the key so a mutation landing
-        # between two requests of one batch (through the writer path or a
-        # legacy direct index call) can never serve a pre-mutation ranking
-        # from the per-batch cache.
-        cache_key = query.cache_key() + (
-            limit or self._config.result_limit,
-            self._inverted_index.generation,
-            self._visual_index.generation,
-        )
-        if cache is not None:
-            cached = cache.get(cache_key)
+        capacity = self._config.result_cache_size
+        if capacity == 0:
+            return self._search_uncached(query, limit)
+        cache_key = query.cache_key() + (limit or self._config.result_limit,)
+        # The store is read once, here, and the result is written into that
+        # same object.  A mutation landing during evaluation (a legacy
+        # direct index call) moves the clock, so the next read builds a new
+        # store and this one — holding a ranking that may predate the
+        # mutation — is never served.
+        with self._result_cache_lock:
+            store = self._result_cache.get()
+            cached = store.get(cache_key)
             if cached is not None:
+                store.move_to_end(cache_key)
+                self._result_cache_hits += 1
                 return self._copy_results(cached)
-        use_result_cache = self._config.result_cache_size > 0
-        if use_result_cache:
-            cached = self._result_cache_get(cache_key)
-            if cached is not None:
-                if cache is not None:
-                    cache[cache_key] = self._copy_results(cached)
-                return cached
-            evaluation_generations = (
-                self._inverted_index.generation,
-                self._visual_index.generation,
-            )
+            self._result_cache_misses += 1
         results = self._search_uncached(query, limit)
-        if cache is not None:
-            cache[cache_key] = self._copy_results(results)
-        if use_result_cache:
-            self._result_cache_put(cache_key, results, evaluation_generations)
+        with self._result_cache_lock:
+            store[cache_key] = self._copy_results(results)
+            store.move_to_end(cache_key)
+            while len(store) > capacity:
+                store.popitem(last=False)
         return results
 
     def _search_uncached(self, query: Query, limit: Optional[int] = None) -> ResultList:

@@ -26,8 +26,8 @@ sessions never serialise behind each other:
   order while requests targeting *different* sessions run in parallel.
 * The engine and its indexes are read-mostly.  Searches take the shared
   side of the engine's read/write discipline (they never block one
-  another; derived statistics are validated by index ``generation``
-  counters), and index mutation goes through the engine's exclusive
+  another; state derived from the indexes lives for one index
+  ``generation``), and index mutation goes through the engine's exclusive
   writer path (:meth:`index_documents`), which drains in-flight searches
   first.
 * The session registry's own lock is held only for map operations —
@@ -35,10 +35,9 @@ sessions never serialise behind each other:
   cannot become the global bottleneck it was when the whole service
   serialised behind one lock.
 * :meth:`search_batch` partitions a batch by target session and fans the
-  per-session partitions out over a thread pool (``max_workers``), under
-  one shared per-batch engine query cache; responses are bit-identical to
-  sequential execution because per-session order is preserved and the
-  engine is deterministic.
+  per-session partitions out over a thread pool (``max_workers``);
+  responses are bit-identical to sequential execution because per-session
+  order is preserved and the engine is deterministic.
 """
 
 from __future__ import annotations
@@ -551,15 +550,16 @@ class RetrievalService:
         thread, one partition at a time (per-session order and response
         order are preserved; cross-session interleaving is not).
 
-        Either way the whole batch shares one per-batch engine query cache
-        (thread-safe: racing threads that miss on the same key evaluate the
-        same deterministic result), so sessions whose adapted queries
-        coincide — typically many users issuing the same query before
-        feedback diverges them — share one engine evaluation.  Responses
-        are returned in request order and are bit-identical (ids and
-        scores) to issuing the same requests sequentially through
-        :meth:`search`, because per-session execution order is preserved
-        and the engine is deterministic.
+        Repeated engine queries within the batch — typically many users
+        issuing the same query before feedback diverges them — are served
+        by the engine's persistent result cache like any other repeat
+        (racing threads that miss on the same key evaluate the same
+        deterministic result); with ``result_cache_size=0`` each repeat is
+        evaluated again, with the same answer.  Responses are returned in
+        request order and are bit-identical (ids and scores) to issuing
+        the same requests sequentially through :meth:`search`, because
+        per-session execution order is preserved and the engine is
+        deterministic.
 
         The bit-identical guarantee assumes the session pool does not
         overflow during the batch; under capacity pressure an implicitly
@@ -594,27 +594,24 @@ class RetrievalService:
                     # The bound session lost to LRU eviction mid-batch (e.g.
                     # a later bind overflowed the pool).  The request was
                     # implicitly addressed, so do what sequential search()
-                    # does: resolve a replacement session and serve it.  The
-                    # per-batch engine cache is engine-scoped, so the
-                    # re-resolved search still shares batch evaluations.
+                    # does: resolve a replacement session and serve it.
                     responses[index] = self.search(request)
 
         workers = max_workers or 1
-        with self._engine.batch_search_cache():
-            if workers <= 1 or len(partitions) <= 1:
-                for partition in partitions.values():
-                    run_partition(partition)
-            else:
-                pool_size = min(workers, len(partitions))
-                with ThreadPoolExecutor(
-                    max_workers=pool_size, thread_name_prefix="search-batch"
-                ) as pool:
-                    futures = [
-                        pool.submit(run_partition, partition)
-                        for partition in partitions.values()
-                    ]
-                    for future in futures:
-                        future.result()
+        if workers <= 1 or len(partitions) <= 1:
+            for partition in partitions.values():
+                run_partition(partition)
+        else:
+            pool_size = min(workers, len(partitions))
+            with ThreadPoolExecutor(
+                max_workers=pool_size, thread_name_prefix="search-batch"
+            ) as pool:
+                futures = [
+                    pool.submit(run_partition, partition)
+                    for partition in partitions.values()
+                ]
+                for future in futures:
+                    future.result()
         # Every partition either filled all of its slots or raised (and the
         # exception propagated above), so the response list is complete.
         return [response for response in responses if response is not None]

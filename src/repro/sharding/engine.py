@@ -198,7 +198,7 @@ class ShardedEngine(VideoRetrievalEngine):
             lambda view: _shard_scorer_from_config(view, config)
         )
         shard_scorers = [
-            factory(GlobalStatsView(shard, text_index.stats))
+            factory(GlobalStatsView(shard, text_index))
             for shard in text_index.shard_indexes
         ]
         super().__init__(

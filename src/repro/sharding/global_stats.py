@@ -1,107 +1,41 @@
-"""Global collection statistics over a set of index shards.
+"""Global collection statistics behind one shard's postings.
 
 Partitioned scoring is only exact if every shard ranks with **collection**
 statistics, not shard statistics: BM25/TF-IDF idf needs the global document
 count and document frequency, BM25 length normalisation needs the global
 average document length, and language-model smoothing needs the global
-collection frequency and total term count.  Two classes provide that:
+collection frequency and total term count.  The sharded text facade
+(:class:`~repro.sharding.views.ShardedInvertedIndex`) already answers all of
+these for the whole collection, with the per-term sums held for one
+combined generation (the sum of the shard generations — a valid logical
+clock because all index mutation is serialised behind the engine's
+exclusive writer, so every write bumps exactly one shard generation and the
+sum strictly increases).
 
-* :class:`GlobalTextStats` aggregates document frequency / collection
-  frequency / document count / total terms across all shards, with per-term
-  caches invalidated through a **combined generation** counter (the sum of
-  the shard generations — a valid logical clock because all index mutation
-  is serialised behind the engine's exclusive writer, so every add bumps
-  exactly one shard generation by one and the sum strictly increases).
-
-* :class:`GlobalStatsView` is what a per-shard scorer is built over: it
-  quacks like an :class:`~repro.index.inverted_index.InvertedIndex` whose
-  postings, lengths and slot table (``slots``, see :mod:`repro.index.slots`)
-  are one shard's but whose statistics are global.  An unmodified
-  :class:`~repro.index.scoring.Bm25Scorer` /
-  :class:`~repro.index.scoring.TfIdfScorer` /
-  :class:`~repro.index.language_model.DirichletLanguageModelScorer` (or any
-  registry-registered scorer that sticks to the index API) therefore
-  produces, for the documents of its shard, bit-identical scores to the
-  same scorer over the monolithic index — the property the cross-shard
-  equivalence suite pins.
+:class:`GlobalStatsView` is what a per-shard scorer is built over: it quacks
+like an :class:`~repro.index.inverted_index.InvertedIndex` whose postings,
+lengths and slot table (``slots``, see :mod:`repro.index.slots`) are one
+shard's but whose statistics and ``generation`` are the facade's.  An
+unmodified :class:`~repro.index.scoring.Bm25Scorer` /
+:class:`~repro.index.scoring.TfIdfScorer` /
+:class:`~repro.index.language_model.DirichletLanguageModelScorer` (or any
+registry-registered scorer that sticks to the index API) therefore
+produces, for the documents of its shard, bit-identical scores to the same
+scorer over the monolithic index — the property the cross-shard
+equivalence suite pins.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from repro.index.inverted_index import InvertedIndex, Posting
 from repro.index.slots import SlotTable
 from repro.index.tokenizer import Tokenizer
 
-
-class GlobalTextStats:
-    """Aggregated collection statistics across text shards.
-
-    Per-term sums are cached and swapped out wholesale whenever the
-    combined generation moves, so interleaved writes can never serve stale
-    global statistics.  Reads are lock-free: the cache triple is replaced
-    atomically, racing readers at worst rebuild identical values.
-    """
-
-    def __init__(self, shard_indexes: Sequence[InvertedIndex]) -> None:
-        self._shards = list(shard_indexes)
-        # (generation, {term: df}, {term: cf}) — replaced as one object.
-        self._cache: Tuple[int, Dict[str, int], Dict[str, int]] = (-1, {}, {})
-
-    @property
-    def shard_indexes(self) -> Tuple[InvertedIndex, ...]:
-        """The shard indexes being aggregated."""
-        return tuple(self._shards)
-
-    @property
-    def generation(self) -> int:
-        """Combined mutation clock: the sum of the shard generations."""
-        return sum(shard.generation for shard in self._shards)
-
-    @property
-    def document_count(self) -> int:
-        """Total documents across all shards."""
-        return sum(shard.document_count for shard in self._shards)
-
-    @property
-    def total_terms(self) -> int:
-        """Total term occurrences across all shards."""
-        return sum(shard.total_terms for shard in self._shards)
-
-    @property
-    def average_document_length(self) -> float:
-        """Global mean document length (0.0 for an empty collection)."""
-        documents = self.document_count
-        if not documents:
-            return 0.0
-        return self.total_terms / documents
-
-    def _term_caches(self) -> Tuple[int, Dict[str, int], Dict[str, int]]:
-        caches = self._cache
-        if caches[0] != self.generation:
-            caches = (self.generation, {}, {})
-            self._cache = caches
-        return caches
-
-    def document_frequency(self, term: str) -> int:
-        """Global document frequency of a term (cached per generation)."""
-        _, df_cache, _ = self._term_caches()
-        cached = df_cache.get(term)
-        if cached is None:
-            cached = sum(shard.document_frequency(term) for shard in self._shards)
-            df_cache[term] = cached
-        return cached
-
-    def collection_frequency(self, term: str) -> int:
-        """Global collection frequency of a term (cached per generation)."""
-        _, _, cf_cache = self._term_caches()
-        cached = cf_cache.get(term)
-        if cached is None:
-            cached = sum(shard.collection_frequency(term) for shard in self._shards)
-            cf_cache[term] = cached
-        return cached
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.sharding.views import ShardedInvertedIndex
 
 
 class GlobalStatsView:
@@ -109,51 +43,53 @@ class GlobalStatsView:
 
     The view implements the read API scorers use: statistics
     (``document_count``, ``document_frequency``, ``collection_frequency``,
-    ``total_terms``, ``average_document_length``, ``generation``) are
-    global, while postings columns, the slot table, document lengths and
+    ``total_terms``, ``average_document_length``, ``generation``) are the
+    facade's, while postings columns, the slot table, document lengths and
     per-document vectors are the shard's own.  A BM25 scorer's length
     norms couple the two: it builds them from this view's lengths
     (shard-local) and average document length (global), which is what
     keeps each denominator bit-identical to the monolithic one.
 
-    ``generation`` is the combined clock, so a scorer's per-term caches
-    invalidate when *any* shard is written — global idf moves even when the
+    ``generation`` is the combined clock, so a scorer's derived tables are
+    rebuilt when *any* shard is written — global idf moves even when the
     write landed on a different shard.
     """
 
-    def __init__(self, shard_index: InvertedIndex, stats: GlobalTextStats) -> None:
+    def __init__(
+        self, shard_index: InvertedIndex, facade: "ShardedInvertedIndex"
+    ) -> None:
         self._shard = shard_index
-        self._stats = stats
+        self._facade = facade
 
     # -- global statistics -------------------------------------------------------
 
     @property
     def generation(self) -> int:
         """Combined mutation clock of all shards (see module docstring)."""
-        return self._stats.generation
+        return self._facade.generation
 
     @property
     def document_count(self) -> int:
         """Global document count (idf must see the whole collection)."""
-        return self._stats.document_count
+        return self._facade.document_count
 
     @property
     def total_terms(self) -> int:
         """Global total term occurrences."""
-        return self._stats.total_terms
+        return self._facade.total_terms
 
     @property
     def average_document_length(self) -> float:
         """Global mean document length."""
-        return self._stats.average_document_length
+        return self._facade.average_document_length
 
     def document_frequency(self, term: str) -> int:
         """Global document frequency."""
-        return self._stats.document_frequency(term)
+        return self._facade.document_frequency(term)
 
     def collection_frequency(self, term: str) -> int:
         """Global collection frequency."""
-        return self._stats.collection_frequency(term)
+        return self._facade.collection_frequency(term)
 
     # -- shard-local payload -----------------------------------------------------
 

@@ -6,7 +6,7 @@ shots in per-shard indexes chosen by a :class:`~repro.sharding.router.
 ShardRouter`.  What reads only the slot table or the index's own methods
 is inherited from the base the monolithic class has too
 (:class:`~repro.index.inverted_index.TextIndexBase`,
-:class:`~repro.index.visual.VisualIndexBase`).  Three properties make them
+:class:`~repro.index.visual.VisualIndexBase`).  Four properties make them
 drop-in substrates for the retrieval engine and the adaptive layer:
 
 * **Global interning.**  Each facade keeps a global
@@ -19,8 +19,16 @@ drop-in substrates for the retrieval engine and the adaptive layer:
   shard (a duplicate id is refused by its shard, with the monolithic error
   message).  ``generation`` is the sum of the shard generations — a strict
   logical clock because all mutation is serialised behind the engine's
-  exclusive writer — so every generation-keyed derived cache above the
-  facade invalidates on any shard write.
+  exclusive writer — so every value derived per generation above the
+  facade (:class:`~repro.index.slots.PerGeneration`) is rebuilt after any
+  shard write.
+* **Global statistics.**  The text facade's statistics are the
+  collection's: ``document_count`` and ``average_document_length`` from
+  the global table, ``total_terms`` summed over the shards, and
+  ``document_frequency`` / ``collection_frequency`` summed once per term
+  and generation.  Each shard's scorer reads them through a
+  :class:`~repro.sharding.global_stats.GlobalStatsView` over ``(shard,
+  facade)``.
 * **Exact gathered reads.**  Cross-shard reads that rank or score
   (``similar_to_vector``, ``similar_to_shot``, ``score_by_concepts``)
   scatter to the shards and merge with the same selection key the
@@ -31,8 +39,7 @@ drop-in substrates for the retrieval engine and the adaptive layer:
 The text facade deliberately does **not** implement ``postings_arrays``:
 per-shard postings columns use shard-dense slots, so a scorer must be
 built over a per-shard :class:`~repro.sharding.global_stats.GlobalStatsView`,
-never over this
-facade.  Attempting it fails loudly with ``AttributeError``.
+never over this facade.  Attempting it fails loudly with ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -43,10 +50,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.analysis.features import FeatureExtractor
 from repro.collection.documents import Collection
 from repro.index.inverted_index import InvertedIndex, Posting, TextIndexBase
-from repro.index.slots import SlotTable, SlottedIndex
+from repro.index.slots import PerGeneration, SlotTable, SlottedIndex
 from repro.index.tokenizer import Tokenizer
 from repro.index.visual import NeighbourTable, VisualIndex, VisualIndexBase
-from repro.sharding.global_stats import GlobalTextStats
 from repro.sharding.router import ShardRouter
 from repro.utils.concurrency import ScatterGather
 from repro.utils.validation import ensure_positive
@@ -113,7 +119,13 @@ class ShardedInvertedIndex(_ShardedIndex, TextIndexBase):
             [InvertedIndex(tokenizer=self._tokenizer) for _ in range(router.num_shards)],
             SlotTable("document", "indexed"),
         )
-        self._stats = GlobalTextStats(self._shards)
+        # Per-term sums over the shards, for one combined generation.
+        self._document_frequencies: PerGeneration[Dict[str, int]] = PerGeneration(
+            self, dict
+        )
+        self._collection_frequencies: PerGeneration[Dict[str, int]] = PerGeneration(
+            self, dict
+        )
 
     # -- construction -----------------------------------------------------------
 
@@ -129,11 +141,6 @@ class ShardedInvertedIndex(_ShardedIndex, TextIndexBase):
         for shot in collection.iter_shots():
             index.add_document(shot.shot_id, shot.transcript)
         return index
-
-    @property
-    def stats(self) -> GlobalTextStats:
-        """The global statistics aggregator over the shards."""
-        return self._stats
 
     def add_document_frequencies(
         self, document_id: str, frequencies: Mapping[str, int]
@@ -171,19 +178,31 @@ class ShardedInvertedIndex(_ShardedIndex, TextIndexBase):
     @property
     def total_terms(self) -> int:
         """Total term occurrences across all shards."""
-        return self._stats.total_terms
+        return sum(shard.total_terms for shard in self._shards)
 
     def document_length(self, document_id: str) -> int:
         """Length (term count) of one document."""
         return self.shard_for(document_id).document_length(document_id)
 
     def document_frequency(self, term: str) -> int:
-        """Global document frequency of a term."""
-        return self._stats.document_frequency(term)
+        """Global document frequency of a term (summed once a generation)."""
+        sums = self._document_frequencies.get()
+        total = sums.get(term)
+        if total is None:
+            total = sums[term] = sum(
+                shard.document_frequency(term) for shard in self._shards
+            )
+        return total
 
     def collection_frequency(self, term: str) -> int:
-        """Global collection frequency of a term."""
-        return self._stats.collection_frequency(term)
+        """Global collection frequency of a term (summed once a generation)."""
+        sums = self._collection_frequencies.get()
+        total = sums.get(term)
+        if total is None:
+            total = sums[term] = sum(
+                shard.collection_frequency(term) for shard in self._shards
+            )
+        return total
 
     def postings(self, term: str) -> List[Posting]:
         """Object-view postings gathered across shards (per-shard order)."""

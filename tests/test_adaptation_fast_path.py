@@ -23,6 +23,8 @@ must not iterate the collection's shots.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -263,12 +265,19 @@ class TestImplicitFeedbackModelMemoisation:
         after = model.expansion_term_weights(evidence)
         assert after == model.expansion_term_weights_uncached(evidence)
         # The IDF landscape moved, so served terms must be recomputed, not
-        # replayed from the stale generation's entry.
-        assert model.cache_info()["entries"] >= 2
+        # replayed from the stale generation's entry — which the write
+        # dropped with its whole memo, leaving only the fresh entry.
+        assert model.cache_info()["entries"] == 1
         assert before == ImplicitFeedbackModel(
             InvertedIndex.from_collection(small_corpus.collection),
             visual_index=VisualIndex.from_collection(small_corpus.collection),
         ).expansion_term_weights_uncached(evidence)
+
+    @pytest.mark.parametrize("cache_size", [math.nan, math.inf, 2.5, True, -1, "8"])
+    def test_cache_size_must_be_a_non_negative_integer(self, small_corpus, cache_size):
+        # A NaN bound would never evict (``len(memo) > nan`` is false).
+        with pytest.raises(ValueError, match="cache_size must be"):
+            self._model(small_corpus, cache_size=cache_size)
 
     def test_post_eviction_reuse(self, small_corpus):
         model, _ = self._model(small_corpus, cache_size=1)

@@ -467,17 +467,18 @@ class TestWriterPath:
         hits = service.engine.search_text(query, limit=200)
         assert any(item.shot_id.startswith("NEWDOC") for item in hits)
 
-    def test_batch_cache_never_serves_pre_mutation_rankings(self, small_corpus):
-        """A mutation landing mid-batch invalidates the per-batch cache too:
-        the generation pair is part of the cache key, so a repeated query
-        after ``index_documents`` re-evaluates against the new index."""
+    def test_repeat_after_a_write_never_serves_pre_mutation_rankings(
+        self, small_corpus
+    ):
+        """A mutation between two identical searches drops the result
+        cache's store, so the repeated query after ``index_documents``
+        re-evaluates against the new index."""
         service = RetrievalService.from_corpus(small_corpus)
         engine = service.engine
         _topic, query = _topic_query(small_corpus)
-        with engine.batch_search_cache():
-            before = engine.search_text(query, limit=200)
-            service.index_documents({"MUTDOC001": f"{query} {query} mid-batch"})
-            after = engine.search_text(query, limit=200)
+        before = engine.search_text(query, limit=200)
+        service.index_documents({"MUTDOC001": f"{query} {query} mid-batch"})
+        after = engine.search_text(query, limit=200)
         assert not any(item.shot_id == "MUTDOC001" for item in before)
         assert any(item.shot_id == "MUTDOC001" for item in after)
 

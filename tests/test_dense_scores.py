@@ -201,10 +201,10 @@ def check_rankings(engines, queries, scorer, shards, pool):
 
 def _old_dict(scorer, query_terms):
     """The dict the BM25/TF-IDF kernels built before dense score maps."""
-    accumulator, candidates = scorer._accumulate(query_terms)
+    accumulator, candidates, norms = scorer._accumulate(query_terms)
     doc_ids = scorer._index.slots.ids
     if isinstance(scorer, TfIdfScorer):
-        norms, lengths = scorer._length_norms, scorer._index.document_lengths_array
+        lengths = scorer._index.document_lengths_array
         return {doc_ids[d]: accumulator[d] / norms[lengths[d]] for d in candidates}
     return {doc_ids[d]: accumulator[d] for d in candidates}
 

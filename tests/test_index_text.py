@@ -145,6 +145,29 @@ class TestScorers:
         with pytest.raises(ValueError):
             Bm25Scorer(tiny_index, b=2.0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda index: Bm25Scorer(index, k1=math.nan), "k1 must be non-negative and finite"),
+            (lambda index: Bm25Scorer(index, k1=math.inf), "k1 must be non-negative and finite"),
+            (lambda index: Bm25Scorer(index, b=math.nan), "b must be non-negative and finite"),
+            (lambda index: Bm25Scorer(index, k1="1.2"), "k1 must be a real number"),
+            (
+                lambda index: DirichletLanguageModelScorer(index, mu=math.inf),
+                "mu must be positive and finite",
+            ),
+            (
+                lambda index: DirichletLanguageModelScorer(index, mu=math.nan),
+                "mu must be positive and finite",
+            ),
+        ],
+        ids=["bm25-k1-nan", "bm25-k1-inf", "bm25-b-nan", "bm25-k1-str", "lm-mu-inf", "lm-mu-nan"],
+    )
+    def test_non_finite_parameters_are_refused(self, tiny_index, build, message):
+        # Each of these would rank every document by nan.
+        with pytest.raises(ValueError, match=message):
+            build(tiny_index)
+
     def test_bm25_weighted_query_terms(self, tiny_index):
         plain = Bm25Scorer(tiny_index).score({"goal": 1.0, "weather": 1.0})
         boosted = Bm25Scorer(tiny_index).score({"goal": 0.1, "weather": 5.0})

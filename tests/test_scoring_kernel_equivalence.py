@@ -382,16 +382,19 @@ def _write_scorer(shards, scorer_class):
         return index, scorer_class(index), [None]
     index = ShardedInvertedIndex(ShardRouter(shards))
     shard_scorers = [
-        scorer_class(GlobalStatsView(shard, index.stats)) for shard in index.shard_indexes
+        scorer_class(GlobalStatsView(shard, index)) for shard in index.shard_indexes
     ]
     return index, ShardedTextScorer(shard_scorers, ScatterGather(1)), shard_scorers
 
 
 def _touch(scorer, term):
-    """Which use of ``term`` in this generation the next score call is."""
-    if scorer._cache_generation != scorer._index.generation:
-        return "first"
-    entry = scorer._columns_cache.get(term)
+    """Which use of ``term`` in this generation the next score call is.
+
+    Reads the scorer's tables for the current generation, which the score
+    call would build anyway.
+    """
+    _, columns, _ = scorer._tables.get()
+    entry = columns.get(term)
     return "first" if entry is None else "warm" if entry else "second"
 
 
@@ -466,8 +469,9 @@ class TestScoringUnderWrites:
                 "_CachedColumnsScorer",
                 "_accumulate",
                 [(
-                    "self._length_norms = self._norm_table()",
-                    "self._length_norms = {**self._norm_table(), **self._length_norms}",
+                    "idf_cache, columns_cache, norms = self._tables.get()",
+                    "idf_cache, columns_cache, norms = self._tables.get()\n"
+                    "    norms = self._kept = {**norms, **getattr(self, '_kept', {})}",
                 )],
                 0,
             ),
@@ -485,13 +489,16 @@ class TestScoringUnderWrites:
                 "_accumulate",
                 [
                     (
-                        "idf_cache.clear()",
-                        "self._stale_idf = dict(idf_cache); idf_cache.clear()",
+                        "idf_cache, columns_cache, norms = self._tables.get()",
+                        "idf_cache, columns_cache, norms = self._tables.get()\n"
+                        "    current, stale_idf = getattr(self, '_idfs', (idf_cache, {}))\n"
+                        "    if current is not idf_cache:\n"
+                        "        stale_idf = current\n"
+                        "    self._idfs = (idf_cache, stale_idf)",
                     ),
                     (
-                        "self._contributions(docs, freqs, idf)",
-                        "self._contributions(docs, freqs, "
-                        "getattr(self, '_stale_idf', {}).get(term, idf))",
+                        "self._contributions(docs, freqs, idf, norms)",
+                        "self._contributions(docs, freqs, stale_idf.get(term, idf), norms)",
                     ),
                 ],
                 0,

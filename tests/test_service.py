@@ -385,20 +385,6 @@ class TestBatchSearch:
         # Same underlying engine evaluation, but every response is its own value.
         assert len({id(response.hits) for response in responses}) == len(responses)
 
-    def test_overlapping_cache_scopes_never_leak(self, small_corpus):
-        # Interleaved (not strictly nested) scopes, as two concurrent batches
-        # would produce: the cache must be gone once the last scope exits.
-        service = RetrievalService.from_corpus(small_corpus)
-        engine = service.engine
-        scope_a = engine.batch_search_cache()
-        scope_b = engine.batch_search_cache()
-        scope_a.__enter__()
-        scope_b.__enter__()
-        scope_a.__exit__(None, None, None)
-        assert engine._search_cache is not None  # inner scope still live
-        scope_b.__exit__(None, None, None)
-        assert engine._search_cache is None
-
 
 class TestTypedRequests:
     def test_request_types_are_frozen(self):

@@ -195,7 +195,7 @@ class TestShardedFacades:
                 sharded.add_document("long-doc", text)
             mono_norms = scorer_class(mono)._norm_table()
             for shard in sharded.shard_indexes:
-                norms = scorer_class(GlobalStatsView(shard, sharded.stats))._norm_table()
+                norms = scorer_class(GlobalStatsView(shard, sharded))._norm_table()
                 live = {shard.document_length(d) for d in shard.document_ids()}
                 assert live <= set(norms)
                 for length in live:
@@ -336,9 +336,7 @@ class TestShardedRankingEquivalence:
             inline, parallel, random_queries(sharding_corpus, seed=77, count=8)
         )
 
-    def test_result_cache_and_batch_cache_still_identical(
-        self, sharding_corpus, make_random_queries
-    ):
+    def test_result_cache_still_identical(self, sharding_corpus, make_random_queries):
         random_queries = make_random_queries
         config = EngineConfig()  # caches on
         mono = VideoRetrievalEngine(sharding_corpus.collection, config=config)
@@ -346,10 +344,9 @@ class TestShardedRankingEquivalence:
             sharding_corpus.collection, config=config, num_shards=3
         )
         queries = random_queries(sharding_corpus, seed=55, count=5)
-        with mono.batch_search_cache(), sharded.batch_search_cache():
-            # Twice: second pass is served from caches on both sides.
-            assert_identical_rankings(mono, sharded, queries)
-            assert_identical_rankings(mono, sharded, queries)
+        # Twice: second pass is served from the result caches on both sides.
+        assert_identical_rankings(mono, sharded, queries)
+        assert_identical_rankings(mono, sharded, queries)
 
 
 class _RecordingScorer(TextScorer):
@@ -490,7 +487,7 @@ class TestShardScorerEquivalence:
             expected = mono_scorer.score(query_terms)
             merged = {}
             for shard in sharded.shard_indexes:
-                view = GlobalStatsView(shard, sharded.stats)
+                view = GlobalStatsView(shard, sharded)
                 actual = scorer_class(view).score(query_terms)
                 owned = set(shard.slots.ids)
                 assert set(actual) <= owned
