@@ -44,7 +44,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.collection import CollectionConfig, generate_corpus, load_corpus, save_corpus
 from repro.evaluation import (
@@ -66,6 +66,38 @@ from repro.utils.validation import ensure_deadline
 #: every registered policy name is accepted.
 _CLASSIC_POLICIES = ("baseline", "profile", "implicit", "combined")
 
+T = TypeVar("T")
+
+
+def _checked(
+    convert: Callable[[str], T], accept: Callable[[T], bool], problem: str
+) -> Callable[[str], T]:
+    """An argparse ``type=``: ``convert`` the text, refuse it unless ``accept``.
+
+    A refused value is a usage error at parse time (one line, exit 2)
+    instead of a ``ValueError`` traceback from inside the command.
+    """
+
+    def parse(text: str) -> T:
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{problem}, got {text!r}")
+        return value
+
+    # argparse words a conversion error as "invalid <name> value".
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _names(text: str) -> List[str]:
+    """The distinct names of a comma-separated list, in order."""
+    return list(dict.fromkeys(name.strip() for name in text.split(",") if name.strip()))
+
+
+_POSITIVE = _checked(int, lambda value: value > 0, "must be positive")
+_NON_NEGATIVE = _checked(int, lambda value: value >= 0, "must be non-negative")
+_POLICY_NAMES = _checked(_names, bool, "must name at least one policy")
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
@@ -78,16 +110,17 @@ def build_parser() -> argparse.ArgumentParser:
     generate = subparsers.add_parser("generate", help="generate a synthetic collection")
     generate.add_argument("--output", required=True, help="directory to write the corpus to")
     generate.add_argument("--seed", type=int, default=13)
-    generate.add_argument("--days", type=int, default=CollectionConfig().days)
-    generate.add_argument("--stories-per-day", type=int,
+    generate.add_argument("--days", type=_POSITIVE, default=CollectionConfig().days)
+    generate.add_argument("--stories-per-day", type=_POSITIVE,
                           default=CollectionConfig().stories_per_day)
-    generate.add_argument("--topics", type=int, default=CollectionConfig().topic_count)
+    generate.add_argument("--topics", type=_POSITIVE,
+                          default=CollectionConfig().topic_count)
 
     search = subparsers.add_parser("search", help="search a stored collection")
     search.add_argument("--corpus", required=True, help="directory written by 'generate'")
     search.add_argument("--query", required=True)
     search.add_argument("--topic", default=None, help="topic id to score the ranking against")
-    search.add_argument("--limit", type=int, default=10)
+    search.add_argument("--limit", type=_POSITIVE, default=10)
     search.add_argument("--user", default="cli",
                         help="user id the service session is opened for")
     search.add_argument("--policy", default="baseline",
@@ -96,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = subparsers.add_parser("simulate", help="run a simulated user study")
     simulate.add_argument("--corpus", required=True)
     simulate.add_argument("--logs", required=True, help="directory to write session logs to")
-    simulate.add_argument("--users", type=int, default=6)
-    simulate.add_argument("--topics-per-user", type=int, default=2)
+    simulate.add_argument("--users", type=_POSITIVE, default=6)
+    simulate.add_argument("--topics-per-user", type=_POSITIVE, default=2)
     simulate.add_argument("--policy", default="combined",
                           help="registered adaptation policy name (default: combined)")
     simulate.add_argument("--interface", choices=("desktop", "itv"), default="desktop")
@@ -105,10 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = subparsers.add_parser("experiment", help="run the policy comparison")
     experiment.add_argument("--corpus", required=True)
-    experiment.add_argument("--users", type=int, default=8)
-    experiment.add_argument("--topics-per-user", type=int, default=2)
+    experiment.add_argument("--users", type=_POSITIVE, default=8)
+    experiment.add_argument("--topics-per-user", type=_POSITIVE, default=2)
     experiment.add_argument("--interface", choices=("desktop", "itv"), default="desktop")
-    experiment.add_argument("--policies", default="baseline,profile,implicit,combined",
+    experiment.add_argument("--policies", type=_POLICY_NAMES,
+                            default="baseline,profile,implicit,combined",
                             help="comma-separated registered policy names, e.g. "
                                  + ",".join(_CLASSIC_POLICIES))
     experiment.add_argument("--seed", type=int, default=2024)
@@ -121,10 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
         "loadtest", help="drive a deterministic concurrent workload"
     )
     loadtest.add_argument("--corpus", required=True, help="directory written by 'generate'")
-    loadtest.add_argument("--users", type=int, default=8)
-    loadtest.add_argument("--queries", type=int, default=3,
+    loadtest.add_argument("--users", type=_POSITIVE, default=8)
+    loadtest.add_argument("--queries", type=_POSITIVE, default=3,
                           help="query iterations per user")
-    loadtest.add_argument("--workers", type=int, default=4,
+    loadtest.add_argument("--workers", type=_POSITIVE, default=4,
                           help="client-side thread count")
     loadtest.add_argument("--policy", default="combined",
                           help="registered adaptation policy name (default: combined)")
@@ -133,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="workload mix: 'balanced' pairs each search with one "
                                "feedback step; 'adaptive-heavy' sends three feedback "
                                "steps per search (exercises the adaptation fast path)")
-    loadtest.add_argument("--feedback-per-query", type=int, default=None,
+    loadtest.add_argument("--feedback-per-query", type=_POSITIVE, default=None,
                           help="feedback steps per search step (overrides --mix)")
     loadtest.add_argument("--shards", type=int, default=1,
                           help="index shards the service partitions the corpus "
@@ -167,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--fsync", choices=("always", "interval", "never"),
                           default="interval",
                           help="WAL fsync policy for --durable (default: interval)")
-    loadtest.add_argument("--snapshot-interval", type=int, default=256,
+    loadtest.add_argument("--snapshot-interval", type=_POSITIVE, default=256,
                           help="index ops between incremental snapshots "
                                "(default: 256)")
-    loadtest.add_argument("--ingest-ops", type=int, default=0,
+    loadtest.add_argument("--ingest-ops", type=_NON_NEGATIVE, default=0,
                           help="deterministic synthetic index writes (docs and "
                                "shots) applied before the workload phase")
     loadtest.add_argument("--ingest-pause", type=float, default=0.0,
@@ -364,7 +398,7 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
 
 
 def _command_experiment(args: argparse.Namespace, out) -> int:
-    names = [name.strip() for name in args.policies.split(",") if name.strip()]
+    names = args.policies
     unknown = [name for name in names if name not in available_policies()]
     if unknown:
         print(f"unknown policies: {', '.join(unknown)}", file=sys.stderr)
@@ -383,15 +417,18 @@ def _command_experiment(args: argparse.Namespace, out) -> int:
     if "baseline" in results and len(names) > 1:
         best = max((name for name in names if name != "baseline"),
                    key=lambda name: results[name].mean_average_precision)
-        test = compare_per_topic(
-            results["baseline"].per_session_metric("average_precision"),
-            results[best].per_session_metric("average_precision"),
-        )
-        print(
-            f"{best} vs baseline: mean AP difference {test.mean_difference:+.4f}, "
-            f"p = {test.p_value:.4f}",
-            file=out,
-        )
+        baseline = results["baseline"].per_session_metric("average_precision")
+        treatment = results[best].per_session_metric("average_precision")
+        if len(baseline.keys() & treatment.keys()) < 2:
+            print(f"{best} vs baseline: fewer than two shared topics, no paired test",
+                  file=out)
+        else:
+            test = compare_per_topic(baseline, treatment)
+            print(
+                f"{best} vs baseline: mean AP difference {test.mean_difference:+.4f}, "
+                f"p = {test.p_value:.4f}",
+                file=out,
+            )
     return 0
 
 

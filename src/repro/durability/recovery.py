@@ -286,31 +286,30 @@ class RecoveryManager:
 def build_monolithic_indexes(state: RecoveredState, tokenizer=None):
     """Rebuild ``(InvertedIndex, VisualIndex)`` from a recovered state."""
     from repro.index.inverted_index import InvertedIndex
-    from repro.index.visual import VisualIndex
 
-    text_index = InvertedIndex(tokenizer=tokenizer)
-    for document_id, vector in state.documents:
-        text_index.add_document_frequencies(document_id, vector)
-    visual_index = VisualIndex()
-    for shot_id, features, concepts in state.shots:
-        visual_index.add_shot(shot_id, features, concepts)
-    return text_index, visual_index
+    return _fill_indexes(state, InvertedIndex(tokenizer=tokenizer))
 
 
 def build_sharded_indexes(state: RecoveredState, router, tokenizer=None):
-    """Rebuild sharded facades from a recovered state.
+    """Rebuild ``(ShardedInvertedIndex, VisualIndex)`` from a recovered state.
 
-    Feeding the global insertion sequence through the facades routes every
-    id back onto the shard the router originally placed it on, and rebuilds
-    the same global dense interning — so the facades are indistinguishable
-    from the pre-crash ones.
+    Feeding the global insertion sequence through the text facade routes
+    every document back onto the shard the router originally placed it on,
+    and rebuilds the same global dense interning — so the indexes are
+    indistinguishable from the pre-crash ones.  Shots are not sharded.
     """
-    from repro.sharding.views import ShardedInvertedIndex, ShardedVisualIndex
+    from repro.sharding.views import ShardedInvertedIndex
 
-    text_index = ShardedInvertedIndex(router, tokenizer=tokenizer)
+    return _fill_indexes(state, ShardedInvertedIndex(router, tokenizer=tokenizer))
+
+
+def _fill_indexes(state: RecoveredState, text_index):
+    """``(text_index, VisualIndex)`` holding a recovered state, in its order."""
+    from repro.index.visual import VisualIndex
+
     for document_id, vector in state.documents:
         text_index.add_document_frequencies(document_id, vector)
-    visual_index = ShardedVisualIndex(router)
+    visual_index = VisualIndex()
     for shot_id, features, concepts in state.shots:
         visual_index.add_shot(shot_id, features, concepts)
     return text_index, visual_index

@@ -113,7 +113,7 @@ def apply_record(record: Record, text, visual, counts) -> None:
     The targets speak the index write API (``has_document`` /
     ``add_document_frequencies`` / ``delete_document`` /
     ``update_document_frequencies``; ``has_shot`` / ``add_shot`` /
-    ``delete_shot``): live index facades on a replica, insertion-ordered
+    ``delete_shot``): a replica's live indexes, insertion-ordered
     item tables in recovery.  ``counts`` is a :class:`ReplayCounts` (or
     anything with its fields).  A shot's vector is decoded (and a bad one
     refused) even when the record is a skipped duplicate.

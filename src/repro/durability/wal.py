@@ -13,10 +13,11 @@ Segment layout
 --------------
 
 Index operations are routed onto one segment per shard by the same
-:class:`~repro.sharding.router.ShardRouter` hash the engine uses
-(``wal-shard-0000.log`` ...), so a shard's log is exactly the mutation
-history of that shard's index.  Feedback records — which are not addressed
-to a single shard — land in a dedicated ``wal-meta.log`` segment.  Because
+:class:`~repro.sharding.router.ShardRouter` hash the engine's text shards
+use (``wal-shard-0000.log`` ...), shots by their ids as well, so a shard's
+log is exactly the mutation history of the ids it owns.  Feedback records —
+which are not addressed to a single shard — land in a dedicated
+``wal-meta.log`` segment.  Because
 every record carries its global LSN, recovery merges all segments back
 into one totally ordered stream and applies the **maximal gap-free LSN
 prefix**: a lost or torn record on any segment ends the durable prefix, so

@@ -5,8 +5,9 @@ its payload (postings, lengths, vectors, norms, concept maps) lives in flat
 per-slot columns and the scoring loops run over integers.
 :class:`SlotTable` is the one implementation of that interning: the
 monolithic :class:`~repro.index.inverted_index.InvertedIndex` and
-:class:`~repro.index.visual.VisualIndex` each own one, and each sharded
-facade (:mod:`repro.sharding.views`) owns a global one beside its shards'.
+:class:`~repro.index.visual.VisualIndex` each own one, and the sharded
+text facade (:mod:`repro.sharding.views`) owns a global one beside its
+shards'.
 
 * ``ids`` is the slot → id list; ``in``, ``[]`` and :meth:`SlotTable.get`
   look an id's slot up.
@@ -17,14 +18,14 @@ facade (:mod:`repro.sharding.views`) owns a global one beside its shards'.
 * A new id always takes the next slot, a re-added one too, which is where
   a from-scratch replay of the same writes puts it.
 * ``generation`` ticks on every add, remove and adoption.  It is the clock
-  a monolithic index's derived state is keyed on; a facade's clock is the
-  sum of its shards' instead.
+  a monolithic index's derived state is keyed on; the sharded text
+  facade's clock is the sum of its shards' instead.
 * :meth:`SlotTable.compacted` re-interns the live ids in slot order and
   :meth:`SlotTable.adopt` swaps them in place.  ``ids`` becomes a new list,
   so a reader still holding the old one (a
   :class:`~repro.index.scoring.DenseScores`) reads what it scored.
 
-:class:`SlottedIndex` is the lifecycle the four index classes share over
+:class:`SlottedIndex` is the lifecycle the three index classes share over
 their table: ``tombstone_count``, ``generation`` and :meth:`SlottedIndex.
 compact`, over each class's own ``compacted_copy`` / ``adopt_compacted``
 pair — prepare with pure reads, then adopt in place so long-lived

@@ -45,7 +45,9 @@ The neighbours of a shot depend on the index, not on who asks, so
 :meth:`VisualIndex.similar_to_shot` keeps its answers in a
 :class:`NeighbourTable`: every session, ``engine.visual_scores``,
 ``recommendations()`` and the news recommender go through that one method
-and share one table.  The table owns *which shots are nearest to a shot*;
+and share one table.  Every engine holds one ``VisualIndex`` — a sharded
+engine partitions text only (:mod:`repro.sharding`) — so every engine holds
+exactly one table.  The table owns *which shots are nearest to a shot*;
 what a user's evidence makes of those neighbours is the feedback model's
 memo (:mod:`repro.core.feedback_model`).  Writes keep the table exact
 rather than dropping it — an add is insorted into the entries it belongs
@@ -301,56 +303,7 @@ class NeighbourTable:
             }
 
 
-class VisualIndexBase(SlottedIndex):
-    """The visual API :class:`VisualIndex` and the sharded facade share.
-
-    Both hold their live ids in ``slots`` and their answers to
-    :meth:`similar_to_shot` in ``_neighbours``; a subclass implements
-    ``features_of`` and ``similar_to_vector``.
-    """
-
-    _neighbours: NeighbourTable
-
-    @property
-    def shot_count(self) -> int:
-        """Number of **live** indexed shots (tombstones excluded)."""
-        return self.slots.live_count
-
-    def has_shot(self, shot_id: str) -> bool:
-        """True if the shot has visual evidence."""
-        return shot_id in self.slots
-
-    def shot_ids(self) -> List[str]:
-        """All **live** shot ids, in slot (insertion/replay) order."""
-        return self.slots.live_ids()
-
-    def similar_to_shot(self, shot_id: str, limit: int = 20) -> List[Tuple[str, float]]:
-        """Shots most similar to a given shot (the query shot is excluded).
-
-        Served from the :class:`NeighbourTable` when it holds the answer;
-        either way the list is the caller's own.
-        """
-        ensure_positive(limit, "limit")
-        vector = self.features_of(shot_id)
-        cached = self._neighbours.get(shot_id, limit)
-        if cached is not None:
-            return cached
-        result = self.similar_to_vector(vector, limit=limit, exclude=(shot_id,))
-        self._neighbours.put(shot_id, limit, vector, result)
-        return result
-
-    def neighbour_table_info(self) -> Dict[str, int]:
-        """Occupancy and hit/miss/correction counters of the neighbour table."""
-        return self._neighbours.info()
-
-    def similarity(self, first_shot_id: str, second_shot_id: str) -> float:
-        """Cosine similarity between two indexed shots."""
-        return cosine_similarity(
-            self.features_of(first_shot_id), self.features_of(second_shot_id)
-        )
-
-
-class VisualIndex(VisualIndexBase):
+class VisualIndex(SlottedIndex):
     """Stores one feature vector and one concept-score map per shot."""
 
     def __init__(self) -> None:
@@ -454,6 +407,19 @@ class VisualIndex(VisualIndexBase):
 
     # -- statistics ----------------------------------------------------------
 
+    @property
+    def shot_count(self) -> int:
+        """Number of **live** indexed shots (tombstones excluded)."""
+        return self.slots.live_count
+
+    def has_shot(self, shot_id: str) -> bool:
+        """True if the shot has visual evidence."""
+        return shot_id in self.slots
+
+    def shot_ids(self) -> List[str]:
+        """All **live** shot ids, in slot (insertion/replay) order."""
+        return self.slots.live_ids()
+
     def features_of(self, shot_id: str) -> Tuple[float, ...]:
         """Feature vector of one shot; an unknown id raises ``KeyError``."""
         return self._vectors[self.slots[shot_id]]
@@ -539,6 +505,31 @@ class VisualIndex(VisualIndexBase):
                 similarity = sum(map(mul, query, vectors[slot])) / (query_norm * norm)
             scored.append((shot_id, similarity))
         return heapq.nsmallest(limit, scored, key=lambda item: (-item[1], item[0]))
+
+    def similar_to_shot(self, shot_id: str, limit: int = 20) -> List[Tuple[str, float]]:
+        """Shots most similar to a given shot (the query shot is excluded).
+
+        Served from the :class:`NeighbourTable` when it holds the answer;
+        either way the list is the caller's own.
+        """
+        ensure_positive(limit, "limit")
+        vector = self.features_of(shot_id)
+        cached = self._neighbours.get(shot_id, limit)
+        if cached is not None:
+            return cached
+        result = self.similar_to_vector(vector, limit=limit, exclude=(shot_id,))
+        self._neighbours.put(shot_id, limit, vector, result)
+        return result
+
+    def neighbour_table_info(self) -> Dict[str, int]:
+        """Occupancy and hit/miss/correction counters of the neighbour table."""
+        return self._neighbours.info()
+
+    def similarity(self, first_shot_id: str, second_shot_id: str) -> float:
+        """Cosine similarity between two indexed shots."""
+        return cosine_similarity(
+            self.features_of(first_shot_id), self.features_of(second_shot_id)
+        )
 
     def score_by_concepts(
         self, concept_weights: Mapping[str, float]

@@ -267,7 +267,7 @@ class ReplicaServer:
         """Replay the gap-free run past the applied LSN into the live engine.
 
         WAL records carry tokenised frequencies / feature vectors, which go
-        straight into the index facades exactly as recovery replays them
+        straight into the live indexes exactly as recovery replays them
         (generation bumps invalidate every derived cache).  Feedback
         batches are not index state: they are counted so lag accounting
         covers the meta segment, replayable into sessions by a future

@@ -1,13 +1,15 @@
-"""Sharded scatter-gather retrieval: partitioned indexes, exact merges.
+"""Sharded scatter-gather retrieval: a partitioned text index, exact merges.
 
-The sharding layer scales the read-mostly serving substrate across N
-hash-partitioned shards while guaranteeing rankings bit-identical to the
-monolithic engine: per-shard scorers rank with global collection statistics
-(a :class:`GlobalStatsView` over each shard and the
-:class:`ShardedInvertedIndex` facade), gathered partial
-results merge *before* fusion, and writes route to the owning shard under
-the engine's exclusive-writer discipline.  Select it through
-``ServiceConfig(num_shards=N)`` or ``repro loadtest --shards N``;
+The sharding layer partitions the text substrate across N hash-routed
+shards while guaranteeing rankings bit-identical to the monolithic engine:
+per-shard scorers rank with global collection statistics (a
+:class:`GlobalStatsView` over each shard and the
+:class:`ShardedInvertedIndex` facade), gathered partial results merge
+*before* fusion, and writes route to the owning shard under the engine's
+exclusive-writer discipline.  Shots stay in the engine's one
+:class:`~repro.index.visual.VisualIndex`, as in the monolithic engine.
+Select it through ``ServiceConfig(num_shards=N)`` or ``repro loadtest
+--shards N``;
 ``num_shards=1`` keeps today's single-engine path, byte for byte.
 """
 
@@ -18,7 +20,7 @@ from repro.sharding.engine import (
 )
 from repro.sharding.global_stats import GlobalStatsView
 from repro.sharding.router import ShardRouter
-from repro.sharding.views import ShardedInvertedIndex, ShardedVisualIndex
+from repro.sharding.views import ShardedInvertedIndex
 
 __all__ = [
     "GlobalStatsView",
@@ -27,5 +29,4 @@ __all__ = [
     "ShardedEngine",
     "ShardedInvertedIndex",
     "ShardedTextScorer",
-    "ShardedVisualIndex",
 ]

@@ -1,9 +1,9 @@
-"""Scatter-gather retrieval over hash-partitioned index shards.
+"""Scatter-gather text retrieval over hash-partitioned index shards.
 
 :class:`ShardedEngine` is a :class:`~repro.retrieval.engine.
-VideoRetrievalEngine` whose substrate is partitioned: documents and shots
-are hash-routed onto N per-shard indexes, every text query scatters to one
-scorer per shard (each built over a :class:`~repro.sharding.global_stats.
+VideoRetrievalEngine` whose text substrate is partitioned: documents are
+hash-routed onto N per-shard inverted indexes, every text query scatters
+to one scorer per shard (each built over a :class:`~repro.sharding.global_stats.
 GlobalStatsView`, so idf / average-length / collection-probability inputs
 are global), and the gathered partial score maps are concatenated into one
 :class:`~repro.index.scoring.DenseScores` holding exactly the scores the
@@ -23,12 +23,18 @@ thread.  The same property feeds :attr:`~repro.retrieval.engine.
 VideoRetrievalEngine.may_block`, which the serving edge reads to evaluate
 such a request on the event loop's own thread: no thread hop at all.
 
+Shots are not partitioned.  The engine keeps them in one
+:class:`~repro.index.visual.VisualIndex`, exactly as the monolithic engine
+does, so visual and concept evidence, and the one
+:class:`~repro.index.visual.NeighbourTable` behind ``similar_to_shot``,
+are the monolithic code path itself; no read of them starts a thread.
+
 Writes inherit the engine's exclusive-writer discipline: ``index_document``
-/ ``index_documents`` / ``index_shot`` drain in-flight searches, route each
-id to its owning shard, and bump that shard's generation — which moves the
-facades' combined generation and invalidates every derived cache (global
-df/cf sums, scorer term caches and length norms, engine result caches) in
-one stroke.
+/ ``index_documents`` drain in-flight searches, route each id to its owning
+shard, and bump that shard's generation — which moves the text facade's
+combined generation and invalidates every derived cache (global df/cf
+sums, scorer term caches and length norms, engine result caches) in one
+stroke.
 """
 
 from __future__ import annotations
@@ -46,10 +52,11 @@ from repro.index.scoring import (
     TfIdfScorer,
 )
 from repro.index.tokenizer import Tokenizer
+from repro.index.visual import VisualIndex
 from repro.retrieval.engine import EngineConfig, VideoRetrievalEngine
 from repro.sharding.global_stats import GlobalStatsView
 from repro.sharding.router import ShardRouter
-from repro.sharding.views import ShardedInvertedIndex, ShardedVisualIndex
+from repro.sharding.views import ShardedInvertedIndex
 from repro.utils.concurrency import ScatterGather, checkpoint_if_cancelled
 
 #: ``observer(elapsed_seconds, num_shards)`` called after each completed
@@ -149,16 +156,15 @@ def _shard_scorer_from_config(
 
 
 class ShardedEngine(VideoRetrievalEngine):
-    """Multimodal search scatter-gathered over N index shards.
+    """Multimodal search with its text scatter-gathered over N index shards.
 
-    Construction partitions the collection (text and visual evidence route
-    by shot id, so a shot's transcript and keyframe always share a shard)
-    and builds one text scorer per shard over a global-statistics view.
-    ``shard_scorer_factory`` lets the service build registry-resolved
-    scorers per shard; by default the engine config's built-in scorer name
-    is used.  ``parallel=False`` forces inline (sequential) gathering,
-    which the equivalence suite uses to separate merge correctness from
-    scheduling.
+    Construction partitions the collection's transcripts and builds one
+    text scorer per shard over a global-statistics view; the shots go into
+    one :class:`~repro.index.visual.VisualIndex`.  ``shard_scorer_factory``
+    lets the service build registry-resolved scorers per shard; by default
+    the engine config's built-in scorer name is used.  Prebuilt indexes
+    (the crash-recovery path hands in indexes rebuilt from a snapshot + WAL
+    replay) are used as they are.
     """
 
     def __init__(
@@ -169,31 +175,15 @@ class ShardedEngine(VideoRetrievalEngine):
         num_shards: int = 2,
         router: Optional[ShardRouter] = None,
         shard_scorer_factory: Optional[ShardScorerFactory] = None,
-        parallel: bool = True,
         text_index: Optional[ShardedInvertedIndex] = None,
-        visual_index: Optional[ShardedVisualIndex] = None,
+        visual_index: Optional[VisualIndex] = None,
     ) -> None:
-        if text_index is not None:
-            router = text_index.router
-        else:
-            router = router or ShardRouter(num_shards)
         tokenizer = tokenizer or Tokenizer()
-        gather = ScatterGather(
-            router.num_shards if parallel else 1, thread_name_prefix="shard"
-        )
-        # Prebuilt facades (the crash-recovery path hands in indexes rebuilt
-        # from a snapshot + WAL replay) are used as-is; otherwise the
-        # substrate is partitioned from the collection.
         if text_index is None:
             text_index = ShardedInvertedIndex.from_collection(
-                collection, router, tokenizer=tokenizer
+                collection, router or ShardRouter(num_shards), tokenizer=tokenizer
             )
-        if visual_index is None:
-            visual_index = ShardedVisualIndex.from_collection(
-                collection, router, gather=gather
-            )
-        else:
-            visual_index.bind_gather(gather)
+        gather = ScatterGather(text_index.router.num_shards, thread_name_prefix="shard")
         factory = shard_scorer_factory or (
             lambda view: _shard_scorer_from_config(view, config)
         )
@@ -209,20 +199,19 @@ class ShardedEngine(VideoRetrievalEngine):
             tokenizer=tokenizer,
             text_scorer=ShardedTextScorer(shard_scorers, gather),
         )
-        self._router = router
         self._gather = gather
 
     # -- sharding accessors -------------------------------------------------------
 
     @property
     def router(self) -> ShardRouter:
-        """The id router shared by the text and visual substrates."""
-        return self._router
+        """The id router deciding which shard owns a document."""
+        return self._inverted_index.router
 
     @property
     def num_shards(self) -> int:
         """How many shards the substrate is partitioned into."""
-        return self._router.num_shards
+        return self._inverted_index.router.num_shards
 
     @property
     def text_scorer(self) -> ShardedTextScorer:
@@ -233,11 +222,6 @@ class ShardedEngine(VideoRetrievalEngine):
     def sharded_inverted_index(self) -> ShardedInvertedIndex:
         """The text facade, typed (same object as :attr:`inverted_index`)."""
         return self._inverted_index
-
-    @property
-    def sharded_visual_index(self) -> ShardedVisualIndex:
-        """The visual facade, typed (same object as :attr:`visual_index`)."""
-        return self._visual_index
 
     def shard_document_counts(self) -> List[int]:
         """Documents per text shard (balance reporting, benchmarks)."""

@@ -1,42 +1,39 @@
-"""Sharded index facades: one logical index over N physical shards.
+"""The sharded text index: one logical inverted index over N physical shards.
 
-:class:`ShardedInvertedIndex` and :class:`ShardedVisualIndex` present the
-read/write API of their monolithic counterparts while storing documents and
-shots in per-shard indexes chosen by a :class:`~repro.sharding.router.
-ShardRouter`.  What reads only the slot table or the index's own methods
-is inherited from the base the monolithic class has too
-(:class:`~repro.index.inverted_index.TextIndexBase`,
-:class:`~repro.index.visual.VisualIndexBase`).  Four properties make them
-drop-in substrates for the retrieval engine and the adaptive layer:
+:class:`ShardedInvertedIndex` presents the read/write API of
+:class:`~repro.index.inverted_index.InvertedIndex` while storing documents
+in per-shard indexes chosen by a :class:`~repro.sharding.router.
+ShardRouter`.  What reads only the slot table or the index's own methods is
+inherited from the base the monolithic class has too
+(:class:`~repro.index.inverted_index.TextIndexBase`).  Shots are not
+partitioned: a sharded engine keeps them in one
+:class:`~repro.index.visual.VisualIndex`, like any engine, because a
+visual read is pure CPU under the GIL and a gather over shards only adds
+hand-offs.  Three properties make the facade a drop-in substrate for the
+retrieval engine and the adaptive layer:
 
-* **Global interning.**  Each facade keeps a global
+* **Global interning.**  The facade keeps a global
   :class:`~repro.index.slots.SlotTable` (``slots``) in insertion order,
   numbered exactly like the monolithic index built from the same insertion
   sequence — the adaptation kernel's dense scratch passes run unchanged
   over a sharded engine.  Compaction prepares that table and every shard
   (``compacted_copy``) and adopts them together.
-* **Write routing.**  ``add_document`` / ``add_shot`` land on the owning
-  shard (a duplicate id is refused by its shard, with the monolithic error
+* **Write routing.**  ``add_document`` lands on the owning shard (a
+  duplicate id is refused by its shard, with the monolithic error
   message).  ``generation`` is the sum of the shard generations — a strict
   logical clock because all mutation is serialised behind the engine's
   exclusive writer — so every value derived per generation above the
   facade (:class:`~repro.index.slots.PerGeneration`) is rebuilt after any
   shard write.
-* **Global statistics.**  The text facade's statistics are the
-  collection's: ``document_count`` and ``average_document_length`` from
-  the global table, ``total_terms`` summed over the shards, and
+* **Global statistics.**  The facade's statistics are the collection's:
+  ``document_count`` and ``average_document_length`` from the global
+  table, ``total_terms`` summed over the shards, and
   ``document_frequency`` / ``collection_frequency`` summed once per term
   and generation.  Each shard's scorer reads them through a
   :class:`~repro.sharding.global_stats.GlobalStatsView` over ``(shard,
   facade)``.
-* **Exact gathered reads.**  Cross-shard reads that rank or score
-  (``similar_to_vector``, ``similar_to_shot``, ``score_by_concepts``)
-  scatter to the shards and merge with the same selection key the
-  monolithic code uses, so the gathered result is bit-identical to the
-  unsharded evaluation (per-shard top-``limit`` lists always contain the
-  global top-``limit`` under the shared ``(-score, id)`` order).
 
-The text facade deliberately does **not** implement ``postings_arrays``:
+The facade deliberately does **not** implement ``postings_arrays``:
 per-shard postings columns use shard-dense slots, so a scorer must be
 built over a per-shard :class:`~repro.sharding.global_stats.GlobalStatsView`,
 never over this facade.  Attempting it fails loudly with ``AttributeError``.
@@ -44,81 +41,30 @@ never over this facade.  Attempting it fails loudly with ``AttributeError``.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.analysis.features import FeatureExtractor
 from repro.collection.documents import Collection
 from repro.index.inverted_index import InvertedIndex, Posting, TextIndexBase
-from repro.index.slots import PerGeneration, SlotTable, SlottedIndex
+from repro.index.slots import PerGeneration, SlotTable
 from repro.index.tokenizer import Tokenizer
-from repro.index.visual import NeighbourTable, VisualIndex, VisualIndexBase
 from repro.sharding.router import ShardRouter
-from repro.utils.concurrency import ScatterGather
-from repro.utils.validation import ensure_positive
-
-#: Inline (single-worker) gather used when a facade is built standalone.
-_INLINE_GATHER = ScatterGather(1)
 
 
-class _ShardedIndex(SlottedIndex):
-    """What both facades share: the router, the shards, a global slot table.
+class ShardedInvertedIndex(TextIndexBase):
+    """One logical inverted index hash-partitioned over N shards.
 
     The global table numbers ids in facade insertion order, tombstones
     included; the shards hold the payload.  The facade's clock is the sum
     of the shard generations, not the table's.
     """
 
-    def __init__(self, router: ShardRouter, shards: list, slots: SlotTable) -> None:
-        self._router = router
-        self._shards = shards
-        self.slots = slots
-
-    @property
-    def router(self) -> ShardRouter:
-        """The id router deciding shard ownership."""
-        return self._router
-
-    @property
-    def shard_indexes(self) -> tuple:
-        """The physical per-shard indexes."""
-        return tuple(self._shards)
-
-    def shard_for(self, item_id: str):
-        """The shard index owning an id."""
-        return self._shards[self._router.shard_of(item_id)]
-
-    @property
-    def generation(self) -> int:
-        """Combined mutation clock (sum of shard generations)."""
-        return sum(shard.generation for shard in self._shards)
-
-    def compacted_copy(self) -> Tuple[SlotTable, list]:
-        """``(global table, shards)``, each freshly compacted.
-
-        Pure preparation — this object is untouched, so the (possibly
-        expensive) re-interning can run outside the engine's writer lock.
-        """
-        return self.slots.compacted(), [shard.compacted_copy() for shard in self._shards]
-
-    def adopt_compacted(self, prepared: Tuple[SlotTable, list]) -> int:
-        """Swap a prepared compaction in, preserving shard identities."""
-        table, shards = prepared
-        for shard, fresh in zip(self._shards, shards):
-            shard.adopt_compacted(fresh)
-        return self.slots.adopt(table)
-
-
-class ShardedInvertedIndex(_ShardedIndex, TextIndexBase):
-    """One logical inverted index hash-partitioned over N shards."""
-
     def __init__(self, router: ShardRouter, tokenizer: Optional[Tokenizer] = None) -> None:
         self._tokenizer = tokenizer or Tokenizer()
-        super().__init__(
-            router,
-            [InvertedIndex(tokenizer=self._tokenizer) for _ in range(router.num_shards)],
-            SlotTable("document", "indexed"),
-        )
+        self._router = router
+        self._shards = [
+            InvertedIndex(tokenizer=self._tokenizer) for _ in range(router.num_shards)
+        ]
+        self.slots = SlotTable("document", "indexed")
         # Per-term sums over the shards, for one combined generation.
         self._document_frequencies: PerGeneration[Dict[str, int]] = PerGeneration(
             self, dict
@@ -126,6 +72,22 @@ class ShardedInvertedIndex(_ShardedIndex, TextIndexBase):
         self._collection_frequencies: PerGeneration[Dict[str, int]] = PerGeneration(
             self, dict
         )
+
+    # -- shards -----------------------------------------------------------------
+
+    @property
+    def router(self) -> ShardRouter:
+        """The id router deciding shard ownership."""
+        return self._router
+
+    @property
+    def shard_indexes(self) -> Tuple[InvertedIndex, ...]:
+        """The physical per-shard indexes."""
+        return tuple(self._shards)
+
+    def shard_for(self, document_id: str) -> InvertedIndex:
+        """The shard index owning a document id."""
+        return self._shards[self._router.shard_of(document_id)]
 
     # -- construction -----------------------------------------------------------
 
@@ -164,6 +126,28 @@ class ShardedInvertedIndex(_ShardedIndex, TextIndexBase):
         """
         self.slots.remove(document_id)
         self.shard_for(document_id).delete_document(document_id)
+
+    # -- clock and compaction ---------------------------------------------------
+
+    @property
+    def generation(self) -> int:
+        """Combined mutation clock (sum of shard generations)."""
+        return sum(shard.generation for shard in self._shards)
+
+    def compacted_copy(self) -> Tuple[SlotTable, List[InvertedIndex]]:
+        """``(global table, shards)``, each freshly compacted.
+
+        Pure preparation — this object is untouched, so the (possibly
+        expensive) re-interning can run outside the engine's writer lock.
+        """
+        return self.slots.compacted(), [shard.compacted_copy() for shard in self._shards]
+
+    def adopt_compacted(self, prepared: Tuple[SlotTable, List[InvertedIndex]]) -> int:
+        """Swap a prepared compaction in, preserving shard identities."""
+        table, shards = prepared
+        for shard, fresh in zip(self._shards, shards):
+            shard.adopt_compacted(fresh)
+        return self.slots.adopt(table)
 
     # -- statistics -------------------------------------------------------------
 
@@ -244,144 +228,4 @@ class ShardedInvertedIndex(_ShardedIndex, TextIndexBase):
         return (
             f"ShardedInvertedIndex(shards={self._router.num_shards}, "
             f"documents={self.document_count})"
-        )
-
-
-class ShardedVisualIndex(_ShardedIndex, VisualIndexBase):
-    """One logical visual index hash-partitioned over N shards.
-
-    Gathered similarity reads merge per-shard bounded results under the
-    same ``(-similarity, shot_id)`` selection key the monolithic index
-    uses, so ``similar_to_vector`` / ``similar_to_shot`` return exactly the
-    list the unsharded index would.  ``similar_to_shot`` answers from the
-    facade's own :class:`~repro.index.visual.NeighbourTable` (global
-    neighbours, kept exact by the facade's writes); the shards are only
-    ever scanned by vector, so their tables stay empty.
-    """
-
-    def __init__(
-        self, router: ShardRouter, gather: Optional[ScatterGather] = None
-    ) -> None:
-        super().__init__(
-            router,
-            [VisualIndex() for _ in range(router.num_shards)],
-            SlotTable("shot", "in visual index"),
-        )
-        self._gather = gather or _INLINE_GATHER
-        self._neighbours = NeighbourTable()
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The gather executor owns threads and locks.  A clone gathers
-        # inline, like any facade built standalone, until bind_gather().
-        state = self.__dict__.copy()
-        del state["_gather"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._gather = _INLINE_GATHER
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_collection(
-        cls,
-        collection: Collection,
-        router: ShardRouter,
-        feature_extractor: Optional[FeatureExtractor] = None,
-        gather: Optional[ScatterGather] = None,
-    ) -> "ShardedVisualIndex":
-        """Build a sharded visual index from a collection."""
-        extractor = feature_extractor or FeatureExtractor()
-        index = cls(router, gather=gather)
-        for shot in collection.iter_shots():
-            features = shot.features or extractor.extract(shot.keyframe)
-            index.add_shot(shot.shot_id, features, shot.concept_scores)
-        return index
-
-    def bind_gather(self, gather: ScatterGather) -> None:
-        """Adopt an engine's scatter-gather executor.
-
-        A facade built standalone (e.g. rebuilt from a recovered snapshot)
-        gathers inline; the engine that adopts it rebinds it to the shared
-        shard pool here, before serving traffic.
-        """
-        self._gather = gather
-
-    def add_shot(
-        self,
-        shot_id: str,
-        features: Sequence[float],
-        concept_scores: Optional[Mapping[str, float]] = None,
-    ) -> None:
-        """Add one shot's visual evidence on its owning shard.
-
-        Duplicates and features of non-finite norm raise ``ValueError``
-        before anything changes: the shard's own ``add_shot`` refuses both
-        before the facade records the shot.
-        """
-        shard = self.shard_for(shot_id)
-        shard.add_shot(shot_id, features, concept_scores)
-        self.slots.add(shot_id)
-        if self._neighbours:
-            self._neighbours.shot_added(shot_id, shard.features_of(shot_id))
-
-    def delete_shot(self, shot_id: str) -> None:
-        """Remove one shot from its owning shard; unknown ids raise."""
-        self.slots.remove(shot_id)
-        self.shard_for(shot_id).delete_shot(shot_id)
-        if self._neighbours:
-            self._neighbours.shot_deleted(shot_id)
-
-    # -- statistics ----------------------------------------------------------
-
-    def features_of(self, shot_id: str) -> Tuple[float, ...]:
-        """Feature vector of one shot; an unknown id raises ``KeyError``."""
-        return self.shard_for(shot_id).features_of(shot_id)
-
-    def concept_scores_of(self, shot_id: str) -> Dict[str, float]:
-        """Concept confidence scores of one shot (a copy)."""
-        return self.shard_for(shot_id).concept_scores_of(shot_id)
-
-    def shard_shot_counts(self) -> List[int]:
-        """Shots per shard (for balance reporting and benchmarks)."""
-        return [shard.shot_count for shard in self._shards]
-
-    # -- search ------------------------------------------------------------------
-
-    def similar_to_vector(
-        self, vector: Sequence[float], limit: int = 20, exclude: Sequence[str] = ()
-    ) -> List[Tuple[str, float]]:
-        """Shots most similar to a feature vector, gathered across shards.
-
-        Each shard returns its own top-``limit`` under ``(-similarity,
-        shot_id)``; the global top-``limit`` under the same key is a subset
-        of that union, so the merged list is bit-identical to the
-        monolithic scan.
-        """
-        ensure_positive(limit, "limit")
-        query = tuple(vector)
-        partials = self._gather.map(
-            lambda shard: shard.similar_to_vector(query, limit=limit, exclude=exclude),
-            self._shards,
-        )
-        merged = [item for partial in partials for item in partial]
-        return heapq.nsmallest(limit, merged, key=lambda item: (-item[1], item[0]))
-
-    def score_by_concepts(
-        self, concept_weights: Mapping[str, float]
-    ) -> Dict[str, float]:
-        """Concept scores gathered across shards (disjoint-union merge)."""
-        partials = self._gather.map(
-            lambda shard: shard.score_by_concepts(concept_weights), self._shards
-        )
-        merged: Dict[str, float] = {}
-        for partial in partials:
-            merged.update(partial)
-        return merged
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedVisualIndex(shards={self._router.num_shards}, "
-            f"shots={self.shot_count})"
         )

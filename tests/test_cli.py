@@ -150,6 +150,19 @@ class TestExperiment:
         assert "baseline" in text and "implicit" in text
         assert "vs baseline" in text
 
+    def test_one_shared_topic_prints_the_table_without_a_paired_test(self, corpus_dir):
+        out = io.StringIO()
+        code = main(
+            ["experiment", "--corpus", str(corpus_dir), "--users", "1",
+             "--topics-per-user", "1", "--policies", "baseline,implicit,baseline",
+             "--seed", "3"],
+            out=out,
+        )
+        assert code == 0
+        lines = out.getvalue().splitlines()
+        assert [line.split()[0] for line in lines[1:]] == ["baseline", "implicit", "implicit"]
+        assert lines[-1] == "implicit vs baseline: fewer than two shared topics, no paired test"
+
     def test_unknown_policy_rejected(self, corpus_dir):
         assert main(
             ["experiment", "--corpus", str(corpus_dir), "--policies", "telepathy"],
@@ -258,3 +271,46 @@ class TestBadCorpus:
         assert err.startswith(f"{verb} failed: --corpus {str(path)!r} {problem};")
         assert "repro generate" in err
         assert err.strip().count("\n") == 0
+
+
+#: Out-of-range values, each in an otherwise valid command line.
+OUT_OF_RANGE = [
+    ("search --corpus c --query q --limit 0", "must be positive"),
+    ("search --corpus c --query q --limit -3", "must be positive"),
+    ("simulate --corpus c --logs l --users 0", "must be positive"),
+    ("simulate --corpus c --logs l --topics-per-user 0", "must be positive"),
+    ("experiment --corpus c --users 0", "must be positive"),
+    ("experiment --corpus c --policies ,", "must name at least one policy"),
+    ("loadtest --corpus c --users 0", "must be positive"),
+    ("loadtest --corpus c --workers 0", "must be positive"),
+    ("loadtest --corpus c --queries -1", "must be positive"),
+    ("loadtest --corpus c --feedback-per-query 0", "must be positive"),
+    ("loadtest --corpus c --ingest-ops -1", "must be non-negative"),
+    ("loadtest --corpus c --durable d --snapshot-interval 0", "must be positive"),
+    ("generate --output o --days 0", "must be positive"),
+    ("generate --output o --stories-per-day 0", "must be positive"),
+    ("generate --output o --topics 0", "must be positive"),
+]
+
+
+@pytest.mark.parametrize("command, problem", OUT_OF_RANGE)
+def test_out_of_range_value_is_a_usage_error(command, problem, capsys):
+    """Refused at parse time: exit 2 and one error line, before any work."""
+    argv = command.split()
+    with pytest.raises(SystemExit) as exited:
+        main(argv, out=io.StringIO())
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    verb, flag, value = argv[0], argv[-2], argv[-1]
+    assert err.splitlines()[-1] == (
+        f"repro {verb}: error: argument {flag}: {problem}, got {value!r}"
+    )
+
+
+def test_non_integer_keeps_the_argparse_wording(capsys):
+    with pytest.raises(SystemExit):
+        main(["search", "--corpus", "c", "--query", "q", "--limit", "ten"])
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "repro search: error: argument --limit: invalid int value: 'ten'"
+    )

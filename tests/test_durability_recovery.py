@@ -35,13 +35,19 @@ from repro.durability.digest import (
     engine_visual_items,
     state_digest,
 )
-from repro.durability.recovery import HEADER_FILENAME
+from repro.durability.recovery import (
+    HEADER_FILENAME,
+    build_monolithic_indexes,
+    build_sharded_indexes,
+)
 from repro.durability.snapshots import SnapshotStore, _write_json_atomic
 from repro.durability.wal import WalSegment, WriteAheadLog, encode_op
 from repro.feedback import EventKind, InteractionEvent
+from repro.index.visual import VisualIndex
 from repro.replication import ReplicaServer
 from repro.retrieval import Query
 from repro.service import FeedbackBatch, RetrievalService, ServiceConfig
+from repro.sharding import ShardRouter
 from repro.utils.serialization import decode_vector, read_json, write_json
 from repro.workload.ingest import (
     apply_ingest,
@@ -267,6 +273,28 @@ class TestRecoveredServiceEquivalence:
             service.close()
             digests.add(RecoveryManager(directory).recover().state_digest())
         assert len(digests) == 1
+
+    def test_sharded_rebuild_holds_the_monolithic_indexes(
+        self, analysed_corpus, tmp_path
+    ):
+        # Text is re-partitioned under the same global interning; the
+        # shots go into one plain VisualIndex, exactly as unsharded.
+        directory = tmp_path / "d"
+        service = _service(
+            analysed_corpus, _durable_config(directory, num_shards=4, interval=3)
+        )
+        _ingest(service, 10, seed=5)
+        service.delete_shot(service.engine.visual_index.shot_ids()[-1])
+        service.close()
+        state = RecoveryManager(directory).recover()
+        mono_text, mono_visual = build_monolithic_indexes(state)
+        text, visual = build_sharded_indexes(state, ShardRouter(4))
+        assert text.slots.ids == mono_text.slots.ids
+        assert type(visual) is VisualIndex
+        assert visual.slots.ids == mono_visual.slots.ids
+        assert [visual.features_of(s) for s in visual.shot_ids()] == [
+            mono_visual.features_of(s) for s in mono_visual.shot_ids()
+        ]
 
 
 def _mutate_mix(service, ops):

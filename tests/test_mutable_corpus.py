@@ -4,7 +4,7 @@ The contract under test everywhere in this module: after any sequence of
 deletes and updates (and optionally a compaction), collection statistics
 and rankings are **bit-identical** to a from-scratch rebuild over the
 surviving documents.  Covered layers: the dense-id indexes themselves
-(one lifecycle contract over the four classes that share a slot table),
+(one lifecycle contract over the three classes that share a slot table),
 the engine writer path (atomic batches, result-cache invalidation,
 near-duplicate screening), the background compactor, and a differential
 matrix across scorers × shard counts.
@@ -21,7 +21,7 @@ from repro.index.compaction import BackgroundCompactor, compact_engine
 from repro.index.dedup import NearDuplicateDetector
 from repro.retrieval import EngineConfig, Query, VideoRetrievalEngine
 from repro.service import FeedbackBatch, RetrievalService, SearchRequest, ServiceConfig
-from repro.sharding import ShardedInvertedIndex, ShardedVisualIndex, ShardRouter
+from repro.sharding import ShardedInvertedIndex, ShardRouter
 from repro.workload.ingest import (
     apply_ingest,
     service_feature_dim,
@@ -120,12 +120,11 @@ class TestInvertedIndexMutations:
         assert index.compact() == 0
 
 
-#: The four index classes that keep their ids in a slot table.
+#: The three index classes that keep their ids in a slot table.
 _SLOTTED = {
     "InvertedIndex": InvertedIndex,
     "VisualIndex": VisualIndex,
     "ShardedInvertedIndex": lambda: ShardedInvertedIndex(ShardRouter(3)),
-    "ShardedVisualIndex": lambda: ShardedVisualIndex(ShardRouter(3)),
 }
 
 
@@ -165,7 +164,7 @@ def _slotted_state(index) -> tuple:
 
 @pytest.fixture(params=list(_SLOTTED))
 def slotted(request):
-    """One of the four slotted index classes, holding six items."""
+    """One of the three slotted index classes, holding six items."""
     index = _SLOTTED[request.param]()
     for number in range(6):
         _add(index, f"item-{number}")

@@ -1,14 +1,13 @@
 """The neighbour table must answer exactly what the scan would.
 
-``VisualIndex`` / ``ShardedVisualIndex`` serve ``similar_to_shot`` from a
-write-maintained :class:`~repro.index.visual.NeighbourTable`.  The
-differential test drives generated interleavings of add / delete / re-add /
+``VisualIndex`` serves ``similar_to_shot`` from a write-maintained
+:class:`~repro.index.visual.NeighbourTable`.  The differential test drives generated interleavings of add / delete / re-add /
 ``compact()`` / pickle round-trip / query against the retained brute-force
 scan (``index/reference.py``) and compares every answer by ``float.hex()``,
 with vectors from a coarse grid so exact ties and zero vectors are common
 and with the table's capacity drawn small enough to evict.  The remaining
 tests pin the parts of the ``similar_to_shot`` contract the table makes
-load-bearing, and hammer one table from eight threads.
+load-bearing, over every slot layout the table can sit on, and hammer one table from eight threads.
 """
 
 from __future__ import annotations
@@ -26,21 +25,33 @@ from hypothesis import strategies as st
 from repro.index import visual as visual_module
 from repro.index.reference import reference_similar_to_vector
 from repro.index.visual import NEIGHBOUR_TABLE_PAIRS, VisualIndex
-from repro.sharding import ShardRouter
-from repro.sharding.views import ShardedVisualIndex
+from repro.service import RetrievalService, ServiceConfig
 
 SHOTS = tuple(f"shot-{number}" for number in range(8))
 LIMITS = (1, 2, 5, 50)
 GRID = tuple(product((0.0, 0.5, 1.0), repeat=3))
 
-#: 0 builds the monolithic index, n > 0 the facade over n shards.
-SHAPES = (0, 1, 2, 3)
+#: Slot layouts under the table.  The table is keyed by shot ids and the
+#: scan by dense slots: behind a tombstone, or after compaction moved every
+#: shot down one slot, an id is no longer at its insertion slot, and an
+#: unpickled index starts over with an empty table and a new lock.
+LAYOUTS = ("fresh", "tombstoned", "compacted", "unpickled")
 
 
-def build_index(shards: int):
-    if shards == 0:
-        return VisualIndex()
-    return ShardedVisualIndex(ShardRouter(num_shards=shards))
+def build_index(layout, pairs):
+    """An index over ``(shot_id, vector)`` pairs, in the given slot layout."""
+    index = VisualIndex()
+    if layout in ("tombstoned", "compacted"):
+        index.add_shot("gone", (1.0, 1.0, 1.0))
+    for shot_id, vector in pairs:
+        index.add_shot(shot_id, vector)
+    if layout in ("tombstoned", "compacted"):
+        index.delete_shot("gone")
+    if layout == "compacted":
+        assert index.compact() == 1
+    if layout == "unpickled":
+        index = pickle.loads(pickle.dumps(index))
+    return index
 
 
 def expected(index, shot_id, limit):
@@ -81,14 +92,13 @@ operations = st.lists(
 
 
 @given(
-    shards=st.sampled_from(SHAPES),
     capacity=st.sampled_from((3, 12, NEIGHBOUR_TABLE_PAIRS)),
     ops=operations,
 )
 @settings(max_examples=300, deadline=None)
-def test_interleaved_writes_and_queries_match_the_reference_scan(shards, capacity, ops):
+def test_interleaved_writes_and_queries_match_the_reference_scan(capacity, ops):
     with mock.patch.object(visual_module, "NEIGHBOUR_TABLE_PAIRS", capacity):
-        index = build_index(shards)
+        index = VisualIndex()
         for op in ops:
             kind = op[0]
             if kind == "compact":
@@ -123,18 +133,16 @@ def test_interleaved_writes_and_queries_match_the_reference_scan(shards, capacit
                 assert_matches_reference(index, shot_id, limit)
 
 
-@pytest.mark.parametrize("shards", SHAPES)
+@pytest.mark.parametrize("layout", LAYOUTS)
 class TestSimilarToShotContract:
-    def _warm(self, shards):
-        index = build_index(shards)
-        for shot_id, vector in zip(SHOTS[:6], GRID[1::4]):
-            index.add_shot(shot_id, vector)
+    def _warm(self, layout):
+        index = build_index(layout, zip(SHOTS[:6], GRID[1::4]))
         for shot_id in SHOTS[:6]:
             index.similar_to_shot(shot_id, limit=2)
         return index
 
-    def test_a_write_corrects_or_drops_only_what_it_changes(self, shards):
-        index = self._warm(shards)
+    def test_a_write_corrects_or_drops_only_what_it_changes(self, layout):
+        index = self._warm(layout)
         before = index.neighbour_table_info()
         assert (before["entries"], before["pairs"], before["misses"]) == (6, 12, 6)
         # Equal to shot-0's vector: it enters every list it beats, no re-scan.
@@ -153,8 +161,8 @@ class TestSimilarToShotContract:
         for shot_id in SHOTS[:6]:
             assert_matches_reference(index, shot_id, 2)
 
-    def test_mixed_dimensions_still_raise_behind_a_warm_table(self, shards):
-        index = self._warm(shards)
+    def test_mixed_dimensions_still_raise_behind_a_warm_table(self, layout):
+        index = self._warm(layout)
         index.add_shot("flat", (1.0, 0.5))
         for shot_id in SHOTS[:6]:
             with pytest.raises(ValueError, match="equal length"):
@@ -165,8 +173,8 @@ class TestSimilarToShotContract:
         for shot_id in SHOTS[:6]:
             assert_matches_reference(index, shot_id, 2)
 
-    def test_bad_arguments_are_rejected_before_the_table_is_touched(self, shards):
-        index = self._warm(shards)
+    def test_bad_arguments_are_rejected_before_the_table_is_touched(self, layout):
+        index = self._warm(layout)
         before = index.neighbour_table_info()
         for limit in (0, -1):
             with pytest.raises(ValueError, match="limit"):
@@ -175,8 +183,8 @@ class TestSimilarToShotContract:
             index.similar_to_shot("no-such-shot", limit=2)
         assert index.neighbour_table_info() == before
 
-    def test_every_answer_is_the_callers_own_list(self, shards):
-        index = self._warm(shards)
+    def test_every_answer_is_the_callers_own_list(self, layout):
+        index = self._warm(layout)
         index.add_shot("shot-6", (0.0, 0.0, 1.0))
         miss = index.similar_to_shot("shot-6", limit=2)
         miss.clear()  # the list the scan returned is not the stored one
@@ -187,10 +195,8 @@ class TestSimilarToShotContract:
         assert second is not first
         assert hexed(second) == hexed(expected(index, "shot-6", 2))
 
-    def test_zero_vectors_keep_their_positive_zero(self, shards):
-        index = build_index(shards)
-        index.add_shot("zero", (0.0, 0.0, 0.0))
-        index.add_shot("unit", (1.0, 0.0, 0.0))
+    def test_zero_vectors_keep_their_positive_zero(self, layout):
+        index = build_index(layout, [("zero", (0.0, 0.0, 0.0)), ("unit", (1.0, 0.0, 0.0))])
         for _ in range(2):  # a miss, then a hit
             for shot_id, other in (("zero", "unit"), ("unit", "zero")):
                 assert hexed(index.similar_to_shot(shot_id, limit=5)) == [
@@ -202,12 +208,33 @@ class TestSimilarToShotContract:
         assert_matches_reference(index, "zero", 5)
 
 
+@pytest.mark.parametrize("num_shards", (1, 4))
+def test_engine_writes_keep_its_one_table_exact(small_corpus, num_shards):
+    """Writes through a service's writer path, sharded or not, correct the
+    engine's one table in place and stay exact through compaction."""
+    service = RetrievalService(
+        small_corpus.collection, config=ServiceConfig(num_shards=num_shards)
+    )
+    try:
+        visual = service.engine.visual_index
+        probes = visual.shot_ids()[:6]
+        for shot_id in probes:
+            visual.similar_to_shot(shot_id, limit=5)
+        service.index_shot("copy", visual.features_of(probes[0]))
+        assert visual.neighbour_table_info()["corrected"] > 0
+        service.delete_shot(probes[1])
+        assert service.compact().shots_reclaimed == 1
+        for shot_id in probes[:1] + probes[2:] + ["copy"]:
+            assert_matches_reference(visual, shot_id, 5)
+    finally:
+        service.close()
+
+
 @pytest.mark.concurrency
-@pytest.mark.parametrize("shards", (0, 2))
-def test_eight_threads_on_overlapping_keys_with_eviction(shards, monkeypatch):
+def test_eight_threads_on_overlapping_keys_with_eviction(monkeypatch):
     """Readers racing get / put / evict on one table never see a wrong list."""
     monkeypatch.setattr(visual_module, "NEIGHBOUR_TABLE_PAIRS", 40)
-    index = build_index(shards)
+    index = VisualIndex()
     for number in range(30):
         index.add_shot(f"shot-{number:02d}", GRID[(number * 7) % len(GRID)])
     keys = [(shot_id, limit) for shot_id in index.shot_ids() for limit in (1, 5)]

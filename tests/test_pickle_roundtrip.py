@@ -18,7 +18,7 @@ from repro.index.visual import VisualIndex
 from repro.retrieval import Query
 from repro.retrieval.engine import EngineConfig
 from repro.service import ServiceConfig
-from repro.sharding import ShardedInvertedIndex, ShardedVisualIndex, ShardRouter
+from repro.sharding import ShardedInvertedIndex, ShardRouter
 
 PROTOCOLS = (2, pickle.HIGHEST_PROTOCOL)
 
@@ -107,13 +107,8 @@ class TestTombstonedIndexPickle:
         assert clone.tombstone_count == 0
         assert clone.document_count == 2
 
-    @pytest.mark.parametrize(
-        "build",
-        [VisualIndex, lambda: ShardedVisualIndex(ShardRouter(3))],
-        ids=["VisualIndex", "ShardedVisualIndex"],
-    )
-    def test_visual_index_with_tombstones(self, protocol, build):
-        index = build()
+    def test_visual_index_with_tombstones(self, protocol):
+        index = VisualIndex()
         index.add_shot("shot-a", [1.0, 0.0], {"crowd": 0.5})
         index.add_shot("shot-b", [0.0, 1.0], {"flag": 0.5})
         index.delete_shot("shot-a")

@@ -15,8 +15,10 @@ All tests carry the ``shard`` marker (``pytest -m shard``).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import threading
 import time
+import types
 from typing import List
 
 import pytest
@@ -25,6 +27,7 @@ from repro.feedback import EventKind, InteractionEvent
 from repro.index.inverted_index import InvertedIndex
 from repro.index.language_model import DirichletLanguageModelScorer
 from repro.index.scoring import Bm25Scorer, TextScorer, TfIdfScorer
+from repro.index.visual import NeighbourTable, VisualIndex
 from repro.retrieval import Query, VideoRetrievalEngine
 from repro.retrieval.engine import EngineConfig
 from repro.service import (
@@ -37,7 +40,6 @@ from repro.sharding import (
     GlobalStatsView,
     ShardedEngine,
     ShardedInvertedIndex,
-    ShardedVisualIndex,
     ShardRouter,
 )
 from repro.utils.concurrency import ScatterGather
@@ -221,32 +223,6 @@ class TestShardedFacades:
         existing = sharded.document_ids()[0]
         with pytest.raises(ValueError, match="already indexed"):
             sharded.add_document(existing, "anything")
-        visual = ShardedVisualIndex(ShardRouter(3))
-        visual.add_shot("shot-a", (1.0, 0.0))
-        with pytest.raises(ValueError, match="already in visual index"):
-            visual.add_shot("shot-a", (0.0, 1.0))
-
-    def test_visual_gather_matches_monolithic(self, sharding_corpus):
-        from repro.index.visual import VisualIndex
-
-        mono = VisualIndex.from_collection(sharding_corpus.collection)
-        sharded = ShardedVisualIndex.from_collection(
-            sharding_corpus.collection, ShardRouter(3)
-        )
-        assert sharded.shot_count == mono.shot_count
-        probe_ids = mono.shot_ids()[:10]
-        for shot_id in probe_ids:
-            assert sharded.similar_to_shot(shot_id, limit=15) == mono.similar_to_shot(
-                shot_id, limit=15
-            )
-            assert sharded.features_of(shot_id) == mono.features_of(shot_id)
-            assert sharded.concept_scores_of(shot_id) == mono.concept_scores_of(
-                shot_id
-            )
-        weights = {"crowd": 1.0, "flag": 0.4, "studio": 0.7}
-        assert sharded.score_by_concepts(weights) == mono.score_by_concepts(weights)
-        with pytest.raises(KeyError):
-            sharded.similar_to_shot("no-such-shot")
 
     def test_text_facade_rejects_direct_scoring(self, sharding_corpus):
         # Scorers must be built over per-shard GlobalStatsViews; the facade
@@ -262,6 +238,93 @@ class TestShardedFacades:
         for scorer_class in (Bm25Scorer, TfIdfScorer):
             with pytest.raises(AttributeError):
                 scorer_class(sharded).score([term])
+
+
+# -- visual evidence -------------------------------------------------------------
+
+
+def _neighbour_tables(engine) -> List[NeighbourTable]:
+    """Every :class:`NeighbourTable` reachable from ``engine``'s own objects.
+
+    Classes, modules and functions are not followed: through their globals
+    every object in the interpreter is reachable.
+    """
+    found, seen, stack = [], set(), [engine]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen or isinstance(
+            value, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        seen.add(id(value))
+        if isinstance(value, NeighbourTable):
+            found.append(value)
+        stack.extend(gc.get_referents(value))
+    return found
+
+
+def _scatter_pool_threads():
+    return {
+        thread for thread in threading.enumerate() if thread.name.startswith("shard")
+    }
+
+
+class TestVisualEvidence:
+    """Shots are not sharded: one ``VisualIndex`` per engine, as monolithic."""
+
+    WEIGHTS = {"crowd": 1.0, "flag": 0.4, "studio": 0.7}
+
+    def test_equals_monolithic_through_one_neighbour_table(
+        self, sharding_corpus, make_random_queries
+    ):
+        config = _config("bm25", "visual_heavy")
+        mono = _monolithic(sharding_corpus, config)
+        sharded = ShardedEngine(
+            sharding_corpus.collection, config=config, num_shards=4
+        )
+        try:
+            assert type(sharded.visual_index) is VisualIndex
+            assert len(_neighbour_tables(mono)) == 1
+            assert len(_neighbour_tables(sharded)) == 1
+            shot_ids = mono.visual_index.shot_ids()
+            for shot_id in shot_ids[:10]:
+                assert sharded.visual_index.similar_to_shot(
+                    shot_id, limit=15
+                ) == mono.visual_index.similar_to_shot(shot_id, limit=15)
+            concepts = Query(concept_weights=self.WEIGHTS)
+            assert mono.concept_scores(concepts)
+            assert sharded.concept_scores(concepts) == mono.concept_scores(concepts)
+            queries = make_random_queries(sharding_corpus, seed=91, count=8)
+            queries.append(
+                Query(text="election vote", example_shot_ids=shot_ids[:2],
+                      concept_weights=self.WEIGHTS)
+            )
+            assert_identical_rankings(mono, sharded, queries)
+            features = mono.visual_index.features_of(shot_ids[0])
+            with pytest.raises(ValueError, match="already in visual index"):
+                sharded.index_shot(shot_ids[0], features)
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("evidence", ("concepts", "example shot"))
+    def test_visual_evidence_starts_no_pool_thread(self, sharding_corpus, evidence):
+        before = _scatter_pool_threads()
+        engine = ShardedEngine(
+            sharding_corpus.collection,
+            config=_config("bm25", "multimodal"),
+            num_shards=4,
+        )
+        try:
+            if evidence == "concepts":
+                query = Query(concept_weights=self.WEIGHTS)
+            else:
+                query = Query(example_shot_ids=engine.visual_index.shot_ids()[:1])
+            assert engine.search(query).items
+            misses = engine.visual_index.neighbour_table_info()["misses"]
+            assert misses == (evidence == "example shot")
+            assert _scatter_pool_threads() - before == set()
+        finally:
+            engine.close()
 
 
 # -- the equivalence matrix ------------------------------------------------------
@@ -320,21 +383,6 @@ class TestShardedRankingEquivalence:
         post_write.append(Query(example_shot_ids=["late-shot-1"]))
         post_write.append(Query(text="election vote", concept_weights={"crowd": 1.0}))
         assert_identical_rankings(mono, sharded, post_write)
-
-    def test_sequential_gather_equals_parallel_gather(
-        self, sharding_corpus, make_random_queries
-    ):
-        random_queries = make_random_queries
-        config = _config("bm25", "multimodal")
-        parallel = ShardedEngine(
-            sharding_corpus.collection, config=config, num_shards=4, parallel=True
-        )
-        inline = ShardedEngine(
-            sharding_corpus.collection, config=config, num_shards=4, parallel=False
-        )
-        assert_identical_rankings(
-            inline, parallel, random_queries(sharding_corpus, seed=77, count=8)
-        )
 
     def test_result_cache_still_identical(self, sharding_corpus, make_random_queries):
         random_queries = make_random_queries

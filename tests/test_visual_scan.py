@@ -13,8 +13,8 @@ than the index.  Four mutants of the real source show the comparison has
 teeth.
 
 The second half pins the refusal of non-finite features at every entry
-point — monolithic, sharded and durable — before anything is changed or
-logged.
+point — the index, and a durable service at one and at four shards —
+before anything is changed or logged.
 """
 
 from __future__ import annotations
@@ -33,20 +33,15 @@ from repro.index import visual as visual_module
 from repro.index.reference import reference_similar_to_vector
 from repro.index.visual import VisualIndex
 from repro.service import RetrievalService, ServiceConfig
-from repro.sharding import ShardRouter
-from repro.sharding.views import ShardedVisualIndex
 from repro.workload.ingest import service_feature_dim
-
-#: 0 builds the monolithic index, n > 0 the facade over n shards.
-SHAPES = (0, 3)
 
 #: Norms from 1e-3 to 1e3; the powers of two keep cosines exactly equal.
 SCALES = (1e-3, 2.0 ** -10, 0.1, 0.5, 1.0, 2.0, 3.0, 2.0 ** 10, 1e3)
 
 
-def build(shards, vectors, deleted=()):
+def build(vectors, deleted=()):
     """An index over ``(shot_id, vector)`` pairs, then ``deleted`` removed."""
-    index = VisualIndex() if shards == 0 else ShardedVisualIndex(ShardRouter(shards))
+    index = VisualIndex()
     for shot_id, vector in vectors:
         index.add_shot(shot_id, vector)
     for shot_id in deleted:
@@ -58,8 +53,8 @@ def hexed(neighbours):
     return [(shot_id, similarity.hex()) for shot_id, similarity in neighbours]
 
 
-def assert_exact(shards, vectors, deleted, query, limit, exclude):
-    index = build(shards, vectors, deleted)
+def assert_exact(vectors, deleted, query, limit, exclude):
+    index = build(vectors, deleted)
     assert hexed(index.similar_to_vector(query, limit=limit, exclude=exclude)) == hexed(
         reference_similar_to_vector(index, query, limit=limit, exclude=exclude)
     )
@@ -135,7 +130,6 @@ SPREAD_NORMS = (
 
 
 class TestTwoStageScan:
-    @pytest.mark.parametrize("shards", SHAPES)
     @given(case=scans())
     @example(case=SCALED_TIE)
     @example(case=ALL_ZERO)
@@ -143,8 +137,8 @@ class TestTwoStageScan:
     @example(case=SPREAD_NORMS)
     @example(case=(_keyed((1.0, 0.0), (0.5, 0.5)), ["s00"], (0.0, 0.0), 5, ["s00"] * 9))
     @settings(max_examples=400, deadline=None)
-    def test_matches_the_reference_scan(self, shards, case):
-        assert_exact(shards, *case)
+    def test_matches_the_reference_scan(self, case):
+        assert_exact(*case)
 
     def test_margin_is_small_and_proven_only_in_range(self):
         margin = visual_module._scan_margin
@@ -160,10 +154,10 @@ class TestTwoStageScan:
             _keyed((1e150, 1.0), (1.0, 1e150), (1e150, 1e150)),
         ):
             for query in ((1.0, 0.5), vectors[2][1]):
-                assert_exact(0, vectors, [], query, 1, [])
+                assert_exact(vectors, [], query, 1, [])
 
     def test_a_live_shot_of_another_length_raises(self):
-        index = build(0, _keyed((1.0, 0.0), (0.0, 1.0), (1.0, 1.0, 1.0)))
+        index = build(_keyed((1.0, 0.0), (0.0, 1.0), (1.0, 1.0, 1.0)))
         with pytest.raises(ValueError, match="equal length, got 2 and 3"):
             index.similar_to_vector((1.0, 0.0), limit=1)
         index.delete_shot("s02")
@@ -172,7 +166,7 @@ class TestTwoStageScan:
         ]
 
     def test_writes_rebuild_the_scan_view(self):
-        index = build(0, _keyed((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
+        index = build(_keyed((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
         assert index.similar_to_vector((1.0, 0.1), limit=1)[0][0] == "s00"
         index.delete_shot("s00")
         assert index.similar_to_vector((1.0, 0.1), limit=1)[0][0] == "s02"
@@ -207,7 +201,7 @@ class TestTwoStageScan:
         exec(source.replace(original, mutated), namespace)
         monkeypatch.setattr(owner, function, namespace[function])
         with pytest.raises(AssertionError):
-            assert_exact(0, *caught_by)
+            assert_exact(*caught_by)
 
 
 NON_FINITE = (
@@ -219,10 +213,9 @@ NON_FINITE = (
 
 
 class TestNonFiniteFeatures:
-    @pytest.mark.parametrize("shards", (0, 4))
     @pytest.mark.parametrize("label, features", NON_FINITE)
-    def test_index_refuses_and_stays_unchanged(self, shards, label, features):
-        index = build(shards, _keyed((1.0, 0.0), (0.5, 0.5)))
+    def test_index_refuses_and_stays_unchanged(self, label, features):
+        index = build(_keyed((1.0, 0.0), (0.5, 0.5)))
         index.similar_to_shot("s00", limit=2)
         generation, table = index.generation, index.neighbour_table_info()
         with pytest.raises(ValueError, match=f"shot 'bad-{label}' has non-finite features"):
@@ -233,7 +226,7 @@ class TestNonFiniteFeatures:
         assert index.similar_to_shot("s00", limit=5) == [("s01", 0.7071067811865475)]
 
     def test_nan_no_longer_outranks_a_real_neighbour(self):
-        index = build(0, [("a", (1.0, 0.0)), ("b", (0.5, 0.5))])
+        index = build([("a", (1.0, 0.0)), ("b", (0.5, 0.5))])
         for shot_id, features in (("n", (math.nan, 1.0)), ("i", (math.inf, 0.0))):
             with pytest.raises(ValueError):
                 index.add_shot(shot_id, features)
