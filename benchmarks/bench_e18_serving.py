@@ -5,9 +5,10 @@ pins before timing anything:
 
 1. **Fidelity** — driving the seeded workload through the serving edge
    produces the byte-identical canonical log digest of the direct threaded
-   driver (the same contract E15 pins for shards).
-2. **Tail-latency control** — with a straggler shard injected (one shard
-   periodically stalls for ``STRAGGLER_SECONDS``, far past the deadline),
+   driver.
+2. **Tail-latency control** — with a straggler scorer injected (every
+   ``STRAGGLER_EVERY``-th call stalls for ``STRAGGLER_SECONDS``, far past
+   the deadline),
    per-request deadlines cancel the stalled work cooperatively: the
    client-observed p99 across *all* requests (completions and timeouts)
    stays within ``DEADLINE_SECONDS + DEADLINE_EPSILON``, two orders of
@@ -20,13 +21,13 @@ pins before timing anything:
 Rows:
 
 * ``serve``     — serving-edge throughput on the clean workload (guarded).
-  Its shards are in-memory, so this row measures the *inline* path: each
+  Its scorer is in-memory, so this row measures the *inline* path: each
   request is evaluated on the event loop's thread.
 * ``deadline``  — straggler + deadline: completions, timeout counts, p99.
-  The straggler is a duck-typed shard that may block, so this row
-  measures the *pool* path.
+  The straggler is a registered duck-typed scorer that may block, so this
+  row measures the *pool* path.
 * ``admission`` — flood outcomes: completed / queue-full / quota counts.
-  Inline requests never wait, so a gated duck-typed shard holds the one
+  Inline requests never wait, so a gated duck-typed scorer holds the one
   slot (pool path) while the flood is admitted.
 
 ``BENCH_e18.json`` carries the ``smoke_baseline`` section guarded by
@@ -42,7 +43,14 @@ import time
 
 from _common import Bench
 
-from repro.service import RetrievalService, SearchRequest, ServiceConfig
+from repro.index import Bm25Scorer
+from repro.service import (
+    RetrievalService,
+    SearchRequest,
+    ServiceConfig,
+    register_scorer,
+)
+from repro.service.registry import SCORER_REGISTRY
 from repro.serving import (
     AdmissionRejectedError,
     DeadlineExceededError,
@@ -70,12 +78,12 @@ DEADLINE_EPSILON = 0.25
 #: magnitude.
 STRAGGLER_SECONDS = 2.0
 
-#: Every Nth scatter against the slow shard stalls.
+#: Every Nth call of the slow scorer stalls.
 STRAGGLER_EVERY = 5
 
 
 class _StragglerScorer:
-    """Wraps one shard scorer; every Nth call stalls (cooperatively)."""
+    """Wraps the BM25 scorer; every Nth call stalls (cooperatively)."""
 
     def __init__(self, inner, every: int, seconds: float) -> None:
         self.inner = inner
@@ -102,7 +110,7 @@ class _StragglerScorer:
 
 
 class _GatedScorer:
-    """Wraps one shard scorer; every call parks until the gate opens.
+    """Wraps the BM25 scorer; every call parks until the gate opens.
 
     Duck-typed (no ``may_block``), so its requests go to the worker pool
     and hold their slot while parked.
@@ -121,6 +129,26 @@ def _sharded_service(corpus) -> RetrievalService:
     return RetrievalService.from_corpus(
         corpus, config=ServiceConfig(num_shards=BENCH_SHARDS)
     )
+
+
+def _wrapped_service(corpus, wrap):
+    """``(service, scorer)``: a service whose scorer is ``wrap(bm25)``,
+    built through the scorer registry like any registered scorer."""
+    built = []
+
+    def factory(index, config):
+        built.append(wrap(Bm25Scorer(index, k1=config.bm25_k1, b=config.bm25_b)))
+        return built[-1]
+
+    register_scorer("e18-wrapped", factory)
+    try:
+        service = RetrievalService.from_corpus(
+            corpus,
+            config=ServiceConfig(num_shards=BENCH_SHARDS, scorer="e18-wrapped"),
+        )
+    finally:
+        SCORER_REGISTRY.unregister("e18-wrapped")
+    return service, built[0]
 
 
 def _requests(corpus, count: int):
@@ -188,17 +216,17 @@ def _serve_row(corpus, rounds: int, request_count: int):
 
 
 def _deadline_row(corpus, request_count: int):
-    """Straggler shard + per-request deadline: the tail-latency scenario."""
-    service = _sharded_service(corpus)
+    """Straggler scorer + per-request deadline: the tail-latency scenario."""
+    service, straggler = _wrapped_service(
+        corpus,
+        lambda scorer: _StragglerScorer(scorer, STRAGGLER_EVERY, STRAGGLER_SECONDS),
+    )
     requests = _requests(corpus, request_count)
     for request in requests:
         service.open_session(request.user_id, topic_id=request.topic_id)
-    scorers = service.engine.text_scorer.shard_scorers
-    straggler = _StragglerScorer(scorers[0], STRAGGLER_EVERY, STRAGGLER_SECONDS)
-    scorers[0] = straggler
     latencies = []
     outcomes = {"completed": 0, "deadline": 0}
-    # Wider slot pool than the default: a stalled scatter pins its slot
+    # Wider slot pool than the default: a stalled search pins its slot
     # until the deadline fires, and requests for the same query wait
     # behind the in-flight computation — 8 slots keep untouched queries
     # flowing so the row exercises running-stage cancellation, not just
@@ -245,13 +273,11 @@ def _deadline_row(corpus, request_count: int):
 
 def _admission_row(corpus):
     """Flood a tiny frontend: rejections must be typed and counted."""
-    service = _sharded_service(corpus)
+    gate = threading.Event()
+    service, _ = _wrapped_service(corpus, lambda scorer: _GatedScorer(scorer, gate))
     requests = _requests(corpus, 16)
     for request in requests:
         service.open_session(request.user_id, topic_id=request.topic_id)
-    gate = threading.Event()
-    scorers = service.engine.text_scorer.shard_scorers
-    scorers[0] = _GatedScorer(scorers[0], gate)
     config = ServingConfig(
         max_concurrency=1,
         max_queue_depth=2,
@@ -329,21 +355,21 @@ BENCH = Bench(
     full={"rounds": 4, "request_count": 48},
     tables={
         "serve": "E18: serving-edge throughput (clean workload)",
-        "deadline": "E18: straggler shard under per-request deadlines",
+        "deadline": "E18: straggler scorer under per-request deadlines",
         "admission": "E18: admission flood (typed rejections)",
     },
     sanity_check=_sanity_check,
     guarded=lambda tables: {"serve_qps": tables["serve"]["qps"]},
     note=(
-        "Async serving edge over the sharded service. serve = "
+        "Async serving edge over a 2-shard service. serve = "
         "clean-workload throughput through the frontend, evaluated inline "
         "on the event loop (digest verified byte-identical to the direct "
-        "threaded driver before timing). deadline = one shard stalls 2s on "
-        "every 5th scatter while requests carry a 150ms deadline (pool "
+        "threaded driver before timing). deadline = the scorer stalls 2s on "
+        "every 5th call while requests carry a 150ms deadline (pool "
         "path); the client-observed p99 across completions AND timeouts "
         "must stay within deadline + epsilon, proving cooperative "
         "cancellation bounds the tail. admission = flood of a 1-slot "
-        "frontend whose slot a gated shard holds, with a rate-limited "
+        "frontend whose slot a gated scorer holds, with a rate-limited "
         "tenant; rejections are typed "
         "AdmissionRejectedError subclasses whose counts match the metrics "
         "registry."

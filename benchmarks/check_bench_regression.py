@@ -40,7 +40,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_e12_scoring_kernel as e12  # noqa: E402
 import bench_e13_concurrent_service as e13  # noqa: E402
 import bench_e14_adaptation_path as e14  # noqa: E402
-import bench_e15_sharded_retrieval as e15  # noqa: E402
 import bench_e16_durability as e16  # noqa: E402
 import bench_e18_serving as e18  # noqa: E402
 import bench_e19_replication as e19  # noqa: E402
@@ -51,7 +50,7 @@ DEFAULT_TOLERANCE = 0.30
 
 #: Every bench the guard runs.
 BENCHES = tuple(
-    module.BENCH for module in (e12, e13, e14, e15, e16, e18, e19, e20)
+    module.BENCH for module in (e12, e13, e14, e16, e18, e19, e20)
 )
 
 

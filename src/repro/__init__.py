@@ -42,7 +42,7 @@ from repro.core import (
     profile_only_policy,
 )
 from repro.retrieval import Query, ResultList, VideoRetrievalEngine
-from repro.sharding import ShardedEngine, ShardRouter
+from repro.sharding import ShardRouter
 from repro.service import (
     FeedbackBatch,
     RetrievalService,
@@ -94,7 +94,6 @@ __all__ = [
     "ResultList",
     "VideoRetrievalEngine",
     "ShardRouter",
-    "ShardedEngine",
     # service facade
     "RetrievalService",
     "ServiceConfig",

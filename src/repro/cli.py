@@ -170,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--feedback-per-query", type=_POSITIVE, default=None,
                           help="feedback steps per search step (overrides --mix)")
     loadtest.add_argument("--shards", type=int, default=1,
-                          help="index shards the service partitions the corpus "
-                               "over (1 = single engine; N > 1 scatter-gathers "
-                               "with rankings bit-identical to 1)")
+                          help="segments a --durable directory's WAL and snapshot "
+                               "deltas are split into (the in-memory engine is the "
+                               "same for every count)")
     loadtest.add_argument("--seed", type=int, default=97)
     loadtest.add_argument("--log", default=None,
                           help="file to write the canonical event log to")
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: 4)")
     loadtest.add_argument("--serve-stats", action="store_true",
                           help="print the serving metrics snapshot — per-endpoint "
-                               "p50/p95/p99, queue wait, shard fan-out, cache hit "
+                               "p50/p95/p99, queue wait, cache hit "
                                "rates, admission counters (implies --serve)")
     loadtest.add_argument("--durable", default=None, metavar="DIR",
                           help="durability directory: WAL every index mutation "
@@ -382,8 +382,13 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
             file=sys.stderr,
         )
         return 2
-    _corpus, runner = _runner_for(args.corpus)
+    corpus, runner = _runner_for(args.corpus)
     condition = _condition_for(args.policy, args)
+    try:
+        condition.check_against(corpus)
+    except ValueError as error:
+        print(f"simulate failed: {error}", file=sys.stderr)
+        return 2
     result = runner.run_condition(condition)
     logs = result.session_logs()
     InteractionLogger().write_sessions(logs, args.logs)
@@ -403,8 +408,14 @@ def _command_experiment(args: argparse.Namespace, out) -> int:
     if unknown:
         print(f"unknown policies: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    _corpus, runner = _runner_for(args.corpus)
+    corpus, runner = _runner_for(args.corpus)
     conditions = [_condition_for(name, args) for name in names]
+    try:
+        for condition in conditions:
+            condition.check_against(corpus)
+    except ValueError as error:
+        print(f"experiment failed: {error}", file=sys.stderr)
+        return 2
     results = runner.run_conditions(conditions)
     print(f"{'system':<12} {'MAP':>8} {'P@10':>8} {'nDCG@10':>9} {'found':>7}", file=out)
     for name in names:
@@ -853,8 +864,6 @@ def _print_serving_stats(metrics, out) -> None:
             for endpoint, track in by_endpoint.items():
                 print(track_line(f"{tenant}:{endpoint}", track), file=out)
     print(track_line("queue-wait", metrics.get("queue_wait")), file=out)
-    fanout = metrics.get("shard_fanout", {})
-    print(track_line("shard-fanout", fanout), file=out)
     counters = metrics.get("counters", {})
     counter_note = (
         ", ".join(f"{name}={value}" for name, value in counters.items()) or "none"

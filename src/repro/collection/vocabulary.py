@@ -264,7 +264,16 @@ def build_vocabulary(
     for name in categories:
         child = rng.spawn("category", name)
         terms: List[str] = []
+        # Bounded like generate_term_set's own draws: a round whose terms
+        # are all taken by earlier categories adds nothing.
+        rounds = 0
         while len(terms) < terms_per_category:
+            rounds += 1
+            if rounds > 200:
+                raise RuntimeError(
+                    f"could not draw {terms_per_category} terms for category "
+                    f"{name!r} that no other category uses"
+                )
             for candidate in generate_term_set(child, terms_per_category):
                 if candidate in used:
                     continue

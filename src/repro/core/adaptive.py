@@ -306,7 +306,7 @@ class AdaptiveSession:
 
         Session state (iteration count, last iteration, last-query text) is
         committed only after the engine search and re-ranking complete, so
-        a query abandoned mid-flight — a deadline cancellation, a shard
+        a query abandoned mid-flight — a deadline cancellation, a scorer
         fault — leaves the session exactly as it was: ``refresh_results``
         re-runs the last *successful* query, never the aborted one.
         """

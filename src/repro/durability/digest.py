@@ -64,9 +64,9 @@ def state_digest(
 def engine_text_items(engine) -> Iterable[TextItem]:
     """A live engine's text state in global dense interning order.
 
-    Works identically over a monolithic :class:`~repro.index.
-    inverted_index.InvertedIndex` and a :class:`~repro.sharding.views.
-    ShardedInvertedIndex` facade — both list their live ids in slot order.
+    The :class:`~repro.index.inverted_index.InvertedIndex` lists its live
+    ids in slot order, which is the global insertion order for every
+    ``num_shards``.
     """
     index = engine.inverted_index
     for document_id in index.document_ids():

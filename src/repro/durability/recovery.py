@@ -79,8 +79,8 @@ class RecoveredState:
     """Everything recovery restored, plus how it got there.
 
     ``documents`` and ``shots`` are in global insertion order — feeding
-    them, in order, into fresh (sharded or monolithic) indexes reproduces
-    the original dense interning exactly.  ``applied_lsn`` is the LSN the
+    them, in order, into fresh indexes (:func:`build_monolithic_indexes`)
+    reproduces the original dense interning exactly.  ``applied_lsn`` is the LSN the
     state is current through; a reopened WAL must repair past it before
     appending.
     """
@@ -284,29 +284,16 @@ class RecoveryManager:
 
 
 def build_monolithic_indexes(state: RecoveredState, tokenizer=None):
-    """Rebuild ``(InvertedIndex, VisualIndex)`` from a recovered state."""
-    from repro.index.inverted_index import InvertedIndex
+    """Rebuild ``(InvertedIndex, VisualIndex)`` from a recovered state.
 
-    return _fill_indexes(state, InvertedIndex(tokenizer=tokenizer))
-
-
-def build_sharded_indexes(state: RecoveredState, router, tokenizer=None):
-    """Rebuild ``(ShardedInvertedIndex, VisualIndex)`` from a recovered state.
-
-    Feeding the global insertion sequence through the text facade routes
-    every document back onto the shard the router originally placed it on,
-    and rebuilds the same global dense interning — so the indexes are
-    indistinguishable from the pre-crash ones.  Shots are not sharded.
+    Items are added in the state's order, the global insertion order, so
+    the dense slots are exactly the pre-crash ones whatever ``num_shards``
+    the directory was written with.
     """
-    from repro.sharding.views import ShardedInvertedIndex
-
-    return _fill_indexes(state, ShardedInvertedIndex(router, tokenizer=tokenizer))
-
-
-def _fill_indexes(state: RecoveredState, text_index):
-    """``(text_index, VisualIndex)`` holding a recovered state, in its order."""
+    from repro.index.inverted_index import InvertedIndex
     from repro.index.visual import VisualIndex
 
+    text_index = InvertedIndex(tokenizer=tokenizer)
     for document_id, vector in state.documents:
         text_index.add_document_frequencies(document_id, vector)
     visual_index = VisualIndex()

@@ -3,7 +3,7 @@
 A checkpoint is the durable image of the index state at one WAL watermark.
 Each one is a **manifest** naming one delta file per shard it touches — the
 per-shard split uses the same :class:`~repro.sharding.router.ShardRouter`
-hash that placed the documents and routed the WAL records — and links to
+hash that routed the WAL records — and links to
 its parent manifest.  There are exactly two kinds:
 
 * a **full** checkpoint (:meth:`SnapshotStore.write_full_checkpoint`)

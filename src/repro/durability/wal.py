@@ -12,10 +12,12 @@ behind the same LSN lock.
 Segment layout
 --------------
 
-Index operations are routed onto one segment per shard by the same
-:class:`~repro.sharding.router.ShardRouter` hash the engine's text shards
-use (``wal-shard-0000.log`` ...), shots by their ids as well, so a shard's
-log is exactly the mutation history of the ids it owns.  Feedback records —
+Index operations are routed onto one segment per shard
+(``wal-shard-0000.log`` ...) by the :class:`~repro.sharding.router.
+ShardRouter` hash of their document or shot id, the split the snapshot
+deltas use too, so a segment is exactly the mutation history of the ids
+it owns.  Segments are an on-disk layout only: the engine holds one index
+of each kind whatever the shard count.  Feedback records —
 which are not addressed to a single shard — land in a dedicated
 ``wal-meta.log`` segment.  Because
 every record carries its global LSN, recovery merges all segments back

@@ -96,6 +96,16 @@ class ExperimentCondition:
         if not 0.0 <= self.query_vagueness <= 1.0:
             raise ValueError("query_vagueness must be in [0, 1]")
 
+    def check_against(self, corpus: SyntheticCorpus) -> None:
+        """Refuse a condition the corpus cannot serve: each user searches
+        ``topics_per_user`` distinct topics (one-line ``ValueError``)."""
+        available = len(corpus.topics)
+        if self.topics_per_user > available:
+            raise ValueError(
+                f"condition {self.name!r}: topics_per_user={self.topics_per_user} "
+                f"exceeds the corpus's {available} topics"
+            )
+
 
 @dataclass
 class SessionRecord:
@@ -246,6 +256,7 @@ class ExperimentRunner:
         the same users and topics — the paired design every comparison in
         the benchmark harness uses.
         """
+        condition.check_against(self._corpus)
         if population is None or assignment is None:
             population, assignment = self._population(condition)
         if strategy is None:
@@ -305,7 +316,12 @@ class ExperimentRunner:
         strategy: Optional[QueryStrategy] = None,
         shared_population: bool = True,
     ) -> Dict[str, ConditionResult]:
-        """Run several conditions, optionally over a shared population."""
+        """Run several conditions, optionally over a shared population.
+
+        Every condition is checked against the corpus before any runs.
+        """
+        for condition in conditions:
+            condition.check_against(self._corpus)
         results: Dict[str, ConditionResult] = {}
         population = assignment = None
         if shared_population and conditions:

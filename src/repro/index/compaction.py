@@ -6,8 +6,8 @@ id space and the per-slot arrays keep growing.  Compaction re-interns the
 live documents — in slot order, which is exactly the order a from-scratch
 rebuild or WAL replay would use, so
 rankings are unchanged bit-for-bit — and swaps the rebuilt state into the
-*existing* index objects in place, because sharded scorers and stats views
-hold direct references to the physical shards.
+*existing* index objects in place, because the scorer and the engine hold
+direct references to them.
 
 The protocol is split so the expensive part never blocks readers:
 

@@ -55,15 +55,20 @@ class Posting:
     term_frequency: int
 
 
-class TextIndexBase(SlottedIndex):
-    """The text API :class:`InvertedIndex` and the sharded facade share.
+class InvertedIndex(SlottedIndex):
+    """A positional-free inverted index with collection statistics."""
 
-    Both hold their live ids in ``slots``; a subclass sets ``_tokenizer``
-    and implements ``add_document_frequencies``, ``delete_document``,
-    ``total_terms`` and ``vocabulary_size``.
-    """
-
-    _tokenizer: Tokenizer
+    def __init__(self, tokenizer: Optional[Tokenizer] = None) -> None:
+        self._tokenizer = tokenizer or Tokenizer()
+        self.slots = SlotTable("document", "indexed")
+        # Payload columns, indexed by slot.
+        self._doc_lengths = array("i")
+        self._doc_vectors: List[Dict[str, int]] = []
+        # Postings columns: term -> (slots, term frequencies).
+        self._postings_columns: Dict[str, Tuple[array, array]] = {}
+        # Incrementally-maintained collection statistics.
+        self._collection_frequencies: Dict[str, int] = {}
+        self._total_terms = 0
 
     @property
     def tokenizer(self) -> Tokenizer:
@@ -135,22 +140,6 @@ class TextIndexBase(SlottedIndex):
             "total_terms": float(self.total_terms),
             "average_document_length": self.average_document_length,
         }
-
-
-class InvertedIndex(TextIndexBase):
-    """A positional-free inverted index with collection statistics."""
-
-    def __init__(self, tokenizer: Optional[Tokenizer] = None) -> None:
-        self._tokenizer = tokenizer or Tokenizer()
-        self.slots = SlotTable("document", "indexed")
-        # Payload columns, indexed by slot.
-        self._doc_lengths = array("i")
-        self._doc_vectors: List[Dict[str, int]] = []
-        # Postings columns: term -> (slots, term frequencies).
-        self._postings_columns: Dict[str, Tuple[array, array]] = {}
-        # Incrementally-maintained collection statistics.
-        self._collection_frequencies: Dict[str, int] = {}
-        self._total_terms = 0
 
     # -- construction -----------------------------------------------------------
 
@@ -229,8 +218,8 @@ class InvertedIndex(TextIndexBase):
     def adopt_compacted(self, fresh: "InvertedIndex") -> int:
         """Swap ``fresh``'s state into **this** object, in place.
 
-        Long-lived references to the index (sharded scorer stats views,
-        engine fields) keep working because the object identity is
+        Long-lived references to the index (the scorer, engine fields)
+        keep working because the object identity is
         preserved; only the internals move.  Returns the slots reclaimed.
         """
         reclaimed = self.slots.adopt(fresh.slots)

@@ -36,9 +36,7 @@ from functools import lru_cache
 from typing import (
     Collection,
     Dict,
-    Iterable,
     Iterator,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -92,24 +90,18 @@ def normalise_query(query_terms: QueryTerms) -> Dict[str, float]:
     return weights
 
 
-#: One ``(ids, scores, candidates)`` part of a :class:`DenseScores`.
-ScorePart = Tuple[Sequence[Optional[str]], Sequence[float], Collection[int]]
-
-
 class StaleScoresError(RuntimeError):
     """A :class:`DenseScores` was first read by key after a candidate of it
     was deleted (or updated) from the index it was scored on."""
 
 
 class DenseScores(Mapping):
-    """A read-only ``{doc_id: score}`` map over dense score columns.
+    """A read-only ``{doc_id: score}`` map over one dense score column.
 
-    ``parts`` is a list of ``(ids, scores, candidates)``: for each dense
-    index ``d`` in ``candidates``, document ``ids[d]`` scored ``scores[d]``.
-    Parts never share a document (shards partition the corpus).  ``len``
-    sums the candidate counts; any access by key (``[]``, ``get``, ``in``,
-    iteration, ``==``, ``items``) builds one dict, once, in part order and
-    each part's candidate order — the order a dict built by the scorer
+    For each dense index ``d`` in ``candidates``, document ``ids[d]``
+    scored ``scores[d]``.  ``len`` is the candidate count; any access by
+    key (``[]``, ``get``, ``in``, iteration, ``==``, ``items``) builds one
+    dict, once, in candidate order — the order a dict built by the scorer
     itself would have.
 
     ``ids`` is the index's own id table (``index.slots.ids``), read
@@ -122,46 +114,40 @@ class DenseScores(Mapping):
     can land.
     """
 
-    __slots__ = ("parts", "_built")
+    __slots__ = ("ids", "scores", "candidates", "_built")
 
-    def __init__(self, parts: List[ScorePart]) -> None:
-        self.parts = parts
+    def __init__(
+        self,
+        ids: Sequence[Optional[str]],
+        scores: Sequence[float],
+        candidates: Collection[int],
+    ) -> None:
+        self.ids = ids
+        self.scores = scores
+        self.candidates = candidates
         self._built: Optional[Dict[str, float]] = None
 
     @classmethod
     def of(cls, mapping: Mapping[str, float]) -> "DenseScores":
-        """``mapping`` itself if it is a :class:`DenseScores`, else one part
+        """``mapping`` itself if it is a :class:`DenseScores`, else a column
         over its keys and values (visual/concept maps, dict scorers)."""
         if isinstance(mapping, DenseScores):
             return mapping
-        return cls([(list(mapping), list(mapping.values()), range(len(mapping)))])
-
-    @classmethod
-    def union(cls, partials: Iterable[Mapping[str, float]]) -> "DenseScores":
-        """The parts of every partial map, concatenated in order.
-
-        The partials must be disjoint (per-shard maps are), so this is the
-        ``dict.update`` merge without building a dict.
-        """
-        parts: List[ScorePart] = []
-        for partial in partials:
-            parts.extend(cls.of(partial).parts)
-        return cls(parts)
+        return cls(list(mapping), list(mapping.values()), range(len(mapping)))
 
     def __len__(self) -> int:
-        return sum(len(candidates) for _, _, candidates in self.parts)
+        return len(self.candidates)
 
     def _materialise(self) -> Dict[str, float]:
         built = self._built
         if built is None:
-            built = {}
-            for ids, scores, candidates in self.parts:
-                built.update(
-                    zip(
-                        map(ids.__getitem__, candidates),
-                        map(scores.__getitem__, candidates),
-                    )
+            candidates = self.candidates
+            built = dict(
+                zip(
+                    map(self.ids.__getitem__, candidates),
+                    map(self.scores.__getitem__, candidates),
                 )
+            )
             if None in built:
                 raise StaleScoresError(
                     "score map read after one of its documents was deleted; "
@@ -203,9 +189,9 @@ class TextScorer:
     """Interface shared by all text scorers."""
 
     #: Whether :meth:`score` may wait on something other than the CPU (I/O,
-    #: a lock, a remote call).  The sharded scatter only pays for its thread
-    #: pool when some shard's scorer may block; the in-memory kernels of this
-    #: package set it ``False`` and are run inline on the calling thread.
+    #: a lock, a remote call).  The serving edge evaluates a request on its
+    #: worker pool only when the engine's scorer may block; the in-memory
+    #: kernels of this package set it ``False`` and run on the event loop.
     may_block = True
 
     def score(self, query_terms: QueryTerms) -> Mapping[str, float]:
@@ -277,8 +263,7 @@ class _CachedColumnsScorer(TextScorer):
         document index, the set of indexes that matched a term, and the
         length-norm table of the generation they were scored in.
 
-        The tables are fetched once per call (over a sharded stats view
-        the clock is a sum over every shard), so one call never mixes two
+        The tables are fetched once per call, so one call never mixes two
         generations.
         """
         weights = normalise_query(query_terms)
@@ -286,9 +271,8 @@ class _CachedColumnsScorer(TextScorer):
         idf_cache, columns_cache, norms = self._tables.get()
         # A plain list is the fastest dense accumulator in CPython: reads
         # return the stored float object directly, with no array unboxing.
-        # Sized by the dense table, not document_count: over a sharded
-        # stats view the count is global while postings indexes are
-        # shard-dense (identical on a monolithic index).
+        # Sized by the dense table, not document_count: tombstoned slots
+        # keep their place until compaction.
         accumulator = [0.0] * len(index.document_lengths_array)
         candidates: set = set()
         for term, query_weight in weights.items():
@@ -369,7 +353,7 @@ class TfIdfScorer(_CachedColumnsScorer):
         lengths = self._index.document_lengths_array
         for doc in candidates:
             accumulator[doc] /= norms[lengths[doc]]
-        return DenseScores([(self._index.slots.ids, accumulator, candidates)])
+        return DenseScores(self._index.slots.ids, accumulator, candidates)
 
 
 class Bm25Scorer(_CachedColumnsScorer):
@@ -399,12 +383,7 @@ class Bm25Scorer(_CachedColumnsScorer):
         return math.log(1.0 + numerator / denominator)
 
     def _norm_table(self) -> Dict[int, float]:
-        """BM25 denominators ``k1 * (1 - b + b * length / max(1, average))``.
-
-        Over a sharded stats view the lengths are the shard's own and the
-        average is the global one, so each document's denominator is
-        bit-identical to the one the monolithic index gives it.
-        """
+        """BM25 denominators ``k1 * (1 - b + b * length / max(1, average))``."""
         k1, b = self._k1, self._b
         average_length = max(1.0, self._index.average_document_length)
         return {
@@ -450,4 +429,4 @@ class Bm25Scorer(_CachedColumnsScorer):
     def score(self, query_terms: QueryTerms) -> DenseScores:
         """BM25 scores for all matching documents."""
         accumulator, candidates, _ = self._accumulate(query_terms)
-        return DenseScores([(self._index.slots.ids, accumulator, candidates)])
+        return DenseScores(self._index.slots.ids, accumulator, candidates)

@@ -5,9 +5,7 @@ its payload (postings, lengths, vectors, norms, concept maps) lives in flat
 per-slot columns and the scoring loops run over integers.
 :class:`SlotTable` is the one implementation of that interning: the
 monolithic :class:`~repro.index.inverted_index.InvertedIndex` and
-:class:`~repro.index.visual.VisualIndex` each own one, and the sharded
-text facade (:mod:`repro.sharding.views`) owns a global one beside its
-shards'.
+:class:`~repro.index.visual.VisualIndex` each own one.
 
 * ``ids`` is the slot → id list; ``in``, ``[]`` and :meth:`SlotTable.get`
   look an id's slot up.
@@ -18,14 +16,13 @@ shards'.
 * A new id always takes the next slot, a re-added one too, which is where
   a from-scratch replay of the same writes puts it.
 * ``generation`` ticks on every add, remove and adoption.  It is the clock
-  a monolithic index's derived state is keyed on; the sharded text
-  facade's clock is the sum of its shards' instead.
+  an index's derived state is keyed on.
 * :meth:`SlotTable.compacted` re-interns the live ids in slot order and
   :meth:`SlotTable.adopt` swaps them in place.  ``ids`` becomes a new list,
   so a reader still holding the old one (a
   :class:`~repro.index.scoring.DenseScores`) reads what it scored.
 
-:class:`SlottedIndex` is the lifecycle the three index classes share over
+:class:`SlottedIndex` is the lifecycle the two index classes share over
 their table: ``tombstone_count``, ``generation`` and :meth:`SlottedIndex.
 compact`, over each class's own ``compacted_copy`` / ``adopt_compacted``
 pair — prepare with pure reads, then adopt in place so long-lived
@@ -34,7 +31,7 @@ runs the two under different locks).
 
 :class:`PerGeneration` is the one place that remembers a generation: a
 value derived from one or more clocks (a scorer's IDF/column/norm tables,
-the visual scan view, the global df/cf sums, the result cache, the
+the visual scan view, the result cache, the
 feedback model's re-rank memo), rebuilt on the first read that sees a
 clock move.
 """
@@ -190,8 +187,8 @@ class SlottedIndex:
 class PerGeneration(Generic[T]):
     """A value derived from ``clock`` that lives for one generation of it.
 
-    ``clock`` is anything with a ``generation`` (an index, a facade, a
-    view), or a tuple of such things, whose generations are then read as
+    ``clock`` is anything with a ``generation`` (an index), or a tuple of
+    such things, whose generations are then read as
     one tuple.  :meth:`get` reads the clock, then returns the held value
     if it was built at that reading, else ``build()``'s fresh one.  The
     ``(generation, value)`` pair is held as one tuple and swapped whole,

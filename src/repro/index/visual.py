@@ -45,9 +45,8 @@ The neighbours of a shot depend on the index, not on who asks, so
 :meth:`VisualIndex.similar_to_shot` keeps its answers in a
 :class:`NeighbourTable`: every session, ``engine.visual_scores``,
 ``recommendations()`` and the news recommender go through that one method
-and share one table.  Every engine holds one ``VisualIndex`` — a sharded
-engine partitions text only (:mod:`repro.sharding`) — so every engine holds
-exactly one table.  The table owns *which shots are nearest to a shot*;
+and share one table.  Every engine holds one ``VisualIndex``, so every
+engine holds exactly one table.  The table owns *which shots are nearest to a shot*;
 what a user's evidence makes of those neighbours is the feedback model's
 memo (:mod:`repro.core.feedback_model`).  Writes keep the table exact
 rather than dropping it — an add is insorted into the entries it belongs

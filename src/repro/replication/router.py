@@ -92,8 +92,8 @@ class ReplicatedService:
             config or primary.config.replication or ReplicationConfig()
         )
         # Remembered so replicas added after a primary crash (restarts in a
-        # chaos run) still build engines with the original scorer/shard
-        # configuration rather than bare defaults.
+        # chaos run) still build engines with the original scorer and
+        # segment configuration rather than bare defaults.
         self._replica_config = primary.config
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock

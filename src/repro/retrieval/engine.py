@@ -29,13 +29,7 @@ from repro.index.dedup import NearDuplicateDetector
 from repro.index.fusion import normalisation_bounds_of_values, weighted_fusion
 from repro.index.inverted_index import InvertedIndex
 from repro.index.language_model import DirichletLanguageModelScorer
-from repro.index.scoring import (
-    Bm25Scorer,
-    DenseScores,
-    ScorePart,
-    TextScorer,
-    TfIdfScorer,
-)
+from repro.index.scoring import Bm25Scorer, DenseScores, TextScorer, TfIdfScorer
 from repro.index.slots import PerGeneration
 from repro.index.tokenizer import Tokenizer
 from repro.index.visual import VisualIndex, finite_features
@@ -104,27 +98,24 @@ def validate_ranking_parameters(config) -> None:
 
 
 def _decorate(
-    parts: List[ScorePart],
+    dense: DenseScores,
     weight: float,
     low: float,
     span: float,
     cut: float = -math.inf,
 ) -> List[Tuple[float, str]]:
-    """``(-(weight * normalised), shot_id)`` for every candidate of the
-    :class:`~repro.index.scoring.DenseScores` parts whose raw value is at
-    least ``cut`` (by default: every candidate).  A shot id is read only
-    for a candidate that is decorated."""
-    decorated: List[Tuple[float, str]] = []
-    for ids, scores, candidates in parts:
-        if span == 0.0:
-            decorated += [(-(weight * 1.0), ids[d]) for d in candidates]
-        else:
-            decorated += [
-                (-(weight * ((scores[d] - low) / span)), ids[d])
-                for d in candidates
-                if scores[d] >= cut
-            ]
-    return decorated
+    """``(-(weight * normalised), shot_id)`` for every candidate of a
+    :class:`~repro.index.scoring.DenseScores` whose raw value is at least
+    ``cut`` (by default: every candidate).  A shot id is read only for a
+    candidate that is decorated."""
+    ids, scores, candidates = dense.ids, dense.scores, dense.candidates
+    if span == 0.0:
+        return [(-(weight * 1.0), ids[d]) for d in candidates]
+    return [
+        (-(weight * ((scores[d] - low) / span)), ids[d])
+        for d in candidates
+        if scores[d] >= cut
+    ]
 
 
 def _exact_cut(
@@ -286,9 +277,10 @@ class VideoRetrievalEngine:
         ``True`` when a durability manager is attached — a durable writer
         holds the exclusive lock across WAL fsyncs and checkpoint writes,
         so a reader can wait on I/O — or when the text scorer may block (an
-        absent attribute counts as ``True``).  Built-in in-memory scorers,
-        monolithic or sharded, make it ``False``.  Read per request, so a
-        scorer swapped in mid-run changes the answer for the next one.
+        absent attribute counts as ``True``).  The built-in in-memory
+        scorers make it ``False``, whatever ``num_shards`` the service was
+        configured with.  Read per request, so a scorer swapped in mid-run
+        changes the answer for the next one.
         """
         return self._durability is not None or getattr(
             self._text_scorer, "may_block", True
@@ -606,8 +598,8 @@ class VideoRetrievalEngine:
 
         Applies exactly the arithmetic ``weighted_fusion`` would — min-max
         normalisation scaled by the source weight — but straight off the
-        dense parts of the map (:class:`~repro.index.scoring.DenseScores`;
-        a visual or concept dict is wrapped as one part): one sorted list
+        dense column of the map (:class:`~repro.index.scoring.DenseScores`;
+        a visual or concept dict is wrapped as one): one sorted list
         of raw values gives the bounds and the exact cut
         (:func:`_exact_cut`), and only the candidates at or above the cut
         are decorated into ``(-fused_score, shot_id)`` tuples, the only ones
@@ -621,9 +613,9 @@ class VideoRetrievalEngine:
         if weight == 0 or not scores:
             return ResultList(query_text=query.text, items=[], topic_id=query.topic_id)
         limit = limit or self._config.result_limit
-        parts = DenseScores.of(scores).parts
-        ranked = [column[d] for _, column, candidates in parts for d in candidates]
-        ranked.sort()
+        dense = DenseScores.of(scores)
+        column = dense.scores
+        ranked = sorted([column[d] for d in dense.candidates])
         # The ends of the sorted list are the bounds min/max would give: a
         # stable sort keeps the first minimum first, and a last maximum that
         # differs from the first only in the sign of zero changes ``span``
@@ -634,7 +626,7 @@ class VideoRetrievalEngine:
             cut = _exact_cut(ranked, weight, low, span, limit)
         return ResultList.from_decorated(
             query_text=query.text,
-            decorated=_decorate(parts, weight, low, span, cut),
+            decorated=_decorate(dense, weight, low, span, cut),
             collection=self._collection,
             limit=limit,
             topic_id=query.topic_id,
@@ -675,12 +667,7 @@ class VideoRetrievalEngine:
         return reranked
 
     def close(self) -> None:
-        """Release auxiliary resources (syncs and closes any durability tier).
-
-        Subclasses that own background machinery — the sharded engine's
-        scatter-gather pool — extend this; callers can therefore close
-        any engine uniformly when tearing a service down.
-        """
+        """Release auxiliary resources (syncs and closes any durability tier)."""
         if self._durability is not None:
             self._durability.close()
 

@@ -50,12 +50,12 @@ class ServiceConfig:
         (``0`` disables it); benchmark and equivalence harnesses disable
         it to measure genuine evaluations.
     num_shards:
-        How many index shards the service's engine partitions the corpus
-        over.  The default of ``1`` builds today's single
-        :class:`~repro.retrieval.engine.VideoRetrievalEngine` (zero
-        behaviour change); values above 1 build a
-        :class:`~repro.sharding.ShardedEngine` whose scatter-gather merge
-        is bit-identical to the single engine.  Must be positive.
+        How many segments a durable directory's write-ahead log and
+        snapshot deltas are split into, routed by
+        :class:`~repro.sharding.ShardRouter`.  It selects nothing in
+        memory: every engine holds one inverted index and one text scorer.
+        A directory reopens only with the count it was written with.
+        Must be positive.
     executor:
         Kept only because ``benchmarks/e2e/workloads.py`` (the E21
         workload definitions) passes ``executor="thread"``; ``"thread"``
@@ -127,7 +127,7 @@ class ServiceConfig:
         if self.executor != "thread":
             raise ValueError(
                 f"executor={self.executor!r}: the process executor was removed; "
-                "'thread' is the only scatter executor"
+                "'thread' is the only accepted value"
             )
         if self.fsync_policy not in FSYNC_POLICIES:
             raise ValueError(

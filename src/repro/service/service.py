@@ -58,7 +58,6 @@ from repro.durability.recovery import (
     RecoveredState,
     RecoveryManager,
     build_monolithic_indexes,
-    build_sharded_indexes,
 )
 from repro.feedback.events import InteractionEvent
 from repro.feedback.weighting import WeightingScheme
@@ -68,7 +67,6 @@ from repro.profiles.ontology import InterestOntology
 from repro.profiles.profile import UserProfile
 from repro.retrieval.engine import VideoRetrievalEngine
 from repro.service.config import ServiceConfig
-from repro.sharding.engine import ShardedEngine
 from repro.service.registry import (
     create_policy,
     create_scorer,
@@ -112,36 +110,12 @@ def build_engine(
     on restart.  Factored out of :class:`RetrievalService` so read replicas
     (:mod:`repro.replication`) build bit-identical engines through the very
     same path, without owning sessions or a durability manager.
+
+    Every engine holds one :class:`~repro.index.inverted_index.
+    InvertedIndex` and one registry-built scorer: ``config.num_shards``
+    splits only the durable directory's segments.
     """
     tokenizer = tokenizer or Tokenizer()
-    if config.num_shards > 1:
-        # Sharded substrate: scatter-gather engine whose merged rankings
-        # are bit-identical to the single engine below.  Each shard's
-        # scorer is resolved through the same registry, built over a
-        # global-statistics view of that shard.
-        sharded_kwargs = {}
-        if recovered is not None:
-            from repro.sharding.router import ShardRouter
-
-            text_index, visual_index = build_sharded_indexes(
-                recovered,
-                ShardRouter(config.num_shards),
-                tokenizer=tokenizer,
-            )
-            sharded_kwargs = {
-                "text_index": text_index,
-                "visual_index": visual_index,
-            }
-        return ShardedEngine(
-            collection,
-            config=config.engine_config(),
-            tokenizer=tokenizer,
-            num_shards=config.num_shards,
-            shard_scorer_factory=lambda view: create_scorer(
-                config.scorer, view, config
-            ),
-            **sharded_kwargs,
-        )
     if recovered is not None:
         inverted_index, visual_index = build_monolithic_indexes(
             recovered, tokenizer=tokenizer
@@ -656,10 +630,10 @@ class RetrievalService:
     def close(self) -> None:
         """Release the engine's auxiliary resources (idempotent).
 
-        For a sharded service this shuts the scatter-gather thread pool
-        down; the service remains usable afterwards (gathers then run
-        inline), so closing is safe even with sessions still open.  The
-        service is also a context manager: ``with RetrievalService...``.
+        Syncs and closes a durable service's write-ahead log; an
+        in-memory service remains usable afterwards, so closing is safe
+        even with sessions still open.  The service is also a context
+        manager: ``with RetrievalService...``.
         """
         self._engine.close()
 

@@ -5,7 +5,7 @@ The deployment boundary over :class:`~repro.service.RetrievalService`:
 typed backpressure, enforces per-tenant token-bucket rate limits and
 fair-share isolation, bounds every request with a cooperative-cancellation
 deadline, and accounts it all in a structured metrics registry
-(p50/p95/p99 latency sketches, queue wait, shard fan-out, cache hits).
+(p50/p95/p99 latency sketches, queue wait, cache hits).
 
 Completed requests are bit-identical to the direct facade path — the
 edge schedules and bounds work, it never changes what a request computes.

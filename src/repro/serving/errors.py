@@ -10,8 +10,8 @@ load, not bugs, so they get a typed hierarchy callers can branch on:
   fair-share allowance (:class:`QuotaExceededError`), or the frontend is
   draining for shutdown (:class:`DrainingError`).
 * :class:`DeadlineExceededError` — the request *was* admitted but its
-  deadline fired before a result was produced; any straggler work it
-  scattered is cooperatively cancelled (see
+  deadline fired before a result was produced; the work it started is
+  cooperatively cancelled (see
   :class:`~repro.utils.concurrency.CancellationToken`).
 """
 

@@ -21,8 +21,8 @@ underneath.  The request path is:
    thread-local scope, in one of two places, decided per request from
    :attr:`~repro.retrieval.engine.VideoRetrievalEngine.may_block`:
 
-   * *Inline*, when the engine cannot block (in-memory scorers, monolithic
-     or sharded, and no durability manager): the request is evaluated on
+   * *Inline*, when the engine cannot block (an in-memory scorer and no
+     durability manager): the request is evaluated on
      the event loop's own thread — no worker hand-off, no completion
      wake-up, no deadline timer.  Its deadline self-fires at the engine's
      checkpoints.  The trade-off: while an in-memory evaluation runs
@@ -34,15 +34,14 @@ underneath.  The request path is:
      wait on a writer's fsync; wrapped, registered or duck-typed
      scorers).  One completion callback pays the slot back and resolves
      the awaited future, and the loop's deadline timer gives the client
-     its timeout in ``O(deadline + poll)`` while the abandoned worker
-     unwinds at its next checkpoint — queued shard sub-tasks stop
-     consuming executor slots — and releases its slot.
+     its timeout at the deadline while the abandoned worker unwinds at
+     its next checkpoint and releases its slot.
 
    Both paths share the request body and the outcome mapping: a token
    that fires at a checkpoint, or a result that finishes past its
    deadline, becomes ``DeadlineExceededError(stage="running")``.
 4. **Accounting**: per-endpoint latency quantiles (p50/p95/p99), queue
-   wait, shard fan-out timings, cache hit rates and every
+   wait, cache hit rates and every
    admission/rejection outcome land in the
    :class:`~repro.serving.metrics.MetricsRegistry`
    (:meth:`ServingFrontend.metrics_snapshot`).
@@ -116,11 +115,6 @@ class ServingFrontend:
         self._closed = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._slots: Optional[asyncio.Semaphore] = None
-        # Shard fan-out timings flow straight from the engine's scatter
-        # gather into the registry (no-op for unsharded engines).
-        engine = service.engine
-        if hasattr(engine, "set_fanout_observer"):
-            engine.set_fanout_observer(self._metrics.observe_fanout)
 
     # -- accessors ----------------------------------------------------------------
 
@@ -414,7 +408,7 @@ class ServingFrontend:
             await asyncio.sleep(0.005)
 
     def close(self) -> None:
-        """Stop admitting, wait for worker threads, unhook observers.
+        """Stop admitting and wait for worker threads.
 
         Idempotent; the underlying service stays open (it has its own
         ``close``).
@@ -423,9 +417,6 @@ class ServingFrontend:
         if self._closed:
             return
         self._closed = True
-        engine = self._service.engine
-        if hasattr(engine, "set_fanout_observer"):
-            engine.set_fanout_observer(None)
         self._executor.shutdown(wait=True)
 
     async def aclose(self) -> bool:

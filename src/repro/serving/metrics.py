@@ -1,4 +1,4 @@
-"""Structured serving metrics: counters, latency quantiles, fan-out timings.
+"""Structured serving metrics: counters, latency quantiles, queue wait.
 
 Latency distributions are tracked per endpoint with the P² (P-square)
 streaming quantile estimator of Jain & Chlamtac — O(1) memory per tracked
@@ -207,8 +207,8 @@ class MetricsRegistry:
       latency distributions (p50/p95/p99 via :class:`LatencyTrack`), with
       an optional per-tenant breakdown of the same distributions.
     * ``increment(counter)`` — admission/rejection/outcome counters.
-    * ``observe_queue_wait(seconds)`` / ``observe_fanout(seconds, shards)``
-      — dedicated tracks for admission-queue wait and shard fan-out time.
+    * ``observe_queue_wait(seconds)`` — a dedicated track for
+      admission-queue wait.
     * ``set_gauge(name, value)`` — instantaneous values (queue depth,
       in-flight count) sampled at snapshot time by the frontend.
 
@@ -223,8 +223,6 @@ class MetricsRegistry:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._queue_wait = LatencyTrack()
-        self._fanout = LatencyTrack()
-        self._fanout_shards = 0
 
     def observe_latency(
         self, endpoint: str, seconds: float, tenant: Optional[str] = None
@@ -263,12 +261,6 @@ class MetricsRegistry:
         """Record how long one admitted request waited for a slot."""
         self._queue_wait.observe(seconds)
 
-    def observe_fanout(self, seconds: float, num_shards: int) -> None:
-        """Record one completed scatter-gather fan-out."""
-        self._fanout.observe(seconds)
-        with self._lock:
-            self._fanout_shards = int(num_shards)
-
     def increment(self, counter: str, amount: int = 1) -> None:
         """Bump a named counter."""
         with self._lock:
@@ -294,10 +286,6 @@ class MetricsRegistry:
             }
             counters = dict(self._counters)
             gauges = dict(self._gauges)
-            fanout_shards = self._fanout_shards
-        fanout = self._fanout.snapshot()
-        if fanout["count"]:
-            fanout["num_shards"] = float(fanout_shards)
         return {
             "endpoints": {
                 name: track.snapshot() for name, track in sorted(latency_tracks.items())
@@ -312,5 +300,4 @@ class MetricsRegistry:
             "counters": {name: counters[name] for name in sorted(counters)},
             "gauges": {name: gauges[name] for name in sorted(gauges)},
             "queue_wait": self._queue_wait.snapshot(),
-            "shard_fanout": fanout,
         }

@@ -1,32 +1,14 @@
-"""Sharded scatter-gather retrieval: a partitioned text index, exact merges.
+"""Shard segments: the on-disk split of a durable directory.
 
-The sharding layer partitions the text substrate across N hash-routed
-shards while guaranteeing rankings bit-identical to the monolithic engine:
-per-shard scorers rank with global collection statistics (a
-:class:`GlobalStatsView` over each shard and the
-:class:`ShardedInvertedIndex` facade), gathered partial results merge
-*before* fusion, and writes route to the owning shard under the engine's
-exclusive-writer discipline.  Shots stay in the engine's one
-:class:`~repro.index.visual.VisualIndex`, as in the monolithic engine.
-Select it through ``ServiceConfig(num_shards=N)`` or ``repro loadtest
---shards N``;
-``num_shards=1`` keeps today's single-engine path, byte for byte.
+``ServiceConfig(num_shards=N)`` (``repro loadtest --shards N``) splits a
+durable directory's write-ahead log and snapshot deltas into N segments.
+The :class:`ShardRouter` decides which segment an id's records land in —
+``crc32(id) % N``, stable across processes — and is the only thing
+``num_shards`` selects.  The in-memory engine is the same for every shard
+count: one :class:`~repro.index.inverted_index.InvertedIndex`, one text
+scorer and one :class:`~repro.index.visual.VisualIndex`.
 """
 
-from repro.sharding.engine import (
-    ShardedEngine,
-    ShardedTextScorer,
-    ShardScorerFactory,
-)
-from repro.sharding.global_stats import GlobalStatsView
 from repro.sharding.router import ShardRouter
-from repro.sharding.views import ShardedInvertedIndex
 
-__all__ = [
-    "GlobalStatsView",
-    "ShardRouter",
-    "ShardScorerFactory",
-    "ShardedEngine",
-    "ShardedInvertedIndex",
-    "ShardedTextScorer",
-]
+__all__ = ["ShardRouter"]

@@ -1,9 +1,8 @@
-"""Deterministic routing of document/shot ids onto index shards.
+"""Deterministic routing of document/shot ids onto shard segments.
 
-The router is the one place that decides which shard owns an id, so the
-write path (``index_documents`` / ``index_shot``), the read path (per-shard
-scatter) and any external partitioner all agree by construction.  Routing
-is a pure function of the id string — ``crc32(id) % num_shards`` — so it is
+The router is the one place that decides which segment an id's records
+belong to, so the write-ahead log, the snapshot deltas and any external
+partitioner all agree by construction.  Routing is a pure function of the id string — ``crc32(id) % num_shards`` — so it is
 stable across processes, Python versions and restarts (unlike the builtin
 ``hash``, which is salted per process).
 """

@@ -108,11 +108,17 @@ def assign_topics(
     With ``prefer_profile_category`` the assignment favours topics whose
     category matches the user's primary declared interest (the aligned
     condition of the profile experiments); otherwise topics are assigned
-    uniformly at random.
+    uniformly at random.  Each user gets distinct topics, so
+    ``topics_per_user`` above the topic count raises ``ValueError``.
     """
     ensure_positive(topics_per_user, "topics_per_user")
     rng = RandomSource(seed).spawn("topic-assignment")
     all_topics = topics.topics()
+    if topics_per_user > len(all_topics):
+        raise ValueError(
+            f"topics_per_user={topics_per_user} exceeds the "
+            f"{len(all_topics)} topics available"
+        )
     assignment: Dict[str, List[Topic]] = {}
     for member in members:
         user_rng = rng.spawn(member.user.user_id)
@@ -124,6 +130,8 @@ def assign_topics(
                 chosen.extend(
                     user_rng.sample(matching, min(len(matching), topics_per_user))
                 )
+        # Ends: the check above leaves at least topics_per_user distinct
+        # topics to draw, and every draw of a new one is kept.
         while len(chosen) < topics_per_user:
             candidate = user_rng.choice(all_topics)
             if candidate not in chosen:

@@ -7,18 +7,12 @@ other, while a writer (corpus/index mutation) waits for in-flight readers to
 drain and then runs exclusively.  Writers are preferred once waiting, so a
 steady stream of searches cannot starve an index update.
 
-:class:`ScatterGather` is the fan-out side of the same serving story: a
-partitioned operation (one sub-task per index shard) runs every sub-task on
-a small persistent thread pool and collects the results back in sub-task
-order, so callers see a deterministic gather regardless of completion
-order.
-
 :class:`CancellationToken` is the cooperative-cancellation primitive the
 serving edge builds request deadlines on.  A token is observed at explicit
 *checkpoints* (:meth:`CancellationToken.checkpoint`) placed on the search
-path — between evidence sources in the engine, at every scatter-gather
-dispatch and gather — so a request that exceeds its deadline stops at the
-next checkpoint instead of running to completion.  Cancellation never
+path — between evidence sources in the engine — so a request that exceeds
+its deadline stops at the next checkpoint instead of running to
+completion.  Cancellation never
 interrupts work mid-mutation: a checkpoint either passes (work continues
 unchanged, results bit-identical to an uncancelled run) or raises
 :class:`OperationCancelledError` before any externally visible state —
@@ -29,20 +23,8 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
-
-from repro.utils.validation import ensure_positive
-
-ItemT = TypeVar("ItemT")
-ResultT = TypeVar("ResultT")
-
-#: How often a gather blocked on a straggler sub-task re-checks its
-#: cancellation token.  Bounds the latency between a deadline firing and
-#: the request returning to roughly this interval.
-_CANCEL_POLL_SECONDS = 0.02
+from typing import Callable, Iterator, Optional
 
 
 class OperationCancelledError(RuntimeError):
@@ -134,8 +116,8 @@ def current_cancellation_token() -> Optional[CancellationToken]:
 def cancellation_scope(token: Optional[CancellationToken]) -> Iterator[None]:
     """Install ``token`` as the calling thread's active token for the scope.
 
-    Checkpoints on the search path (:func:`checkpoint_if_cancelled`,
-    :meth:`ScatterGather.map`) pick the token up implicitly, so deadline
+    Checkpoints on the search path (:func:`checkpoint_if_cancelled`) pick
+    the token up implicitly, so deadline
     enforcement needs no plumbing through the engine's call signatures.
     Scopes nest; the previous token is restored on exit.
     """
@@ -248,160 +230,3 @@ class ReadWriteLock:
         """Whether a thread currently holds the exclusive side."""
         with self._condition:
             return self._writer_active
-
-
-class ScatterGather:
-    """Scatter one callable over a list of items and gather results in order.
-
-    Built for per-shard fan-out on the search path: the pool is created
-    lazily and reused across calls (a search must not pay thread start-up
-    costs), results come back in **item order** (never completion order, so
-    merges are deterministic), and the first sub-task exception propagates
-    to the caller unchanged.  With ``max_workers`` of 1 — or a single item —
-    everything runs inline on the calling thread, which keeps the
-    one-shard configuration free of any threading overhead.  A pool pays
-    only where sub-tasks wait (I/O, a lock, a sleep): callers whose
-    sub-tasks are pure Python computation — the sharded text scorer over
-    in-memory kernels — loop inline instead of calling :meth:`map`.
-
-    Worker threads never take engine locks (shard sub-tasks are pure reads
-    over the shard's own structures), so scattering from inside the
-    engine's shared read scope cannot deadlock against a waiting writer.
-    """
-
-    def __init__(self, max_workers: int, thread_name_prefix: str = "scatter") -> None:
-        ensure_positive(max_workers, "max_workers")
-        self._max_workers = max_workers
-        self._thread_name_prefix = thread_name_prefix
-        self._pool: "ThreadPoolExecutor | None" = None
-        self._closed = False
-        self._pool_lock = threading.Lock()
-        # Maps currently scattering on the pool.  close() racing a map must
-        # never shut the pool down underneath it (ThreadPoolExecutor raises
-        # "cannot schedule new futures after shutdown"); the shutdown is
-        # deferred to whichever party — close() or the last in-flight map —
-        # observes the pool unused last.
-        self._inflight = 0
-
-    @property
-    def max_workers(self) -> int:
-        """Upper bound on concurrent sub-tasks."""
-        return self._max_workers
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has been called (maps then run inline)."""
-        with self._pool_lock:
-            return self._closed
-
-    def _acquire_pool(self) -> "ThreadPoolExecutor | None":
-        """The pool to scatter on, or ``None`` to run inline.
-
-        Checked and (lazily) created under the lock so a ``map`` racing
-        :meth:`close` can never resurrect a pool after shutdown — once
-        closed, every map runs inline, permanently.  A returned pool is
-        pinned (in-flight count) until the matching :meth:`_release_pool`,
-        so a concurrent close cannot hand this map a dead pool.
-        """
-        with self._pool_lock:
-            if self._closed or self._max_workers <= 1:
-                return None
-            pool = self._pool
-            if pool is None:
-                pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix=self._thread_name_prefix,
-                )
-                self._pool = pool
-            self._inflight += 1
-            return pool
-
-    def _release_pool(self) -> None:
-        """Unpin the pool; run the shutdown a concurrent close deferred."""
-        with self._pool_lock:
-            self._inflight -= 1
-            pool = None
-            if self._closed and self._inflight == 0:
-                pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def map(
-        self,
-        task: Callable[[ItemT], ResultT],
-        items: Sequence[ItemT],
-        cancel_token: Optional[CancellationToken] = None,
-    ) -> List[ResultT]:
-        """``[task(item) for item in items]``, fanned out over the pool.
-
-        Results are returned in item order; the first failing sub-task's
-        exception is re-raised (remaining sub-tasks still run to completion
-        on the pool, but their results are discarded).  Safe against a
-        concurrent :meth:`close`: a map that already holds the pool finishes
-        on it, later maps run inline.
-
-        Cancellation checkpoints: with a ``cancel_token`` (explicit, or the
-        calling thread's :func:`current_cancellation_token`), the scatter
-        checkpoints before dispatch, every pooled sub-task checkpoints on
-        entry — so sub-tasks of a request that already timed out exit
-        immediately instead of consuming executor slots — and the gather
-        polls the token while waiting on a straggler, raising
-        :class:`OperationCancelledError` within ``_CANCEL_POLL_SECONDS`` of
-        the token firing (abandoned sub-tasks finish on the pool; their
-        results are discarded).  A map that completes without the token
-        firing returns exactly what an uncancelled map would.
-        """
-        items = list(items)
-        token = cancel_token if cancel_token is not None else current_cancellation_token()
-        if token is not None:
-            token.checkpoint()
-        pool = self._acquire_pool() if len(items) > 1 else None
-        if pool is None:
-            if token is None:
-                return [task(item) for item in items]
-            results: List[ResultT] = []
-            for item in items:
-                token.checkpoint()
-                results.append(task(item))
-            return results
-        try:
-            if token is None:
-                futures = [pool.submit(task, item) for item in items]
-                return [future.result() for future in futures]
-
-            def run(item: ItemT) -> ResultT:
-                # Entry checkpoint: a queued sub-task whose request already
-                # timed out frees its slot without doing shard work.  The
-                # scope re-installs the token on the pool thread so nested
-                # checkpoints inside the task observe it too.
-                token.checkpoint()
-                with cancellation_scope(token):
-                    return task(item)
-
-            futures = [pool.submit(run, item) for item in items]
-            gathered: List[ResultT] = []
-            for future in futures:
-                while True:
-                    try:
-                        gathered.append(future.result(timeout=_CANCEL_POLL_SECONDS))
-                        break
-                    except FutureTimeoutError:
-                        token.checkpoint()
-            return gathered
-        finally:
-            self._release_pool()
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent); subsequent maps run inline.
-
-        Safe to call concurrently with :meth:`map` (and with other closes):
-        in-flight maps complete on the pool, whose shutdown is deferred to
-        the last of them; maps that arrive after this call run inline.
-        """
-        with self._pool_lock:
-            self._closed = True
-            pool = None
-            if self._inflight == 0:
-                pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)

@@ -153,7 +153,7 @@ def _mix_query(seed: int, epoch: int, slot: int) -> str:
 
 
 class _MixRunner:
-    """One mix execution over a live service (monolithic or sharded)."""
+    """One mix execution over a live service (any ``num_shards``)."""
 
     def __init__(
         self,

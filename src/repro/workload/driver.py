@@ -415,9 +415,9 @@ class ServiceLoadDriver:
                 extras = dict(epilogue(service) or {})
             extras = {**serving_extras, **extras}
         finally:
-            # Release engine machinery (e.g. a sharded service's scatter
-            # pool) outside the timed region; sessions left open by
-            # close_sessions=False survive (close only stops the pool).
+            # Release engine machinery (a durable service's log) outside
+            # the timed region; sessions left open by close_sessions=False
+            # survive.
             service.close()
 
         records = [

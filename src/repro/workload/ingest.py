@@ -8,7 +8,7 @@ that could drift between processes or Python versions — so op *i* is the
 same bytes everywhere, always.
 
 Ops alternate between transcript documents and visual shots so both WAL
-record kinds, both index substrates, and (under sharding) every shard's
+record kinds, both indexes, and (with ``num_shards`` above one) every WAL
 segment see traffic.
 """
 

@@ -75,23 +75,23 @@ class TestCheckBaseline:
     def test_measured_value_exactly_at_floor_passes(self):
         payload = {"smoke_baseline": {"qps": 1000.0}}
         assert guard.check_baseline(
-            "e15", Path("BENCH_e15.json"), payload, {"qps": 700.0}, 0.3
+            "e16", Path("BENCH_e16.json"), payload, {"qps": 700.0}, 0.3
         ) == []
 
     def test_guarded_metric_missing_from_baseline_fails(self):
         payload = {"smoke_baseline": {"old_qps": 1000.0}}
         failures = guard.check_baseline(
-            "e15", Path("BENCH_e15.json"), payload, {"new_qps": 900.0},
+            "e16", Path("BENCH_e16.json"), payload, {"new_qps": 900.0},
             tolerance=0.3,
         )
         assert len(failures) == 1
-        assert "e15.new_qps" in failures[0]
+        assert "e16.new_qps" in failures[0]
         assert "--update" in failures[0] or "run --update" in failures[0]
 
     def test_non_numeric_baseline_value_fails_not_raises(self):
         payload = {"smoke_baseline": {"qps": "fast"}}
         failures = guard.check_baseline(
-            "e15", Path("BENCH_e15.json"), payload, {"qps": 10.0}, 0.3
+            "e16", Path("BENCH_e16.json"), payload, {"qps": 10.0}, 0.3
         )
         assert len(failures) == 1
         assert "qps" in failures[0]

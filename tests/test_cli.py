@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -168,6 +173,64 @@ class TestExperiment:
             ["experiment", "--corpus", str(corpus_dir), "--policies", "telepathy"],
             out=io.StringIO(),
         ) == 2
+
+
+class TestMoreTopicsThanTheCorpusHas:
+    """Each user searches distinct topics, so asking for more than the
+    corpus holds is refused in one line; it used to draw forever.  Every
+    run is a subprocess under a wall-clock bound, so a hang fails."""
+
+    @pytest.fixture(scope="class")
+    def three_topics(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("three-topics")
+        assert main(
+            ["generate", "--output", str(directory), "--seed", "5", "--days", "2",
+             "--stories-per-day", "3", "--topics", "3"],
+            out=io.StringIO(),
+        ) == 0
+        return directory
+
+    @pytest.mark.parametrize(
+        "command, refusal",
+        [
+            (
+                ["simulate", "--logs", "unused-logs", "--users", "1",
+                 "--topics-per-user", "999"],
+                "simulate failed: condition 'combined': topics_per_user=999 "
+                "exceeds the corpus's 3 topics",
+            ),
+            (
+                ["experiment", "--users", "1", "--topics-per-user", "4",
+                 "--policies", "baseline,implicit"],
+                "experiment failed: condition 'baseline': topics_per_user=4 "
+                "exceeds the corpus's 3 topics",
+            ),
+        ],
+        ids=["simulate", "experiment"],
+    )
+    def test_refused_in_one_line_with_exit_2(
+        self, three_topics, tmp_path, command, refusal
+    ):
+        source = Path(repro.__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", command[0], "--corpus", str(three_topics),
+             *command[1:]],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(source)},
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.splitlines() == [refusal]
+        assert completed.stdout == ""
+        assert not (tmp_path / "unused-logs").exists()
+
+    def test_all_three_topics_still_run(self, three_topics):
+        out = io.StringIO()
+        assert main(
+            ["experiment", "--corpus", str(three_topics), "--users", "1",
+             "--topics-per-user", "3", "--policies", "baseline"],
+            out=out,
+        ) == 0
+        assert out.getvalue().splitlines()[1].startswith("baseline")
 
 
 class TestRecoverErrorPaths:

@@ -2,21 +2,21 @@
 
 Every text scorer answers with a read-only ``{doc_id: score}`` mapping.
 The built-in BM25 and TF-IDF kernels return a :class:`DenseScores` over the
-accumulator they scored into, the sharded scorer concatenates its shards'
-parts, and the engine's single-source path ranks straight off the dense
-values, reading a shot id only for a candidate at or above the exact cut.
-These tests pin
+accumulator they scored into — one ``(ids, scores, candidates)`` column —
+and the engine's single-source path ranks straight off the dense values,
+reading a shot id only for a candidate at or above the exact cut.  These
+tests pin
 
 * the rankings, by ``float.hex()``, against the general path
   (``weighted_fusion`` + ``ResultList.from_scores`` over a plain dict) for
-  every scorer, shard count, scatter path, weight and limit, ties at the
-  cut included;
+  every scorer, the engine a service builds at one, two and four shards, a
+  dict-returning scorer, weight and limit, ties at the cut included;
 * the mapping contract: the dict a key read builds (items and order), ``==``
-  both ways, ``len`` without a dict, ``union`` with a plain-dict partial,
-  and :class:`StaleScoresError` exactly when a candidate was deleted or
-  updated before the first read;
+  both ways, ``len`` without a dict, and :class:`StaleScoresError` exactly
+  when a candidate was deleted or updated before the first read;
 * that an uncached search builds no dict at all and keeps the traced call
-  boundaries (one ``text_scores`` and one ``score`` per shard a search);
+  boundaries (one ``text_scores`` and one ``score`` a search, at one shard
+  or four);
 
 and show the differential has teeth against four mutants of the source.
 """
@@ -53,8 +53,8 @@ from repro.retrieval import EngineConfig, Query, VideoRetrievalEngine
 from repro.retrieval import engine as engine_module
 from repro.retrieval.results import ResultList
 from repro.service import RetrievalService, SearchRequest, ServiceConfig
+from repro.service.service import build_engine
 from repro.serving import ServingFrontend
-from repro.sharding import ShardedEngine
 
 SCORERS = {
     "bm25": (Bm25Scorer, ReferenceBm25Scorer),
@@ -62,15 +62,16 @@ SCORERS = {
     "lm": (DirichletLanguageModelScorer, ReferenceDirichletScorer),
     "jm": (JelinekMercerLanguageModelScorer, ReferenceJelinekMercerScorer),
 }
-#: ``(shards, pool)``: 1 is the monolithic engine; ``pool`` wraps one shard
-#: in a duck-typed, dict-returning scorer, which sends the scatter to the pool.
-VARIANTS = [(1, False), (2, False), (4, False), (4, True)]
+#: ``(shards, wrapped)``: the engine a ``num_shards=shards`` service builds;
+#: ``wrapped`` wraps its scorer in a duck-typed scorer that answers with a
+#: plain dict, which the engine reads through ``DenseScores.of``.
+VARIANTS = [(1, False), (1, True), (2, False), (4, False), (4, True)]
 WEIGHTS = (1.0, 0.4, 0.0, 5e-324)
 LIMITS = (1, 5, 50, 10_000)
 
 
-class _DictShard:
-    """A duck-typed shard scorer: no ``may_block``, answers with a dict."""
+class _DictScorer:
+    """A duck-typed scorer: no ``may_block``, answers with a dict."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -89,29 +90,23 @@ class _PassThroughScorer:
         return self.inner.score(query_terms)
 
 
-def _engine(corpus, scorer_name, shards, pool):
-    scorer_class = SCORERS[scorer_name][0]
-    config = EngineConfig(result_cache_size=0)
-    if shards == 1:
+def _engine(corpus, scorer_name, shards, wrapped):
+    scorer = SCORERS[scorer_name][0]
+    if shards == 1 and not wrapped:
+        # The monolithic reference, built without the service.
         index = InvertedIndex.from_collection(corpus.collection)
         return VideoRetrievalEngine(
             corpus.collection,
             inverted_index=index,
-            config=config,
-            text_scorer=scorer_class(index),
+            config=EngineConfig(result_cache_size=0),
+            text_scorer=scorer(index),
         )
-    engine = ShardedEngine(
-        corpus.collection,
-        config=config,
-        num_shards=shards,
-        shard_scorer_factory=scorer_class,
+    engine = build_engine(
+        corpus.collection, ServiceConfig(num_shards=shards, result_cache_size=0)
     )
-    if pool:
-        scorers = engine.text_scorer.shard_scorers
-        scorers[-1] = _DictShard(scorers[-1])
-        assert engine.text_scorer.may_block
-    else:
-        assert not engine.text_scorer.may_block
+    kernel = scorer(engine.inverted_index)
+    engine._text_scorer = _DictScorer(kernel) if wrapped else kernel
+    assert engine.may_block is wrapped
     return engine
 
 
@@ -141,7 +136,7 @@ def _queries(corpus):
 
 @pytest.fixture(scope="module")
 def engines(medium_corpus):
-    """``engines(scorer, shards, pool)``: one engine per variant, built once."""
+    """``engines(scorer, shards, wrapped)``: one engine per variant, built once."""
     built = {}
 
     def get(*variant):
@@ -174,13 +169,13 @@ def _ranked(results):
     return [(item.shot_id, item.score.hex(), item.rank) for item in results]
 
 
-def check_rankings(engines, queries, scorer, shards, pool):
+def check_rankings(engines, queries, scorer, shards, wrapped):
     """Every query × weight × limit, dense path against the general path.
 
     Returns how many cases had a tie exactly at an applied cut.
     """
     monolithic = engines(scorer, 1, False)
-    engine = engines(scorer, shards, pool)
+    engine = engines(scorer, shards, wrapped)
     ties_at_cut = 0
     for query in queries:
         for limit in LIMITS:
@@ -241,35 +236,18 @@ def medium_index(medium_corpus):
 
 
 class TestRankings:
-    @pytest.mark.parametrize(
-        "shards, pool",
-        [
-            pytest.param(shards, pool, marks=[pytest.mark.shard] if shards > 1 else [])
-            for shards, pool in VARIANTS
-        ],
-    )
+    @pytest.mark.parametrize("shards, wrapped", VARIANTS)
     @pytest.mark.parametrize("scorer", sorted(SCORERS))
-    def test_dense_path_matches_general_path(self, engines, queries, scorer, shards, pool):
-        ties_at_cut = check_rankings(engines, queries, scorer, shards, pool)
+    def test_dense_path_matches_general_path(
+        self, engines, queries, scorer, shards, wrapped
+    ):
+        ties_at_cut = check_rankings(engines, queries, scorer, shards, wrapped)
         assert ties_at_cut > 0  # the suite exercises ties exactly at the cut
 
 
 class TestMappingContract:
     def test_built_dict_matches_reference_and_old_order(self, medium_index, queries):
         check_contract(medium_index, queries)
-
-    @pytest.mark.shard
-    def test_sharded_order_is_shard_order(self, engines, queries):
-        engine = engines("bm25", 4, False)
-        shards = engine.text_scorer.shard_scorers
-        for query in queries:
-            terms = engine._query_term_weights(query)
-            for _ in range(2):  # warm columns: each call then builds one order
-                engine.text_scorer.score(terms)
-            expected = [
-                doc_id for shard in shards for doc_id in dict(shard.score(terms))
-            ]
-            assert list(dict(engine.text_scorer.score(terms))) == expected
 
     def test_equality_both_ways(self, medium_index, queries):
         terms = medium_index.tokenizer.tokenize(queries[5].text)
@@ -291,22 +269,14 @@ class TestMappingContract:
         assert not Bm25Scorer(medium_index).score(["no-such-term"])
         assert Bm25Scorer(medium_index).score(["no-such-term"]) == {}
 
-    def test_union_with_a_plain_dict_partial(self, medium_index, queries):
-        terms = medium_index.tokenizer.tokenize(queries[5].text)
-        dense = Bm25Scorer(medium_index).score(terms)
-        plain = {"extra-b": 0.25, "extra-a": 2.0}
-        union = DenseScores.union([dense, plain, DenseScores.of({"extra-c": 1.0})])
-        assert len(union) == len(dense) + 3 and union._built is None
-        expected = {**dict(dense), **plain, "extra-c": 1.0}
-        assert list(union.items()) == list(expected.items())
-        assert union["extra-a"] == 2.0 and union.get("missing", -1.0) == -1.0
-        assert "extra-c" in union and "missing" not in union
-        assert DenseScores.of(union) is union
-
     def test_of_keeps_key_value_pairs(self):
         mapping = {"z": 3.0, "a": 1.0, "m": 2.0}
         wrapped = DenseScores.of(mapping)
-        assert len(wrapped) == 3 and list(wrapped.items()) == list(mapping.items())
+        assert len(wrapped) == 3 and wrapped._built is None
+        assert list(wrapped.items()) == list(mapping.items())
+        assert wrapped["a"] == 1.0 and wrapped.get("missing", -1.0) == -1.0
+        assert "m" in wrapped and "missing" not in wrapped
+        assert DenseScores.of(wrapped) is wrapped
 
 
 def _stale_setup(text_scorer=Bm25Scorer):
@@ -363,19 +333,19 @@ class TestStaleness:
         index.delete_document("d1")
         assert dict(scores) == expected  # built before the delete
 
-    @pytest.mark.shard
-    def test_sharded_candidate_deleted_raises(self, sharding_corpus):
-        engine = ShardedEngine(sharding_corpus.collection, num_shards=4)
-        try:
-            query = Query.from_text(sharding_corpus.topics.topics()[0].query_terms[0])
-            scores = engine.text_scores(query)
-            victim = next(iter(ReferenceBm25Scorer(engine.inverted_index).score(
-                engine._query_term_weights(query))))
-            engine.delete_document(victim)
-            with pytest.raises(StaleScoresError):
-                dict(scores)
-        finally:
-            engine.close()
+    def test_engine_candidate_deleted_raises(self, sharding_corpus):
+        service = RetrievalService.from_corpus(
+            sharding_corpus, config=ServiceConfig(num_shards=4)
+        )
+        engine = service.engine
+        query = Query.from_text(sharding_corpus.topics.topics()[0].query_terms[0])
+        scores = engine.text_scores(query)
+        victim = next(iter(ReferenceBm25Scorer(engine.inverted_index).score(
+            engine._query_term_weights(query))))
+        engine.delete_document(victim)
+        with pytest.raises(StaleScoresError):
+            dict(scores)
+        service.close()
 
 
 # -- an uncached search builds no dict --------------------------------------------
@@ -395,25 +365,19 @@ class TestNoDictPerSearch:
     """Exact work counts that hold on any host.
 
     N uncached searches through the serving edge, on the inline and the
-    pool path, monolithic and sharded: no :class:`DenseScores` is ever
-    turned into a dict, ``engine.text_scores`` runs once a search and each
-    shard's ``score`` once a search (the call boundaries the end-to-end
-    benchmark's tracer wraps).  The commit before dense score maps fails
-    this test: its scorers built a dict per shard and the scatter merged
-    them into another, and it had no ``DenseScores`` to spy on.
+    pool path, at one shard and four: no :class:`DenseScores` is ever
+    turned into a dict, ``engine.text_scores`` runs once a search and the
+    engine's one scorer ``score`` once a search (the call boundaries the
+    end-to-end benchmark's tracer wraps).  The commit before dense score
+    maps fails this test: its scorers built a dict per shard and the
+    scatter merged them into another, and it had no ``DenseScores`` to spy
+    on.
     """
 
     SEARCHES = 8
 
-    @pytest.mark.parametrize(
-        "shards, pool",
-        [
-            (1, False),
-            (1, True),
-            pytest.param(4, False, marks=pytest.mark.shard),
-            pytest.param(4, True, marks=pytest.mark.shard),
-        ],
-    )
+    @pytest.mark.parametrize("pool", (False, True))
+    @pytest.mark.parametrize("shards", (1, 4))
     def test_zero_dicts_one_call_per_boundary(
         self, medium_corpus, monkeypatch, shards, pool
     ):
@@ -422,14 +386,9 @@ class TestNoDictPerSearch:
         )
         try:
             engine = service.engine
-            if shards == 1:
-                if pool:
-                    engine._text_scorer = _PassThroughScorer(engine._text_scorer)
-                scorers = [engine._text_scorer]
-            else:
-                scorers = engine.text_scorer.shard_scorers
-                if pool:
-                    scorers[1] = _PassThroughScorer(scorers[1])
+            if pool:
+                engine._text_scorer = _PassThroughScorer(engine._text_scorer)
+            scorer = engine._text_scorer
             assert engine.may_block is pool
             built = []
             materialise = DenseScores._materialise
@@ -440,8 +399,7 @@ class TestNoDictPerSearch:
             )
             counts = Counter()
             _count_calls(engine, "text_scores", counts)
-            for scorer in scorers:
-                _count_calls(scorer, "score", counts)
+            _count_calls(scorer, "score", counts)
             session = service.open_session("alice", policy="baseline").session_id
             texts = [query.text for query in _queries(medium_corpus)][: self.SEARCHES]
             assert len(set(texts)) == self.SEARCHES
@@ -456,8 +414,7 @@ class TestNoDictPerSearch:
             with ServingFrontend(service) as frontend:
                 asyncio.run(drive(frontend))
             assert built == []
-            assert counts[id(engine)] == self.SEARCHES
-            assert [counts[id(scorer)] for scorer in scorers] == [self.SEARCHES] * shards
+            assert counts[id(engine)] == counts[id(scorer)] == self.SEARCHES
         finally:
             service.close()
 
@@ -477,11 +434,12 @@ def _mutate(monkeypatch, module, owner_name, function, original, mutated):
 @pytest.mark.parametrize(
     "module, owner, function, original, mutated, check",
     [
-        # The union loses the last shard's candidates.
+        # The built dict loses the last candidate.
         (
-            scoring_module, "DenseScores", "union",
-            "for partial in partials:", "for partial in list(partials)[:-1]:",
-            ("rankings", "bm25", 4, False),
+            scoring_module, "DenseScores", "_materialise",
+            "map(self.ids.__getitem__, candidates)",
+            "map(self.ids.__getitem__, list(candidates)[:-1])",
+            ("contract",),
         ),
         # A wrapped dict pairs its keys with misordered values.
         (
@@ -502,7 +460,7 @@ def _mutate(monkeypatch, module, owner_name, function, original, mutated):
             ("rankings", "bm25", 1, False),
         ),
     ],
-    ids=["union-drops-last", "of-misorders", "tfidf-no-norm", "decorate-strict"],
+    ids=["materialise-drops-last", "of-misorders", "tfidf-no-norm", "decorate-strict"],
 )
 def test_differential_fails_on_mutants(
     engines, queries, medium_index, monkeypatch, module, owner, function, original,

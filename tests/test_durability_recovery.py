@@ -38,16 +38,15 @@ from repro.durability.digest import (
 from repro.durability.recovery import (
     HEADER_FILENAME,
     build_monolithic_indexes,
-    build_sharded_indexes,
 )
 from repro.durability.snapshots import SnapshotStore, _write_json_atomic
 from repro.durability.wal import WalSegment, WriteAheadLog, encode_op
 from repro.feedback import EventKind, InteractionEvent
+from repro.index.inverted_index import InvertedIndex
 from repro.index.visual import VisualIndex
 from repro.replication import ReplicaServer
 from repro.retrieval import Query
 from repro.service import FeedbackBatch, RetrievalService, ServiceConfig
-from repro.sharding import ShardRouter
 from repro.utils.serialization import decode_vector, read_json, write_json
 from repro.workload.ingest import (
     apply_ingest,
@@ -274,11 +273,11 @@ class TestRecoveredServiceEquivalence:
             digests.add(RecoveryManager(directory).recover().state_digest())
         assert len(digests) == 1
 
-    def test_sharded_rebuild_holds_the_monolithic_indexes(
+    def test_sharded_reopen_holds_the_monolithic_indexes(
         self, analysed_corpus, tmp_path
     ):
-        # Text is re-partitioned under the same global interning; the
-        # shots go into one plain VisualIndex, exactly as unsharded.
+        # A 4-segment directory reopens into one plain InvertedIndex and
+        # one plain VisualIndex, in the global interning order.
         directory = tmp_path / "d"
         service = _service(
             analysed_corpus, _durable_config(directory, num_shards=4, interval=3)
@@ -288,7 +287,10 @@ class TestRecoveredServiceEquivalence:
         service.close()
         state = RecoveryManager(directory).recover()
         mono_text, mono_visual = build_monolithic_indexes(state)
-        text, visual = build_sharded_indexes(state, ShardRouter(4))
+        reopened = _service(analysed_corpus, _durable_config(directory, num_shards=4))
+        text, visual = reopened.engine.inverted_index, reopened.engine.visual_index
+        reopened.close()
+        assert type(text) is InvertedIndex
         assert text.slots.ids == mono_text.slots.ids
         assert type(visual) is VisualIndex
         assert visual.slots.ids == mono_visual.slots.ids

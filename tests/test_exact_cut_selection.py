@@ -33,7 +33,7 @@ def _full_path(scores, weight, limit):
     if weight == 0:
         return []
     low, span = normalisation_bounds(scores)
-    decorated = sorted(_decorate(DenseScores.of(scores).parts, weight, low, span))[:limit]
+    decorated = sorted(_decorate(DenseScores.of(scores), weight, low, span))[:limit]
     return [(shot_id, (-negated).hex()) for negated, shot_id in decorated]
 
 
@@ -105,7 +105,7 @@ class TestExactCut:
         scores, weight, limit = TIE_AT_CUT
         low, span = normalisation_bounds(scores)
         cut = _exact_cut(sorted(scores.values()), weight, low, span, limit)
-        survivors = _decorate(DenseScores.of(scores).parts, weight, low, span, cut)
+        survivors = _decorate(DenseScores.of(scores), weight, low, span, cut)
         assert cut == 2.0
         assert sorted(shot_id for _, shot_id in survivors) == [
             "s000", "s001", "s002", "s003",

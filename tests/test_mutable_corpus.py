@@ -21,7 +21,6 @@ from repro.index.compaction import BackgroundCompactor, compact_engine
 from repro.index.dedup import NearDuplicateDetector
 from repro.retrieval import EngineConfig, Query, VideoRetrievalEngine
 from repro.service import FeedbackBatch, RetrievalService, SearchRequest, ServiceConfig
-from repro.sharding import ShardedInvertedIndex, ShardRouter
 from repro.workload.ingest import (
     apply_ingest,
     service_feature_dim,
@@ -120,11 +119,10 @@ class TestInvertedIndexMutations:
         assert index.compact() == 0
 
 
-#: The three index classes that keep their ids in a slot table.
+#: The two index classes that keep their ids in a slot table.
 _SLOTTED = {
     "InvertedIndex": InvertedIndex,
     "VisualIndex": VisualIndex,
-    "ShardedInvertedIndex": lambda: ShardedInvertedIndex(ShardRouter(3)),
 }
 
 
@@ -204,15 +202,11 @@ class TestSlotLifecycle:
         _delete(slotted, "item-4")
         ids, payloads, statistics, _, tombstones, generation = _slotted_state(slotted)
         assert tombstones == 2
-        table, shards = slotted.slots, getattr(slotted, "shard_indexes", ())
+        table = slotted.slots
         assert slotted.compact() == 2
         assert _slotted_state(slotted)[:5] == (ids, payloads, statistics, ids, 0)
         assert slotted.generation > generation
         assert slotted.slots is table
-        assert all(
-            after is before
-            for after, before in zip(getattr(slotted, "shard_indexes", ()), shards)
-        )
 
 
 class TestVisualIndexMutations:
@@ -261,9 +255,9 @@ class TestEngineMutations:
         assert engine.inverted_index.document_count == count
 
     def test_sharded_service_batch_is_atomic(self, small_corpus):
-        # The sharded facade must validate across *all* shards before any
-        # shard applies: "svc-a" and "svc-b" likely route to different
-        # shards than the duplicate, and none of them may land.
+        # A 4-shard service validates the whole batch before anything is
+        # logged or applied: "svc-a" and "svc-b" route to other WAL
+        # segments than the duplicate, and none of them may land.
         service = RetrievalService(
             small_corpus.collection,
             config=ServiceConfig(num_shards=4, result_cache_size=0),
@@ -576,8 +570,8 @@ class TestEngineCompaction:
         assert stats.retries == 0
 
     def test_compact_preserves_object_identity(self, small_corpus):
-        # Stats views and sharded scorers hold direct references to the
-        # index objects; adoption must swap internals, never the objects.
+        # The scorer and the engine hold direct references to the index
+        # objects; adoption must swap internals, never the objects.
         engine = VideoRetrievalEngine(small_corpus.collection)
         engine.index_document("ident-a", "flood summit")
         engine.index_document("ident-b", "economy verdict")

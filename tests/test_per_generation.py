@@ -22,7 +22,6 @@ from repro.index.scoring import TextScorer
 from repro.index.slots import PerGeneration
 from repro.retrieval import EngineConfig, Query, VideoRetrievalEngine
 from repro.retrieval import engine as engine_module
-from repro.sharding import GlobalStatsView, ShardedInvertedIndex, ShardRouter
 
 DOCUMENTS = {
     "d1": "football match stadium goal goal",
@@ -62,21 +61,6 @@ def _scorer(scorer_class):
     return build
 
 
-def _shard_scorer():
-    # The view's clock is the facade's: a write to any shard rebuilds.
-    facade = _text(ShardedInvertedIndex(ShardRouter(3)))
-    scorer = Bm25Scorer(GlobalStatsView(facade.shard_indexes[0], facade))
-    return scorer, "_tables", lambda: _add_text(facade)
-
-
-def _facade(cell_name):
-    def build():
-        facade = _text(ShardedInvertedIndex(ShardRouter(3)))
-        return facade, cell_name, lambda: _add_text(facade)
-
-    return build
-
-
 def _scan_view():
     index = _visual()
     return index, "_scan", lambda: _add_shot(index)
@@ -110,9 +94,6 @@ def _memo(write):
 CONSUMERS = {
     "bm25-tables": _scorer(Bm25Scorer),
     "tfidf-tables": _scorer(TfIdfScorer),
-    "shard-scorer-tables": _shard_scorer,
-    "facade-document-frequencies": _facade("_document_frequencies"),
-    "facade-collection-frequencies": _facade("_collection_frequencies"),
     "visual-scan-view": _scan_view,
     "result-cache-text-write": _engine("text"),
     "result-cache-visual-write": _engine("visual"),
@@ -148,7 +129,7 @@ class TestPerGenerationContract:
         owner, name, cell, _ = _cell(consumer)
         cell.get()
         assert cell._held[1] is not None
-        # The owner where it pickles (indexes, facades, scorers); the cell
+        # The owner where it pickles (indexes, scorers); the cell
         # alone where the owner holds locks (engine, feedback model).
         try:
             clone = getattr(pickle.loads(pickle.dumps(owner)), name)

@@ -18,7 +18,7 @@ from repro.index.visual import VisualIndex
 from repro.retrieval import Query
 from repro.retrieval.engine import EngineConfig
 from repro.service import ServiceConfig
-from repro.sharding import ShardedInvertedIndex, ShardRouter
+from repro.sharding import ShardRouter
 
 PROTOCOLS = (2, pickle.HIGHEST_PROTOCOL)
 
@@ -83,13 +83,8 @@ class TestPickleRoundTrip:
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 class TestTombstonedIndexPickle:
-    @pytest.mark.parametrize(
-        "build",
-        [InvertedIndex, lambda: ShardedInvertedIndex(ShardRouter(3))],
-        ids=["InvertedIndex", "ShardedInvertedIndex"],
-    )
-    def test_inverted_index_with_tombstones(self, protocol, build):
-        index = build()
+    def test_inverted_index_with_tombstones(self, protocol):
+        index = InvertedIndex()
         index.add_document("doc-a", "alpha beta alpha")
         index.add_document("doc-b", "beta gamma")
         index.add_document("doc-c", "gamma delta")

@@ -41,9 +41,8 @@ from repro.index.reference import (
 from repro.index import scoring as scoring_module
 from repro.index.visual import VisualIndex
 from repro.retrieval import EngineConfig, Query, VideoRetrievalEngine
-from repro.sharding import GlobalStatsView, ShardedInvertedIndex, ShardRouter
-from repro.sharding.engine import ShardedTextScorer
-from repro.utils.concurrency import ScatterGather
+from repro.service import ServiceConfig
+from repro.service.registry import create_scorer
 
 SEED = 20080731
 
@@ -343,7 +342,9 @@ class TestEndToEndEquivalence:
 
 WRITE_VOCABULARY = tuple(f"w{number:02d}" for number in range(12))
 WRITE_WEIGHTS = (0.25, 0.5, 1.0, 2.0, 4.0, -0.5)
-WRITE_SHARDS = (0, 4)  # 0: the monolithic index; 4: four shards
+#: 0: the scorer class over a bare index; 4: the scorer a 4-shard
+#: service builds through the registry, with the service's parameters.
+WRITE_SHARDS = (0, 4)
 WRITE_SEEDS = range(4)
 WRITE_STEPS = 60
 
@@ -376,17 +377,6 @@ def _write_query(rng, cycle):
     return {term: rng.choice(WRITE_WEIGHTS) for term in terms}
 
 
-def _write_scorer(shards, scorer_class):
-    if not shards:
-        index = InvertedIndex()
-        return index, scorer_class(index), [None]
-    index = ShardedInvertedIndex(ShardRouter(shards))
-    shard_scorers = [
-        scorer_class(GlobalStatsView(shard, index)) for shard in index.shard_indexes
-    ]
-    return index, ShardedTextScorer(shard_scorers, ScatterGather(1)), shard_scorers
-
-
 def _touch(scorer, term):
     """Which use of ``term`` in this generation the next score call is.
 
@@ -398,11 +388,21 @@ def _touch(scorer, term):
     return "first" if entry is None else "warm" if entry else "second"
 
 
+def _write_scorer(scorer_name, shards, index):
+    scorer_class = WRITE_SCORERS[scorer_name][0]
+    if not shards:
+        return scorer_class(index)
+    scorer = create_scorer(scorer_name, index, ServiceConfig(num_shards=shards))
+    assert type(scorer) is scorer_class
+    return scorer
+
+
 def run_under_writes(scorer_name, shards, seed, steps=WRITE_STEPS):
     """Run one generated sequence; returns the ``(term, use)`` pairs scored."""
-    scorer_class, reference_class = WRITE_SCORERS[scorer_name]
+    reference_class = WRITE_SCORERS[scorer_name][1]
     rng = random.Random(f"{scorer_name}:{shards}:{seed}")
-    index, scorer, kernels = _write_scorer(shards, scorer_class)
+    index = InvertedIndex()
+    scorer = _write_scorer(scorer_name, shards, index)
     live = {}
     for number in range(12):
         live[f"d{number:03d}"] = _frequencies(rng)
@@ -440,11 +440,9 @@ def run_under_writes(scorer_name, shards, seed, steps=WRITE_STEPS):
         query = _write_query(rng, WRITE_VOCABULARY[writes % len(WRITE_VOCABULARY)])
         expected = {doc: score.hex() for doc, score in reference.score(query).items()}
         for _ in range(repeats):
-            for kernel in kernels:
-                kernel = kernel or scorer
-                for term in query:
-                    if index.document_frequency(term):
-                        touched.add((term, _touch(kernel, term)))
+            for term in query:
+                if index.document_frequency(term):
+                    touched.add((term, _touch(scorer, term)))
             actual = {doc: score.hex() for doc, score in scorer.score(query).items()}
             assert actual == expected, (scorer_name, shards, seed, step, query)
     return touched
@@ -461,8 +459,9 @@ class TestScoringUnderWrites:
                 "first", "second", "warm"
             }, term
 
+    @pytest.mark.parametrize("shards", WRITE_SHARDS)
     @pytest.mark.parametrize(
-        "owner, function, replacements, shards",
+        "owner, function, replacements",
         [
             # The per-length table survives a generation change.
             (
@@ -473,14 +472,12 @@ class TestScoringUnderWrites:
                     "idf_cache, columns_cache, norms = self._tables.get()\n"
                     "    norms = self._kept = {**norms, **getattr(self, '_kept', {})}",
                 )],
-                0,
             ),
             # A first use leaves its documents out of the candidates.
             (
                 "_CachedColumnsScorer",
                 "_accumulate",
                 [("candidates.update(docs)", "pass")],
-                0,
             ),
             # The second use builds its column with the previous
             # generation's IDF.
@@ -501,18 +498,6 @@ class TestScoringUnderWrites:
                         "self._contributions(docs, freqs, stale_idf.get(term, idf), norms)",
                     ),
                 ],
-                0,
-            ),
-            # A shard's table is built on the shard's own average length.
-            (
-                "Bm25Scorer",
-                "_norm_table",
-                [(
-                    "self._index.average_document_length",
-                    "getattr(self._index, 'shard_index', self._index)"
-                    ".average_document_length",
-                )],
-                4,
             ),
         ],
     )

@@ -2,9 +2,8 @@
 
 Four layers, bottom up:
 
-1. The cancellation substrate — :class:`CancellationToken` semantics,
-   thread-local scoping, and ``ScatterGather.map`` abandoning stragglers
-   at checkpoints without consuming executor slots for cancelled work.
+1. The cancellation substrate — :class:`CancellationToken` semantics and
+   thread-local scoping.
 2. The serving primitives in isolation — token buckets and fair-share
    quotas under a fake clock, P² latency sketches, the metrics registry.
 3. The :class:`ServingFrontend` end to end — completed requests are
@@ -63,11 +62,9 @@ from repro.serving import (
     TenantQuotaManager,
     TokenBucket,
 )
-from repro.sharding.engine import ShardedTextScorer
 from repro.utils.concurrency import (
     CancellationToken,
     OperationCancelledError,
-    ScatterGather,
     cancellation_scope,
     checkpoint_if_cancelled,
     current_cancellation_token,
@@ -96,7 +93,12 @@ class _FakeClock:
 
 
 class _BlockingScorer:
-    """A shard scorer that parks on an event until the test releases it."""
+    """A scorer that parks on an event until the test releases it.
+
+    It has no ``may_block``, so the frontend evaluates its requests on the
+    worker pool, and it checkpoints the request's token while it waits, as
+    a scorer waiting on I/O should: a fired deadline unwinds it.
+    """
 
     def __init__(self, inner, gate: threading.Event, started: threading.Event):
         self.inner = inner
@@ -105,8 +107,19 @@ class _BlockingScorer:
 
     def score(self, query_terms):
         self.started.set()
-        self.gate.wait(timeout=30.0)
+        give_up = time.monotonic() + 30.0
+        while not self.gate.wait(0.01) and time.monotonic() < give_up:
+            checkpoint_if_cancelled()
         return self.inner.score(query_terms)
+
+
+def _swap_scorer(service, wrap):
+    """Replace the engine's text scorer by ``wrap(original)``; returns the
+    original (put it back with ``_swap_scorer(service, lambda _: original)``)."""
+    engine = service.engine
+    original = engine._text_scorer
+    engine._text_scorer = wrap(original)
+    return original
 
 
 # ---------------------------------------------------------------------------
@@ -157,125 +170,6 @@ class TestCancellationToken:
         with cancellation_scope(token):
             with pytest.raises(OperationCancelledError, match="ambient"):
                 checkpoint_if_cancelled()
-
-
-class TestScatterGatherCancellation:
-    def test_map_completes_normally_with_token(self):
-        gather = ScatterGather(2)
-        try:
-            token = CancellationToken()
-            assert gather.map(lambda x: x * 2, [1, 2, 3], cancel_token=token) == [2, 4, 6]
-        finally:
-            gather.close()
-
-    def test_cancelled_token_aborts_before_dispatch(self):
-        gather = ScatterGather(2)
-        try:
-            token = CancellationToken()
-            token.cancel()
-            calls = []
-            with pytest.raises(OperationCancelledError):
-                gather.map(calls.append, [1, 2, 3], cancel_token=token)
-            assert calls == []
-        finally:
-            gather.close()
-
-    def test_straggler_abandoned_within_poll_interval(self):
-        """A token firing mid-gather unblocks the caller in ~one poll tick."""
-        gather = ScatterGather(2)
-        gate = threading.Event()
-        started = threading.Event()
-        token = CancellationToken()
-
-        def task(item):
-            if item == "slow":
-                started.set()
-                gate.wait(timeout=30.0)
-            return item
-
-        try:
-            def cancel_once_started():
-                started.wait(timeout=30.0)
-                token.cancel("test deadline")
-
-            canceller = threading.Thread(target=cancel_once_started)
-            canceller.start()
-            begin = time.monotonic()
-            with pytest.raises(OperationCancelledError):
-                gather.map(task, ["slow", "fast"], cancel_token=token)
-            elapsed = time.monotonic() - begin
-            canceller.join()
-            # Straggler still parked, yet the gather returned promptly.
-            assert elapsed < 5.0
-            assert not gate.is_set()
-        finally:
-            gate.set()
-            gather.close()
-
-    def test_queued_items_skipped_after_cancel(self):
-        """Entry checkpoints stop a cancelled request's queued sub-tasks."""
-        gather = ScatterGather(1)  # single worker: items run strictly in order
-        gate = threading.Event()
-        started = threading.Event()
-        token = CancellationToken()
-        ran = []
-
-        def task(item):
-            ran.append(item)
-            if item == "first":
-                started.set()
-                gate.wait(timeout=30.0)
-            return item
-
-        try:
-            def cancel_then_release():
-                started.wait(timeout=30.0)
-                token.cancel()
-                gate.set()
-
-            helper = threading.Thread(target=cancel_then_release)
-            helper.start()
-            with pytest.raises(OperationCancelledError):
-                gather.map(task, ["first", "second", "third"], cancel_token=token)
-            helper.join()
-            # The pool worker drained the queue, but entry checkpoints kept
-            # the cancelled request's queued sub-tasks from running.
-            deadline = time.monotonic() + 5.0
-            while gather.map(len, [[1]]) != [1] and time.monotonic() < deadline:
-                pass  # pragma: no cover - pool unblocks almost immediately
-            assert ran == ["first"]
-        finally:
-            gather.close()
-
-    def test_ambient_token_resolved_from_scope(self):
-        gather = ScatterGather(2)
-        try:
-            token = CancellationToken()
-            token.cancel()
-            with cancellation_scope(token):
-                with pytest.raises(OperationCancelledError):
-                    gather.map(lambda x: x, [1, 2])
-        finally:
-            gather.close()
-
-    def test_nested_checkpoints_see_token_on_pool_threads(self):
-        """cancellation_scope is re-installed inside pooled sub-tasks."""
-        gather = ScatterGather(2)
-        try:
-            token = CancellationToken()
-            seen = gather.map(
-                lambda _: current_cancellation_token() is token,
-                [1, 2],
-                cancel_token=token,
-            )
-            assert seen == [True, True]
-        finally:
-            gather.close()
-
-
-# ---------------------------------------------------------------------------
-# 2. Serving primitives
-# ---------------------------------------------------------------------------
 
 
 class TestTokenBucket:
@@ -376,14 +270,11 @@ class TestMetrics:
         registry.increment("admitted")
         registry.increment("admitted")
         registry.observe_queue_wait(0.01)
-        registry.observe_fanout(0.02, 4)
         registry.set_gauge("queue_depth", 3.0)
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"admitted": 2}
         assert snapshot["gauges"] == {"queue_depth": 3.0}
         assert snapshot["queue_wait"]["count"] == 1
-        assert snapshot["shard_fanout"]["count"] == 1
-        assert snapshot["shard_fanout"]["num_shards"] == 4.0
         assert registry.counter("admitted") == 2
         assert registry.counter("never") == 0
 
@@ -428,7 +319,7 @@ class TestServingConfig:
 
 @pytest.fixture()
 def sharded_service(small_corpus) -> RetrievalService:
-    """A fresh 2-shard service (scatter path active) over the shared corpus."""
+    """A fresh 2-shard in-memory service over the shared corpus."""
     service = RetrievalService.from_corpus(
         small_corpus, config=ServiceConfig(num_shards=2)
     )
@@ -495,9 +386,9 @@ class TestDeadlines:
     def _install_straggler(self, service):
         gate = threading.Event()
         started = threading.Event()
-        scorers = service.engine.text_scorer.shard_scorers
-        original = scorers[0]
-        scorers[0] = _BlockingScorer(original, gate, started)
+        original = _swap_scorer(
+            service, lambda scorer: _BlockingScorer(scorer, gate, started)
+        )
         return gate, started, original
 
     def test_running_deadline_cancels_straggler(self, small_corpus, sharded_service):
@@ -562,7 +453,7 @@ class TestDeadlines:
         finally:
             gate.set()
         # Let the abandoned straggler finish before re-querying.
-        service.engine.text_scorer.shard_scorers[0] = original
+        _swap_scorer(service, lambda _: original)
         retry = service.search(
             SearchRequest(user_id="alice", query=query, topic_id=topic.topic_id)
         )
@@ -594,7 +485,7 @@ class TestDeadlines:
                     )
         finally:
             gate.set()
-        service.engine.text_scorer.shard_scorers[0] = original
+        _swap_scorer(service, lambda _: original)
         session = service.adaptive_session(info.session_id)
         refreshed = session.refresh_results()
         # refresh re-runs the last *successful* query, not the aborted one.
@@ -637,132 +528,6 @@ class TestDeadlines:
             gate.set()
 
 
-def _record_scoring_threads(scorers, seen):
-    """Note the thread each shard scores on, leaving ``may_block`` the class's."""
-    for scorer in scorers:
-        def recorded(query_terms, inner=scorer.score):
-            seen.append(threading.current_thread().name)
-            return inner(query_terms)
-
-        scorer.score = recorded
-
-
-def _scatter_pool_threads():
-    return {
-        thread for thread in threading.enumerate() if thread.name.startswith("shard")
-    }
-
-
-class _PassThroughScorer:
-    """A duck-typed wrapper: no ``may_block``, so the scatter must assume it may."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def score(self, query_terms):
-        return self.inner.score(query_terms)
-
-
-class _CancellingScorer:
-    """An in-memory shard that fires the request's token while it scores."""
-
-    may_block = False
-
-    def __init__(self, inner, token):
-        self.inner = inner
-        self.token = token
-
-    def score(self, query_terms):
-        self.token.cancel("between shards")
-        return self.inner.score(query_terms)
-
-
-class TestScatterSelection:
-    """Inline scatter for in-memory shards, the pool for anything else."""
-
-    @pytest.fixture()
-    def service(self, small_corpus):
-        service = RetrievalService.from_corpus(
-            small_corpus, config=ServiceConfig(num_shards=4)
-        )
-        service.open_session("alice", policy="baseline")
-        yield service
-        service.close()
-
-    @staticmethod
-    def _request(small_corpus, index):
-        _topic, query = _topic_query(small_corpus, index)
-        return SearchRequest(user_id="alice", query=query)
-
-    def test_wrapper_selects_pool_and_restoring_goes_back_inline(
-        self, small_corpus, service
-    ):
-        scorers = service.engine.text_scorer.shard_scorers
-        seen = []
-        _record_scoring_threads(scorers, seen)
-        here = threading.current_thread().name
-        before = _scatter_pool_threads()
-
-        assert service.search(self._request(small_corpus, 0)).hits
-        assert seen == [here] * 4
-        assert _scatter_pool_threads() == before  # no scatter-pool thread was started
-
-        original, seen[:] = scorers[2], []
-        scorers[2] = _PassThroughScorer(original)
-        assert service.search(self._request(small_corpus, 1)).hits
-        assert len(seen) == 4 and all(name.startswith("shard") for name in seen)
-        assert _scatter_pool_threads() > before
-
-        scorers[2], seen[:] = original, []
-        assert service.search(self._request(small_corpus, 2)).hits
-        assert seen == [here] * 4
-
-    def test_deadline_abandons_blocked_wrapper_within_a_poll(
-        self, small_corpus, service
-    ):
-        gate, started = threading.Event(), threading.Event()
-        scorers = service.engine.text_scorer.shard_scorers
-        scorers[0] = _BlockingScorer(scorers[0], gate, started)
-        try:
-            with ServingFrontend(service) as frontend:
-
-                async def scenario():
-                    with pytest.raises(DeadlineExceededError) as excinfo:
-                        await frontend.search(
-                            self._request(small_corpus, 0), deadline_seconds=0.2
-                        )
-                    assert excinfo.value.stage == "running"
-                    # The shard is still parked on the gate; only the pool's
-                    # token poll lets the worker unwind and pay its slot back.
-                    fired = time.monotonic()
-                    while frontend.metrics_snapshot()["gauges"]["in_flight"]:
-                        assert time.monotonic() - fired < 1.0
-                        await asyncio.sleep(0.005)
-                    return time.monotonic() - fired
-
-                unwound_after = asyncio.run(scenario())
-                assert started.is_set() and not gate.is_set()
-                assert unwound_after < 0.25
-        finally:
-            gate.set()
-
-    def test_token_cancelled_between_inline_shards_stops_the_scatter(
-        self, small_corpus, service
-    ):
-        token = CancellationToken()
-        scorers = service.engine.text_scorer.shard_scorers
-        scorers[0] = _CancellingScorer(scorers[0], token)
-        later_shards = []
-        _record_scoring_threads(scorers[1:], later_shards)
-        with cancellation_scope(token):
-            with pytest.raises(OperationCancelledError, match="between shards"):
-                service.search(self._request(small_corpus, 0))
-        assert later_shards == []
-        assert service.engine.result_cache_stats()["entries"] == 0
-        (info,) = service.list_sessions("alice")
-        assert info.iteration_count == 0
-
-
 # -- where the frontend evaluates a request -------------------------------------
 
 #: Registry name of :class:`_RecordingScorer` over BM25 (see the fixture).
@@ -783,8 +548,18 @@ class _RecordingScorer:
         return self.inner.score(query_terms)
 
 
+class _PassThroughScorer:
+    """A duck-typed wrapper: no ``may_block``, so the frontend must assume it may."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def score(self, query_terms):
+        return self.inner.score(query_terms)
+
+
 class _ClockAdvancingScorer:
-    """An in-memory shard whose scoring takes ``seconds`` of a fake clock."""
+    """An in-memory scorer whose scoring takes ``seconds`` of a fake clock."""
 
     may_block = False
 
@@ -799,12 +574,12 @@ class _ClockAdvancingScorer:
 
 
 class _FailingScorer:
-    """An in-memory shard that raises."""
+    """An in-memory scorer that raises."""
 
     may_block = False
 
     def score(self, query_terms):
-        raise RuntimeError("shard exploded")
+        raise RuntimeError("scorer exploded")
 
 
 @pytest.fixture()
@@ -883,17 +658,19 @@ def _check_durable_service_uses_the_pool(corpus, tmp_path):
         service.close()
 
 
-def _check_duck_typed_shard_uses_the_pool(corpus):
-    """A shard past the first that may block sends the next request to the pool."""
+def _check_duck_typed_scorer_uses_the_pool(corpus):
+    """A scorer that may block sends the next request to the pool."""
     service = _in_memory_service(corpus)
     try:
         here = threading.current_thread().name
-        scorers = service.engine.text_scorer.shard_scorers
-        original = scorers[2]
+        original = service.engine._text_scorer
         seen = _record_facade_threads(service)
         with ServingFrontend(service) as frontend:
             for index, wrapped in enumerate((False, True, False)):
-                scorers[2] = _PassThroughScorer(original) if wrapped else original
+                _swap_scorer(
+                    service,
+                    lambda _: _PassThroughScorer(original) if wrapped else original,
+                )
                 _, query = _topic_query(corpus, index)
                 seen.clear()
                 assert asyncio.run(
@@ -909,20 +686,18 @@ def _check_inline_failure_pays_back(corpus):
     """A scorer exception on the inline path: counted, slot and quota paid back."""
     _topic, query = _topic_query(corpus)
     service = _in_memory_service(corpus)
-    scorers = service.engine.text_scorer.shard_scorers
-    original = scorers[1]
-    scorers[1] = _FailingScorer()
+    original = _swap_scorer(service, lambda _: _FailingScorer())
     config = ServingConfig(
         max_concurrency=1, default_quota=TenantQuota(max_in_flight=1)
     )
     try:
         with ServingFrontend(service, config) as frontend:
             error = _outcome(frontend.search(SearchRequest(user_id="alice", query=query)))
-            assert isinstance(error, RuntimeError) and "shard exploded" in str(error)
+            assert isinstance(error, RuntimeError) and "scorer exploded" in str(error)
             snapshot = frontend.metrics_snapshot()
             assert snapshot["counters"]["errors"] == 1
             assert snapshot["gauges"]["in_flight"] == 0.0
-            scorers[1] = original
+            _swap_scorer(service, lambda _: original)
             # The one slot and alice's one in-flight allowance are free again:
             # a leaked slot would time out queued, a leaked quota be refused.
             retry = _outcome(
@@ -985,13 +760,13 @@ class TestEvaluationPath:
                 _search_then_feedback(frontend, query, deadline_seconds=30.0)
                 counters = frontend.metrics.snapshot()["counters"]
             assert facade == [here, here]
-            assert recording_scorer == [here] * num_shards
+            assert recording_scorer == [here]  # one scorer, whatever num_shards
             assert not _serve_threads() - before
             assert counters["completed"] == 2 and "deadline_running" not in counters
         finally:
             service.close()
 
-    def test_may_block_reads_durability_and_every_shard(self, small_corpus, tmp_path):
+    def test_may_block_reads_durability_and_the_scorer(self, small_corpus, tmp_path):
         monolithic = RetrievalService.from_corpus(small_corpus)
         sharded = _in_memory_service(small_corpus)
         durable = RetrievalService.from_corpus(
@@ -1002,14 +777,10 @@ class TestEvaluationPath:
             assert not monolithic.engine.may_block
             assert not sharded.engine.may_block
             assert durable.engine.may_block
-            assert not durable.engine.text_scorer.may_block
-            scorers = sharded.engine.text_scorer.shard_scorers
-            for index in range(len(scorers)):
-                original = scorers[index]
-                scorers[index] = _PassThroughScorer(original)
-                assert sharded.engine.text_scorer.may_block
-                assert sharded.engine.may_block
-                scorers[index] = original
+            assert not durable.engine._text_scorer.may_block
+            original = _swap_scorer(sharded, _PassThroughScorer)
+            assert sharded.engine.may_block
+            _swap_scorer(sharded, lambda _: original)
             assert not sharded.engine.may_block
         finally:
             for service in (monolithic, sharded, durable):
@@ -1018,17 +789,14 @@ class TestEvaluationPath:
     def test_durable_service_uses_the_pool(self, small_corpus, tmp_path):
         _check_durable_service_uses_the_pool(small_corpus, tmp_path)
 
-    def test_duck_typed_shard_uses_the_pool_until_restored(self, small_corpus):
-        _check_duck_typed_shard_uses_the_pool(small_corpus)
+    def test_duck_typed_scorer_uses_the_pool_until_restored(self, small_corpus):
+        _check_duck_typed_scorer_uses_the_pool(small_corpus)
 
     def test_inline_deadline_fires_at_an_engine_checkpoint(self, small_corpus):
         _topic, query = _topic_query(small_corpus)
         service = _in_memory_service(small_corpus)
         clock = _FakeClock()
-        scorers = service.engine.text_scorer.shard_scorers
-        scorers[0] = _ClockAdvancingScorer(scorers[0], clock, 5.0)
-        later_shards = []
-        _record_scoring_threads(scorers[1:], later_shards)
+        _swap_scorer(service, lambda scorer: _ClockAdvancingScorer(scorer, clock, 5.0))
         config = ServingConfig(default_quota=TenantQuota(max_in_flight=1))
         try:
             with ServingFrontend(service, config, clock=clock) as frontend:
@@ -1040,7 +808,6 @@ class TestEvaluationPath:
                 assert isinstance(error, DeadlineExceededError)
                 assert error.stage == "running"
                 assert "cancelled at checkpoint" in str(error)
-                assert later_shards == []  # the checkpoint before shard 1 fired
                 snapshot = frontend.metrics_snapshot()
                 assert snapshot["counters"]["deadline_running"] == 1
                 assert snapshot["gauges"]["in_flight"] == 0.0
@@ -1076,10 +843,10 @@ class TestEvaluationPath:
                 "durable", id="predicate-ignores-durability",
             ),
             pytest.param(
-                ShardedTextScorer, "may_block",
-                'any(getattr(scorer, "may_block", True) for scorer in self._scorers)',
-                'getattr(self._scorers[0], "may_block", True)',
-                "shard", id="first-shard-only",
+                VideoRetrievalEngine, "may_block",
+                'self._text_scorer, "may_block", True',
+                'self._text_scorer, "may_block", False',
+                "scorer", id="duck-typed-scorer-counts-as-in-memory",
             ),
             pytest.param(
                 ServingFrontend, "_serve",
@@ -1102,7 +869,7 @@ class TestEvaluationPath:
         checks = {
             "failure": lambda: _check_inline_failure_pays_back(small_corpus),
             "durable": lambda: _check_durable_service_uses_the_pool(small_corpus, tmp_path),
-            "shard": lambda: _check_duck_typed_shard_uses_the_pool(small_corpus),
+            "scorer": lambda: _check_duck_typed_scorer_uses_the_pool(small_corpus),
             "deadline": lambda: _check_post_deadline_result_is_refused(small_corpus),
         }
         with pytest.raises(AssertionError):
@@ -1209,8 +976,7 @@ class TestAdmission:
     def _straggler(self, service):
         gate = threading.Event()
         started = threading.Event()
-        scorers = service.engine.text_scorer.shard_scorers
-        scorers[0] = _BlockingScorer(scorers[0], gate, started)
+        _swap_scorer(service, lambda scorer: _BlockingScorer(scorer, gate, started))
         return gate, started, None
 
     def test_quota_rejection_is_typed_and_counted(self, small_corpus):
@@ -1348,7 +1114,7 @@ class TestEvictionCancellationRace:
     ):
         """Satellite: a victim cancelled mid-search must not deadlock or leak.
 
-        Session A's in-flight search blocks on a straggler shard while two
+        Session A's in-flight search blocks on a straggler scorer while two
         new sessions overflow the pool (capacity 2) and evict A.  Eviction
         must wait for A's request, the deadline must unwind that request
         promptly (freeing A's lock), and afterwards A is cleanly expired
@@ -1361,9 +1127,7 @@ class TestEvictionCancellationRace:
         info_a = service.open_session("alice", topic_id=topic.topic_id)
         gate = threading.Event()
         started = threading.Event()
-        scorers = service.engine.text_scorer.shard_scorers
-        original = scorers[0]
-        scorers[0] = _BlockingScorer(original, gate, started)
+        _swap_scorer(service, lambda scorer: _BlockingScorer(scorer, gate, started))
 
         eviction_done = threading.Event()
 
@@ -1440,7 +1204,7 @@ class TestDriverServeMode:
         assert served.extras["serving_drained"] is True
         metrics = served.extras["serving_metrics"]
         assert metrics["counters"]["completed"] == metrics["counters"]["admitted"]
-        assert metrics["shard_fanout"]["count"] > 0
+        assert "shard_fanout" not in metrics
 
     def test_failed_requests_stay_out_of_canonical_log(self, small_corpus):
         spec = WorkloadSpec(seed=5, users=2, queries_per_user=2)
@@ -1514,7 +1278,7 @@ class TestServeCli:
         assert "endpoint latency:" in text
         assert "search" in text and "p99=" in text
         assert "queue-wait" in text
-        assert "shard-fanout" in text
+        assert "shard-fanout" not in text
         assert "counters:" in text and "completed=" in text
         assert "result cache:" in text and "hit rate" in text
 

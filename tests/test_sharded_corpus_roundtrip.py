@@ -84,8 +84,8 @@ class TestShardedCorpusRoundTrip:
         self, sharding_corpus, reloaded_corpus, make_random_queries
     ):
         # The reloaded corpus must not only match the original per shard
-        # count — it must itself still satisfy the scatter-gather
-        # contract: monolithic vs sharded over the *reloaded* collection.
+        # count — 1 and 4 shards must still rank alike over the *reloaded*
+        # collection.
         queries = make_random_queries(sharding_corpus, seed=990, count=12)
         mono = _service(reloaded_corpus.collection, 1)
         sharded = _service(reloaded_corpus.collection, 4)

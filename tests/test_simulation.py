@@ -3,10 +3,12 @@ populations and log replay."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core import baseline_policy, implicit_only_policy
-from repro.evaluation import make_interface
+from repro.evaluation import ExperimentCondition, ExperimentRunner, make_interface
 from repro.feedback import EventKind
 from repro.simulation import (
     DriftingQueryStrategy,
@@ -251,6 +253,47 @@ class TestPopulation:
         assignment = assign_topics(members, small_corpus.topics, topics_per_user=2, seed=4)
         assert set(assignment) == {member.user.user_id for member in members}
         assert all(len(topics) == 2 for topics in assignment.values())
+
+    def test_more_topics_than_the_corpus_has_is_refused_promptly(self, small_corpus):
+        # It used to draw distinct topics forever; a daemon thread bounds
+        # the wall clock so a regression fails instead of hanging.
+        topics = small_corpus.topics
+        members = generate_population(2, seed=3, topics=topics)
+        outcome = {}
+
+        def assign():
+            try:
+                assign_topics(members, topics, topics_per_user=len(topics) + 1, seed=4)
+            except ValueError as error:
+                outcome["error"] = str(error)
+
+        thread = threading.Thread(target=assign, daemon=True)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert outcome["error"] == (
+            f"topics_per_user={len(topics) + 1} exceeds the {len(topics)} topics available"
+        )
+        assignment = assign_topics(members, topics, topics_per_user=len(topics), seed=4)
+        assert all(
+            len({topic.topic_id for topic in chosen}) == len(topics)
+            for chosen in assignment.values()
+        )
+
+    def test_experiment_condition_is_checked_against_the_corpus(self, small_corpus):
+        runner = ExperimentRunner(small_corpus)
+        too_many = len(small_corpus.topics) + 1
+        condition = ExperimentCondition("wide", user_count=1, topics_per_user=too_many)
+        message = (
+            f"condition 'wide': topics_per_user={too_many} exceeds the "
+            f"corpus's {len(small_corpus.topics)} topics"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            runner.run_condition(condition)
+        assert str(excinfo.value) == message
+        fine = ExperimentCondition("fine", user_count=1, topics_per_user=1)
+        with pytest.raises(ValueError):
+            runner.run_conditions([fine, condition])
 
     def test_assign_topics_prefers_profile_category(self, small_corpus):
         members = generate_population(8, seed=3, topics=small_corpus.topics)

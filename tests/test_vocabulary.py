@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.collection import vocabulary as vocabulary_module
 from repro.collection.vocabulary import (
     DEFAULT_CATEGORIES,
     STOPWORDS,
@@ -130,6 +133,26 @@ class TestBuildVocabulary:
             extra_terms=["specialterm"], extra_weight=0.5,
         )
         assert "specialterm" in words
+
+    def test_exhausted_category_draws_raise_instead_of_spinning(self, monkeypatch):
+        # Every draw repeats the background's terms, so no category can get
+        # a term of its own: the bounded loop gives up in one line.
+        real = vocabulary_module.generate_term_set
+        first_draw = []
+
+        def repeating(rng, size):
+            if not first_draw:
+                first_draw.extend(real(rng, size))
+            return first_draw[:size]
+
+        monkeypatch.setattr(vocabulary_module, "generate_term_set", repeating)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="no other category uses"):
+            build_vocabulary(
+                RandomSource(3).spawn("v"), categories=("sports",),
+                terms_per_category=5, background_terms=20,
+            )
+        assert time.monotonic() - started < 5.0
 
     def test_all_terms_contains_everything(self, vocabulary):
         all_terms = set(vocabulary.all_terms())

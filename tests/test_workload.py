@@ -222,7 +222,7 @@ class TestShardedWorkloadEquivalence:
 
     The canonical event log records query texts, iteration counts, feedback
     event kinds and the top ranked ``(shot_id, score)`` pairs — so digest
-    equality means the sharded scatter-gather serving path reproduced every
+    equality means a service configured with shard segments reproduced every
     adapted ranking of the single-engine path bit for bit, across the whole
     search/feedback/close lifecycle.
     """
