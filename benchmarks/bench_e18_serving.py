@@ -175,7 +175,7 @@ def _assert_digest_equivalence(corpus, users: int = 4) -> None:
         return _sharded_service(corpus)
 
     direct = ServiceLoadDriver(factory, max_workers=4).run(spec)
-    served = ServiceLoadDriver(factory, serve=True).run(spec)
+    served = ServiceLoadDriver(factory, serving=ServingConfig()).run(spec)
     assert direct.digest() == served.digest(), (
         f"serving edge diverged from the direct driver: "
         f"{served.digest()} != {direct.digest()}"

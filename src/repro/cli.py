@@ -41,6 +41,7 @@ experiment runner share.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -96,6 +97,10 @@ def _names(text: str) -> List[str]:
 
 _POSITIVE = _checked(int, lambda value: value > 0, "must be positive")
 _NON_NEGATIVE = _checked(int, lambda value: value >= 0, "must be non-negative")
+_SECONDS = _checked(
+    float, lambda value: value >= 0 and math.isfinite(value),
+    "must be non-negative and finite",
+)
 _POLICY_NAMES = _checked(_names, bool, "must name at least one policy")
 
 
@@ -169,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "steps per search (exercises the adaptation fast path)")
     loadtest.add_argument("--feedback-per-query", type=_POSITIVE, default=None,
                           help="feedback steps per search step (overrides --mix)")
-    loadtest.add_argument("--shards", type=int, default=1,
+    loadtest.add_argument("--shards", type=_POSITIVE, default=1,
                           help="segments a --durable directory's WAL and snapshot "
                                "deltas are split into (the in-memory engine is the "
                                "same for every count)")
@@ -188,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-request deadline for --serve; timed-out requests "
                                "are cancelled cooperatively and kept out of the "
                                "canonical log (implies --serve)")
-    loadtest.add_argument("--serve-concurrency", type=int, default=4,
+    loadtest.add_argument("--serve-concurrency", type=_POSITIVE, default=4,
                           help="concurrent evaluation slots of the serving edge "
                                "(default: 4)")
     loadtest.add_argument("--serve-stats", action="store_true",
@@ -207,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--ingest-ops", type=_NON_NEGATIVE, default=0,
                           help="deterministic synthetic index writes (docs and "
                                "shots) applied before the workload phase")
-    loadtest.add_argument("--ingest-pause", type=float, default=0.0,
+    loadtest.add_argument("--ingest-pause", type=_SECONDS, default=0.0,
                           help="seconds to sleep between ingest ops (stretches "
                                "the crash window for the recovery smoke)")
-    loadtest.add_argument("--replicas", type=int, default=0, metavar="N",
+    loadtest.add_argument("--replicas", type=_NON_NEGATIVE, default=0, metavar="N",
                           help="attach N WAL-shipping read replicas to the "
                                "--durable directory and run the replicated "
                                "ingest loadtest (reads fan out across the "
@@ -222,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "a primary kill and a failover promotion, with "
                                "the kill-anywhere ingest oracle proving digest "
                                "equality (requires --replicas)")
-    loadtest.add_argument("--mix-epochs", type=int, default=0, metavar="N",
+    loadtest.add_argument("--mix-epochs", type=_NON_NEGATIVE, default=0, metavar="N",
                           help="run the continuous-ingest mix instead of the "
                                "user workload: N epochs of interleaved "
                                "ingest/delete/update/feedback mutations with "
@@ -243,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--mix-compact-every", type=int, default=3, metavar="N",
                           help="compact tombstones after every Nth mix epoch "
                                "(0 disables; default: 3)")
-    loadtest.add_argument("--mix-stop-lsn", type=int, default=None, metavar="N",
+    loadtest.add_argument("--mix-stop-lsn", type=_NON_NEGATIVE, default=None, metavar="N",
                           help="stop applying durable mix ops once the WAL "
                                "reaches lsn N (the clean-prefix arm of the "
                                "SIGKILL oracle; requires --durable)")
@@ -475,9 +480,6 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards < 1:
-        print(f"--shards must be positive, got {args.shards}", file=sys.stderr)
-        return 2
     if args.durable and args.verify:
         print(
             "--verify re-runs the workload against a fresh service, which a "
@@ -492,12 +494,6 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    if args.serve_concurrency < 1:
-        print(
-            f"--serve-concurrency must be positive, got {args.serve_concurrency}",
-            file=sys.stderr,
-        )
-        return 2
     if args.durable:
         durable_path = Path(args.durable)
         if durable_path.exists() and not durable_path.is_dir():
@@ -507,14 +503,8 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.replicas < 0:
-        print(f"--replicas must be non-negative, got {args.replicas}", file=sys.stderr)
-        return 2
     if args.chaos and not args.replicas:
         print("--chaos requires --replicas (it faults the replica set)", file=sys.stderr)
-        return 2
-    if args.mix_epochs < 0:
-        print(f"--mix-epochs must be non-negative, got {args.mix_epochs}", file=sys.stderr)
         return 2
     if args.mix_epochs:
         if args.replicas or serve or args.verify or args.ingest_ops:
@@ -532,6 +522,13 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
                 file=sys.stderr,
             )
             return 2
+    elif args.mix_log is not None or args.mix_stop_lsn is not None:
+        print(
+            "--mix-log and --mix-stop-lsn require --mix-epochs: they belong "
+            "to the continuous-ingest mix",
+            file=sys.stderr,
+        )
+        return 2
     if args.replicas:
         if not args.durable:
             print(
@@ -552,6 +549,13 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
                 "--replicas and --serve are mutually exclusive: the "
                 "replicated loadtest routes reads itself (--serve-stats "
                 "still prints its metrics snapshot)",
+                file=sys.stderr,
+            )
+            return 2
+        if args.log is not None:
+            print(
+                "--replicas and --log are mutually exclusive: the replicated "
+                "loadtest runs no user workload to log",
                 file=sys.stderr,
             )
             return 2
@@ -587,18 +591,15 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
         policy=args.policy,
         seed=args.seed,
     )
-    serving_config = None
+    serving = None
     if serve:
         from repro.serving import ServingConfig
 
-        serving_config = ServingConfig(max_concurrency=args.serve_concurrency)
-    driver = ServiceLoadDriver(
-        factory,
-        max_workers=args.workers,
-        serve=serve,
-        serving_config=serving_config,
-        deadline_seconds=args.serve_deadline,
-    )
+        serving = ServingConfig(
+            max_concurrency=args.serve_concurrency,
+            default_deadline_seconds=args.serve_deadline,
+        )
+    driver = ServiceLoadDriver(factory, max_workers=args.workers, serving=serving)
 
     prelude = epilogue = None
     if args.durable or args.ingest_ops:

@@ -32,7 +32,7 @@ from repro.replication.errors import (
 from repro.replication.router import ReplicatedService
 from repro.service.config import ServiceConfig
 from repro.service.service import RetrievalService
-from repro.serving.metrics import MetricsRegistry
+from repro.serving.metrics import MetricsRegistry, _exact_quantile
 from repro.utils.serialization import PathLike
 from repro.workload.ingest import (
     IngestOp,
@@ -87,9 +87,15 @@ class ChaosSchedule:
         ``kill_primary`` is set the primary dies past the midpoint and a
         promotion follows a few ops later, leaving a window where writes
         fail — the oracle replays only the acknowledged survivors.
+
+        Every event lands in ``[0, total_ops)``: one that would fall past
+        the last op fires before it instead.  Events at one op fire in plan
+        order, so a restart never precedes its kill nor a promotion the
+        primary's kill.
         """
         if total_ops <= 0:
             raise ValueError(f"total_ops must be positive, got {total_ops}")
+        last = total_ops - 1
         events: List[ChaosEvent] = []
         third = max(1, total_ops // 3)
         for index, replica_id in enumerate(replica_ids):
@@ -97,31 +103,21 @@ class ChaosSchedule:
             restart_at = kill_at + 1 + _mix(seed, 13, index) % max(
                 1, total_ops // 4
             )
-            events.append(ChaosEvent(kill_at, "kill_replica", replica_id))
+            events.append(ChaosEvent(min(kill_at, last), "kill_replica", replica_id))
             events.append(
-                ChaosEvent(min(restart_at, total_ops - 1), "restart_replica", replica_id)
+                ChaosEvent(min(restart_at, last), "restart_replica", replica_id)
             )
         if kill_primary:
             kill_at = total_ops // 2 + _mix(seed, 17) % max(1, total_ops // 5)
             promote_at = kill_at + 1 + _mix(seed, 19) % max(1, total_ops // 10)
-            events.append(ChaosEvent(min(kill_at, total_ops - 1), "kill_primary"))
-            events.append(ChaosEvent(min(promote_at, total_ops - 1), "promote"))
+            events.append(ChaosEvent(min(kill_at, last), "kill_primary"))
+            events.append(ChaosEvent(min(promote_at, last), "promote"))
         indexed = sorted(enumerate(events), key=lambda pair: (pair[1].at_op, pair[0]))
         return cls(events=tuple(event for _, event in indexed))
 
     def events_at(self, op_index: int) -> List[ChaosEvent]:
         """The events scheduled to fire before this op, in plan order."""
         return [event for event in self.events if event.at_op == op_index]
-
-
-def _quantile(sorted_values: List[float], quantile: float) -> float:
-    if not sorted_values:
-        return 0.0
-    rank = quantile * (len(sorted_values) - 1)
-    low = int(rank)
-    high = min(low + 1, len(sorted_values) - 1)
-    fraction = rank - low
-    return sorted_values[low] * (1.0 - fraction) + sorted_values[high] * fraction
 
 
 def _lag_summary(samples: List[float]) -> Dict[str, float]:
@@ -132,7 +128,7 @@ def _lag_summary(samples: List[float]) -> Dict[str, float]:
         "count": float(len(samples)),
         "min": ordered[0],
         "mean": sum(ordered) / len(ordered),
-        "p95": _quantile(ordered, 0.95),
+        "p95": _exact_quantile(ordered, 0.95),
         "max": ordered[-1],
     }
 
@@ -188,6 +184,17 @@ def run_replicated_loadtest(
     reads_ok = 0
     reads_failed = 0
     lag_samples: Dict[str, List[float]] = {}
+
+    def fire(event: ChaosEvent) -> None:
+        report["chaos_events"].append(
+            {
+                "at_op": event.at_op,
+                "action": event.action,
+                "target": event.target,
+                "outcome": _fire_event(service, event, promotions),
+            }
+        )
+
     try:
         for index in range(num_replicas):
             service.add_replica(f"replica-{index + 1}")
@@ -200,15 +207,7 @@ def run_replicated_loadtest(
         for op_index, op in enumerate(ops):
             if chaos is not None:
                 for event in chaos.events_at(op_index):
-                    outcome = _fire_event(service, event, promotions)
-                    report["chaos_events"].append(
-                        {
-                            "at_op": event.at_op,
-                            "action": event.action,
-                            "target": event.target,
-                            "outcome": outcome,
-                        }
-                    )
+                    fire(event)
             try:
                 apply_ingest(service, [op])
                 acked.append(op_index)
@@ -228,17 +227,7 @@ def run_replicated_loadtest(
                 except (NoReplicaAvailableError, PrimaryUnavailableError):
                     reads_failed += 1
         if not service.primary_alive:
-            outcome = _fire_event(
-                service, ChaosEvent(ingest_ops - 1, "promote"), promotions
-            )
-            report["chaos_events"].append(
-                {
-                    "at_op": ingest_ops,
-                    "action": "promote",
-                    "target": None,
-                    "outcome": outcome,
-                }
-            )
+            fire(ChaosEvent(ingest_ops, "promote"))
         report["promotions"] = promotions
         final_lsn = service.primary_lsn()
         for replica_id in service.replica_ids:

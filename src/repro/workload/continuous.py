@@ -3,16 +3,21 @@
 The mix interleaves the four op families a long-lived news archive sees —
 **ingest** (new documents and shots), **delete** (retention expiry),
 **update** (corrected transcripts) and **feedback** (session events) —
-with concurrent ranked searches, in a stream that is a pure function of
-``(seed, spec)``.  The schedule is epoch-barriered:
+with concurrent ranked searches, in one stream of steps that is a pure
+function of ``(spec, feature_dim)`` (:func:`mix_stream`).  Its mutation
+steps are ingest op tuples from :mod:`repro.workload.ingest`'s
+synthesisers, applied by the one applier,
+:func:`~repro.workload.ingest.apply_ingest`; the stream itself keeps the
+ids the mix created, which are the only victims of its deletes and
+updates.  The schedule is epoch-barriered:
 
-- Each epoch first applies its mutation slots *sequentially* (every one
+- Each epoch first applies its mutation steps *sequentially* (every one
   is a WAL append and a kill point on a durable service), then runs its
-  search slots *concurrently* on a thread pool, then submits its
-  feedback batches sequentially.  Because no mutation races a search,
-  every search observes exactly the epoch-boundary corpus, so the
-  canonical record of every op is independent of ``search_workers`` —
-  running the mix with 1 or 16 threads produces byte-identical logs.
+  searches *concurrently* on a thread pool, then submits its feedback
+  batches sequentially.  Because no mutation races a search, every
+  search observes exactly the epoch-boundary corpus, so the canonical
+  record of every op is independent of ``search_workers`` — running the
+  mix with 1 or 16 threads produces byte-identical logs.
 - After every ``compact_every``-th epoch the service compacts its
   tombstones.  Compaction is deliberately *absent* from the state the
   digest pins (the canonical digest is hole-insensitive and rankings are
@@ -20,7 +25,7 @@ with concurrent ranked searches, in a stream that is a pure function of
   contract this mix exercises end to end.
 
 Durable-prefix oracle: on a durable service every mutation and feedback
-op appends exactly one WAL record, sequentially, so the op stream maps
+step appends exactly one WAL record, sequentially, so the stream maps
 1:1 onto the LSN sequence past the bootstrap watermark.  ``stop_lsn``
 replays the stream only until the service's WAL reaches that LSN — a
 clean run told to stop at a crashed run's recovered ``applied_lsn``
@@ -30,23 +35,46 @@ this).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.feedback.events import EventKind, InteractionEvent
 from repro.service.types import FeedbackBatch
-from repro.utils.validation import ensure_positive
-from repro.workload.ingest import _CONCEPTS, _VOCAB, _mix
-
-PathLike = Union[str, Path]
+from repro.utils.serialization import canonical_json
+from repro.utils.validation import ensure_number, ensure_positive, ensure_probability
+from repro.workload.ingest import (
+    _VOCAB,
+    IngestOp,
+    _draws,
+    _mix,
+    apply_ingest,
+    service_feature_dim,
+    synthetic_shot,
+    synthetic_text,
+)
+from repro.workload.log import CanonicalLog
 
 #: Ranked hits each search record pins (ids and exact scores).
 _RECORDED_HITS = 5
+
+#: The log's name for each step that appends one WAL record.
+_RECORDED_AS = {
+    "doc": "ingest-doc",
+    "shot": "ingest-shot",
+    "del": "del-doc",
+    "delshot": "del-shot",
+    "upd": "upd",
+    "feedback": "feedback",
+}
+
+#: :attr:`ContinuousMixResult.counts` keys: records per op, and tombstones
+#: reclaimed by compaction.
+_COUNTED = (
+    "ingest-doc", "ingest-shot", "del-doc", "del-shot", "upd",
+    "search", "feedback", "compact", "reclaimed",
+)
 
 
 @dataclass(frozen=True)
@@ -67,26 +95,10 @@ class ContinuousMixSpec:
         ensure_positive(self.epochs, "epochs")
         ensure_positive(self.mutations_per_epoch, "mutations_per_epoch")
         ensure_positive(self.search_workers, "search_workers")
-        if self.searches_per_epoch < 0:
-            raise ValueError(
-                f"searches_per_epoch must be non-negative, got "
-                f"{self.searches_per_epoch}"
-            )
-        if self.feedback_per_epoch < 0:
-            raise ValueError(
-                f"feedback_per_epoch must be non-negative, got "
-                f"{self.feedback_per_epoch}"
-            )
-        if self.compact_every < 0:
-            raise ValueError(
-                f"compact_every must be non-negative, got {self.compact_every}"
-            )
-        for name, value in (
-            ("delete_ratio", self.delete_ratio),
-            ("update_ratio", self.update_ratio),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        for name in ("searches_per_epoch", "feedback_per_epoch", "compact_every"):
+            ensure_number(getattr(self, name), name, integer=True)
+        ensure_probability(self.delete_ratio, "delete_ratio")
+        ensure_probability(self.update_ratio, "update_ratio")
         if self.delete_ratio + self.update_ratio > 1.0:
             raise ValueError(
                 "delete_ratio + update_ratio must not exceed 1 (the rest "
@@ -95,7 +107,7 @@ class ContinuousMixSpec:
 
 
 @dataclass
-class ContinuousMixResult:
+class ContinuousMixResult(CanonicalLog):
     """Outcome of one mix run: canonical op log + final state digest."""
 
     spec: ContinuousMixSpec
@@ -108,256 +120,97 @@ class ContinuousMixResult:
 
     def canonical_lines(self) -> List[str]:
         """Canonical op log as JSON lines, final line the state digest."""
-        lines = [
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-            for record in self.records
+        return super().canonical_lines() + [
+            canonical_json({"state_digest": self.state_digest})
         ]
-        lines.append(
-            json.dumps(
-                {"state_digest": self.state_digest},
-                sort_keys=True,
-                separators=(",", ":"),
+
+
+def mix_stream(
+    spec: ContinuousMixSpec, feature_dim: int
+) -> Iterator[Tuple[int, Tuple]]:
+    """The mix's steps in order, each as ``(epoch, step)``.
+
+    A step is an ingest op tuple, ``("search", queries)``,
+    ``("feedback", shot_id)`` (``shot_id`` is None while the mix has no
+    live shot) or ``("compact",)``.  Deletes and updates only ever pick
+    ids an earlier step of the stream created, so the mix composes with
+    any pre-indexed corpus without touching it.
+    """
+    seed = spec.seed
+    live_docs: List[str] = []
+    live_shots: List[str] = []
+    for epoch in range(spec.epochs):
+        for slot in range(spec.mutations_per_epoch):
+            yield epoch, _mutation(
+                spec, feature_dim, epoch, slot, live_docs, live_shots
             )
-        )
-        return lines
-
-    def canonical_log(self) -> str:
-        """The canonical op log as one string (trailing newline)."""
-        return "\n".join(self.canonical_lines()) + "\n"
-
-    def digest(self) -> str:
-        """SHA-256 hex digest of the canonical op log."""
-        return hashlib.sha256(self.canonical_log().encode("utf-8")).hexdigest()
-
-    def write_log(self, path: PathLike) -> Path:
-        """Write the canonical op log to a file and return its path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.canonical_log(), encoding="utf-8")
-        return path
-
-
-def _mix_text(seed: int, epoch: int, slot: int, salt: int) -> str:
-    words = [
-        _VOCAB[_mix(seed, salt, epoch, slot, position) % len(_VOCAB)]
-        for position in range(5 + _mix(seed, salt, epoch, slot) % 5)
-    ]
-    return " ".join(words)
+        if spec.searches_per_epoch:
+            queries = [
+                " ".join(
+                    _VOCAB[h % len(_VOCAB)]
+                    for h in _draws(seed, (23, epoch, slot, 0), 2)
+                )
+                for slot in range(spec.searches_per_epoch)
+            ]
+            yield epoch, ("search", queries)
+        for slot in range(spec.feedback_per_epoch):
+            shot_id = None
+            if live_shots:
+                shot_id = sorted(live_shots)[
+                    _mix(seed, 61, epoch, slot) % len(live_shots)
+                ]
+            yield epoch, ("feedback", shot_id)
+        if spec.compact_every and (epoch + 1) % spec.compact_every == 0:
+            yield epoch, ("compact",)
 
 
-def _mix_query(seed: int, epoch: int, slot: int) -> str:
-    return " ".join(
-        _VOCAB[_mix(seed, 23, epoch, slot, position) % len(_VOCAB)]
-        for position in range(2)
+def _mutation(
+    spec: ContinuousMixSpec,
+    feature_dim: int,
+    epoch: int,
+    slot: int,
+    live_docs: List[str],
+    live_shots: List[str],
+) -> IngestOp:
+    """One mutation slot's op; keeps the live-id lists in step with it."""
+    seed = spec.seed
+    delete_bound = int(spec.delete_ratio * 1000)
+    update_bound = delete_bound + int(spec.update_ratio * 1000)
+    roll = _mix(seed, 11, epoch, slot) % 1000
+    if roll < delete_bound and (live_docs or live_shots):
+        # High bits: _mix's low bit is visibly biased for some salts.
+        kind_roll = (_mix(seed, 29, epoch, slot) >> 8) % 2
+        docs = bool(live_docs) and (not live_shots or kind_roll == 0)
+        victims = live_docs if docs else live_shots
+        victim = victims.pop(_mix(seed, 31, epoch, slot) % len(victims))
+        return ("del" if docs else "delshot", victim)
+    if roll < update_bound and live_docs:
+        victim = live_docs[_mix(seed, 37, epoch, slot) % len(live_docs)]
+        return ("upd", victim, synthetic_text(seed, (41, epoch, slot), 5))
+    if (_mix(seed, 17, epoch, slot) >> 8) % 2 == 0:
+        new_id = f"mix-doc-{seed}-{epoch:04d}-{slot:04d}"
+        live_docs.append(new_id)
+        return ("doc", new_id, synthetic_text(seed, (43, epoch, slot), 5))
+    new_id = f"mix-shot-{seed}-{epoch:04d}-{slot:04d}"
+    live_shots.append(new_id)
+    features, concepts = synthetic_shot(
+        seed, (47, epoch, slot, 0), (53, epoch, slot, 0), (59, epoch, slot, 0),
+        feature_dim,
     )
+    return ("shot", new_id, features, concepts)
 
 
-class _MixRunner:
-    """One mix execution over a live service (any ``num_shards``)."""
+def _search_hits(engine, queries: List[str], workers: int) -> List[List[List[object]]]:
+    """Each query's top hits as ``[shot_id, score]``, searched concurrently."""
 
-    def __init__(
-        self,
-        service,
-        spec: ContinuousMixSpec,
-        stop_lsn: Optional[int],
-        pause: float = 0.0,
-    ):
-        self._service = service
-        self._spec = spec
-        self._stop_lsn = stop_lsn
-        self._pause = pause
-        self._records: List[Dict[str, object]] = []
-        self._counts: Dict[str, int] = {
-            "ingest-doc": 0,
-            "ingest-shot": 0,
-            "del-doc": 0,
-            "del-shot": 0,
-            "upd": 0,
-            "search": 0,
-            "feedback": 0,
-            "compact": 0,
-            "reclaimed": 0,
-        }
-        # Only ids the mix itself created are mutation victims, so the
-        # mix composes with any pre-indexed corpus without touching it.
-        self._live_docs: List[str] = []
-        self._live_shots: List[str] = []
-        self._session_id: Optional[str] = None
-        self._stopped = False
-        shot_ids = service.engine.visual_index.shot_ids()
-        self._feature_dim = (
-            len(service.engine.visual_index.features_of(shot_ids[0]))
-            if shot_ids
-            else 16
-        )
+    def run_one(query: str) -> List[List[object]]:
+        results = engine.search_text(query, limit=_RECORDED_HITS)
+        return [[item.shot_id, item.score] for item in results.items]
 
-    # -- durable-prefix budget -----------------------------------------------------
-
-    def _budget_exhausted(self) -> bool:
-        if self._stop_lsn is None:
-            return False
-        durability = self._service.engine.durability
-        if durability is None:
-            return False
-        if durability.wal.last_lsn >= self._stop_lsn:
-            self._stopped = True
-        return self._stopped
-
-    # -- phases --------------------------------------------------------------------
-
-    def _apply_mutation(self, epoch: int, slot: int) -> None:
-        seed = self._spec.seed
-        roll = _mix(seed, 11, epoch, slot) % 1000
-        delete_bound = int(self._spec.delete_ratio * 1000)
-        update_bound = delete_bound + int(self._spec.update_ratio * 1000)
-        can_delete = bool(self._live_docs or self._live_shots)
-        if roll < delete_bound and can_delete:
-            both = bool(self._live_docs) and bool(self._live_shots)
-            # High bits: _mix's low bit is visibly biased for some salts.
-            kind_roll = (_mix(seed, 29, epoch, slot) >> 8) % 2
-            if self._live_docs and (not both or kind_roll == 0):
-                victim = self._live_docs.pop(
-                    _mix(seed, 31, epoch, slot) % len(self._live_docs)
-                )
-                self._service.delete_document(victim)
-                self._record(epoch, "del-doc", victim)
-            else:
-                victim = self._live_shots.pop(
-                    _mix(seed, 31, epoch, slot) % len(self._live_shots)
-                )
-                self._service.delete_shot(victim)
-                self._record(epoch, "del-shot", victim)
-        elif roll < update_bound and self._live_docs:
-            victim = self._live_docs[
-                _mix(seed, 37, epoch, slot) % len(self._live_docs)
-            ]
-            self._service.update_document(
-                victim, _mix_text(seed, epoch, slot, 41)
-            )
-            self._record(epoch, "upd", victim)
-        elif (_mix(seed, 17, epoch, slot) >> 8) % 2 == 0:
-            new_id = f"mix-doc-{seed}-{epoch:04d}-{slot:04d}"
-            self._service.index_documents(
-                {new_id: _mix_text(seed, epoch, slot, 43)}
-            )
-            self._live_docs.append(new_id)
-            self._record(epoch, "ingest-doc", new_id)
-        else:
-            new_id = f"mix-shot-{seed}-{epoch:04d}-{slot:04d}"
-            features = [
-                (_mix(seed, 47, epoch, slot, dim) % 1000) / 1000.0
-                for dim in range(self._feature_dim)
-            ]
-            concepts = {
-                _CONCEPTS[_mix(seed, 53, epoch, slot, c) % len(_CONCEPTS)]: (
-                    (_mix(seed, 59, epoch, slot, c) % 900) + 100
-                )
-                / 1000.0
-                for c in range(2)
-            }
-            self._service.index_shot(new_id, features, concepts)
-            self._live_shots.append(new_id)
-            self._record(epoch, "ingest-shot", new_id)
-
-    def _run_searches(self, epoch: int) -> None:
-        spec = self._spec
-        if not spec.searches_per_epoch:
-            return
-        queries = [
-            _mix_query(spec.seed, epoch, slot)
-            for slot in range(spec.searches_per_epoch)
-        ]
-        hits: List[Optional[List[List[object]]]] = [None] * len(queries)
-        engine = self._service.engine
-
-        def run_one(index: int) -> None:
-            results = engine.search_text(queries[index], limit=_RECORDED_HITS)
-            hits[index] = [
-                [item.shot_id, item.score] for item in results.items
-            ]
-
-        if spec.search_workers > 1 and len(queries) > 1:
-            with ThreadPoolExecutor(max_workers=spec.search_workers) as pool:
-                list(pool.map(run_one, range(len(queries))))
-        else:
-            for index in range(len(queries)):
-                run_one(index)
-        for query, query_hits in zip(queries, hits):
-            self._counts["search"] += 1
-            self._records.append(
-                {"e": epoch, "op": "search", "q": query, "hits": query_hits}
-            )
-
-    def _submit_feedback(self, epoch: int, slot: int) -> None:
-        if not self._live_shots:
-            return
-        if self._session_id is None:
-            info = self._service.open_session(f"mix-user-{self._spec.seed}")
-            self._session_id = info.session_id
-        shot_id = sorted(self._live_shots)[
-            _mix(self._spec.seed, 61, epoch, slot) % len(self._live_shots)
-        ]
-        self._service.submit_feedback(
-            FeedbackBatch(
-                user_id=f"mix-user-{self._spec.seed}",
-                session_id=self._session_id,
-                events=(
-                    InteractionEvent(
-                        kind=EventKind.PLAY_CLICK,
-                        timestamp=float(epoch),
-                        shot_id=shot_id,
-                    ),
-                ),
-            )
-        )
-        self._record(epoch, "feedback", shot_id)
-
-    def _compact(self, epoch: int) -> None:
-        stats = self._service.compact()
-        self._counts["compact"] += 1
-        self._counts["reclaimed"] += stats.reclaimed
-        self._records.append(
-            {"e": epoch, "op": "compact", "reclaimed": stats.reclaimed}
-        )
-
-    def _record(self, epoch: int, op: str, target: str) -> None:
-        self._counts[op] += 1
-        self._records.append({"e": epoch, "op": op, "id": target})
-
-    # -- driver --------------------------------------------------------------------
-
-    def run(self) -> ContinuousMixResult:
-        from repro.durability import engine_state_digest
-
-        spec = self._spec
-        started = time.perf_counter()
-        for epoch in range(spec.epochs):
-            for slot in range(spec.mutations_per_epoch):
-                if self._budget_exhausted():
-                    break
-                self._apply_mutation(epoch, slot)
-                if self._pause > 0.0:
-                    time.sleep(self._pause)
-            if self._stopped:
-                break
-            self._run_searches(epoch)
-            for slot in range(spec.feedback_per_epoch):
-                if self._budget_exhausted():
-                    break
-                self._submit_feedback(epoch, slot)
-            if self._stopped:
-                break
-            if spec.compact_every and (epoch + 1) % spec.compact_every == 0:
-                self._compact(epoch)
-        wall = time.perf_counter() - started
-        return ContinuousMixResult(
-            spec=spec,
-            records=self._records,
-            state_digest=engine_state_digest(self._service.engine),
-            wall_seconds=wall,
-            counts=dict(self._counts),
-            stopped_early=self._stopped,
-        )
+    if workers > 1 and len(queries) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_one, queries))
+    return [run_one(query) for query in queries]
 
 
 def run_continuous_mix(
@@ -375,12 +228,63 @@ def run_continuous_mix(
     the canonical result; two runs with the same ``(seed, spec)`` produce
     byte-identical logs regardless of ``search_workers``.
     """
+    from repro.durability import engine_state_digest
+
+    durability = service.engine.durability
     if stop_lsn is not None:
         if stop_lsn < 0:
             raise ValueError(f"stop_lsn must be non-negative, got {stop_lsn}")
-        if service.engine.durability is None:
+        if durability is None:
             raise ValueError(
                 "stop_lsn requires a durable service: the budget is "
                 "measured against its WAL"
             )
-    return _MixRunner(service, spec, stop_lsn, pause=pause).run()
+    user_id = f"mix-user-{spec.seed}"
+    session_id: Optional[str] = None
+    records: List[Dict[str, object]] = []
+    stopped = False
+    started = time.perf_counter()
+    for epoch, step in mix_stream(spec, service_feature_dim(service)):
+        kind = step[0]
+        if kind == "search":
+            hits = _search_hits(service.engine, step[1], spec.search_workers)
+            records.extend(
+                {"e": epoch, "op": "search", "q": query, "hits": query_hits}
+                for query, query_hits in zip(step[1], hits)
+            )
+            continue
+        if kind == "compact":
+            reclaimed = service.compact().reclaimed
+            records.append({"e": epoch, "op": "compact", "reclaimed": reclaimed})
+            continue
+        # Every other step is one WAL record: the durable-prefix budget.
+        if stop_lsn is not None and durability.wal.last_lsn >= stop_lsn:
+            stopped = True
+            break
+        if kind == "feedback":
+            if step[1] is None:
+                continue
+            if session_id is None:
+                session_id = service.open_session(user_id).session_id
+            event = InteractionEvent(
+                kind=EventKind.PLAY_CLICK, timestamp=float(epoch), shot_id=step[1]
+            )
+            service.submit_feedback(
+                FeedbackBatch(user_id=user_id, session_id=session_id, events=(event,))
+            )
+        else:
+            apply_ingest(service, [step], pause=pause)
+        records.append({"e": epoch, "op": _RECORDED_AS[kind], "id": step[1]})
+    wall = time.perf_counter() - started
+    counts = dict.fromkeys(_COUNTED, 0)
+    for record in records:
+        counts[record["op"]] += 1
+        counts["reclaimed"] += record.get("reclaimed", 0)
+    return ContinuousMixResult(
+        spec=spec,
+        records=records,
+        state_digest=engine_state_digest(service.engine),
+        wall_seconds=wall,
+        counts=counts,
+        stopped_early=stopped,
+    )

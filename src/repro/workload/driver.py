@@ -4,14 +4,23 @@
 :mod:`repro.workload.generator` against a fresh
 :class:`~repro.service.RetrievalService`: sessions are opened sequentially
 (so session-id allocation is deterministic), then every user's script runs
-on its own worker thread, hammering ``search``/``submit_feedback``/
-``close_session`` concurrently exactly as independent clients would.
+concurrently, exactly as independent clients would.
 
-The driver records a **canonical event log**: one JSON record per request,
-sorted by ``(user, seq)`` — *not* by wall-clock completion order — with
-every field a pure function of the workload spec and corpus.  Its SHA-256
-digest is therefore the workload's fingerprint: running the same spec twice
-(with any ``max_workers``) must produce byte-identical logs, and
+Each user runs one script, :func:`_user_script`: a generator that yields
+each search and feedback request and is sent back its response.  Only the
+transport differs.  Threaded (the default), every script runs on a worker
+thread calling the service directly; served (``serving=`` a
+:class:`~repro.serving.ServingConfig`), every script is an asyncio task
+awaiting a :class:`~repro.serving.ServingFrontend` over the same fresh
+service, so each request is admitted, deadline-bounded and accounted by
+the serving edge, and a rejected or timed-out request gets ``None`` back.
+
+The driver records a **canonical event log**: one JSON record per
+completed request, sorted by ``(user, seq)`` — *not* by wall-clock
+completion order — with every field a pure function of the workload spec
+and corpus.  Its SHA-256 digest is therefore the workload's fingerprint:
+running the same spec twice (with any ``max_workers``, on either
+transport) must produce byte-identical logs, and
 :meth:`ServiceLoadDriver.verify_determinism` automates exactly that check.
 A digest mismatch means the serving path leaked state across sessions or
 lost an update — a concurrency bug, not noise.
@@ -20,13 +29,11 @@ lost an update — a concurrency bug, not noise.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
 
 from repro.collection.qrels import Qrels
 from repro.feedback.events import EventKind, InteractionEvent
@@ -38,19 +45,21 @@ from repro.serving.frontend import ServingFrontend
 from repro.simulation.noise import JudgementModel
 from repro.simulation.user import SimulatedUser
 from repro.utils.rng import RandomSource
-from repro.utils.validation import ensure_deadline, ensure_positive
+from repro.utils.validation import ensure_positive
 from repro.workload.generator import FEEDBACK, SEARCH, UserWorkload, generate_workload
+from repro.workload.log import CanonicalLog
 from repro.workload.spec import WorkloadSpec
-
-PathLike = Union[str, Path]
 
 #: How many ranked hits a search record pins in the canonical log.  Deep
 #: enough to catch ranking divergence, shallow enough to keep logs small.
 _RECORDED_HITS = 10
 
+#: One user's script: yields requests, is sent each response (or ``None``).
+Script = Generator[Union[SearchRequest, FeedbackBatch], object, None]
+
 
 @dataclass
-class LoadResult:
+class LoadResult(CanonicalLog):
     """The outcome of one workload run.
 
     ``records`` is already in canonical order; wall-clock numbers live
@@ -71,28 +80,6 @@ class LoadResult:
         if self.wall_seconds <= 0:
             return 0.0
         return self.request_count / self.wall_seconds
-
-    def canonical_lines(self) -> List[str]:
-        """The canonical event log as JSON lines (sorted keys, no spaces)."""
-        return [
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-            for record in self.records
-        ]
-
-    def canonical_log(self) -> str:
-        """The canonical event log as one string (trailing newline)."""
-        return "\n".join(self.canonical_lines()) + "\n"
-
-    def digest(self) -> str:
-        """SHA-256 hex digest of the canonical event log."""
-        return hashlib.sha256(self.canonical_log().encode("utf-8")).hexdigest()
-
-    def write_log(self, path: PathLike) -> Path:
-        """Write the canonical event log to a file and return its path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.canonical_log(), encoding="utf-8")
-        return path
 
 
 def _synthesise_feedback(
@@ -116,6 +103,20 @@ def _synthesise_feedback(
         post_play_error_rate=user.post_play_error_rate,
     )
     events: List[InteractionEvent] = []
+
+    def emit(kind: EventKind, clock: float, hit, **extra: float) -> None:
+        events.append(
+            InteractionEvent(
+                kind=kind,
+                timestamp=clock,
+                user_id=response.user_id,
+                session_id=response.session_id,
+                shot_id=hit.shot_id,
+                rank=hit.rank,
+                **extra,
+            )
+        )
+
     clock = 0.0
     for hit in response.top(top_k):
         item_rng = rng.spawn("item", hit.shot_id)
@@ -127,64 +128,26 @@ def _synthesise_feedback(
         perceived = judgement.judge_from_surrogate(item_rng, truly_relevant)
         if perceived and item_rng.boolean(user.play_propensity):
             clock += 1.0
-            events.append(
-                InteractionEvent(
-                    kind=EventKind.PLAY_CLICK,
-                    timestamp=clock,
-                    user_id=response.user_id,
-                    session_id=response.session_id,
-                    shot_id=hit.shot_id,
-                    rank=hit.rank,
-                )
-            )
+            emit(EventKind.PLAY_CLICK, clock, hit)
             dwell = item_rng.uniform(2.0, max(4.0, hit.duration_seconds or 8.0))
             clock += dwell
-            events.append(
-                InteractionEvent(
-                    kind=EventKind.PLAY_PROGRESS,
-                    timestamp=clock,
-                    user_id=response.user_id,
-                    session_id=response.session_id,
-                    shot_id=hit.shot_id,
-                    rank=hit.rank,
-                    duration=dwell,
-                )
-            )
+            emit(EventKind.PLAY_PROGRESS, clock, hit, duration=dwell)
             believes = judgement.judge_after_playing(
                 item_rng.spawn("judge"), truly_relevant
             )
             if believes and item_rng.boolean(user.explicit_propensity):
                 clock += 1.0
-                events.append(
-                    InteractionEvent(
-                        kind=EventKind.MARK_RELEVANT,
-                        timestamp=clock,
-                        user_id=response.user_id,
-                        session_id=response.session_id,
-                        shot_id=hit.shot_id,
-                        rank=hit.rank,
-                    )
-                )
+                emit(EventKind.MARK_RELEVANT, clock, hit)
         elif not perceived and item_rng.boolean(user.skip_propensity):
             clock += 0.5
-            events.append(
-                InteractionEvent(
-                    kind=EventKind.SKIP_RESULT,
-                    timestamp=clock,
-                    user_id=response.user_id,
-                    session_id=response.session_id,
-                    shot_id=hit.shot_id,
-                    rank=hit.rank,
-                )
-            )
+            emit(EventKind.SKIP_RESULT, clock, hit)
     return events
 
 
 def _search_record(
     user_id: str, seq: int, query: Optional[str], response: SearchResponse
 ) -> Dict[str, object]:
-    """The canonical-log record of one completed search (shared by both
-    the threaded and the serving client paths, so digests cannot drift)."""
+    """The canonical-log record of one completed search."""
     return {
         "user": user_id,
         "seq": seq,
@@ -224,52 +187,108 @@ def _close_record(user_id: str, seq: int, final) -> Dict[str, object]:
     }
 
 
+def _user_script(
+    service: RetrievalService,
+    workload: UserWorkload,
+    session_id: str,
+    records: List[Dict[str, object]],
+    spec: WorkloadSpec,
+    feedback_root: RandomSource,
+    qrels: Optional[Qrels],
+) -> Script:
+    """One user's requests in script order, recording each completed one.
+
+    Yields every :class:`SearchRequest` and :class:`FeedbackBatch`; the
+    transport sends back the response, or ``None`` for a request that was
+    rejected or timed out, which is kept out of the canonical log.  A
+    feedback step synthesises its events from the last completed search.
+    """
+    user_id = workload.user_id
+    topic_id = workload.topic.topic_id
+    last_response: Optional[SearchResponse] = None
+    for step in workload.steps:
+        if step.kind == SEARCH:
+            response = yield SearchRequest(
+                user_id=user_id,
+                query=step.query or "",
+                session_id=session_id,
+                topic_id=topic_id,
+            )
+            if response is not None:
+                last_response = response
+                records.append(
+                    _search_record(user_id, step.step + 1, step.query, response)
+                )
+        elif step.kind == FEEDBACK and last_response is not None:
+            events = _synthesise_feedback(
+                workload.user,
+                last_response,
+                feedback_root.spawn(user_id, step.step),
+                qrels,
+                topic_id,
+                spec.feedback_top_k,
+            )
+            info = yield FeedbackBatch(
+                user_id=user_id, events=tuple(events), session_id=session_id
+            )
+            if info is not None:
+                records.append(_feedback_record(user_id, step.step + 1, events, info))
+    if spec.close_sessions:
+        # Lifecycle ops go straight to the facade on either transport:
+        # closing is not a servable request (it must succeed even while
+        # the serving edge drains).
+        final = service.close_session(session_id)
+        records.append(_close_record(user_id, len(workload.steps) + 1, final))
+
+
+def _advance(script: Script, response: object):
+    """Send ``response`` into the script: its next request, or ``None``."""
+    try:
+        return script.send(response)
+    except StopIteration:
+        return None
+
+
+def _run_direct(service: RetrievalService, script: Script) -> None:
+    """The threaded transport: the calling thread calls the service."""
+    request = _advance(script, None)
+    while request is not None:
+        if isinstance(request, SearchRequest):
+            response = service.search(request)
+        else:
+            response = service.submit_feedback(request)
+        request = _advance(script, response)
+
+
 class ServiceLoadDriver:
     """Drives N concurrent simulated users through a live service.
 
     ``service_factory`` builds a *fresh* service per run (sessions are
     stateful, so replaying a workload on a used service would diverge);
-    ``max_workers`` sets the client-side concurrency.  The canonical log —
-    and therefore :meth:`LoadResult.digest` — is independent of
-    ``max_workers`` by construction.
+    ``max_workers`` sets the threaded transport's client concurrency.  The
+    canonical log — and therefore :meth:`LoadResult.digest` — is
+    independent of ``max_workers`` by construction.
 
-    With ``serve=True`` (or any of ``serving_config`` /
-    ``deadline_seconds`` set) the concurrent phase runs as an **async
-    client fleet** against a :class:`~repro.serving.ServingFrontend` built
-    over the same fresh service: one asyncio task per user, every
-    search/feedback request admitted, deadline-bounded and accounted by
-    the serving edge.  Requests that complete produce exactly the records
-    the direct path produces — digests stay byte-identical when nothing is
-    rejected or timed out — while rejected/timed-out requests are kept
-    *out* of the canonical log and surfaced in
-    :attr:`LoadResult.extras` (``serving_failures``, ``serving_metrics``).
+    ``serving`` set runs every script through a
+    :class:`~repro.serving.ServingFrontend` with that config instead (its
+    ``default_deadline_seconds`` bounds every request).  Completed requests
+    produce exactly the records the threaded transport produces — digests
+    stay byte-identical when nothing is rejected or timed out — while the
+    rejected and timed-out ones are tallied in :attr:`LoadResult.extras`
+    (``serving_failures``, with ``serving_drained`` and
+    ``serving_metrics``).
     """
 
     def __init__(
         self,
         service_factory: Callable[[], RetrievalService],
         max_workers: int = 4,
-        serve: bool = False,
-        serving_config: Optional[ServingConfig] = None,
-        deadline_seconds: Optional[float] = None,
+        serving: Optional[ServingConfig] = None,
     ) -> None:
         ensure_positive(max_workers, "max_workers")
-        ensure_deadline(deadline_seconds, "deadline_seconds")
         self._service_factory = service_factory
         self._max_workers = max_workers
-        self._serve = serve or serving_config is not None or deadline_seconds is not None
-        self._serving_config = serving_config
-        self._deadline_seconds = deadline_seconds
-
-    @property
-    def max_workers(self) -> int:
-        """Client-side thread count."""
-        return self._max_workers
-
-    @property
-    def serve(self) -> bool:
-        """True when the run goes through the async serving edge."""
-        return self._serve
+        self._serving = serving
 
     # -- running ---------------------------------------------------------------
 
@@ -304,7 +323,6 @@ class ServiceLoadDriver:
                 )
             workloads = generate_workload(spec, service.topics)
         workloads = list(workloads)
-        qrels = service.qrels
         feedback_root = RandomSource(spec.seed).spawn("feedback")
         extras: Dict[str, object] = {}
         if prelude is not None:
@@ -317,8 +335,8 @@ class ServiceLoadDriver:
         # Open every session sequentially so id allocation (a shared
         # counter) is deterministic; the concurrent phase then only ever
         # addresses sessions explicitly.
-        session_ids: Dict[str, str] = {}
         per_user_records: Dict[str, List[Dict[str, object]]] = {}
+        scripts: List[Script] = []
         for workload in workloads:
             info = service.open_session(
                 workload.user_id,
@@ -326,8 +344,7 @@ class ServiceLoadDriver:
                 topic_id=workload.topic.topic_id,
                 profile=workload.member.profile,
             )
-            session_ids[workload.user_id] = info.session_id
-            per_user_records[workload.user_id] = [
+            records = per_user_records[workload.user_id] = [
                 {
                     "user": workload.user_id,
                     "seq": 0,
@@ -337,83 +354,29 @@ class ServiceLoadDriver:
                     "topic": info.topic_id,
                 }
             ]
-
-        def drive_user(workload: UserWorkload) -> int:
-            user_id = workload.user_id
-            session_id = session_ids[user_id]
-            records = per_user_records[user_id]
-            requests = 0
-            last_response: Optional[SearchResponse] = None
-            for step in workload.steps:
-                if step.kind == SEARCH:
-                    response = service.search(
-                        SearchRequest(
-                            user_id=user_id,
-                            query=step.query or "",
-                            session_id=session_id,
-                            topic_id=workload.topic.topic_id,
-                        )
-                    )
-                    last_response = response
-                    requests += 1
-                    records.append(
-                        _search_record(user_id, step.step + 1, step.query, response)
-                    )
-                elif step.kind == FEEDBACK:
-                    if last_response is None:
-                        continue
-                    events = _synthesise_feedback(
-                        workload.user,
-                        last_response,
-                        feedback_root.spawn(user_id, step.step),
-                        qrels,
-                        workload.topic.topic_id,
-                        spec.feedback_top_k,
-                    )
-                    info = service.submit_feedback(
-                        FeedbackBatch(
-                            user_id=user_id,
-                            events=tuple(events),
-                            session_id=session_id,
-                        )
-                    )
-                    requests += 1
-                    records.append(
-                        _feedback_record(user_id, step.step + 1, events, info)
-                    )
-            if spec.close_sessions:
-                final = service.close_session(session_id)
-                requests += 1
-                records.append(
-                    _close_record(user_id, len(workload.steps) + 1, final)
+            scripts.append(
+                _user_script(
+                    service, workload, info.session_id, records, spec,
+                    feedback_root, service.qrels,
                 )
-            return requests
+            )
 
-        serving_extras: Dict[str, object] = {}
         start = time.perf_counter()
         try:
-            if self._serve:
-                request_counts, serving_extras = self._run_serving_phase(
-                    service,
-                    workloads,
-                    session_ids,
-                    per_user_records,
-                    feedback_root,
-                    qrels,
-                    spec,
-                )
-            elif self._max_workers == 1 or len(workloads) == 1:
-                request_counts = [drive_user(workload) for workload in workloads]
+            if self._serving is not None:
+                extras = self._run_served(service, scripts)
+            elif self._max_workers == 1 or len(scripts) == 1:
+                for script in scripts:
+                    _run_direct(service, script)
             else:
                 with ThreadPoolExecutor(
-                    max_workers=min(self._max_workers, len(workloads)),
+                    max_workers=min(self._max_workers, len(scripts)),
                     thread_name_prefix="loadtest",
                 ) as pool:
-                    request_counts = list(pool.map(drive_user, workloads))
+                    list(pool.map(partial(_run_direct, service), scripts))
             wall_seconds = time.perf_counter() - start
             if epilogue is not None:
-                extras = dict(epilogue(service) or {})
-            extras = {**serving_extras, **extras}
+                extras.update(epilogue(service) or {})
         finally:
             # Release engine machinery (a durable service's log) outside
             # the timed region; sessions left open by close_sessions=False
@@ -429,129 +392,53 @@ class ServiceLoadDriver:
             spec=spec,
             records=records,
             wall_seconds=wall_seconds,
-            request_count=sum(request_counts),
+            # Every record past each user's open is one completed request.
+            request_count=len(records) - len(workloads),
             extras=extras,
         )
 
-    # -- async serving client ---------------------------------------------------
+    def _run_served(
+        self, service: RetrievalService, scripts: Sequence[Script]
+    ) -> Dict[str, object]:
+        """The served transport: one asyncio task per script.
 
-    def _run_serving_phase(
-        self,
-        service: RetrievalService,
-        workloads: Sequence[UserWorkload],
-        session_ids: Dict[str, str],
-        per_user_records: Dict[str, List[Dict[str, object]]],
-        feedback_root: RandomSource,
-        qrels: Optional[Qrels],
-        spec: WorkloadSpec,
-    ):
-        """Drive the concurrent phase through a :class:`ServingFrontend`.
-
-        One asyncio task per user; per-user step order is preserved (each
-        task awaits its own requests sequentially), so completed requests
-        record exactly what the threaded path records.  Rejections and
-        deadline expiries skip the record — the canonical log only ever
-        contains completed requests — and are tallied per error type in
-        the returned extras, alongside the frontend's metrics snapshot.
+        Each task awaits its own requests in turn, so per-user order is
+        the threaded transport's.  Returns the serving extras: failures
+        per error type, whether the edge drained, and its metrics.
         """
-        frontend = ServingFrontend(service, self._serving_config)
-        deadline = self._deadline_seconds
+        frontend = ServingFrontend(service, self._serving)
         failures: Dict[str, int] = {}
 
-        def note_failure(error: Exception) -> None:
-            name = type(error).__name__
-            failures[name] = failures.get(name, 0) + 1
+        async def run_served(script: Script) -> None:
+            request = _advance(script, None)
+            while request is not None:
+                if isinstance(request, SearchRequest):
+                    call = frontend.search(request)
+                else:
+                    call = frontend.submit_feedback(request)
+                try:
+                    response = await call
+                except (AdmissionRejectedError, DeadlineExceededError) as error:
+                    name = type(error).__name__
+                    failures[name] = failures.get(name, 0) + 1
+                    response = None
+                request = _advance(script, response)
 
-        async def drive_user(workload: UserWorkload) -> int:
-            user_id = workload.user_id
-            session_id = session_ids[user_id]
-            records = per_user_records[user_id]
-            requests = 0
-            last_response: Optional[SearchResponse] = None
-            for step in workload.steps:
-                if step.kind == SEARCH:
-                    try:
-                        response = await frontend.search(
-                            SearchRequest(
-                                user_id=user_id,
-                                query=step.query or "",
-                                session_id=session_id,
-                                topic_id=workload.topic.topic_id,
-                            ),
-                            deadline_seconds=deadline,
-                        )
-                    except (AdmissionRejectedError, DeadlineExceededError) as error:
-                        note_failure(error)
-                        continue
-                    last_response = response
-                    requests += 1
-                    records.append(
-                        _search_record(user_id, step.step + 1, step.query, response)
-                    )
-                elif step.kind == FEEDBACK:
-                    if last_response is None:
-                        continue
-                    events = _synthesise_feedback(
-                        workload.user,
-                        last_response,
-                        feedback_root.spawn(user_id, step.step),
-                        qrels,
-                        workload.topic.topic_id,
-                        spec.feedback_top_k,
-                    )
-                    try:
-                        info = await frontend.submit_feedback(
-                            FeedbackBatch(
-                                user_id=user_id,
-                                events=tuple(events),
-                                session_id=session_id,
-                            ),
-                            deadline_seconds=deadline,
-                        )
-                    except (AdmissionRejectedError, DeadlineExceededError) as error:
-                        note_failure(error)
-                        continue
-                    requests += 1
-                    records.append(
-                        _feedback_record(user_id, step.step + 1, events, info)
-                    )
-            if spec.close_sessions:
-                # Lifecycle ops go straight to the facade: closing is not a
-                # servable request (it must succeed even while draining).
-                final = service.close_session(session_id)
-                requests += 1
-                records.append(
-                    _close_record(user_id, len(workload.steps) + 1, final)
-                )
-            return requests
-
-        async def main():
-            counts = await asyncio.gather(
-                *(drive_user(workload) for workload in workloads)
-            )
-            drained = await frontend.drain()
-            return list(counts), drained
+        async def main() -> bool:
+            await asyncio.gather(*(run_served(script) for script in scripts))
+            return await frontend.drain()
 
         try:
-            request_counts, drained = asyncio.run(main())
+            drained = asyncio.run(main())
         finally:
             frontend.close()
-        serving_extras: Dict[str, object] = {
+        return {
             "serving_failures": failures,
             "serving_drained": drained,
             "serving_metrics": frontend.metrics_snapshot(),
         }
-        return request_counts, serving_extras
 
     # -- determinism -----------------------------------------------------------
-
-    def replay(
-        self,
-        spec: WorkloadSpec,
-        workloads: Optional[Sequence[UserWorkload]] = None,
-    ) -> LoadResult:
-        """Run the workload again on a fresh service (alias of :meth:`run`)."""
-        return self.run(spec, workloads)
 
     def verify_determinism(
         self,

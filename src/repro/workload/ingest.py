@@ -1,21 +1,28 @@
-"""Deterministic synthetic ingest: the write phase of a durable loadtest.
+"""The one synthetic mutation stream and its one applier.
 
-The crash-recovery harness needs a stream of index mutations that is a
-pure function of ``(seed, op index)``: a run killed after *k* ops and
-recovered must be byte-identical to a clean run told to ingest exactly
-*k* ops.  The generators here use plain modular arithmetic — no RNG state
-that could drift between processes or Python versions — so op *i* is the
-same bytes everywhere, always.
+Every write the harnesses make to a live service is an *ingest op*, a
+tuple the durability tier can replay: ``("doc", id, text)``,
+``("shot", id, features, concepts)``, ``("del", id)``, ``("delshot", id)``
+or ``("upd", id, text)``.  :func:`apply_ingest` is the only code that turns
+them into service calls; the durable loadtest, the continuous mix
+(:mod:`repro.workload.continuous`), the chaos run and its clean-prefix
+oracle all apply their ops through it.
 
-Ops alternate between transcript documents and visual shots so both WAL
-record kinds, both indexes, and (with ``num_shards`` above one) every WAL
-segment see traffic.
+Payloads come from two synthesisers, :func:`synthetic_text` and
+:func:`synthetic_shot`.  They use plain modular arithmetic (:func:`_mix`)
+with no RNG state that could drift between processes or Python versions,
+so an op is a pure function of its seed and key: a run killed after *k*
+ops and recovered must be byte-identical to a clean run told to apply
+exactly *k* ops.  :func:`synthetic_ingest_ops` keys them by op index and
+alternates transcript documents with visual shots, so both WAL record
+kinds, both indexes and (with ``num_shards`` above one) every WAL segment
+see traffic; the mix keys them by ``(salt, epoch, slot)``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.utils.validation import ensure_positive
 
@@ -43,6 +50,36 @@ def _mix(seed: int, *values: int) -> int:
     return h
 
 
+def _draws(seed: int, key: Tuple[int, ...], count: int) -> List[int]:
+    """``count`` hashes ``_mix(seed, *key[:-1], key[-1] + k)``, k = 0, 1, ..."""
+    *prefix, first = key
+    return [_mix(seed, *prefix, first + k) for k in range(count)]
+
+
+def synthetic_text(seed: int, key: Tuple[int, ...], base: int) -> str:
+    """A transcript of ``base`` to ``2 * base - 1`` vocabulary words."""
+    length = base + _mix(seed, *key) % base
+    return " ".join(_VOCAB[h % len(_VOCAB)] for h in _draws(seed, (*key, 0), length))
+
+
+def synthetic_shot(
+    seed: int,
+    features_key: Tuple[int, ...],
+    concepts_key: Tuple[int, ...],
+    weights_key: Tuple[int, ...],
+    feature_dim: int,
+) -> Tuple[List[float], Dict[str, float]]:
+    """A shot's feature vector and two concept weights in ``[0.1, 1.0)``."""
+    features = [h % 1000 / 1000.0 for h in _draws(seed, features_key, feature_dim)]
+    concepts = {
+        _CONCEPTS[concept % len(_CONCEPTS)]: (weight % 900 + 100) / 1000.0
+        for concept, weight in zip(
+            _draws(seed, concepts_key, 2), _draws(seed, weights_key, 2)
+        )
+    }
+    return features, concepts
+
+
 def synthetic_ingest_ops(
     count: int, seed: int = 0, feature_dim: int = 16
 ) -> List[IngestOp]:
@@ -53,22 +90,11 @@ def synthetic_ingest_ops(
     ops: List[IngestOp] = []
     for i in range(count):
         if i % 2 == 0:
-            words = [
-                _VOCAB[_mix(seed, i, position) % len(_VOCAB)]
-                for position in range(6 + _mix(seed, i) % 6)
-            ]
-            ops.append(("doc", f"ingest-doc-{seed}-{i:06d}", " ".join(words)))
+            ops.append(("doc", f"ingest-doc-{seed}-{i:06d}", synthetic_text(seed, (i,), 6)))
         else:
-            features = [
-                (_mix(seed, i, dim) % 1000) / 1000.0 for dim in range(feature_dim)
-            ]
-            concepts: Dict[str, float] = {
-                _CONCEPTS[_mix(seed, i, 100 + slot) % len(_CONCEPTS)]: (
-                    (_mix(seed, i, 200 + slot) % 900) + 100
-                )
-                / 1000.0
-                for slot in range(2)
-            }
+            features, concepts = synthetic_shot(
+                seed, (i, 0), (i, 100), (i, 200), feature_dim
+            )
             ops.append(("shot", f"ingest-shot-{seed}-{i:06d}", features, concepts))
     return ops
 
@@ -91,7 +117,7 @@ def apply_ingest(service, ops: Sequence[IngestOp], pause: float = 0.0) -> int:
 
     One-op-at-a-time is deliberate: each op is its own WAL append and
     checkpoint opportunity, which is what gives the crash harness its
-    dense set of kill points.  ``pause`` (seconds between ops) stretches
+    dense set of kill points.  ``pause`` (seconds after each op) stretches
     the window so an external SIGKILL lands mid-stream.  Returns the
     number of ops applied.
     """

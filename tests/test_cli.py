@@ -350,6 +350,15 @@ OUT_OF_RANGE = [
     ("loadtest --corpus c --feedback-per-query 0", "must be positive"),
     ("loadtest --corpus c --ingest-ops -1", "must be non-negative"),
     ("loadtest --corpus c --durable d --snapshot-interval 0", "must be positive"),
+    ("loadtest --corpus c --shards 0", "must be positive"),
+    ("loadtest --corpus c --serve-concurrency 0", "must be positive"),
+    ("loadtest --corpus c --durable d --ingest-ops 4 --replicas -1", "must be non-negative"),
+    ("loadtest --corpus c --mix-epochs -1", "must be non-negative"),
+    ("loadtest --corpus c --mix-epochs 2 --durable d --mix-stop-lsn -1",
+     "must be non-negative"),
+    ("loadtest --corpus c --ingest-pause -1", "must be non-negative and finite"),
+    ("loadtest --corpus c --ingest-pause nan", "must be non-negative and finite"),
+    ("loadtest --corpus c --ingest-pause inf", "must be non-negative and finite"),
     ("generate --output o --days 0", "must be positive"),
     ("generate --output o --stories-per-day 0", "must be positive"),
     ("generate --output o --topics 0", "must be positive"),
@@ -369,6 +378,31 @@ def test_out_of_range_value_is_a_usage_error(command, problem, capsys):
     assert err.splitlines()[-1] == (
         f"repro {verb}: error: argument {flag}: {problem}, got {value!r}"
     )
+
+
+@pytest.mark.parametrize(
+    "flags, refusal",
+    [
+        (["--mix-log", "{tmp}/mix.jsonl"], "--mix-log and --mix-stop-lsn require --mix-epochs"),
+        (["--durable", "{tmp}/durable", "--mix-stop-lsn", "3"],
+         "--mix-log and --mix-stop-lsn require --mix-epochs"),
+        (["--durable", "{tmp}/durable", "--ingest-ops", "4", "--replicas", "1",
+          "--log", "{tmp}/load.jsonl"], "--replicas and --log are mutually exclusive"),
+        # --replicas needs --durable, and --durable already refuses --verify.
+        (["--durable", "{tmp}/durable", "--ingest-ops", "4", "--replicas", "1",
+          "--verify"], "--verify re-runs the workload against a fresh service"),
+    ],
+    ids=["mix-log", "mix-stop-lsn", "replicas-log", "replicas-verify"],
+)
+def test_loadtest_refuses_a_flag_it_would_ignore(corpus_dir, tmp_path, capsys, flags, refusal):
+    """One stderr line and exit 2, before any work: no log, no directory."""
+    argv = ["loadtest", "--corpus", str(corpus_dir), "--users", "1", "--queries", "1"]
+    argv += [flag.format(tmp=tmp_path) for flag in flags]
+    assert main(argv, out=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(refusal)
+    assert err.strip().count("\n") == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_integer_keeps_the_argparse_wording(capsys):

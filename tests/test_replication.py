@@ -17,6 +17,8 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import cli
 from repro.durability import (
@@ -768,6 +770,37 @@ class TestChaosHarness:
         assert any(e.action == "kill_primary" for e in first.events)
         assert any(e.action == "promote" for e in first.events)
         assert all(0 <= e.at_op < 80 for e in first.events)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        total_ops=st.integers(1, 64),
+        replicas=st.integers(0, 3),
+        kill_primary=st.booleans(),
+    )
+    def test_schedule_fires_every_event_in_order(
+        self, seed, total_ops, replicas, kill_primary
+    ):
+        replica_ids = [f"replica-{index + 1}" for index in range(replicas)]
+        events = ChaosSchedule.generate(
+            seed, total_ops, replica_ids, kill_primary=kill_primary
+        ).events
+        assert all(0 <= event.at_op < total_ops for event in events)
+        assert [e.at_op for e in events] == sorted(e.at_op for e in events)
+        plan = [(event.action, event.target) for event in events]
+        pairs = [("kill_replica", "restart_replica", r) for r in replica_ids]
+        if kill_primary:
+            pairs.append(("kill_primary", "promote", None))
+        assert len(plan) == 2 * len(pairs)
+        for kill, revive, target in pairs:
+            assert plan.index((kill, target)) < plan.index((revive, target))
+
+    def test_one_op_schedule_fires_every_event_at_op_zero(self):
+        events = ChaosSchedule.generate(7, 1, ["replica-1"]).events
+        assert [(e.at_op, e.action) for e in events] == [
+            (0, "kill_replica"), (0, "restart_replica"),
+            (0, "kill_primary"), (0, "promote"),
+        ]
 
     def test_event_validation(self):
         with pytest.raises(ValueError):

@@ -921,7 +921,7 @@ class TestDeadlineValidation:
         with pytest.raises(ValueError, match="deadline_seconds must be positive and finite"):
             ServiceLoadDriver(
                 lambda: RetrievalService.from_corpus(small_corpus),
-                deadline_seconds=deadline,
+                serving=ServingConfig(default_deadline_seconds=deadline),
             )
 
 
@@ -1198,7 +1198,7 @@ class TestDriverServeMode:
         spec = WorkloadSpec(seed=5, users=3, queries_per_user=2)
         factory = self._factory(small_corpus)
         threaded = ServiceLoadDriver(factory, max_workers=4).run(spec)
-        served = ServiceLoadDriver(factory, serve=True).run(spec)
+        served = ServiceLoadDriver(factory, serving=ServingConfig()).run(spec)
         assert threaded.digest() == served.digest()
         assert served.extras["serving_failures"] == {}
         assert served.extras["serving_drained"] is True
@@ -1211,7 +1211,9 @@ class TestDriverServeMode:
         factory = self._factory(small_corpus)
         # A deadline no search can meet: every search times out, so the
         # canonical log holds only the session open/close records.
-        driver = ServiceLoadDriver(factory, serve=True, deadline_seconds=1e-9)
+        driver = ServiceLoadDriver(
+            factory, serving=ServingConfig(default_deadline_seconds=1e-9)
+        )
         result = driver.run(spec)
         failures = result.extras["serving_failures"]
         assert sum(failures.values()) > 0
@@ -1222,7 +1224,10 @@ class TestDriverServeMode:
 
     def test_serve_rejects_non_positive_deadline(self, small_corpus):
         with pytest.raises(ValueError):
-            ServiceLoadDriver(self._factory(small_corpus), deadline_seconds=0.0)
+            ServiceLoadDriver(
+                self._factory(small_corpus),
+                serving=ServingConfig(default_deadline_seconds=0.0),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -1293,14 +1298,3 @@ class TestServeCli:
             out=io.StringIO(),
         ) == 2
         assert "--serve-deadline must be positive" in capsys.readouterr().err
-
-    def test_serve_rejects_bad_concurrency(self, corpus_dir, capsys):
-        import io
-
-        from repro.cli import main
-
-        assert main(
-            ["loadtest", "--corpus", corpus_dir, "--serve-concurrency", "0"],
-            out=io.StringIO(),
-        ) == 2
-        assert "--serve-concurrency must be positive" in capsys.readouterr().err

@@ -29,6 +29,7 @@ import pytest
 
 from repro.replication import ChaosSchedule, run_replicated_loadtest
 from repro.service import RetrievalService, ServiceConfig
+from repro.serving import ServingConfig
 from repro.workload import (
     ContinuousMixSpec,
     ServiceLoadDriver,
@@ -74,7 +75,7 @@ def threaded_feedback3(corpus, tmp_path):
 def served(corpus, tmp_path):
     spec = WorkloadSpec(users=3, queries_per_user=2, seed=7)
     driver = ServiceLoadDriver(
-        lambda: RetrievalService.from_corpus(corpus), serve=True
+        lambda: RetrievalService.from_corpus(corpus), serving=ServingConfig()
     )
     return {"log": driver.run(spec).digest()}
 

@@ -208,13 +208,6 @@ class TestLoadtestCli:
         )
         assert code == 2
 
-    def test_loadtest_rejects_non_positive_shards(self, corpus_dir):
-        code = cli_main(
-            ["loadtest", "--corpus", corpus_dir, "--shards", "0"],
-            out=io.StringIO(),
-        )
-        assert code == 2
-
 
 @pytest.mark.shard
 class TestShardedWorkloadEquivalence:
