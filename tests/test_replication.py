@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import cli
@@ -772,6 +772,8 @@ class TestChaosHarness:
         assert all(0 <= e.at_op < 80 for e in first.events)
 
     @settings(max_examples=200, deadline=None)
+    # The one-op plan used to kill a replica at op 1, which never fires.
+    @example(seed=7, total_ops=1, replicas=1, kill_primary=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
         total_ops=st.integers(1, 64),
@@ -794,13 +796,6 @@ class TestChaosHarness:
         assert len(plan) == 2 * len(pairs)
         for kill, revive, target in pairs:
             assert plan.index((kill, target)) < plan.index((revive, target))
-
-    def test_one_op_schedule_fires_every_event_at_op_zero(self):
-        events = ChaosSchedule.generate(7, 1, ["replica-1"]).events
-        assert [(e.at_op, e.action) for e in events] == [
-            (0, "kill_replica"), (0, "restart_replica"),
-            (0, "kill_primary"), (0, "promote"),
-        ]
 
     def test_event_validation(self):
         with pytest.raises(ValueError):
