@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.collection.documents import Collection, Shot
 from repro.collection.generator import CATEGORY_CONCEPTS
+from repro.errors import InvalidArgumentError
 from repro.utils.rng import RandomSource
 from repro.utils.validation import ensure_in_range
 
@@ -48,9 +49,9 @@ class ConceptDetectorConfig:
         ensure_in_range(self.positive_mean, 0.0, 1.0, "positive_mean")
         ensure_in_range(self.negative_mean, 0.0, 1.0, "negative_mean")
         if self.negative_mean > self.positive_mean:
-            raise ValueError("negative_mean must not exceed positive_mean")
+            raise InvalidArgumentError("negative_mean must not exceed positive_mean")
         if self.score_sigma < 0:
-            raise ValueError("score_sigma must be non-negative")
+            raise InvalidArgumentError("score_sigma must be non-negative")
 
     @classmethod
     def strong(cls) -> "ConceptDetectorConfig":

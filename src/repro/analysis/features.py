@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.collection.documents import Keyframe
+from repro.errors import InvalidArgumentError
 from repro.utils.rng import RandomSource
 from repro.utils.validation import ensure_positive
 
@@ -43,7 +44,7 @@ class FeatureConfig:
         ensure_positive(self.edge_bins, "edge_bins")
         ensure_positive(self.texture_bins, "texture_bins")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+            raise InvalidArgumentError("noise_sigma must be non-negative")
 
     @property
     def dimensions(self) -> int:

@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.collection import CollectionConfig, generate_corpus, load_corpus, save_corpus
+from repro.errors import ReproError
 from repro.evaluation import (
     LogAnalyser,
     average_precision,
@@ -61,7 +62,6 @@ from repro.service import (
     create_policy,
 )
 from repro.simulation import shot_durations_from_collection
-from repro.utils.validation import ensure_deadline
 
 #: The four classic experimental systems, shown as examples in help text;
 #: every registered policy name is accepted.
@@ -75,8 +75,8 @@ def _checked(
 ) -> Callable[[str], T]:
     """An argparse ``type=``: ``convert`` the text, refuse it unless ``accept``.
 
-    A refused value is a usage error at parse time (one line, exit 2)
-    instead of a ``ValueError`` traceback from inside the command.
+    A refused value is a usage error at parse time (exit 2), before the
+    command does any work.
     """
 
     def parse(text: str) -> T:
@@ -101,6 +101,10 @@ _SECONDS = _checked(
     float, lambda value: value >= 0 and math.isfinite(value),
     "must be non-negative and finite",
 )
+_DEADLINE = _checked(
+    float, lambda value: value > 0 and math.isfinite(value), "must be positive and finite"
+)
+_PROBABILITY = _checked(float, lambda value: 0.0 <= value <= 1.0, "must be in [0, 1]")
 _POLICY_NAMES = _checked(_names, bool, "must name at least one policy")
 
 
@@ -111,6 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive video retrieval with implicit feedback (VLDB'08 reproduction)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    registered = available_policies()
+    listing = ", ".join(registered)
+    policy = _checked(
+        str, registered.__contains__, f"must be a registered policy ({listing})"
+    )
+    policies = _checked(
+        _POLICY_NAMES, lambda names: set(names) <= set(registered),
+        f"must name registered policies only ({listing})",
+    )
 
     generate = subparsers.add_parser("generate", help="generate a synthetic collection")
     generate.add_argument("--output", required=True, help="directory to write the corpus to")
@@ -128,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--limit", type=_POSITIVE, default=10)
     search.add_argument("--user", default="cli",
                         help="user id the service session is opened for")
-    search.add_argument("--policy", default="baseline",
+    search.add_argument("--policy", type=policy, default="baseline",
                         help="registered adaptation policy name (default: baseline)")
 
     simulate = subparsers.add_parser("simulate", help="run a simulated user study")
@@ -136,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--logs", required=True, help="directory to write session logs to")
     simulate.add_argument("--users", type=_POSITIVE, default=6)
     simulate.add_argument("--topics-per-user", type=_POSITIVE, default=2)
-    simulate.add_argument("--policy", default="combined",
+    simulate.add_argument("--policy", type=policy, default="combined",
                           help="registered adaptation policy name (default: combined)")
     simulate.add_argument("--interface", choices=("desktop", "itv"), default="desktop")
     simulate.add_argument("--seed", type=int, default=2024)
@@ -146,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--users", type=_POSITIVE, default=8)
     experiment.add_argument("--topics-per-user", type=_POSITIVE, default=2)
     experiment.add_argument("--interface", choices=("desktop", "itv"), default="desktop")
-    experiment.add_argument("--policies", type=_POLICY_NAMES,
+    experiment.add_argument("--policies", type=policies,
                             default="baseline,profile,implicit,combined",
                             help="comma-separated registered policy names, e.g. "
                                  + ",".join(_CLASSIC_POLICIES))
@@ -165,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="query iterations per user")
     loadtest.add_argument("--workers", type=_POSITIVE, default=4,
                           help="client-side thread count")
-    loadtest.add_argument("--policy", default="combined",
+    loadtest.add_argument("--policy", type=policy, default="combined",
                           help="registered adaptation policy name (default: combined)")
     loadtest.add_argument("--mix", choices=("balanced", "adaptive-heavy"),
                           default="balanced",
@@ -188,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(admission control, per-tenant quotas, deadlines); "
                                "digests stay byte-identical to direct runs when no "
                                "request is rejected or timed out")
-    loadtest.add_argument("--serve-deadline", type=float, default=None,
+    loadtest.add_argument("--serve-deadline", type=_DEADLINE, default=None,
                           metavar="SECONDS",
                           help="per-request deadline for --serve; timed-out requests "
                                "are cancelled cooperatively and kept out of the "
@@ -233,19 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
                                "ingest/delete/update/feedback mutations with "
                                "concurrent searches and periodic compaction "
                                "(digest-deterministic across --workers)")
-    loadtest.add_argument("--mix-mutations", type=int, default=10, metavar="N",
+    loadtest.add_argument("--mix-mutations", type=_POSITIVE, default=10, metavar="N",
                           help="mutation slots per mix epoch (default: 10)")
-    loadtest.add_argument("--mix-searches", type=int, default=8, metavar="N",
+    loadtest.add_argument("--mix-searches", type=_NON_NEGATIVE, default=8, metavar="N",
                           help="concurrent searches per mix epoch (default: 8)")
-    loadtest.add_argument("--mix-delete-ratio", type=float, default=0.2,
+    loadtest.add_argument("--mix-delete-ratio", type=_PROBABILITY, default=0.2,
                           help="fraction of mutation slots that delete "
                                "(default: 0.2)")
-    loadtest.add_argument("--mix-update-ratio", type=float, default=0.2,
+    loadtest.add_argument("--mix-update-ratio", type=_PROBABILITY, default=0.2,
                           help="fraction of mutation slots that re-index an "
                                "existing document (default: 0.2)")
-    loadtest.add_argument("--mix-feedback", type=int, default=1, metavar="N",
+    loadtest.add_argument("--mix-feedback", type=_NON_NEGATIVE, default=1, metavar="N",
                           help="feedback batches per mix epoch (default: 1)")
-    loadtest.add_argument("--mix-compact-every", type=int, default=3, metavar="N",
+    loadtest.add_argument("--mix-compact-every", type=_NON_NEGATIVE, default=3, metavar="N",
                           help="compact tombstones after every Nth mix epoch "
                                "(0 disables; default: 3)")
     loadtest.add_argument("--mix-stop-lsn", type=_NON_NEGATIVE, default=None, metavar="N",
@@ -260,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument("directory",
                          help="durability directory written by a --durable service")
-    recover.add_argument("--to-lsn", type=int, default=None, metavar="N",
+    recover.add_argument("--to-lsn", type=_NON_NEGATIVE, default=None, metavar="N",
                          help="point-in-time recovery: stop replaying the WAL "
                               "after lsn N (must be at or above the snapshot "
                               "chain's tip watermark; earlier records were "
@@ -281,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_generate(args: argparse.Namespace, out) -> int:
+    _refuse_unwritable("--output", args.output, directory=True)
     config = CollectionConfig(
         days=args.days,
         stories_per_day=args.stories_per_day,
@@ -300,13 +314,6 @@ def _command_generate(args: argparse.Namespace, out) -> int:
 
 
 def _command_search(args: argparse.Namespace, out) -> int:
-    if args.policy not in available_policies():
-        print(
-            f"unknown policy {args.policy!r}; available: "
-            + ", ".join(available_policies()),
-            file=sys.stderr,
-        )
-        return 2
     service = RetrievalService.from_directory(args.corpus)
     session = service.open_session(args.user, policy=args.policy, topic_id=args.topic)
     response = service.search(
@@ -376,25 +383,12 @@ def _runner_for(corpus_directory: str):
     service = RetrievalService.from_corpus(
         corpus, config=ServiceConfig.from_engine_config(EngineConfig())
     )
-    return corpus, ExperimentRunner(corpus, service=service)
+    return ExperimentRunner(corpus, service=service)
 
 
 def _command_simulate(args: argparse.Namespace, out) -> int:
-    if args.policy not in available_policies():
-        print(
-            f"unknown policy {args.policy!r}; available: "
-            + ", ".join(available_policies()),
-            file=sys.stderr,
-        )
-        return 2
-    corpus, runner = _runner_for(args.corpus)
-    condition = _condition_for(args.policy, args)
-    try:
-        condition.check_against(corpus)
-    except ValueError as error:
-        print(f"simulate failed: {error}", file=sys.stderr)
-        return 2
-    result = runner.run_condition(condition)
+    _refuse_unwritable("--logs", args.logs, directory=True)
+    result = _runner_for(args.corpus).run_condition(_condition_for(args.policy, args))
     logs = result.session_logs()
     InteractionLogger().write_sessions(logs, args.logs)
     summary = result.summary()
@@ -409,19 +403,8 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
 
 def _command_experiment(args: argparse.Namespace, out) -> int:
     names = args.policies
-    unknown = [name for name in names if name not in available_policies()]
-    if unknown:
-        print(f"unknown policies: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    corpus, runner = _runner_for(args.corpus)
     conditions = [_condition_for(name, args) for name in names]
-    try:
-        for condition in conditions:
-            condition.check_against(corpus)
-    except ValueError as error:
-        print(f"experiment failed: {error}", file=sys.stderr)
-        return 2
-    results = runner.run_conditions(conditions)
+    results = _runner_for(args.corpus).run_conditions(conditions)
     print(f"{'system':<12} {'MAP':>8} {'P@10':>8} {'nDCG@10':>9} {'found':>7}", file=out)
     for name in names:
         summary = results[name].summary()
@@ -473,92 +456,57 @@ def _command_analyse_logs(args: argparse.Namespace, out) -> int:
 def _command_loadtest(args: argparse.Namespace, out) -> int:
     from repro.workload import ServiceLoadDriver, WorkloadSpec
 
-    if args.policy not in available_policies():
-        print(
-            f"unknown policy {args.policy!r}; available: "
-            + ", ".join(available_policies()),
-            file=sys.stderr,
-        )
-        return 2
     if args.durable and args.verify:
-        print(
+        raise ReproError(
             "--verify re-runs the workload against a fresh service, which a "
             "durability directory already holding state would refuse; use "
-            "--verify without --durable",
-            file=sys.stderr,
+            "--verify without --durable"
         )
-        return 2
     serve = args.serve or args.serve_stats or args.serve_deadline is not None
-    try:
-        ensure_deadline(args.serve_deadline, "--serve-deadline")
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    if args.durable:
-        durable_path = Path(args.durable)
-        if durable_path.exists() and not durable_path.is_dir():
-            print(
-                f"--durable path {args.durable!r} exists and is not a "
-                f"directory; point it at a (possibly new) directory",
-                file=sys.stderr,
-            )
-            return 2
     if args.chaos and not args.replicas:
-        print("--chaos requires --replicas (it faults the replica set)", file=sys.stderr)
-        return 2
+        raise ReproError("--chaos requires --replicas (it faults the replica set)")
     if args.mix_epochs:
         if args.replicas or serve or args.verify or args.ingest_ops:
-            print(
+            raise ReproError(
                 "--mix-epochs runs the continuous-ingest mix and is "
                 "mutually exclusive with --replicas, --serve*, --verify "
-                "and --ingest-ops",
-                file=sys.stderr,
+                "and --ingest-ops"
             )
-            return 2
         if args.mix_stop_lsn is not None and not args.durable:
-            print(
+            raise ReproError(
                 "--mix-stop-lsn requires --durable: the stop point is "
-                "measured against the service's WAL",
-                file=sys.stderr,
+                "measured against the service's WAL"
             )
-            return 2
     elif args.mix_log is not None or args.mix_stop_lsn is not None:
-        print(
+        raise ReproError(
             "--mix-log and --mix-stop-lsn require --mix-epochs: they belong "
-            "to the continuous-ingest mix",
-            file=sys.stderr,
+            "to the continuous-ingest mix"
         )
-        return 2
     if args.replicas:
         if not args.durable:
-            print(
+            raise ReproError(
                 "--replicas requires --durable: replicas tail the primary's "
-                "WAL out of the durability directory",
-                file=sys.stderr,
+                "WAL out of the durability directory"
             )
-            return 2
         if not args.ingest_ops:
-            print(
+            raise ReproError(
                 "--replicas requires --ingest-ops: the replicated loadtest "
-                "is ingest-driven (writes ship to replicas through the WAL)",
-                file=sys.stderr,
+                "is ingest-driven (writes ship to replicas through the WAL)"
             )
-            return 2
         if args.serve or args.serve_deadline is not None:
-            print(
+            raise ReproError(
                 "--replicas and --serve are mutually exclusive: the "
                 "replicated loadtest routes reads itself (--serve-stats "
-                "still prints its metrics snapshot)",
-                file=sys.stderr,
+                "still prints its metrics snapshot)"
             )
-            return 2
         if args.log is not None:
-            print(
+            raise ReproError(
                 "--replicas and --log are mutually exclusive: the replicated "
-                "loadtest runs no user workload to log",
-                file=sys.stderr,
+                "loadtest runs no user workload to log"
             )
-            return 2
+    _refuse_unwritable("--durable", args.durable, directory=True)
+    _refuse_unwritable("--log", args.log, directory=False)
+    _refuse_unwritable("--mix-log", args.mix_log, directory=False)
     stored = load_corpus(args.corpus)
     from repro.service import ServiceConfig
 
@@ -621,17 +569,7 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
         def epilogue(service: RetrievalService):
             return {"state_digest": engine_state_digest(service.engine)}
 
-    from repro.durability import RecoveryError
-
-    try:
-        result = driver.run(spec, prelude=prelude, epilogue=epilogue)
-    except RecoveryError as error:
-        print(
-            f"loadtest failed: durability directory {args.durable!r} is "
-            f"unusable: {error}",
-            file=sys.stderr,
-        )
-        return 1
+    result = driver.run(spec, prelude=prelude, epilogue=epilogue)
     digest = result.digest()
     print(
         f"loadtest: {spec.users} users x {spec.queries_per_user} queries "
@@ -678,33 +616,20 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
 
 
 def _run_continuous_mix_command(args: argparse.Namespace, stored, service_config, out) -> int:
-    from repro.durability import RecoveryError
     from repro.workload import ContinuousMixSpec, run_continuous_mix
 
-    try:
-        spec = ContinuousMixSpec(
-            epochs=args.mix_epochs,
-            mutations_per_epoch=args.mix_mutations,
-            searches_per_epoch=args.mix_searches,
-            delete_ratio=args.mix_delete_ratio,
-            update_ratio=args.mix_update_ratio,
-            feedback_per_epoch=args.mix_feedback,
-            compact_every=args.mix_compact_every,
-            search_workers=args.workers,
-            seed=args.seed,
-        )
-    except ValueError as error:
-        print(f"invalid mix spec: {error}", file=sys.stderr)
-        return 2
-    try:
-        service = RetrievalService.from_corpus(stored, config=service_config)
-    except RecoveryError as error:
-        print(
-            f"loadtest failed: durability directory {args.durable!r} is "
-            f"unusable: {error}",
-            file=sys.stderr,
-        )
-        return 1
+    spec = ContinuousMixSpec(
+        epochs=args.mix_epochs,
+        mutations_per_epoch=args.mix_mutations,
+        searches_per_epoch=args.mix_searches,
+        delete_ratio=args.mix_delete_ratio,
+        update_ratio=args.mix_update_ratio,
+        feedback_per_epoch=args.mix_feedback,
+        compact_every=args.mix_compact_every,
+        search_workers=args.workers,
+        seed=args.seed,
+    )
+    service = RetrievalService.from_corpus(stored, config=service_config)
     try:
         result = run_continuous_mix(
             service, spec, stop_lsn=args.mix_stop_lsn, pause=args.ingest_pause
@@ -882,32 +807,9 @@ def _print_serving_stats(metrics, out) -> None:
 
 
 def _command_recover(args: argparse.Namespace, out) -> int:
-    from repro.durability import RecoveryError, RecoveryManager
+    from repro.durability import RecoveryManager
 
-    directory = Path(args.directory)
-    if not directory.exists():
-        print(
-            f"recovery failed: {args.directory!r} does not exist",
-            file=sys.stderr,
-        )
-        return 1
-    if not directory.is_dir():
-        print(
-            f"recovery failed: {args.directory!r} is not a directory",
-            file=sys.stderr,
-        )
-        return 1
-    if args.to_lsn is not None and args.to_lsn < 0:
-        print(
-            f"recovery failed: --to-lsn must be non-negative, got {args.to_lsn}",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        state = RecoveryManager(args.directory, stop_lsn=args.to_lsn).recover()
-    except RecoveryError as error:
-        print(f"recovery failed: {error}", file=sys.stderr)
-        return 1
+    state = RecoveryManager(args.directory, stop_lsn=args.to_lsn).recover()
     print(
         f"recovered {args.directory}: checkpoint {state.checkpoint_id} "
         f"(snapshot lsn {state.snapshot_lsn}), applied lsn {state.applied_lsn}",
@@ -945,57 +847,74 @@ def _command_recover(args: argparse.Namespace, out) -> int:
 def _command_verify(args: argparse.Namespace, out) -> int:
     from repro.durability import verify_directory
 
-    directory = Path(args.directory)
-    if not directory.is_dir():
-        print(
-            f"verify failed: {args.directory!r} is not a directory",
-            file=sys.stderr,
-        )
-        return 1
-    report = verify_directory(directory)
+    report = verify_directory(Path(args.directory))
     for line in report.lines():
         print(line, file=out)
     return 0 if report.ok else 1
 
 
-def _corpus_problem(path: str) -> Optional[str]:
-    """Why ``path`` is not a directory written by ``repro generate``, or None."""
+def _check_corpus(path: str) -> None:
+    """Refuse a ``--corpus`` that is not a directory written by ``repro generate``."""
     directory = Path(path)
     if not directory.exists():
-        return "does not exist"
-    if not directory.is_dir():
-        return "is not a directory"
-    if not (directory / "manifest.json").is_file():
-        return "holds no corpus manifest"
-    return None
+        problem = "does not exist"
+    elif not directory.is_dir():
+        problem = "is not a directory"
+    elif not (directory / "manifest.json").is_file():
+        problem = "holds no corpus manifest"
+    else:
+        return
+    raise ReproError(
+        f"--corpus {path!r} {problem}; write one with 'repro generate --output DIR'"
+    )
+
+
+def _refuse_unwritable(flag: str, path: Optional[str], *, directory: bool) -> None:
+    """Refuse an output ``path`` whose nearest existing ancestor is not a
+    directory, before any work starts.  A ``directory`` output is its own
+    first ancestor; a file output may already exist."""
+    if path is None:
+        return
+    target = Path(path)
+    ancestors = [target, *target.parents] if directory else list(target.parents)
+    nearest = next(ancestor for ancestor in ancestors if ancestor.exists())
+    if not nearest.is_dir():
+        raise ReproError(
+            f"{flag} {path!r} cannot be written: {str(nearest)!r} is not a directory"
+        )
+
+
+_HANDLERS = {
+    "generate": _command_generate,
+    "search": _command_search,
+    "simulate": _command_simulate,
+    "experiment": _command_experiment,
+    "analyse-logs": _command_analyse_logs,
+    "loadtest": _command_loadtest,
+    "recover": _command_recover,
+    "verify": _command_verify,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    0 is success.  1 is a finding of a verb that ran: ``verify`` found
+    damage, a replay or digest mismatch, or no session logs to analyse.
+    2 is refused input: an argparse usage error, or a
+    :class:`~repro.errors.ReproError`, printed as one
+    ``"<verb> failed: <error>"`` line.  Any other exception is a bug and
+    keeps its traceback.
+    """
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    corpus = getattr(args, "corpus", None)
-    problem = corpus is not None and _corpus_problem(corpus)
-    if problem:
-        print(
-            f"{args.command} failed: --corpus {corpus!r} {problem}; "
-            f"write one with 'repro generate --output DIR'",
-            file=sys.stderr,
-        )
-        return 2
-    handlers = {
-        "generate": _command_generate,
-        "search": _command_search,
-        "simulate": _command_simulate,
-        "experiment": _command_experiment,
-        "analyse-logs": _command_analyse_logs,
-        "loadtest": _command_loadtest,
-        "recover": _command_recover,
-        "verify": _command_verify,
-    }
+    args = build_parser().parse_args(list(argv) if argv is not None else None)
     try:
-        return handlers[args.command](args, out)
+        if getattr(args, "corpus", None) is not None:
+            _check_corpus(args.corpus)
+        return _HANDLERS[args.command](args, out)
+    except ReproError as error:
+        print(f"{args.command} failed: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader (e.g. `repro recover | grep -q ...`) closed the pipe
         # early; the conventional quiet exit, not a traceback.  Detach

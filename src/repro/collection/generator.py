@@ -35,6 +35,7 @@ from repro.collection.qrels import Qrels
 from repro.collection.topics import Topic, TopicSet
 from repro.collection.transcripts import AsrNoiseModel, TranscriptGenerator
 from repro.collection.vocabulary import DEFAULT_CATEGORIES, Vocabulary, build_vocabulary
+from repro.errors import InvalidArgumentError
 from repro.utils.rng import RandomSource
 from repro.utils.validation import ensure_positive, ensure_probability
 
@@ -93,22 +94,22 @@ class CollectionConfig:
         ensure_positive(self.topic_count, "topic_count")
         ensure_positive(self.shots_per_story_min, "shots_per_story_min")
         if self.shots_per_story_max < self.shots_per_story_min:
-            raise ValueError("shots_per_story_max must be >= shots_per_story_min")
+            raise InvalidArgumentError("shots_per_story_max must be >= shots_per_story_min")
         if self.words_per_shot_max < self.words_per_shot_min:
-            raise ValueError("words_per_shot_max must be >= words_per_shot_min")
+            raise InvalidArgumentError("words_per_shot_max must be >= words_per_shot_min")
         ensure_probability(self.topic_story_probability, "topic_story_probability")
         if self.min_stories_per_topic < 0:
-            raise ValueError("min_stories_per_topic must be non-negative")
+            raise InvalidArgumentError("min_stories_per_topic must be non-negative")
         ensure_probability(self.transcript_category_weight, "transcript_category_weight")
         ensure_probability(self.transcript_topic_weight, "transcript_topic_weight")
         if self.transcript_category_weight + self.transcript_topic_weight > 1.0:
-            raise ValueError(
+            raise InvalidArgumentError(
                 "transcript_category_weight + transcript_topic_weight must not exceed 1.0"
             )
         ensure_probability(self.highly_relevant_probability, "highly_relevant_probability")
         ensure_probability(self.off_topic_shot_probability, "off_topic_shot_probability")
         if len(self.categories) == 0:
-            raise ValueError("categories must not be empty")
+            raise InvalidArgumentError("categories must not be empty")
 
     @classmethod
     def small(cls) -> "CollectionConfig":

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.collection.documents import Collection
+from repro.errors import InvalidArgumentError
 from repro.profiles.profile import UserProfile
 from repro.utils.validation import ensure_in_range
 
@@ -36,7 +37,7 @@ class CombinationConfig:
 
     def __post_init__(self) -> None:
         if self.strategy not in COMBINATION_STRATEGIES:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"unknown combination strategy {self.strategy!r}; "
                 f"expected one of {COMBINATION_STRATEGIES}"
             )
@@ -44,7 +45,7 @@ class CombinationConfig:
         ensure_in_range(self.implicit_weight, 0.0, 1.0, "implicit_weight")
         ensure_in_range(self.gate_floor, 0.0, 1.0, "gate_floor")
         if self.cold_start_evidence_scale <= 0:
-            raise ValueError("cold_start_evidence_scale must be positive")
+            raise InvalidArgumentError("cold_start_evidence_scale must be positive")
 
 
 class EvidenceCombiner:

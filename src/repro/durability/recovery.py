@@ -27,6 +27,7 @@ from repro.durability.digest import state_digest
 from repro.durability.replay import ReplayError, apply_record, gap_free_tail
 from repro.durability.snapshots import SnapshotError, SnapshotStore
 from repro.durability.wal import WriteAheadLog
+from repro.errors import ReproError
 from repro.utils.serialization import PathLike, read_json
 
 #: Directory header naming the layout parameters recovery needs.
@@ -42,22 +43,27 @@ DURABILITY_FORMAT = 2
 READABLE_FORMATS = (1, 2)
 
 
-class RecoveryError(ValueError):
+class RecoveryError(ValueError, ReproError):
     """The durability directory cannot be recovered to a consistent state."""
+
+
+def durability_directory(directory: PathLike) -> Path:
+    """``directory`` as a path, refused unless it is an existing directory."""
+    path = Path(directory)
+    if not path.is_dir():
+        problem = "is not a directory" if path.exists() else "does not exist"
+        raise RecoveryError(f"{str(directory)!r} {problem}")
+    return path
 
 
 def read_header(directory: PathLike) -> Dict[str, object]:
     """Read and validate a durability directory's header."""
-    path = Path(directory) / HEADER_FILENAME
+    path = durability_directory(directory) / HEADER_FILENAME
     try:
         header = read_json(path)
     except FileNotFoundError:
         raise RecoveryError(
             f"{path} is missing — not a durability directory"
-        ) from None
-    except NotADirectoryError:
-        raise RecoveryError(
-            f"{directory} is not a directory — cannot hold durable state"
         ) from None
     except OSError as error:
         raise RecoveryError(f"cannot read durability header {path}: {error}") from None

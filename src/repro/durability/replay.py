@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.errors import ReproError
 from repro.utils.serialization import VectorDecodeError, decode_vector, encode_vector
 
 Record = Dict[str, object]
@@ -34,7 +35,7 @@ Record = Dict[str, object]
 MUTATION_OPS = frozenset({"del", "upd"})
 
 
-class ReplayError(ValueError):
+class ReplayError(ValueError, ReproError):
     """A WAL record names an op this build does not know how to replay, or
     carries a feature vector that does not decode."""
 

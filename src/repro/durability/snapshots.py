@@ -72,6 +72,7 @@ from repro.durability.replay import (
     ReplayError,
     apply_record,
 )
+from repro.errors import ReproError
 from repro.sharding.router import ShardRouter
 from repro.utils.serialization import (
     PathLike,
@@ -96,7 +97,7 @@ _MANIFEST_SUFFIX = ".json"
 _CHUNK_ITEMS = 32
 
 
-class SnapshotError(ValueError):
+class SnapshotError(ValueError, ReproError):
     """The snapshot chain is unusable (missing or inconsistent files)."""
 
 

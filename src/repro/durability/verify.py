@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.durability.recovery import RecoveryError, read_header
+from repro.durability.recovery import RecoveryError, durability_directory, read_header
 from repro.durability.snapshots import SnapshotError, SnapshotStore, since_rebase
 from repro.durability.wal import WriteAheadLog
 from repro.utils.serialization import PathLike
@@ -119,7 +119,12 @@ class VerifyReport:
 
 
 def verify_directory(directory: PathLike) -> VerifyReport:
-    """Check a durability directory's integrity without recovering it."""
+    """Check a durability directory's integrity without recovering it.
+
+    A path that is not an existing directory raises :class:`RecoveryError`;
+    everything found inside one is reported.
+    """
+    durability_directory(directory)
     report = VerifyReport(directory=str(directory))
     try:
         header = read_header(directory)

@@ -63,6 +63,7 @@ import threading
 from pathlib import Path
 from typing import Dict, IO, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from repro.errors import ReproError
 from repro.utils.serialization import (
     PathLike,
     RecordError,
@@ -78,7 +79,7 @@ META_SEGMENT = "meta"
 FSYNC_POLICIES = ("always", "interval", "never")
 
 
-class WalError(ValueError):
+class WalError(ValueError, ReproError):
     """The write-ahead log was used incorrectly or is unreadable."""
 
 

@@ -19,6 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.collection.generator import SyntheticCorpus
 from repro.core.adaptive import AdaptiveVideoRetrievalSystem
 from repro.core.policies import AdaptationPolicy, baseline_policy
+from repro.errors import InvalidArgumentError
 from repro.service import RetrievalService, ServiceConfig
 from repro.evaluation.metrics import evaluate_ranking, mean_metric
 from repro.feedback.dwell import DwellTimeModel
@@ -94,14 +95,15 @@ class ExperimentCondition:
         ensure_positive(self.topics_per_user, "topics_per_user")
         ensure_positive(self.result_limit, "result_limit")
         if not 0.0 <= self.query_vagueness <= 1.0:
-            raise ValueError("query_vagueness must be in [0, 1]")
+            raise InvalidArgumentError("query_vagueness must be in [0, 1]")
 
     def check_against(self, corpus: SyntheticCorpus) -> None:
         """Refuse a condition the corpus cannot serve: each user searches
-        ``topics_per_user`` distinct topics (one-line ``ValueError``)."""
+        ``topics_per_user`` distinct topics (one-line
+        :class:`~repro.errors.InvalidArgumentError`)."""
         available = len(corpus.topics)
         if self.topics_per_user > available:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"condition {self.name!r}: topics_per_user={self.topics_per_user} "
                 f"exceeds the corpus's {available} topics"
             )

@@ -44,6 +44,7 @@ from typing import (
     Union,
 )
 
+from repro.errors import ReproError
 from repro.index.inverted_index import InvertedIndex
 from repro.index.slots import PerGeneration
 from repro.utils.validation import ensure_number, ensure_probability
@@ -90,7 +91,7 @@ def normalise_query(query_terms: QueryTerms) -> Dict[str, float]:
     return weights
 
 
-class StaleScoresError(RuntimeError):
+class StaleScoresError(RuntimeError, ReproError):
     """A :class:`DenseScores` was first read by key after a candidate of it
     was deleted (or updated) from the index it was scored on."""
 

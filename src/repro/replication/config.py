@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.errors import InvalidArgumentError
 from repro.utils.validation import ensure_positive
 
 
@@ -54,21 +55,21 @@ class ReplicationConfig:
 
     def __post_init__(self) -> None:
         if self.max_lag_lsn is not None and self.max_lag_lsn < 0:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"max_lag_lsn must be non-negative, got {self.max_lag_lsn}"
             )
         if self.max_lag_seconds is not None and self.max_lag_seconds <= 0:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"max_lag_seconds must be positive, got {self.max_lag_seconds}"
             )
         ensure_positive(self.poll_interval_seconds, "poll_interval_seconds")
         ensure_positive(self.catch_up_timeout_seconds, "catch_up_timeout_seconds")
         if self.read_retries < 0:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"read_retries must be non-negative, got {self.read_retries}"
             )
         if self.retry_backoff_seconds < 0:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"retry_backoff_seconds must be non-negative, "
                 f"got {self.retry_backoff_seconds}"
             )

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.errors import ReproError
 
-class ReplicationError(RuntimeError):
+
+class ReplicationError(RuntimeError, ReproError):
     """Base class of every replication-tier failure."""
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.collection.documents import Collection
+from repro.errors import InvalidArgumentError
 from repro.index.compaction import CompactionStats, compact_engine
 from repro.index.dedup import NearDuplicateDetector
 from repro.index.fusion import normalisation_bounds_of_values, weighted_fusion
@@ -70,15 +71,8 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         if self.scorer not in ("bm25", "tfidf", "lm"):
-            raise ValueError(f"unknown scorer {self.scorer!r}")
+            raise InvalidArgumentError(f"unknown scorer {self.scorer!r}")
         validate_ranking_parameters(self)
-        if self.near_duplicate_threshold is not None and not (
-            0.0 < self.near_duplicate_threshold <= 1.0
-        ):
-            raise ValueError(
-                f"near_duplicate_threshold must be in (0, 1], got "
-                f"{self.near_duplicate_threshold!r}"
-            )
 
 
 def validate_ranking_parameters(config) -> None:
@@ -86,8 +80,9 @@ def validate_ranking_parameters(config) -> None:
 
     Shared by :class:`EngineConfig` and the service configuration: fusion
     weights and ``bm25_k1`` finite and ``>= 0``, ``bm25_b`` in ``[0, 1]``,
-    ``lm_mu`` finite and ``> 0``, ``result_limit`` a positive integer and
-    ``result_cache_size`` a non-negative one.
+    ``lm_mu`` finite and ``> 0``, ``result_limit`` a positive integer,
+    ``result_cache_size`` a non-negative one, and
+    ``near_duplicate_threshold`` ``None`` or in ``(0, 1]``.
     """
     for name in ("text_weight", "visual_weight", "concept_weight", "bm25_k1"):
         ensure_number(getattr(config, name), name)
@@ -95,6 +90,11 @@ def validate_ranking_parameters(config) -> None:
     ensure_number(config.lm_mu, "lm_mu", positive=True)
     ensure_number(config.result_limit, "result_limit", positive=True, integer=True)
     ensure_number(config.result_cache_size, "result_cache_size", integer=True)
+    threshold = config.near_duplicate_threshold
+    if threshold is not None and not 0.0 < threshold <= 1.0:
+        raise InvalidArgumentError(
+            f"near_duplicate_threshold must be in (0, 1], got {threshold!r}"
+        )
 
 
 def _decorate(

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.durability.wal import FSYNC_POLICIES
+from repro.errors import InvalidArgumentError
 from repro.replication.config import ReplicationConfig
 from repro.retrieval.engine import EngineConfig, validate_ranking_parameters
 from repro.serving.config import ServingConfig
@@ -125,21 +126,14 @@ class ServiceConfig:
         for name in ("max_sessions", "num_shards", "snapshot_interval_ops"):
             ensure_number(getattr(self, name), name, positive=True, integer=True)
         if self.executor != "thread":
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"executor={self.executor!r}: the process executor was removed; "
                 "'thread' is the only accepted value"
             )
         if self.fsync_policy not in FSYNC_POLICIES:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"unknown fsync policy {self.fsync_policy!r}; expected one "
                 f"of {FSYNC_POLICIES}"
-            )
-        if self.near_duplicate_threshold is not None and not (
-            0.0 < self.near_duplicate_threshold <= 1.0
-        ):
-            raise ValueError(
-                f"near_duplicate_threshold must be in (0, 1], got "
-                f"{self.near_duplicate_threshold!r}"
             )
 
     def with_overrides(self, **overrides: object) -> "ServiceConfig":

@@ -29,6 +29,7 @@ from repro.core.policies import (
     implicit_only_policy,
     profile_only_policy,
 )
+from repro.errors import ReproError
 from repro.feedback.weighting import (
     WeightingScheme,
     binary_click_scheme,
@@ -42,7 +43,7 @@ from repro.index.language_model import DirichletLanguageModelScorer
 from repro.index.scoring import Bm25Scorer, TextScorer, TfIdfScorer
 
 
-class UnknownComponentError(KeyError):
+class UnknownComponentError(KeyError, ReproError):
     """Raised when a config names a component that was never registered."""
 
     def __init__(self, kind: str, name: str, available: List[str]) -> None:

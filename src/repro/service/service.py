@@ -59,6 +59,7 @@ from repro.durability.recovery import (
     RecoveryManager,
     build_monolithic_indexes,
 )
+from repro.errors import InvalidArgumentError
 from repro.feedback.events import InteractionEvent
 from repro.feedback.weighting import WeightingScheme
 from repro.index.inverted_index import InvertedIndex
@@ -170,7 +171,7 @@ class RetrievalService:
         if durability_dir is not None and DurabilityManager.has_state(durability_dir):
             recovered = RecoveryManager(durability_dir).recover()
             if recovered.num_shards != self._config.num_shards:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"durability directory {durability_dir!r} was written "
                     f"with num_shards={recovered.num_shards} but the config "
                     f"asks for num_shards={self._config.num_shards}"
@@ -316,7 +317,7 @@ class RetrievalService:
         any request currently running against the victim completes).
         """
         if not user_id:
-            raise ValueError("user_id must be non-empty")
+            raise InvalidArgumentError("user_id must be non-empty")
         if result_limit is not None:
             ensure_number(result_limit, "result_limit", positive=True, integer=True)
         policy_name, policy_obj = self._resolve_policy(policy)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.adaptive import AdaptiveSession
+from repro.errors import ReproError
 from repro.service.types import SessionInfo
 from repro.utils.validation import ensure_positive
 
@@ -45,7 +46,7 @@ from repro.utils.validation import ensure_positive
 _EVICTION_MEMORY = 4096
 
 
-class SessionNotFoundError(KeyError):
+class SessionNotFoundError(KeyError, ReproError):
     """Raised when a session id is unknown (never opened, closed or evicted)."""
 
     def __init__(self, session_id: str, detail: Optional[str] = None) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.errors import InvalidArgumentError
 from repro.feedback.events import InteractionEvent
 from repro.retrieval.results import ResultItem, ResultList
 from repro.utils.validation import ensure_number
@@ -54,7 +55,7 @@ class SearchRequest:
 
     def __post_init__(self) -> None:
         if not self.user_id:
-            raise ValueError("SearchRequest.user_id must be non-empty")
+            raise InvalidArgumentError("SearchRequest.user_id must be non-empty")
         if self.limit is not None:
             ensure_number(self.limit, "SearchRequest.limit", positive=True, integer=True)
 
@@ -126,7 +127,7 @@ class FeedbackBatch:
 
     def __post_init__(self) -> None:
         if not self.user_id:
-            raise ValueError("FeedbackBatch.user_id must be non-empty")
+            raise InvalidArgumentError("FeedbackBatch.user_id must be non-empty")
         # Accept any iterable of events but always store an immutable tuple.
         object.__setattr__(self, "events", tuple(self.events))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from repro.errors import InvalidArgumentError
 from repro.utils.validation import ensure_deadline, ensure_positive
 
 
@@ -38,7 +39,7 @@ class TenantQuota:
 
     def __post_init__(self) -> None:
         if self.rate is not None and self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+            raise InvalidArgumentError(f"rate must be positive, got {self.rate}")
         if self.burst is not None:
             ensure_positive(self.burst, "burst")
         if self.max_in_flight is not None:
@@ -90,12 +91,12 @@ class ServingConfig:
     def __post_init__(self) -> None:
         ensure_positive(self.max_concurrency, "max_concurrency")
         if self.max_queue_depth < 0:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"max_queue_depth must be non-negative, got {self.max_queue_depth}"
             )
         ensure_deadline(self.default_deadline_seconds, "default_deadline_seconds")
         if self.drain_grace_seconds < 0:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"drain_grace_seconds must be non-negative, got "
                 f"{self.drain_grace_seconds}"
             )

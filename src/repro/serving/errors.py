@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.errors import ReproError
 
-class AdmissionRejectedError(RuntimeError):
+
+class AdmissionRejectedError(RuntimeError, ReproError):
     """A request was refused before any retrieval work started.
 
     ``retry_after`` is a coarse hint in seconds (never negative); clients
@@ -59,7 +61,7 @@ class DrainingError(AdmissionRejectedError):
         super().__init__("frontend is draining: not admitting new requests", retry_after)
 
 
-class DeadlineExceededError(TimeoutError):
+class DeadlineExceededError(TimeoutError, ReproError):
     """An admitted request's deadline fired before its result was ready.
 
     ``elapsed`` is how long the request was in the system when it timed

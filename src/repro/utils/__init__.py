@@ -23,7 +23,6 @@ from repro.utils.validation import (
     ensure_number,
     ensure_positive,
     ensure_probability,
-    ensure_type,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "ensure_number",
     "ensure_positive",
     "ensure_probability",
-    "ensure_type",
 ]

@@ -26,8 +26,10 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
+from repro.errors import ReproError
 
-class OperationCancelledError(RuntimeError):
+
+class OperationCancelledError(RuntimeError, ReproError):
     """Raised at a cancellation checkpoint once the request's token fired.
 
     Deliberately *not* a subclass of ``concurrent.futures.CancelledError``

@@ -43,6 +43,8 @@ from pathlib import Path
 from struct import pack, unpack
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
+from repro.errors import ReproError
+
 PathLike = Union[str, Path]
 
 
@@ -104,7 +106,7 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # -- feature vectors ----------------------------------------------------------------
 
 
-class VectorDecodeError(ValueError):
+class VectorDecodeError(ValueError, ReproError):
     """A stored feature vector is neither packed float64s nor a list of numbers."""
 
 
@@ -152,7 +154,7 @@ def decode_vector(value: object) -> List[float]:
 # -- binary record framing (uvarint length prefix + CRC32) ------------------------
 
 
-class RecordError(ValueError):
+class RecordError(ValueError, ReproError):
     """A framed record could not be decoded."""
 
 

@@ -1,20 +1,23 @@
 """Small validation helpers used across the library.
 
 These helpers keep constructor bodies short and produce consistent error
-messages, which the test suite asserts against.
+messages, which the test suite asserts against.  Every refusal is an
+:class:`~repro.errors.InvalidArgumentError`, so also a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
 from numbers import Real
-from typing import Any, Optional, Sized, Type
+from typing import Any, Optional, Sized
+
+from repro.errors import InvalidArgumentError
 
 
 def ensure_positive(value: float, name: str) -> float:
-    """Return ``value`` if strictly positive, else raise ``ValueError``."""
+    """Return ``value`` if strictly positive, else refuse it."""
     if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+        raise InvalidArgumentError(f"{name} must be positive, got {value!r}")
     return value
 
 
@@ -23,7 +26,7 @@ def ensure_number(
 ) -> Any:
     """Return ``value`` if it is a finite number ``>= 0`` (``> 0`` when
     ``positive``), and an ``int`` that is not a ``bool`` when ``integer``;
-    else raise ``ValueError``.
+    else refuse it.
 
     The domain of every ranking parameter: a NaN or infinite weight or
     ``k1`` ranks by ``nan`` or drops every hit, and a float count reaches
@@ -31,12 +34,12 @@ def ensure_number(
     """
     if isinstance(value, bool) or not isinstance(value, int if integer else Real):
         kind = "an integer" if integer else "a real number"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
+        raise InvalidArgumentError(f"{name} must be {kind}, got {value!r}")
     if not (value > 0 if positive else value >= 0) or not (
         integer or math.isfinite(value)
     ):
         sign = "positive" if positive else "non-negative"
-        raise ValueError(
+        raise InvalidArgumentError(
             f"{name} must be {sign}{'' if integer else ' and finite'}, got {value!r}"
         )
     return value
@@ -49,35 +52,27 @@ def ensure_deadline(value: Optional[float], name: str) -> Optional[float]:
     read as "no deadline" or as "already expired".
     """
     if value is not None and not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 
 def ensure_probability(value: float, name: str) -> float:
-    """Return ``value`` if in ``[0, 1]``, else raise ``ValueError``."""
+    """Return ``value`` if in ``[0, 1]``, else refuse it."""
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        raise InvalidArgumentError(f"{name} must be in [0, 1], got {value!r}")
     return value
 
 
 def ensure_in_range(value: float, low: float, high: float, name: str) -> float:
-    """Return ``value`` if in ``[low, high]``, else raise ``ValueError``."""
+    """Return ``value`` if in ``[low, high]``, else refuse it."""
     if not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
+        raise InvalidArgumentError(f"{name} must be in [{low}, {high}], got {value!r}")
     return value
 
 
 def ensure_non_empty(value: Sized, name: str) -> Sized:
-    """Return ``value`` if it has at least one element, else raise ``ValueError``."""
+    """Return ``value`` if it has at least one element, else refuse it."""
     if len(value) == 0:
-        raise ValueError(f"{name} must not be empty")
+        raise InvalidArgumentError(f"{name} must not be empty")
     return value
 
-
-def ensure_type(value: Any, expected: Type, name: str) -> Any:
-    """Return ``value`` if it is an instance of ``expected``, else raise ``TypeError``."""
-    if not isinstance(value, expected):
-        raise TypeError(
-            f"{name} must be of type {expected.__name__}, got {type(value).__name__}"
-        )
-    return value

@@ -40,6 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.errors import InvalidArgumentError
 from repro.feedback.events import EventKind, InteractionEvent
 from repro.service.types import FeedbackBatch
 from repro.utils.serialization import canonical_json
@@ -100,7 +101,7 @@ class ContinuousMixSpec:
         ensure_probability(self.delete_ratio, "delete_ratio")
         ensure_probability(self.update_ratio, "update_ratio")
         if self.delete_ratio + self.update_ratio > 1.0:
-            raise ValueError(
+            raise InvalidArgumentError(
                 "delete_ratio + update_ratio must not exceed 1 (the rest "
                 "of the mutation slots are ingests)"
             )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.errors import InvalidArgumentError
 from repro.utils.validation import ensure_positive
 
 
@@ -67,7 +68,7 @@ class WorkloadSpec:
         ensure_positive(self.feedback_per_query, "feedback_per_query")
         ensure_positive(self.feedback_top_k, "feedback_top_k")
         if not self.policy:
-            raise ValueError("policy must be non-empty")
+            raise InvalidArgumentError("policy must be non-empty")
 
     def with_overrides(self, **overrides: object) -> "WorkloadSpec":
         """A copy of this spec with some fields replaced."""

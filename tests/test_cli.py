@@ -12,6 +12,11 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.durability.recovery import HEADER_FILENAME
+from repro.service import available_policies
+
+#: How the CLI lists the registered policies when it refuses a name.
+REGISTERED = ", ".join(available_policies())
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +37,28 @@ def corpus_dir(tmp_path_factory):
     )
     assert code == 0
     return directory
+
+
+@pytest.fixture(scope="module")
+def three_topics(tmp_path_factory):
+    """The smallest corpus the refusal probes run against."""
+    directory = tmp_path_factory.mktemp("three-topics")
+    assert main(
+        ["generate", "--output", str(directory), "--seed", "5", "--days", "2",
+         "--stories-per-day", "3", "--topics", "3"],
+        out=io.StringIO(),
+    ) == 0
+    return directory
+
+
+def _run_cli(argv, cwd):
+    """``python -m repro`` in a subprocess under a 60 s bound, so a hang fails."""
+    source = Path(repro.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, timeout=60, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(source)},
+    )
 
 
 class TestParser:
@@ -168,27 +195,11 @@ class TestExperiment:
         assert [line.split()[0] for line in lines[1:]] == ["baseline", "implicit", "implicit"]
         assert lines[-1] == "implicit vs baseline: fewer than two shared topics, no paired test"
 
-    def test_unknown_policy_rejected(self, corpus_dir):
-        assert main(
-            ["experiment", "--corpus", str(corpus_dir), "--policies", "telepathy"],
-            out=io.StringIO(),
-        ) == 2
-
 
 class TestMoreTopicsThanTheCorpusHas:
     """Each user searches distinct topics, so asking for more than the
     corpus holds is refused in one line; it used to draw forever.  Every
     run is a subprocess under a wall-clock bound, so a hang fails."""
-
-    @pytest.fixture(scope="class")
-    def three_topics(self, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("three-topics")
-        assert main(
-            ["generate", "--output", str(directory), "--seed", "5", "--days", "2",
-             "--stories-per-day", "3", "--topics", "3"],
-            out=io.StringIO(),
-        ) == 0
-        return directory
 
     @pytest.mark.parametrize(
         "command, refusal",
@@ -211,12 +222,8 @@ class TestMoreTopicsThanTheCorpusHas:
     def test_refused_in_one_line_with_exit_2(
         self, three_topics, tmp_path, command, refusal
     ):
-        source = Path(repro.__file__).resolve().parents[1]
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro", command[0], "--corpus", str(three_topics),
-             *command[1:]],
-            capture_output=True, text=True, timeout=60, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(source)},
+        completed = _run_cli(
+            [command[0], "--corpus", str(three_topics), *command[1:]], tmp_path
         )
         assert completed.returncode == 2
         assert completed.stderr.splitlines() == [refusal]
@@ -233,6 +240,62 @@ class TestMoreTopicsThanTheCorpusHas:
         assert out.getvalue().splitlines()[1].startswith("baseline")
 
 
+class TestTracebacksBecomeOneLine:
+    """Inputs that used to end in a traceback, some only after the whole
+    run: each is refused in one stderr line with exit 2.  A subprocess
+    under a wall-clock bound, like the class above."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, three_topics, tmp_path_factory):
+        """A directory holding a file where an output directory should go,
+        and a durability directory written with one shard."""
+        directory = tmp_path_factory.mktemp("refusals")
+        (directory / "occupied").write_text("a file, not a directory\n")
+        assert main(
+            ["loadtest", "--corpus", str(three_topics), "--users", "1", "--queries", "1",
+             "--durable", str(directory / "one-shard")],
+            out=io.StringIO(),
+        ) == 0
+        return directory
+
+    @pytest.mark.parametrize(
+        "command, refusal",
+        [
+            (["search", "--query", "q", "--user", ""],
+             "search failed: user_id must be non-empty"),
+            (["loadtest", "--users", "1", "--queries", "1", "--durable", "one-shard",
+              "--shards", "4"],
+             "loadtest failed: durability directory 'one-shard' was written with "
+             "num_shards=1 but the config asks for num_shards=4"),
+            (["loadtest", "--users", "1", "--queries", "1", "--durable", "one-shard",
+              "--ingest-ops", "3", "--replicas", "1", "--shards", "2"],
+             "loadtest failed: durability directory 'one-shard' was written with "
+             "num_shards=1 but the config asks for num_shards=2"),
+            (["generate", "--output", "occupied/x"],
+             "generate failed: --output 'occupied/x' cannot be written: "
+             "'occupied' is not a directory"),
+            (["simulate", "--logs", "occupied/x", "--users", "1"],
+             "simulate failed: --logs 'occupied/x' cannot be written: "
+             "'occupied' is not a directory"),
+            (["loadtest", "--users", "1", "--queries", "1", "--log", "occupied/x"],
+             "loadtest failed: --log 'occupied/x' cannot be written: "
+             "'occupied' is not a directory"),
+            (["loadtest", "--mix-epochs", "1", "--mix-log", "occupied/x"],
+             "loadtest failed: --mix-log 'occupied/x' cannot be written: "
+             "'occupied' is not a directory"),
+        ],
+        ids=["empty-user", "durable-shards", "replicas-shards", "generate-output",
+             "simulate-logs", "loadtest-log", "mix-log"],
+    )
+    def test_refused_in_one_line_with_exit_2(self, three_topics, workdir, command, refusal):
+        if command[0] != "generate":
+            command = [command[0], "--corpus", str(three_topics), *command[1:]]
+        completed = _run_cli(command, workdir)
+        assert completed.returncode == 2
+        assert completed.stderr.splitlines() == [refusal]
+        assert completed.stdout == ""
+
+
 class TestRecoverErrorPaths:
     """`repro recover` / `--durable` misuse must fail with one-line errors.
 
@@ -242,33 +305,29 @@ class TestRecoverErrorPaths:
     """
 
     def test_recover_missing_path(self, tmp_path, capsys):
-        code = main(["recover", str(tmp_path / "nowhere")], out=io.StringIO())
-        assert code == 1
+        missing = str(tmp_path / "nowhere")
+        code = main(["recover", missing], out=io.StringIO())
+        assert code == 2
         err = capsys.readouterr().err
-        assert "recovery failed" in err
-        assert "does not exist" in err
-        assert "Traceback" not in err
-        assert err.strip().count("\n") == 0  # exactly one line
+        assert err.splitlines() == [f"recover failed: {missing!r} does not exist"]
 
     def test_recover_path_is_file(self, tmp_path, capsys):
         bogus = tmp_path / "not-a-dir"
         bogus.write_text("just a file\n")
         code = main(["recover", str(bogus)], out=io.StringIO())
-        assert code == 1
+        assert code == 2
         err = capsys.readouterr().err
-        assert "recovery failed" in err
-        assert "is not a directory" in err
-        assert err.strip().count("\n") == 0
+        assert err.splitlines() == [f"recover failed: {str(bogus)!r} is not a directory"]
 
     def test_recover_empty_directory(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
         code = main(["recover", str(empty)], out=io.StringIO())
-        assert code == 1
+        assert code == 2
         err = capsys.readouterr().err
-        assert "recovery failed" in err
-        assert "not a durability directory" in err
-        assert err.strip().count("\n") == 0
+        assert err.splitlines() == [
+            f"recover failed: {empty / HEADER_FILENAME} is missing — not a durability directory"
+        ]
 
     def test_loadtest_durable_path_is_file(self, corpus_dir, tmp_path, capsys):
         bogus = tmp_path / "wal-file"
@@ -291,11 +350,12 @@ class TestRecoverErrorPaths:
              "--queries", "1", "--durable", str(parent / "state")],
             out=io.StringIO(),
         )
-        assert code == 1
+        assert code == 2
         err = capsys.readouterr().err
-        assert "loadtest failed" in err
-        assert "is not a directory" in err
-        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"loadtest failed: --durable {str(parent / 'state')!r} cannot be written: "
+            f"{str(parent)!r} is not a directory"
+        ]
 
 
 #: Each verb that reads ``--corpus``, with the rest of a valid command line.
@@ -359,6 +419,26 @@ OUT_OF_RANGE = [
     ("loadtest --corpus c --ingest-pause -1", "must be non-negative and finite"),
     ("loadtest --corpus c --ingest-pause nan", "must be non-negative and finite"),
     ("loadtest --corpus c --ingest-pause inf", "must be non-negative and finite"),
+    ("loadtest --corpus c --serve-deadline 0", "must be positive and finite"),
+    ("loadtest --corpus c --serve-deadline nan", "must be positive and finite"),
+    ("loadtest --corpus c --serve-deadline inf", "must be positive and finite"),
+    ("loadtest --corpus c --mix-epochs 2 --mix-mutations 0", "must be positive"),
+    ("loadtest --corpus c --mix-epochs 2 --mix-searches -1", "must be non-negative"),
+    ("loadtest --corpus c --mix-epochs 2 --mix-delete-ratio 1.5", "must be in [0, 1]"),
+    ("loadtest --corpus c --mix-epochs 2 --mix-delete-ratio nan", "must be in [0, 1]"),
+    ("loadtest --corpus c --mix-epochs 2 --mix-update-ratio -0.1", "must be in [0, 1]"),
+    ("loadtest --corpus c --mix-epochs 2 --mix-feedback -1", "must be non-negative"),
+    ("loadtest --corpus c --mix-epochs 2 --mix-compact-every -1", "must be non-negative"),
+    ("search --corpus c --query q --policy nosuch",
+     f"must be a registered policy ({REGISTERED})"),
+    ("simulate --corpus c --logs l --policy nosuch",
+     f"must be a registered policy ({REGISTERED})"),
+    ("loadtest --corpus c --policy nosuch", f"must be a registered policy ({REGISTERED})"),
+    ("experiment --corpus c --policies telepathy",
+     f"must name registered policies only ({REGISTERED})"),
+    ("experiment --corpus c --policies baseline,nosuch",
+     f"must name registered policies only ({REGISTERED})"),
+    ("recover d --to-lsn -1", "must be non-negative"),
     ("generate --output o --days 0", "must be positive"),
     ("generate --output o --stories-per-day 0", "must be positive"),
     ("generate --output o --topics 0", "must be positive"),
@@ -391,8 +471,11 @@ def test_out_of_range_value_is_a_usage_error(command, problem, capsys):
         # --replicas needs --durable, and --durable already refuses --verify.
         (["--durable", "{tmp}/durable", "--ingest-ops", "4", "--replicas", "1",
           "--verify"], "--verify re-runs the workload against a fresh service"),
+        # The spec's cross-field check, not a parse-time type.
+        (["--mix-epochs", "1", "--mix-delete-ratio", "0.7", "--mix-update-ratio", "0.7"],
+         "delete_ratio + update_ratio must not exceed 1"),
     ],
-    ids=["mix-log", "mix-stop-lsn", "replicas-log", "replicas-verify"],
+    ids=["mix-log", "mix-stop-lsn", "replicas-log", "replicas-verify", "mix-ratios"],
 )
 def test_loadtest_refuses_a_flag_it_would_ignore(corpus_dir, tmp_path, capsys, flags, refusal):
     """One stderr line and exit 2, before any work: no log, no directory."""
@@ -400,7 +483,7 @@ def test_loadtest_refuses_a_flag_it_would_ignore(corpus_dir, tmp_path, capsys, f
     argv += [flag.format(tmp=tmp_path) for flag in flags]
     assert main(argv, out=io.StringIO()) == 2
     err = capsys.readouterr().err
-    assert err.startswith(refusal)
+    assert err.startswith(f"loadtest failed: {refusal}")
     assert err.strip().count("\n") == 0
     assert list(tmp_path.iterdir()) == []
 
