@@ -62,6 +62,7 @@ from repro.service import (
     create_policy,
 )
 from repro.simulation import shot_durations_from_collection
+from repro.utils.validation import DEADLINE, POSITIVE, PROBABILITY
 
 #: The four classic experimental systems, shown as examples in help text;
 #: every registered policy name is accepted.
@@ -95,16 +96,14 @@ def _names(text: str) -> List[str]:
     return list(dict.fromkeys(name.strip() for name in text.split(",") if name.strip()))
 
 
-_POSITIVE = _checked(int, lambda value: value > 0, "must be positive")
+_POSITIVE = _checked(int, *POSITIVE)
 _NON_NEGATIVE = _checked(int, lambda value: value >= 0, "must be non-negative")
 _SECONDS = _checked(
     float, lambda value: value >= 0 and math.isfinite(value),
     "must be non-negative and finite",
 )
-_DEADLINE = _checked(
-    float, lambda value: value > 0 and math.isfinite(value), "must be positive and finite"
-)
-_PROBABILITY = _checked(float, lambda value: 0.0 <= value <= 1.0, "must be in [0, 1]")
+_DEADLINE = _checked(float, *DEADLINE)
+_PROBABILITY = _checked(float, *PROBABILITY)
 _POLICY_NAMES = _checked(_names, bool, "must name at least one policy")
 
 
@@ -872,10 +871,12 @@ def _check_corpus(path: str) -> None:
 def _refuse_unwritable(flag: str, path: Optional[str], *, directory: bool) -> None:
     """Refuse an output ``path`` whose nearest existing ancestor is not a
     directory, before any work starts.  A ``directory`` output is its own
-    first ancestor; a file output may already exist."""
+    first ancestor; a file output may already exist, but not as a directory."""
     if path is None:
         return
     target = Path(path)
+    if not directory and target.is_dir():
+        raise ReproError(f"{flag} {path!r} cannot be written: it is a directory")
     ancestors = [target, *target.parents] if directory else list(target.parents)
     nearest = next(ancestor for ancestor in ancestors if ancestor.exists())
     if not nearest.is_dir():
@@ -884,34 +885,33 @@ def _refuse_unwritable(flag: str, path: Optional[str], *, directory: bool) -> No
         )
 
 
-_HANDLERS = {
-    "generate": _command_generate,
-    "search": _command_search,
-    "simulate": _command_simulate,
-    "experiment": _command_experiment,
-    "analyse-logs": _command_analyse_logs,
-    "loadtest": _command_loadtest,
-    "recover": _command_recover,
-    "verify": _command_verify,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code.
 
     0 is success.  1 is a finding of a verb that ran: ``verify`` found
     damage, a replay or digest mismatch, or no session logs to analyse.
-    2 is refused input: an argparse usage error, or a
-    :class:`~repro.errors.ReproError`, printed as one
+    2 is refused input (an argparse usage error or a refusal) or any
+    other :class:`~repro.errors.ReproError` the run stopped on, such as
+    a damaged durability directory; it is printed as one
     ``"<verb> failed: <error>"`` line.  Any other exception is a bug and
     keeps its traceback.
     """
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(list(argv) if argv is not None else None)
+    handlers = {
+        "generate": _command_generate,
+        "search": _command_search,
+        "simulate": _command_simulate,
+        "experiment": _command_experiment,
+        "analyse-logs": _command_analyse_logs,
+        "loadtest": _command_loadtest,
+        "recover": _command_recover,
+        "verify": _command_verify,
+    }
     try:
         if getattr(args, "corpus", None) is not None:
             _check_corpus(args.corpus)
-        return _HANDLERS[args.command](args, out)
+        return handlers[args.command](args, out)
     except ReproError as error:
         print(f"{args.command} failed: {error}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from repro.utils.validation import (
     ensure_number,
     ensure_positive,
     ensure_probability,
+    ensure_type,
 )
 
 __all__ = [
@@ -45,4 +46,5 @@ __all__ = [
     "ensure_number",
     "ensure_positive",
     "ensure_probability",
+    "ensure_type",
 ]

@@ -1,24 +1,45 @@
 """Small validation helpers used across the library.
 
 These helpers keep constructor bodies short and produce consistent error
-messages, which the test suite asserts against.  Every refusal is an
-:class:`~repro.errors.InvalidArgumentError`, so also a ``ValueError``.
+messages, which the test suite asserts against.  Every value refusal is
+an :class:`~repro.errors.InvalidArgumentError`, so also a ``ValueError``;
+:func:`ensure_type` is a type check and raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import math
 from numbers import Real
-from typing import Any, Optional, Sized
+from typing import Any, Callable, NamedTuple, Optional, Sized, Type
 
 from repro.errors import InvalidArgumentError
 
 
+class Rule(NamedTuple):
+    """A refusal rule: the values it will ``accept`` and the ``problem`` it
+    names for the rest.  The ``ensure_*`` helpers below and the CLI's
+    parse-time types share one rule each, so the two cannot drift apart."""
+
+    accept: Callable[[Any], bool]
+    problem: str
+
+    def check(self, value: Any, name: str) -> Any:
+        """Return ``value`` if the rule accepts it, else refuse it."""
+        if not self.accept(value):
+            raise InvalidArgumentError(f"{name} {self.problem}, got {value!r}")
+        return value
+
+
+POSITIVE = Rule(lambda value: value > 0, "must be positive")
+DEADLINE = Rule(
+    lambda value: value > 0 and math.isfinite(value), "must be positive and finite"
+)
+PROBABILITY = Rule(lambda value: 0.0 <= value <= 1.0, "must be in [0, 1]")
+
+
 def ensure_positive(value: float, name: str) -> float:
     """Return ``value`` if strictly positive, else refuse it."""
-    if not value > 0:
-        raise InvalidArgumentError(f"{name} must be positive, got {value!r}")
-    return value
+    return POSITIVE.check(value, name)
 
 
 def ensure_number(
@@ -51,16 +72,12 @@ def ensure_deadline(value: Optional[float], name: str) -> Optional[float]:
     Zero, negative, NaN and infinite deadlines are refused rather than
     read as "no deadline" or as "already expired".
     """
-    if value is not None and not (value > 0 and math.isfinite(value)):
-        raise InvalidArgumentError(f"{name} must be positive and finite, got {value!r}")
-    return value
+    return value if value is None else DEADLINE.check(value, name)
 
 
 def ensure_probability(value: float, name: str) -> float:
     """Return ``value`` if in ``[0, 1]``, else refuse it."""
-    if not 0.0 <= value <= 1.0:
-        raise InvalidArgumentError(f"{name} must be in [0, 1], got {value!r}")
-    return value
+    return PROBABILITY.check(value, name)
 
 
 def ensure_in_range(value: float, low: float, high: float, name: str) -> float:
@@ -76,3 +93,12 @@ def ensure_non_empty(value: Sized, name: str) -> Sized:
         raise InvalidArgumentError(f"{name} must not be empty")
     return value
 
+
+
+def ensure_type(value: Any, expected: Type, name: str) -> Any:
+    """Return ``value`` if it is an instance of ``expected``, else raise ``TypeError``."""
+    if not isinstance(value, expected):
+        raise TypeError(
+            f"{name} must be of type {expected.__name__}, got {type(value).__name__}"
+        )
+    return value

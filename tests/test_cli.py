@@ -283,9 +283,11 @@ class TestTracebacksBecomeOneLine:
             (["loadtest", "--mix-epochs", "1", "--mix-log", "occupied/x"],
              "loadtest failed: --mix-log 'occupied/x' cannot be written: "
              "'occupied' is not a directory"),
+            (["loadtest", "--users", "1", "--queries", "1", "--log", "one-shard"],
+             "loadtest failed: --log 'one-shard' cannot be written: it is a directory"),
         ],
         ids=["empty-user", "durable-shards", "replicas-shards", "generate-output",
-             "simulate-logs", "loadtest-log", "mix-log"],
+             "simulate-logs", "loadtest-log", "mix-log", "loadtest-log-is-dir"],
     )
     def test_refused_in_one_line_with_exit_2(self, three_topics, workdir, command, refusal):
         if command[0] != "generate":

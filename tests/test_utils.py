@@ -12,6 +12,7 @@ from repro.utils import (
     ensure_number,
     ensure_positive,
     ensure_probability,
+    ensure_type,
     read_json,
     read_jsonl_list,
     spawn_rng,
@@ -152,6 +153,11 @@ class TestValidation:
         for value in (True, "1.0", None):
             with pytest.raises(ValueError, match="w must be a real number"):
                 ensure_number(value, "w")
+
+    def test_ensure_type(self):
+        assert ensure_type("abc", str, "s") == "abc"
+        with pytest.raises(TypeError):
+            ensure_type(1, str, "s")
 
 
 class TestSerialization:
