@@ -38,6 +38,7 @@ from _common import Bench, Floor
 
 from repro.feedback.events import EventKind, InteractionEvent
 from repro.index.scoring import Bm25Scorer, TextScorer
+from repro.retrieval import EngineConfig
 from repro.service import (
     FeedbackBatch,
     RetrievalService,
@@ -47,6 +48,9 @@ from repro.service import (
     register_scorer,
 )
 from repro.workload import ServiceLoadDriver, WorkloadSpec
+
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
 #: Modelled per-evaluation backend latency for the ``iostall`` workload.
 IO_STALL_SECONDS = 0.005
@@ -154,7 +158,7 @@ def _batch_rows(corpus, users, rounds):
     rows = []
 
     # cpu workload: result cache off so every request is a genuine evaluation.
-    cpu_config = ServiceConfig(result_cache_size=0)
+    cpu_config = ServiceConfig(engine=UNCACHED)
     _assert_bit_identical(corpus, cpu_config, requests)
     sequential = _measure_batch(corpus, cpu_config, requests, 1, rounds)
     parallel = _measure_batch(corpus, cpu_config, requests, PARALLEL_WORKERS, rounds)
@@ -178,7 +182,11 @@ def _batch_rows(corpus, users, rounds):
         overwrite=True,
     )
     try:
-        stall_config = ServiceConfig(scorer=_STALL_SCORER, result_cache_size=0)
+        stall_config = ServiceConfig(
+            engine=EngineConfig(
+                scorer=_STALL_SCORER, result_limit=50, result_cache_size=0
+            )
+        )
         _assert_bit_identical(corpus, stall_config, requests)
         sequential = _measure_batch(corpus, stall_config, requests, 1, rounds)
         parallel = _measure_batch(

@@ -47,12 +47,16 @@ from _common import Bench
 
 from repro.durability import RecoveryManager, engine_state_digest
 from repro.durability.wal import WalSegment
+from repro.retrieval import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
 from repro.workload.ingest import (
     apply_ingest,
     service_feature_dim,
     synthetic_ingest_ops,
 )
+
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
 #: Snapshot cadence of the bench runs: low enough that compaction and
 #: incremental deltas happen mid-run, so their cost is in the numbers.
@@ -121,10 +125,10 @@ def _ingest_row(corpus, count, fsync_policy, workdir):
     service = RetrievalService(
         corpus.collection,
         config=ServiceConfig(
+            engine=UNCACHED,
             durability_dir=str(directory),
             fsync_policy=fsync_policy,
             snapshot_interval_ops=SNAPSHOT_INTERVAL,
-            result_cache_size=0,
         ),
     )
     ops = _ops(service, count)
@@ -158,7 +162,7 @@ def _ingest_row(corpus, count, fsync_policy, workdir):
 
 def _memory_row(corpus, count):
     service = RetrievalService(
-        corpus.collection, config=ServiceConfig(result_cache_size=0)
+        corpus.collection, config=ServiceConfig(engine=UNCACHED)
     )
     ops = _ops(service, count)
     start = time.perf_counter()
@@ -183,10 +187,10 @@ def _recovery_row(corpus, count, workdir, repeats):
     service = RetrievalService(
         corpus.collection,
         config=ServiceConfig(
+            engine=UNCACHED,
             durability_dir=str(directory),
             fsync_policy="never",
             snapshot_interval_ops=SNAPSHOT_INTERVAL,
-            result_cache_size=0,
         ),
     )
     apply_ingest(service, _ops(service, count))
@@ -225,10 +229,10 @@ def _rebase_row(corpus, count, workdir, repeats):
     service = RetrievalService(
         corpus.collection,
         config=ServiceConfig(
+            engine=UNCACHED,
             durability_dir=str(directory),
             fsync_policy="never",
             snapshot_interval_ops=SNAPSHOT_INTERVAL,
-            result_cache_size=0,
         ),
     )
     ops = _ops(service, count)

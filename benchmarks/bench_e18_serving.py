@@ -44,6 +44,7 @@ import time
 from _common import Bench
 
 from repro.index import Bm25Scorer
+from repro.retrieval import EngineConfig
 from repro.service import (
     RetrievalService,
     SearchRequest,
@@ -144,7 +145,10 @@ def _wrapped_service(corpus, wrap):
     try:
         service = RetrievalService.from_corpus(
             corpus,
-            config=ServiceConfig(num_shards=BENCH_SHARDS, scorer="e18-wrapped"),
+            config=ServiceConfig(
+                engine=EngineConfig(scorer="e18-wrapped", result_limit=50),
+                num_shards=BENCH_SHARDS,
+            ),
         )
     finally:
         SCORER_REGISTRY.unregister("e18-wrapped")

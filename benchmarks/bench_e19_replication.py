@@ -41,12 +41,16 @@ from _common import Bench
 
 from repro.durability import engine_state_digest
 from repro.replication import ReplicaServer, ReplicatedService
+from repro.retrieval import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
 from repro.workload.ingest import (
     apply_ingest,
     service_feature_dim,
     synthetic_ingest_ops,
 )
+
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
 SNAPSHOT_INTERVAL = 64
 
@@ -55,10 +59,10 @@ INGEST_SEED = 2008
 
 def _durable_config(directory):
     return ServiceConfig(
+        engine=UNCACHED,
         durability_dir=str(directory),
         fsync_policy="never",
         snapshot_interval_ops=SNAPSHOT_INTERVAL,
-        result_cache_size=0,
     )
 
 

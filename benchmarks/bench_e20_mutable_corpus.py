@@ -34,7 +34,7 @@ import time
 from _common import Bench
 
 from repro.durability import engine_state_digest
-from repro.retrieval import Query
+from repro.retrieval import EngineConfig, Query
 from repro.service import RetrievalService, ServiceConfig
 from repro.workload import ContinuousMixSpec, run_continuous_mix
 from repro.workload.ingest import (
@@ -42,6 +42,9 @@ from repro.workload.ingest import (
     service_feature_dim,
     synthetic_ingest_ops,
 )
+
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
 INGEST_SEED = 2008
 
@@ -61,7 +64,7 @@ def _queries(corpus, count=3):
 
 def _service(corpus):
     return RetrievalService(
-        corpus.collection, config=ServiceConfig(result_cache_size=0)
+        corpus.collection, config=ServiceConfig(engine=UNCACHED)
     )
 
 

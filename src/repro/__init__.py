@@ -41,7 +41,7 @@ from repro.core import (
     implicit_only_policy,
     profile_only_policy,
 )
-from repro.retrieval import Query, ResultList, VideoRetrievalEngine
+from repro.retrieval import EngineConfig, Query, ResultList, VideoRetrievalEngine
 from repro.sharding import ShardRouter
 from repro.service import (
     FeedbackBatch,
@@ -90,6 +90,7 @@ __all__ = [
     "implicit_only_policy",
     "combined_policy",
     # engine-room types
+    "EngineConfig",
     "Query",
     "ResultList",
     "VideoRetrievalEngine",

@@ -360,8 +360,6 @@ def _runner_for(corpus_directory: str):
     from repro.collection.generator import SyntheticCorpus
     from repro.collection.vocabulary import build_vocabulary
     from repro.evaluation import ExperimentRunner
-    from repro.retrieval.engine import EngineConfig
-    from repro.service import ServiceConfig
     from repro.utils.rng import RandomSource
 
     stored = load_corpus(corpus_directory)
@@ -377,12 +375,7 @@ def _runner_for(corpus_directory: str):
         config=CollectionConfig(),
         seed=stored.seed,
     )
-    # Lift the engine defaults (not the tighter service defaults) so CLI
-    # experiments keep the same candidate depths as ExperimentRunner(corpus).
-    service = RetrievalService.from_corpus(
-        corpus, config=ServiceConfig.from_engine_config(EngineConfig())
-    )
-    return ExperimentRunner(corpus, service=service)
+    return ExperimentRunner(corpus)
 
 
 def _command_simulate(args: argparse.Namespace, out) -> int:
@@ -452,6 +445,19 @@ def _command_analyse_logs(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _service_config(args: argparse.Namespace):
+    """The one :class:`ServiceConfig` every loadtest arm serves from; the
+    fsync and snapshot flags matter only with ``--durable``."""
+    from repro.service import ServiceConfig
+
+    return ServiceConfig(
+        num_shards=args.shards,
+        durability_dir=args.durable or None,
+        fsync_policy=args.fsync,
+        snapshot_interval_ops=args.snapshot_interval,
+    )
+
+
 def _command_loadtest(args: argparse.Namespace, out) -> int:
     from repro.workload import ServiceLoadDriver, WorkloadSpec
 
@@ -507,20 +513,10 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
     _refuse_unwritable("--log", args.log, directory=False)
     _refuse_unwritable("--mix-log", args.mix_log, directory=False)
     stored = load_corpus(args.corpus)
-    from repro.service import ServiceConfig
-
-    if args.durable:
-        service_config = ServiceConfig(
-            num_shards=args.shards,
-            durability_dir=args.durable,
-            fsync_policy=args.fsync,
-            snapshot_interval_ops=args.snapshot_interval,
-        )
-    else:
-        service_config = ServiceConfig(num_shards=args.shards)
+    service_config = _service_config(args)
 
     if args.replicas:
-        return _run_replicated_loadtest(args, stored, out)
+        return _run_replicated_loadtest(args, stored, service_config, out)
 
     if args.mix_epochs:
         return _run_continuous_mix_command(args, stored, service_config, out)
@@ -674,16 +670,12 @@ def _run_continuous_mix_command(args: argparse.Namespace, stored, service_config
     return 0
 
 
-def _run_replicated_loadtest(args: argparse.Namespace, stored, out) -> int:
+def _run_replicated_loadtest(
+    args: argparse.Namespace, stored, service_config, out
+) -> int:
     """The --replicas arm of loadtest: replicated ingest + read fan-out."""
     from repro.replication import ChaosSchedule, run_replicated_loadtest
-    from repro.service import ServiceConfig
 
-    base_config = ServiceConfig(
-        num_shards=args.shards,
-        fsync_policy=args.fsync,
-        snapshot_interval_ops=args.snapshot_interval,
-    )
     schedule = None
     if args.chaos:
         schedule = ChaosSchedule.generate(
@@ -703,7 +695,7 @@ def _run_replicated_loadtest(args: argparse.Namespace, stored, out) -> int:
     report = run_replicated_loadtest(
         stored,
         args.durable,
-        config=base_config,
+        config=service_config,
         num_replicas=args.replicas,
         ingest_ops=args.ingest_ops,
         seed=args.seed,

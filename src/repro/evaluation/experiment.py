@@ -189,21 +189,16 @@ class ExperimentRunner:
     def __init__(
         self,
         corpus: SyntheticCorpus,
-        engine_config: Optional[EngineConfig] = None,
         dwell_model: Optional[DwellTimeModel] = None,
         simulator_seed: int = 9090,
         service: Optional[RetrievalService] = None,
     ) -> None:
         self._corpus = corpus
         if service is None:
+            # The engine's default depth (100), not a service's 50.
             service = RetrievalService.from_corpus(
-                corpus,
-                config=ServiceConfig.from_engine_config(engine_config or EngineConfig()),
+                corpus, config=ServiceConfig(engine=EngineConfig())
             )
-        elif engine_config is not None:
-            # A pre-built service already fixes the engine; accepting a second
-            # engine configuration would silently misattribute results.
-            raise ValueError("pass either engine_config or service, not both")
         self._service = service
         self._engine = service.engine
         self._system = service.system

@@ -86,7 +86,7 @@ class NewsVideoFramework:
         # the same substrate as every other entry point.
         self._service = RetrievalService(
             self._collection,
-            config=ServiceConfig.from_engine_config(self._engine_config),
+            config=ServiceConfig(engine=self._engine_config),
         )
         self._engine = self._service.engine
         self._system = self._service.system

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.durability.digest import engine_state_digest
+from repro.errors import InvalidArgumentError
 from repro.replication.config import ReplicationConfig
 from repro.replication.errors import (
     NoReplicaAvailableError,
@@ -56,9 +57,9 @@ class ChaosEvent:
 
     def __post_init__(self) -> None:
         if self.at_op < 0:
-            raise ValueError(f"at_op must be non-negative, got {self.at_op}")
+            raise InvalidArgumentError(f"at_op must be non-negative, got {self.at_op}")
         if self.action not in CHAOS_ACTIONS:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"unknown chaos action {self.action!r}; expected one of "
                 f"{CHAOS_ACTIONS}"
             )
@@ -94,7 +95,7 @@ class ChaosSchedule:
         primary's kill.
         """
         if total_ops <= 0:
-            raise ValueError(f"total_ops must be positive, got {total_ops}")
+            raise InvalidArgumentError(f"total_ops must be positive, got {total_ops}")
         last = total_ops - 1
         events: List[ChaosEvent] = []
         third = max(1, total_ops // 3)
@@ -159,13 +160,13 @@ def run_replicated_loadtest(
     acknowledged ops).
     """
     if num_replicas < 0:
-        raise ValueError(f"num_replicas must be non-negative, got {num_replicas}")
+        raise InvalidArgumentError(
+            f"num_replicas must be non-negative, got {num_replicas}"
+        )
     if ingest_ops <= 0:
-        raise ValueError(f"ingest_ops must be positive, got {ingest_ops}")
+        raise InvalidArgumentError(f"ingest_ops must be positive, got {ingest_ops}")
     base_config = config or ServiceConfig()
-    durable_config = base_config.with_overrides(
-        durability_dir=str(directory), serving=None
-    )
+    durable_config = base_config.with_overrides(durability_dir=str(directory))
     primary = RetrievalService.from_corpus(corpus, config=durable_config)
     registry = metrics if metrics is not None else MetricsRegistry()
     service = ReplicatedService(
@@ -318,9 +319,7 @@ def _clean_run_digest(
     corpus, config: ServiceConfig, surviving_ops: Sequence[IngestOp]
 ) -> str:
     """Digest of a fresh in-memory run applying exactly the surviving ops."""
-    clean_config = config.with_overrides(
-        durability_dir=None, serving=None
-    )
+    clean_config = config.with_overrides(durability_dir=None)
     clean = RetrievalService.from_corpus(corpus, config=clean_config)
     try:
         apply_ingest(clean, surviving_ops)

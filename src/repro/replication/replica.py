@@ -99,8 +99,8 @@ class ReplicaServer:
     (optional, a stored/synthetic corpus) additionally lets a promotion
     hand back a fully equipped service (topics and qrels included).
     ``config`` must agree with the directory's shard count; its
-    ``durability_dir``/``serving`` fields are ignored — a replica never
-    owns the directory it tails.
+    ``durability_dir`` is ignored — a replica never owns the directory it
+    tails.
     """
 
     def __init__(
@@ -131,8 +131,8 @@ class ReplicaServer:
                 f"for num_shards={config.num_shards}"
             )
         # A replica never owns the directory (attach would repair the WAL
-        # tail) and never fronts a serving edge of its own.
-        self._config = config.with_overrides(durability_dir=None, serving=None)
+        # tail).
+        self._config = config.with_overrides(durability_dir=None)
         self._replication = config.replication or ReplicationConfig()
         self._corpus = corpus
         self._collection = collection if collection is not None else corpus.collection

@@ -29,8 +29,8 @@ from repro.index.compaction import CompactionStats, compact_engine
 from repro.index.dedup import NearDuplicateDetector
 from repro.index.fusion import normalisation_bounds_of_values, weighted_fusion
 from repro.index.inverted_index import InvertedIndex
-from repro.index.language_model import DirichletLanguageModelScorer
-from repro.index.scoring import Bm25Scorer, DenseScores, TextScorer, TfIdfScorer
+from repro.index.registry import SCORER_REGISTRY, create_scorer
+from repro.index.scoring import DenseScores, TextScorer
 from repro.index.slots import PerGeneration
 from repro.index.tokenizer import Tokenizer
 from repro.index.visual import VisualIndex, finite_features
@@ -46,11 +46,14 @@ class EngineConfig:
     """Configuration of the retrieval engine.
 
     ``text_weight``, ``visual_weight`` and ``concept_weight`` control the
-    multimodal fusion; ``scorer`` selects the text ranking function
-    (``"bm25"``, ``"tfidf"`` or ``"lm"``).  ``result_cache_size`` bounds the
-    engine's persistent query-result LRU cache (0 disables it); cached
-    entries are invalidated automatically when either index is mutated, so
-    served rankings are always identical to a fresh evaluation.
+    multimodal fusion; ``scorer`` names the text ranking function in
+    :mod:`repro.index.registry` (built in: ``"bm25"``, ``"tfidf"`` and
+    ``"lm"``, tuned by ``bm25_k1``/``bm25_b`` and ``lm_mu``).
+    ``result_limit`` is the default ranked-list depth per search.
+    ``result_cache_size`` bounds the engine's persistent query-result LRU
+    cache (0 disables it); cached entries are invalidated automatically
+    when either index is mutated, so served rankings are always identical
+    to a fresh evaluation.
     ``near_duplicate_threshold`` (``None`` disables screening) rejects
     incoming documents whose term-frequency cosine similarity to an
     already-live document reaches the threshold — they are silently skipped
@@ -70,31 +73,24 @@ class EngineConfig:
     near_duplicate_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.scorer not in ("bm25", "tfidf", "lm"):
-            raise InvalidArgumentError(f"unknown scorer {self.scorer!r}")
-        validate_ranking_parameters(self)
-
-
-def validate_ranking_parameters(config) -> None:
-    """Refuse ranking parameters outside the domain the ranking assumes.
-
-    Shared by :class:`EngineConfig` and the service configuration: fusion
-    weights and ``bm25_k1`` finite and ``>= 0``, ``bm25_b`` in ``[0, 1]``,
-    ``lm_mu`` finite and ``> 0``, ``result_limit`` a positive integer,
-    ``result_cache_size`` a non-negative one, and
-    ``near_duplicate_threshold`` ``None`` or in ``(0, 1]``.
-    """
-    for name in ("text_weight", "visual_weight", "concept_weight", "bm25_k1"):
-        ensure_number(getattr(config, name), name)
-    ensure_probability(ensure_number(config.bm25_b, "bm25_b"), "bm25_b")
-    ensure_number(config.lm_mu, "lm_mu", positive=True)
-    ensure_number(config.result_limit, "result_limit", positive=True, integer=True)
-    ensure_number(config.result_cache_size, "result_cache_size", integer=True)
-    threshold = config.near_duplicate_threshold
-    if threshold is not None and not 0.0 < threshold <= 1.0:
-        raise InvalidArgumentError(
-            f"near_duplicate_threshold must be in (0, 1], got {threshold!r}"
-        )
+        """Refuse ranking parameters outside the domain the ranking assumes:
+        an unregistered ``scorer``, fusion weights and ``bm25_k1`` not finite
+        and ``>= 0``, ``bm25_b`` outside ``[0, 1]``, ``lm_mu`` not finite and
+        ``> 0``, ``result_limit`` not a positive integer,
+        ``result_cache_size`` not a non-negative one, and
+        ``near_duplicate_threshold`` neither ``None`` nor in ``(0, 1]``."""
+        SCORER_REGISTRY.ensure_registered(self.scorer)
+        for name in ("text_weight", "visual_weight", "concept_weight", "bm25_k1"):
+            ensure_number(getattr(self, name), name)
+        ensure_probability(ensure_number(self.bm25_b, "bm25_b"), "bm25_b")
+        ensure_number(self.lm_mu, "lm_mu", positive=True)
+        ensure_number(self.result_limit, "result_limit", positive=True, integer=True)
+        ensure_number(self.result_cache_size, "result_cache_size", integer=True)
+        threshold = self.near_duplicate_threshold
+        if threshold is not None and not 0.0 < threshold <= 1.0:
+            raise InvalidArgumentError(
+                f"near_duplicate_threshold must be in (0, 1], got {threshold!r}"
+            )
 
 
 def _decorate(
@@ -164,9 +160,11 @@ class VideoRetrievalEngine:
             collection, tokenizer=self._tokenizer
         )
         self._visual_index = visual_index or VisualIndex.from_collection(collection)
-        # An explicit scorer instance (e.g. from the service registry) takes
-        # precedence over the name in the config.
-        self._text_scorer = text_scorer or self._build_scorer(config)
+        # An explicit scorer instance takes precedence over the name in the
+        # config.
+        self._text_scorer = text_scorer or create_scorer(
+            config.scorer, self._inverted_index, config
+        )
         # Persistent LRU of fully-evaluated searches, keyed on the query
         # fingerprint plus limit.  The store lives for one generation pair
         # of the two indexes, so a mutation (add_document / add_shot)
@@ -192,13 +190,6 @@ class VideoRetrievalEngine:
         if config.near_duplicate_threshold is not None:
             self._dedup = NearDuplicateDetector(config.near_duplicate_threshold)
             self._dedup.seed_from_index(self._inverted_index)
-
-    def _build_scorer(self, config: EngineConfig) -> TextScorer:
-        if config.scorer == "bm25":
-            return Bm25Scorer(self._inverted_index, k1=config.bm25_k1, b=config.bm25_b)
-        if config.scorer == "tfidf":
-            return TfIdfScorer(self._inverted_index)
-        return DirichletLanguageModelScorer(self._inverted_index, mu=config.lm_mu)
 
     # -- accessors -------------------------------------------------------------
 

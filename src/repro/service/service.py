@@ -68,11 +68,7 @@ from repro.profiles.ontology import InterestOntology
 from repro.profiles.profile import UserProfile
 from repro.retrieval.engine import VideoRetrievalEngine
 from repro.service.config import ServiceConfig
-from repro.service.registry import (
-    create_policy,
-    create_scorer,
-    create_weighting_scheme,
-)
+from repro.service.registry import create_policy, create_weighting_scheme
 from repro.service.sessions import (
     ManagedSession,
     SessionExpiredError,
@@ -113,8 +109,8 @@ def build_engine(
     same path, without owning sessions or a durability manager.
 
     Every engine holds one :class:`~repro.index.inverted_index.
-    InvertedIndex` and one registry-built scorer: ``config.num_shards``
-    splits only the durable directory's segments.
+    InvertedIndex` and the one scorer ``config.engine`` names:
+    ``config.num_shards`` splits only the durable directory's segments.
     """
     tokenizer = tokenizer or Tokenizer()
     if recovered is not None:
@@ -124,17 +120,12 @@ def build_engine(
     else:
         inverted_index = InvertedIndex.from_collection(collection, tokenizer=tokenizer)
         visual_index = None
-    # Resolving through the registry (rather than EngineConfig's own
-    # string switch) is what lets register_scorer() extensions work and
-    # makes unknown names fail with the registered alternatives listed.
-    scorer = create_scorer(config.scorer, inverted_index, config)
     return VideoRetrievalEngine(
         collection,
         inverted_index=inverted_index,
         visual_index=visual_index,
-        config=config.engine_config(),
+        config=config.engine,
         tokenizer=tokenizer,
-        text_scorer=scorer,
     )
 
 
@@ -322,7 +313,7 @@ class RetrievalService:
             ensure_number(result_limit, "result_limit", positive=True, integer=True)
         policy_name, policy_obj = self._resolve_policy(policy)
         scheme_name, scheme_obj = self._resolve_scheme(scheme)
-        limit = result_limit or self._config.result_limit
+        limit = result_limit or self._config.engine.result_limit
         session = self._system.create_session(
             profile=profile or UserProfile(user_id=user_id),
             policy=policy_obj,

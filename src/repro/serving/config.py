@@ -1,9 +1,10 @@
 """Configuration of the async serving edge.
 
-Kept free of any ``repro.service`` import on purpose:
-:class:`~repro.service.config.ServiceConfig` embeds a
-:class:`ServingConfig` (``ServiceConfig(serving=...)``), so this module
-sits *below* the service layer in the import graph.
+Kept free of any ``repro.service`` import on purpose: a
+:class:`ServingConfig` is handed to
+:class:`~repro.serving.ServingFrontend` or
+:class:`~repro.workload.driver.ServiceLoadDriver` next to a service, so this
+module sits *below* the service layer in the import graph.
 """
 
 from __future__ import annotations

@@ -101,7 +101,7 @@ class ServingFrontend:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._service = service
-        self._config = config or getattr(service.config, "serving", None) or ServingConfig()
+        self._config = config or ServingConfig()
         self._clock = clock
         self._metrics = MetricsRegistry()
         self._quotas = TenantQuotaManager(self._config, clock=clock)

@@ -1,16 +1,16 @@
 """Deterministic routing of document/shot ids onto shard segments.
 
 The router is the one place that decides which segment an id's records
-belong to, so the write-ahead log, the snapshot deltas and any external
-partitioner all agree by construction.  Routing is a pure function of the id string — ``crc32(id) % num_shards`` — so it is
-stable across processes, Python versions and restarts (unlike the builtin
-``hash``, which is salted per process).
+belong to, so the write-ahead log and the snapshot deltas agree by
+construction.  Routing is a pure function of the id string —
+``crc32(id) % num_shards`` — so it is stable across processes, Python
+versions and restarts (unlike the builtin ``hash``, which is salted per
+process).
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List
 
 from repro.utils.validation import ensure_positive
 
@@ -30,20 +30,6 @@ class ShardRouter:
     def shard_of(self, item_id: str) -> int:
         """The shard index owning ``item_id`` (stable across processes)."""
         return zlib.crc32(item_id.encode("utf-8")) % self._num_shards
-
-    def partition(self, item_ids: Iterable[str]) -> List[List[str]]:
-        """Split ids into per-shard lists, preserving input order per shard."""
-        shards: List[List[str]] = [[] for _ in range(self._num_shards)]
-        for item_id in item_ids:
-            shards[self.shard_of(item_id)].append(item_id)
-        return shards
-
-    def partition_mapping(self, items: Dict[str, object]) -> List[Dict[str, object]]:
-        """Split an ``{id: payload}`` mapping into per-shard mappings."""
-        shards: List[Dict[str, object]] = [{} for _ in range(self._num_shards)]
-        for item_id, payload in items.items():
-            shards[self.shard_of(item_id)][item_id] = payload
-        return shards
 
     def __eq__(self, other: object) -> bool:
         # Routing is a pure function of num_shards, so two routers with the

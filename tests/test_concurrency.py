@@ -19,6 +19,7 @@ from typing import Dict, List
 import pytest
 
 from repro.feedback import EventKind, InteractionEvent
+from repro.retrieval import EngineConfig
 from repro.service import (
     FeedbackBatch,
     RetrievalService,
@@ -28,6 +29,9 @@ from repro.service import (
     SessionNotFoundError,
 )
 from repro.utils.rng import RandomSource
+
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
 pytestmark = pytest.mark.concurrency
 
@@ -224,7 +228,7 @@ class TestParallelBatchEquivalence:
     @pytest.mark.parametrize("scorer", ["bm25", "tfidf", "lm"])
     @pytest.mark.parametrize("policy", ["baseline", "profile", "implicit", "combined"])
     def test_parallel_batch_bit_identical(self, small_corpus, scorer, policy):
-        config = ServiceConfig(scorer=scorer)
+        config = ServiceConfig(engine=EngineConfig(scorer=scorer, result_limit=50))
         sequential_service = RetrievalService.from_corpus(small_corpus, config=config)
         parallel_service = RetrievalService.from_corpus(small_corpus, config=config)
 
@@ -498,11 +502,11 @@ class TestShardedConcurrentServing:
     ):
         random_queries = make_random_queries
         baseline = RetrievalService.from_corpus(
-            sharding_corpus, config=ServiceConfig(result_cache_size=0)
+            sharding_corpus, config=ServiceConfig(engine=UNCACHED)
         )
         sharded = RetrievalService.from_corpus(
             sharding_corpus,
-            config=ServiceConfig(result_cache_size=0, num_shards=3),
+            config=ServiceConfig(engine=UNCACHED, num_shards=3),
         )
         queries = random_queries(sharding_corpus, seed=424_242, count=24)
         expected = [

@@ -56,6 +56,9 @@ from repro.service import RetrievalService, SearchRequest, ServiceConfig
 from repro.service.service import build_engine
 from repro.serving import ServingFrontend
 
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
+
 SCORERS = {
     "bm25": (Bm25Scorer, ReferenceBm25Scorer),
     "tfidf": (TfIdfScorer, ReferenceTfIdfScorer),
@@ -102,7 +105,7 @@ def _engine(corpus, scorer_name, shards, wrapped):
             text_scorer=scorer(index),
         )
     engine = build_engine(
-        corpus.collection, ServiceConfig(num_shards=shards, result_cache_size=0)
+        corpus.collection, ServiceConfig(engine=UNCACHED, num_shards=shards)
     )
     kernel = scorer(engine.inverted_index)
     engine._text_scorer = _DictScorer(kernel) if wrapped else kernel
@@ -382,7 +385,7 @@ class TestNoDictPerSearch:
         self, medium_corpus, monkeypatch, shards, pool
     ):
         service = RetrievalService.from_corpus(
-            medium_corpus, config=ServiceConfig(num_shards=shards, result_cache_size=0)
+            medium_corpus, config=ServiceConfig(engine=UNCACHED, num_shards=shards)
         )
         try:
             engine = service.engine

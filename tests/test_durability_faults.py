@@ -37,6 +37,7 @@ from repro.durability.snapshots import (
     manifest_filename,
 )
 from repro.durability.wal import WalSegment, encode_op, segment_filename
+from repro.retrieval import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
 from repro.utils.serialization import read_json
 from repro.workload.ingest import (
@@ -45,6 +46,9 @@ from repro.workload.ingest import (
     synthetic_ingest_ops,
 )
 
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
+
 pytestmark = pytest.mark.durability
 
 SEED = 13
@@ -52,11 +56,11 @@ SEED = 13
 
 def _durable_config(directory, num_shards=1, interval=10_000) -> ServiceConfig:
     return ServiceConfig(
+        engine=UNCACHED,
         num_shards=num_shards,
         durability_dir=str(directory),
         snapshot_interval_ops=interval,
         fsync_policy="never",
-        result_cache_size=0,
     )
 
 
@@ -71,7 +75,7 @@ def _prefix_digests(corpus, count, num_shards=1):
     the corpus-only state, index k the state after ops[:k]."""
     service = RetrievalService(
         corpus.collection,
-        config=ServiceConfig(num_shards=num_shards, result_cache_size=0),
+        config=ServiceConfig(engine=UNCACHED, num_shards=num_shards),
     )
     digests = [engine_state_digest(service.engine)]
     for op in _ops(service, count):

@@ -45,7 +45,7 @@ from repro.feedback import EventKind, InteractionEvent
 from repro.index.inverted_index import InvertedIndex
 from repro.index.visual import VisualIndex
 from repro.replication import ReplicaServer
-from repro.retrieval import Query
+from repro.retrieval import EngineConfig, Query
 from repro.service import FeedbackBatch, RetrievalService, ServiceConfig
 from repro.utils.serialization import decode_vector, read_json, write_json
 from repro.workload.ingest import (
@@ -54,21 +54,24 @@ from repro.workload.ingest import (
     synthetic_ingest_ops,
 )
 
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
+
 pytestmark = pytest.mark.durability
 
 
 def _durable_config(directory, num_shards=1, interval=10_000) -> ServiceConfig:
     return ServiceConfig(
+        engine=UNCACHED,
         num_shards=num_shards,
         durability_dir=str(directory),
         snapshot_interval_ops=interval,
         fsync_policy="never",
-        result_cache_size=0,
     )
 
 
 def _memory_config(num_shards=1) -> ServiceConfig:
-    return ServiceConfig(num_shards=num_shards, result_cache_size=0)
+    return ServiceConfig(engine=UNCACHED, num_shards=num_shards)
 
 
 def _service(corpus, config) -> RetrievalService:

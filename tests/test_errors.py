@@ -14,7 +14,10 @@ import pytest
 
 import repro
 from repro.errors import InvalidArgumentError, ReproError
+from repro.replication import ChaosEvent, ChaosSchedule, run_replicated_loadtest
+from repro.retrieval import EngineConfig
 from repro.utils import validation
+from repro.utils.registry import ComponentRegistry
 
 #: The builtin base each error class kept when it took ReproError as a root.
 BUILTIN_BASES = {
@@ -30,7 +33,6 @@ BUILTIN_BASES = {
     "repro.replication.errors.ReplicaClosedError": RuntimeError,
     "repro.replication.errors.ReplicaLaggingError": RuntimeError,
     "repro.replication.errors.ReplicationError": RuntimeError,
-    "repro.service.registry.UnknownComponentError": KeyError,
     "repro.service.sessions.SessionExpiredError": KeyError,
     "repro.service.sessions.SessionNotFoundError": KeyError,
     "repro.serving.errors.AdmissionRejectedError": RuntimeError,
@@ -39,6 +41,7 @@ BUILTIN_BASES = {
     "repro.serving.errors.QueueFullError": RuntimeError,
     "repro.serving.errors.QuotaExceededError": RuntimeError,
     "repro.utils.concurrency.OperationCancelledError": RuntimeError,
+    "repro.utils.registry.UnknownComponentError": KeyError,
     "repro.utils.serialization.ChecksumMismatchError": ValueError,
     "repro.utils.serialization.RecordError": ValueError,
     "repro.utils.serialization.TruncatedRecordError": ValueError,
@@ -96,4 +99,38 @@ def test_every_ensure_helper_has_a_refusal_case():
 def test_ensure_refusals_are_invalid_argument_errors(helper):
     with pytest.raises(InvalidArgumentError) as refused:
         REFUSALS[helper]()
+    assert isinstance(refused.value, ValueError)
+
+
+def _register_twice():
+    registry = ComponentRegistry("thing")
+    registry.register("name", object)
+    registry.register("name", object)
+
+
+#: The chaos harness's and the component registries' refusals.
+MODULE_REFUSALS = {
+    "ChaosEvent.at_op": lambda: ChaosEvent(-1, "kill_replica"),
+    "ChaosEvent.action": lambda: ChaosEvent(0, "explode"),
+    "ChaosSchedule.generate.total_ops": lambda: ChaosSchedule.generate(
+        seed=1, total_ops=0, replica_ids=()
+    ),
+    "run_replicated_loadtest.num_replicas": lambda: run_replicated_loadtest(
+        None, "unused", num_replicas=-1
+    ),
+    "run_replicated_loadtest.ingest_ops": lambda: run_replicated_loadtest(
+        None, "unused", ingest_ops=0
+    ),
+    "ComponentRegistry.register.empty_name": lambda: ComponentRegistry(
+        "thing"
+    ).register("", object),
+    "ComponentRegistry.register.duplicate_name": _register_twice,
+    "EngineConfig.unknown_scorer": lambda: EngineConfig(scorer="no-such-scorer"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(MODULE_REFUSALS))
+def test_module_refusals_are_invalid_argument_errors(refusal):
+    with pytest.raises(InvalidArgumentError) as refused:
+        MODULE_REFUSALS[refusal]()
     assert isinstance(refused.value, ValueError)

@@ -27,6 +27,9 @@ from repro.workload.ingest import (
     synthetic_ingest_ops,
 )
 
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
+
 
 def _text_fingerprint(index: InvertedIndex) -> dict:
     """Every statistic a text scorer can observe, as one comparable value."""
@@ -260,7 +263,7 @@ class TestEngineMutations:
         # segments than the duplicate, and none of them may land.
         service = RetrievalService(
             small_corpus.collection,
-            config=ServiceConfig(num_shards=4, result_cache_size=0),
+            config=ServiceConfig(engine=UNCACHED, num_shards=4),
         )
         try:
             index = service.engine.inverted_index
@@ -359,9 +362,13 @@ class TestNearDuplicateScreening:
 
     def test_service_config_threads_threshold(self, small_corpus):
         with pytest.raises(ValueError):
-            ServiceConfig(near_duplicate_threshold=-0.5)
-        config = ServiceConfig(near_duplicate_threshold=0.99, result_cache_size=0)
-        assert config.engine_config().near_duplicate_threshold == 0.99
+            ServiceConfig(engine=EngineConfig(near_duplicate_threshold=-0.5))
+        config = ServiceConfig(
+            engine=EngineConfig(
+                result_limit=50, near_duplicate_threshold=0.99, result_cache_size=0
+            )
+        )
+        assert config.engine.near_duplicate_threshold == 0.99
         service = RetrievalService(small_corpus.collection, config=config)
         try:
             service.index_documents({"svc-dup-a": "blackout harvest blackout"})
@@ -519,7 +526,8 @@ class TestDifferentialMatrix:
 
     def _run(self, corpus, scorer, num_shards):
         config = ServiceConfig(
-            scorer=scorer, num_shards=num_shards, result_cache_size=0
+            engine=EngineConfig(scorer=scorer, result_limit=50, result_cache_size=0),
+            num_shards=num_shards,
         )
         mutant = RetrievalService(corpus.collection, config=config)
         reference = None

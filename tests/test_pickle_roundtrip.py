@@ -39,7 +39,7 @@ class TestPickleRoundTrip:
         assert clone.lm_mu == 1500.0
 
     def test_service_config(self, protocol):
-        config = ServiceConfig(scorer="tfidf", num_shards=4)
+        config = ServiceConfig(engine=EngineConfig(scorer="tfidf"), num_shards=4)
         clone = _roundtrip(config, protocol)
         assert clone == config
         assert clone.num_shards == 4

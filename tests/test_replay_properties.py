@@ -27,8 +27,12 @@ from hypothesis import strategies as st
 
 from repro.durability import RecoveryManager, engine_state_digest
 from repro.replication import ReplicaServer
+from repro.retrieval import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
 from repro.workload.ingest import service_feature_dim
+
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
 pytestmark = pytest.mark.replication
 
@@ -117,11 +121,11 @@ def test_live_recovered_and_replica_digests_agree_at_every_prefix(
         service = RetrievalService(
             collection,
             config=ServiceConfig(
+                engine=UNCACHED,
                 num_shards=num_shards,
                 durability_dir=directory,
                 snapshot_interval_ops=interval,
                 fsync_policy="never",
-                result_cache_size=0,
             ),
         )
         replica = ReplicaServer(directory, collection=collection)

@@ -41,6 +41,7 @@ from repro.replication import (
     ReplicationError,
     run_replicated_loadtest,
 )
+from repro.retrieval import EngineConfig
 from repro.service import (
     FeedbackBatch,
     RetrievalService,
@@ -54,6 +55,9 @@ from repro.workload.ingest import (
     synthetic_ingest_ops,
 )
 
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
+
 pytestmark = pytest.mark.replication
 
 SEED = 13
@@ -61,14 +65,13 @@ SEED = 13
 QUERIES = ("election protest flood", "summit economy", "wildfire strike")
 
 
-def _durable_config(directory, num_shards=1, interval=10_000, **overrides):
+def _durable_config(directory, num_shards=1, interval=10_000, scorer="bm25"):
     return ServiceConfig(
+        engine=EngineConfig(scorer=scorer, result_limit=50, result_cache_size=0),
         num_shards=num_shards,
         durability_dir=str(directory),
         snapshot_interval_ops=interval,
         fsync_policy="never",
-        result_cache_size=0,
-        **overrides,
     )
 
 
@@ -82,7 +85,7 @@ def _prefix_digests(corpus, count, num_shards=1):
     """Digest of an uninterrupted in-memory run after each op prefix."""
     service = RetrievalService(
         corpus.collection,
-        config=ServiceConfig(num_shards=num_shards, result_cache_size=0),
+        config=ServiceConfig(engine=UNCACHED, num_shards=num_shards),
     )
     digests = [engine_state_digest(service.engine)]
     for op in _ops(service, count):
@@ -460,7 +463,7 @@ class TestPromotion:
             # Oracle: a clean in-memory run of exactly the acked ops.
             clean = RetrievalService.from_corpus(
                 analysed_corpus,
-                config=ServiceConfig(result_cache_size=0),
+                config=ServiceConfig(engine=UNCACHED),
             )
             apply_ingest(clean, [ops[i] for i in sorted(acked)])
             assert engine_state_digest(service.primary.engine) == (
@@ -805,10 +808,10 @@ class TestChaosHarness:
 
     def test_chaos_run_oracle_holds(self, analysed_corpus, tmp_path):
         config = ServiceConfig(
+            engine=UNCACHED,
             num_shards=2,
             fsync_policy="never",
             snapshot_interval_ops=16,
-            result_cache_size=0,
         )
         schedule = ChaosSchedule.generate(23, 50, ["replica-1", "replica-2"])
         report = run_replicated_loadtest(
@@ -838,7 +841,7 @@ class TestChaosHarness:
         report = run_replicated_loadtest(
             analysed_corpus,
             tmp_path / "dur",
-            config=ServiceConfig(fsync_policy="never", result_cache_size=0),
+            config=ServiceConfig(engine=UNCACHED, fsync_policy="never"),
             num_replicas=2,
             ingest_ops=20,
             seed=5,

@@ -392,7 +392,7 @@ def _write_scorer(scorer_name, shards, index):
     scorer_class = WRITE_SCORERS[scorer_name][0]
     if not shards:
         return scorer_class(index)
-    scorer = create_scorer(scorer_name, index, ServiceConfig(num_shards=shards))
+    scorer = create_scorer(scorer_name, index, ServiceConfig(num_shards=shards).engine)
     assert type(scorer) is scorer_class
     return scorer
 

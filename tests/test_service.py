@@ -13,7 +13,8 @@ import pytest
 
 from repro.core import implicit_only_policy
 from repro.feedback import EventKind, InteractionEvent
-from repro.retrieval import EngineConfig
+from repro.index import InvertedIndex, TfIdfScorer
+from repro.retrieval import EngineConfig, Query, VideoRetrievalEngine
 from repro.retrieval.results import ResultList
 from repro.service import (
     FeedbackBatch,
@@ -36,6 +37,7 @@ from repro.service.registry import (
     POLICY_REGISTRY,
     SCORER_REGISTRY,
     WEIGHTING_SCHEME_REGISTRY,
+    create_scorer,
 )
 
 
@@ -197,7 +199,8 @@ class TestRegistries:
     def test_unknown_scorer_rejected_with_alternatives(self, small_corpus):
         with pytest.raises(UnknownComponentError) as excinfo:
             RetrievalService.from_corpus(
-                small_corpus, config=ServiceConfig(scorer="quantum")
+                small_corpus,
+                config=ServiceConfig(engine=EngineConfig(scorer="quantum")),
             )
         assert "quantum" in str(excinfo.value)
         for name in available_scorers():
@@ -232,13 +235,11 @@ class TestRegistries:
             service.open_session("alice", policy=name)
 
     def test_register_custom_scorer_builds_service(self, small_corpus):
-        from repro.index.scoring import TfIdfScorer
-
         name = "test_custom_scorer"
         register_scorer(name, lambda index, config: TfIdfScorer(index))
         try:
             service = RetrievalService.from_corpus(
-                small_corpus, config=ServiceConfig(scorer=name)
+                small_corpus, config=ServiceConfig(engine=EngineConfig(scorer=name))
             )
             topic, query = _topic_query(small_corpus)
             response = service.search(SearchRequest(user_id="alice", query=query))
@@ -477,9 +478,9 @@ class TestServiceConstruction:
         with pytest.raises(ValueError):
             ServiceConfig(max_sessions=0)
         with pytest.raises(ValueError):
-            ServiceConfig(result_limit=-1)
+            ServiceConfig(engine=EngineConfig(result_limit=-1))
         with pytest.raises(ValueError):
-            ServiceConfig(visual_weight=-0.1)
+            ServiceConfig(engine=EngineConfig(visual_weight=-0.1))
 
     def test_process_executor_is_refused(self):
         with pytest.raises(ValueError, match="removed"):
@@ -488,25 +489,48 @@ class TestServiceConstruction:
             ServiceConfig(process_workers=2)
         assert ServiceConfig(executor="thread", num_shards=4).executor == "thread"
 
-    def test_experiment_runner_rejects_conflicting_configs(self, small_corpus):
-        from repro.evaluation import ExperimentRunner
-        from repro.retrieval.engine import EngineConfig
 
-        service = RetrievalService.from_corpus(small_corpus)
-        with pytest.raises(ValueError):
-            ExperimentRunner(small_corpus, engine_config=EngineConfig(scorer="lm"),
-                             service=service)
-        assert ExperimentRunner(small_corpus, service=service).service is service
+class TestConfigShape:
+    """Each ranking knob has one field: the service config embeds the
+    engine's, and the engine builds its scorer from the one registry."""
 
-    def test_engine_config_mapping(self):
-        config = ServiceConfig(scorer="lm", text_weight=0.8, lm_mu=150.0)
-        engine_config = config.engine_config()
-        assert engine_config.scorer == "lm"
-        assert engine_config.text_weight == 0.8
-        assert engine_config.lm_mu == 150.0
-        # Custom scorer names fall back to a builtin placeholder; the real
-        # scorer instance is injected from the registry.
-        assert ServiceConfig(scorer="custom").engine_config().scorer == "bm25"
+    def test_no_field_is_declared_twice(self):
+        service_fields = {field.name for field in dataclasses.fields(ServiceConfig)}
+        engine_fields = {field.name for field in dataclasses.fields(EngineConfig)}
+        assert service_fields & engine_fields == set()
+
+    def test_service_default_is_the_engine_default_at_depth_50(self):
+        assert ServiceConfig().engine == EngineConfig(result_limit=50)
+
+    @pytest.mark.parametrize("scorer", ("bm25", "tfidf", "lm", "test_shape_scorer"))
+    def test_service_and_engine_score_with_the_registry_scorer(
+        self, small_corpus, scorer
+    ):
+        register_scorer(
+            "test_shape_scorer",
+            lambda index, config: TfIdfScorer(index),
+            overwrite=True,
+        )
+        try:
+            config = EngineConfig(scorer=scorer, lm_mu=150.0, bm25_k1=0.9)
+            service = RetrievalService.from_corpus(
+                small_corpus, config=ServiceConfig(engine=config)
+            )
+            engine = VideoRetrievalEngine(small_corpus.collection, config=config)
+            query = Query.from_text(_topic_query(small_corpus)[1])
+            index = InvertedIndex.from_collection(small_corpus.collection)
+            expected = dict(
+                create_scorer(scorer, index, config).score(
+                    engine._query_term_weights(query)
+                )
+            )
+            assert expected
+            for built in (service.engine, engine):
+                with built.read_access():
+                    assert dict(built.text_scores(query)) == expected
+            service.close()
+        finally:
+            SCORER_REGISTRY.unregister("test_shape_scorer")
 
 
 NON_FINITE = (float("nan"), float("inf"), -float("inf"))
@@ -525,17 +549,16 @@ class TestRankingParameterDomain:
     ranking on the first search.
     """
 
-    @pytest.mark.parametrize("config_class", [ServiceConfig, EngineConfig])
     @pytest.mark.parametrize("field", REAL_FIELDS)
-    def test_real_fields_refuse_non_finite(self, config_class, field):
+    def test_real_fields_refuse_non_finite(self, field):
         for value in NON_FINITE:
             with pytest.raises(ValueError, match=f"{field} must be .*finite"):
-                config_class(**{field: value})
-        assert getattr(config_class(**{field: 2.5}), field) == 2.5
+                EngineConfig(**{field: value})
+        assert getattr(EngineConfig(**{field: 2.5}), field) == 2.5
 
     @pytest.mark.parametrize(
         "config_class, field",
-        [(ServiceConfig, field) for field in COUNT_FIELDS + ("max_sessions",)]
+        [(ServiceConfig, "max_sessions")]
         + [(EngineConfig, field) for field in COUNT_FIELDS],
     )
     def test_counts_refuse_non_integers(self, config_class, field):
@@ -545,9 +568,8 @@ class TestRankingParameterDomain:
         assert getattr(config_class(**{field: 3}), field) == 3
 
     def test_bm25_b_refuses_nan(self):
-        for config_class in (ServiceConfig, EngineConfig):
-            with pytest.raises(ValueError, match="bm25_b"):
-                config_class(bm25_b=float("nan"))
+        with pytest.raises(ValueError, match="bm25_b"):
+            EngineConfig(bm25_b=float("nan"))
 
     def test_search_request_limit(self):
         for value in NON_FINITE + (2.5, True):
@@ -600,8 +622,9 @@ class TestErrorPaths:
         with pytest.raises(UnknownComponentError) as excinfo:
             RetrievalService.from_corpus(
                 small_corpus,
-                config=ServiceConfig(scorer="no-such-scorer",
-                                     num_shards=num_shards),
+                config=ServiceConfig(
+                    engine=EngineConfig(scorer="no-such-scorer"), num_shards=num_shards
+                ),
             )
         message = str(excinfo.value)
         assert "no-such-scorer" in message

@@ -36,6 +36,7 @@ import pytest
 
 from repro.feedback import EventKind, InteractionEvent
 from repro.index import Bm25Scorer
+from repro.retrieval import EngineConfig
 from repro.retrieval.engine import VideoRetrievalEngine
 from repro.service import (
     FeedbackBatch,
@@ -305,12 +306,6 @@ class TestServingConfig:
         assert config.quota_for("anyone") is default
         assert ServingConfig().quota_for("anyone") is None
 
-    def test_service_config_embeds_serving(self):
-        serving = ServingConfig(max_concurrency=2)
-        config = ServiceConfig(serving=serving)
-        assert config.serving is serving
-        assert ServiceConfig().serving is None
-
 
 # ---------------------------------------------------------------------------
 # 3. The frontend end to end
@@ -372,13 +367,12 @@ class TestFrontendEquivalence:
 
         assert run(None).hits == run(30.0).hits
 
-    def test_frontend_config_resolved_from_service_config(self, small_corpus):
-        service = RetrievalService.from_corpus(
-            small_corpus,
-            config=ServiceConfig(serving=ServingConfig(max_concurrency=2)),
-        )
-        with ServingFrontend(service) as frontend:
+    def test_frontend_config_is_the_one_passed(self, small_corpus):
+        service = RetrievalService.from_corpus(small_corpus)
+        with ServingFrontend(service, ServingConfig(max_concurrency=2)) as frontend:
             assert frontend.config.max_concurrency == 2
+        with ServingFrontend(service) as frontend:
+            assert frontend.config == ServingConfig()
         service.close()
 
 
@@ -748,7 +742,11 @@ class TestEvaluationPath:
     ):
         _topic, query = _topic_query(small_corpus)
         service = RetrievalService.from_corpus(
-            small_corpus, config=ServiceConfig(scorer=_RECORDING, num_shards=num_shards)
+            small_corpus,
+            config=ServiceConfig(
+                engine=EngineConfig(scorer=_RECORDING, result_limit=50),
+                num_shards=num_shards,
+            ),
         )
         service.open_session("alice", policy="baseline")
         here = threading.current_thread().name

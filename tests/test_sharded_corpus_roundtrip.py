@@ -18,8 +18,11 @@ import pytest
 from repro.analysis import analyse_collection
 from repro.collection import load_corpus, save_corpus
 from repro.durability import engine_state_digest
-from repro.retrieval import Query, VideoRetrievalEngine
+from repro.retrieval import EngineConfig, Query, VideoRetrievalEngine
 from repro.service import RetrievalService, ServiceConfig
+
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
 pytestmark = pytest.mark.shard
 
@@ -42,7 +45,7 @@ def reloaded_corpus(sharding_corpus, tmp_path_factory):
 def _service(collection, num_shards: int) -> RetrievalService:
     return RetrievalService(
         collection,
-        config=ServiceConfig(num_shards=num_shards, result_cache_size=0),
+        config=ServiceConfig(engine=UNCACHED, num_shards=num_shards),
     )
 
 

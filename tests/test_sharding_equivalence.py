@@ -4,7 +4,7 @@
 snapshot deltas into N segments by :class:`ShardRouter`; it selects nothing
 in memory.  This suite pins
 
-* the router: validation, determinism, order-preserving partitions;
+* the router: validation and determinism;
 * that a service's engine is the monolithic one at every shard count, by
   counts that hold on any host: one :class:`InvertedIndex` and one text
   scorer in its object graph, no thread started by a search, and one dense
@@ -44,7 +44,7 @@ from repro.feedback import EventKind, InteractionEvent
 from repro.index import Bm25Scorer, DenseScores, InvertedIndex
 from repro.index.scoring import TextScorer
 from repro.index.visual import NeighbourTable, VisualIndex
-from repro.retrieval import Query, VideoRetrievalEngine
+from repro.retrieval import EngineConfig, Query, VideoRetrievalEngine
 from repro.service import (
     FeedbackBatch,
     RetrievalService,
@@ -66,6 +66,9 @@ SCORERS = ("bm25", "tfidf", "lm")
 #: Fusion modes: engine-weight configurations selecting which evidence
 #: sources can contribute (the randomized queries then sweep which sources
 #: actually fire per query, including the single-source fast path).
+#: A service's default ranking with the result cache off.
+_UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
+
 FUSION_MODES = {
     "multimodal": {},
     "text_only": {"visual_weight": 0.0, "concept_weight": 0.0},
@@ -76,9 +79,10 @@ FUSION_MODES = {
 def _config(scorer: str = "bm25", mode: str = "multimodal", **overrides) -> ServiceConfig:
     # The result cache is off in the matrix so every search is a genuine
     # evaluation; cache interplay has its own tests.
-    fields = {"scorer": scorer, "result_cache_size": 0, **FUSION_MODES[mode]}
-    fields.update(overrides)
-    return ServiceConfig(**fields)
+    engine = EngineConfig(
+        scorer=scorer, result_limit=50, result_cache_size=0, **FUSION_MODES[mode]
+    )
+    return ServiceConfig(engine=engine, **overrides)
 
 
 def _durable(config: ServiceConfig, directory) -> ServiceConfig:
@@ -108,7 +112,7 @@ def _monolithic(corpus, scorer: str = "bm25", mode: str = "multimodal") -> Video
     key = (id(corpus), scorer, mode)
     if key not in _MONO_CACHE:
         _MONO_CACHE[key] = VideoRetrievalEngine(
-            corpus.collection, config=_config(scorer, mode).engine_config()
+            corpus.collection, config=_config(scorer, mode).engine
         )
     return _MONO_CACHE[key]
 
@@ -205,26 +209,6 @@ class TestShardRouter:
         assert all(0 <= shard < 5 for shard in first)
         assert len(set(first)) > 1  # hash actually spreads
 
-    def test_partition_covers_everything_in_order(self):
-        router = ShardRouter(3)
-        ids = [f"doc-{index}" for index in range(50)]
-        parts = router.partition(ids)
-        assert len(parts) == 3
-        assert sorted(item for part in parts for item in part) == sorted(ids)
-        for shard, part in enumerate(parts):
-            assert [router.shard_of(item) for item in part] == [shard] * len(part)
-            # Order within a shard is input order.
-            assert part == [item for item in ids if router.shard_of(item) == shard]
-
-    def test_partition_mapping_routes_payloads(self):
-        router = ShardRouter(4)
-        items = {f"doc-{index}": index for index in range(20)}
-        parts = router.partition_mapping(items)
-        merged = {}
-        for part in parts:
-            merged.update(part)
-        assert merged == items
-
 
 # -- one index per engine ------------------------------------------------------------
 
@@ -254,12 +238,12 @@ class _Wrapped(TextScorer):
 
 @pytest.fixture()
 def wrapped_service(sharding_corpus, tmp_path):
-    """``wrapped_service(failures, stall_seconds, durable, **config)``: a
-    4-shard service whose scorer is a registered :class:`_Wrapped` around
-    BM25; returns ``(service, scorers built)``."""
+    """``wrapped_service(failures, stall_seconds, durable, num_shards=4,
+    **engine)``: a service whose scorer is a registered :class:`_Wrapped`
+    around BM25; returns ``(service, scorers built)``."""
     built = []
 
-    def build(failures=0, stall_seconds=0.0, durable=False, **config):
+    def build(failures=0, stall_seconds=0.0, durable=False, num_shards=4, **engine):
         scorers = []
 
         def factory(index, _config):
@@ -267,7 +251,8 @@ def wrapped_service(sharding_corpus, tmp_path):
             return scorers[-1]
 
         register_scorer("wrapped", factory, overwrite=True)
-        config = ServiceConfig(**{"scorer": "wrapped", "num_shards": 4, **config})
+        engine = {"scorer": "wrapped", "result_limit": 50, **engine}
+        config = ServiceConfig(engine=EngineConfig(**engine), num_shards=num_shards)
         if durable:
             config = _durable(config, tmp_path / f"w{len(built)}")
         service = RetrievalService.from_corpus(sharding_corpus, config=config)
@@ -423,9 +408,8 @@ class TestReopenedIndex:
         # per-length table from the merged index: every live length maps
         # to the monolithic scorer's norm, bit for bit.
         service, mono = indexes(scorer)
-        config = service.config
         norms = service.engine._text_scorer._norm_table()
-        mono_norms = create_scorer(scorer, mono, config)._norm_table()
+        mono_norms = create_scorer(scorer, mono, service.config.engine)._norm_table()
         live = {mono.document_length(d) for d in mono.document_ids()}
         assert live <= set(norms)
         for length in live:
@@ -478,11 +462,13 @@ class TestShardedRankingEquivalence:
         # logged into the segment its id routes to, and the reopened
         # directory ranks as the engine that applied the writes in memory.
         config = _durable(
-            ServiceConfig(scorer=scorer, num_shards=num_shards), tmp_path / "d"
+            ServiceConfig(
+                engine=EngineConfig(scorer=scorer, result_limit=50),
+                num_shards=num_shards,
+            ),
+            tmp_path / "d",
         )
-        mono = VideoRetrievalEngine(
-            sharding_corpus.collection, config=config.engine_config()
-        )
+        mono = VideoRetrievalEngine(sharding_corpus.collection, config=config.engine)
         service = RetrievalService.from_corpus(sharding_corpus, config=config)
         queries = make_random_queries(sharding_corpus, seed=11, count=6)
         assert_identical_rankings(mono, service.engine, queries)
@@ -516,9 +502,7 @@ class TestShardedRankingEquivalence:
 
     def test_result_cache_still_identical(self, sharding_corpus, make_random_queries):
         config = ServiceConfig(num_shards=3)  # caches on
-        mono = VideoRetrievalEngine(
-            sharding_corpus.collection, config=config.engine_config()
-        )
+        mono = VideoRetrievalEngine(sharding_corpus.collection, config=config.engine)
         queries = make_random_queries(sharding_corpus, seed=55, count=5)
         with RetrievalService.from_corpus(sharding_corpus, config=config) as service:
             # Twice: the second pass is served from the result caches.
@@ -599,7 +583,7 @@ class TestBlockingScorerEquivalence:
     ):
         service, seen = recording_service(scorer, "text_only", num_shards=4)
         mono = VideoRetrievalEngine(
-            sharding_corpus.collection, config=_config(scorer, "text_only").engine_config()
+            sharding_corpus.collection, config=_config(scorer, "text_only").engine
         )
         for round_index in range(3):
             queries = make_random_queries(sharding_corpus, seed=700 + round_index, count=4)
@@ -654,7 +638,7 @@ class TestSegmentScorerEquivalence:
         mono = InvertedIndex.from_collection(sharding_corpus.collection)
         for document_id, text in documents.items():
             mono.add_document(document_id, text)
-        mono_scorer = create_scorer(scorer, mono, config)
+        mono_scorer = create_scorer(scorer, mono, config.engine)
         terms = sorted(mono.terms())
         written_terms = {
             term for text in documents.values() for term in mono.tokenizer.tokenize(text)
@@ -721,11 +705,11 @@ class TestServiceSharding:
         self, sharding_corpus, num_shards
     ):
         baseline = RetrievalService.from_corpus(
-            sharding_corpus, config=ServiceConfig(result_cache_size=0)
+            sharding_corpus, config=ServiceConfig(engine=_UNCACHED)
         )
         sharded = RetrievalService.from_corpus(
             sharding_corpus,
-            config=ServiceConfig(result_cache_size=0, num_shards=num_shards),
+            config=ServiceConfig(engine=_UNCACHED, num_shards=num_shards),
         )
         assert self._drive(baseline, sharding_corpus) == self._drive(
             sharded, sharding_corpus
@@ -759,9 +743,7 @@ class TestVisualEvidence:
         self, sharding_corpus, make_random_queries, service_at
     ):
         mono = _monolithic(sharding_corpus, "bm25", "visual_heavy")
-        service = service_at(
-            4, result_cache_size=0, **FUSION_MODES["visual_heavy"]
-        )
+        service = service_at(4, engine=_config(mode="visual_heavy").engine)
         engine = service.engine
         assert type(engine.visual_index) is VisualIndex
         assert len(_reachable(mono, NeighbourTable)) == 1
@@ -786,7 +768,7 @@ class TestVisualEvidence:
 
     @pytest.mark.parametrize("evidence", ("concepts", "example shot"))
     def test_visual_evidence_starts_no_thread(self, service_at, evidence):
-        engine = service_at(4, result_cache_size=0).engine
+        engine = service_at(4, engine=_UNCACHED).engine
         before = set(threading.enumerate())
         if evidence == "concepts":
             query = Query(concept_weights=self.WEIGHTS)
@@ -858,9 +840,7 @@ class TestFaultInjection:
         self, sharding_corpus, wrapped_service, make_random_queries, durable
     ):
         service, _ = wrapped_service(durable=durable, result_cache_size=0)
-        mono = VideoRetrievalEngine(
-            sharding_corpus.collection, config=_config().engine_config()
-        )
+        mono = VideoRetrievalEngine(sharding_corpus.collection, config=_config().engine)
         durability = service.engine.durability
         logged = _wal_records(durability.directory, 4) if durable else None
         existing = next(iter(sharding_corpus.collection.iter_shots())).shot_id

@@ -36,10 +36,14 @@ from repro.collection.documents import Collection, Keyframe, NewsStory, Shot, Vi
 from repro.durability import RecoveryManager, engine_state_digest
 from repro.durability.wal import WalSegment, segment_filename
 from repro.feedback import EventKind, InteractionEvent
+from repro.retrieval import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
 from repro.workload.ingest import apply_ingest, synthetic_ingest_ops
 
 pytestmark = pytest.mark.durability
+
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
 FEATURE_DIM = 8
 INGEST_SEED = 25
@@ -80,11 +84,11 @@ def _collection() -> Collection:
 
 def _config(directory, num_shards, interval) -> ServiceConfig:
     return ServiceConfig(
+        engine=UNCACHED,
         num_shards=num_shards,
         durability_dir=str(directory),
         snapshot_interval_ops=interval,
         fsync_policy="never",
-        result_cache_size=0,
     )
 
 

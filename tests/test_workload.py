@@ -13,6 +13,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.collection import save_corpus
+from repro.retrieval import EngineConfig
 from repro.service import RetrievalService
 from repro.utils.rng import RandomSource
 from repro.workload import (
@@ -23,6 +24,9 @@ from repro.workload import (
     generate_workload,
 )
 from repro.workload.driver import _synthesise_feedback
+
+#: A service's default ranking (depth 50) with the result cache off.
+UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
 
 @pytest.fixture()
@@ -307,7 +311,7 @@ class TestContinuousMix:
         for num_shards in (1, 3):
             service = RetrievalService(
                 small_corpus.collection,
-                config=ServiceConfig(num_shards=num_shards, result_cache_size=0),
+                config=ServiceConfig(engine=UNCACHED, num_shards=num_shards),
             )
             try:
                 results.append(run_continuous_mix(service, self._spec()))
@@ -362,10 +366,10 @@ class TestContinuousMix:
         from repro.workload import run_continuous_mix
 
         config = ServiceConfig(
+            engine=UNCACHED,
             durability_dir=str(tmp_path / "d"),
             snapshot_interval_ops=8,
             fsync_policy="never",
-            result_cache_size=0,
         )
         service = RetrievalService(small_corpus.collection, config=config)
         try:
@@ -388,10 +392,10 @@ class TestContinuousMix:
 
         def _config(directory, interval):
             return ServiceConfig(
+                engine=UNCACHED,
                 durability_dir=str(directory),
                 snapshot_interval_ops=interval,
                 fsync_policy="never",
-                result_cache_size=0,
             )
 
         # Full run keeps its whole WAL (no post-bootstrap checkpoints) so
