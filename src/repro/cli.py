@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.collection import CollectionConfig, generate_corpus, load_corpus, save_corpus
+from repro.durability.wal import FSYNC_POLICIES
 from repro.errors import ReproError
 from repro.evaluation import (
     LogAnalyser,
@@ -58,11 +59,14 @@ from repro.interfaces import InteractionLogger
 from repro.service import (
     RetrievalService,
     SearchRequest,
+    ServiceConfig,
     available_policies,
     create_policy,
 )
+from repro.serving import ServingConfig
 from repro.simulation import shot_durations_from_collection
 from repro.utils.validation import DEADLINE, POSITIVE, PROBABILITY
+from repro.workload import ContinuousMixSpec, WorkloadSpec
 
 #: The four classic experimental systems, shown as examples in help text;
 #: every registered policy name is accepted.
@@ -141,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--user", default="cli",
                         help="user id the service session is opened for")
     search.add_argument("--policy", type=policy, default="baseline",
-                        help="registered adaptation policy name (default: baseline)")
+                        help="registered adaptation policy name (default: %(default)s)")
 
     simulate = subparsers.add_parser("simulate", help="run a simulated user study")
     simulate.add_argument("--corpus", required=True)
@@ -149,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--users", type=_POSITIVE, default=6)
     simulate.add_argument("--topics-per-user", type=_POSITIVE, default=2)
     simulate.add_argument("--policy", type=policy, default="combined",
-                          help="registered adaptation policy name (default: combined)")
+                          help="registered adaptation policy name (default: %(default)s)")
     simulate.add_argument("--interface", choices=("desktop", "itv"), default="desktop")
     simulate.add_argument("--seed", type=int, default=2024)
 
@@ -159,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--topics-per-user", type=_POSITIVE, default=2)
     experiment.add_argument("--interface", choices=("desktop", "itv"), default="desktop")
     experiment.add_argument("--policies", type=policies,
-                            default="baseline,profile,implicit,combined",
+                            default=",".join(_CLASSIC_POLICIES),
                             help="comma-separated registered policy names, e.g. "
                                  + ",".join(_CLASSIC_POLICIES))
     experiment.add_argument("--seed", type=int, default=2024)
@@ -171,14 +175,16 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest = subparsers.add_parser(
         "loadtest", help="drive a deterministic concurrent workload"
     )
+    # Each default is read from the config it sets, so it has one copy.
+    service, workload, mix = ServiceConfig(), WorkloadSpec(), ContinuousMixSpec()
     loadtest.add_argument("--corpus", required=True, help="directory written by 'generate'")
-    loadtest.add_argument("--users", type=_POSITIVE, default=8)
-    loadtest.add_argument("--queries", type=_POSITIVE, default=3,
+    loadtest.add_argument("--users", type=_POSITIVE, default=workload.users)
+    loadtest.add_argument("--queries", type=_POSITIVE, default=workload.queries_per_user,
                           help="query iterations per user")
     loadtest.add_argument("--workers", type=_POSITIVE, default=4,
                           help="client-side thread count")
-    loadtest.add_argument("--policy", type=policy, default="combined",
-                          help="registered adaptation policy name (default: combined)")
+    loadtest.add_argument("--policy", type=policy, default=workload.policy,
+                          help="registered adaptation policy name (default: %(default)s)")
     loadtest.add_argument("--mix", choices=("balanced", "adaptive-heavy"),
                           default="balanced",
                           help="workload mix: 'balanced' pairs each search with one "
@@ -186,11 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "steps per search (exercises the adaptation fast path)")
     loadtest.add_argument("--feedback-per-query", type=_POSITIVE, default=None,
                           help="feedback steps per search step (overrides --mix)")
-    loadtest.add_argument("--shards", type=_POSITIVE, default=1,
+    loadtest.add_argument("--shards", type=_POSITIVE, default=service.num_shards,
                           help="segments a --durable directory's WAL and snapshot "
                                "deltas are split into (the in-memory engine is the "
                                "same for every count)")
-    loadtest.add_argument("--seed", type=int, default=97)
+    loadtest.add_argument("--seed", type=int, default=workload.seed)
     loadtest.add_argument("--log", default=None,
                           help="file to write the canonical event log to")
     loadtest.add_argument("--verify", action="store_true",
@@ -205,9 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-request deadline for --serve; timed-out requests "
                                "are cancelled cooperatively and kept out of the "
                                "canonical log (implies --serve)")
-    loadtest.add_argument("--serve-concurrency", type=_POSITIVE, default=4,
+    loadtest.add_argument("--serve-concurrency", type=_POSITIVE,
+                          default=ServingConfig().max_concurrency,
                           help="concurrent evaluation slots of the serving edge "
-                               "(default: 4)")
+                               "(default: %(default)s)")
     loadtest.add_argument("--serve-stats", action="store_true",
                           help="print the serving metrics snapshot — per-endpoint "
                                "p50/p95/p99, queue wait, cache hit "
@@ -215,12 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--durable", default=None, metavar="DIR",
                           help="durability directory: WAL every index mutation "
                                "into DIR and print the canonical state digest")
-    loadtest.add_argument("--fsync", choices=("always", "interval", "never"),
-                          default="interval",
-                          help="WAL fsync policy for --durable (default: interval)")
-    loadtest.add_argument("--snapshot-interval", type=_POSITIVE, default=256,
+    loadtest.add_argument("--fsync", choices=FSYNC_POLICIES, default=service.fsync_policy,
+                          help="WAL fsync policy for --durable (default: %(default)s)")
+    loadtest.add_argument("--snapshot-interval", type=_POSITIVE,
+                          default=service.snapshot_interval_ops,
                           help="index ops between incremental snapshots "
-                               "(default: 256)")
+                               "(default: %(default)s)")
     loadtest.add_argument("--ingest-ops", type=_NON_NEGATIVE, default=0,
                           help="deterministic synthetic index writes (docs and "
                                "shots) applied before the workload phase")
@@ -245,21 +252,25 @@ def build_parser() -> argparse.ArgumentParser:
                                "ingest/delete/update/feedback mutations with "
                                "concurrent searches and periodic compaction "
                                "(digest-deterministic across --workers)")
-    loadtest.add_argument("--mix-mutations", type=_POSITIVE, default=10, metavar="N",
-                          help="mutation slots per mix epoch (default: 10)")
-    loadtest.add_argument("--mix-searches", type=_NON_NEGATIVE, default=8, metavar="N",
-                          help="concurrent searches per mix epoch (default: 8)")
-    loadtest.add_argument("--mix-delete-ratio", type=_PROBABILITY, default=0.2,
+    loadtest.add_argument("--mix-mutations", type=_POSITIVE,
+                          default=mix.mutations_per_epoch, metavar="N",
+                          help="mutation slots per mix epoch (default: %(default)s)")
+    loadtest.add_argument("--mix-searches", type=_NON_NEGATIVE,
+                          default=mix.searches_per_epoch, metavar="N",
+                          help="concurrent searches per mix epoch (default: %(default)s)")
+    loadtest.add_argument("--mix-delete-ratio", type=_PROBABILITY, default=mix.delete_ratio,
                           help="fraction of mutation slots that delete "
-                               "(default: 0.2)")
-    loadtest.add_argument("--mix-update-ratio", type=_PROBABILITY, default=0.2,
+                               "(default: %(default)s)")
+    loadtest.add_argument("--mix-update-ratio", type=_PROBABILITY, default=mix.update_ratio,
                           help="fraction of mutation slots that re-index an "
-                               "existing document (default: 0.2)")
-    loadtest.add_argument("--mix-feedback", type=_NON_NEGATIVE, default=1, metavar="N",
-                          help="feedback batches per mix epoch (default: 1)")
-    loadtest.add_argument("--mix-compact-every", type=_NON_NEGATIVE, default=3, metavar="N",
+                               "existing document (default: %(default)s)")
+    loadtest.add_argument("--mix-feedback", type=_NON_NEGATIVE,
+                          default=mix.feedback_per_epoch, metavar="N",
+                          help="feedback batches per mix epoch (default: %(default)s)")
+    loadtest.add_argument("--mix-compact-every", type=_NON_NEGATIVE,
+                          default=mix.compact_every, metavar="N",
                           help="compact tombstones after every Nth mix epoch "
-                               "(0 disables; default: 3)")
+                               "(0 disables; default: %(default)s)")
     loadtest.add_argument("--mix-stop-lsn", type=_NON_NEGATIVE, default=None, metavar="N",
                           help="stop applying durable mix ops once the WAL "
                                "reaches lsn N (the clean-prefix arm of the "
@@ -448,8 +459,6 @@ def _command_analyse_logs(args: argparse.Namespace, out) -> int:
 def _service_config(args: argparse.Namespace):
     """The one :class:`ServiceConfig` every loadtest arm serves from; the
     fsync and snapshot flags matter only with ``--durable``."""
-    from repro.service import ServiceConfig
-
     return ServiceConfig(
         num_shards=args.shards,
         durability_dir=args.durable or None,
@@ -459,7 +468,7 @@ def _service_config(args: argparse.Namespace):
 
 
 def _command_loadtest(args: argparse.Namespace, out) -> int:
-    from repro.workload import ServiceLoadDriver, WorkloadSpec
+    from repro.workload import ServiceLoadDriver
 
     if args.durable and args.verify:
         raise ReproError(
@@ -536,8 +545,6 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
     )
     serving = None
     if serve:
-        from repro.serving import ServingConfig
-
         serving = ServingConfig(
             max_concurrency=args.serve_concurrency,
             default_deadline_seconds=args.serve_deadline,
@@ -611,7 +618,7 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
 
 
 def _run_continuous_mix_command(args: argparse.Namespace, stored, service_config, out) -> int:
-    from repro.workload import ContinuousMixSpec, run_continuous_mix
+    from repro.workload import run_continuous_mix
 
     spec = ContinuousMixSpec(
         epochs=args.mix_epochs,

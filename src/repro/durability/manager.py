@@ -55,7 +55,6 @@ from repro.durability.snapshots import (
     SnapshotStore,
     _write_json_atomic,
     manifest_filename,
-    since_rebase,
 )
 from repro.durability.wal import META_SEGMENT, WriteAheadLog
 from repro.sharding.router import ShardRouter
@@ -173,7 +172,7 @@ class DurabilityManager:
         line instead of failing inside replay.
         """
         header = read_header(directory)
-        if int(header["num_shards"]) != recovered.num_shards:
+        if header["num_shards"] != recovered.num_shards:
             raise RecoveryError(
                 f"durability directory has {header['num_shards']} shards "
                 f"but the recovered state was built for "
@@ -197,10 +196,7 @@ class DurabilityManager:
         # checkpoint; count them toward the next snapshot so an attach/crash
         # loop cannot defer compaction forever.
         manager._ops_since_checkpoint = recovered.wal_index_ops
-        manager._chain_ops_since_rebase = sum(
-            int(manifest["op_records"])
-            for manifest in since_rebase(manager._snapshots.manifest_chain())
-        )
+        manager._chain_ops_since_rebase = recovered.chain_op_records
         return manager
 
     def close(self) -> None:

@@ -4,10 +4,17 @@
 its last durable write, from nothing but the durability directory:
 
 1. read the directory header (shard count, format),
-2. restore the snapshot chain (:class:`~repro.durability.snapshots.
-   SnapshotStore.load_base`), which covers the log through ``wal_lsn``,
-3. scan every WAL segment tolerantly, merge records by LSN, and apply the
-   **maximal gap-free prefix** starting at ``wal_lsn + 1``.
+2. fold the snapshot chain (:meth:`~repro.durability.snapshots.
+   SnapshotStore.load_base`, the chain's one validated read path) into
+   insertion-ordered item tables that cover the log through ``wal_lsn``,
+3. scan every WAL segment tolerantly, merge records by LSN, and replay the
+   **maximal gap-free prefix** starting at ``wal_lsn + 1`` into the same
+   tables.
+
+What the fold learnt about the chain rides along in
+:class:`RecoveredState` (``chain_op_records``), so a writer reopening the
+directory (:meth:`~repro.durability.manager.DurabilityManager.attach`)
+does not walk the chain a second time.
 
 The gap-free walk and the idempotent per-record replay live in
 :mod:`repro.durability.replay`, shared with the WAL-tailing replicas:
@@ -71,6 +78,8 @@ def read_header(directory: PathLike) -> Dict[str, object]:
         raise RecoveryError(f"durability header {path}: {error}") from None
     if not isinstance(header, dict) or "num_shards" not in header:
         raise RecoveryError(f"durability header {path} is malformed")
+    if type(header["num_shards"]) is not int or header["num_shards"] < 1:
+        raise RecoveryError(f"durability header {path} has no positive num_shards")
     if header.get("format") not in READABLE_FORMATS:
         raise RecoveryError(
             f"durability header {path} has format {header.get('format')!r}; "
@@ -88,7 +97,8 @@ class RecoveredState:
     them, in order, into fresh indexes (:func:`build_monolithic_indexes`)
     reproduces the original dense interning exactly.  ``applied_lsn`` is the LSN the
     state is current through; a reopened WAL must repair past it before
-    appending.
+    appending.  ``chain_op_records`` counts the op records the snapshot
+    chain's ops checkpoints hold since its last rebase.
     """
 
     num_shards: int
@@ -106,6 +116,7 @@ class RecoveredState:
     tail_errors: Dict[str, str] = field(default_factory=dict)
     baseline_text_count: int = 0
     baseline_shot_count: int = 0
+    chain_op_records: int = 0
     stop_lsn: Optional[int] = None
 
     @property
@@ -140,46 +151,6 @@ class RecoveredState:
         )
 
 
-class _TextItems:
-    """Insertion-ordered ``{document_id: frequencies}`` behind the index write API."""
-
-    def __init__(self, documents) -> None:
-        self.items = dict(documents)
-
-    def has_document(self, document_id: str) -> bool:
-        return document_id in self.items
-
-    def add_document_frequencies(self, document_id: str, frequencies) -> None:
-        self.items[document_id] = frequencies
-
-    def delete_document(self, document_id: str) -> None:
-        del self.items[document_id]
-
-    def update_document_frequencies(self, document_id: str, frequencies) -> None:
-        # Delete + re-add, so the document moves to the end of the
-        # insertion sequence exactly as the live engine re-interns it.
-        del self.items[document_id]
-        self.items[document_id] = frequencies
-
-
-class _VisualItems:
-    """Insertion-ordered ``{shot_id: (features, concepts)}``, same API."""
-
-    def __init__(self, shots) -> None:
-        self.items = {
-            shot_id: (features, concepts) for shot_id, features, concepts in shots
-        }
-
-    def has_shot(self, shot_id: str) -> bool:
-        return shot_id in self.items
-
-    def add_shot(self, shot_id: str, features, concepts) -> None:
-        self.items[shot_id] = (features, concepts)
-
-    def delete_shot(self, shot_id: str) -> None:
-        del self.items[shot_id]
-
-
 class RecoveryManager:
     """Restores a durability directory to its last durable index state.
 
@@ -197,44 +168,22 @@ class RecoveryManager:
         if stop_lsn is not None and stop_lsn < 0:
             raise RecoveryError(f"stop_lsn must be non-negative, got {stop_lsn}")
         self._directory = Path(directory)
-        self._header = read_header(self._directory)
-        self._num_shards = int(self._header["num_shards"])
+        self._num_shards = read_header(self._directory)["num_shards"]
         self._stop_lsn = stop_lsn
-
-    @property
-    def directory(self) -> Path:
-        """The durability directory being recovered."""
-        return self._directory
-
-    @property
-    def num_shards(self) -> int:
-        """Shard count the directory was written with."""
-        return self._num_shards
-
-    @property
-    def header(self) -> Dict[str, object]:
-        """The directory header."""
-        return dict(self._header)
-
-    @property
-    def stop_lsn(self) -> Optional[int]:
-        """The requested point-in-time cut (``None`` = full durable prefix)."""
-        return self._stop_lsn
 
     def recover(self) -> RecoveredState:
         """Snapshot chain + gap-free WAL prefix → :class:`RecoveredState`."""
-        store = SnapshotStore(self._directory, self._num_shards)
         try:
-            base = store.load_base()
+            fold = SnapshotStore(self._directory, self._num_shards).load_base()
         except SnapshotError as error:
             raise RecoveryError(str(error)) from None
-        if self._stop_lsn is not None and self._stop_lsn < base.wal_lsn:
+        if self._stop_lsn is not None and self._stop_lsn < fold.wal_lsn:
             raise RecoveryError(
                 f"cannot recover to lsn {self._stop_lsn}: the snapshot "
                 f"chain's tip already covers the log through lsn "
-                f"{base.wal_lsn}, so records at or below that watermark "
+                f"{fold.wal_lsn}, so records at or below that watermark "
                 f"were compacted away and cannot be replayed to an earlier "
-                f"cut (feasible cuts are lsn >= {base.wal_lsn})"
+                f"cut (feasible cuts are lsn >= {fold.wal_lsn})"
             )
         wal = WriteAheadLog(self._directory, self._num_shards)
         try:
@@ -244,16 +193,17 @@ class RecoveryManager:
 
         state = RecoveredState(
             num_shards=self._num_shards,
-            applied_lsn=base.wal_lsn,
-            checkpoint_id=base.checkpoint_id,
-            snapshot_lsn=base.wal_lsn,
+            applied_lsn=fold.wal_lsn,
+            checkpoint_id=fold.checkpoint_id,
+            snapshot_lsn=fold.wal_lsn,
             tail_errors=tail_errors,
-            baseline_text_count=base.baseline_text_count,
-            baseline_shot_count=base.baseline_shot_count,
+            baseline_text_count=fold.baseline_text_count,
+            baseline_shot_count=fold.baseline_shot_count,
+            chain_op_records=fold.op_records,
             stop_lsn=self._stop_lsn,
         )
-        tail = [record for record in records if int(record["lsn"]) > base.wal_lsn]
-        if tail and base.checkpoint_id < 0 and int(tail[0]["lsn"]) != 1:
+        tail = [record for record in records if int(record["lsn"]) > fold.wal_lsn]
+        if tail and fold.checkpoint_id < 0 and int(tail[0]["lsn"]) != 1:
             raise RecoveryError(
                 f"WAL begins at lsn {int(tail[0]['lsn'])} but no snapshot "
                 f"covers the preceding records — the snapshot chain is "
@@ -263,7 +213,7 @@ class RecoveryManager:
         if self._stop_lsn is not None:
             within = [r for r in tail if int(r["lsn"]) <= self._stop_lsn]
             tail, beyond_stop = within, len(tail) - len(within)
-        run, beyond_hole = gap_free_tail(tail, base.wal_lsn)
+        run, beyond_hole = gap_free_tail(tail, fold.wal_lsn)
         if beyond_hole:
             # A hole: a record on some segment was lost (torn tail or
             # corruption).  Everything behind it, past the cut or not, is
@@ -273,19 +223,15 @@ class RecoveryManager:
             # The point-in-time cut: everything past it is intact on disk
             # but deliberately excluded from this recovery.
             state.wal_records_beyond_stop = beyond_stop
-        text, visual = _TextItems(base.documents), _VisualItems(base.shots)
         try:
             for record in run:
-                apply_record(record, text, visual, state)
+                apply_record(record, fold.text, fold.visual, state)
         except ReplayError as error:
             raise RecoveryError(str(error)) from None
         if run:
             state.applied_lsn = int(run[-1]["lsn"])
-        state.documents = list(text.items.items())
-        state.shots = [
-            (shot_id, features, concepts)
-            for shot_id, (features, concepts) in visual.items.items()
-        ]
+        state.documents = list(fold.text.items())
+        state.shots = [(shot_id, *entry) for shot_id, entry in fold.visual.items()]
         return state
 
 

@@ -16,8 +16,12 @@ state.
 A shot record's ``"features"`` is one :func:`~repro.utils.serialization.
 encode_vector` string (packed float64s, exact); records of format-1
 directories carry a JSON list instead, and :func:`apply_record` reads
-both.  A vector that decodes to neither is a :class:`ReplayError` naming
-the record's LSN.
+both.  A vector that decodes to neither, and a record missing a field its
+op needs, is a :class:`ReplayError` naming the record's LSN.
+
+Recovery replays into :class:`TextItems` / :class:`VisualItems`, the
+insertion-ordered item tables the snapshot fold fills first; the replicas
+replay into their live indexes.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ MUTATION_OPS = frozenset({"del", "upd"})
 
 
 class ReplayError(ValueError, ReproError):
-    """A WAL record names an op this build does not know how to replay, or
-    carries a feature vector that does not decode."""
+    """A WAL record names an op this build does not know how to replay,
+    lacks a field its op needs, or carries a vector that does not decode."""
 
 
 @dataclass
@@ -108,16 +112,57 @@ def gap_free_tail(
     return tail, []
 
 
+class TextItems(dict):
+    """Insertion-ordered ``{document_id: frequencies}`` behind the index
+    write API: the table the snapshot fold and the WAL tail replay into."""
+
+    has_document = dict.__contains__
+    add_document_frequencies = dict.__setitem__
+    delete_document = dict.__delitem__
+
+    def update_document_frequencies(self, document_id: str, frequencies) -> None:
+        # Delete + re-add, so the document moves to the end of the
+        # insertion sequence exactly as the live engine re-interns it.
+        del self[document_id]
+        self[document_id] = frequencies
+
+
+class VisualItems(dict):
+    """Insertion-ordered ``{shot_id: (features, concepts)}``, same API."""
+
+    has_shot = dict.__contains__
+    delete_shot = dict.__delitem__
+
+    def add_shot(self, shot_id: str, features, concepts) -> None:
+        self[shot_id] = (features, concepts)
+
+
+def _field(record: Record, key: str, convert=lambda value: value):
+    """``convert(record[key])``, or a :class:`ReplayError` naming the LSN."""
+    if key not in record:
+        problem = "is missing"
+    else:
+        try:
+            return convert(record[key])
+        except (AttributeError, TypeError, ValueError) as error:
+            problem = f"is malformed: {error}"
+    raise ReplayError(
+        f"{record.get('op')} record at lsn {record.get('lsn')}: field {key!r} {problem}"
+    )
+
+
 def apply_record(record: Record, text, visual, counts) -> None:
     """Replay one record into ``text`` / ``visual``, idempotently.
 
     The targets speak the index write API (``has_document`` /
     ``add_document_frequencies`` / ``delete_document`` /
     ``update_document_frequencies``; ``has_shot`` / ``add_shot`` /
-    ``delete_shot``): a replica's live indexes, insertion-ordered
-    item tables in recovery.  ``counts`` is a :class:`ReplayCounts` (or
-    anything with its fields).  A shot's vector is decoded (and a bad one
-    refused) even when the record is a skipped duplicate.
+    ``delete_shot``): a replica's live indexes, a :class:`TextItems` /
+    :class:`VisualItems` pair in recovery.  ``counts`` is a
+    :class:`ReplayCounts` (or anything with its fields).  Every field the
+    op needs is read once and checked, so a record with a missing or
+    mistyped field — and a shot whose vector does not decode, even as a
+    skipped duplicate — is a :class:`ReplayError` naming its LSN.
     """
     op = record.get("op")
     if op == "feedback":
@@ -125,12 +170,25 @@ def apply_record(record: Record, text, visual, counts) -> None:
         return
     if op not in ("doc", "shot", "del", "upd"):
         raise ReplayError(f"unknown WAL op {op!r} at lsn {record.get('lsn')}")
+    item_id = _field(record, "id", str)
+    if op in ("doc", "upd"):
+        frequencies = _field(
+            record, "tf", lambda tf: {str(t): int(f) for t, f in tf.items()}
+        )
+    elif op == "shot":
+        try:
+            features = decode_vector(_field(record, "features"))
+        except VectorDecodeError as error:
+            raise ReplayError(
+                f"shot {item_id!r} at lsn {record.get('lsn')}: {error}"
+            ) from None
+        concepts = _field(
+            record, "concepts", lambda cs: {str(c): float(v) for c, v in cs.items()}
+        )
     counts.wal_index_ops += 1
     if op in MUTATION_OPS:
         counts.wal_mutation_ops += 1
-    item_id = str(record["id"])
     if op in ("doc", "upd"):
-        frequencies = {str(t): int(f) for t, f in record["tf"].items()}
         if not text.has_document(item_id):
             text.add_document_frequencies(item_id, frequencies)
         elif op == "upd":
@@ -140,20 +198,10 @@ def apply_record(record: Record, text, visual, counts) -> None:
         else:
             counts.wal_skipped_duplicates += 1
     elif op == "shot":
-        try:
-            features = decode_vector(record["features"])
-        except VectorDecodeError as error:
-            raise ReplayError(
-                f"shot {item_id!r} at lsn {record.get('lsn')}: {error}"
-            ) from None
         if visual.has_shot(item_id):
             counts.wal_skipped_duplicates += 1
         else:
-            visual.add_shot(
-                item_id,
-                features,
-                {str(c): float(s) for c, s in record["concepts"].items()},
-            )
+            visual.add_shot(item_id, features, concepts)
     elif record.get("kind") == "shot":
         if visual.has_shot(item_id):
             visual.delete_shot(item_id)

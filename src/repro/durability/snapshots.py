@@ -19,21 +19,28 @@ its parent manifest.  There are exactly two kinds:
   manifest counts them (``"op_records"``).  Its cost is the ops since the
   parent, whatever they were — adds, deletes, updates.
 
-:meth:`SnapshotStore.load_base` **folds** the chain in manifest order from
-the last rebase: full-state entries are appended, op records go through
-the one :func:`~repro.durability.replay.apply_record` into the same
-insertion-ordered item tables crash recovery and the replicas replay the
-WAL tail into, and after every manifest the live counts must equal the
-counts that manifest recorded.  Replay is keyed by id (a delete removes
-its item, an update re-appends it, exactly as the live engine re-interns),
-and compaction preserves live order, so no mutation ever *forces* a
-rebase.  The one remaining trigger is the engine's compaction hook, as the
-chain's garbage collection: every delete or update leaves one tombstone in
-memory and dead records in the chain (itself and the add it undid), so
-rebasing when compaction reclaims the tombstones bounds the dead weight a
-recovery replays by the same ratio that bounds dead slots in memory —
-without a knob of its own.  The rest of the chain is one add record per
-live item, which is what a suffix of full-state entries would hold.
+:meth:`SnapshotStore.load_base` is the chain's one read path, shared by
+recovery, a reopening writer and ``repro verify``: one walk, tip to root,
+then a **fold** in manifest order from the last rebase.  Full-state
+entries are appended, op records go through the one
+:func:`~repro.durability.replay.apply_record` into the item tables
+recovery then replays the WAL tail into, and after every manifest the live
+counts must equal the counts it recorded.  Each manifest is checked as it
+is parsed — every field present and typed, its id the one its file name
+carries, its ``parent`` the id just below (every writer links that way) —
+so the walk cannot loop, and damage is a :class:`SnapshotError` naming
+the file.
+
+Replay is keyed by id (a delete removes its item, an update re-appends
+it, exactly as the live engine re-interns), and compaction preserves live
+order, so no mutation ever *forces* a rebase.  The one remaining trigger
+is the engine's compaction hook, as the chain's garbage collection: every
+delete or update leaves one tombstone in memory and dead records in the
+chain (itself and the add it undid), so rebasing when compaction
+reclaims the tombstones bounds the dead weight a recovery replays by the
+same ratio that bounds dead slots in memory — without a knob of its own.
+The rest of the chain is one add record per live item, which is what a
+suffix of full-state entries would hold.
 
 A shot's feature vector — the third field of a full-state shot entry, and
 the ``"features"`` of a shot op record — is one
@@ -70,13 +77,14 @@ from repro.durability.replay import (
     Record,
     ReplayCounts,
     ReplayError,
+    TextItems,
+    VisualItems,
     apply_record,
 )
 from repro.errors import ReproError
 from repro.sharding.router import ShardRouter
 from repro.utils.serialization import (
     PathLike,
-    VectorDecodeError,
     canonical_json,
     decode_vector,
     encode_vector,
@@ -148,18 +156,17 @@ def _write_json_atomic(path: Path, payload: Dict[str, object]) -> None:
     os.replace(tmp_path, path)
 
 
-def since_rebase(chain: Sequence[Dict[str, object]]) -> Sequence[Dict[str, object]]:
-    """The part of a root-to-tip manifest chain that recovery folds.
-
-    A rebase manifest re-snapshots the full live state from sequence zero,
-    so everything before the *last* one describes state that no longer
-    exists.  The ``op_records`` of the returned manifests sum to the replay
-    a recovery pays on top of its base.
-    """
-    for position in range(len(chain) - 1, 0, -1):
-        if chain[position].get("rebase"):
-            return chain[position:]
-    return chain
+#: The manifest fields every reader relies on, with the JSON types they take.
+_MANIFEST_FIELDS = {
+    "checkpoint_id": (int,),
+    "parent": (int, type(None)),
+    "wal_lsn": (int,),
+    "text_count": (int,),
+    "shot_count": (int,),
+    "deltas": (list,),
+    "rebase": (bool,),
+    "op_records": (int,),
+}
 
 
 def _check_dense(manifest_name: str, kind: str, live: int, expected: int) -> None:
@@ -172,39 +179,79 @@ def _check_dense(manifest_name: str, kind: str, live: int, expected: int) -> Non
 
 
 @dataclass
-class SnapshotBase:
-    """The state a loaded snapshot chain restores (before WAL replay).
+class ChainFold:
+    """What :meth:`SnapshotStore.load_base` restored, and what it read.
 
-    ``documents`` and ``shots`` are in global insertion (dense interning)
-    order; ``wal_lsn`` is the watermark the tip manifest covers through.
-    ``baseline_text_count`` / ``baseline_shot_count`` are the root
-    (bootstrap) checkpoint's counts — everything beyond them was ingested
-    after the service first came up.
+    ``text`` / ``visual`` hold the items in global insertion order;
+    recovery replays the WAL tail on into them.  ``wal_lsn`` and
+    ``checkpoint_id`` are the tip's (-1: no checkpoint).  The folded part
+    of the chain runs from checkpoint ``base_id`` (the last rebase, or the
+    bootstrap) through the tip: ``manifests`` manifests whose ops
+    checkpoints hold ``op_records`` records.  The ``baseline_*`` counts are
+    the bootstrap checkpoint's.
     """
 
-    documents: List[Tuple[str, Dict[str, int]]] = field(default_factory=list)
-    shots: List[Tuple[str, List[float], Dict[str, float]]] = field(default_factory=list)
+    text: TextItems = field(default_factory=TextItems)
+    visual: VisualItems = field(default_factory=VisualItems)
     wal_lsn: int = 0
     checkpoint_id: int = -1
+    base_id: int = 0
+    manifests: int = 0
+    op_records: int = 0
     baseline_text_count: int = 0
     baseline_shot_count: int = 0
 
-    @property
-    def text_count(self) -> int:
-        """Documents restored by the chain."""
-        return len(self.documents)
 
-    @property
-    def shot_count(self) -> int:
-        """Shots restored by the chain."""
-        return len(self.shots)
+def manifest_ids(directory: PathLike) -> List[int]:
+    """Checkpoint ids whose manifests are present in ``directory``, ascending."""
+    directory = Path(directory)
+    if not directory.exists():
+        return []
+    ids = []
+    for entry in directory.iterdir():
+        name = entry.name
+        if name.startswith(_MANIFEST_PREFIX) and name.endswith(_MANIFEST_SUFFIX):
+            stem = name[len(_MANIFEST_PREFIX) : -len(_MANIFEST_SUFFIX)]
+            if stem.isdigit():
+                ids.append(int(stem))
+    return sorted(ids)
+
+
+def _check_manifest(manifest: object, checkpoint_id: int) -> Dict[str, object]:
+    """``manifest`` as read from ``checkpoint_id``'s file, refused unless every
+    field a reader relies on is present and typed, its id is the one its
+    file name carries, and it links to the checkpoint just before it."""
+    name = manifest_filename(checkpoint_id)
+    if not isinstance(manifest, dict):
+        raise SnapshotError(f"checkpoint manifest {name} is not a JSON object")
+    manifest.setdefault("op_records", 0)  # format 1 had full-state deltas only
+    for key, types in _MANIFEST_FIELDS.items():
+        if key not in manifest or type(manifest[key]) not in types:
+            problem = repr(manifest[key]) if key in manifest else "missing"
+            raise SnapshotError(f"checkpoint manifest {name}: {key!r} is {problem}")
+    if not all(type(delta) is str for delta in manifest["deltas"]):
+        raise SnapshotError(f"checkpoint manifest {name}: 'deltas' are not file names")
+    if manifest["checkpoint_id"] != checkpoint_id:
+        raise SnapshotError(
+            f"checkpoint manifest {name} holds checkpoint_id "
+            f"{manifest['checkpoint_id']}"
+        )
+    parent = checkpoint_id - 1 if checkpoint_id else None
+    if manifest["parent"] != parent:
+        raise SnapshotError(
+            f"checkpoint manifest {name} links to parent "
+            f"{manifest['parent']!r}, not {parent!r}"
+        )
+    return manifest
 
 
 class SnapshotStore:
     """Reads and writes one directory's checkpoint chain.
 
-    The store keeps the latest manifest in memory so the next checkpoint
-    knows its parent's id and watermark without re-reading the chain.
+    The store reads and checks the tip manifest when it opens and keeps the
+    latest one in memory, so the next checkpoint knows its parent's id and
+    watermark without re-reading the chain, and :meth:`load_base` walks
+    from the tip it already holds.
     """
 
     def __init__(self, directory: PathLike, num_shards: int) -> None:
@@ -212,17 +259,10 @@ class SnapshotStore:
             raise SnapshotError(f"num_shards must be positive, got {num_shards}")
         self._directory = Path(directory)
         self._router = ShardRouter(num_shards)
-        self._latest: Optional[Dict[str, object]] = self._read_latest_manifest()
-
-    @property
-    def directory(self) -> Path:
-        """The durability directory the chain lives in."""
-        return self._directory
-
-    @property
-    def num_shards(self) -> int:
-        """How many shards the snapshot lineage is partitioned over."""
-        return self._router.num_shards
+        ids = manifest_ids(self._directory)
+        self._latest: Optional[Dict[str, object]] = (
+            self._read_manifest(ids[-1]) if ids else None
+        )
 
     @property
     def latest_manifest(self) -> Optional[Dict[str, object]]:
@@ -238,78 +278,57 @@ class SnapshotStore:
 
     # -- reading -----------------------------------------------------------------
 
-    def manifest_ids(self) -> List[int]:
-        """Checkpoint ids present on disk, ascending."""
-        if not self._directory.exists():
-            return []
-        ids = []
-        for entry in self._directory.iterdir():
-            name = entry.name
-            if name.startswith(_MANIFEST_PREFIX) and name.endswith(_MANIFEST_SUFFIX):
-                stem = name[len(_MANIFEST_PREFIX) : -len(_MANIFEST_SUFFIX)]
-                if stem.isdigit():
-                    ids.append(int(stem))
-        return sorted(ids)
-
     def _read_manifest(self, checkpoint_id: int) -> Dict[str, object]:
-        path = self._directory / manifest_filename(checkpoint_id)
+        """Parse and check one manifest (:func:`_check_manifest`)."""
+        name = manifest_filename(checkpoint_id)
         try:
-            manifest = read_json(path)
+            manifest = read_json(self._directory / name)
         except FileNotFoundError:
             raise SnapshotError(
-                f"checkpoint manifest {path.name} is missing from the chain"
+                f"checkpoint manifest {name} is missing from the chain"
             ) from None
         except ValueError as error:
-            raise SnapshotError(f"checkpoint manifest {path.name}: {error}") from None
-        if not isinstance(manifest, dict) or "wal_lsn" not in manifest:
-            raise SnapshotError(f"checkpoint manifest {path.name} is malformed")
-        manifest.setdefault("op_records", 0)  # format 1 had full-state deltas only
-        return manifest
-
-    def _read_latest_manifest(self) -> Optional[Dict[str, object]]:
-        ids = self.manifest_ids()
-        if not ids:
-            return None
-        return self._read_manifest(ids[-1])
+            raise SnapshotError(f"checkpoint manifest {name}: {error}") from None
+        return _check_manifest(manifest, checkpoint_id)
 
     def manifest_chain(self) -> List[Dict[str, object]]:
-        """The manifests from the root to the tip, parent-linked.
+        """The manifests from the root to the held tip, parent-linked.
 
-        Raises :class:`SnapshotError` when a link of the chain is missing —
-        the chain is only as durable as its weakest manifest.
+        Every manifest read links to the id just below its own, so the
+        walk parses exactly the ``tip id`` manifests below the tip.  Raises
+        :class:`SnapshotError` when a link of the chain is missing or
+        damaged — the chain is only as durable as its weakest manifest.
         """
-        tip = self._read_latest_manifest()
-        if tip is None:
+        if self._latest is None:
             return []
-        chain = [tip]
+        chain = [self._latest]
         while chain[-1]["parent"] is not None:
-            chain.append(self._read_manifest(int(chain[-1]["parent"])))
+            chain.append(self._read_manifest(chain[-1]["parent"]))
         chain.reverse()
         return chain
 
-    def _read_delta(self, manifest: Dict[str, object], name: str) -> Dict[str, object]:
-        path = self._directory / name
+    def _read_delta(self, manifest_name: str, name: str) -> Dict[str, object]:
         try:
-            delta = read_json(path)
+            delta = read_json(self._directory / name)
         except FileNotFoundError:
             raise SnapshotError(
-                f"snapshot delta {path.name} named by "
-                f"{manifest_filename(int(manifest['checkpoint_id']))} is missing"
+                f"snapshot delta {name} named by {manifest_name} is missing"
             ) from None
         except ValueError as error:
-            raise SnapshotError(f"snapshot delta {path.name}: {error}") from None
+            raise SnapshotError(f"snapshot delta {name}: {error}") from None
         if not isinstance(delta, dict):
-            raise SnapshotError(f"snapshot delta {path.name} is malformed")
+            raise SnapshotError(f"snapshot delta {name} is malformed")
         return delta
 
-    def load_base(self) -> SnapshotBase:
-        """Fold the snapshot chain into one :class:`SnapshotBase`.
+    def load_base(self) -> ChainFold:
+        """Walk the chain once (:meth:`manifest_chain`) and fold it.
 
-        Manifests are folded in order from the last rebase
-        (:func:`since_rebase`).  A full-state manifest's entries are merged
-        across its shard files by global sequence number and appended —
-        each must land on exactly the next live slot; an ops manifest's
-        records are merged by LSN and replayed through
+        Manifests are folded in order from the last rebase, since a rebase
+        re-snapshots the full live state and everything before it describes
+        state that no longer exists.  A full-state manifest's entries are
+        merged across its shard files by global sequence number and
+        appended — each must land on exactly the next live slot; an ops
+        manifest's records are merged by LSN and replayed through
         :func:`~repro.durability.replay.apply_record` into the same
         insertion-ordered item tables recovery replays the WAL tail into.
         After **every** manifest the live counts must equal the counts that
@@ -317,66 +336,70 @@ class SnapshotStore:
         a sequence raises :class:`SnapshotError` naming the manifest it
         belongs to, rather than recovering a state with shifted interning.
         """
-        # Deferred: recovery imports this module for SnapshotStore.
-        from repro.durability.recovery import _TextItems, _VisualItems
-
         chain = self.manifest_chain()
+        fold = ChainFold()
         if not chain:
-            return SnapshotBase()
-        text, visual = _TextItems(()), _VisualItems(())
+            return fold
+        start = next((p for p in range(len(chain) - 1, 0, -1) if chain[p]["rebase"]), 0)
+        text, visual = fold.text, fold.visual
         counts = ReplayCounts()
-        for manifest in since_rebase(chain):
-            name = manifest_filename(int(manifest["checkpoint_id"]))
-            documents: List[list] = []
+        for manifest in chain[start:]:
+            name = manifest_filename(manifest["checkpoint_id"])
+            documents: List[tuple] = []
             shots: List[tuple] = []
-            ops: List[Tuple[Record, str]] = []
+            ops: List[Tuple[int, Record, str]] = []
             for delta_name in manifest["deltas"]:
-                delta = self._read_delta(manifest, str(delta_name))
-                documents.extend(delta.get("documents", ()))
+                delta = self._read_delta(name, delta_name)
                 try:
+                    documents.extend(
+                        (int(seq), document_id, vector)
+                        for seq, document_id, vector in delta.get("documents", ())
+                    )
                     shots.extend(
-                        (seq, shot_id, decode_vector(features), concepts)
+                        (int(seq), shot_id, decode_vector(features), concepts)
                         for seq, shot_id, features, concepts in delta.get("shots", ())
                     )
-                except VectorDecodeError as error:
+                except (TypeError, ValueError) as error:
                     raise SnapshotError(f"snapshot delta {delta_name}: {error}") from None
-                ops.extend((record, delta_name) for record in delta.get("ops", ()))
+                for record in delta.get("ops", ()):
+                    lsn = record.get("lsn") if isinstance(record, dict) else None
+                    if type(lsn) is not int:
+                        raise SnapshotError(
+                            f"snapshot delta {delta_name}: an op record has no lsn"
+                        )
+                    ops.append((lsn, record, delta_name))
             documents.sort(key=lambda entry: entry[0])
             shots.sort(key=lambda entry: entry[0])
             for seq, document_id, vector in documents:
-                _check_dense(name, "document", len(text.items), int(seq))
+                _check_dense(name, "document", len(text), seq)
                 text.add_document_frequencies(document_id, vector)
             for seq, shot_id, features, concepts in shots:
-                _check_dense(name, "shot", len(visual.items), int(seq))
+                _check_dense(name, "shot", len(visual), seq)
                 visual.add_shot(shot_id, features, concepts)
-            op_records = int(manifest["op_records"])
-            if len(ops) != op_records:
+            if len(ops) != manifest["op_records"]:
                 raise SnapshotError(
-                    f"{name} counts {op_records} op records but its deltas "
-                    f"hold {len(ops)} — a delta file is truncated or corrupt"
+                    f"{name} counts {manifest['op_records']} op records but "
+                    f"its deltas hold {len(ops)} — a delta file is truncated "
+                    f"or corrupt"
                 )
-            ops.sort(key=lambda entry: int(entry[0]["lsn"]))
-            for record, delta_name in ops:
+            ops.sort(key=lambda entry: entry[0])
+            for _, record, delta_name in ops:
                 try:
                     apply_record(record, text, visual, counts)
                 except ReplayError as error:
                     raise SnapshotError(
                         f"snapshot delta {delta_name} of {name}: {error}"
                     ) from None
-            _check_dense(name, "document", len(text.items), int(manifest["text_count"]))
-            _check_dense(name, "shot", len(visual.items), int(manifest["shot_count"]))
+            _check_dense(name, "document", len(text), manifest["text_count"])
+            _check_dense(name, "shot", len(visual), manifest["shot_count"])
         root, tip = chain[0], chain[-1]
-        return SnapshotBase(
-            documents=list(text.items.items()),
-            shots=[
-                (shot_id, features, concepts)
-                for shot_id, (features, concepts) in visual.items.items()
-            ],
-            wal_lsn=int(tip["wal_lsn"]),
-            checkpoint_id=int(tip["checkpoint_id"]),
-            baseline_text_count=int(root["text_count"]),
-            baseline_shot_count=int(root["shot_count"]),
-        )
+        fold.wal_lsn, fold.checkpoint_id = tip["wal_lsn"], tip["checkpoint_id"]
+        fold.base_id = chain[start]["checkpoint_id"]
+        fold.manifests = len(chain) - start
+        fold.op_records = sum(manifest["op_records"] for manifest in chain[start:])
+        fold.baseline_text_count = root["text_count"]
+        fold.baseline_shot_count = root["shot_count"]
+        return fold
 
     # -- writing -----------------------------------------------------------------
 

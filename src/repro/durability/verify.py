@@ -6,11 +6,13 @@
 * every WAL segment is scanned through the same checksummed-frame reader
   recovery uses, so torn or corrupt tails are found exactly where replay
   would stop;
-* the snapshot manifest chain is walked root-to-tip and folded exactly as
-  recovery folds it — full-state entries appended, ops deltas replayed —
-  so a missing link, a dropped op record or a non-dense sequence is
-  reported rather than discovered at recovery time, along with how many
-  op records recovery replays on top of the last rebase;
+* the snapshot manifest chain is read through recovery's own path
+  (:meth:`~repro.durability.snapshots.SnapshotStore.load_base`): one
+  checked walk, then the fold — full-state entries appended, ops deltas
+  replayed — so a missing or damaged link, a dropped op record or a
+  non-dense sequence is reported rather than discovered at recovery time,
+  along with how many op records recovery replays on top of the last
+  rebase;
 * the merged LSN stream is checked for holes above the snapshot
   watermark, and the **maximal gap-free LSN** — the point recovery (and a
   tailing replica) would stop at — is reported.
@@ -27,7 +29,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.durability.recovery import RecoveryError, durability_directory, read_header
-from repro.durability.snapshots import SnapshotError, SnapshotStore, since_rebase
+from repro.durability.snapshots import SnapshotError, SnapshotStore, manifest_ids
 from repro.durability.wal import WriteAheadLog
 from repro.utils.serialization import PathLike
 
@@ -131,20 +133,17 @@ def verify_directory(directory: PathLike) -> VerifyReport:
     except RecoveryError as error:
         report.problems.append(str(error))
         return report
-    report.num_shards = int(header["num_shards"])
+    report.num_shards = header["num_shards"]
 
-    store = SnapshotStore(directory, report.num_shards)
-    report.checkpoint_ids = store.manifest_ids()
+    report.checkpoint_ids = manifest_ids(directory)
     try:
-        base = store.load_base()
-        report.snapshot_wal_lsn = base.wal_lsn
-        report.snapshot_documents = base.text_count
-        report.snapshot_shots = base.shot_count
-        folded = since_rebase(store.manifest_chain())
-        report.chain_manifests = len(folded)
-        if folded:
-            report.chain_base_id = int(folded[0]["checkpoint_id"])
-        report.chain_op_records = sum(int(m["op_records"]) for m in folded)
+        fold = SnapshotStore(directory, report.num_shards).load_base()
+        report.snapshot_wal_lsn = fold.wal_lsn
+        report.snapshot_documents = len(fold.text)
+        report.snapshot_shots = len(fold.visual)
+        report.chain_base_id = fold.base_id
+        report.chain_manifests = fold.manifests
+        report.chain_op_records = fold.op_records
     except SnapshotError as error:
         report.problems.append(f"snapshot chain: {error}")
         # The WAL can still be scanned; gap analysis below treats the

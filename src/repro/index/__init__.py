@@ -22,12 +22,6 @@ from repro.index.scoring import (
     TfIdfScorer,
     normalise_query,
 )
-from repro.index.storage import (
-    load_inverted_index,
-    load_visual_index,
-    save_inverted_index,
-    save_visual_index,
-)
 from repro.index.tokenizer import Tokenizer
 from repro.index.visual import VisualIndex
 
@@ -49,10 +43,6 @@ __all__ = [
     "TextScorer",
     "TfIdfScorer",
     "normalise_query",
-    "load_inverted_index",
-    "load_visual_index",
-    "save_inverted_index",
-    "save_visual_index",
     "Tokenizer",
     "VisualIndex",
 ]

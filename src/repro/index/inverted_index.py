@@ -32,7 +32,9 @@ re-add: the document moves to a fresh slot at the end.
 The object API — ``postings()`` returning :class:`Posting` lists,
 ``document_vector()`` — is kept as thin views over the dense layout.
 Scoring functions live in :mod:`repro.index.scoring` and
-:mod:`repro.index.language_model`; persistence in :mod:`repro.index.storage`.
+:mod:`repro.index.language_model`.  Index state reaches disk only through
+the durability tier (:mod:`repro.durability`), as WAL records and snapshot
+deltas.
 """
 
 from __future__ import annotations

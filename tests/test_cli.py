@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -358,6 +359,54 @@ class TestRecoverErrorPaths:
             f"loadtest failed: --durable {str(parent / 'state')!r} cannot be written: "
             f"{str(parent)!r} is not a directory"
         ]
+
+
+class TestDamagedManifestChain:
+    """A damaged manifest link or key is refused by ``recover`` (one line,
+    exit 2) and reported by ``verify`` (a ``PROBLEM`` line, exit 1).  A
+    ``parent`` loop used to make both walk the chain forever, so every run
+    is a subprocess under a wall-clock bound, and a hang fails."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, corpus_dir, tmp_path_factory):
+        """The bootstrap and two ops checkpoints."""
+        directory = tmp_path_factory.mktemp("chain") / "d"
+        assert main(
+            ["loadtest", "--corpus", str(corpus_dir), "--users", "1", "--queries",
+             "1", "--durable", str(directory), "--ingest-ops", "8",
+             "--snapshot-interval", "4"],
+            out=io.StringIO(),
+        ) == 0
+        assert len(list(directory.glob("checkpoint-*.json"))) == 3
+        return directory
+
+    @pytest.mark.parametrize(
+        "manifest, old, new, message",
+        [
+            ("checkpoint-000001.json", '"parent":0', '"parent":1',
+             "checkpoint manifest checkpoint-000001.json links to parent 1, "
+             "not 0"),
+            ("checkpoint-000002.json", '"shot_count"', '"shot_cound"',
+             "checkpoint manifest checkpoint-000002.json: 'shot_count' is "
+             "missing"),
+        ],
+        ids=["parent-loop", "renamed-key"],
+    )
+    def test_recover_refuses_and_verify_reports(
+        self, chain, tmp_path, manifest, old, new, message
+    ):
+        directory = tmp_path / "d"
+        shutil.copytree(chain, directory)
+        path = directory / manifest
+        text = path.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        recovered = _run_cli(["recover", str(directory)], tmp_path)
+        assert recovered.returncode == 2
+        assert recovered.stderr.splitlines() == [f"recover failed: {message}"]
+        verified = _run_cli(["verify", str(directory)], tmp_path)
+        assert verified.returncode == 1
+        assert f"PROBLEM: snapshot chain: {message}" in verified.stdout.splitlines()
 
 
 #: Each verb that reads ``--corpus``, with the rest of a valid command line.

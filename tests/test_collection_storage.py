@@ -92,82 +92,3 @@ class TestCorpusSnapshot:
         restored_index = InvertedIndex.from_collection(stored.collection)
         assert restored_index.document_count == original_index.document_count
         assert restored_index.total_terms == original_index.total_terms
-
-
-class TestTombstonedIndexSnapshot:
-    """Satellite: index snapshots round-trip mutable-corpus state.
-
-    A snapshot stores live items in dense slot order — loading it is
-    equivalent to a compacted rebuild, so digests and rankings agree with
-    the live (hole-y) source.
-    """
-
-    def test_inverted_round_trip_skips_tombstones(self, tmp_path):
-        from repro.index.storage import load_inverted_index, save_inverted_index
-
-        index = InvertedIndex()
-        index.add_document("doc-a", "alpha beta alpha")
-        index.add_document("doc-b", "beta gamma")
-        index.add_document("doc-c", "gamma delta")
-        index.delete_document("doc-b")
-        index.update_document("doc-a", "epsilon beta")
-        path = tmp_path / "inverted.json"
-        save_inverted_index(index, path)
-        loaded = load_inverted_index(path)
-        compacted = index.compacted_copy()
-        assert loaded.slots.ids == compacted.slots.ids
-        assert loaded.tombstone_count == 0
-        assert loaded.document_count == index.document_count
-        assert loaded.total_terms == index.total_terms
-        assert loaded.average_document_length == index.average_document_length
-        for term in index.terms():
-            assert loaded.collection_frequency(term) == index.collection_frequency(term)
-            assert loaded.document_frequency(term) == index.document_frequency(term)
-
-    def test_visual_round_trip_skips_tombstones(self, tmp_path):
-        from repro.index.storage import load_visual_index, save_visual_index
-        from repro.index.visual import VisualIndex
-
-        index = VisualIndex()
-        index.add_shot("shot-a", [1.0, 0.0], {"crowd": 0.4})
-        index.add_shot("shot-b", [0.0, 1.0], {"flag": 0.6})
-        index.add_shot("shot-c", [0.5, 0.5], {})
-        index.delete_shot("shot-b")
-        path = tmp_path / "visual.json"
-        save_visual_index(index, path)
-        loaded = load_visual_index(path)
-        assert loaded.shot_ids() == ["shot-a", "shot-c"]
-        assert loaded.tombstone_count == 0
-        assert loaded.features_of("shot-c") == (0.5, 0.5)
-        assert loaded.concept_scores_of("shot-a") == {"crowd": 0.4}
-
-    def test_round_trip_digest_matches_compacted_engine(
-        self, tmp_path, small_corpus
-    ):
-        # The recovery-facing contract: rebuilding an engine from saved
-        # snapshots of a mutated live engine digests identically to the
-        # live engine (the digest skips holes) and to its compacted self.
-        from repro.durability import engine_state_digest
-        from repro.index.storage import (
-            load_inverted_index,
-            load_visual_index,
-            save_inverted_index,
-            save_visual_index,
-        )
-
-        engine = VideoRetrievalEngine(small_corpus.collection)
-        engine.index_document("mut-a", "ceasefire summit")
-        engine.index_document("mut-b", "verdict launch")
-        engine.delete_document("mut-a")
-        engine.update_document("mut-b", "blackout harvest")
-        live = engine_state_digest(engine)
-        save_inverted_index(engine.inverted_index, tmp_path / "inv.json")
-        save_visual_index(engine.visual_index, tmp_path / "vis.json")
-        restored = VideoRetrievalEngine(
-            small_corpus.collection,
-            inverted_index=load_inverted_index(tmp_path / "inv.json"),
-            visual_index=load_visual_index(tmp_path / "vis.json"),
-        )
-        assert engine_state_digest(restored) == live
-        engine.compact()
-        assert engine_state_digest(engine) == live

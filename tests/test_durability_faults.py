@@ -12,7 +12,9 @@ checkpoints that carry WAL records into the chain — damaged ops deltas, a
 checkpoint interrupted before its WAL truncation, truncation held back by a
 replica, and a WAL append that failed after its LSN was allocated — and
 feature vectors that do not decode, in a full-state delta, an ops delta and
-a WAL record.
+a WAL record; manifests and records that lack a field; and single-byte
+flips in every non-WAL file under a per-case time bound.  The chain is
+walked once per open, counted in manifest parses.
 
 All tests carry the ``durability`` marker (``pytest -m durability``).
 """
@@ -20,23 +22,41 @@ All tests carry the ``durability`` marker (``pytest -m durability``).
 from __future__ import annotations
 
 import base64
+import contextlib
 import errno
 import json
 import shutil
+import signal
+from pathlib import Path
 
 import pytest
 
-from repro.durability import RecoveryError, RecoveryManager, engine_state_digest
-from repro.durability.recovery import _TextItems, _VisualItems
-from repro.durability.replay import ReplayCounts, ReplayError, apply_record
+from repro.analysis import analyse_collection
+from repro.collection import CollectionConfig, generate_corpus
+from repro.durability import (
+    RecoveryError,
+    RecoveryManager,
+    engine_state_digest,
+    snapshots,
+    verify_directory,
+)
+from repro.durability.replay import (
+    ReplayCounts,
+    ReplayError,
+    TextItems,
+    VisualItems,
+    apply_record,
+)
 from repro.durability.snapshots import (
     SNAPSHOT_FORMAT,
     SnapshotError,
     SnapshotStore,
     _write_json_atomic,
     manifest_filename,
+    manifest_ids,
 )
 from repro.durability.wal import WalSegment, encode_op, segment_filename
+from repro.errors import ReproError
 from repro.retrieval import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
 from repro.utils.serialization import read_json
@@ -83,6 +103,17 @@ def _prefix_digests(corpus, count, num_shards=1):
         digests.append(engine_state_digest(service.engine))
     service.close()
     return digests
+
+
+def _ten_ingests(corpus, directory):
+    """Ten ingests at interval 4: the bootstrap, two ops checkpoints (lsn
+    1-4 and 5-8) and a two-record WAL tail (lsn 9 a document, lsn 10 a
+    shot)."""
+    service = RetrievalService(
+        corpus.collection, config=_durable_config(directory, interval=4)
+    )
+    apply_ingest(service, _ops(service, 10))
+    service.close()
 
 
 class TestKillAnywhere:
@@ -450,7 +481,7 @@ class TestOpsDeltaFaults:
         with service.engine.exclusive_writer():
             with pytest.raises(SnapshotError, match=r"WAL covers lsn 1\.\.2 since"):
                 durability.checkpoint(service.engine)
-        assert durability.snapshots.manifest_ids() == [0]
+        assert manifest_ids(directory) == [0]
         assert not list(directory.glob("delta-cp000001-*"))
         service.close()
 
@@ -476,16 +507,6 @@ class TestUndecodableVectors:
     this is their only guard) or the WAL record's LSN."""
 
     @staticmethod
-    def _run(corpus, directory):
-        """Ten ingests at interval 4: the bootstrap, two ops checkpoints and
-        a two-record WAL tail (lsn 9 a document, lsn 10 a shot)."""
-        service = RetrievalService(
-            corpus.collection, config=_durable_config(directory, interval=4)
-        )
-        apply_ingest(service, _ops(service, 10))
-        service.close()
-
-    @staticmethod
     def _refused(directory, match):
         with pytest.raises(RecoveryError, match=match) as caught:
             RecoveryManager(directory).recover()
@@ -494,7 +515,7 @@ class TestUndecodableVectors:
     @pytest.mark.parametrize("label, damage", VECTOR_DAMAGE, ids=DAMAGE_IDS)
     def test_in_a_full_state_delta(self, analysed_corpus, tmp_path, label, damage):
         directory = tmp_path / "d"
-        self._run(analysed_corpus, directory)
+        _ten_ingests(analysed_corpus, directory)
         name = "delta-cp000000-shard0000.json"
         delta = read_json(directory / name)
         delta["shots"][3][2] = damage(delta["shots"][3][2])
@@ -506,7 +527,7 @@ class TestUndecodableVectors:
     @pytest.mark.parametrize("label, damage", VECTOR_DAMAGE, ids=DAMAGE_IDS)
     def test_in_an_ops_delta(self, analysed_corpus, tmp_path, label, damage):
         directory = tmp_path / "d"
-        self._run(analysed_corpus, directory)
+        _ten_ingests(analysed_corpus, directory)
         name = "delta-cp000002-shard0000.json"
         delta = read_json(directory / name)
         record = next(record for record in delta["ops"] if record["op"] == "shot")
@@ -524,7 +545,7 @@ class TestUndecodableVectors:
     def test_in_a_wal_record(self, analysed_corpus, tmp_path, label, damage):
         # Framed with a good CRC: the writer, not the disk, was broken.
         directory = tmp_path / "d"
-        self._run(analysed_corpus, directory)
+        _ten_ingests(analysed_corpus, directory)
         segment = WalSegment(directory / segment_filename(0))
         records, _ = segment.scan()
         assert [(record["lsn"], record["op"]) for record in records] == [
@@ -534,5 +555,234 @@ class TestUndecodableVectors:
         records[1]["features"] = damage(records[1]["features"])
         segment.rewrite([encode_op(record) for record in records])
         with pytest.raises(ReplayError, match="at lsn 10: feature vector"):
-            apply_record(records[1], _TextItems(()), _VisualItems(()), ReplayCounts())
+            apply_record(records[1], TextItems(), VisualItems(), ReplayCounts())
         self._refused(directory, f"^shot '{records[1]['id']}' at lsn 10: feature vector")
+
+
+def _manifest_parses(monkeypatch):
+    """Every manifest file the snapshot store parses from now on, by name."""
+    parsed = []
+
+    def counting(path):
+        if Path(path).name.startswith("checkpoint-"):
+            parsed.append(Path(path).name)
+        return read_json(path)
+
+    monkeypatch.setattr(snapshots, "read_json", counting)
+    return parsed
+
+
+class TestOneWalkOfTheChain:
+    """The chain is walked once per open: recovery's fold starts from the
+    tip the store already holds and hands the reopening writer the chain
+    facts it needs, and verify reads through the same fold.  Counted in
+    parses, not timed; six manifests took 14 and 13 parses before."""
+
+    def _six_manifests(self, corpus, directory):
+        """Ten ingests at interval 2: the bootstrap and five ops checkpoints."""
+        service = RetrievalService(
+            corpus.collection, config=_durable_config(directory, interval=2)
+        )
+        apply_ingest(service, _ops(service, 10))
+        digest = engine_state_digest(service.engine)
+        service.close()
+        assert manifest_ids(directory) == [0, 1, 2, 3, 4, 5]
+        return digest
+
+    def test_reopening_a_service_parses_each_manifest_once_plus_the_tip(
+        self, analysed_corpus, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "d"
+        digest = self._six_manifests(analysed_corpus, directory)
+        parsed = _manifest_parses(monkeypatch)
+        service = RetrievalService(
+            analysed_corpus.collection, config=_durable_config(directory, interval=2)
+        )
+        assert len(parsed) <= 6 + 1, parsed
+        assert engine_state_digest(service.engine) == digest
+        assert service.engine.durability.statistics()["chain_ops_since_rebase"] == 10
+        service.close()
+
+    def test_verify_parses_each_manifest_once_plus_the_tip(
+        self, analysed_corpus, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "d"
+        self._six_manifests(analysed_corpus, directory)
+        parsed = _manifest_parses(monkeypatch)
+        report = verify_directory(directory)
+        assert len(parsed) <= 6 + 1, parsed
+        assert report.ok
+        assert (report.chain_base_id, report.chain_manifests) == (0, 6)
+        assert report.chain_op_records == 10
+
+
+class TestDamagedFields:
+    """A manifest or ops-delta record that lacks a field its reader needs is
+    refused in one typed line naming the file or the LSN; each used to
+    escape recovery and verify as a bare ``KeyError``."""
+
+    @staticmethod
+    def _refused(directory, message):
+        with pytest.raises(RecoveryError) as caught:
+            RecoveryManager(directory).recover()
+        assert str(caught.value) == message
+        report = verify_directory(directory)
+        assert f"PROBLEM: snapshot chain: {message}" in report.lines()
+
+    @pytest.mark.parametrize(
+        "key", ["checkpoint_id", "parent", "deltas", "text_count", "shot_count"]
+    )
+    def test_manifest_key(self, analysed_corpus, tmp_path, key):
+        directory = tmp_path / "d"
+        _ten_ingests(analysed_corpus, directory)
+        name = manifest_filename(1)
+        manifest = read_json(directory / name)
+        del manifest[key]
+        _write_json_atomic(directory / name, manifest)
+        self._refused(directory, f"checkpoint manifest {name}: {key!r} is missing")
+
+    @pytest.mark.parametrize(
+        "op, key", [("doc", "id"), ("doc", "tf"), ("shot", "features"),
+                    ("shot", "concepts")],
+    )
+    def test_ops_record_key(self, analysed_corpus, tmp_path, op, key):
+        directory = tmp_path / "d"
+        _ten_ingests(analysed_corpus, directory)
+        name = "delta-cp000002-shard0000.json"
+        delta = read_json(directory / name)
+        record = next(record for record in delta["ops"] if record["op"] == op)
+        del record[key]
+        _write_json_atomic(directory / name, delta)
+        self._refused(
+            directory,
+            f"snapshot delta {name} of {manifest_filename(2)}: {op} record at "
+            f"lsn {record['lsn']}: field {key!r} is missing",
+        )
+
+    def test_ops_record_lsn(self, analysed_corpus, tmp_path):
+        directory = tmp_path / "d"
+        _ten_ingests(analysed_corpus, directory)
+        name = "delta-cp000001-shard0000.json"
+        delta = read_json(directory / name)
+        del delta["ops"][0]["lsn"]
+        _write_json_atomic(directory / name, delta)
+        self._refused(directory, f"snapshot delta {name}: an op record has no lsn")
+
+    def test_wal_record_key(self, analysed_corpus, tmp_path):
+        # Framed with a good CRC: the writer, not the disk, was broken.
+        directory = tmp_path / "d"
+        _ten_ingests(analysed_corpus, directory)
+        segment = WalSegment(directory / segment_filename(0))
+        records, _ = segment.scan()
+        del records[0]["tf"]
+        segment.rewrite([encode_op(record) for record in records])
+        with pytest.raises(RecoveryError) as caught:
+            RecoveryManager(directory).recover()
+        assert str(caught.value) == "doc record at lsn 9: field 'tf' is missing"
+
+
+#: Replacement bytes of the byte-flip sweep: a digit and a letter keep most
+#: numbers and names well-formed JSON (a changed value, a renamed key), a
+#: quote and a brace mostly break the syntax around them.
+FLIP_BYTES = b'1z"}'
+
+#: The schema's own keys: the first byte of each one a file holds, and of
+#: its value, are always among the flipped offsets, besides the evenly
+#: spaced ones.
+SCHEMA_KEYS = (
+    "checkpoint_id", "parent", "wal_lsn", "text_count", "shot_count", "deltas",
+    "rebase", "op_records", "format", "num_shards", "documents", "shots",
+    "ops", "lsn", "op", "id", "tf", "features", "concepts", "kind",
+)
+
+
+@contextlib.contextmanager
+def _time_bound(seconds, case):
+    """Fail ``case`` with an ``AssertionError`` raised inside it once it
+    has run ``seconds`` of wall-clock time (a hang would never return)."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"{case} ran past its {seconds} s bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+class TestByteFlipsAtRest:
+    """One flipped byte in any non-WAL file of a small directory: recovery
+    restores some state or raises a :class:`ReproError`, and verify returns
+    a report or raises one — never another exception, and never past a
+    per-case bound.  Deterministic: fixed offsets and bytes, no seeds."""
+
+    OFFSETS_PER_FILE = 24
+    BOUND_SECONDS = 2.0
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        """Ten ingests at interval 4 over a two-story corpus: the header,
+        three manifests, a full-state delta, two ops deltas and a WAL tail."""
+        corpus = generate_corpus(
+            seed=SEED, config=CollectionConfig(days=1, stories_per_day=2, topic_count=1)
+        )
+        analyse_collection(corpus.collection)
+        directory = tmp_path_factory.mktemp("flips") / "d"
+        _ten_ingests(corpus, directory)
+        return directory
+
+    @classmethod
+    def _offsets(cls, data):
+        step = max(1, len(data) // cls.OFFSETS_PER_FILE)
+        offsets = set(range(0, len(data), step))
+        for key in SCHEMA_KEYS:
+            at = data.find(f'"{key}":'.encode())
+            if at >= 0:
+                offsets.update((at + 1, at + len(key) + 3))  # the key, its value
+        return sorted(offsets)
+
+    def test_recover_and_verify_refuse_or_recover(self, directory):
+        targets = sorted(
+            path for path in directory.iterdir() if not path.name.startswith("wal-")
+        )
+        assert [path.name for path in targets] == [
+            "DURABILITY.json",
+            "checkpoint-000000.json",
+            "checkpoint-000001.json",
+            "checkpoint-000002.json",
+            "delta-cp000000-shard0000.json",
+            "delta-cp000001-shard0000.json",
+            "delta-cp000002-shard0000.json",
+        ]
+        escaped, cases = [], 0
+        for path in targets:
+            original = path.read_bytes()
+            try:
+                for offset in self._offsets(original):
+                    for byte in FLIP_BYTES:
+                        if original[offset] == byte:
+                            continue
+                        path.write_bytes(
+                            original[:offset] + bytes([byte]) + original[offset + 1 :]
+                        )
+                        for verb, run in (
+                            ("recover", lambda: RecoveryManager(directory).recover()),
+                            ("verify", lambda: verify_directory(directory)),
+                        ):
+                            case = f"{verb} with {path.name}[{offset}] = {chr(byte)!r}"
+                            cases += 1
+                            try:
+                                with _time_bound(self.BOUND_SECONDS, case):
+                                    run()
+                            except ReproError:
+                                pass
+                            except Exception as error:  # noqa: BLE001 - the finding
+                                escaped.append(f"{case}: {type(error).__name__}: {error}")
+            finally:
+                path.write_bytes(original)
+        assert cases > 1000
+        assert escaped == []

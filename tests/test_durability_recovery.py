@@ -564,11 +564,12 @@ def test_atomic_writer_emits_canonical_json_bytes(tmp_path):
 class TestSnapshotFormatOne:
     def test_format_one_chain_loads_in_order(self, tmp_path):
         documents, shots = _write_format_one_directory(tmp_path / "d")
-        base = SnapshotStore(tmp_path / "d", 2).load_base()
-        assert base.documents == documents
-        assert base.shots == shots
-        assert (base.wal_lsn, base.checkpoint_id) == (30, 3)
-        assert (base.baseline_text_count, base.baseline_shot_count) == (3, 1)
+        fold = SnapshotStore(tmp_path / "d", 2).load_base()
+        assert list(fold.text.items()) == documents
+        assert [(s, *entry) for s, entry in fold.visual.items()] == shots
+        assert (fold.wal_lsn, fold.checkpoint_id) == (30, 3)
+        assert (fold.baseline_text_count, fold.baseline_shot_count) == (3, 1)
+        assert (fold.base_id, fold.manifests, fold.op_records) == (2, 2, 0)
         state = RecoveryManager(tmp_path / "d").recover()
         assert state.state_digest() == state_digest(documents, shots)
         assert state.applied_lsn == 30

@@ -1,21 +1,16 @@
-"""Tests for the visual index, fusion operators and index persistence."""
+"""Tests for the visual index and fusion operators."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.index import (
-    InvertedIndex,
     VisualIndex,
     comb_mnz,
     comb_sum,
     interpolate,
-    load_inverted_index,
-    load_visual_index,
     min_max_normalise,
     reciprocal_rank_fusion,
-    save_inverted_index,
-    save_visual_index,
     top_documents,
     weighted_fusion,
 )
@@ -131,48 +126,3 @@ class TestFusion:
     def test_top_documents_deterministic_ties(self):
         scores = {"b": 1.0, "a": 1.0, "c": 0.5}
         assert top_documents(scores, 2) == ["a", "b"]
-
-
-class TestStorage:
-    def test_inverted_index_round_trip(self, tmp_path, small_corpus):
-        index = InvertedIndex.from_collection(small_corpus.collection)
-        path = tmp_path / "index.json"
-        save_inverted_index(index, path)
-        loaded = load_inverted_index(path)
-        assert loaded.document_count == index.document_count
-        assert loaded.total_terms == index.total_terms
-        term = index.terms()[0]
-        assert loaded.document_frequency(term) == index.document_frequency(term)
-
-    def test_inverted_index_round_trip_preserves_scores(self, tmp_path):
-        index = InvertedIndex()
-        index.add_documents({"d1": "alpha beta beta", "d2": "alpha gamma"})
-        path = tmp_path / "index.json"
-        save_inverted_index(index, path)
-        loaded = load_inverted_index(path)
-        from repro.index import Bm25Scorer
-
-        original = Bm25Scorer(index).score(["beta"])
-        reloaded = Bm25Scorer(loaded).score(["beta"])
-        assert original.keys() == reloaded.keys()
-        for key in original:
-            assert original[key] == pytest.approx(reloaded[key])
-
-    def test_visual_index_round_trip(self, tmp_path):
-        index = VisualIndex()
-        index.add_shot("s1", [0.1, 0.9], {"person": 0.5})
-        index.add_shot("s2", [0.8, 0.2], {})
-        path = tmp_path / "visual.json"
-        save_visual_index(index, path)
-        loaded = load_visual_index(path)
-        assert loaded.shot_count == 2
-        assert loaded.features_of("s1") == (0.1, 0.9)
-        assert loaded.concept_scores_of("s1") == {"person": 0.5}
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        index = VisualIndex()
-        index.add_shot("s1", [0.1], {})
-        path = tmp_path / "visual.json"
-        save_visual_index(index, path)
-        with pytest.raises(ValueError):
-            load_inverted_index(path)
