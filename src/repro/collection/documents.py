@@ -119,7 +119,9 @@ class Collection:
         self._stories: Dict[str, NewsStory] = {story.story_id: story for story in stories}
         self._shots: Dict[str, Shot] = {shot.shot_id: shot for shot in shots}
         self._shot_order: List[str] = [shot.shot_id for shot in shots]
-        self._presentation_records: Optional[Dict[str, Dict[str, object]]] = None
+        self._presentation_records: Optional[
+            Dict[str, Tuple[str, str, str, str, float]]
+        ] = None
         self._validate()
 
     # -- construction helpers ---------------------------------------------
@@ -200,31 +202,28 @@ class Collection:
         for shot_id in self._shot_order:
             yield self._shots[shot_id]
 
-    def presentation_records(self) -> Dict[str, Dict[str, object]]:
+    def presentation_records(self) -> Dict[str, Tuple[str, str, str, str, float]]:
         """Per-shot presentation metadata for result-list construction.
 
-        Maps ``shot_id`` to a prototype field dictionary matching the
-        result-item layout (``score`` and ``rank`` zeroed).  Built lazily
-        once (the collection is immutable after construction) so the
-        result-list hot path avoids per-item shot/story lookups; callers
-        must copy a prototype before mutating it.
+        Maps ``shot_id`` to the tuple ``(story_id, video_id, headline,
+        category, duration)``: the fields a result item carries after
+        ``(shot_id, score, rank)``, in that order, so a hit is those three
+        values joined to the record.  Built lazily once (the collection is
+        immutable after construction) so the result-list hot path avoids
+        per-item shot/story lookups.
         """
         records = self._presentation_records
         if records is None:
             records = {}
             for shot_id in self._shot_order:
                 shot = self._shots[shot_id]
-                story = self._stories[shot.story_id]
-                records[shot_id] = {
-                    "shot_id": shot_id,
-                    "score": 0.0,
-                    "rank": 0,
-                    "story_id": shot.story_id,
-                    "video_id": shot.video_id,
-                    "headline": story.headline,
-                    "category": shot.category,
-                    "duration_seconds": shot.duration,
-                }
+                records[shot_id] = (
+                    shot.story_id,
+                    shot.video_id,
+                    self._stories[shot.story_id].headline,
+                    shot.category,
+                    shot.duration,
+                )
             self._presentation_records = records
         return records
 

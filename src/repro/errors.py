@@ -16,3 +16,10 @@ class ReproError(Exception):
 
 class InvalidArgumentError(ReproError, ValueError):
     """A value from outside the program is outside its domain."""
+
+
+class NotIndexedError(ReproError, KeyError):
+    """A write names a document or shot the index does not hold."""
+
+    def __str__(self) -> str:  # KeyError quotes its argument; keep the message readable
+        return self.args[0]

@@ -62,7 +62,7 @@ import heapq
 import math
 import threading
 from array import array
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from itertools import compress, repeat
 from operator import add, is_not, le, mul, sub
@@ -346,15 +346,17 @@ class VisualIndex(SlottedIndex):
 
         The slot is tombstoned and the shot is scrubbed out of every
         concept postings list it appears in, so searches never need a
-        tombstone mask.
+        tombstone mask.  Concept postings are ``(slot, score)`` in
+        ascending slot order (appends only ever extend them, deletions
+        preserve order, compaction re-adds in slot order), so each scrub
+        is one bisect.
         """
         slot = self.slots.remove(shot_id)
         concept_postings = self._concept_postings
         for concept in self._concept_maps[slot]:
-            postings = [entry for entry in concept_postings[concept] if entry[0] != slot]
-            if postings:
-                concept_postings[concept] = postings
-            else:
+            postings = concept_postings[concept]
+            del postings[bisect_left(postings, (slot,))]
+            if not postings:
                 del concept_postings[concept]
         self._vectors[slot] = ()
         self._norms[slot] = 0.0

@@ -15,16 +15,14 @@ that baseline and adaptive systems share exactly the same substrate.
 
 from __future__ import annotations
 
-import math
 import threading
-from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.collection.documents import Collection
-from repro.errors import InvalidArgumentError
+from repro.errors import InvalidArgumentError, NotIndexedError
 from repro.index.compaction import CompactionStats, compact_engine
 from repro.index.dedup import NearDuplicateDetector
 from repro.index.fusion import normalisation_bounds_of_values, weighted_fusion
@@ -93,52 +91,35 @@ class EngineConfig:
             )
 
 
-def _decorate(
-    dense: DenseScores,
-    weight: float,
-    low: float,
-    span: float,
-    cut: float = -math.inf,
-) -> List[Tuple[float, str]]:
-    """``(-(weight * normalised), shot_id)`` for every candidate of a
-    :class:`~repro.index.scoring.DenseScores` whose raw value is at least
-    ``cut`` (by default: every candidate).  A shot id is read only for a
-    candidate that is decorated."""
-    ids, scores, candidates = dense.ids, dense.scores, dense.candidates
-    if span == 0.0:
-        return [(-(weight * 1.0), ids[d]) for d in candidates]
-    return [
-        (-(weight * ((scores[d] - low) / span)), ids[d])
-        for d in candidates
-        if scores[d] >= cut
-    ]
+def _cut_start(
+    order: List[int], column: Sequence[float], weight: float, low: float,
+    span: float, limit: int,
+) -> int:
+    """The first position in ``order`` whose candidate can rank in the top
+    ``limit``; ``order`` holds candidate indexes into ``column`` by
+    ascending raw value, and requires ``weight > 0``, ``span > 0`` and
+    ``len(order) > limit``.
 
-
-def _exact_cut(
-    ranked: List[float], weight: float, low: float, span: float, limit: int
-) -> float:
-    """The raw value below which no candidate can rank in the top ``limit``;
-    ``ranked`` holds every candidate's raw value in ascending order, and
-    requires ``weight > 0``, ``span > 0`` and ``len(ranked) >= limit``.
-
-    The cut is the ``limit``-th largest raw value.  IEEE subtraction of
-    ``low``, division by a positive ``span`` and multiplication by a positive
-    ``weight`` are each monotone, so a candidate below the cut fuses to no
-    more than the cut does and — with at least ``limit`` candidates at or
-    above the cut — can only displace one of them by *tying* its fused score
-    and winning on shot id.  The largest value below the cut bounds all the
-    others; if even it fuses strictly lower, the top ``limit`` of the
-    candidates at or above the cut is the top ``limit`` of everything, bit
-    for bit.  Otherwise rounding collapsed the pair and nothing can be cut:
-    returns ``-inf``.
+    The cut is the ``limit``-th largest raw value, and the start walks back
+    over the candidates tied with it.  IEEE subtraction of ``low``, division
+    by a positive ``span`` and multiplication by a positive ``weight`` are
+    each monotone, so a candidate below the cut fuses to no more than the
+    cut does and — with at least ``limit`` candidates at or above the cut —
+    can only displace one of them by *tying* its fused score and winning on
+    shot id.  The largest value below the cut bounds all the others; if even
+    it fuses strictly lower, the top ``limit`` of ``order[start:]`` is the
+    top ``limit`` of everything, bit for bit.  Otherwise rounding collapsed
+    the pair and nothing can be cut: returns 0.
     """
-    cut = ranked[-limit]
-    below = bisect_left(ranked, cut)
-    if below and weight * ((ranked[below - 1] - low) / span) == weight * (
+    start = len(order) - limit
+    cut = column[order[start]]
+    while start and column[order[start - 1]] == cut:
+        start -= 1
+    if start and weight * ((column[order[start - 1]] - low) / span) == weight * (
         (cut - low) / span
     ):
-        return -math.inf
-    return cut
+        return 0
+    return start
 
 
 class VideoRetrievalEngine:
@@ -292,7 +273,7 @@ class VideoRetrievalEngine:
         # record must always replay cleanly); tokenise through the index's
         # own tokenizer so the logged frequencies match what is applied.
         if self._inverted_index.has_document(document_id):
-            raise ValueError(f"document {document_id!r} already indexed")
+            raise InvalidArgumentError(f"document {document_id!r} already indexed")
         frequencies = self._inverted_index.tokenizer.term_frequencies(text)
         if dedup is not None and dedup.screen(frequencies) is not None:
             return False
@@ -324,7 +305,9 @@ class VideoRetrievalEngine:
         with self.exclusive_writer():
             for document_id in documents:
                 if self._inverted_index.has_document(document_id):
-                    raise ValueError(f"document {document_id!r} already indexed")
+                    raise InvalidArgumentError(
+                        f"document {document_id!r} already indexed"
+                    )
             for document_id, text in documents.items():
                 self._apply_document_locked(document_id, text)
             self._maybe_checkpoint_locked()
@@ -332,7 +315,8 @@ class VideoRetrievalEngine:
     def delete_document(self, document_id: str) -> None:
         """Delete one transcript document through the writer path.
 
-        An unknown id raises ``KeyError`` before anything is logged.  The
+        An unknown id raises :class:`~repro.errors.NotIndexedError` (a
+        ``KeyError``) before anything is logged.  The
         dense slot is tombstoned, postings are scrubbed and collection
         statistics corrected (see :class:`~repro.index.inverted_index.
         InvertedIndex`), and the generation bump invalidates every cached
@@ -340,7 +324,7 @@ class VideoRetrievalEngine:
         """
         with self.exclusive_writer():
             if not self._inverted_index.has_document(document_id):
-                raise KeyError(f"document {document_id!r} not indexed")
+                raise NotIndexedError(f"document {document_id!r} not indexed")
             if self._durability is not None:
                 self._durability.log_delete_document(document_id)
             self._inverted_index.delete_document(document_id)
@@ -358,7 +342,7 @@ class VideoRetrievalEngine:
         """
         with self.exclusive_writer():
             if not self._inverted_index.has_document(document_id):
-                raise KeyError(f"document {document_id!r} not indexed")
+                raise NotIndexedError(f"document {document_id!r} not indexed")
             frequencies = self._inverted_index.tokenizer.term_frequencies(text)
             if self._durability is not None:
                 self._durability.log_update_document(document_id, frequencies)
@@ -372,7 +356,7 @@ class VideoRetrievalEngine:
         """Delete one shot's visual evidence through the writer path."""
         with self.exclusive_writer():
             if not self._visual_index.has_shot(shot_id):
-                raise KeyError(f"shot {shot_id!r} not in visual index")
+                raise NotIndexedError(f"shot {shot_id!r} not in visual index")
             if self._durability is not None:
                 self._durability.log_delete_shot(shot_id)
             self._visual_index.delete_shot(shot_id)
@@ -419,7 +403,9 @@ class VideoRetrievalEngine:
             durability = self._durability
             if durability is not None:
                 if self._visual_index.has_shot(shot_id):
-                    raise ValueError(f"shot {shot_id!r} already in visual index")
+                    raise InvalidArgumentError(
+                        f"shot {shot_id!r} already in visual index"
+                    )
                 finite_features(shot_id, features)
                 durability.log_shot(shot_id, features, concept_scores)
             self._visual_index.add_shot(shot_id, features, concept_scores)
@@ -590,10 +576,11 @@ class VideoRetrievalEngine:
         Applies exactly the arithmetic ``weighted_fusion`` would — min-max
         normalisation scaled by the source weight — but straight off the
         dense column of the map (:class:`~repro.index.scoring.DenseScores`;
-        a visual or concept dict is wrapped as one): one sorted list
-        of raw values gives the bounds and the exact cut
-        (:func:`_exact_cut`), and only the candidates at or above the cut
-        are decorated into ``(-fused_score, shot_id)`` tuples, the only ones
+        a visual or concept dict is wrapped as one).  The candidate indexes
+        are sorted once by raw value: the ends of that order give the
+        bounds, and the exact cut is a start position into it
+        (:func:`_cut_start`).  Only the candidates from the start on are
+        decorated into ``(-fused_score, shot_id)`` tuples, the only ones
         whose shot id is read.  No ``{shot_id: score}`` dict is built.
         Called under the read lock the scores were computed under, so the
         lazy id reads are exact.  Equivalence with the general path is
@@ -605,19 +592,27 @@ class VideoRetrievalEngine:
             return ResultList(query_text=query.text, items=[], topic_id=query.topic_id)
         limit = limit or self._config.result_limit
         dense = DenseScores.of(scores)
-        column = dense.scores
-        ranked = sorted([column[d] for d in dense.candidates])
-        # The ends of the sorted list are the bounds min/max would give: a
-        # stable sort keeps the first minimum first, and a last maximum that
+        column, ids = dense.scores, dense.ids
+        order = sorted(dense.candidates, key=column.__getitem__)
+        # The ends of the order are the bounds min/max would give: a stable
+        # sort keeps the first minimum first, and a last maximum that
         # differs from the first only in the sign of zero changes ``span``
         # only when it is zero, which both paths read alike.
-        low, span = normalisation_bounds_of_values((ranked[0], ranked[-1]))
-        cut = -math.inf
-        if weight > 0 and span > 0.0 and len(ranked) > 2 * limit:
-            cut = _exact_cut(ranked, weight, low, span, limit)
+        low, span = normalisation_bounds_of_values(
+            (column[order[0]], column[order[-1]])
+        )
+        if span == 0.0:
+            fused = -(weight * 1.0)
+            decorated = [(fused, ids[d]) for d in order]
+        else:
+            if weight > 0 and len(order) > 2 * limit:
+                order = order[_cut_start(order, column, weight, low, span, limit):]
+            decorated = [
+                (-(weight * ((column[d] - low) / span)), ids[d]) for d in order
+            ]
         return ResultList.from_decorated(
             query_text=query.text,
-            decorated=_decorate(dense, weight, low, span, cut),
+            decorated=decorated,
             collection=self._collection,
             limit=limit,
             topic_id=query.topic_id,
@@ -641,21 +636,8 @@ class VideoRetrievalEngine:
         query = Query(term_weights=key_terms, example_shot_ids=[shot_id])
         results = self.search(query, limit=limit + 1)
         items = [item for item in results if item.shot_id != shot_id][:limit]
-        reranked = ResultList(query_text=f"more-like:{shot_id}", items=[])
-        for rank, item in enumerate(items, start=1):
-            reranked.items.append(
-                type(item)(
-                    shot_id=item.shot_id,
-                    score=item.score,
-                    rank=rank,
-                    story_id=item.story_id,
-                    video_id=item.video_id,
-                    headline=item.headline,
-                    category=item.category,
-                    duration_seconds=item.duration_seconds,
-                )
-            )
-        return reranked
+        reranked = [item._replace(rank=rank) for rank, item in enumerate(items, start=1)]
+        return ResultList(query_text=f"more-like:{shot_id}", items=reranked)
 
     def close(self) -> None:
         """Release auxiliary resources (syncs and closes any durability tier)."""

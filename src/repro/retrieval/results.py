@@ -2,23 +2,24 @@
 
 A :class:`ResultList` is what the interface layer renders and what the
 evaluation metrics score.  Each :class:`ResultItem` carries enough metadata
-(keyframe, story headline, duration) for a simulated user to decide whether
-to interact with it without dereferencing the collection.
+(story, video, headline, category, duration) for a simulated user to decide
+whether to interact with it without dereferencing the collection.
+
+A hit is an immutable named tuple: the engine builds one per ranked shot on
+every uncached search, and the result cache keeps them, so a hit is one
+tuple of its eight fields with no per-instance dictionary.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 from repro.collection.documents import Collection
 
 
-@dataclass(frozen=True)
-class ResultItem:
-    """One entry in a ranked result list (the service's ``SearchHit``)."""
-
+class _ResultFields(NamedTuple):
     shot_id: str
     score: float
     rank: int
@@ -28,26 +29,29 @@ class ResultItem:
     category: str = ""
     duration_seconds: float = 0.0
 
+
+class ResultItem(_ResultFields):
+    """One entry in a ranked result list (the service's ``SearchHit``).
+
+    Fields after ``rank`` are the shot's presentation record
+    (:meth:`Collection.presentation_records`) in the same order.
+    Assignment raises :class:`dataclasses.FrozenInstanceError`; use
+    ``_replace`` for a changed copy.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
     def as_dict(self) -> Dict[str, object]:
         """Plain-dictionary view for logging and JSON transports."""
-        return {
-            "shot_id": self.shot_id,
-            "score": self.score,
-            "rank": self.rank,
-            "story_id": self.story_id,
-            "video_id": self.video_id,
-            "headline": self.headline,
-            "category": self.category,
-            "duration_seconds": self.duration_seconds,
-        }
+        return self._asdict()
 
 
-# Fast construction path for the result-list hot loop: installing a complete
-# field dictionary on a bare instance skips the frozen-dataclass __init__
-# (eight guarded object.__setattr__ calls per item).  Equivalence with normal
-# construction is pinned by the kernel-equivalence tests.
-_NEW_ITEM = ResultItem.__new__
-_SET_ATTRIBUTE = object.__setattr__
+#: The presentation record of a shot the collection does not know (an
+#: ingested document): the field defaults.
+_NO_RECORD = tuple(_ResultFields._field_defaults.values())
 
 
 @dataclass
@@ -106,7 +110,7 @@ class ResultList:
         C tuple comparisons (no per-element key function); only the top
         ``limit`` survive.  When a collection is supplied, presentation
         metadata is filled in from the collection's cached per-shot
-        prototype records.
+        presentation records.
         """
         return cls.from_decorated(
             query_text,
@@ -130,32 +134,26 @@ class ResultList:
         The kernel-facing variant of :meth:`from_scores`: callers that
         already hold scores in decorated form (the engine's single-source
         fusion fast path) avoid materialising an intermediate score map.
-        ``decorated`` is consumed destructively (sorted in place).
+        ``decorated`` is consumed destructively (sorted in place).  Each
+        hit is one tuple: ``(shot_id, score, rank)`` joined to the shot's
+        presentation record, or to the field defaults for a shot the
+        collection does not know.
         """
         if len(decorated) > 4 * limit:
             decorated = heapq.nsmallest(limit, decorated)
         else:
             decorated.sort()
             decorated = decorated[:limit]
-        records = collection.presentation_records() if collection is not None else {}
-        records_get = records.get
-        items: List[ResultItem] = []
-        append = items.append
-        new_item = _NEW_ITEM
-        set_attribute = _SET_ATTRIBUTE
-        copy_record = dict
-        item_type = ResultItem
-        for rank, (negated_score, shot_id) in enumerate(decorated, start=1):
-            record = records_get(shot_id)
-            if record is not None:
-                fields = copy_record(record)
-                fields["score"] = -negated_score
-                fields["rank"] = rank
-                item = new_item(item_type)
-                set_attribute(item, "__dict__", fields)
-                append(item)
-            else:
-                append(ResultItem(shot_id=shot_id, score=-negated_score, rank=rank))
+        record_of = (
+            collection.presentation_records().get if collection is not None else {}.get
+        )
+        new_hit = tuple.__new__
+        hit_type = ResultItem
+        default = _NO_RECORD
+        items = [
+            new_hit(hit_type, (shot_id, -negated, rank) + record_of(shot_id, default))
+            for rank, (negated, shot_id) in enumerate(decorated, start=1)
+        ]
         return cls(query_text=query_text, items=items, topic_id=topic_id)
 
 
@@ -172,17 +170,5 @@ def merge_result_lists(
     ranked = heapq.nsmallest(
         limit, best.values(), key=lambda item: (-item.score, item.shot_id)
     )
-    items = [
-        ResultItem(
-            shot_id=item.shot_id,
-            score=item.score,
-            rank=rank,
-            story_id=item.story_id,
-            video_id=item.video_id,
-            headline=item.headline,
-            category=item.category,
-            duration_seconds=item.duration_seconds,
-        )
-        for rank, item in enumerate(ranked, start=1)
-    ]
+    items = [item._replace(rank=rank) for rank, item in enumerate(ranked, start=1)]
     return ResultList(query_text=query_text, items=items)

@@ -20,9 +20,9 @@ from repro.retrieval.results import ResultItem, ResultList
 from repro.utils.validation import ensure_number
 
 
-#: One ranked shot in a :class:`SearchResponse`: the engine's own frozen
-#: :class:`~repro.retrieval.results.ResultItem`, so a response shares the
-#: records the kernel built instead of copying them field by field.
+#: One ranked shot in a :class:`SearchResponse`: the engine's own
+#: :class:`~repro.retrieval.results.ResultItem`, an immutable named tuple, so
+#: a response shares the hits the kernel built instead of copying them.
 SearchHit = ResultItem
 
 

@@ -409,6 +409,23 @@ class TestDamagedManifestChain:
         assert f"PROBLEM: snapshot chain: {message}" in verified.stdout.splitlines()
 
 
+class TestReingest:
+    """Ingesting the same ops into a directory that already holds them is a
+    refused write: one ``loadtest failed`` line and exit 2, not a traceback.
+    The second run is a subprocess under a wall-clock bound."""
+
+    def test_second_ingest_is_refused(self, corpus_dir, tmp_path):
+        argv = ["loadtest", "--corpus", str(corpus_dir), "--users", "1",
+                "--queries", "1", "--durable", str(tmp_path / "d"),
+                "--ingest-ops", "4"]
+        assert main(argv, out=io.StringIO()) == 0
+        again = _run_cli(argv, tmp_path)
+        assert again.returncode == 2
+        [line] = again.stderr.splitlines()
+        assert line.startswith("loadtest failed: document '")
+        assert line.endswith("' already indexed")
+
+
 #: Each verb that reads ``--corpus``, with the rest of a valid command line.
 CORPUS_VERBS = {
     "search": ["--query", "anything"],

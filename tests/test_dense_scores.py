@@ -456,14 +456,16 @@ def _mutate(monkeypatch, module, owner_name, function, original, mutated):
             "accumulator[doc] /= norms[lengths[doc]]", "pass",
             ("contract",),
         ),
-        # A candidate tied with the cut is dropped.
+        # The lowest candidate that can rank is left undecorated.
         (
-            engine_module, None, "_decorate",
-            "if scores[d] >= cut", "if scores[d] > cut",
+            engine_module, "VideoRetrievalEngine", "_single_source_results",
+            "limit):]", "limit) + 1:]",
             ("rankings", "bm25", 1, False),
         ),
     ],
-    ids=["materialise-drops-last", "of-misorders", "tfidf-no-norm", "decorate-strict"],
+    ids=[
+        "materialise-drops-last", "of-misorders", "tfidf-no-norm", "cut-start-drops-one",
+    ],
 )
 def test_differential_fails_on_mutants(
     engines, queries, medium_index, monkeypatch, module, owner, function, original,

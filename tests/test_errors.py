@@ -26,6 +26,7 @@ BUILTIN_BASES = {
     "repro.durability.snapshots.SnapshotError": ValueError,
     "repro.durability.wal.WalError": ValueError,
     "repro.errors.InvalidArgumentError": ValueError,
+    "repro.errors.NotIndexedError": KeyError,
     "repro.index.scoring.StaleScoresError": RuntimeError,
     "repro.replication.errors.NoReplicaAvailableError": RuntimeError,
     "repro.replication.errors.PrimaryUnavailableError": RuntimeError,

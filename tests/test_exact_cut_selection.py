@@ -1,19 +1,21 @@
 """Select-before-decorate is exact: a differential against the full path.
 
-``VideoRetrievalEngine._single_source_results`` decorates only the
-candidates at or above the ``limit``-th raw value and decorates everything
-when rounding collapses the cut onto the value below it.  These tests
-compare it, ids and score bits, against the retained full path over
-generated score maps built to sit on that edge, and show the comparison has
-teeth by running it against two mutants of the real source.  The helpers
-take the dense parts of a :class:`~repro.index.scoring.DenseScores` and the
-sorted list of raw values, as the engine hands them over.
+``VideoRetrievalEngine._single_source_results`` sorts the candidates by raw
+value once and decorates only those from the start position
+:func:`~repro.retrieval.engine._cut_start` finds: the ``limit``-th raw value
+and every candidate tied with it, or everything when rounding collapses the
+cut onto the value below it.  These tests compare it, ids and score bits,
+against the full path — every candidate fused by ``weighted_fusion``'s
+single-source arithmetic, sorted, cut to ``limit`` — over generated score
+maps built to sit on that edge, show the comparison has teeth by running it
+against mutants of the real source, and count the shot ids a search reads.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import textwrap
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,18 +25,27 @@ from repro.index.fusion import normalisation_bounds
 from repro.index.scoring import DenseScores
 from repro.retrieval import Query
 from repro.retrieval import engine as engine_module
-from repro.retrieval.engine import _decorate, _exact_cut
+from repro.retrieval.engine import VideoRetrievalEngine, _cut_start
 
 QUERY = Query.from_text("cut")
 
 
 def _full_path(scores, weight, limit):
-    """Decorate every candidate, sort, keep ``limit``: ``[(id, score bits)]``."""
+    """Fuse every candidate, sort, keep ``limit``: ``[(id, score bits)]``."""
     if weight == 0:
         return []
     low, span = normalisation_bounds(scores)
-    decorated = sorted(_decorate(DenseScores.of(scores), weight, low, span))[:limit]
+    decorated = sorted(
+        (-(weight * 1.0 if span == 0.0 else weight * ((value - low) / span)), shot_id)
+        for shot_id, value in scores.items()
+    )[:limit]
     return [(shot_id, (-negated).hex()) for negated, shot_id in decorated]
+
+
+def _order(scores):
+    """Candidate indexes by ascending raw value, as the engine sorts them."""
+    column = list(scores.values())
+    return sorted(range(len(column)), key=column.__getitem__), column
 
 
 def _assert_exact(engine, scores, weight, limit):
@@ -81,6 +92,18 @@ ABSORBED_ULP = (_keyed([1.0, math.nextafter(1.0, 2.0), 2.0, -1e6, 0.0, 0.0, 0.0]
 SUBNORMAL_WEIGHT = (_keyed([0.8, 1.0, 0.9, 0.9, 0.0, 0.0, 0.0, 0.0]), 5e-324, 3)
 #: Three candidates tie exactly at the cut; all must survive it.
 TIE_AT_CUT = (_keyed([3.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0]), 1.0, 3)
+#: Distinct values, nothing collapses: the cut keeps exactly ``limit``.
+DISTINCT = (_keyed([5.0, 4.0, 3.0, 2.0, 1.0, 0.0]), 1.0, 2)
+
+
+def _mutate(monkeypatch, function, original, mutated):
+    """Replace ``_cut_start`` or the engine method with a one-edit mutant."""
+    owner = engine_module if function == "_cut_start" else VideoRetrievalEngine
+    source = textwrap.dedent(inspect.getsource(getattr(owner, function)))
+    assert source.count(original) == 1, (function, original)
+    namespace = dict(vars(engine_module))
+    exec(source.replace(original, mutated), namespace)
+    monkeypatch.setattr(owner, function, namespace[function])
 
 
 class TestExactCut:
@@ -88,6 +111,7 @@ class TestExactCut:
     @example(*ABSORBED_ULP)
     @example(*SUBNORMAL_WEIGHT)
     @example(*TIE_AT_CUT)
+    @example(*DISTINCT)
     @example(_keyed([0.5] * 9), 1.0, 2)  # constant map: span == 0
     @example(_keyed([1.0, 2.0]), 1.0, 5)  # fewer candidates than the limit
     @settings(max_examples=300, deadline=None)
@@ -98,34 +122,86 @@ class TestExactCut:
         for scores, weight, limit in (ABSORBED_ULP, SUBNORMAL_WEIGHT):
             low, span = normalisation_bounds(scores)
             assert len(scores) > 2 * limit and span > 0 and weight > 0
-            ranked = sorted(scores.values())
-            assert _exact_cut(ranked, weight, low, span, limit) == -math.inf
+            order, column = _order(scores)
+            assert _cut_start(order, column, weight, low, span, limit) == 0
 
     def test_cut_prunes_when_nothing_collapses(self):
         scores, weight, limit = TIE_AT_CUT
         low, span = normalisation_bounds(scores)
-        cut = _exact_cut(sorted(scores.values()), weight, low, span, limit)
-        survivors = _decorate(DenseScores.of(scores), weight, low, span, cut)
-        assert cut == 2.0
-        assert sorted(shot_id for _, shot_id in survivors) == [
-            "s000", "s001", "s002", "s003",
-        ]
+        order, column = _order(scores)
+        start = _cut_start(order, column, weight, low, span, limit)
+        ids = list(scores)
+        assert column[order[start]] == 2.0
+        assert sorted(ids[d] for d in order[start:]) == ["s000", "s001", "s002", "s003"]
 
     @pytest.mark.parametrize(
         "function, original, mutated, caught_by",
         [
-            ("_decorate", "if scores[d] >= cut", "if scores[d] > cut", TIE_AT_CUT),
-            ("_exact_cut", "if below and ", "if False and ", ABSORBED_ULP),
-            ("_exact_cut", "if below and ", "if False and ", SUBNORMAL_WEIGHT),
+            (
+                "_cut_start", "start = len(order) - limit",
+                "start = len(order) - limit + 1", DISTINCT,
+            ),
+            ("_cut_start", "if start and ", "if False and ", ABSORBED_ULP),
+            ("_cut_start", "if start and ", "if False and ", SUBNORMAL_WEIGHT),
+            (
+                "_single_source_results", "limit):]", "limit) + 1:]", TIE_AT_CUT,
+            ),
+        ],
+        ids=[
+            "walk-back-starts-one-high",
+            "collapse-check-dropped-absorbed-ulp",
+            "collapse-check-dropped-subnormal-weight",
+            "start-candidate-dropped",
         ],
     )
     def test_differential_fails_on_mutants(
         self, engine, monkeypatch, function, original, mutated, caught_by
     ):
-        source = inspect.getsource(getattr(engine_module, function))
-        assert source.count(original) == 1
-        namespace = dict(vars(engine_module))
-        exec(source.replace(original, mutated), namespace)
-        monkeypatch.setattr(engine_module, function, namespace[function])
+        _mutate(monkeypatch, function, original, mutated)
         with pytest.raises(AssertionError):
             _assert_exact(engine, *caught_by)
+
+
+class _CountingIds:
+    """A shot-id table that counts its reads."""
+
+    def __init__(self, ids):
+        self.ids = ids
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.ids[index]
+
+    def __len__(self):
+        return len(self.ids)
+
+
+class TestIdReads:
+    """A search reads the id of a candidate only if it can rank: ``limit``
+    plus the ties at the cut, not every candidate's."""
+
+    LIMIT = 5
+    #: 60 candidates, each of 0..19 three times: the top five are the three
+    #: 19s and two of the three 18s, so six candidates reach the cut.
+    VALUES = [float(index % 20) for index in range(60)]
+
+    def _search(self, engine):
+        ids = _CountingIds([f"s{index:03d}" for index in range(len(self.VALUES))])
+        dense = DenseScores(ids, list(self.VALUES), range(len(self.VALUES)))
+        results = engine._single_source_results(QUERY, dense, 1.0, self.LIMIT)
+        assert [item.shot_id for item in results] == [
+            "s019", "s039", "s059", "s018", "s038",
+        ]
+        return ids.reads
+
+    def test_reads_limit_plus_ties(self, engine):
+        assert len(self.VALUES) > 2 * self.LIMIT
+        assert self._search(engine) == self.LIMIT + 1
+
+    def test_count_fails_without_the_tie_walk(self, engine, monkeypatch):
+        # Without the walk the cut's own ties fall to the collapse check,
+        # which keeps the ranking exact by decorating everything: only the
+        # count sees it.
+        _mutate(monkeypatch, "_cut_start", "while start and ", "while False and ")
+        assert self._search(engine) == len(self.VALUES)

@@ -12,9 +12,12 @@ matrix across scorers × shard counts.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.durability import engine_state_digest
+from repro.errors import InvalidArgumentError, NotIndexedError, ReproError
 from repro.feedback import EventKind, InteractionEvent
 from repro.index import InvertedIndex, VisualIndex
 from repro.index.compaction import BackgroundCompactor, compact_engine
@@ -212,6 +215,10 @@ class TestSlotLifecycle:
         assert slotted.slots is table
 
 
+def _bits(scores: dict) -> list:
+    return [(shot_id, score.hex()) for shot_id, score in scores.items()]
+
+
 class TestVisualIndexMutations:
     @staticmethod
     def _index() -> VisualIndex:
@@ -232,6 +239,39 @@ class TestVisualIndexMutations:
         assert "s1" not in [shot_id for shot_id, _ in ranked]
         with pytest.raises(KeyError):
             index.delete_shot("s1")
+
+    def test_concept_scores_match_rebuild_under_writes(self):
+        # Seeded interleaving of adds, deletes and compactions; after every
+        # step the concept scores (ids, order and bits) equal those of an
+        # index built fresh over the live shots in slot order.
+        rng = random.Random(13)
+        concepts = ["crowd", "flag", "water", "fire", "car"]
+        index, live, added = VisualIndex(), {}, 0
+        for _ in range(400):
+            action = rng.random()
+            if action < 0.55 or not live:
+                shot_id, added = f"s{added}", added + 1
+                features = [rng.random() + 0.1 for _ in range(3)]
+                picked = rng.sample(concepts, rng.randint(0, 3))
+                scores = {concept: rng.random() for concept in picked}
+                index.add_shot(shot_id, features, scores)
+                live[shot_id] = (features, scores)
+            elif action < 0.95:
+                shot_id = rng.choice(list(live))
+                index.delete_shot(shot_id)
+                del live[shot_id]
+            else:
+                index.compact()
+            fresh = VisualIndex()
+            for shot_id, (features, scores) in live.items():
+                fresh.add_shot(shot_id, features, scores)
+            weights = {
+                concept: rng.choice([2.0, 1.0, 0.5, -0.25])
+                for concept in rng.sample(concepts, 3)
+            }
+            assert _bits(index.score_by_concepts(weights)) == _bits(
+                fresh.score_by_concepts(weights)
+            )
 
     def test_compact_preserves_payloads(self):
         index = self._index()
@@ -276,6 +316,46 @@ class TestEngineMutations:
             assert not index.has_document("svc-a")
             assert not index.has_document("svc-b")
             assert index.document_count == count
+        finally:
+            service.close()
+
+    def test_write_refusals_are_typed_and_log_nothing(self, small_corpus, tmp_path):
+        # Each refusal is a ReproError (one CLI line) that keeps its builtin
+        # base, and is raised before the WAL append: no LSN is consumed.
+        service = RetrievalService(
+            small_corpus.collection,
+            config=ServiceConfig(
+                engine=UNCACHED, durability_dir=str(tmp_path / "d"),
+                fsync_policy="never",
+            ),
+        )
+        try:
+            engine = service.engine
+            document = engine.inverted_index.document_ids()[0]
+            shot = engine.visual_index.shot_ids()[0]
+            features = engine.visual_index.features_of(shot)
+            refusals = [
+                (InvalidArgumentError, ValueError,
+                 lambda: engine.index_document(document, "economy")),
+                (InvalidArgumentError, ValueError,
+                 lambda: engine.index_documents({"new-doc": "flood", document: "x"})),
+                (InvalidArgumentError, ValueError,
+                 lambda: engine.index_shot(shot, features)),
+                (NotIndexedError, KeyError, lambda: engine.delete_document("absent")),
+                (NotIndexedError, KeyError,
+                 lambda: engine.update_document("absent", "flood")),
+                (NotIndexedError, KeyError, lambda: engine.delete_shot("absent")),
+            ]
+            wal = engine.durability.wal
+            lsn = wal.last_lsn
+            for error, builtin, write in refusals:
+                with pytest.raises(error) as raised:
+                    write()
+                assert isinstance(raised.value, ReproError)
+                assert isinstance(raised.value, builtin)
+                assert wal.last_lsn == lsn
+            assert str(raised.value) == "shot 'absent' not in visual index"
+            assert not engine.inverted_index.has_document("new-doc")
         finally:
             service.close()
 

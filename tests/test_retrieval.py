@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import re
+import sys
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.index import InvertedIndex
 from repro.retrieval import (
     EngineConfig,
     Query,
+    ResultItem,
     ResultList,
     RocchioExpander,
     VideoRetrievalEngine,
@@ -84,6 +88,62 @@ class TestResultList:
         merged = merge_result_lists([first, second], limit=10)
         assert merged.shot_ids()[0] == "a"
         assert set(merged.shot_ids()) == {"a", "b", "c"}
+
+
+class TestHitContract:
+    """A hit is an immutable named tuple of its eight fields, built by the
+    ranked-list path without a keyword constructor."""
+
+    FIELDS = [
+        "shot_id", "score", "rank", "story_id", "video_id", "headline",
+        "category", "duration_seconds",
+    ]
+
+    @staticmethod
+    def _ranked_hit(collection):
+        shot = collection.shots()[0]
+        ranked = ResultList.from_scores("q", {shot.shot_id: 1.5}, collection=collection)
+        return ranked[0]
+
+    def test_equals_and_hashes_like_a_keyword_built_hit(self, small_corpus):
+        collection = small_corpus.collection
+        hit = self._ranked_hit(collection)
+        shot = collection.shots()[0]
+        keyword = ResultItem(
+            shot_id=shot.shot_id, score=1.5, rank=1, story_id=shot.story_id,
+            video_id=shot.video_id, headline=collection.story(shot.story_id).headline,
+            category=shot.category, duration_seconds=shot.duration,
+        )
+        assert type(hit) is ResultItem
+        assert hit == keyword and hash(hit) == hash(keyword)
+
+    def test_replace_and_pickle_keep_the_type(self, small_corpus):
+        hit = self._ranked_hit(small_corpus.collection)
+        moved = hit._replace(rank=7)
+        assert type(moved) is ResultItem
+        assert moved.rank == 7 and moved[:2] == hit[:2] and moved[3:] == hit[3:]
+        restored = pickle.loads(pickle.dumps(hit))
+        assert type(restored) is ResultItem and restored == hit
+
+    def test_frozen_slotted_and_small(self):
+        hit = ResultItem("s", 1.0, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hit.score = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hit.note = "x"
+        assert not hasattr(hit, "__dict__")
+        if sys.maxsize > 2**32:
+            assert sys.getsizeof(hit) == 104
+
+    def test_as_dict_keeps_the_field_order(self):
+        assert list(ResultItem("s", 1.0, 1).as_dict()) == self.FIELDS
+
+    def test_unknown_shot_gets_the_field_defaults(self, small_corpus):
+        [hit] = ResultList.from_scores(
+            "q", {"ingested": 1.0}, collection=small_corpus.collection
+        )
+        assert hit == ResultItem("ingested", 1.0, 1)
+        assert hit.as_dict()["duration_seconds"] == 0.0
 
 
 class TestEngine:
