@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.durability.digest import engine_state_digest
 from repro.errors import InvalidArgumentError
+from repro.obs import MetricsRegistry, exact_quantile
 from repro.replication.config import ReplicationConfig
 from repro.replication.errors import (
     NoReplicaAvailableError,
@@ -33,7 +34,6 @@ from repro.replication.errors import (
 from repro.replication.router import ReplicatedService
 from repro.service.config import ServiceConfig
 from repro.service.service import RetrievalService
-from repro.serving.metrics import MetricsRegistry, _exact_quantile
 from repro.utils.serialization import PathLike
 from repro.workload.ingest import (
     IngestOp,
@@ -129,7 +129,7 @@ def _lag_summary(samples: List[float]) -> Dict[str, float]:
         "count": float(len(samples)),
         "min": ordered[0],
         "mean": sum(ordered) / len(ordered),
-        "p95": _exact_quantile(ordered, 0.95),
+        "p95": exact_quantile(ordered, 0.95),
         "max": ordered[-1],
     }
 

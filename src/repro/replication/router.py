@@ -16,7 +16,7 @@ primary's durability directory:
   replication guard; :meth:`poll_replicas` advances every replica and
   acknowledges its applied LSN back, releasing held-back segments and
   publishing per-replica lag gauges into a
-  :class:`~repro.serving.metrics.MetricsRegistry`.
+  :class:`~repro.obs.MetricsRegistry`.
 - **Failover**: :meth:`kill_primary` simulates a primary crash
   (abandoning the service object exactly as a SIGKILL would — nothing is
   flushed or closed); :meth:`promote` then elects the freshest replica
@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.obs import MetricsRegistry
 from repro.replication.config import ReplicationConfig
 from repro.replication.errors import (
     NoReplicaAvailableError,
@@ -41,7 +42,6 @@ from repro.replication.errors import (
 from repro.replication.replica import PromotionResult, ReplicaServer
 from repro.retrieval.results import ResultList
 from repro.service.service import RetrievalService
-from repro.serving.metrics import MetricsRegistry
 
 
 @dataclass

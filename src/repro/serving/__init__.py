@@ -5,12 +5,13 @@ The deployment boundary over :class:`~repro.service.RetrievalService`:
 typed backpressure, enforces per-tenant token-bucket rate limits and
 fair-share isolation, bounds every request with a cooperative-cancellation
 deadline, and accounts it all in a structured metrics registry
-(p50/p95/p99 latency sketches, queue wait, cache hits).
+(p50/p95/p99 latency histograms, queue wait, cache hits).
 
 Completed requests are bit-identical to the direct facade path — the
 edge schedules and bounds work, it never changes what a request computes.
 """
 
+from repro.obs import LatencyTrack, MetricsRegistry
 from repro.serving.config import ServingConfig, TenantQuota
 from repro.serving.errors import (
     AdmissionRejectedError,
@@ -20,7 +21,6 @@ from repro.serving.errors import (
     QuotaExceededError,
 )
 from repro.serving.frontend import ServingFrontend
-from repro.serving.metrics import LatencyTrack, MetricsRegistry, P2Quantile
 from repro.serving.quotas import TenantQuotaManager, TokenBucket
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ServingFrontend",
     "LatencyTrack",
     "MetricsRegistry",
-    "P2Quantile",
     "TenantQuotaManager",
     "TokenBucket",
 ]

@@ -43,7 +43,7 @@ underneath.  The request path is:
 4. **Accounting**: per-endpoint latency quantiles (p50/p95/p99), queue
    wait, cache hit rates and every
    admission/rejection outcome land in the
-   :class:`~repro.serving.metrics.MetricsRegistry`
+   :class:`~repro.obs.MetricsRegistry`
    (:meth:`ServingFrontend.metrics_snapshot`).
 
 Determinism: the frontend never reorders, splits or merges the work a
@@ -61,6 +61,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Dict, Optional, TypeVar
 
+from repro.obs import MetricsRegistry
 from repro.serving.config import ServingConfig
 from repro.serving.errors import (
     DeadlineExceededError,
@@ -68,7 +69,6 @@ from repro.serving.errors import (
     QueueFullError,
     QuotaExceededError,
 )
-from repro.serving.metrics import MetricsRegistry
 from repro.serving.quotas import TenantQuotaManager
 from repro.utils.concurrency import CancellationToken, OperationCancelledError, cancellation_scope
 from repro.utils.validation import ensure_deadline

@@ -55,6 +55,10 @@ class CancellationToken:
 
     ``clock`` is injectable for deterministic tests; it must be monotonic
     and is compared against ``deadline`` directly.
+
+    The flag is a plain attribute, not a :class:`threading.Event`: nothing
+    waits on a token, and an attribute write is seen by every thread, so a
+    token costs no lock or condition per request.
     """
 
     def __init__(
@@ -62,7 +66,7 @@ class CancellationToken:
         deadline: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self._event = threading.Event()
+        self._fired = False
         self._deadline = deadline
         self._clock = clock
         self._reason = "operation cancelled"
@@ -79,18 +83,18 @@ class CancellationToken:
 
     def cancel(self, reason: str = "operation cancelled") -> None:
         """Fire the token explicitly (idempotent; first reason wins)."""
-        if not self._event.is_set():
+        if not self._fired:
             self._reason = reason
-            self._event.set()
+            self._fired = True
 
     @property
     def cancelled(self) -> bool:
         """True once the token fired or its deadline passed."""
-        if self._event.is_set():
+        if self._fired:
             return True
         if self._deadline is not None and self._clock() >= self._deadline:
             self._reason = "deadline exceeded"
-            self._event.set()
+            self._fired = True
             return True
         return False
 

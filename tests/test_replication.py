@@ -29,6 +29,7 @@ from repro.durability import (
 )
 from repro.durability.wal import WalSegment, encode_op, segment_filename
 from repro.feedback import EventKind, InteractionEvent
+from repro.obs import MetricsRegistry
 from repro.replication import (
     ChaosEvent,
     ChaosSchedule,
@@ -48,7 +49,6 @@ from repro.service import (
     SearchRequest,
     ServiceConfig,
 )
-from repro.serving.metrics import MetricsRegistry
 from repro.workload.ingest import (
     apply_ingest,
     service_feature_dim,

@@ -5,7 +5,8 @@ Four layers, bottom up:
 1. The cancellation substrate — :class:`CancellationToken` semantics and
    thread-local scoping.
 2. The serving primitives in isolation — token buckets and fair-share
-   quotas under a fake clock, P² latency sketches, the metrics registry.
+   quotas under a fake clock, log-bucket latency histograms, the metrics
+   registry.
 3. The :class:`ServingFrontend` end to end — completed requests are
    bit-identical to the direct facade path, deadlines cancel stragglers
    in both the queued and running stages, rejections are typed and
@@ -28,14 +29,18 @@ from __future__ import annotations
 import asyncio
 import inspect
 import math
+import random
+import sys
 import textwrap
 import threading
 import time
 
 import pytest
 
+from repro.errors import InvalidArgumentError
 from repro.feedback import EventKind, InteractionEvent
 from repro.index import Bm25Scorer
+from repro.obs import metrics as obs_metrics
 from repro.retrieval import EngineConfig
 from repro.retrieval.engine import VideoRetrievalEngine
 from repro.service import (
@@ -54,7 +59,6 @@ from repro.serving import (
     DrainingError,
     LatencyTrack,
     MetricsRegistry,
-    P2Quantile,
     QueueFullError,
     QuotaExceededError,
     ServingConfig,
@@ -150,6 +154,28 @@ class TestCancellationToken:
         assert token.remaining() == 0.0
         assert token.cancelled
         assert token.reason == "deadline exceeded"
+
+    def test_cancel_on_one_thread_is_seen_by_checkpoint_on_another(self):
+        token = CancellationToken()
+        started, outcome = threading.Event(), []
+
+        def worker():
+            started.set()
+            give_up = time.monotonic() + 30.0
+            try:
+                while time.monotonic() < give_up:
+                    token.checkpoint()
+                    time.sleep(0.001)
+            except OperationCancelledError as error:
+                outcome.append(error.reason)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        assert started.wait(30.0)
+        token.cancel("from the loop")
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert outcome == ["from the loop"]
 
     def test_checkpoint_passes_without_cancellation(self):
         CancellationToken().checkpoint()
@@ -254,17 +280,117 @@ class TestMetrics:
         assert track["p50"] == pytest.approx(0.3)
         assert track["max"] == pytest.approx(0.5)
 
-    def test_p2_sketch_tracks_large_streams(self):
-        sketch = P2Quantile(0.95)
-        for index in range(2000):
-            sketch.observe((index % 1000) / 1000.0)
-        assert sketch.value() == pytest.approx(0.95, abs=0.05)
+    @pytest.mark.parametrize("shape", ["lognormal", "bimodal", "uniform"])
+    def test_histogram_quantiles_within_one_percent(self, shape):
+        """Past the exact buffer, each quantile is within 1 % of the value
+        at its rank q·(n−1), on any shape, zeros included."""
+        rng = random.Random(f"histogram:{shape}")
+        draw = {
+            "lognormal": lambda: rng.lognormvariate(-7.0, 1.5),
+            "bimodal": lambda: rng.gauss(0.0004, 0.00005) if rng.random() < 0.7
+            else rng.gauss(0.02, 0.003),
+            "uniform": lambda: rng.uniform(0.0, 0.05),
+        }[shape]
+        values = [0.0 if rng.random() < 0.01 else abs(draw()) for _ in range(20_000)]
+        track = LatencyTrack()
+        for value in values:
+            track.observe(value)
+        snapshot = track.snapshot()
+        ordered = sorted(values)
+        assert snapshot["count"] == len(values)
+        assert snapshot["max"] == ordered[-1]
+        for quantile in (0.5, 0.95, 0.99):
+            exact = ordered[int(quantile * (len(ordered) - 1))]
+            assert abs(snapshot[f"p{int(quantile * 100)}"] - exact) <= 0.01 * exact
+        assert snapshot["p50"] <= snapshot["p95"] <= snapshot["p99"] <= snapshot["max"]
 
-    def test_p2_quantile_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
+    def test_histogram_answers_a_zero_rank_with_zero(self):
+        track = LatencyTrack()
+        for _ in range(100):
+            track.observe(0.0)
+        track.observe(0.5)
+        snapshot = track.snapshot()
+        assert (snapshot["p50"], snapshot["p99"], snapshot["max"]) == (0.0, 0.0, 0.5)
+
+    def test_histogram_reads_the_value_at_the_rank(self):
+        """101 observations: rank 0.5·100 = 50 is the first of the 51 slow ones."""
+        track = LatencyTrack()
+        for value in [0.001] * 50 + [0.1] * 51:
+            track.observe(value)
+        assert track.snapshot()["p50"] == pytest.approx(0.1, rel=0.01)
+
+    @pytest.mark.parametrize("step", range(8))
+    def test_histogram_never_reads_above_the_max(self, step):
+        """Constant streams across one bucket: its midpoint is above some."""
+        value = 0.001 * 1.003**step
+        track = LatencyTrack()
+        for _ in range(100):
+            track.observe(value)
+        snapshot = track.snapshot()
+        for key in ("p50", "p95", "p99"):
+            assert value * 0.99 <= snapshot[key] <= snapshot["max"] == value
+
+    def test_concurrent_observations_are_all_counted(self):
+        track = LatencyTrack()
+
+        def observe_many(offset):
+            for index in range(5_000):
+                track.observe((offset + index % 100) / 1000.0)
+
+        threads = [threading.Thread(target=observe_many, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snapshot = track.snapshot()
+        assert snapshot["count"] == 20_000
+        assert sum(track._buckets.values()) + track._zeros == 20_000
+        assert snapshot["max"] == pytest.approx(0.102)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -5.0, -1e-12])
+    def test_refuses_a_non_finite_or_negative_latency(self, value):
+        registry = MetricsRegistry()
+        registry.observe_latency("search", 0.5, tenant="alice")
+        before = registry.snapshot()
+        with pytest.raises(InvalidArgumentError):
+            registry.observe_latency("search", value, tenant="bob")
+        with pytest.raises(InvalidArgumentError):
+            registry.observe_latency("feedback", value)
+        with pytest.raises(InvalidArgumentError):
+            registry.observe_queue_wait(value)
+        track = LatencyTrack()
+        with pytest.raises(InvalidArgumentError):
+            track.observe(value)
+        assert registry.snapshot() == before
+        assert track.snapshot() == {"count": 0.0}
+        registry.observe_latency("search", 1.5)
+        assert registry.snapshot()["endpoints"]["search"]["mean"] == 1.0
+
+    def test_tenant_tracks_plateau(self):
+        registry = MetricsRegistry()
+        for index in range(10_000):
+            registry.observe_latency("search", 0.001, tenant=f"tenant-{index:05d}")
+        snapshot = registry.snapshot()
+        assert len(snapshot["tenants"]) == obs_metrics.TENANT_TRACKS == 1024
+        assert min(snapshot["tenants"]) == f"tenant-{10_000 - 1024:05d}"
+        assert snapshot["endpoints"]["search"]["count"] == 10_000
+        assert snapshot["counters"]["tenant_tracks_evicted"] == 8_976
+
+    def test_tenant_tracks_keep_the_most_recently_observed(self, monkeypatch):
+        monkeypatch.setattr(obs_metrics, "TENANT_TRACKS", 2)
+        registry = MetricsRegistry()
+        for tenant in ("alice", "bob", "alice", "carol"):
+            registry.observe_latency("search", 0.001, tenant=tenant)
+        snapshot = registry.snapshot()
+        assert sorted(snapshot["tenants"]) == ["alice", "carol"]
+        assert snapshot["tenants"]["alice"]["search"]["count"] == 2
+        assert snapshot["counters"] == {"tenant_tracks_evicted": 1}
 
     def test_registry_snapshot_shape(self):
         registry = MetricsRegistry()
@@ -761,6 +887,46 @@ class TestEvaluationPath:
             assert recording_scorer == [here]  # one scorer, whatever num_shards
             assert not _serve_threads() - before
             assert counters["completed"] == 2 and "deadline_running" not in counters
+        finally:
+            service.close()
+
+    def test_edge_builds_no_condition_and_observes_three_tracks(
+        self, small_corpus, monkeypatch
+    ):
+        """A request costs the edge no ``threading.Condition`` (a token is a
+        plain flag) and exactly three latency observations: queue wait,
+        endpoint and tenant."""
+        _topic, query = _topic_query(small_corpus)
+        service = RetrievalService.from_corpus(small_corpus)
+        conditions, observed = [], []
+        condition, observe = threading.Condition, LatencyTrack.observe
+
+        def counting_condition(*args, **kwargs):
+            conditions.append(1)
+            return condition(*args, **kwargs)
+
+        def counting_observe(track, seconds):
+            observed.append(seconds)
+            observe(track, seconds)
+
+        async def serve(frontend):
+            monkeypatch.setattr(threading, "Condition", counting_condition)
+            monkeypatch.setattr(LatencyTrack, "observe", counting_observe)
+            try:
+                for _ in range(200):
+                    await frontend.search(
+                        SearchRequest(user_id="alice", query=query), deadline_seconds=30.0
+                    )
+            finally:
+                monkeypatch.undo()
+
+        try:
+            with ServingFrontend(service) as frontend:
+                asyncio.run(serve(frontend))
+                snapshot = frontend.metrics.snapshot()
+            assert snapshot["counters"]["completed"] == 200
+            assert conditions == []
+            assert len(observed) == 3 * 200
         finally:
             service.close()
 
