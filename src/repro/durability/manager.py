@@ -4,10 +4,10 @@
 segments, the snapshot chain, and the header — and exposes exactly the
 hooks the engine's write path needs:
 
-* ``log_document`` / ``log_shot`` append an op record to the owning
-  shard's WAL segment *before* the in-memory index mutates (called inside
-  the engine's ``exclusive_writer()``, so WAL order is the serialization
-  order);
+* ``log_index_op`` appends an index-op record to the owning shard's WAL
+  segment after the engine has checked the write and *before* it applies
+  it (called inside the engine's ``exclusive_writer()``, so WAL order is
+  the serialization order);
 * ``log_feedback`` appends interaction batches to the meta segment (these
   serialise behind the WAL's LSN lock; they do not affect index state but
   make the full write history replayable, e.g. by a follower);
@@ -42,14 +42,7 @@ from repro.durability.recovery import (
     RecoveryError,
     read_header,
 )
-from repro.durability.replay import (
-    delete_record,
-    document_record,
-    feedback_record,
-    gap_free_tail,
-    shot_record,
-    update_record,
-)
+from repro.durability.replay import feedback_record, gap_free_tail
 from repro.durability.snapshots import (
     SnapshotError,
     SnapshotStore,
@@ -273,37 +266,15 @@ class DurabilityManager:
 
     # -- write-path hooks (called under the engine's exclusive writer) -------------
 
-    def _log_index_op(self, record: Dict[str, object]) -> int:
+    def log_index_op(self, record: Dict[str, object]) -> int:
+        """WAL one index-op record on its owning shard's segment.
+
+        The engine builds ``record`` with :func:`~repro.durability.replay.
+        op_record` after its checks pass and before it applies the op.
+        """
         lsn = self._wal.append(self._router.shard_of(record["id"]), record)
         self._ops_since_checkpoint += 1
         return lsn
-
-    def log_document(self, document_id: str, frequencies: Dict[str, int]) -> int:
-        """WAL one ``index_document`` op on its owning shard's segment."""
-        return self._log_index_op(document_record(document_id, frequencies))
-
-    def log_shot(
-        self,
-        shot_id: str,
-        features: Sequence[float],
-        concept_scores: Optional[Dict[str, float]] = None,
-    ) -> int:
-        """WAL one ``index_shot`` op on its owning shard's segment."""
-        return self._log_index_op(shot_record(shot_id, features, concept_scores))
-
-    def log_delete_document(self, document_id: str) -> int:
-        """WAL one ``delete_document`` op on its owning shard's segment."""
-        return self._log_index_op(delete_record("doc", document_id))
-
-    def log_delete_shot(self, shot_id: str) -> int:
-        """WAL one ``delete_shot`` op on its owning shard's segment."""
-        return self._log_index_op(delete_record("shot", shot_id))
-
-    def log_update_document(
-        self, document_id: str, frequencies: Dict[str, int]
-    ) -> int:
-        """WAL one ``update_document`` op (replayed as delete + re-add)."""
-        return self._log_index_op(update_record(document_id, frequencies))
 
     def note_compaction(self) -> None:
         """Engine hook: a compaction adopted re-interned indexes.

@@ -1,27 +1,29 @@
-"""WAL op records: how they are built, walked and replayed.
+"""WAL op records: how they are built, walked and applied.
 
-The one owner of the op-record schema.  The durability manager builds
-every record it appends through the constructors here; crash recovery, the
-WAL-tailing replicas and the checkpoint writer select a gap-free run with
-:func:`gap_free_tail`, and recovery, replicas and the snapshot chain's
-fold (an ops checkpoint is a slice of the WAL) replay it with
-:func:`apply_record`, so none of them can drift apart.
+The one owner of the op-record schema and of the one function that
+applies an op.  A write is an op ``(op, item_id, payload)``: the live
+engine checks it, logs :func:`op_record` when durable and applies it with
+:func:`apply_op`.  Crash recovery, the WAL-tailing replicas and the
+checkpoint writer select a gap-free run with :func:`gap_free_tail`, and
+recovery, replicas and the snapshot chain's fold (an ops checkpoint is a
+slice of the WAL) replay it with :func:`apply_record` — :func:`read_op`,
+then the same :func:`apply_op` — so none of them can drift apart.
 
 Replay is idempotent: a record whose effect is already present (a crash
 landed between a checkpoint's manifest rename and its WAL truncation, or
 the add a delete undoes never became durable) is counted as a skipped
 duplicate instead of applied, so replaying twice converges to the same
-state.
+state.  A live write never skips: the engine refuses it first.
 
 A shot record's ``"features"`` is one :func:`~repro.utils.serialization.
 encode_vector` string (packed float64s, exact); records of format-1
-directories carry a JSON list instead, and :func:`apply_record` reads
-both.  A vector that decodes to neither, and a record missing a field its
-op needs, is a :class:`ReplayError` naming the record's LSN.
+directories carry a JSON list instead, and :func:`read_op` reads both.  A
+vector that decodes to neither, and a record missing a field its op
+needs, is a :class:`ReplayError` naming the record's LSN.
 
 Recovery replays into :class:`TextItems` / :class:`VisualItems`, the
 insertion-ordered item tables the snapshot fold fills first; the replicas
-replay into their live indexes.
+and the live engine apply to their live indexes.
 """
 
 from __future__ import annotations
@@ -54,11 +56,6 @@ class ReplayCounts:
     wal_skipped_duplicates: int = 0
 
 
-def document_record(document_id: str, frequencies: Mapping[str, int]) -> Record:
-    """One ``index_document`` op."""
-    return {"op": "doc", "id": document_id, "tf": dict(frequencies)}
-
-
 def shot_record(
     shot_id: str,
     features: Sequence[float],
@@ -71,16 +68,6 @@ def shot_record(
         "features": encode_vector(features),
         "concepts": dict(concept_scores or {}),
     }
-
-
-def delete_record(kind: str, item_id: str) -> Record:
-    """One ``delete_document`` (``kind="doc"``) or ``delete_shot`` op."""
-    return {"op": "del", "kind": kind, "id": item_id}
-
-
-def update_record(document_id: str, frequencies: Mapping[str, int]) -> Record:
-    """One ``update_document`` op (replayed as delete + re-add)."""
-    return {"op": "upd", "id": document_id, "tf": dict(frequencies)}
 
 
 def feedback_record(user_id: str, session_id: str, events: Sequence) -> Record:
@@ -151,58 +138,78 @@ def _field(record: Record, key: str, convert=lambda value: value):
     )
 
 
-def apply_record(record: Record, text, visual, counts) -> None:
-    """Replay one record into ``text`` / ``visual``, idempotently.
+def op_record(op: str, item_id: str, payload) -> Record:
+    """The WAL record of one op; :func:`read_op` is its inverse.
 
-    The targets speak the index write API (``has_document`` /
-    ``add_document_frequencies`` / ``delete_document`` /
-    ``update_document_frequencies``; ``has_shot`` / ``add_shot`` /
-    ``delete_shot``): a replica's live indexes, a :class:`TextItems` /
-    :class:`VisualItems` pair in recovery.  ``counts`` is a
-    :class:`ReplayCounts` (or anything with its fields).  Every field the
-    op needs is read once and checked, so a record with a missing or
-    mistyped field — and a shot whose vector does not decode, even as a
-    skipped duplicate — is a :class:`ReplayError` naming its LSN.
+    ``payload`` is a ``doc`` / ``upd`` (update, replayed as delete +
+    re-add) op's term frequencies, a ``shot`` op's ``(features,
+    concept_scores)`` or a ``del`` op's kind, ``"doc"`` or ``"shot"``.
+    """
+    if op == "shot":
+        return shot_record(item_id, *payload)
+    if op == "del":
+        return {"op": "del", "kind": payload, "id": item_id}
+    return {"op": op, "id": item_id, "tf": dict(payload)}
+
+
+def read_op(record: Record) -> Tuple[str, str, object]:
+    """``(op, item_id, payload)`` of one index-op record.
+
+    Every field the op needs is read once and checked, so an unknown op, a
+    missing or mistyped field and a shot whose vector does not decode are
+    a :class:`ReplayError` naming the record's LSN.
     """
     op = record.get("op")
-    if op == "feedback":
-        counts.wal_feedback_ops += 1
-        return
     if op not in ("doc", "shot", "del", "upd"):
         raise ReplayError(f"unknown WAL op {op!r} at lsn {record.get('lsn')}")
     item_id = _field(record, "id", str)
-    if op in ("doc", "upd"):
-        frequencies = _field(
+    if op == "del":
+        return op, item_id, "shot" if record.get("kind") == "shot" else "doc"
+    if op != "shot":
+        return op, item_id, _field(
             record, "tf", lambda tf: {str(t): int(f) for t, f in tf.items()}
         )
-    elif op == "shot":
-        try:
-            features = decode_vector(_field(record, "features"))
-        except VectorDecodeError as error:
-            raise ReplayError(
-                f"shot {item_id!r} at lsn {record.get('lsn')}: {error}"
-            ) from None
-        concepts = _field(
-            record, "concepts", lambda cs: {str(c): float(v) for c, v in cs.items()}
-        )
+    try:
+        features = decode_vector(_field(record, "features"))
+    except VectorDecodeError as error:
+        raise ReplayError(
+            f"shot {item_id!r} at lsn {record.get('lsn')}: {error}"
+        ) from None
+    concepts = _field(
+        record, "concepts", lambda cs: {str(c): float(v) for c, v in cs.items()}
+    )
+    return op, item_id, (features, concepts)
+
+
+def apply_op(op: str, item_id: str, payload, text, visual, counts) -> None:
+    """Apply one op to ``text`` / ``visual``, idempotently.
+
+    The live engine calls it with the values it has just checked, replay
+    with what :func:`read_op` read.  The targets speak the index write API
+    (``has_document`` / ``add_document_frequencies`` / ``delete_document``
+    / ``update_document_frequencies``; ``has_shot`` / ``add_shot`` /
+    ``delete_shot``): the live indexes of an engine or a replica, a
+    :class:`TextItems` / :class:`VisualItems` pair in recovery.
+    ``counts`` is a :class:`ReplayCounts` (or anything with its fields).
+    """
     counts.wal_index_ops += 1
     if op in MUTATION_OPS:
         counts.wal_mutation_ops += 1
     if op in ("doc", "upd"):
         if not text.has_document(item_id):
-            text.add_document_frequencies(item_id, frequencies)
+            text.add_document_frequencies(item_id, payload)
         elif op == "upd":
-            # Same re-interning as the live engine: delete + re-add at the
-            # dense tail, so live insertion order stays bit-identical.
-            text.update_document_frequencies(item_id, frequencies)
+            # Delete + re-add: the document moves to the dense tail, live
+            # and in every replay alike.
+            text.update_document_frequencies(item_id, payload)
         else:
             counts.wal_skipped_duplicates += 1
     elif op == "shot":
         if visual.has_shot(item_id):
             counts.wal_skipped_duplicates += 1
         else:
-            visual.add_shot(item_id, features, concepts)
-    elif record.get("kind") == "shot":
+            visual.add_shot(item_id, *payload)
+    elif payload == "shot":
         if visual.has_shot(item_id):
             visual.delete_shot(item_id)
         else:
@@ -211,3 +218,12 @@ def apply_record(record: Record, text, visual, counts) -> None:
         text.delete_document(item_id)
     else:
         counts.wal_skipped_duplicates += 1
+
+
+def apply_record(record: Record, text, visual, counts) -> None:
+    """Replay one record into ``text`` / ``visual``: :func:`read_op`, then
+    :func:`apply_op` (a feedback batch is only counted)."""
+    if record.get("op") == "feedback":
+        counts.wal_feedback_ops += 1
+        return
+    apply_op(*read_op(record), text, visual, counts)

@@ -40,6 +40,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generic, Iterable, List, Optional, TypeVar
 
+from repro.errors import InvalidArgumentError, NotIndexedError
+
 T = TypeVar("T")
 
 
@@ -47,9 +49,10 @@ class SlotTable:
     """Ids interned to dense slots, with tombstones and a generation clock.
 
     ``noun`` and ``where`` word the errors: ``"<noun> 'x' already
-    <where>"`` (``ValueError``) and ``"<noun> 'x' not <where>"``
-    (``KeyError``).  ``ids`` is the table's own list: read it, never write
-    it.
+    <where>"`` (:class:`~repro.errors.InvalidArgumentError`, a
+    ``ValueError``) and ``"<noun> 'x' not <where>"``
+    (:class:`~repro.errors.NotIndexedError`, a ``KeyError``).  ``ids`` is
+    the table's own list: read it, never write it.
     """
 
     def __init__(self, noun: str, where: str) -> None:
@@ -96,17 +99,22 @@ class SlotTable:
 
     # -- writes ------------------------------------------------------------------
 
-    def _duplicate(self, item_id: str) -> ValueError:
-        return ValueError(f"{self._noun} {item_id!r} already {self._where}")
+    def _duplicate(self, item_id: str) -> InvalidArgumentError:
+        return InvalidArgumentError(f"{self._noun} {item_id!r} already {self._where}")
 
-    def _missing(self, item_id: str) -> KeyError:
-        return KeyError(f"{self._noun} {item_id!r} not {self._where}")
+    def _missing(self, item_id: str) -> NotIndexedError:
+        return NotIndexedError(f"{self._noun} {item_id!r} not {self._where}")
 
     def check_new(self, item_ids: Iterable[str]) -> None:
-        """Raise ``ValueError`` if any of ``item_ids`` is present; change nothing."""
+        """Raise the duplicate error if any of ``item_ids`` is present; change nothing."""
         for item_id in item_ids:
             if item_id in self._slot_of:
                 raise self._duplicate(item_id)
+
+    def check_live(self, item_id: str) -> None:
+        """Raise the missing-id error unless ``item_id`` is present; change nothing."""
+        if item_id not in self._slot_of:
+            raise self._missing(item_id)
 
     def add(self, item_id: str) -> int:
         """Intern a new id at the next slot and return the slot."""
@@ -119,7 +127,7 @@ class SlotTable:
         return slot
 
     def remove(self, item_id: str) -> int:
-        """Tombstone a live id's slot and return it; an absent id raises ``KeyError``."""
+        """Tombstone a live id's slot and return it; an absent id raises the missing-id error."""
         slot = self._slot_of.pop(item_id, None)
         if slot is None:
             raise self._missing(item_id)

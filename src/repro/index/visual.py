@@ -63,13 +63,14 @@ import math
 import threading
 from array import array
 from bisect import bisect_left, insort
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from itertools import compress, repeat
 from operator import add, is_not, le, mul, sub
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.features import FeatureExtractor, cosine_similarity
 from repro.collection.documents import Collection
+from repro.errors import InvalidArgumentError
 from repro.index.slots import PerGeneration, SlotTable, SlottedIndex
 from repro.utils.validation import ensure_positive
 
@@ -91,7 +92,8 @@ def _l2_norm(vector: Tuple[float, ...]) -> float:
 
 
 def finite_features(shot_id: str, features: Sequence[float]) -> Tuple[Tuple[float, ...], float]:
-    """``(vector, norm)`` of a shot's features; a non-finite norm raises.
+    """``(vector, norm)`` of a shot's features; a non-finite norm raises
+    :class:`~repro.errors.InvalidArgumentError`.
 
     The norm is the sum of squares, so this one test refuses NaN and
     infinite components and vectors whose squares overflow.
@@ -99,7 +101,9 @@ def finite_features(shot_id: str, features: Sequence[float]) -> Tuple[Tuple[floa
     vector = tuple(features)
     norm = _l2_norm(vector)
     if not math.isfinite(norm):
-        raise ValueError(f"shot {shot_id!r} has non-finite features (norm {norm})")
+        raise InvalidArgumentError(
+            f"shot {shot_id!r} has non-finite features (norm {norm})"
+        )
     return vector, norm
 
 
@@ -311,6 +315,8 @@ class VisualIndex(SlottedIndex):
         self._vectors: List[Tuple[float, ...]] = []
         self._norms = array("d")
         self._concept_maps: List[Dict[str, float]] = []
+        # Live shots by vector length, so check_new_shot needs no scan.
+        self._lengths: "Counter[int]" = Counter()
         # Inverted concept postings: concept -> [(slot, score)].
         self._concept_postings: Dict[str, List[Tuple[int, float]]] = {}
         self._neighbours = NeighbourTable()
@@ -326,8 +332,8 @@ class VisualIndex(SlottedIndex):
     ) -> None:
         """Add one shot's visual evidence.
 
-        Duplicates and features of non-finite norm raise ``ValueError``
-        before anything changes.
+        Duplicates and features of non-finite norm raise
+        :class:`~repro.errors.InvalidArgumentError` before anything changes.
         """
         self.slots.check_new((shot_id,))
         vector, norm = finite_features(shot_id, features)
@@ -335,14 +341,29 @@ class VisualIndex(SlottedIndex):
         slot = self.slots.add(shot_id)
         self._vectors.append(vector)
         self._norms.append(norm)
+        self._lengths[len(vector)] += 1
         self._concept_maps.append(concepts)
         for concept, score in concepts.items():
             self._concept_postings.setdefault(concept, []).append((slot, score))
         if self._neighbours:
             self._neighbours.shot_added(shot_id, vector)
 
+    def check_new_shot(self, shot_id: str, features: Sequence[float]) -> Tuple[float, ...]:
+        """The vector of a shot a write may add, or :class:`~repro.errors.
+        InvalidArgumentError` for a present id, a non-finite norm or a length
+        other than the live shots' (which would make every scan raise)."""
+        self.slots.check_new((shot_id,))
+        vector, _ = finite_features(shot_id, features)
+        lengths = self._lengths
+        if lengths and (len(lengths) > 1 or len(vector) not in lengths):
+            raise InvalidArgumentError(
+                f"shot {shot_id!r} has {len(vector)} features, but a live shot "
+                f"has {min(lengths.keys() - {len(vector)})}"
+            )
+        return vector
+
     def delete_shot(self, shot_id: str) -> None:
-        """Remove one shot; an unknown id raises ``KeyError``.
+        """Remove one shot; an unknown id raises ``NotIndexedError``.
 
         The slot is tombstoned and the shot is scrubbed out of every
         concept postings list it appears in, so searches never need a
@@ -352,6 +373,10 @@ class VisualIndex(SlottedIndex):
         is one bisect.
         """
         slot = self.slots.remove(shot_id)
+        length = len(self._vectors[slot])
+        self._lengths[length] -= 1
+        if not self._lengths[length]:
+            del self._lengths[length]
         concept_postings = self._concept_postings
         for concept in self._concept_maps[slot]:
             postings = concept_postings[concept]
@@ -383,6 +408,7 @@ class VisualIndex(SlottedIndex):
         reclaimed = self.slots.adopt(fresh.slots)
         self._vectors = fresh._vectors
         self._norms = fresh._norms
+        self._lengths = fresh._lengths
         self._concept_maps = fresh._concept_maps
         self._concept_postings = fresh._concept_postings
         return reclaimed

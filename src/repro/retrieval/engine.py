@@ -19,10 +19,11 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.collection.documents import Collection
-from repro.errors import InvalidArgumentError, NotIndexedError
+from repro.durability.replay import ReplayCounts, apply_op, op_record
+from repro.errors import InvalidArgumentError
 from repro.index.compaction import CompactionStats, compact_engine
 from repro.index.dedup import NearDuplicateDetector
 from repro.index.fusion import normalisation_bounds_of_values, weighted_fusion
@@ -31,7 +32,7 @@ from repro.index.registry import SCORER_REGISTRY, create_scorer
 from repro.index.scoring import DenseScores, TextScorer
 from repro.index.slots import PerGeneration
 from repro.index.tokenizer import Tokenizer
-from repro.index.visual import VisualIndex, finite_features
+from repro.index.visual import VisualIndex
 from repro.retrieval.expansion import RocchioExpander, extract_key_terms
 from repro.retrieval.query import Query
 from repro.retrieval.results import ResultList
@@ -165,6 +166,8 @@ class VideoRetrievalEngine:
         # on the manager's cadence — all inside the exclusive writer, so
         # WAL order is exactly the serialization order.
         self._durability = None
+        # What the writes applied, counted as replay counts (no skips here).
+        self._applied = ReplayCounts()
         # Optional ingest-time near-duplicate screening, seeded from the
         # (possibly pre-built or recovered) live corpus.
         self._dedup: Optional[NearDuplicateDetector] = None
@@ -213,8 +216,7 @@ class VideoRetrievalEngine:
         with self._rw_lock.read_locked():
             yield
 
-    @contextmanager
-    def exclusive_writer(self) -> Iterator[None]:
+    def exclusive_writer(self) -> ContextManager[None]:
         """Exclusive scope for index mutation.
 
         Waits for in-flight searches to drain, blocks new ones for the
@@ -224,16 +226,16 @@ class VideoRetrievalEngine:
         and every per-term derived cache, so the first search after the
         scope exits sees a fully consistent snapshot.
         """
-        with self._rw_lock.write_locked():
-            yield
+        return self._rw_lock.write_locked()
 
     def attach_durability(self, manager) -> None:
         """Attach a :class:`~repro.durability.manager.DurabilityManager`.
 
-        From this point on every ``index_document(s)`` / ``index_shot``
-        write-ahead-logs its operation before applying it, and snapshots
-        are taken on the manager's cadence.  Must be called before the
-        engine serves traffic (it is not itself synchronised).
+        From this point on every write appends its op record through the
+        manager's ``log_index_op`` once its checks pass and before it is
+        applied, and snapshots are taken on the manager's cadence.  Must be
+        called before the engine serves traffic (it is not itself
+        synchronised).
         """
         self._durability = manager
 
@@ -258,58 +260,47 @@ class VideoRetrievalEngine:
             self._text_scorer, "may_block", True
         )
 
-    def _apply_document_locked(self, document_id: str, text: str) -> bool:
-        """Log-then-apply one document under the already-held writer lock.
-
-        Returns ``False`` when near-duplicate screening skipped the
-        document (nothing was logged or indexed), ``True`` otherwise.
-        """
-        durability = self._durability
+    def _commit_locked(self, op: str, item_id: str, payload) -> None:
+        """Log (when durable) and apply one write its caller has checked,
+        under the writer lock, with ``apply_op``: the function recovery, the
+        snapshot fold and replicas replay records with.  The near-duplicate
+        screen then consumes the applied op."""
+        if self._durability is not None:
+            self._durability.log_index_op(op_record(op, item_id, payload))
+        apply_op(
+            op, item_id, payload, self._inverted_index, self._visual_index, self._applied
+        )
         dedup = self._dedup
-        if durability is None and dedup is None:
-            self._inverted_index.add_document(document_id, text)
-            return True
-        # Pre-check so a rejected duplicate never lands in the WAL (a WAL
-        # record must always replay cleanly); tokenise through the index's
-        # own tokenizer so the logged frequencies match what is applied.
-        if self._inverted_index.has_document(document_id):
-            raise InvalidArgumentError(f"document {document_id!r} already indexed")
-        frequencies = self._inverted_index.tokenizer.term_frequencies(text)
-        if dedup is not None and dedup.screen(frequencies) is not None:
-            return False
-        if durability is not None:
-            durability.log_document(document_id, frequencies)
-        self._inverted_index.add_document_frequencies(document_id, frequencies)
-        if dedup is not None:
-            dedup.add(document_id, frequencies)
-        return True
+        if dedup is not None and (op in ("doc", "upd") or payload == "doc"):
+            dedup.discard(item_id)
+            if op != "del":
+                dedup.add(item_id, payload)
 
     def _maybe_checkpoint_locked(self) -> None:
         if self._durability is not None:
             self._durability.maybe_checkpoint(self)
 
     def index_document(self, document_id: str, text: str) -> None:
-        """Add (or extend) one transcript document through the writer path."""
-        with self.exclusive_writer():
-            self._apply_document_locked(document_id, text)
-            self._maybe_checkpoint_locked()
+        """Add one transcript document through the writer path."""
+        self.index_documents({document_id: text})
 
     def index_documents(self, documents: Mapping[str, str]) -> None:
         """Add several transcript documents in one exclusive writer scope.
 
-        The batch is atomic with respect to duplicate ids: every id is
-        validated before any document is applied (or WAL-logged), so a
-        duplicate anywhere in the mapping raises with the index, the log
-        and the statistics all untouched.
+        Every id is checked before any document is logged or applied, so a
+        duplicate anywhere in the mapping raises
+        :class:`~repro.errors.InvalidArgumentError` with the index, the log
+        and the statistics all untouched.  A document the near-duplicate
+        screen matches is skipped (and counted), never logged.
         """
         with self.exclusive_writer():
-            for document_id in documents:
-                if self._inverted_index.has_document(document_id):
-                    raise InvalidArgumentError(
-                        f"document {document_id!r} already indexed"
-                    )
+            self._inverted_index.slots.check_new(documents)
+            term_frequencies = self._inverted_index.tokenizer.term_frequencies
+            dedup = self._dedup
             for document_id, text in documents.items():
-                self._apply_document_locked(document_id, text)
+                frequencies = term_frequencies(text)
+                if dedup is None or dedup.screen(frequencies) is None:
+                    self._commit_locked("doc", document_id, frequencies)
             self._maybe_checkpoint_locked()
 
     def delete_document(self, document_id: str) -> None:
@@ -323,13 +314,8 @@ class VideoRetrievalEngine:
         result, so post-delete rankings match a rebuild over the survivors.
         """
         with self.exclusive_writer():
-            if not self._inverted_index.has_document(document_id):
-                raise NotIndexedError(f"document {document_id!r} not indexed")
-            if self._durability is not None:
-                self._durability.log_delete_document(document_id)
-            self._inverted_index.delete_document(document_id)
-            if self._dedup is not None:
-                self._dedup.discard(document_id)
+            self._inverted_index.slots.check_live(document_id)
+            self._commit_locked("del", document_id, "doc")
             self._maybe_checkpoint_locked()
 
     def update_document(self, document_id: str, text: str) -> None:
@@ -341,25 +327,35 @@ class VideoRetrievalEngine:
         replacing known content — but refresh the screened vector.
         """
         with self.exclusive_writer():
-            if not self._inverted_index.has_document(document_id):
-                raise NotIndexedError(f"document {document_id!r} not indexed")
+            self._inverted_index.slots.check_live(document_id)
             frequencies = self._inverted_index.tokenizer.term_frequencies(text)
-            if self._durability is not None:
-                self._durability.log_update_document(document_id, frequencies)
-            self._inverted_index.update_document_frequencies(document_id, frequencies)
-            if self._dedup is not None:
-                self._dedup.discard(document_id)
-                self._dedup.add(document_id, frequencies)
+            self._commit_locked("upd", document_id, frequencies)
+            self._maybe_checkpoint_locked()
+
+    def index_shot(
+        self,
+        shot_id: str,
+        features: Sequence[float],
+        concept_scores: Optional[Mapping[str, float]] = None,
+    ) -> None:
+        """Add one shot's visual evidence through the writer path.
+
+        A duplicate id, features of non-finite norm and features of another
+        length than the live shots' raise
+        :class:`~repro.errors.InvalidArgumentError` before the WAL append,
+        so a refused shot consumes no LSN (and cannot poison every later
+        query-by-example search).
+        """
+        with self.exclusive_writer():
+            vector = self._visual_index.check_new_shot(shot_id, features)
+            self._commit_locked("shot", shot_id, (vector, concept_scores))
             self._maybe_checkpoint_locked()
 
     def delete_shot(self, shot_id: str) -> None:
         """Delete one shot's visual evidence through the writer path."""
         with self.exclusive_writer():
-            if not self._visual_index.has_shot(shot_id):
-                raise NotIndexedError(f"shot {shot_id!r} not in visual index")
-            if self._durability is not None:
-                self._durability.log_delete_shot(shot_id)
-            self._visual_index.delete_shot(shot_id)
+            self._visual_index.slots.check_live(shot_id)
+            self._commit_locked("del", shot_id, "shot")
             self._maybe_checkpoint_locked()
 
     def compact(self) -> CompactionStats:
@@ -387,29 +383,6 @@ class VideoRetrievalEngine:
             "skipped": float(dedup.skipped_count),
             "tracked": float(dedup.tracked_count),
         }
-
-    def index_shot(
-        self,
-        shot_id: str,
-        features: Sequence[float],
-        concept_scores: Optional[Mapping[str, float]] = None,
-    ) -> None:
-        """Add one shot's visual evidence through the writer path.
-
-        A duplicate id or features of non-finite norm raise ``ValueError``
-        before the WAL append, so a refused shot consumes no LSN.
-        """
-        with self.exclusive_writer():
-            durability = self._durability
-            if durability is not None:
-                if self._visual_index.has_shot(shot_id):
-                    raise InvalidArgumentError(
-                        f"shot {shot_id!r} already in visual index"
-                    )
-                finite_features(shot_id, features)
-                durability.log_shot(shot_id, features, concept_scores)
-            self._visual_index.add_shot(shot_id, features, concept_scores)
-            self._maybe_checkpoint_locked()
 
     # -- scoring -----------------------------------------------------------------
 

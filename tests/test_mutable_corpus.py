@@ -319,14 +319,21 @@ class TestEngineMutations:
         finally:
             service.close()
 
-    def test_write_refusals_are_typed_and_log_nothing(self, small_corpus, tmp_path):
+    @pytest.mark.parametrize("setup", ("memory", "screened", "durable"))
+    def test_write_refusals_are_typed_and_log_nothing(self, small_corpus, tmp_path, setup):
         # Each refusal is a ReproError (one CLI line) that keeps its builtin
-        # base, and is raised before the WAL append: no LSN is consumed.
+        # base, raised by the same check on every config before anything
+        # changes: the state digest holds, and no LSN is consumed.
+        engine_config = UNCACHED
+        if setup == "screened":
+            engine_config = EngineConfig(
+                result_limit=50, result_cache_size=0, near_duplicate_threshold=0.9
+            )
+        durable = {"durability_dir": str(tmp_path / "d"), "fsync_policy": "never"}
         service = RetrievalService(
             small_corpus.collection,
             config=ServiceConfig(
-                engine=UNCACHED, durability_dir=str(tmp_path / "d"),
-                fsync_policy="never",
+                engine=engine_config, **(durable if setup == "durable" else {})
             ),
         )
         try:
@@ -341,21 +348,31 @@ class TestEngineMutations:
                  lambda: engine.index_documents({"new-doc": "flood", document: "x"})),
                 (InvalidArgumentError, ValueError,
                  lambda: engine.index_shot(shot, features)),
+                (InvalidArgumentError, ValueError,
+                 lambda: engine.index_shot("nan-shot", [float("nan")] * len(features))),
+                (InvalidArgumentError, ValueError,
+                 lambda: engine.index_shot("odd-shot", [0.5] * (len(features) + 3))),
                 (NotIndexedError, KeyError, lambda: engine.delete_document("absent")),
                 (NotIndexedError, KeyError,
                  lambda: engine.update_document("absent", "flood")),
                 (NotIndexedError, KeyError, lambda: engine.delete_shot("absent")),
             ]
-            wal = engine.durability.wal
-            lsn = wal.last_lsn
+            digest = engine_state_digest(engine)
+            lsn = engine.durability.wal.last_lsn if setup == "durable" else None
             for error, builtin, write in refusals:
                 with pytest.raises(error) as raised:
                     write()
                 assert isinstance(raised.value, ReproError)
                 assert isinstance(raised.value, builtin)
-                assert wal.last_lsn == lsn
+                assert engine_state_digest(engine) == digest
+                if setup == "durable":
+                    assert engine.durability.wal.last_lsn == lsn
             assert str(raised.value) == "shot 'absent' not in visual index"
             assert not engine.inverted_index.has_document("new-doc")
+            # The shot of the right length still lands, and query-by-example
+            # still answers after the refused one.
+            engine.index_shot("even-shot", [0.5] * len(features))
+            assert engine.search(Query(example_shot_ids=[shot])).shot_ids()
         finally:
             service.close()
 

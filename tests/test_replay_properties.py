@@ -1,7 +1,7 @@
 """Property test: one WAL replay, three readers that must agree.
 
 ``repro.durability.replay`` owns the op-record schema and the one
-``apply_record``; the live engine, crash recovery and a tailing replica
+``apply_op``; the live engine, crash recovery and a tailing replica
 are three consumers of the same write history — and the snapshot chain is
 a fourth, since an ops checkpoint is a slice of that history folded by the
 same function.  For random sequences of add / delete / update / add-shot /
@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.durability import RecoveryManager, engine_state_digest
+from repro.durability.replay import op_record
 from repro.replication import ReplicaServer
 from repro.retrieval import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
@@ -89,10 +90,10 @@ def _apply(service, op, documents, shots, feature_dim) -> None:
             else:
                 service.delete_document(document_id)
         except ValueError:
-            durability.log_document(document_id, {"rejected": 1})
+            durability.log_index_op(op_record("doc", document_id, {"rejected": 1}))
         except KeyError:
             if kind == "delete":
-                durability.log_delete_document(document_id)
+                durability.log_index_op(op_record("del", document_id, "doc"))
         return
     shot_id = shots[op[1] % len(shots)]
     try:
@@ -102,9 +103,9 @@ def _apply(service, op, documents, shots, feature_dim) -> None:
         else:
             service.delete_shot(shot_id)
     except ValueError:
-        durability.log_shot(shot_id, [1.0] * feature_dim, {})
+        durability.log_index_op(op_record("shot", shot_id, ([1.0] * feature_dim, {})))
     except KeyError:
-        durability.log_delete_shot(shot_id)
+        durability.log_index_op(op_record("del", shot_id, "shot"))
 
 
 @pytest.mark.parametrize("num_shards", (1, 4))
