@@ -277,7 +277,7 @@ class DurabilityManager:
         return lsn
 
     def note_compaction(self) -> None:
-        """Engine hook: a compaction adopted re-interned indexes.
+        """Engine hook: a compaction adopted renumbered indexes.
 
         Compaction does not change the live item sequence, so nothing
         *needs* a rebase — this is the chain's garbage collection.  Every

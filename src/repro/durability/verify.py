@@ -15,7 +15,9 @@
   rebase;
 * the merged LSN stream is checked for holes above the snapshot
   watermark, and the **maximal gap-free LSN** — the point recovery (and a
-  tailing replica) would stop at — is reported.
+  tailing replica) would stop at — is reported;
+* the shots recovery would restore must share one vector length, or every
+  query-by-example search on the recovered engine fails.
 
 Verification never writes: it is safe against a live primary's directory
 (it may observe a checkpoint mid-flight, in which case a re-run converges)
@@ -29,6 +31,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.durability.recovery import RecoveryError, durability_directory, read_header
+from repro.durability.replay import Record, ReplayError, read_op
 from repro.durability.snapshots import SnapshotError, SnapshotStore, manifest_ids
 from repro.durability.wal import WriteAheadLog
 from repro.utils.serialization import PathLike
@@ -136,6 +139,7 @@ def verify_directory(directory: PathLike) -> VerifyReport:
     report.num_shards = header["num_shards"]
 
     report.checkpoint_ids = manifest_ids(directory)
+    fold = None
     try:
         fold = SnapshotStore(directory, report.num_shards).load_base()
         report.snapshot_wal_lsn = fold.wal_lsn
@@ -172,6 +176,7 @@ def verify_directory(directory: PathLike) -> VerifyReport:
         wal.close()
 
     merged.sort(key=lambda record: int(record["lsn"]))
+    prefix: List[Record] = []
     watermark = report.snapshot_wal_lsn
     report.max_gap_free_lsn = watermark
     seen = set()
@@ -191,6 +196,7 @@ def verify_directory(directory: PathLike) -> VerifyReport:
             report.records_in_prefix += 1
             report.max_gap_free_lsn = lsn
             expected += 1
+            prefix.append(record)
         else:
             if report.gap is None:
                 report.gap = (expected, lsn)
@@ -200,4 +206,28 @@ def verify_directory(directory: PathLike) -> VerifyReport:
                     f"durable prefix"
                 )
             report.records_beyond_prefix += 1
+    _check_vector_lengths(report, fold.visual if fold is not None else {}, prefix)
     return report
+
+
+def _check_vector_lengths(report: VerifyReport, shots, prefix: List[Record]) -> None:
+    """Report a problem unless the shots recovery restores share one vector length."""
+    lengths = {shot_id: len(features) for shot_id, (features, _) in shots.items()}
+    for record in prefix:
+        if record.get("op") not in ("shot", "del"):
+            continue
+        try:
+            op, item_id, payload = read_op(record)
+        except ReplayError as error:  # recovery refuses the same record
+            report.problems.append(str(error))
+            continue
+        if op == "shot":
+            lengths.setdefault(item_id, len(payload[0]))
+        elif payload == "shot":
+            lengths.pop(item_id, None)
+    distinct = sorted(set(lengths.values()))
+    if len(distinct) > 1:
+        report.problems.append(
+            f"shots have {len(distinct)} vector lengths "
+            f"({', '.join(map(str, distinct))})"
+        )

@@ -2,12 +2,12 @@
 
 Deletes and updates tombstone dense slots (see :mod:`repro.index.slots`);
 scoring stays exact because postings are scrubbed eagerly, but the interned
-id space and the per-slot arrays keep growing.  Compaction re-interns the
-live documents — in slot order, which is exactly the order a from-scratch
-rebuild or WAL replay would use, so
-rankings are unchanged bit-for-bit — and swaps the rebuilt state into the
-*existing* index objects in place, because the scorer and the engine hold
-direct references to them.
+id space and the per-slot arrays keep growing.  Compaction renumbers the
+live items column by column — nothing is re-added — into exactly what a
+from-scratch rebuild or WAL replay in slot order would hold, so rankings
+are unchanged bit-for-bit, and swaps that state into the *existing* index
+objects in place, because the scorer and the engine hold direct
+references to them.
 
 The protocol is split so the expensive part never blocks readers:
 
@@ -32,6 +32,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class BackgroundCompactor:
         interval: float = 0.05,
     ) -> None:
         if not 0.0 < tombstone_ratio <= 1.0:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"tombstone_ratio must be in (0, 1], got {tombstone_ratio!r}"
             )
         self._engine = engine

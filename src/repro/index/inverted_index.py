@@ -42,10 +42,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.collection.documents import Collection
-from repro.index.slots import SlotTable, SlottedIndex
+from repro.index.slots import SlotTable, SlottedIndex, rebuild_order
 from repro.index.tokenizer import Tokenizer
 
 
@@ -205,16 +206,27 @@ class InvertedIndex(SlottedIndex):
     # -- compaction --------------------------------------------------------------
 
     def compacted_copy(self) -> "InvertedIndex":
-        """A fresh index holding only the live documents, re-interned densely.
+        """A fresh index of the live documents, renumbered densely.
 
-        Live documents are re-added in slot order, the canonical replay
-        order, so the copy ranks bit-identically to this index.
+        Deletes scrub postings, so each slots column holds live slots in
+        ascending order and is mapped through the old → new slot table;
+        per-slot columns keep their live entries and terms a rebuild's
+        order, so the copy equals re-adding the live documents in slot
+        order.  It shares their term-frequency maps, which nothing mutates
+        in place (a delete stores ``{}``, an add a fresh ``dict``).
         """
         fresh = InvertedIndex(tokenizer=self._tokenizer)
-        doc_vectors = self._doc_vectors
-        for slot, document_id in enumerate(self.slots.ids):
-            if document_id is not None:
-                fresh.add_document_frequencies(document_id, doc_vectors[slot])
+        fresh.slots, live, new_slot = self.slots.compacted()
+        fresh._doc_lengths = array("i", compress(self._doc_lengths, live))
+        fresh._doc_vectors = list(compress(self._doc_vectors, live))
+        columns, frequencies = self._postings_columns, self._collection_frequencies
+        first = {term: docs[0] for term, (docs, _) in columns.items()}
+        renumber = new_slot.__getitem__
+        for term in rebuild_order(first, self._doc_vectors):
+            docs, freqs = columns[term]
+            fresh._postings_columns[term] = (array("i", map(renumber, docs)), freqs[:])
+            fresh._collection_frequencies[term] = frequencies[term]
+        fresh._total_terms = self._total_terms
         return fresh
 
     def adopt_compacted(self, fresh: "InvertedIndex") -> int:

@@ -17,10 +17,11 @@ monolithic :class:`~repro.index.inverted_index.InvertedIndex` and
   a from-scratch replay of the same writes puts it.
 * ``generation`` ticks on every add, remove and adoption.  It is the clock
   an index's derived state is keyed on.
-* :meth:`SlotTable.compacted` re-interns the live ids in slot order and
-  :meth:`SlotTable.adopt` swaps them in place.  ``ids`` becomes a new list,
-  so a reader still holding the old one (a
-  :class:`~repro.index.scoring.DenseScores`) reads what it scored.
+* :meth:`SlotTable.compacted` renumbers the live ids densely in slot order,
+  with the table a dense column is remapped by, and :meth:`SlotTable.adopt`
+  swaps them in place.  ``ids`` becomes a new list, so a reader still
+  holding the old one (a :class:`~repro.index.scoring.DenseScores`) reads
+  what it scored.
 
 :class:`SlottedIndex` is the lifecycle the two index classes share over
 their table: ``tombstone_count``, ``generation`` and :meth:`SlottedIndex.
@@ -38,7 +39,11 @@ clock move.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Iterable, List, Optional, TypeVar
+from itertools import accumulate, compress, repeat
+from operator import is_not
+from typing import (
+    Callable, Dict, Generic, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.errors import InvalidArgumentError, NotIndexedError
 
@@ -137,12 +142,18 @@ class SlotTable:
 
     # -- compaction --------------------------------------------------------------
 
-    def compacted(self) -> "SlotTable":
-        """A fresh table of the live ids, re-interned densely in slot order."""
+    def compacted(self) -> Tuple["SlotTable", List[bool], List[int]]:
+        """``(fresh, live, new_slot)``: the live ids renumbered densely in slot order.
+
+        ``live`` is the per-slot mask a dense column keeps its live entries
+        with (``itertools.compress``); ``new_slot`` is its prefix count, so
+        ``new_slot[old]`` is a live slot's number in ``fresh``.
+        """
+        live = list(map(is_not, self.ids, repeat(None)))
         fresh = SlotTable(self._noun, self._where)
-        fresh.ids = self.live_ids()
-        fresh._slot_of = {item_id: slot for slot, item_id in enumerate(fresh.ids)}
-        return fresh
+        fresh.ids = list(compress(self.ids, live))
+        fresh._slot_of = dict(zip(fresh.ids, range(len(fresh.ids))))
+        return fresh, live, list(accumulate(live, initial=0))
 
     def adopt(self, fresh: "SlotTable") -> int:
         """Take ``fresh``'s slots in place; returns the slots reclaimed.
@@ -154,6 +165,16 @@ class SlotTable:
         self._slot_of = fresh._slot_of
         self.generation += 1
         return reclaimed
+
+
+def rebuild_order(first_slot: Mapping[str, int], maps: Sequence[Mapping[str, object]]) -> List[str]:
+    """The keys of ``first_slot`` (key → first live slot holding it) in the
+    order a rebuild meets them: by first slot, then by place in that slot's
+    map ``maps[slot]``, whose key objects are the ones returned."""
+    order: List[str] = []
+    for slot in sorted(set(first_slot.values())):
+        order.extend(key for key in maps[slot] if first_slot[key] == slot)
+    return order
 
 
 class SlottedIndex:
@@ -183,9 +204,9 @@ class SlottedIndex:
     def compact(self) -> int:
         """Reclaim tombstoned slots in place; returns how many.
 
-        Live items keep their slot order, so rankings are unchanged, and
-        object identity is kept.  Without tombstones it is a no-op that
-        leaves the generation as it is.
+        The dense columns are renumbered, not rebuilt: live items keep their
+        slot order, so rankings are unchanged, and object identity is kept.
+        Without tombstones it is a no-op that leaves the generation as it is.
         """
         if self.slots.tombstone_count == 0:
             return 0

@@ -71,7 +71,7 @@ from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequenc
 from repro.analysis.features import FeatureExtractor, cosine_similarity
 from repro.collection.documents import Collection
 from repro.errors import InvalidArgumentError
-from repro.index.slots import PerGeneration, SlotTable, SlottedIndex
+from repro.index.slots import PerGeneration, SlotTable, SlottedIndex, rebuild_order
 from repro.utils.validation import ensure_positive
 
 #: Bound on the neighbour pairs one :class:`NeighbourTable` stores: 1 024
@@ -369,7 +369,7 @@ class VisualIndex(SlottedIndex):
         concept postings list it appears in, so searches never need a
         tombstone mask.  Concept postings are ``(slot, score)`` in
         ascending slot order (appends only ever extend them, deletions
-        preserve order, compaction re-adds in slot order), so each scrub
+        preserve order, compaction renumbers monotonically), so each scrub
         is one bisect.
         """
         slot = self.slots.remove(shot_id)
@@ -392,11 +392,22 @@ class VisualIndex(SlottedIndex):
     # -- compaction ----------------------------------------------------------
 
     def compacted_copy(self) -> "VisualIndex":
-        """A fresh index holding only the live shots, re-interned densely."""
+        """A fresh index of the live shots, renumbered densely, as
+        :meth:`InvertedIndex.compacted_copy` renumbers postings.  It shares
+        the vectors (tuples) and concept maps, which nothing mutates in
+        place (a delete stores ``{}``, an add a fresh ``dict``)."""
         fresh = VisualIndex()
-        for slot, shot_id in enumerate(self.slots.ids):
-            if shot_id is not None:
-                fresh.add_shot(shot_id, self._vectors[slot], self._concept_maps[slot])
+        fresh.slots, live, new_slot = self.slots.compacted()
+        fresh._vectors = list(compress(self._vectors, live))
+        fresh._norms = array("d", compress(self._norms, live))
+        fresh._concept_maps = list(compress(self._concept_maps, live))
+        fresh._lengths = Counter(map(len, fresh._vectors))
+        postings = self._concept_postings
+        first = {concept: entries[0][0] for concept, entries in postings.items()}
+        for concept in rebuild_order(first, self._concept_maps):
+            fresh._concept_postings[concept] = [
+                (new_slot[slot], score) for slot, score in postings[concept]
+            ]
         return fresh
 
     def adopt_compacted(self, fresh: "VisualIndex") -> int:
@@ -487,7 +498,8 @@ class VisualIndex(SlottedIndex):
         """Shots most similar to an arbitrary feature vector.
 
         The two-stage scan of the module docstring.  A live shot of another
-        dimensionality raises ``ValueError``, excluded or not.
+        dimensionality raises :class:`~repro.errors.InvalidArgumentError`
+        (a ``ValueError``), excluded or not.
         """
         ensure_positive(limit, "limit")
         excluded = set(exclude)
@@ -497,7 +509,7 @@ class VisualIndex(SlottedIndex):
         view = self._scan.get()
         if view.dimensions - {query_dimensions}:
             other = next(len(f) for f in view.vectors if len(f) != query_dimensions)
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"vectors must have equal length, got {query_dimensions} and {other}"
             )
         shot_ids, vectors, norms = view.shot_ids, view.vectors, view.norms

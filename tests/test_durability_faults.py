@@ -24,6 +24,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import errno
+import io
 import json
 import shutil
 import signal
@@ -46,6 +47,7 @@ from repro.durability.replay import (
     TextItems,
     VisualItems,
     apply_record,
+    op_record,
 )
 from repro.durability.snapshots import (
     SNAPSHOT_FORMAT,
@@ -56,7 +58,8 @@ from repro.durability.snapshots import (
     manifest_ids,
 )
 from repro.durability.wal import WalSegment, encode_op, segment_filename
-from repro.errors import ReproError
+from repro import cli
+from repro.errors import InvalidArgumentError, ReproError
 from repro.retrieval import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
 from repro.utils.serialization import read_json
@@ -570,6 +573,71 @@ def _manifest_parses(monkeypatch):
 
     monkeypatch.setattr(snapshots, "read_json", counting)
     return parsed
+
+
+class TestMixedVectorLengths:
+    """A directory written before shot writes were checked for their vector
+    length may hold shots of two lengths.  ``verify`` reports it, and
+    query-by-example on the reopened engine refuses in a typed error.  The
+    odd shot is appended straight through the durability manager, as such
+    a writer did, and applied to the visual index, which does not check."""
+
+    @staticmethod
+    def _with_odd_shot(corpus, directory, in_chain, deleted=False):
+        service = RetrievalService(
+            corpus.collection, config=_durable_config(directory, interval=2)
+        )
+        dimensions = service_feature_dim(service)
+        durability = service.engine.durability
+        visual = service.engine.visual_index
+        features = [1.0] * (dimensions + 3)
+        durability.log_index_op(op_record("shot", "odd-shot", (features, {})))
+        visual.add_shot("odd-shot", features, {})
+        if deleted:
+            durability.log_index_op(op_record("del", "odd-shot", "shot"))
+            visual.delete_shot("odd-shot")
+        if in_chain:
+            # The next write reaches the interval: its checkpoint carries the
+            # odd record (and the delete) into an ops delta of the chain.
+            apply_ingest(service, _ops(service, 1))
+        service.close()
+        return dimensions
+
+    @pytest.mark.parametrize("in_chain", (False, True), ids=("wal-prefix", "chain-fold"))
+    def test_verify_reports_two_lengths(self, analysed_corpus, tmp_path, in_chain):
+        directory = tmp_path / "d"
+        dimensions = self._with_odd_shot(analysed_corpus, directory, in_chain)
+        report = verify_directory(directory)
+        assert (report.chain_op_records > 0) == in_chain
+        problem = f"shots have 2 vector lengths ({dimensions}, {dimensions + 3})"
+        assert report.problems == [problem]
+        out = io.StringIO()
+        assert cli.main(["verify", str(directory)], out=out) == 1
+        assert f"PROBLEM: {problem}" in out.getvalue().splitlines()
+
+    @pytest.mark.parametrize("in_chain", (False, True), ids=("wal-prefix", "chain-fold"))
+    def test_a_deleted_odd_shot_is_no_problem(self, analysed_corpus, tmp_path, in_chain):
+        directory = tmp_path / "d"
+        self._with_odd_shot(analysed_corpus, directory, in_chain, deleted=True)
+        assert verify_directory(directory).ok
+
+    def test_query_by_example_refuses_in_a_typed_error(self, analysed_corpus, tmp_path):
+        directory = tmp_path / "d"
+        dimensions = self._with_odd_shot(analysed_corpus, directory, in_chain=False)
+        reopened = RetrievalService(
+            analysed_corpus.collection, config=_durable_config(directory)
+        )
+        try:
+            visual = reopened.engine.visual_index
+            assert visual.has_shot("odd-shot")
+            probe = visual.features_of(visual.shot_ids()[0])
+            with pytest.raises(InvalidArgumentError) as caught:
+                visual.similar_to_vector(probe, limit=5)
+            assert str(caught.value) == (
+                f"vectors must have equal length, got {dimensions} and {dimensions + 3}"
+            )
+        finally:
+            reopened.close()
 
 
 class TestOneWalkOfTheChain:

@@ -525,8 +525,10 @@ class TestAdaptationOverTombstones:
 class TestBackgroundCompactor:
     def test_validation(self, small_corpus):
         engine = VideoRetrievalEngine(small_corpus.collection)
-        with pytest.raises(ValueError):
-            BackgroundCompactor(engine, tombstone_ratio=0.0)
+        for ratio in (0.0, 1.5):
+            with pytest.raises(InvalidArgumentError, match=r"tombstone_ratio must be in \(0, 1\]"):
+                BackgroundCompactor(engine, tombstone_ratio=ratio)
+        assert issubclass(InvalidArgumentError, ValueError)
 
     def test_ratio_gate_and_reclaim(self, small_corpus):
         engine = VideoRetrievalEngine(
