@@ -799,7 +799,9 @@ def _print_serving_stats(metrics, out) -> None:
             f"  result cache: {cache.get('hits', 0):.0f} hits / "
             f"{cache.get('misses', 0):.0f} misses "
             f"(hit rate {cache.get('hit_rate', 0.0):.1%}, "
-            f"{cache.get('entries', 0):.0f}/{cache.get('capacity', 0):.0f} entries)",
+            f"{cache.get('entries', 0):.0f}/{cache.get('capacity', 0):.0f} entries, "
+            f"{cache.get('admitted', 0):.0f} admitted / "
+            f"{cache.get('rejected', 0):.0f} rejected)",
             file=out,
         )
 

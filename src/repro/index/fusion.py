@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Mapping, Sequence
 
+from repro.errors import InvalidArgumentError
 from repro.utils.validation import ensure_non_empty
 
 ScoreMap = Mapping[str, float]
@@ -78,12 +79,12 @@ def weighted_fusion(
     """Weighted linear combination of normalised score maps."""
     ensure_non_empty(score_maps, "score_maps")
     if len(score_maps) != len(weights):
-        raise ValueError(
+        raise InvalidArgumentError(
             f"need one weight per score map, got {len(weights)} weights "
             f"for {len(score_maps)} maps"
         )
     if any(weight < 0 for weight in weights):
-        raise ValueError("fusion weights must be non-negative")
+        raise InvalidArgumentError("fusion weights must be non-negative")
     active = [
         (scores, weight) for scores, weight in zip(score_maps, weights) if weight != 0
     ]
@@ -114,7 +115,7 @@ def reciprocal_rank_fusion(
     """Reciprocal rank fusion: robust to incomparable score scales."""
     ensure_non_empty(score_maps, "score_maps")
     if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+        raise InvalidArgumentError(f"k must be positive, got {k}")
     fused: Dict[str, float] = {}
     for scores in score_maps:
         ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
@@ -134,7 +135,9 @@ def interpolate(
     every document that appears in either map.
     """
     if not 0.0 <= secondary_weight <= 1.0:
-        raise ValueError(f"secondary_weight must be in [0, 1], got {secondary_weight}")
+        raise InvalidArgumentError(
+            f"secondary_weight must be in [0, 1], got {secondary_weight}"
+        )
     primary_normalised = min_max_normalise(primary)
     secondary_normalised = min_max_normalise(secondary)
     documents = set(primary_normalised) | set(secondary_normalised)

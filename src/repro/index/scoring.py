@@ -44,7 +44,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import ReproError
+from repro.errors import InvalidArgumentError, ReproError
 from repro.index.inverted_index import InvertedIndex
 from repro.index.slots import PerGeneration
 from repro.utils.validation import ensure_number, ensure_probability
@@ -71,7 +71,8 @@ def normalise_query(query_terms: QueryTerms) -> Dict[str, float]:
 
     A plain sequence of terms becomes weights equal to the term's repetition
     count, which matches the behaviour of classic keyword queries.  Zero
-    weights are dropped; a NaN or infinite weight raises ``ValueError``,
+    weights are dropped; a NaN or infinite weight raises
+    :class:`~repro.errors.InvalidArgumentError` (a ``ValueError``),
     since it would poison every score it touches.
     """
     weights: Dict[str, float]
@@ -83,7 +84,9 @@ def normalise_query(query_terms: QueryTerms) -> Dict[str, float]:
             term, weight = next(
                 item for item in weights.items() if not math.isfinite(item[1])
             )
-            raise ValueError(f"query term {term!r} has a non-finite weight {weight}")
+            raise InvalidArgumentError(
+                f"query term {term!r} has a non-finite weight {weight}"
+            )
         return weights
     weights = {}
     for term in query_terms:

@@ -15,11 +15,9 @@ that baseline and adaptive systems share exactly the same substrate.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import ContextManager, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.collection.documents import Collection
 from repro.durability.replay import ReplayCounts, apply_op, op_record
@@ -30,11 +28,11 @@ from repro.index.fusion import normalisation_bounds_of_values, weighted_fusion
 from repro.index.inverted_index import InvertedIndex
 from repro.index.registry import SCORER_REGISTRY, create_scorer
 from repro.index.scoring import DenseScores, TextScorer
-from repro.index.slots import PerGeneration
 from repro.index.tokenizer import Tokenizer
 from repro.index.visual import VisualIndex
 from repro.retrieval.expansion import RocchioExpander, extract_key_terms
 from repro.retrieval.query import Query
+from repro.retrieval.result_cache import ResultCache
 from repro.retrieval.results import ResultList
 from repro.utils.concurrency import ReadWriteLock, checkpoint_if_cancelled
 from repro.utils.validation import ensure_number, ensure_positive, ensure_probability
@@ -49,10 +47,14 @@ class EngineConfig:
     :mod:`repro.index.registry` (built in: ``"bm25"``, ``"tfidf"`` and
     ``"lm"``, tuned by ``bm25_k1``/``bm25_b`` and ``lm_mu``).
     ``result_limit`` is the default ranked-list depth per search.
-    ``result_cache_size`` bounds the engine's persistent query-result LRU
-    cache (0 disables it); cached entries are invalidated automatically
-    when either index is mutated, so served rankings are always identical
-    to a fresh evaluation.
+    ``result_cache_size`` is the most fully evaluated searches the engine
+    keeps (0 disables the cache).  A W-TinyLFU policy
+    (:mod:`repro.retrieval.result_cache`: a 1 % LRU window, an 80/20
+    segmented-LRU main cache, admission by a count-min frequency sketch
+    that halves every ``10 × result_cache_size`` lookups) chooses which;
+    cached entries are invalidated automatically when either index is
+    mutated, so served rankings are always identical to a fresh
+    evaluation.
     ``near_duplicate_threshold`` (``None`` disables screening) rejects
     incoming documents whose term-frequency cosine similarity to an
     already-live document reaches the threshold — they are silently skipped
@@ -147,16 +149,14 @@ class VideoRetrievalEngine:
         self._text_scorer = text_scorer or create_scorer(
             config.scorer, self._inverted_index, config
         )
-        # Persistent LRU of fully-evaluated searches, keyed on the query
-        # fingerprint plus limit.  The store lives for one generation pair
-        # of the two indexes, so a mutation (add_document / add_shot)
-        # implicitly drops every cached result.
-        self._result_cache: "PerGeneration[OrderedDict[Tuple, ResultList]]" = (
-            PerGeneration((self._inverted_index, self._visual_index), OrderedDict)
+        # Persistent W-TinyLFU cache of fully-evaluated searches, keyed on
+        # the query fingerprint plus limit.  Its entries live for one
+        # generation pair of the two indexes, so a mutation (add_document /
+        # add_shot) implicitly drops every cached result; its frequency
+        # sketch outlives them, because popularity belongs to the traffic.
+        self._result_cache: "ResultCache[ResultList]" = ResultCache(
+            config.result_cache_size, (self._inverted_index, self._visual_index)
         )
-        self._result_cache_lock = threading.Lock()
-        self._result_cache_hits = 0
-        self._result_cache_misses = 0
         # Read-mostly discipline: searches take the shared side (they never
         # block each other), index mutation takes the exclusive side and
         # bumps the generation counters that invalidate every derived cache.
@@ -441,23 +441,15 @@ class VideoRetrievalEngine:
         )
 
     def result_cache_stats(self) -> Dict[str, float]:
-        """Hit/miss counters of the persistent result cache.
+        """Counters of the persistent result cache: ``hits``, ``misses``,
+        ``hit_rate``, ``entries`` of ``capacity``, and the window → main
+        admission decisions, ``admitted`` and ``rejected``.
 
         Counters survive generation-bump invalidations (an invalidated
         lookup counts as a miss), so the hit rate reflects what callers
         actually experienced across index mutations.
         """
-        with self._result_cache_lock:
-            hits, misses = self._result_cache_hits, self._result_cache_misses
-            entries = len(self._result_cache.get())
-        lookups = hits + misses
-        return {
-            "hits": float(hits),
-            "misses": float(misses),
-            "entries": float(entries),
-            "capacity": float(self._config.result_cache_size),
-            "hit_rate": (hits / lookups) if lookups else 0.0,
-        }
+        return self._result_cache.stats()
 
     def search(self, query: Query, limit: Optional[int] = None) -> ResultList:
         """Run a multimodal search and return a ranked result list.
@@ -476,29 +468,19 @@ class VideoRetrievalEngine:
         # Cancellation checkpoint at entry: a request whose deadline already
         # fired stops here, before any cache has been read or written.
         checkpoint_if_cancelled()
-        capacity = self._config.result_cache_size
-        if capacity == 0:
+        if self._config.result_cache_size == 0:
             return self._search_uncached(query, limit)
         cache_key = query.cache_key() + (limit or self._config.result_limit,)
-        # The store is read once, here, and the result is written into that
-        # same object.  A mutation landing during evaluation (a legacy
-        # direct index call) moves the clock, so the next read builds a new
-        # store and this one — holding a ranking that may predate the
-        # mutation — is never served.
-        with self._result_cache_lock:
-            store = self._result_cache.get()
-            cached = store.get(cache_key)
-            if cached is not None:
-                store.move_to_end(cache_key)
-                self._result_cache_hits += 1
-                return self._copy_results(cached)
-            self._result_cache_misses += 1
+        # The segments are read once, here, and the miss's slot writes the
+        # result into that same object.  A mutation landing during
+        # evaluation (a legacy direct index call) moves the clock, so the
+        # next lookup builds new segments and these — holding a ranking
+        # that may predate the mutation — are never served.
+        cached, slot = self._result_cache.lookup(cache_key)
+        if cached is not None:
+            return self._copy_results(cached)
         results = self._search_uncached(query, limit)
-        with self._result_cache_lock:
-            store[cache_key] = self._copy_results(results)
-            store.move_to_end(cache_key)
-            while len(store) > capacity:
-                store.popitem(last=False)
+        self._result_cache.insert(slot, self._copy_results(results))
         return results
 
     def _search_uncached(self, query: Query, limit: Optional[int] = None) -> ResultList:

@@ -14,6 +14,7 @@ import heapq
 import math
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
+from repro.errors import InvalidArgumentError
 from repro.index.inverted_index import InvertedIndex
 from repro.index.scoring import normalise_query
 from repro.utils.validation import ensure_positive
@@ -81,7 +82,7 @@ class RocchioExpander:
         expansion_terms: int = 20,
     ) -> None:
         if alpha < 0 or beta < 0 or gamma < 0:
-            raise ValueError("Rocchio coefficients must be non-negative")
+            raise InvalidArgumentError("Rocchio coefficients must be non-negative")
         self._index = index
         self._alpha = alpha
         self._beta = beta

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from repro.collection.documents import Collection
+from repro.errors import InvalidArgumentError
 from repro.index.fusion import interpolate
 from repro.retrieval.results import ResultList
 
@@ -58,7 +59,7 @@ def story_scores_from_shots(
     ``"sum"`` or ``"mean"``.
     """
     if aggregation not in ("max", "sum", "mean"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
+        raise InvalidArgumentError(f"unknown aggregation {aggregation!r}")
     grouped: Dict[str, list] = {}
     for shot_id, score in shot_scores.items():
         if not collection.has_shot(shot_id):
@@ -89,7 +90,7 @@ def demote_seen_shots(
     shots by ``1 - penalty``.
     """
     if not 0.0 <= penalty <= 1.0:
-        raise ValueError(f"penalty must be in [0, 1], got {penalty}")
+        raise InvalidArgumentError(f"penalty must be in [0, 1], got {penalty}")
     seen = set(seen_shot_ids)
     scores = results.scores()
     if not scores:

@@ -14,8 +14,16 @@ import pytest
 
 import repro
 from repro.errors import InvalidArgumentError, ReproError
+from repro.index import fusion
+from repro.index.scoring import normalise_query
 from repro.replication import ChaosEvent, ChaosSchedule, run_replicated_loadtest
-from repro.retrieval import EngineConfig
+from repro.retrieval import (
+    EngineConfig,
+    ResultList,
+    RocchioExpander,
+    demote_seen_shots,
+    story_scores_from_shots,
+)
 from repro.utils import validation
 from repro.utils.registry import ComponentRegistry
 
@@ -135,3 +143,50 @@ def test_module_refusals_are_invalid_argument_errors(refusal):
     with pytest.raises(InvalidArgumentError) as refused:
         MODULE_REFUSALS[refusal]()
     assert isinstance(refused.value, ValueError)
+
+
+#: Fusion, scoring and retrieval refusals: ``name -> (refused call, message)``.
+#: None of them reads an index or a collection before it refuses.
+RANKING_REFUSALS = {
+    "weighted_fusion.weight_count": (
+        lambda: fusion.weighted_fusion([{"a": 1.0}], [1.0, 2.0]),
+        "need one weight per score map, got 2 weights for 1 maps",
+    ),
+    "weighted_fusion.negative_weight": (
+        lambda: fusion.weighted_fusion([{"a": 1.0}], [-1.0]),
+        "fusion weights must be non-negative",
+    ),
+    "reciprocal_rank_fusion.k": (
+        lambda: fusion.reciprocal_rank_fusion([{"a": 1.0}], k=0),
+        "k must be positive, got 0",
+    ),
+    "interpolate.secondary_weight": (
+        lambda: fusion.interpolate({"a": 1.0}, {"a": 1.0}, secondary_weight=1.5),
+        "secondary_weight must be in [0, 1], got 1.5",
+    ),
+    "normalise_query.non_finite_weight": (
+        lambda: normalise_query({"goal": 1.0, "rain": float("inf")}),
+        "query term 'rain' has a non-finite weight inf",
+    ),
+    "story_scores_from_shots.aggregation": (
+        lambda: story_scores_from_shots({}, None, aggregation="median"),
+        "unknown aggregation 'median'",
+    ),
+    "demote_seen_shots.penalty": (
+        lambda: demote_seen_shots(ResultList(query_text="q", items=[]), (), penalty=2.0),
+        "penalty must be in [0, 1], got 2.0",
+    ),
+    "RocchioExpander.coefficients": (
+        lambda: RocchioExpander(None, beta=-0.5),
+        "Rocchio coefficients must be non-negative",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(RANKING_REFUSALS))
+def test_ranking_refusals_are_invalid_argument_errors(refusal):
+    call, message = RANKING_REFUSALS[refusal]
+    with pytest.raises(InvalidArgumentError) as refused:
+        call()
+    assert isinstance(refused.value, ValueError)
+    assert str(refused.value) == message

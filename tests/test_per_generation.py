@@ -75,7 +75,7 @@ def _engine(write):
             "text": lambda: engine.index_document("written", "goal rain"),
             "visual": lambda: engine.index_shot("written", (0.5, 0.5)),
         }
-        return engine, "_result_cache", writes[write]
+        return engine._result_cache, "_segments", writes[write]
 
     return build
 
@@ -130,7 +130,7 @@ class TestPerGenerationContract:
         cell.get()
         assert cell._held[1] is not None
         # The owner where it pickles (indexes, scorers); the cell
-        # alone where the owner holds locks (engine, feedback model).
+        # alone where the owner holds locks (result cache, feedback model).
         try:
             clone = getattr(pickle.loads(pickle.dumps(owner)), name)
         except TypeError:
@@ -198,9 +198,9 @@ def test_differential_fails_on_a_mutant_writing_into_the_current_store(monkeypat
     source = textwrap.dedent(
         inspect.getsource(VideoRetrievalEngine._search_read_locked)
     )
-    original = "store[cache_key] = self._copy_results(results)"
+    original = "self._result_cache.insert(slot, self._copy_results(results))"
     assert source.count(original) == 1
-    mutated = "store = self._result_cache.get(); " + original
+    mutated = "slot = (self._result_cache._segments.get(),) + slot[1:]; " + original
     namespace = dict(vars(engine_module))
     exec(source.replace(original, mutated), namespace)
     monkeypatch.setattr(

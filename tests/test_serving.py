@@ -1238,7 +1238,10 @@ class TestAdmission:
         assert snapshot["gauges"]["in_flight"] == 0.0
         assert snapshot["counters"]["completed"] == 1
         assert snapshot["endpoints"]["search"]["count"] == 1
-        assert "hit_rate" in snapshot["result_cache"]
+        cache = snapshot["result_cache"]
+        assert "hit_rate" in cache
+        # One search overflows no admission window: no decision yet.
+        assert cache["admitted"] == cache["rejected"] == 0.0
         service.close()
 
     def test_rejection_hint_reads_one_track(self, small_corpus, monkeypatch):
@@ -1450,3 +1453,4 @@ class TestServeCli:
         assert "shard-fanout" not in text
         assert "counters:" in text and "completed=" in text
         assert "result cache:" in text and "hit rate" in text
+        assert " admitted / " in text and " rejected)" in text
