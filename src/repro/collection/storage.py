@@ -27,6 +27,7 @@ from typing import Dict, List, Union
 from repro.collection.documents import Collection, Keyframe, NewsStory, Shot, Video
 from repro.collection.qrels import Qrels
 from repro.collection.topics import Topic, TopicSet
+from repro.errors import InvalidArgumentError
 from repro.utils.serialization import read_json, write_json
 
 PathLike = Union[str, Path]
@@ -115,9 +116,9 @@ def load_collection(path: PathLike) -> Collection:
     """Read a collection snapshot written by :func:`save_collection`."""
     payload = read_json(path)
     if payload.get("kind") != "collection":
-        raise ValueError(f"{path} does not contain a collection snapshot")
+        raise InvalidArgumentError(f"{path} does not contain a collection snapshot")
     if payload.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"unsupported collection format version {payload.get('format_version')}"
         )
     videos = [
@@ -169,7 +170,7 @@ def load_topics(path: PathLike) -> TopicSet:
     """Read a topic set written by :func:`save_topics`."""
     payload = read_json(path)
     if payload.get("kind") != "topics":
-        raise ValueError(f"{path} does not contain a topic snapshot")
+        raise InvalidArgumentError(f"{path} does not contain a topic snapshot")
     return TopicSet(
         [
             Topic(
@@ -234,7 +235,7 @@ def load_corpus(directory: PathLike) -> StoredCorpus:
     directory = Path(directory)
     manifest = read_json(directory / "manifest.json")
     if manifest.get("kind") != "corpus-manifest":
-        raise ValueError(f"{directory} does not contain a corpus manifest")
+        raise InvalidArgumentError(f"{directory} does not contain a corpus manifest")
     return StoredCorpus(
         collection=load_collection(directory / "collection.json"),
         topics=load_topics(directory / "topics.json"),

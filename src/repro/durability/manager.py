@@ -50,6 +50,7 @@ from repro.durability.snapshots import (
     manifest_filename,
 )
 from repro.durability.wal import META_SEGMENT, WriteAheadLog
+from repro.errors import InvalidArgumentError
 from repro.sharding.router import ShardRouter
 from repro.utils.serialization import PathLike
 
@@ -67,7 +68,7 @@ class DurabilityManager:
         next_lsn: int = 1,
     ) -> None:
         if snapshot_interval_ops < 1:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"snapshot_interval_ops must be positive, got {snapshot_interval_ops}"
             )
         self._directory = Path(directory)
@@ -343,8 +344,10 @@ class DurabilityManager:
         parent = self._snapshots.latest_manifest
         if parent is None or self._rebase_next_checkpoint:
             manifest = self._snapshots.write_full_checkpoint(
-                text_items=list(engine_text_items(engine)),
-                visual_items=list(engine_visual_items(engine)),
+                engine_text_items(engine),
+                engine_visual_items(engine),
+                text_count=engine.inverted_index.document_count,
+                shot_count=engine.visual_index.shot_count,
                 wal_lsn=cut,
             )
             if parent is not None:

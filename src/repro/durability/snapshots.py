@@ -13,6 +13,11 @@ its parent manifest.  There are exactly two kinds:
   dense id tables, and therefore scores, byte-identical.  The bootstrap
   checkpoint of a fresh directory is one; with a parent it is a
   **rebase** (``"rebase": true``) and makes every older delta irrelevant.
+  It is **streamed**: one pass over the engine's item iterators routes
+  each entry to its shard's open delta file (:class:`_ShardDeltas`), and
+  an entry is built only when it joins that file's chunk, so the write
+  holds one chunk per shard, not the state.  The items streamed must
+  match the live counts the manifest declares, or nothing is renamed in.
 * an **ops** checkpoint (:meth:`SnapshotStore.write_ops_checkpoint`)
   describes *change*: its deltas hold, verbatim, the index-op records the
   WAL carried for ``parent.wal_lsn < lsn <= wal_lsn`` (``"ops"``), and the
@@ -58,7 +63,8 @@ entries, and formats 1 and 2 store vectors as JSON lists, which
 writes format 3 only.
 
 Crash safety: delta files are written first, then the manifest, each
-through ``tmp + fsync + os.replace``.  A manifest therefore never names a
+through ``tmp + fsync + os.replace`` (:class:`_JsonWriter`, the one
+encoder of every file here).  A manifest therefore never names a
 delta that is not fully on disk, and a crash mid-checkpoint leaves the
 previous manifest as the durable tip (the orphaned delta files are inert).
 WAL compaction — truncating records at or below the manifest's watermark —
@@ -69,9 +75,10 @@ the snapshot chain does not.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.durability.replay import (
     Record,
@@ -97,11 +104,15 @@ SNAPSHOT_FORMAT = 3
 _MANIFEST_PREFIX = "checkpoint-"
 _MANIFEST_SUFFIX = ".json"
 
-#: List elements per encoder call in :func:`_write_json_atomic`.  A
-#: 1 178-document + 1 178-shot full state (1.2 MB) took 32.1 ms at one
-#: element per call, 27.6 ms at 32 and 30.0 ms at 256, whose chunk strings
-#: peak at 894 KiB of transient memory against 127 KiB at 32 (2-core
-#: x86-64 VM, CPython 3.11).
+#: List elements per encoder call in :class:`_JsonWriter`, and so the most
+#: entries of one list it holds.  A streamed full checkpoint builds an entry
+#: only when it joins its shard's chunk, so its transient memory is, per
+#: shard, one chunk, its encoded string and the file's buffer: a rebase
+#: peaks at 48-50 KiB of traced allocations on one shard and 115-121 KiB on
+#: four, at 500 and 2 000 live items alike (CPython 3.11).  A 1 178-document
+#: + 1 178-shot full state (1.2 MB) took 32.1 ms at one element per call,
+#: 27.6 ms at 32 and 30.0 ms at 256, whose chunk strings peaked at 894 KiB
+#: of transient memory against 127 KiB at 32 (2-core x86-64 VM).
 _CHUNK_ITEMS = 32
 
 
@@ -119,41 +130,119 @@ def delta_filename(checkpoint_id: int, shard: int) -> str:
     return f"delta-cp{checkpoint_id:06d}-shard{shard:04d}.json"
 
 
+class _JsonWriter:
+    """One JSON object written durably, its lists a chunk at a time.
+
+    The bytes are ``json.dumps(payload, sort_keys=True, separators=(",",
+    ":"))`` plus a newline, where ``payload`` is ``fields`` plus one list
+    per :meth:`open_list` key.  ``fields`` are encoded whole when the sorted
+    key order reaches them; list keys must be opened in sorted order, and
+    their elements go through one C-encoder call per :data:`_CHUNK_ITEMS`.
+    A ``bytes`` element is a value already encoded that way (an ops delta's
+    WAL payload) and is written verbatim.  Everything goes to ``path.tmp``;
+    :meth:`commit` fsyncs it and renames it onto ``path``, :meth:`discard`
+    removes it.
+    """
+
+    def __init__(self, path: Path, fields: Dict[str, object]) -> None:
+        self._path = path
+        self._tmp = path.with_suffix(path.suffix + ".tmp")
+        self._handle = self._tmp.open("w", encoding="utf-8")
+        self._write = self._handle.write
+        self._fields = sorted(fields.items(), reverse=True)  # smallest key last
+        self._keys = 0
+        self.list_key: Optional[str] = None
+        self._chunk: list = []
+        self._written = 0
+        self._write("{")
+
+    def _key(self, key: str) -> None:
+        self._write(("," if self._keys else "") + canonical_json(key) + ":")
+        self._keys += 1
+
+    def _fields_before(self, key: Optional[str]) -> None:
+        fields = self._fields
+        while fields and (key is None or fields[-1][0] < key):
+            name, value = fields.pop()
+            self._key(name)
+            self._write(canonical_json(value))
+
+    def open_list(self, key: str) -> None:
+        """Close the open list, if any, and start the list ``key``."""
+        self._close_list()
+        self._fields_before(key)
+        self._key(key)
+        self._write("[")
+        self.list_key, self._written = key, 0
+
+    def append(self, element: object) -> None:
+        """Add one element to the open list."""
+        self._chunk.append(element)
+        if len(self._chunk) == _CHUNK_ITEMS:
+            self._flush()
+
+    def _flush(self) -> None:
+        chunk = self._chunk
+        if not chunk:
+            return
+        if self._written:
+            self._write(",")
+        if isinstance(chunk[0], bytes):
+            self._write(b",".join(chunk).decode("utf-8"))
+        else:
+            self._write(canonical_json(chunk)[1:-1])
+        self._written += len(chunk)
+        self._chunk = []
+
+    def _close_list(self) -> None:
+        if self.list_key is not None:
+            self._flush()
+            self._write("]")
+            self.list_key = None
+
+    def commit(self) -> None:
+        """Finish the object, fsync it and rename it into place."""
+        self._close_list()
+        self._fields_before(None)
+        self._write("}\n")
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+        self._handle.close()
+        os.replace(self._tmp, self._path)
+
+    def discard(self) -> None:
+        """Drop the unfinished file: ``path`` keeps what it held."""
+        self._handle.close()
+        self._tmp.unlink(missing_ok=True)
+
+
 def _write_json_atomic(path: Path, payload: Dict[str, object]) -> None:
     """Write a JSON object durably: tmp file, fsync, atomic rename.
 
     The bytes are ``json.dumps(payload, sort_keys=True, separators=(",",
-    ":"))``, produced a piece at a time — a top-level list
-    :data:`_CHUNK_ITEMS` elements per C-encoder call — so neither the
+    ":"))`` plus a newline, produced by :class:`_JsonWriter`: a value that
+    is a list or an iterator (a generator, say) is streamed, consumed once,
+    :data:`_CHUNK_ITEMS` elements per C-encoder call, so neither the
     Python-level encoder ``json.dump`` streams through nor a whole
     multi-megabyte document held in memory is paid for under the writer
-    lock.  A top-level list of ``bytes`` holds values already encoded that
-    way (an ops delta's WAL payloads) and is written verbatim.
+    lock.  A list of ``bytes`` holds values already encoded that way (an ops
+    delta's WAL payloads) and is written verbatim.
     """
-    tmp_path = path.with_suffix(path.suffix + ".tmp")
-    with tmp_path.open("w", encoding="utf-8") as handle:
-        write = handle.write
-        write("{")
-        for position, key in enumerate(sorted(payload)):
-            write(("," if position else "") + canonical_json(key) + ":")
-            value = payload[key]
-            if not isinstance(value, list):
-                write(canonical_json(value))
-                continue
-            write("[")
-            for start in range(0, len(value), _CHUNK_ITEMS):
-                if start:
-                    write(",")
-                chunk = value[start : start + _CHUNK_ITEMS]
-                if isinstance(chunk[0], bytes):
-                    write(b",".join(chunk).decode("utf-8"))
-                else:
-                    write(canonical_json(chunk)[1:-1])
-            write("]")
-        write("}\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    streamed = sorted(
+        key for key, value in payload.items() if isinstance(value, (list, Iterator))
+    )
+    writer = _JsonWriter(
+        path, {key: value for key, value in payload.items() if key not in streamed}
+    )
+    try:
+        for key in streamed:
+            writer.open_list(key)
+            for element in payload[key]:
+                writer.append(element)
+        writer.commit()
+    except BaseException:
+        writer.discard()
+        raise
 
 
 #: The manifest fields every reader relies on, with the JSON types they take.
@@ -405,34 +494,49 @@ class SnapshotStore:
 
     def write_full_checkpoint(
         self,
-        text_items: Sequence[Tuple[str, Dict[str, int]]],
-        visual_items: Sequence[Tuple[str, Sequence[float], Dict[str, float]]],
+        text_items: Iterable[Tuple[str, Dict[str, int]]],
+        visual_items: Iterable[Tuple[str, Sequence[float], Dict[str, float]]],
+        text_count: int,
+        shot_count: int,
         wal_lsn: int,
     ) -> Dict[str, object]:
         """Write the full live state, numbered from sequence zero.
 
-        ``text_items`` / ``visual_items`` are the current live state in
-        global insertion order.  This is the bootstrap checkpoint of a
-        fresh directory and, with a parent, a **rebase**: the manifest is
-        marked so :meth:`load_base` ignores everything before it.  One
-        delta per shard that holds at least one live item.
+        ``text_items`` / ``visual_items`` yield the current live state in
+        global insertion order (a term map is encoded as given, without a
+        copy), and ``text_count`` / ``shot_count`` are how many they yield.  Each
+        is consumed once: an entry is built when it joins its shard's
+        chunk, so what the write holds at once is bounded by the chunk
+        size, not by the state.  A count that differs from the declared one
+        raises :class:`SnapshotError`, and nothing is renamed into place.
+        This is the bootstrap checkpoint of a fresh directory and, with a
+        parent, a **rebase**: the manifest is marked so :meth:`load_base`
+        ignores everything before it.  One delta per shard that holds at
+        least one live item.
         """
-        per_shard: Dict[int, Dict[str, list]] = {}
-        for seq, (document_id, vector) in enumerate(text_items):
-            shard = self._router.shard_of(document_id)
-            per_shard.setdefault(shard, {}).setdefault("documents", []).append(
-                [seq, document_id, dict(vector)]
-            )
-        for seq, (shot_id, features, concepts) in enumerate(visual_items):
-            shard = self._router.shard_of(shot_id)
-            per_shard.setdefault(shard, {}).setdefault("shots", []).append(
-                [seq, shot_id, encode_vector(features), dict(concepts)]
-            )
+        def stream(deltas: _ShardDeltas) -> None:
+            documents = shots = 0
+            for documents, (document_id, vector) in enumerate(text_items, 1):
+                deltas.append(
+                    document_id, "documents", [documents - 1, document_id, vector]
+                )
+            for shots, (shot_id, features, concepts) in enumerate(visual_items, 1):
+                deltas.append(
+                    shot_id, "shots",
+                    [shots - 1, shot_id, encode_vector(features), concepts],
+                )
+            if (documents, shots) != (text_count, shot_count):
+                raise SnapshotError(
+                    f"full checkpoint streamed {documents} documents and "
+                    f"{shots} shots for {text_count} and {shot_count} "
+                    f"declared; no manifest was written"
+                )
+
         return self._write_checkpoint(
-            per_shard,
+            stream,
             wal_lsn=wal_lsn,
-            text_count=len(text_items),
-            shot_count=len(visual_items),
+            text_count=text_count,
+            shot_count=shot_count,
             rebase=self._latest is not None,
             op_records=0,
         )
@@ -455,12 +559,12 @@ class SnapshotStore:
         shard that logged at least one record; the chain must already have
         a full checkpoint to replay them onto.
         """
-        per_shard: Dict[int, Dict[str, list]] = {}
-        for _, record, payload in entries:
-            shard = self._router.shard_of(str(record["id"]))
-            per_shard.setdefault(shard, {}).setdefault("ops", []).append(payload)
+        def stream(deltas: _ShardDeltas) -> None:
+            for _, record, payload in entries:
+                deltas.append(str(record["id"]), "ops", payload)
+
         return self._write_checkpoint(
-            per_shard,
+            stream,
             wal_lsn=wal_lsn,
             text_count=text_count,
             shot_count=shot_count,
@@ -470,28 +574,29 @@ class SnapshotStore:
 
     def _write_checkpoint(
         self,
-        per_shard: Dict[int, Dict[str, list]],
+        stream: Callable[["_ShardDeltas"], None],
         wal_lsn: int,
         text_count: int,
         shot_count: int,
         rebase: bool,
         op_records: int,
     ) -> Dict[str, object]:
-        """Deltas first, then the manifest naming them (see module docstring)."""
+        """Deltas first, then the manifest naming them (see module docstring).
+
+        ``stream`` appends the checkpoint's entries to its deltas; if it (or
+        a delta's commit) raises, every unfinished delta file is dropped and
+        no manifest is written.
+        """
         parent = self._latest
         checkpoint_id = int(parent["checkpoint_id"]) + 1 if parent else 0
         self._directory.mkdir(parents=True, exist_ok=True)
-        delta_names: List[str] = []
-        for shard in sorted(per_shard):
-            name = delta_filename(checkpoint_id, shard)
-            payload: Dict[str, object] = {
-                "format": SNAPSHOT_FORMAT,
-                "checkpoint_id": checkpoint_id,
-                "shard": shard,
-            }
-            payload.update(per_shard[shard])
-            _write_json_atomic(self._directory / name, payload)
-            delta_names.append(name)
+        deltas = _ShardDeltas(self._directory, self._router, checkpoint_id)
+        try:
+            stream(deltas)
+            delta_names = deltas.commit()
+        except BaseException:
+            deltas.discard()
+            raise
         manifest: Dict[str, object] = {
             "format": SNAPSHOT_FORMAT,
             "checkpoint_id": checkpoint_id,
@@ -508,3 +613,50 @@ class SnapshotStore:
         )
         self._latest = manifest
         return manifest
+
+
+class _ShardDeltas:
+    """The per-shard delta files of one checkpoint, written in one pass.
+
+    :meth:`append` routes each entry by its item id with the same
+    :class:`~repro.sharding.router.ShardRouter` hash the WAL records were
+    routed by.  A shard's file is opened on its first entry and a list key
+    on its first entry there, so a shard with no documents has no
+    ``"documents"`` key and a shard with no entries at all has no file.
+    Entries must come key by key in sorted order (documents, then shots).
+    """
+
+    def __init__(self, directory: Path, router: ShardRouter, checkpoint_id: int) -> None:
+        self._directory = directory
+        self._router = router
+        self._checkpoint_id = checkpoint_id
+        self._writers: Dict[int, _JsonWriter] = {}
+
+    def append(self, item_id: str, key: str, entry: object) -> None:
+        shard = self._router.shard_of(item_id)
+        writer = self._writers.get(shard)
+        if writer is None:
+            writer = self._writers[shard] = _JsonWriter(
+                self._directory / delta_filename(self._checkpoint_id, shard),
+                {
+                    "format": SNAPSHOT_FORMAT,
+                    "checkpoint_id": self._checkpoint_id,
+                    "shard": shard,
+                },
+            )
+        if writer.list_key != key:
+            writer.open_list(key)
+        writer.append(entry)
+
+    def commit(self) -> List[str]:
+        """Rename every delta into place; their names, in shard order."""
+        for shard in sorted(self._writers):
+            self._writers[shard].commit()
+        return [
+            delta_filename(self._checkpoint_id, shard) for shard in sorted(self._writers)
+        ]
+
+    def discard(self) -> None:
+        """Drop every delta file not yet renamed into place."""
+        for writer in self._writers.values():
+            writer.discard()

@@ -43,7 +43,7 @@ from pathlib import Path
 from struct import pack, unpack
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
-from repro.errors import ReproError
+from repro.errors import InvalidArgumentError, ReproError
 
 PathLike = Union[str, Path]
 
@@ -173,7 +173,7 @@ _CRC_BYTES = 4
 def encode_uvarint(value: int) -> bytes:
     """Encode a non-negative integer as an unsigned LEB128 varint."""
     if value < 0:
-        raise ValueError(f"uvarint cannot encode negative value {value}")
+        raise InvalidArgumentError(f"uvarint cannot encode negative value {value}")
     out = bytearray()
     while True:
         byte = value & 0x7F

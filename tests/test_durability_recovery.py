@@ -167,8 +167,10 @@ class TestRecoveryEdges:
         durability = service.engine.durability
         engine = service.engine
         durability.snapshots.write_full_checkpoint(
-            text_items=list(engine_text_items(engine)),
-            visual_items=list(engine_visual_items(engine)),
+            engine_text_items(engine),
+            engine_visual_items(engine),
+            text_count=engine.inverted_index.document_count,
+            shot_count=engine.visual_index.shot_count,
             wal_lsn=durability.wal.last_lsn - 3,
         )
         service.close()
@@ -559,6 +561,13 @@ def test_atomic_writer_emits_canonical_json_bytes(tmp_path):
     _write_json_atomic(tmp_path / "raw.json", {"ops": [encode_op(op) for op in ops]})
     _write_json_atomic(tmp_path / "out.json", {"ops": ops})
     assert (tmp_path / "raw.json").read_bytes() == (tmp_path / "out.json").read_bytes()
+    # A generator is streamed through the same chunk loop, consumed once.
+    _write_json_atomic(tmp_path / "gen.json", {"ops": (encode_op(op) for op in ops)})
+    assert (tmp_path / "gen.json").read_bytes() == (tmp_path / "out.json").read_bytes()
+    _write_json_atomic(tmp_path / "gen.json", {"b": iter(()), "a": (x for x in long)})
+    assert (tmp_path / "gen.json").read_text(encoding="utf-8") == json.dumps(
+        {"a": long, "b": []}, sort_keys=True, separators=(",", ":")
+    ) + "\n"
 
 
 class TestSnapshotFormatOne:

@@ -13,6 +13,8 @@ import pkgutil
 import pytest
 
 import repro
+from repro.collection.storage import load_collection, load_corpus, load_topics
+from repro.durability import DurabilityManager
 from repro.errors import InvalidArgumentError, ReproError
 from repro.index import fusion
 from repro.index.scoring import normalise_query
@@ -26,6 +28,7 @@ from repro.retrieval import (
 )
 from repro.utils import validation
 from repro.utils.registry import ComponentRegistry
+from repro.utils.serialization import encode_uvarint, write_json
 
 #: The builtin base each error class kept when it took ReproError as a root.
 BUILTIN_BASES = {
@@ -190,3 +193,50 @@ def test_ranking_refusals_are_invalid_argument_errors(refusal):
         call()
     assert isinstance(refused.value, ValueError)
     assert str(refused.value) == message
+
+
+def _json_file(path, payload):
+    write_json(path, payload)
+    return path
+
+
+#: Durable and storage refusals: ``name -> (refused call in a scratch
+#: directory, message with that directory as {d})``.
+STORAGE_REFUSALS = {
+    "DurabilityManager.snapshot_interval_ops": (
+        lambda d: DurabilityManager(d / "durable", 1, snapshot_interval_ops=0),
+        "snapshot_interval_ops must be positive, got 0",
+    ),
+    "encode_uvarint.negative": (
+        lambda d: encode_uvarint(-3),
+        "uvarint cannot encode negative value -3",
+    ),
+    "load_collection.kind": (
+        lambda d: load_collection(_json_file(d / "c.json", {"kind": "topics"})),
+        "{d}/c.json does not contain a collection snapshot",
+    ),
+    "load_collection.format_version": (
+        lambda d: load_collection(
+            _json_file(d / "c.json", {"kind": "collection", "format_version": 99})
+        ),
+        "unsupported collection format version 99",
+    ),
+    "load_topics.kind": (
+        lambda d: load_topics(_json_file(d / "t.json", {"kind": "collection"})),
+        "{d}/t.json does not contain a topic snapshot",
+    ),
+    "load_corpus.kind": (
+        lambda d: load_corpus(_json_file(d / "manifest.json", {"kind": "corpus"}).parent),
+        "{d} does not contain a corpus manifest",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(STORAGE_REFUSALS))
+def test_storage_refusals_are_invalid_argument_errors(tmp_path, refusal):
+    call, message = STORAGE_REFUSALS[refusal]
+    with pytest.raises(InvalidArgumentError) as refused:
+        call(tmp_path)
+    assert isinstance(refused.value, ValueError)
+    assert str(refused.value) == message.format(d=tmp_path)
+    assert not (tmp_path / "durable").exists()

@@ -316,3 +316,13 @@ class TestPlateau:
         assert durability.checkpoints_written == 1 + 2_000 // 256
         service.close()
         assert most <= 256
+
+
+if __name__ == "__main__":
+    # The fixed stream's directory digest and state digest at 1 and 4
+    # shards, one line each: CI compares the output under two hash seeds.
+    with tempfile.TemporaryDirectory(prefix="wal-copy-") as scratch:
+        for num_shards in (1, 4):
+            directory = Path(scratch) / f"shards-{num_shards}"
+            digest = _fixed_stream(directory, num_shards)
+            print(num_shards, _directory_sha256(directory), digest)
