@@ -123,7 +123,7 @@ def cosine_similarity(left: Sequence[float], right: Sequence[float]) -> float:
     order as a generator expression would, without per-element bytecode.
     """
     if len(left) != len(right):
-        raise ValueError(
+        raise InvalidArgumentError(
             f"vectors must have equal length, got {len(left)} and {len(right)}"
         )
     dot = sum(map(operator.mul, left, right))
@@ -137,7 +137,7 @@ def cosine_similarity(left: Sequence[float], right: Sequence[float]) -> float:
 def euclidean_distance(left: Sequence[float], right: Sequence[float]) -> float:
     """Euclidean distance between two feature vectors."""
     if len(left) != len(right):
-        raise ValueError(
+        raise InvalidArgumentError(
             f"vectors must have equal length, got {len(left)} and {len(right)}"
         )
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(left, right)))
@@ -146,7 +146,7 @@ def euclidean_distance(left: Sequence[float], right: Sequence[float]) -> float:
 def histogram_intersection(left: Sequence[float], right: Sequence[float]) -> float:
     """Histogram intersection similarity (common for colour histograms)."""
     if len(left) != len(right):
-        raise ValueError(
+        raise InvalidArgumentError(
             f"vectors must have equal length, got {len(left)} and {len(right)}"
         )
     return sum(min(a, b) for a, b in zip(left, right))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
+from repro.errors import InvalidArgumentError
 from repro.utils.rng import RandomSource
 from repro.utils.validation import ensure_non_empty, ensure_positive, ensure_probability
 
@@ -121,12 +122,12 @@ class CategoryLanguageModel:
             total = sum(weights)
             self.probabilities = [weight / total for weight in weights]
         if len(self.probabilities) != len(self.terms):
-            raise ValueError("probabilities must align with terms")
+            raise InvalidArgumentError("probabilities must align with terms")
         # The table ``random.choices`` would rebuild on every call.
         self._cumulative = list(accumulate(self.probabilities))
         self._total = self._cumulative[-1] + 0.0
         if not (self._total > 0.0 and math.isfinite(self._total)):
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"probabilities must sum to a positive finite total, got {self._total}"
             )
 
@@ -208,7 +209,9 @@ class Vocabulary:
         ensure_probability(category_weight, "category_weight")
         ensure_probability(extra_weight, "extra_weight")
         if category_weight + extra_weight > 1.0:
-            raise ValueError("category_weight + extra_weight must not exceed 1.0")
+            raise InvalidArgumentError(
+                "category_weight + extra_weight must not exceed 1.0"
+            )
         model = self.model_for(category)
         background = self.background
         extras = list(extra_terms)

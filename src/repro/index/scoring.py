@@ -18,25 +18,34 @@ are bit-identical to the original per-``Posting`` loops (see
 :mod:`repro.index.reference`, which retains them for equivalence testing).
 
 Everything a scorer derives from the index is one
-:class:`~repro.index.slots.PerGeneration` value ``(idf, columns, norms)``,
-rebuilt on the first read that sees the index's ``generation`` move:
-per-term IDF, per-term contribution columns, and one length-normalisation
-norm per distinct document length (a BM25 denominator and a TF-IDF cosine
-norm depend on nothing else about a document).  A column is built on a
+:class:`~repro.index.slots.PerGeneration` value ``(idf, columns, norms,
+slot_ints)``, rebuilt on the first read that sees the index's
+``generation`` move: per-term IDF, per-term contribution columns, one
+length-normalisation norm per distinct document length (a BM25
+denominator and a TF-IDF cosine norm depend on nothing else about a
+document), and one int object per dense slot.  A column is built on a
 term's *second* use in a generation; its first use scores the postings
 straight into the accumulator, with the same arithmetic, so a reader
 beside a writer pays only for the terms it scores.
+
+A column is the pair ``(slots, contributions)``: a tuple of the slot ints
+the generation shares, so a posting costs one pointer rather than an int
+object of its own, and an ``array('d')``.  The candidate set of a query
+is updated straight from those tuples.  An unknown term (IDF 0.0) leaves
+no IDF entry, so every table is bounded by the index's vocabulary.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from array import array
 from functools import lru_cache
 from typing import (
     Collection,
     Dict,
     Iterator,
+    List,
     Mapping,
     Optional,
     Sequence,
@@ -52,8 +61,37 @@ from repro.utils.validation import ensure_number, ensure_probability
 QueryTerms = Union[Sequence[str], Mapping[str, float]]
 
 #: The columns-table entry of a term used once in this generation.
-#: Falsy, unlike every cached ``(docs, contributions, doc_set)`` triple.
+#: Falsy, unlike every cached ``(slots, contributions)`` pair.
 _SEEN_ONCE = ()
+
+
+class _SlotInts:
+    """One int object per dense slot, built once for a generation.
+
+    Every column of the generation holds these objects, not ints of its
+    own.  They are built on the generation's first column build, under a
+    lock, so two readers building columns at once share one table.
+    """
+
+    __slots__ = ("_lock", "_ints")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._ints: Optional[List[int]] = None
+
+    def of(self, size: int) -> List[int]:
+        """The table, built over ``range(size)`` if this is its first use.
+
+        A list, never written after it is built: ``map`` over a list's
+        ``__getitem__`` builds a column faster than over a tuple's.
+        """
+        ints = self._ints
+        if ints is None:
+            with self._lock:
+                ints = self._ints
+                if ints is None:
+                    ints = self._ints = list(range(size))
+        return ints
 
 
 @lru_cache(maxsize=None)
@@ -211,8 +249,8 @@ class _CachedColumnsScorer(TextScorer):
     """The dense accumulate loop over tables derived per generation.
 
     Subclasses supply a term's IDF, its unit-weight contributions and the
-    table from document length to length norm.  The three tables
-    ``(idf, columns, norms)`` are one :class:`~repro.index.slots.
+    table from document length to length norm.  The four tables
+    ``(idf, columns, norms, slot_ints)`` are one :class:`~repro.index.slots.
     PerGeneration` value, so they are built and dropped together; a
     term's contribution column is cached only from its second use in a
     generation (module docstring).
@@ -223,11 +261,11 @@ class _CachedColumnsScorer(TextScorer):
     def __init__(self, index: InvertedIndex) -> None:
         self._index = index
         self._tables: PerGeneration[
-            Tuple[Dict[str, float], Dict[str, tuple], Dict[int, float]]
+            Tuple[Dict[str, float], Dict[str, tuple], Dict[int, float], _SlotInts]
         ] = PerGeneration(index, self._fresh_tables)
 
     def _fresh_tables(self) -> tuple:
-        return {}, {}, self._norm_table()
+        return {}, {}, self._norm_table(), _SlotInts()
 
     def _compute_idf(self, term: str) -> float:
         raise NotImplementedError
@@ -272,7 +310,7 @@ class _CachedColumnsScorer(TextScorer):
         """
         weights = normalise_query(query_terms)
         index = self._index
-        idf_cache, columns_cache, norms = self._tables.get()
+        idf_cache, columns_cache, norms, slot_ints = self._tables.get()
         # A plain list is the fastest dense accumulator in CPython: reads
         # return the stored float object directly, with no array unboxing.
         # Sized by the dense table, not document_count: tombstoned slots
@@ -282,13 +320,15 @@ class _CachedColumnsScorer(TextScorer):
         for term, query_weight in weights.items():
             idf = idf_cache.get(term)
             if idf is None:
-                idf = idf_cache[term] = self._compute_idf(term)
-            if idf == 0.0:
-                continue
-            columns = columns_cache.get(term)
-            if not columns:
+                idf = self._compute_idf(term)
+                if idf == 0.0:
+                    # An unknown term leaves no entry behind.
+                    continue
+                idf_cache[term] = idf
+            column = columns_cache.get(term)
+            if not column:
                 docs, freqs = index.postings_arrays(term)
-                if columns is None:
+                if column is None:
                     # First use in this generation: scored straight from
                     # the postings, and only the sighting is cached.
                     self._add_contributions(
@@ -297,19 +337,18 @@ class _CachedColumnsScorer(TextScorer):
                     candidates.update(docs)
                     columns_cache[term] = _SEEN_ONCE
                     continue
-                columns = columns_cache[term] = (
-                    docs,
+                column = columns_cache[term] = (
+                    tuple(map(slot_ints.of(len(accumulator)).__getitem__, docs)),
                     self._contributions(docs, freqs, idf, norms),
-                    frozenset(docs),
                 )
-            docs, contributions, doc_set = columns
+            slots, contributions = column
             if query_weight == 1.0:
-                for doc, contribution in zip(docs, contributions):
+                for doc, contribution in zip(slots, contributions):
                     accumulator[doc] += contribution
             else:
-                for doc, contribution in zip(docs, contributions):
+                for doc, contribution in zip(slots, contributions):
                     accumulator[doc] += query_weight * contribution
-            candidates |= doc_set
+            candidates.update(slots)
         return accumulator, candidates, norms
 
 

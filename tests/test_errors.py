@@ -13,7 +13,13 @@ import pkgutil
 import pytest
 
 import repro
+from repro.analysis.features import (
+    cosine_similarity,
+    euclidean_distance,
+    histogram_intersection,
+)
 from repro.collection.storage import load_collection, load_corpus, load_topics
+from repro.collection.vocabulary import CategoryLanguageModel, Vocabulary
 from repro.durability import DurabilityManager
 from repro.errors import InvalidArgumentError, ReproError
 from repro.index import fusion
@@ -240,3 +246,49 @@ def test_storage_refusals_are_invalid_argument_errors(tmp_path, refusal):
     assert isinstance(refused.value, ValueError)
     assert str(refused.value) == message.format(d=tmp_path)
     assert not (tmp_path / "durable").exists()
+
+
+def _mixture_over_one(category_weight, extra_weight):
+    model = CategoryLanguageModel("news", ["goal"])
+    vocabulary = Vocabulary(background=model, categories={"news": model})
+    return vocabulary.sample_mixture(
+        None, "news", 1, category_weight=category_weight, extra_weight=extra_weight
+    )
+
+
+#: Feature-vector and vocabulary refusals: ``name -> (refused call, message)``.
+FEATURE_REFUSALS = {
+    "cosine_similarity.length": (
+        lambda: cosine_similarity((1.0, 0.0), (1.0,)),
+        "vectors must have equal length, got 2 and 1",
+    ),
+    "euclidean_distance.length": (
+        lambda: euclidean_distance((1.0,), (1.0, 0.0, 2.0)),
+        "vectors must have equal length, got 1 and 3",
+    ),
+    "histogram_intersection.length": (
+        lambda: histogram_intersection((), (0.5,)),
+        "vectors must have equal length, got 0 and 1",
+    ),
+    "CategoryLanguageModel.probabilities_length": (
+        lambda: CategoryLanguageModel("news", ["goal", "match"], [1.0]),
+        "probabilities must align with terms",
+    ),
+    "CategoryLanguageModel.probabilities_total": (
+        lambda: CategoryLanguageModel("news", ["goal", "match"], [0.0, 0.0]),
+        "probabilities must sum to a positive finite total, got 0.0",
+    ),
+    "Vocabulary.sample_mixture.weights": (
+        lambda: _mixture_over_one(0.75, 0.5),
+        "category_weight + extra_weight must not exceed 1.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(FEATURE_REFUSALS))
+def test_feature_refusals_are_invalid_argument_errors(refusal):
+    call, message = FEATURE_REFUSALS[refusal]
+    with pytest.raises(InvalidArgumentError) as refused:
+        call()
+    assert isinstance(refused.value, ValueError)
+    assert str(refused.value) == message

@@ -383,7 +383,7 @@ def _touch(scorer, term):
     Reads the scorer's tables for the current generation, which the score
     call would build anyway.
     """
-    _, columns, _ = scorer._tables.get()
+    columns = scorer._tables.get()[1]
     entry = columns.get(term)
     return "first" if entry is None else "warm" if entry else "second"
 
@@ -468,8 +468,8 @@ class TestScoringUnderWrites:
                 "_CachedColumnsScorer",
                 "_accumulate",
                 [(
-                    "idf_cache, columns_cache, norms = self._tables.get()",
-                    "idf_cache, columns_cache, norms = self._tables.get()\n"
+                    "idf_cache, columns_cache, norms, slot_ints = self._tables.get()",
+                    "idf_cache, columns_cache, norms, slot_ints = self._tables.get()\n"
                     "    norms = self._kept = {**norms, **getattr(self, '_kept', {})}",
                 )],
             ),
@@ -479,6 +479,12 @@ class TestScoringUnderWrites:
                 "_accumulate",
                 [("candidates.update(docs)", "pass")],
             ),
+            # A cached column leaves its documents out of the candidates.
+            (
+                "_CachedColumnsScorer",
+                "_accumulate",
+                [("candidates.update(slots)", "pass")],
+            ),
             # The second use builds its column with the previous
             # generation's IDF.
             (
@@ -486,8 +492,8 @@ class TestScoringUnderWrites:
                 "_accumulate",
                 [
                     (
-                        "idf_cache, columns_cache, norms = self._tables.get()",
-                        "idf_cache, columns_cache, norms = self._tables.get()\n"
+                        "idf_cache, columns_cache, norms, slot_ints = self._tables.get()",
+                        "idf_cache, columns_cache, norms, slot_ints = self._tables.get()\n"
                         "    current, stale_idf = getattr(self, '_idfs', (idf_cache, {}))\n"
                         "    if current is not idf_cache:\n"
                         "        stale_idf = current\n"
