@@ -825,7 +825,6 @@ def _command_recover(args: argparse.Namespace, out) -> int:
         )
     print(
         f"WAL replay: {state.wal_index_ops} index ops, "
-        f"{state.wal_feedback_ops} feedback batches, "
         f"{state.wal_skipped_duplicates} duplicates skipped, "
         f"{state.wal_dropped_records} records beyond the durable prefix",
         file=out,

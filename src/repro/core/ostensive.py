@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro.errors import InvalidArgumentError
 from repro.utils.validation import ensure_in_range, ensure_positive
 
 #: Discount profile names accepted by :func:`make_discount`.
@@ -21,28 +22,28 @@ DISCOUNT_PROFILES = ("uniform", "exponential", "reciprocal", "linear")
 def uniform_discount(age: int) -> float:
     """No discounting: every iteration counts the same (the static model)."""
     if age < 0:
-        raise ValueError("age must be non-negative")
+        raise InvalidArgumentError("age must be non-negative")
     return 1.0
 
 
 def exponential_discount(age: int, base: float = 0.7) -> float:
     """Exponential decay with the given base per iteration of age."""
     if age < 0:
-        raise ValueError("age must be non-negative")
+        raise InvalidArgumentError("age must be non-negative")
     ensure_in_range(base, 0.0, 1.0, "base")
     return base ** age
 
 def reciprocal_discount(age: int) -> float:
     """Reciprocal decay: 1, 1/2, 1/3, ... (Campbell's original proposal)."""
     if age < 0:
-        raise ValueError("age must be non-negative")
+        raise InvalidArgumentError("age must be non-negative")
     return 1.0 / (age + 1)
 
 
 def linear_discount(age: int, horizon: int = 6) -> float:
     """Linear decay hitting zero after ``horizon`` iterations."""
     if age < 0:
-        raise ValueError("age must be non-negative")
+        raise InvalidArgumentError("age must be non-negative")
     ensure_positive(horizon, "horizon")
     return max(0.0, 1.0 - age / horizon)
 
@@ -64,7 +65,7 @@ def make_discount(profile: str, **kwargs: float) -> Callable[[int], float]:
     if profile == "linear":
         horizon = int(kwargs.get("horizon", 6))
         return lambda age: linear_discount(age, horizon=horizon)
-    raise ValueError(
+    raise InvalidArgumentError(
         f"unknown discount profile {profile!r}; expected one of {DISCOUNT_PROFILES}"
     )
 
@@ -112,15 +113,15 @@ class OstensiveAccumulator:
         retain_history: bool = True,
     ) -> None:
         if discount is None and profile is None:
-            raise ValueError("provide a discount callable or a profile name")
+            raise InvalidArgumentError("provide a discount callable or a profile name")
         if profile is not None:
             if profile not in DISCOUNT_PROFILES:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"unknown discount profile {profile!r}; "
                     f"expected one of {DISCOUNT_PROFILES}"
                 )
             if discount is not None:
-                raise ValueError("pass either discount or profile, not both")
+                raise InvalidArgumentError("pass either discount or profile, not both")
             discount = make_discount(profile, base=base, horizon=horizon)
         self.discount = discount
         self._profile = profile

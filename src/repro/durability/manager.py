@@ -8,9 +8,6 @@ hooks the engine's write path needs:
   segment after the engine has checked the write and *before* it applies
   it (called inside the engine's ``exclusive_writer()``, so WAL order is
   the serialization order);
-* ``log_feedback`` appends interaction batches to the meta segment (these
-  serialise behind the WAL's LSN lock; they do not affect index state but
-  make the full write history replayable, e.g. by a follower);
 * ``should_checkpoint`` / ``checkpoint`` implement the snapshot cadence:
   every ``snapshot_interval_ops`` index mutations, a checkpoint moves the
   WAL's index-op records since the previous one into the snapshot chain
@@ -26,13 +23,15 @@ engine (writing a **bootstrap checkpoint** covering the corpus-built
 state, so recovery never needs the corpus files); :meth:`attach` resumes
 an existing directory from a :class:`~repro.durability.recovery.
 RecoveredState`, repairing the WAL past the recovered prefix before any
-new append.
+new append.  The directory holds index state only: a service's sessions,
+and the feedback that adapts them, live in memory and start afresh after
+any restart.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.durability.digest import engine_text_items, engine_visual_items
 from repro.durability.recovery import (
@@ -42,14 +41,14 @@ from repro.durability.recovery import (
     RecoveryError,
     read_header,
 )
-from repro.durability.replay import feedback_record, gap_free_tail
+from repro.durability.replay import gap_free_tail
 from repro.durability.snapshots import (
     SnapshotError,
     SnapshotStore,
     _write_json_atomic,
     manifest_filename,
 )
-from repro.durability.wal import META_SEGMENT, WriteAheadLog
+from repro.durability.wal import LEGACY_FEEDBACK_LOG, WriteAheadLog
 from repro.errors import InvalidArgumentError
 from repro.sharding.router import ShardRouter
 from repro.utils.serialization import PathLike
@@ -160,22 +159,26 @@ class DurabilityManager:
         Repairs the WAL first: any record past the recovered gap-free
         prefix (torn tails, records stranded beyond a hole) is physically
         dropped, so appends resume from exactly the state the engine was
-        rebuilt to.  An older directory's header is rewritten to
-        :data:`DURABILITY_FORMAT` before that, so a build that cannot read
-        the packed vectors this one appends refuses the directory in one
-        line instead of failing inside replay.
+        rebuilt to.
+
+        A format-2 directory logged feedback batches on
+        :data:`~repro.durability.wal.LEGACY_FEEDBACK_LOG`, so its shard
+        segments have LSN holes where those sat.  While that file exists it
+        is converted before any append: a rebase at the recovered LSN, the
+        shard segments truncated behind it, the file unlinked.  Only then
+        is an older header rewritten to :data:`DURABILITY_FORMAT`, so a
+        build that cannot read what this one writes refuses the directory
+        in one line instead of failing inside replay.  A crash at any step
+        leaves a directory that recovers to the same state, and the next
+        attach finishes the conversion.
         """
+        directory = Path(directory)
         header = read_header(directory)
         if header["num_shards"] != recovered.num_shards:
             raise RecoveryError(
                 f"durability directory has {header['num_shards']} shards "
                 f"but the recovered state was built for "
                 f"{recovered.num_shards}"
-            )
-        if header["format"] != DURABILITY_FORMAT:
-            _write_json_atomic(
-                Path(directory) / HEADER_FILENAME,
-                {**header, "format": DURABILITY_FORMAT},
             )
         manager = cls(
             directory,
@@ -191,6 +194,22 @@ class DurabilityManager:
         # loop cannot defer compaction forever.
         manager._ops_since_checkpoint = recovered.wal_index_ops
         manager._chain_ops_since_rebase = recovered.chain_op_records
+        legacy = directory / LEGACY_FEEDBACK_LOG
+        if legacy.exists():
+            manager._snapshots.write_full_checkpoint(
+                recovered.documents,
+                recovered.shots,
+                text_count=recovered.text_count,
+                shot_count=recovered.shot_count,
+                wal_lsn=recovered.applied_lsn,
+            )
+            manager._wal.truncate_through(recovered.applied_lsn)
+            legacy.unlink()
+            manager._ops_since_checkpoint = manager._chain_ops_since_rebase = 0
+        if header["format"] != DURABILITY_FORMAT:
+            _write_json_atomic(
+                directory / HEADER_FILENAME, {**header, "format": DURABILITY_FORMAT}
+            )
         return manager
 
     def close(self) -> None:
@@ -292,14 +311,6 @@ class DurabilityManager:
         """
         self._rebase_next_checkpoint = True
 
-    def log_feedback(
-        self, user_id: str, session_id: str, events: Sequence
-    ) -> int:
-        """WAL one feedback batch on the meta segment."""
-        return self._wal.append(
-            META_SEGMENT, feedback_record(user_id, session_id, events)
-        )
-
     # -- checkpoints ---------------------------------------------------------------
 
     def should_checkpoint(self) -> bool:
@@ -364,14 +375,8 @@ class DurabilityManager:
                     f"{manifest_filename(int(parent['checkpoint_id']))} — "
                     f"records are missing, so no manifest was written"
                 )
-            # Feedback batches ride the same LSN sequence (and may land
-            # past the cut while this runs) but are not index state.
             manifest = self._snapshots.write_ops_checkpoint(
-                [
-                    entry
-                    for entry in entries[: cut - parent_lsn]
-                    if entry.record["op"] != "feedback"
-                ],
+                entries,
                 wal_lsn=cut,
                 text_count=engine.inverted_index.document_count,
                 shot_count=engine.visual_index.shot_count,

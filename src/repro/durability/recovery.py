@@ -42,12 +42,14 @@ HEADER_FILENAME = "DURABILITY.json"
 
 #: On-disk format version of the durability directory as a whole: 2 since
 #: shot vectors are written packed (``utils.serialization.encode_vector``),
-#: which a format-1 build cannot replay.
-DURABILITY_FORMAT = 2
+#: which a format-1 build cannot replay; 3 since the directory holds index
+#: state only, without the feedback log a format-2 build appends to.
+DURABILITY_FORMAT = 3
 
-#: Header formats this build reads.  A format-1 directory is readable as is
-#: and is marked format 2 by the first writer that attaches to it.
-READABLE_FORMATS = (1, 2)
+#: Header formats this build reads.  An older directory is readable as is
+#: and is converted and marked format 3 by the first writer that attaches
+#: to it (:meth:`~repro.durability.manager.DurabilityManager.attach`).
+READABLE_FORMATS = (1, 2, 3)
 
 
 class RecoveryError(ValueError, ReproError):
@@ -109,7 +111,6 @@ class RecoveredState:
     snapshot_lsn: int = 0
     wal_index_ops: int = 0
     wal_mutation_ops: int = 0
-    wal_feedback_ops: int = 0
     wal_skipped_duplicates: int = 0
     wal_dropped_records: int = 0
     wal_records_beyond_stop: int = 0

@@ -52,7 +52,6 @@ class ReplayCounts:
 
     wal_index_ops: int = 0
     wal_mutation_ops: int = 0
-    wal_feedback_ops: int = 0
     wal_skipped_duplicates: int = 0
 
 
@@ -67,16 +66,6 @@ def shot_record(
         "id": shot_id,
         "features": encode_vector(features),
         "concepts": dict(concept_scores or {}),
-    }
-
-
-def feedback_record(user_id: str, session_id: str, events: Sequence) -> Record:
-    """One interaction batch (meta segment; not index state)."""
-    return {
-        "op": "feedback",
-        "user": user_id,
-        "session": session_id,
-        "events": [event.as_dict() for event in events],
     }
 
 
@@ -222,8 +211,8 @@ def apply_op(op: str, item_id: str, payload, text, visual, counts) -> None:
 
 def apply_record(record: Record, text, visual, counts) -> None:
     """Replay one record into ``text`` / ``visual``: :func:`read_op`, then
-    :func:`apply_op` (a feedback batch is only counted)."""
-    if record.get("op") == "feedback":
-        counts.wal_feedback_ops += 1
-        return
-    apply_op(*read_op(record), text, visual, counts)
+    :func:`apply_op`.  A format-2 directory's feedback batch (see
+    :meth:`~repro.durability.wal.WriteAheadLog.scan_segments`) only fills
+    its LSN: it is skipped, not counted."""
+    if record.get("op") != "feedback":
+        apply_op(*read_op(record), text, visual, counts)

@@ -156,21 +156,18 @@ def verify_directory(directory: PathLike) -> VerifyReport:
     wal = WriteAheadLog(Path(directory), report.num_shards)
     try:
         merged = []
-        for segment in wal.segments():
-            records, tail_error = segment.scan()
+        for name, records, tail_error in wal.scan_segments():
             last_lsn = int(records[-1]["lsn"]) if records else 0
             report.segments.append(
                 SegmentReport(
-                    name=segment.path.name,
+                    name=name,
                     records=len(records),
                     last_lsn=last_lsn,
                     tail_error=str(tail_error) if tail_error is not None else None,
                 )
             )
             if tail_error is not None:
-                report.problems.append(
-                    f"torn/corrupt tail on {segment.path.name}: {tail_error}"
-                )
+                report.problems.append(f"torn/corrupt tail on {name}: {tail_error}")
             merged.extend(records)
     finally:
         wal.close()

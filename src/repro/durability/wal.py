@@ -1,13 +1,14 @@
 """Append-only write-ahead log: per-shard segments with global LSNs.
 
-Every mutating operation against a durable engine — ``index_document``,
-``index_shot``, feedback/evidence writes — is framed (see
+Every index mutation against a durable engine — ``index_document``,
+``index_shot``, deletes and updates — is framed (see
 :func:`repro.utils.serialization.encode_record`) and appended to a segment
 file before the in-memory state changes.  Records carry a **monotonic
-global log sequence number** allocated under one lock, so the WAL order is
-exactly the serialization order of the writes: index mutations append
-while holding the engine's exclusive writer, feedback appends serialise
-behind the same LSN lock.
+global log sequence number** allocated under one lock while the engine's
+exclusive writer is held, so the WAL order is exactly the serialization
+order of the writes.  The log holds index state only: sessions and the
+feedback that drives them stay in memory (the interaction log of
+:mod:`repro.interfaces.logging` is the record of what a user did).
 
 Segment layout
 --------------
@@ -17,15 +18,12 @@ Index operations are routed onto one segment per shard
 ShardRouter` hash of their document or shot id, the split the snapshot
 deltas use too, so a segment is exactly the mutation history of the ids
 it owns.  Segments are an on-disk layout only: the engine holds one index
-of each kind whatever the shard count.  Feedback records —
-which are not addressed to a single shard — land in a dedicated
-``wal-meta.log`` segment.  Because
-every record carries its global LSN, recovery merges all segments back
-into one totally ordered stream and applies the **maximal gap-free LSN
-prefix**: a lost or torn record on any segment ends the durable prefix, so
-the recovered state is always a clean prefix of the true write history
-(never a subsequence with holes, which would perturb dense interning
-order).
+of each kind whatever the shard count.  Because every record carries its
+global LSN, recovery merges all segments back into one totally ordered
+stream and applies the **maximal gap-free LSN prefix**: a lost or torn
+record on any segment ends the durable prefix, so the recovered state is
+always a clean prefix of the true write history (never a subsequence with
+holes, which would perturb dense interning order).
 
 Fsync policy
 ------------
@@ -41,18 +39,16 @@ Writer and readers
 ------------------
 
 The owning :class:`WriteAheadLog` never reads its segments after open.  It
-holds an exact in-memory copy of every index-op record its shard segments
-carry — the LSN, the record and the payload bytes it framed — filled by
-one scan (the reopen repair, or the first checkpoint of a fresh log) and
-kept in step by ``append``, ``truncate_through`` and ``repair_to``.  A
-checkpoint takes its window from that copy and truncation rewrites a
-segment from the kept payloads, so neither re-reads, re-decodes or
-re-encodes what the writer produced under the same lock.  The meta
-segment is the exception: feedback is never checkpointed and only index
-ops drive the cadence, so it is read from disk where it is needed instead
-of held in memory without a bound.  Scans (:meth:`WriteAheadLog.scan_all`,
-:meth:`WalSegment.scan`) are for readers — recovery, replicas, ``repro
-verify`` — which are other objects and often another process.
+holds an exact in-memory copy of every record its segments carry — the
+LSN, the record and the payload bytes it framed — filled by one scan (the
+reopen repair, or the first checkpoint of a fresh log) and kept in step by
+``append``, ``truncate_through`` and ``repair_to``.  A checkpoint takes its
+window from that copy and truncation rewrites a segment from the kept
+payloads, so neither reads, re-decodes or re-encodes what the writer
+produced under the same lock.  Scans (:meth:`WriteAheadLog.scan_all`,
+:meth:`WriteAheadLog.scan_segments`, :meth:`WalSegment.scan`) are for
+readers — recovery, replicas, ``repro verify`` — which are other objects
+and often another process.
 """
 
 from __future__ import annotations
@@ -72,8 +68,10 @@ from repro.utils.serialization import (
     scan_records,
 )
 
-#: Logical segment name for records that are not routed to an index shard.
-META_SEGMENT = "meta"
+#: Where a format-2 directory logged feedback batches, on the LSN sequence
+#: its index ops share.  Only :meth:`WriteAheadLog.scan_segments` reads it,
+#: to fill those LSNs, until the writer's attach converts the directory.
+LEGACY_FEEDBACK_LOG = "wal-meta.log"
 
 #: Accepted fsync policies.
 FSYNC_POLICIES = ("always", "interval", "never")
@@ -83,11 +81,9 @@ class WalError(ValueError, ReproError):
     """The write-ahead log was used incorrectly or is unreadable."""
 
 
-def segment_filename(segment: "int | str") -> str:
-    """File name of a segment: ``wal-shard-0007.log`` / ``wal-meta.log``."""
-    if segment == META_SEGMENT:
-        return "wal-meta.log"
-    return f"wal-shard-{int(segment):04d}.log"
+def segment_filename(shard: int) -> str:
+    """File name of a shard's segment: ``wal-shard-0007.log``."""
+    return f"wal-shard-{int(shard):04d}.log"
 
 
 def _decode_payload(payload: bytes) -> Dict[str, object]:
@@ -253,8 +249,6 @@ class WriteAheadLog:
             self._segments[segment_filename(shard)] = WalSegment(
                 self._directory / segment_filename(shard)
             )
-        self._meta = WalSegment(self._directory / segment_filename(META_SEGMENT))
-        self._segments[segment_filename(META_SEGMENT)] = self._meta
         # The writer's copy of each shard segment, filled by _held_entries
         # on first use.  An entry is added only once its frame is written,
         # so an append that raised leaves a hole here exactly as on disk.
@@ -298,15 +292,11 @@ class WriteAheadLog:
         with self._lock:
             return self._records_appended
 
-    def segments(self) -> List[WalSegment]:
-        """The live segment objects (shards first, meta last)."""
-        return list(self._segments.values())
-
     def held_entries(self) -> Dict[str, List[WalEntry]]:
         """The writer's in-memory copy, by shard segment file name.
 
         Equal, entry for entry, to what :meth:`WalSegment.scan_entries`
-        reads back from each shard segment; the meta segment is not held.
+        reads back from each shard segment.
         """
         with self._lock:
             held = self._held_entries()
@@ -317,8 +307,6 @@ class WriteAheadLog:
         if self._held is None:
             self._held = {}
             for name, segment in self._segments.items():
-                if segment is self._meta:
-                    continue
                 self._held[name], tail_error = segment.scan_entries()
                 if tail_error is not None:
                     self._torn.add(name)
@@ -371,16 +359,16 @@ class WriteAheadLog:
 
     # -- appending ---------------------------------------------------------------
 
-    def append(self, segment: "int | str", record: Dict[str, object]) -> int:
-        """Allocate the next LSN, stamp it into ``record``, append; return it.
+    def append(self, shard: int, record: Dict[str, object]) -> int:
+        """Allocate the next LSN, stamp it into ``record``, append it to
+        ``shard``'s segment; return the LSN.
 
-        ``segment`` is a shard number or :data:`META_SEGMENT`.  The record
-        must not carry an ``lsn`` of its own.
+        The record must not carry an ``lsn`` of its own.
         """
-        name = segment_filename(segment)
+        name = segment_filename(shard)
         target = self._segments.get(name)
         if target is None:
-            raise WalError(f"unknown WAL segment {segment!r}")
+            raise WalError(f"unknown WAL segment {shard!r}")
         with self._lock:
             lsn = self._next_lsn
             self._next_lsn += 1
@@ -396,7 +384,7 @@ class WriteAheadLog:
             payload = encode_op(record)
             self._bytes_appended += target.append(payload, fsync=fsync)
             self._records_appended += 1
-            if self._held is not None and target is not self._meta:
+            if self._held is not None:
                 self._held[name].append(WalEntry(lsn, record, payload))
             return lsn
 
@@ -418,6 +406,23 @@ class WriteAheadLog:
 
     # -- scanning & rewriting ------------------------------------------------------
 
+    def scan_segments(
+        self,
+    ) -> List[Tuple[str, List[Dict[str, object]], "RecordError | None"]]:
+        """``(file name, records, tail_error)`` of every segment file.
+
+        The shard segments, then a format-2 directory's
+        :data:`LEGACY_FEEDBACK_LOG` if the file is still there: its
+        feedback batches hold LSNs between the index ops, so without them
+        the gap check would end the durable prefix at the first one.
+        Replay skips them (:func:`~repro.durability.replay.apply_record`).
+        """
+        segments = list(self._segments.values())
+        legacy = WalSegment(self._directory / LEGACY_FEEDBACK_LOG)
+        if legacy.path.exists():
+            segments.append(legacy)
+        return [(segment.path.name, *segment.scan()) for segment in segments]
+
     def scan_all(self) -> Tuple[List[Dict[str, object]], Dict[str, str]]:
         """Every decodable record across all segments, sorted by LSN.
 
@@ -429,8 +434,7 @@ class WriteAheadLog:
         """
         merged: List[Dict[str, object]] = []
         tail_errors: Dict[str, str] = {}
-        for name, segment in self._segments.items():
-            records, tail_error = segment.scan()
+        for name, records, tail_error in self.scan_segments():
             merged.extend(records)
             if tail_error is not None:
                 tail_errors[name] = str(tail_error)
@@ -438,13 +442,7 @@ class WriteAheadLog:
         return merged, tail_errors
 
     def entries_since(self, lsn: int) -> List[WalEntry]:
-        """Every logged entry with ``entry.lsn > lsn``, in LSN order.
-
-        Index ops come from the held copy.  Feedback batches are read from
-        the meta segment: they share the LSN sequence, so a checkpoint's
-        gap check needs them, and since feedback does not wait for the
-        engine's writer the list may run past the caller's cut.
-        """
+        """Every held entry with ``entry.lsn > lsn``, in LSN order."""
         with self._lock:
             merged = [
                 entry
@@ -452,8 +450,6 @@ class WriteAheadLog:
                 for entry in entries
                 if entry.lsn > lsn
             ]
-        meta, _ = self._meta.scan_entries()
-        merged.extend(entry for entry in meta if entry.lsn > lsn)
         merged.sort(key=lambda entry: entry.lsn)
         return merged
 
@@ -464,8 +460,7 @@ class WriteAheadLog:
         whose snapshot covers the log up to ``lsn``; the rewrite is atomic
         per segment, and a crash between segments only leaves extra
         already-snapshotted records, which recovery skips idempotently.
-        Shard segments are rewritten from the held payloads; only the meta
-        segment is read back.
+        Segments are rewritten from the held payloads.
 
         When replicas are registered (:meth:`register_replica`), the
         truncation point is clamped to the slowest replica's acknowledged
@@ -486,11 +481,7 @@ class WriteAheadLog:
                 )
                 held[name] = keep
             self._torn.clear()
-            meta, tail_error = self._meta.scan_entries()
-            keep = [entry for entry in meta if entry.lsn > lsn]
-            return dropped + _rewrite_kept(
-                self._meta, meta, keep, tail_error is not None
-            )
+            return dropped
 
     def repair_to(self, lsn: int) -> int:
         """Physically drop every record with ``record.lsn > lsn``.
@@ -510,8 +501,7 @@ class WriteAheadLog:
                 dropped += _rewrite_kept(
                     segment, entries, keep, tail_error is not None
                 )
-                if segment is not self._meta:
-                    held[name] = keep
+                held[name] = keep
             self._held = held
             self._torn.clear()
             return dropped

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
+from repro.errors import InvalidArgumentError
 from repro.utils.rng import RandomSource
 
 
@@ -32,11 +33,11 @@ class TestResult:
 
 def _validate_pairs(baseline: Sequence[float], treatment: Sequence[float]) -> None:
     if len(baseline) != len(treatment):
-        raise ValueError(
+        raise InvalidArgumentError(
             f"paired samples must have equal length, got {len(baseline)} and {len(treatment)}"
         )
     if len(baseline) < 2:
-        raise ValueError("need at least two paired observations")
+        raise InvalidArgumentError("need at least two paired observations")
 
 
 def _normal_cdf(z: float) -> float:
@@ -51,7 +52,7 @@ def _student_t_sf(t: float, df: int) -> float:
     needs here.
     """
     if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
+        raise InvalidArgumentError("degrees of freedom must be positive")
     if df > 200:
         return 1.0 - _normal_cdf(t)
 
@@ -130,11 +131,13 @@ def compare_per_topic(
     """Compare two per-topic metric dictionaries on their shared topics."""
     shared = sorted(set(baseline) & set(treatment))
     if len(shared) < 2:
-        raise ValueError("need at least two shared topics to compare")
+        raise InvalidArgumentError("need at least two shared topics to compare")
     baseline_values = [baseline[topic_id] for topic_id in shared]
     treatment_values = [treatment[topic_id] for topic_id in shared]
     if method == "t-test":
         return paired_t_test(baseline_values, treatment_values)
     if method == "randomisation":
         return randomisation_test(baseline_values, treatment_values)
-    raise ValueError(f"unknown method {method!r}; expected 't-test' or 'randomisation'")
+    raise InvalidArgumentError(
+        f"unknown method {method!r}; expected 't-test' or 'randomisation'"
+    )

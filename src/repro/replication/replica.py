@@ -168,7 +168,6 @@ class ReplicaServer:
         self._engine = engine
         self._applied_lsn = recovered.applied_lsn
         self._disk_last_lsn = max(self._disk_last_lsn, recovered.applied_lsn)
-        self._replayed.wal_feedback_ops += recovered.wal_feedback_ops
         if old_engine is not None:
             old_engine.close()
 
@@ -207,7 +206,6 @@ class ReplicaServer:
                 "applied_lsn": float(self._applied_lsn),
                 "disk_last_lsn": float(self._disk_last_lsn),
                 "records_applied": float(self._records_applied),
-                "feedback_batches": float(self._replayed.wal_feedback_ops),
                 "polls": float(self._polls),
                 "restarts": float(self._restarts),
             }
@@ -268,10 +266,10 @@ class ReplicaServer:
 
         WAL records carry tokenised frequencies / feature vectors, which go
         straight into the live indexes exactly as recovery replays them
-        (generation bumps invalidate every derived cache).  Feedback
-        batches are not index state: they are counted so lag accounting
-        covers the meta segment, replayable into sessions by a future
-        follower tier.
+        (generation bumps invalidate every derived cache).  Every record is
+        an index op, bar the feedback batches a format-2 directory still
+        holds until its writer converts it: they advance the applied LSN
+        and change nothing.
         """
         run, _beyond_hole = gap_free_tail(records, self._applied_lsn)
         if not run:

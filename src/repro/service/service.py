@@ -591,19 +591,13 @@ class RetrievalService:
         returned snapshot reflects the batch.  If the session is evicted
         while the batch is mid-flight, the batch still completes (eviction
         waits for the session lock); a batch arriving *after* eviction gets
-        :class:`SessionExpiredError`.
+        :class:`SessionExpiredError`.  Feedback adapts the session only, so
+        a durable service writes nothing for it: its directory holds index
+        state, and sessions start afresh after a restart.
         """
         with self._locked_entry(batch.user_id, batch.session_id) as entry:
             with self._engine.read_access():
                 entry.session.observe(batch.events)
-            durability = self._engine.durability
-            if durability is not None and batch.events:
-                # Feedback does not mutate the index, but a durable service
-                # logs it (meta WAL segment) so the full write history is
-                # replayable — e.g. by a follower rebuilding session state.
-                durability.log_feedback(
-                    batch.user_id, entry.session_id, batch.events
-                )
             return entry.info()
 
     def observe(

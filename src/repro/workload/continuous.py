@@ -24,13 +24,13 @@ updates.  The schedule is epoch-barriered:
   bit-identical across compaction), which is exactly the mutable-corpus
   contract this mix exercises end to end.
 
-Durable-prefix oracle: on a durable service every mutation and feedback
-step appends exactly one WAL record, sequentially, so the stream maps
-1:1 onto the LSN sequence past the bootstrap watermark.  ``stop_lsn``
-replays the stream only until the service's WAL reaches that LSN — a
-clean run told to stop at a crashed run's recovered ``applied_lsn``
-lands on the byte-identical state digest (the SIGKILL smoke in CI pins
-this).
+Durable-prefix oracle: on a durable service every mutation step appends
+exactly one WAL record, sequentially, and nothing else appends, so the
+mutations map 1:1 onto the LSN sequence past the bootstrap watermark.
+``stop_lsn`` replays the stream only until the service's WAL reaches
+that LSN — a clean run told to stop at a crashed run's recovered
+``applied_lsn`` lands on the byte-identical state digest (the SIGKILL
+smoke in CI pins this).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from repro.workload.log import CanonicalLog
 #: Ranked hits each search record pins (ids and exact scores).
 _RECORDED_HITS = 5
 
-#: The log's name for each step that appends one WAL record.
+#: The log's name for each mutation and feedback step.
 _RECORDED_AS = {
     "doc": "ingest-doc",
     "shot": "ingest-shot",
@@ -258,10 +258,6 @@ def run_continuous_mix(
             reclaimed = service.compact().reclaimed
             records.append({"e": epoch, "op": "compact", "reclaimed": reclaimed})
             continue
-        # Every other step is one WAL record: the durable-prefix budget.
-        if stop_lsn is not None and durability.wal.last_lsn >= stop_lsn:
-            stopped = True
-            break
         if kind == "feedback":
             if step[1] is None:
                 continue
@@ -274,6 +270,10 @@ def run_continuous_mix(
                 FeedbackBatch(user_id=user_id, session_id=session_id, events=(event,))
             )
         else:
+            # Every mutation is one WAL record: the durable-prefix budget.
+            if stop_lsn is not None and durability.wal.last_lsn >= stop_lsn:
+                stopped = True
+                break
             apply_ingest(service, [step], pause=pause)
         records.append({"e": epoch, "op": _RECORDED_AS[kind], "id": step[1]})
     wall = time.perf_counter() - started

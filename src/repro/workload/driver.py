@@ -161,7 +161,7 @@ def _search_record(
     }
 
 
-def _feedback_record(
+def _batch_record(
     user_id: str, seq: int, events: Sequence[InteractionEvent], info
 ) -> Dict[str, object]:
     """The canonical-log record of one completed feedback batch."""
@@ -232,7 +232,7 @@ def _user_script(
                 user_id=user_id, events=tuple(events), session_id=session_id
             )
             if info is not None:
-                records.append(_feedback_record(user_id, step.step + 1, events, info))
+                records.append(_batch_record(user_id, step.step + 1, events, info))
     if spec.close_sessions:
         # Lifecycle ops go straight to the facade on either transport:
         # closing is not a servable request (it must succeed even while

@@ -179,7 +179,7 @@ class TestRecoveryEdges:
         assert state.wal_skipped_duplicates == 3
         assert state.ingested_ops == 8
 
-    def test_feedback_is_logged_but_does_not_change_state(
+    def test_feedback_is_not_logged_and_does_not_change_state(
         self, analysed_corpus, tmp_path
     ):
         service = _service(analysed_corpus, _durable_config(tmp_path / "d"))
@@ -201,8 +201,7 @@ class TestRecoveryEdges:
         service.close()
         state = RecoveryManager(tmp_path / "d").recover()
         assert state.state_digest() == live
-        assert state.wal_feedback_ops == 1
-        assert state.wal_index_ops == 4
+        assert (state.applied_lsn, state.wal_index_ops) == (4, 4)
         assert state.ingested_ops == 4
 
 
@@ -611,17 +610,17 @@ class TestSnapshotFormatOne:
         assert [shot[0] for shot in state.shots] == ["s1", "s2", "s3"]
         assert (state.checkpoint_id, state.wal_index_ops) == (5, 1)
 
-    def test_reopened_format_one_directory_is_marked_format_two(
+    def test_reopened_format_one_directory_is_marked_format_three(
         self, analysed_corpus, tmp_path, monkeypatch
     ):
-        # The header moves to 2 when a writer attaches, before its first
+        # The header moves to 3 when a writer attaches, before its first
         # append, so a build that reads format 1 only stops at its header
         # check instead of failing inside replay on a packed vector.
         directory = tmp_path / "d"
         documents, shots = _write_format_one_directory(directory)
         header = read_json(directory / HEADER_FILENAME)
         service = _service(analysed_corpus, _durable_config(directory, 2, interval=2))
-        assert read_json(directory / HEADER_FILENAME) == {**header, "format": 2}
+        assert read_json(directory / HEADER_FILENAME) == {**header, "format": 3}
         ingested = [
             (f"t{index}", [0.125 * index, -0.0, 1e-310], {"crowd": 0.5})
             for index in range(3)
@@ -635,7 +634,7 @@ class TestSnapshotFormatOne:
         assert state.state_digest() == live
         assert (state.checkpoint_id, state.wal_index_ops) == (4, 1)
         monkeypatch.setattr(recovery_module, "READABLE_FORMATS", (1,))
-        with pytest.raises(RecoveryError, match="has format 2; this build reads formats 1$"):
+        with pytest.raises(RecoveryError, match="has format 3; this build reads formats 1$"):
             RecoveryManager(directory)
 
     def test_a_newer_header_format_is_refused_in_one_line(
@@ -644,8 +643,8 @@ class TestSnapshotFormatOne:
         directory = tmp_path / "d"
         _write_format_one_directory(directory)
         header = read_json(directory / HEADER_FILENAME)
-        write_json(directory / HEADER_FILENAME, {**header, "format": 3})
-        refusal = "has format 3; this build reads formats 1, 2$"
+        write_json(directory / HEADER_FILENAME, {**header, "format": 4})
+        refusal = "has format 4; this build reads formats 1, 2, 3$"
         with pytest.raises(RecoveryError, match=refusal) as caught:
             RecoveryManager(directory)
         assert "\n" not in str(caught.value)
@@ -707,7 +706,7 @@ class TestMixedVectorEncodings:
         assert any(isinstance(r.get("features"), list) for r in tail)
 
         reopened = _service(analysed_corpus, config)
-        assert read_json(directory / HEADER_FILENAME)["format"] == 2
+        assert read_json(directory / HEADER_FILENAME)["format"] == 3
         replica = ReplicaServer(directory, corpus=analysed_corpus, config=config)
         try:
             apply_ingest(reopened, ops[10:16])

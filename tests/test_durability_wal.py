@@ -1,4 +1,5 @@
-"""WAL behaviour tests: LSN discipline, segment routing, compaction, repair.
+"""WAL behaviour tests: LSN discipline, segment routing, compaction, repair,
+and the feedback log a format-2 directory may still hold.
 
 All tests carry the ``durability`` marker (``pytest -m durability``).
 """
@@ -9,14 +10,18 @@ import pytest
 
 from repro.durability.wal import (
     FSYNC_POLICIES,
-    META_SEGMENT,
+    LEGACY_FEEDBACK_LOG,
     WalError,
     WalSegment,
     WriteAheadLog,
+    encode_op,
     segment_filename,
 )
+from repro.feedback import EventKind, InteractionEvent
+from repro.service import RetrievalService, ServiceConfig
 from repro.sharding.router import ShardRouter
 from repro.utils.serialization import encode_record
+from repro.workload.ingest import apply_ingest, service_feature_dim, synthetic_ingest_ops
 
 pytestmark = pytest.mark.durability
 
@@ -24,7 +29,27 @@ pytestmark = pytest.mark.durability
 def test_segment_filenames():
     assert segment_filename(0) == "wal-shard-0000.log"
     assert segment_filename(17) == "wal-shard-0017.log"
-    assert segment_filename(META_SEGMENT) == "wal-meta.log"
+
+
+def test_feedback_appends_nothing(analysed_corpus, tmp_path):
+    directory = tmp_path / "d"
+    config = ServiceConfig(durability_dir=str(directory), fsync_policy="never")
+    service = RetrievalService.from_corpus(analysed_corpus, config=config)
+    apply_ingest(
+        service, synthetic_ingest_ops(3, seed=4, feature_dim=service_feature_dim(service))
+    )
+    wal = service.engine.durability.wal
+    before = wal.last_lsn, {path.name: path.read_bytes() for path in directory.iterdir()}
+    shot_id = analysed_corpus.collection.shot_ids()[0]
+    for tick in range(3):
+        info = service.observe(
+            "user-a", [InteractionEvent(EventKind.PLAY_CLICK, float(tick), shot_id=shot_id)]
+        )
+    assert info.seen_shot_count == 1  # the session took the clicks ...
+    after = wal.last_lsn, {path.name: path.read_bytes() for path in directory.iterdir()}
+    service.close()
+    assert after == before  # ... and the directory did not move
+    assert not (directory / LEGACY_FEEDBACK_LOG).exists()
 
 
 class TestWalSegment:
@@ -106,8 +131,7 @@ class TestWriteAheadLog:
         router = ShardRouter(3)
         ids = [f"doc-{index}" for index in range(20)]
         for index, doc_id in enumerate(ids):
-            segment = router.shard_of(doc_id) if index % 4 else META_SEGMENT
-            lsn = wal.append(segment, {"op": "doc", "id": doc_id, "tf": {}})
+            lsn = wal.append(router.shard_of(doc_id), {"op": "doc", "id": doc_id, "tf": {}})
             assert lsn == index + 1
         assert wal.last_lsn == 20
         records, _ = wal.scan_all()
@@ -197,3 +221,31 @@ class TestWriteAheadLog:
         lsns = [record["lsn"] for record in records]
         assert lsns == sorted(lsns)
         assert len(lsns) == 5  # one record lost to the tear
+
+
+def test_a_legacy_feedback_log_fills_lsns_and_is_never_written(tmp_path):
+    # Feedback batches a format-2 writer logged hold LSNs 2 and 4, between
+    # index ops.  Readers merge them in, so the stream has no hole; the
+    # writer neither holds, appends to nor rewrites the file.
+    def frame(name, records):
+        segment = WalSegment(tmp_path / name)
+        for record in records:
+            segment.append(encode_op(record), fsync=False)
+        segment.close()
+
+    doc = lambda lsn: {"op": "doc", "id": f"d{lsn}", "tf": {}, "lsn": lsn}
+    frame(segment_filename(0), [doc(1), doc(5)])
+    frame(segment_filename(1), [doc(3)])
+    frame(LEGACY_FEEDBACK_LOG, [{"op": "feedback", "lsn": lsn, "events": []} for lsn in (2, 4)])
+    legacy = (tmp_path / LEGACY_FEEDBACK_LOG).read_bytes()
+    wal = WriteAheadLog(tmp_path, 2, fsync_policy="never", next_lsn=6)
+    names = [name for name, _, _ in wal.scan_segments()]
+    assert names == [segment_filename(0), segment_filename(1), LEGACY_FEEDBACK_LOG]
+    records, tail_errors = wal.scan_all()
+    assert [record["lsn"] for record in records] == [1, 2, 3, 4, 5]
+    assert tail_errors == {}
+    assert [entry.lsn for entry in wal.entries_since(0)] == [1, 3, 5]
+    assert wal.truncate_through(4) == 2
+    assert wal.repair_to(4) == 1
+    wal.close()
+    assert (tmp_path / LEGACY_FEEDBACK_LOG).read_bytes() == legacy

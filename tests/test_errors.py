@@ -20,8 +20,17 @@ from repro.analysis.features import (
 )
 from repro.collection.storage import load_collection, load_corpus, load_topics
 from repro.collection.vocabulary import CategoryLanguageModel, Vocabulary
+from repro.core.ostensive import (
+    OstensiveAccumulator,
+    exponential_discount,
+    linear_discount,
+    make_discount,
+    reciprocal_discount,
+    uniform_discount,
+)
 from repro.durability import DurabilityManager
 from repro.errors import InvalidArgumentError, ReproError
+from repro.evaluation import significance
 from repro.index import fusion
 from repro.index.scoring import normalise_query
 from repro.replication import ChaosEvent, ChaosSchedule, run_replicated_loadtest
@@ -288,6 +297,73 @@ FEATURE_REFUSALS = {
 @pytest.mark.parametrize("refusal", sorted(FEATURE_REFUSALS))
 def test_feature_refusals_are_invalid_argument_errors(refusal):
     call, message = FEATURE_REFUSALS[refusal]
+    with pytest.raises(InvalidArgumentError) as refused:
+        call()
+    assert isinstance(refused.value, ValueError)
+    assert str(refused.value) == message
+
+
+#: Evidence-discount and significance-test refusals: ``name -> (refused
+#: call, message)``.
+ANALYSIS_REFUSALS = {
+    "uniform_discount.age": (
+        lambda: uniform_discount(-1), "age must be non-negative"
+    ),
+    "exponential_discount.age": (
+        lambda: exponential_discount(-1), "age must be non-negative"
+    ),
+    "reciprocal_discount.age": (
+        lambda: reciprocal_discount(-2), "age must be non-negative"
+    ),
+    "linear_discount.age": (
+        lambda: linear_discount(-1), "age must be non-negative"
+    ),
+    "make_discount.profile": (
+        lambda: make_discount("harmonic"),
+        "unknown discount profile 'harmonic'; expected one of "
+        "('uniform', 'exponential', 'reciprocal', 'linear')",
+    ),
+    "OstensiveAccumulator.neither": (
+        lambda: OstensiveAccumulator(),
+        "provide a discount callable or a profile name",
+    ),
+    "OstensiveAccumulator.profile": (
+        lambda: OstensiveAccumulator(profile="harmonic"),
+        "unknown discount profile 'harmonic'; expected one of "
+        "('uniform', 'exponential', 'reciprocal', 'linear')",
+    ),
+    "OstensiveAccumulator.both": (
+        lambda: OstensiveAccumulator(discount=uniform_discount, profile="uniform"),
+        "pass either discount or profile, not both",
+    ),
+    "paired_t_test.lengths": (
+        lambda: significance.paired_t_test([0.1, 0.2], [0.3]),
+        "paired samples must have equal length, got 2 and 1",
+    ),
+    "randomisation_test.too_few": (
+        lambda: significance.randomisation_test([0.1], [0.3]),
+        "need at least two paired observations",
+    ),
+    "student_t_sf.degrees": (
+        lambda: significance._student_t_sf(1.0, 0),
+        "degrees of freedom must be positive",
+    ),
+    "compare_per_topic.shared": (
+        lambda: significance.compare_per_topic({"t1": 0.1}, {"t1": 0.2, "t2": 0.3}),
+        "need at least two shared topics to compare",
+    ),
+    "compare_per_topic.method": (
+        lambda: significance.compare_per_topic(
+            {"t1": 0.1, "t2": 0.2}, {"t1": 0.2, "t2": 0.3}, method="wilcoxon"
+        ),
+        "unknown method 'wilcoxon'; expected 't-test' or 'randomisation'",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(ANALYSIS_REFUSALS))
+def test_analysis_refusals_are_invalid_argument_errors(refusal):
+    call, message = ANALYSIS_REFUSALS[refusal]
     with pytest.raises(InvalidArgumentError) as refused:
         call()
     assert isinstance(refused.value, ValueError)

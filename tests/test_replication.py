@@ -186,7 +186,7 @@ class TestReplicaTailing:
         finally:
             replica.close()
 
-    def test_feedback_records_ship_without_changing_index_state(
+    def test_feedback_ships_nothing_and_leaves_index_state(
         self, analysed_corpus, tmp_path
     ):
         config = _durable_config(tmp_path / "dur")
@@ -207,6 +207,7 @@ class TestReplicaTailing:
                 )
             )
             hit = response.top(1)[0]
+            lsn = primary.engine.durability.wal.last_lsn
             primary.submit_feedback(
                 FeedbackBatch(
                     user_id="alice",
@@ -221,11 +222,11 @@ class TestReplicaTailing:
                     session_id=info.session_id,
                 )
             )
-            applied = replica.poll()
-            assert applied == 1  # the feedback batch advanced the LSN...
-            assert replica.statistics()["feedback_batches"] == 1
-            assert replica.state_digest() == digest_before  # ...not the index
-            assert replica.applied_lsn == primary.engine.durability.wal.last_lsn
+            # Feedback adapts the primary's session only: nothing is logged.
+            assert primary.engine.durability.wal.last_lsn == lsn
+            assert replica.poll() == 0
+            assert replica.state_digest() == digest_before
+            assert replica.applied_lsn == lsn
         finally:
             replica.close()
             primary.close()

@@ -2,7 +2,7 @@
 
 The owning ``WriteAheadLog`` keeps ``(lsn, record, payload)`` for every
 index-op record on its shard segments, and checkpoints and truncation work
-from that copy instead of re-reading the files.  Three properties hold it
+from that copy instead of re-reading the files.  Four properties hold it
 to the files it replaces:
 
 * **Equal to the disk.**  For generated sequences of ingest / update /
@@ -11,13 +11,14 @@ to the files it replaces:
   segment's held entries equal, ``(lsn, payload)`` for ``(lsn, payload)``,
   what a fresh :class:`WalSegment` reads back from the file after every
   step — and a cold recovery of the directory lands on the live digest.
+  A feedback step appends nothing.
 * **Byte-neutral.**  A fixed stream (one replica pin, two compactions,
-  feedback on the meta segment) leaves a durability directory whose sha256
-  over every ``(name, bytes)`` is a literal: recorded when checkpoints still
-  re-read, re-decoded and re-encoded the log, and re-derived once, when
-  shot vectors went to disk packed (see :data:`DIRECTORY_SHA256`).
-* **Bounded.**  Feedback is never held; index ops are held only until the
-  checkpoint that covers them, unless a replica pins them on disk too.
+  feedback batches) leaves a durability directory whose sha256 over every
+  ``(name, bytes)`` is a literal (see :data:`DIRECTORY_SHA256`).
+* **Read-free.**  An ops checkpoint and its truncation read no segment.
+* **Bounded.**  Feedback leaves the directory as it was; index ops are
+  held only until the checkpoint that covers them, unless a replica pins
+  them on disk too.
 
 All tests carry the ``durability`` marker (``pytest -m durability``).
 """
@@ -92,10 +93,9 @@ def _config(directory, num_shards, interval) -> ServiceConfig:
     )
 
 
-def _feedback(durability, tick: int) -> None:
-    durability.log_feedback(
+def _feedback(service, tick: int) -> None:
+    service.observe(
         "user-a",
-        "session-a",
         [
             InteractionEvent(
                 kind=EventKind.PLAY_CLICK,
@@ -104,6 +104,10 @@ def _feedback(durability, tick: int) -> None:
             )
         ],
     )
+
+
+def _directory_files(directory: Path):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
 def _directory_sha256(directory: Path) -> str:
@@ -174,7 +178,11 @@ class _Run:
                 self.service.delete_shot(victim)
         elif kind == "feedback":
             self.ticks += 1
-            _feedback(self.durability, self.ticks)
+            before = self.durability.wal.last_lsn, _directory_files(self.directory)
+            _feedback(self.service, self.ticks)
+            assert (
+                self.durability.wal.last_lsn, _directory_files(self.directory)
+            ) == before
         elif kind == "compact":
             self.service.compact()
         elif kind == "checkpoint":
@@ -246,12 +254,15 @@ def test_held_copy_equals_the_disk_after_every_step(num_shards, ops, interval):
 #: sha256 of the directory :func:`_fixed_stream` leaves.  First recorded
 #: when the checkpoint still re-read the WAL files and re-encoded every
 #: record; re-derived when shot vectors went to disk packed
-#: (``encode_vector``, header format 2, snapshot format 3).  The directory
-#: the decimal-list writer left converts to exactly these bytes by
-#: re-encoding each vector and bumping the two format fields.
+#: (``encode_vector``, header format 2, snapshot format 3), and again when
+#: feedback stopped being logged (header format 3).  The directory the
+#: feedback-logging writer left converts to exactly these bytes by
+#: dropping ``wal-meta.log``, lowering every LSN (in the segments, the ops
+#: deltas and the manifests' ``wal_lsn``) by the feedback LSNs below it,
+#: and bumping the header's format.
 DIRECTORY_SHA256 = {
-    1: "2be4784ce4c9e2058a570c8eadbf0a647e475048f10e9ed41db5fc07268b69f2",
-    4: "2b46debff2f3044caf97af91543dcccbdd4a89f2feeb99af37e9868d38080c0e",
+    1: "80de04be5e8b2d76b3eb573e097ac05590d72b9f8203df34e7eebb32a390cd1d",
+    4: "37f6ef4c853857ba2eff8377fa1152ab44915b2384b58d5074aefdee1cd8338d",
 }
 
 
@@ -270,7 +281,7 @@ def _fixed_stream(directory: Path, num_shards: int) -> str:
             service.delete_document(ops[index - 9][1])
             service.update_document(ops[index - 7][1], f"verdict rewrite {index}")
         if index % 16 == 0:
-            _feedback(durability, index)
+            _feedback(service, index)
         if index == 40:
             durability.acknowledge_replica("pin", durability.wal.last_lsn - 5)
         if index == 70:
@@ -290,18 +301,53 @@ def test_fixed_stream_directory_bytes_are_pinned(tmp_path, num_shards):
     assert _directory_sha256(directory) == DIRECTORY_SHA256[num_shards]
 
 
+@pytest.mark.parametrize("reopen", (False, True))
+def test_an_ops_checkpoint_reads_no_segment(tmp_path, monkeypatch, reopen):
+    # Its window is the writer's held copy and its truncation rewrites from
+    # that copy: neither scans a file, after a fresh start or a reopen.
+    config = _config(tmp_path / "d", 4, 10_000)
+    service = RetrievalService(_collection(), config=config)
+    ops = synthetic_ingest_ops(24, seed=INGEST_SEED, feature_dim=FEATURE_DIM)
+    apply_ingest(service, ops[:12])
+    if reopen:
+        service.close()
+        service = RetrievalService(_collection(), config=config)
+    calls = []
+
+    def counted(name):
+        original = getattr(WalSegment, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(WalSegment, name, wrapper)
+
+    counted("scan_entries")
+    counted("scan")
+    apply_ingest(service, ops[12:])
+    with service.engine.exclusive_writer():
+        manifest = service.engine.durability.checkpoint(service.engine)
+    assert (manifest["rebase"], manifest["op_records"]) == (False, 24)
+    assert calls == []
+    monkeypatch.undo()
+    _assert_copy_matches_disk(service, tmp_path / "d", 4)
+    service.close()
+
+
 class TestPlateau:
-    def test_feedback_is_never_held(self, tmp_path):
+    def test_feedback_leaves_the_directory_as_it_was(self, tmp_path):
         config = _config(tmp_path / "d", 1, 256)
         service = RetrievalService(_collection(), config=config)
-        durability = service.engine.durability
+        apply_ingest(
+            service, synthetic_ingest_ops(5, seed=INGEST_SEED, feature_dim=FEATURE_DIM)
+        )
+        before = _directory_files(tmp_path / "d")
         for tick in range(2_000):
-            _feedback(durability, tick)
-        held = durability.wal.held_entries()
+            _feedback(service, tick)
+        after = _directory_files(tmp_path / "d")
         service.close()
-        assert sum(len(entries) for entries in held.values()) == 0
-        records, _ = WalSegment(tmp_path / "d" / "wal-meta.log").scan()
-        assert len(records) == 2_000  # on disk, unbounded (see ROADMAP item 2)
+        assert after == before
 
     def test_index_ops_are_held_until_their_checkpoint(self, tmp_path):
         config = _config(tmp_path / "d", 4, 256)
