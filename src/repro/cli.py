@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="balanced",
                           help="workload mix: 'balanced' pairs each search with one "
                                "feedback step; 'adaptive-heavy' sends three feedback "
-                               "steps per search (exercises the adaptation fast path)")
+                               "steps per search (exercises session adaptation)")
     loadtest.add_argument("--feedback-per-query", type=_POSITIVE, default=None,
                           help="feedback steps per search step (overrides --mix)")
     loadtest.add_argument("--shards", type=_POSITIVE, default=service.num_shards,

@@ -1,9 +1,8 @@
-"""Dense fast path for the per-query adaptation pipeline.
+"""The per-query adaptation pipeline's corpus lookups and dense fold.
 
 The adaptive loop — fold profile affinity and implicit evidence into every
 ranking — is the serving hot path: it runs once per query for every session
-of every user.  This module gives it the same treatment PR 2 gave raw
-scoring:
+of every user.
 
 * :class:`SharedAdaptationState` holds the corpus-derived immutables every
   session needs (shot durations for dwell normalisation, per-shot category
@@ -17,14 +16,14 @@ scoring:
   :mod:`repro.index.slots`; stamp-validated, so no O(corpus) zeroing
   between queries), converting back to ``(score, shot_id)`` pairs only at
   the fusion boundary where the final
-  :class:`~repro.retrieval.results.ResultList` is built.  Shot ids that were never indexed (feedback on alien ids) fall
-  back to a small overflow map.
+  :class:`~repro.retrieval.results.ResultList` is built.  Shot ids that
+  were never indexed (feedback on alien ids) fall back to a small overflow
+  map.
 
-Everything here is **bit-identical** to the retained reference
-implementations (:func:`repro.retrieval.reranking.rerank_with_scores`
-composed with :func:`~repro.retrieval.reranking.demote_seen_shots`, and
-:meth:`repro.core.combination.EvidenceCombiner.profile_affinity`): the same
-arithmetic is applied in the same order, and the equivalence suite pins it.
+The test suite pins both folds bit for bit to naive references in
+``tests/reference/adaptation.py``: per-shot affinity read from the
+collection's shot objects, and :func:`~repro.retrieval.reranking.
+rerank_with_scores` followed by a separate demotion pass.
 """
 
 from __future__ import annotations
@@ -81,10 +80,10 @@ def profile_affinity_shared(
 ) -> Dict[str, float]:
     """Profile affinity scores over shared per-shot lookups.
 
-    Bit-identical to :meth:`~repro.core.combination.EvidenceCombiner.
-    profile_affinity` (category interest plus 0.25-weighted concept
-    interests, in concept order), without dereferencing the collection's
-    shot objects per result.
+    A shot's affinity is the profile's interest in its category plus 0.25
+    times its interest in each of the shot's concepts, added in concept
+    order; shots the collection does not know and shots with no positive
+    affinity get no score.
     """
     scores: Dict[str, float] = {}
     categories = state.shot_categories
@@ -144,14 +143,17 @@ def rerank_and_demote(
 ) -> ResultList:
     """Fused evidence interpolation + seen-shot demotion.
 
-    Computes exactly what
-    ``demote_seen_shots(rerank_with_scores(results, evidence_scores,
-    weight), seen_shot_ids, penalty)`` computes — including the
-    intermediate top-``len(results)`` truncation between the two folds —
-    in one dense pass and with a single final :class:`ResultList`
-    construction.  Either stage may be disabled: empty ``evidence_scores``
-    skips interpolation, ``penalty == 0`` (or no seen shots) skips
-    demotion.
+    Two folds, in one dense pass and with a single final
+    :class:`ResultList` construction:
+
+    1. interpolation — ``(1 - weight) * normalised(score) + weight *
+       normalised(evidence)`` over the union of the ranked shots and the
+       evidence, min-max normalised, cut to the top ``len(results)``;
+    2. demotion — the survivors' scores min-max normalised again, each
+       seen shot's multiplied by ``1 - penalty``.
+
+    Either fold may be disabled: empty ``evidence_scores`` skips
+    interpolation, ``penalty == 0`` (or no seen shots) skips demotion.
     """
     apply_evidence = bool(evidence_scores)
     apply_demote = penalty > 0.0 and bool(seen_shot_ids)
@@ -217,9 +219,8 @@ def rerank_and_demote(
                 limit=result_limit,
                 topic_id=results.topic_id,
             )
-        # The reference pipeline materialises the re-ranked list before
-        # demoting, so demotion only ever sees the surviving top entries;
-        # replicate that truncation (same selection from_decorated applies).
+        # Demotion only ever sees the top ``result_limit`` entries of the
+        # interpolated ranking (the same selection from_decorated applies).
         if len(decorated) > 4 * result_limit:
             decorated = heapq.nsmallest(result_limit, decorated)
         else:

@@ -54,7 +54,6 @@ from repro.profiles.profile import UserProfile
 from repro.profiles.reranker import ProfileReranker
 from repro.retrieval.engine import VideoRetrievalEngine
 from repro.retrieval.query import Query
-from repro.retrieval.reranking import demote_seen_shots, rerank_with_scores
 from repro.retrieval.results import ResultList
 
 
@@ -80,12 +79,13 @@ class AdaptiveSession:
     Construction is O(1): every corpus-derived lookup (shot durations,
     categories, concepts) comes from the system's shared
     :class:`~repro.core.adaptation_kernel.SharedAdaptationState`, built
-    once and handed to sessions by reference.  With ``fast_path=False``
-    the session runs the retained naive implementations instead — a
-    per-session O(corpus) duration build, full-recompute ostensive
-    evidence, un-memoised feedback derivations and the two-stage reference
-    re-ranking fold — which is what the equivalence tests and the E14
-    bench compare against (rankings are bit-identical by construction).
+    once and handed to sessions by reference.  Each step of a search runs
+    one implementation: incremental ostensive evidence, feedback
+    derivations memoised on the evidence digest, and the fused dense
+    re-ranking fold of :func:`~repro.core.adaptation_kernel.
+    rerank_and_demote`.  The test suite compares whole sessions, bit for
+    bit, with a naive reference session kept in
+    ``tests/reference/adaptation.py``.
 
     Retained state is O(1) per search: the session holds an iteration
     counter and the last :class:`QueryIteration`, never the trail, so a
@@ -101,30 +101,21 @@ class AdaptiveSession:
         scheme: Optional[WeightingScheme] = None,
         topic_id: Optional[str] = None,
         result_limit: int = 50,
-        fast_path: bool = True,
     ) -> None:
         self._system = system
         self._profile = profile
         self._policy = policy
         self._topic_id = topic_id
         self._result_limit = result_limit
-        self._fast_path = fast_path
         decay = 1.0
         if policy.use_implicit and policy.ostensive_profile == "exponential":
             decay = policy.ostensive_base
-        if fast_path:
-            shot_durations: "Dict[str, float]" = system.shared_state.shot_durations
-        else:
-            shot_durations = {
-                shot.shot_id: shot.duration for shot in system.collection.iter_shots()
-            }
         self._accumulator = EvidenceAccumulator(
             scheme=scheme or heuristic_scheme(),
             decay=decay,
-            shot_durations=shot_durations,
+            shot_durations=system.shared_state.shot_durations,
             discount_profile=policy.ostensive_profile if policy.use_implicit else None,
             horizon=policy.ostensive_horizon,
-            reference=not fast_path,
         )
         self._explicit = ExplicitFeedbackStore()
         # Order-preserving seen set: dict keys keep first-touch order while
@@ -161,11 +152,6 @@ class AdaptiveSession:
     def last_iteration(self) -> Optional[QueryIteration]:
         """The most recent completed query iteration (None before the first)."""
         return self._last_iteration
-
-    @property
-    def is_fast_path(self) -> bool:
-        """True when the session runs the incremental/dense fast path."""
-        return self._fast_path
 
     def seen_shots(self) -> List[str]:
         """Shots the user has interacted with, in first-touch order."""
@@ -223,15 +209,10 @@ class AdaptiveSession:
             query = self._system.profile_reranker.personalise_query(query, self._profile)
         if self._policy.use_implicit:
             model = self._system.feedback_model(self._policy)
-            if self._fast_path:
-                expansion = model.expansion_term_weights(
-                    self._accumulator.evidence_view(),
-                    digest=self._accumulator.evidence_digest(),
-                )
-            else:
-                expansion = model.expansion_term_weights_uncached(
-                    self._accumulator.evidence()
-                )
+            expansion = model.expansion_term_weights(
+                self._accumulator.evidence_view(),
+                digest=self._accumulator.evidence_digest(),
+            )
             if expansion:
                 confidence = self._evidence_confidence()
                 merged = dict(query.term_weights)
@@ -247,50 +228,31 @@ class AdaptiveSession:
         return query
 
     def _evidence_scores(self, results: ResultList) -> Dict[str, float]:
-        collection = self._system.collection
-        fast = self._fast_path
-        shared = self._system.shared_state if fast else None
+        shared = self._system.shared_state
         profile_scores: Dict[str, float] = {}
         implicit_scores: Dict[str, float] = {}
         if self._policy.use_profile and not self._profile.is_empty():
-            if fast:
-                profile_scores = profile_affinity_shared(
-                    self._profile, shared, results.shot_ids()
-                )
-            else:
-                profile_scores = EvidenceCombiner.profile_affinity(
-                    self._profile, collection, results.shot_ids()
-                )
+            profile_scores = profile_affinity_shared(
+                self._profile, shared, results.shot_ids()
+            )
         if self._policy.use_implicit:
             model = self._system.feedback_model(self._policy)
-            if fast:
-                # The memoised map is handed out as an owned copy, so the
-                # explicit-evidence fold below cannot corrupt the cache.
-                implicit_scores = model.rerank_scores(
-                    self._accumulator.evidence_view(),
-                    digest=self._accumulator.evidence_digest(),
-                )
-            else:
-                implicit_scores = model.rerank_scores_uncached(
-                    self._accumulator.evidence()
-                )
+            # The memoised map is handed out as an owned copy, so the
+            # explicit-evidence fold below cannot corrupt the cache.
+            implicit_scores = model.rerank_scores(
+                self._accumulator.evidence_view(),
+                digest=self._accumulator.evidence_digest(),
+            )
         if self._policy.use_explicit:
             for shot_id, value in self._explicit.evidence_map().items():
                 implicit_scores[shot_id] = implicit_scores.get(shot_id, 0.0) + value
         if not profile_scores and not implicit_scores:
             return {}
-        if fast:
-            return self._system.combiner.combine(
-                profile_scores,
-                implicit_scores,
-                profile=self._profile,
-                category_lookup=shared.shot_categories,
-            )
         return self._system.combiner.combine(
             profile_scores,
             implicit_scores,
-            collection=collection,
             profile=self._profile,
+            category_lookup=shared.shot_categories,
         )
 
     def _adaptation_weight(self) -> float:
@@ -316,33 +278,17 @@ class AdaptiveSession:
         )
         evidence = self._evidence_scores(results)
         demote = self._policy.demote_seen if self._seen_shots else 0.0
-        if self._fast_path:
-            if evidence or demote > 0:
-                results = rerank_and_demote(
-                    results,
-                    evidence,
-                    self._adaptation_weight() if evidence else 0.0,
-                    self._seen_shots,
-                    demote,
-                    collection=self._system.collection,
-                    index=self._system.engine.inverted_index,
-                    scratch=self._scratch,
-                )
-        else:
-            if evidence:
-                results = rerank_with_scores(
-                    results,
-                    evidence,
-                    self._adaptation_weight(),
-                    collection=self._system.collection,
-                )
-            if demote > 0:
-                results = demote_seen_shots(
-                    results,
-                    self._seen_shots,
-                    penalty=demote,
-                    collection=self._system.collection,
-                )
+        if evidence or demote > 0:
+            results = rerank_and_demote(
+                results,
+                evidence,
+                self._adaptation_weight() if evidence else 0.0,
+                self._seen_shots,
+                demote,
+                collection=self._system.collection,
+                index=self._system.engine.inverted_index,
+                scratch=self._scratch,
+            )
         iteration = QueryIteration(
             query_text=query_text,
             adapted_query=adapted_query,
@@ -497,16 +443,12 @@ class AdaptiveVideoRetrievalSystem:
         scheme: Optional[WeightingScheme] = None,
         topic_id: Optional[str] = None,
         result_limit: int = 50,
-        fast_path: bool = True,
     ) -> AdaptiveSession:
         """Start a new adaptive session for a user.
 
         With no profile and the default (baseline) policy the session
         behaves exactly like the plain retrieval engine, which is how the
         non-adaptive baselines of the experiments are run.
-        ``fast_path=False`` selects the retained naive implementations
-        (for equivalence testing and benchmarking); rankings are identical
-        either way.
         """
         return AdaptiveSession(
             system=self,
@@ -515,5 +457,4 @@ class AdaptiveVideoRetrievalSystem:
             scheme=scheme,
             topic_id=topic_id,
             result_limit=result_limit,
-            fast_path=fast_path,
         )

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from repro.collection.documents import Collection
 from repro.errors import InvalidArgumentError
 from repro.profiles.profile import UserProfile
 from repro.utils.validation import ensure_in_range
@@ -59,52 +58,29 @@ class EvidenceCombiner:
         """The combination configuration."""
         return self._config
 
-    # -- profile affinity -----------------------------------------------------------
-
-    @staticmethod
-    def profile_affinity(
-        profile: UserProfile, collection: Collection, shot_ids
-    ) -> Dict[str, float]:
-        """Profile affinity scores for a set of shots."""
-        scores: Dict[str, float] = {}
-        for shot_id in shot_ids:
-            if not collection.has_shot(shot_id):
-                continue
-            shot = collection.shot(shot_id)
-            affinity = profile.interest_in_category(shot.category)
-            for concept in shot.concepts:
-                affinity += 0.25 * profile.interest_in_concept(concept)
-            if affinity > 0:
-                scores[shot_id] = affinity
-        return scores
-
     # -- combination ---------------------------------------------------------------------
 
     def combine(
         self,
         profile_scores: Mapping[str, float],
         implicit_scores: Mapping[str, float],
-        collection: Optional[Collection] = None,
         profile: Optional[UserProfile] = None,
         category_lookup: Optional[Mapping[str, str]] = None,
     ) -> Dict[str, float]:
         """Combine the two evidence maps according to the configured strategy.
 
-        ``category_lookup`` is an optional prebuilt ``{shot_id: category}``
-        mapping (see :class:`~repro.core.adaptation_kernel.
-        SharedAdaptationState`); when provided, the ``profile_gate``
-        strategy reads categories from it instead of dereferencing
-        ``collection`` shot objects — same categories, same result, no
-        per-shot object traffic.
+        ``category_lookup`` is a ``{shot_id: category}`` mapping (a session
+        passes :attr:`~repro.core.adaptation_kernel.SharedAdaptationState.
+        shot_categories`); the ``profile_gate`` strategy reads each shot's
+        category from it.  A shot it does not know, or a call without a
+        profile or a lookup, is not gated.
         """
         strategy = self._config.strategy
         if strategy == "linear":
             return self._linear(profile_scores, implicit_scores)
         if strategy == "cold_start":
             return self._cold_start(profile_scores, implicit_scores)
-        return self._profile_gate(
-            profile_scores, implicit_scores, collection, profile, category_lookup
-        )
+        return self._profile_gate(profile_scores, implicit_scores, profile, category_lookup)
 
     def _linear(
         self, profile_scores: Mapping[str, float], implicit_scores: Mapping[str, float]
@@ -140,9 +116,8 @@ class EvidenceCombiner:
         self,
         profile_scores: Mapping[str, float],
         implicit_scores: Mapping[str, float],
-        collection: Optional[Collection],
         profile: Optional[UserProfile],
-        category_lookup: Optional[Mapping[str, str]] = None,
+        category_lookup: Optional[Mapping[str, str]],
     ) -> Dict[str, float]:
         """Scale implicit evidence by the profile's interest in the shot's category."""
         combined: Dict[str, float] = {}
@@ -150,12 +125,8 @@ class EvidenceCombiner:
             combined[shot_id] = combined.get(shot_id, 0.0) + self._config.profile_weight * score
         for shot_id, score in implicit_scores.items():
             gate = 1.0
-            if profile is not None:
-                category = None
-                if category_lookup is not None:
-                    category = category_lookup.get(shot_id)
-                elif collection is not None and collection.has_shot(shot_id):
-                    category = collection.shot(shot_id).category
+            if profile is not None and category_lookup is not None:
+                category = category_lookup.get(shot_id)
                 if category is not None:
                     gate = max(
                         self._config.gate_floor, profile.interest_in_category(category)

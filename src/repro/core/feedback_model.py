@@ -29,9 +29,10 @@ The digest preserves evidence *insertion order* (see
 because the folds below are order-sensitive in the last ulp; a write to
 either index drops the whole memo on the next read.  The cache is
 bounded, LRU and thread-safe (one model instance is shared by all sessions
-under the same policy).  The un-memoised derivations are retained as
-:meth:`expansion_term_weights_uncached` / :meth:`rerank_scores_uncached`;
-the equivalence tests pin the memoised results bit-identical to them.
+under the same policy).  :meth:`expansion_term_weights_uncached` and
+:meth:`rerank_scores_uncached` are the memo's compute functions; callers
+whose evidence is rebuilt per call (session recommendations, the news
+recommender) call the latter directly rather than churn the memo.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class ImplicitFeedbackModel:
     def expansion_term_weights_uncached(
         self, shot_evidence: Mapping[str, float]
     ) -> Dict[str, float]:
-        """The un-memoised expansion derivation (reference path).
+        """The un-memoised expansion derivation (the memo's compute function).
 
         Terms are extracted with evidence-weighted TF-IDF offer weights; the
         number of terms is bounded by the model's ``expansion_terms``.
@@ -173,7 +174,7 @@ class ImplicitFeedbackModel:
     def rerank_scores_uncached(
         self, shot_evidence: Mapping[str, float]
     ) -> Dict[str, float]:
-        """The un-memoised re-ranking derivation (reference path).
+        """The un-memoised re-ranking derivation (the memo's compute function).
 
         Positive evidence is propagated to visually similar shots with the
         configured propagation weight; negative evidence stays on the shot

@@ -73,35 +73,33 @@ def make_discount(profile: str, **kwargs: float) -> Callable[[int], float]:
 class OstensiveAccumulator:
     """Accumulates per-item evidence with iteration-age discounting.
 
-    Unlike :class:`repro.feedback.accumulator.EvidenceAccumulator`, which
-    decays its running total in place, this accumulator remembers *when*
-    each piece of evidence arrived, so different discount profiles can be
-    compared on exactly the same observation history (the E7 ablation).
+    :class:`repro.feedback.accumulator.EvidenceAccumulator` folds a
+    session's implicit evidence through one, and :func:`compare_profiles`
+    runs several over the same observation history (the E7 ablation).
 
-    Maintenance is **incremental** when the accumulator is built with
-    :meth:`for_profile`:
+    Maintenance is **incremental**, and the accumulator keeps only the
+    history its discount still reads:
 
-    * ``uniform`` and ``exponential`` keep a *running* total — observing an
-      iteration costs O(delta) (plus, for exponential, one in-place decay
-      sweep of the running total), and reading the weighted evidence is a
-      dictionary copy.  The exponential running total is the left fold
-      ``total = base * total + delta`` — the exact fold
-      :class:`~repro.feedback.accumulator.EvidenceAccumulator` applies live
-      in a session — so :meth:`weighted_evidence_reference` recomputes the
-      same fold from the retained history rather than summing
-      ``base ** age`` factor terms (the two differ in the last ulp).
+    * ``uniform`` and ``exponential`` keep a *running* total and no
+      history — observing an iteration costs O(delta) (plus, for
+      exponential, one in-place decay sweep of the running total), and
+      reading the weighted evidence is a dictionary copy.  The exponential
+      running total is the left fold ``total = base * total + delta``, the
+      exact fold :class:`~repro.feedback.accumulator.EvidenceAccumulator`
+      applies live in a session (it differs from summing ``base ** age``
+      factor terms in the last ulp).
     * ``reciprocal`` and ``linear`` cannot fold into one total (every new
       iteration re-weights all previous ages), so the history is kept as
       per-age partial sums — each entry is the aggregated evidence of one
       iteration — and the weighted combination is computed *lazily*: it is
       cached until the next iteration arrives, so any number of reads
       between observations costs one dictionary copy.  The linear profile
-      additionally touches only the ``horizon`` newest iterations (older
-      ages have factor 0), making the recompute O(horizon × items).
+      keeps only the ``horizon`` newest iterations (older ages carry factor
+      0 forever), making its memory O(horizon) and its recompute
+      O(horizon × items); the reciprocal profile needs every age.
 
-    An accumulator built directly from a ``discount`` callable keeps the
-    original factor-based computation (with the same lazy cache), so custom
-    discount functions behave exactly as before.
+    An accumulator built directly from a ``discount`` callable keeps every
+    iteration and combines them by factor, with the same lazy cache.
     """
 
     def __init__(
@@ -110,7 +108,6 @@ class OstensiveAccumulator:
         profile: Optional[str] = None,
         base: float = 0.7,
         horizon: int = 6,
-        retain_history: bool = True,
     ) -> None:
         if discount is None and profile is None:
             raise InvalidArgumentError("provide a discount callable or a profile name")
@@ -127,16 +124,7 @@ class OstensiveAccumulator:
         self._profile = profile
         self._base = base
         self._horizon = horizon
-        # ``retain_history=False`` (serving sessions) keeps memory bounded:
-        # foldable profiles drop the history entirely (the running total is
-        # the whole state) and the linear profile keeps only the ``horizon``
-        # newest iterations (older ages carry factor 0).  The reciprocal
-        # profile needs every age either way.  With history dropped,
-        # :meth:`weighted_evidence_reference` is unavailable.
-        self._retain_history = retain_history or profile not in (
-            "uniform", "exponential", "linear"
-        )
-        self._trim_history = not retain_history and profile == "linear"
+        # Per-iteration evidence, for the profiles that cannot fold.
         self._history: List[Dict[str, float]] = []
         self._iterations = 0
         # Running total for the foldable profiles (uniform / exponential).
@@ -152,13 +140,10 @@ class OstensiveAccumulator:
         profile: str,
         base: float = 0.7,
         horizon: int = 6,
-        retain_history: bool = True,
     ) -> "OstensiveAccumulator":
-        """Build an accumulator with the incremental fast path for a named
-        discount profile (one of :data:`DISCOUNT_PROFILES`)."""
-        return cls(
-            profile=profile, base=base, horizon=horizon, retain_history=retain_history
-        )
+        """Build an accumulator for a named discount profile (one of
+        :data:`DISCOUNT_PROFILES`)."""
+        return cls(profile=profile, base=base, horizon=horizon)
 
     @property
     def profile(self) -> Optional[str]:
@@ -172,8 +157,6 @@ class OstensiveAccumulator:
             running = self._running
             for item_id, mass in evidence.items():
                 running[item_id] = running.get(item_id, 0.0) + mass
-            if self._retain_history:
-                self._history.append(dict(evidence))
         elif self._profile == "exponential":
             running = self._running
             base = self._base
@@ -181,12 +164,10 @@ class OstensiveAccumulator:
                 running[item_id] *= base
             for item_id, mass in evidence.items():
                 running[item_id] = running.get(item_id, 0.0) + mass
-            if self._retain_history:
-                self._history.append(dict(evidence))
         else:
             self._lazy_cache = None
             self._history.append(dict(evidence))
-            if self._trim_history and len(self._history) > self._horizon:
+            if self._profile == "linear" and len(self._history) > self._horizon:
                 # Ages beyond the linear horizon carry factor 0 forever, so
                 # the oldest entries can never influence a read again.
                 del self._history[0 : len(self._history) - self._horizon]
@@ -203,20 +184,14 @@ class OstensiveAccumulator:
         return factors[age]
 
     def _combine_factored(self) -> Dict[str, float]:
-        """Factor-based combination over the (windowed) history."""
+        """Factor-based combination over the kept history."""
         combined: Dict[str, float] = {}
-        history = self._history
-        latest = len(history) - 1
-        start = 0
-        if self._profile == "linear":
-            # Ages >= horizon carry factor 0 and are skipped by the factor
-            # guard anyway; not visiting them keeps the recompute O(horizon).
-            start = max(0, len(history) - self._horizon)
-        for index in range(start, len(history)):
+        latest = len(self._history) - 1
+        for index, iteration_evidence in enumerate(self._history):
             factor = self._factor(latest - index)
             if factor <= 0:
                 continue
-            for item_id, mass in history[index].items():
+            for item_id, mass in iteration_evidence.items():
                 combined[item_id] = combined.get(item_id, 0.0) + factor * mass
         return combined
 
@@ -243,51 +218,6 @@ class OstensiveAccumulator:
             self._lazy_cache = self._combine_factored()
         return self._lazy_cache
 
-    def weighted_evidence_reference(self) -> Dict[str, float]:
-        """Full recompute from the retained history (the reference path).
-
-        Performs no incremental bookkeeping: every read walks the whole
-        history, exactly as the accumulator did before the fast path
-        existed.  The equivalence tests pin :meth:`weighted_evidence`
-        bit-identical to this.  For the exponential profile the recompute
-        replays the running left fold (see the class docstring); for every
-        other configuration it is the original factor-sum loop.
-
-        Unavailable when the accumulator was built with
-        ``retain_history=False`` and a foldable profile (the history was
-        dropped to bound serving-session memory).
-        """
-        if not self._retain_history and self._profile in ("uniform", "exponential"):
-            raise RuntimeError(
-                "history was not retained (retain_history=False); the "
-                "reference recompute is unavailable"
-            )
-        if self._profile == "uniform":
-            combined: Dict[str, float] = {}
-            for iteration_evidence in self._history:
-                for item_id, mass in iteration_evidence.items():
-                    combined[item_id] = combined.get(item_id, 0.0) + mass
-            return combined
-        if self._profile == "exponential":
-            combined = {}
-            base = self._base
-            for iteration_evidence in self._history:
-                for item_id in combined:
-                    combined[item_id] *= base
-                for item_id, mass in iteration_evidence.items():
-                    combined[item_id] = combined.get(item_id, 0.0) + mass
-            return combined
-        combined = {}
-        latest = len(self._history) - 1
-        for index, iteration_evidence in enumerate(self._history):
-            age = latest - index
-            factor = self.discount(age)
-            if factor <= 0:
-                continue
-            for item_id, mass in iteration_evidence.items():
-                combined[item_id] = combined.get(item_id, 0.0) + factor * mass
-        return combined
-
     def reset(self) -> None:
         """Forget all observed iterations."""
         self._history.clear()
@@ -303,8 +233,6 @@ def compare_profiles(
 
     Returns ``{profile_name: weighted_evidence}``; used by the ostensive
     ablation bench to show how the profiles react to an interest shift.
-    Runs on the incremental fast paths of :meth:`OstensiveAccumulator.
-    for_profile`.
     """
     results: Dict[str, Dict[str, float]] = {}
     for profile in profiles:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
 from repro.core.ostensive import DISCOUNT_PROFILES
+from repro.errors import InvalidArgumentError
 from repro.utils.validation import ensure_in_range, ensure_positive
 
 
@@ -66,12 +67,12 @@ class AdaptationPolicy:
         ensure_in_range(self.ostensive_base, 0.0, 1.0, "ostensive_base")
         ensure_positive(self.ostensive_horizon, "ostensive_horizon")
         if self.ostensive_profile not in DISCOUNT_PROFILES:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"unknown ostensive profile {self.ostensive_profile!r}; "
                 f"expected one of {DISCOUNT_PROFILES}"
             )
         if self.expansion_terms < 0:
-            raise ValueError("expansion_terms must be non-negative")
+            raise InvalidArgumentError("expansion_terms must be non-negative")
 
     def with_overrides(self, **overrides: object) -> "AdaptationPolicy":
         """A copy of this policy with some fields replaced."""

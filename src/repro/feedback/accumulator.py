@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.errors import InvalidArgumentError
 from repro.feedback.events import InteractionEvent
 from repro.feedback.indicators import IndicatorExtractor
 from repro.feedback.weighting import WeightingScheme, heuristic_scheme
@@ -59,12 +60,6 @@ class EvidenceAccumulator:
     horizon:
         Horizon of the ``linear`` profile (iterations until the factor
         reaches zero).
-    reference:
-        When true, every evidence read performs a full recompute from the
-        retained history (:meth:`OstensiveAccumulator.
-        weighted_evidence_reference`) and no digest/mass caches are kept.
-        This is the naive path the equivalence tests and the E14 bench
-        compare the fast path against.
     """
 
     def __init__(
@@ -75,38 +70,33 @@ class EvidenceAccumulator:
         shot_durations: Optional[Mapping[str, float]] = None,
         discount_profile: Optional[str] = None,
         horizon: int = 6,
-        reference: bool = False,
     ) -> None:
         self._scheme = scheme or heuristic_scheme()
         self._extractor = extractor or IndicatorExtractor()
         self._decay = ensure_in_range(decay, 0.0, 1.0, "decay")
         if self._decay == 0.0:
-            raise ValueError("decay must be greater than 0")
+            raise InvalidArgumentError("decay must be greater than 0")
         self._shot_durations: Mapping[str, float] = (
             shot_durations if shot_durations is not None else {}
         )
         if discount_profile is None:
             discount_profile = "uniform" if self._decay == 1.0 else "exponential"
         self._profile = discount_profile
-        self._reference = reference
         # Imported here, not at module level: repro.core.adaptive imports
         # this module, and importing repro.core.ostensive initialises the
         # repro.core package, which would close the cycle mid-import.
         from repro.core.ostensive import OstensiveAccumulator
 
-        # The fast path drops dead history (running totals are the whole
-        # state for uniform/exponential, linear only needs `horizon` ages),
-        # keeping long-lived serving sessions O(evidence) instead of
-        # O(batches); reference mode retains it for the full recompute.
+        # The ostensive fold keeps no dead history (running totals are the
+        # whole state for uniform/exponential, linear only needs `horizon`
+        # ages), so a long-lived serving session is O(evidence), not
+        # O(batches).
         self._ostensive = OstensiveAccumulator.for_profile(
-            discount_profile,
-            base=self._decay,
-            horizon=horizon,
-            retain_history=reference,
+            discount_profile, base=self._decay, horizon=horizon
         )
         self._event_count = 0
         self._batch_index = 0
-        # Per-batch caches (never consulted in reference mode).
+        # Per-batch caches, dropped by every observed batch.
         self._digest_cache: Optional[Tuple[Tuple[str, float], ...]] = None
         self._positive_mass_cache: Optional[float] = None
 
@@ -126,11 +116,6 @@ class EvidenceAccumulator:
     def discount_profile(self) -> str:
         """The ostensive discount profile in force."""
         return self._profile
-
-    @property
-    def is_reference(self) -> bool:
-        """True when the accumulator runs the naive full-recompute path."""
-        return self._reference
 
     @property
     def event_count(self) -> int:
@@ -176,15 +161,9 @@ class EvidenceAccumulator:
 
     # -- reading the evidence ----------------------------------------------------------
 
-    def _view(self) -> Mapping[str, float]:
-        """The current per-shot evidence without copying (read-only)."""
-        if self._reference:
-            return self._ostensive.weighted_evidence_reference()
-        return self._ostensive.weighted_evidence_view()
-
     def evidence(self) -> Dict[str, float]:
         """A copy of the current per-shot evidence."""
-        return dict(self._view())
+        return dict(self.evidence_view())
 
     def evidence_view(self) -> Mapping[str, float]:
         """The current per-shot evidence **without copying**.
@@ -194,7 +173,7 @@ class EvidenceAccumulator:
         per-query hot path, where the defensive copy of :meth:`evidence`
         is pure overhead.
         """
-        return self._view()
+        return self._ostensive.weighted_evidence_view()
 
     def evidence_digest(self) -> Tuple[Tuple[str, float], ...]:
         """A content digest of the current evidence (cached per batch).
@@ -207,24 +186,20 @@ class EvidenceAccumulator:
         lets them share :class:`~repro.core.feedback_model.
         ImplicitFeedbackModel` memo entries.
         """
-        if self._reference:
-            return tuple(self._view().items())
         if self._digest_cache is None:
-            self._digest_cache = tuple(self._view().items())
+            self._digest_cache = tuple(self.evidence_view().items())
         return self._digest_cache
 
     def positive_evidence(self) -> Dict[str, float]:
         """Only the shots with strictly positive evidence."""
-        return {shot_id: mass for shot_id, mass in self._view().items() if mass > 0}
+        return {shot_id: mass for shot_id, mass in self.evidence_view().items() if mass > 0}
 
     def negative_evidence(self) -> Dict[str, float]:
         """Only the shots with strictly negative evidence."""
-        return {shot_id: mass for shot_id, mass in self._view().items() if mass < 0}
+        return {shot_id: mass for shot_id, mass in self.evidence_view().items() if mass < 0}
 
     def positive_mass(self) -> float:
         """Total strictly-positive evidence mass (cached per batch)."""
-        if self._reference:
-            return sum(self.positive_evidence().values())
         if self._positive_mass_cache is None:
             self._positive_mass_cache = sum(self.positive_evidence().values())
         return self._positive_mass_cache
@@ -238,7 +213,7 @@ class EvidenceAccumulator:
 
     def evidence_for(self, shot_id: str) -> float:
         """Evidence mass for one shot (0 if never observed)."""
-        return self._view().get(shot_id, 0.0)
+        return self.evidence_view().get(shot_id, 0.0)
 
     def reset(self) -> None:
         """Forget everything (start of a new session)."""
@@ -249,4 +224,4 @@ class EvidenceAccumulator:
         self._positive_mass_cache = None
 
     def __len__(self) -> int:
-        return len(self._view())
+        return len(self.evidence_view())

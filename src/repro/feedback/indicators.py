@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
+from repro.errors import InvalidArgumentError
 from repro.feedback.events import EventKind, InteractionEvent
 
 #: Canonical indicator names, in the order the paper lists them plus the
@@ -68,9 +69,9 @@ class IndicatorExtractor:
         hover_threshold_seconds: float = 2.0,
     ) -> None:
         if not 0.0 < long_play_fraction <= 1.0:
-            raise ValueError("long_play_fraction must be in (0, 1]")
+            raise InvalidArgumentError("long_play_fraction must be in (0, 1]")
         if hover_threshold_seconds < 0:
-            raise ValueError("hover_threshold_seconds must be non-negative")
+            raise InvalidArgumentError("hover_threshold_seconds must be non-negative")
         self._long_play_fraction = long_play_fraction
         self._hover_threshold = hover_threshold_seconds
 

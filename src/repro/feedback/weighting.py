@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.collection.qrels import Qrels
+from repro.errors import InvalidArgumentError
 from repro.feedback.indicators import INDICATOR_NAMES
 
 #: Indicators that carry negative evidence; their weights are applied with a
@@ -155,7 +156,7 @@ class IndicatorWeightLearner:
 
     def __init__(self, smoothing: float = 1.0) -> None:
         if smoothing < 0:
-            raise ValueError("smoothing must be non-negative")
+            raise InvalidArgumentError("smoothing must be non-negative")
         self._smoothing = smoothing
 
     def indicator_precisions(

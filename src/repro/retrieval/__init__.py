@@ -3,11 +3,7 @@
 from repro.retrieval.engine import EngineConfig, VideoRetrievalEngine
 from repro.retrieval.expansion import RocchioExpander, extract_key_terms
 from repro.retrieval.query import Query
-from repro.retrieval.reranking import (
-    demote_seen_shots,
-    rerank_with_scores,
-    story_scores_from_shots,
-)
+from repro.retrieval.reranking import rerank_with_scores, story_scores_from_shots
 from repro.retrieval.results import ResultItem, ResultList, merge_result_lists
 
 __all__ = [
@@ -16,7 +12,6 @@ __all__ = [
     "RocchioExpander",
     "extract_key_terms",
     "Query",
-    "demote_seen_shots",
     "rerank_with_scores",
     "story_scores_from_shots",
     "ResultItem",

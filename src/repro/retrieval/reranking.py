@@ -2,14 +2,11 @@
 
 Both personalisation (static profiles) and implicit feedback ultimately act
 by *re-ranking*: producing a score map over shots and folding it into the
-engine's original ranking.  The helpers here perform that fold and the
-story-level aggregation used by the news recommender.
-
-These are the **reference** implementations of the adaptation fold: the
-adaptive session's serving path runs the fused dense equivalent in
-:func:`repro.core.adaptation_kernel.rerank_and_demote`, and the
-equivalence tests pin that kernel bit-identical to the
-``rerank_with_scores`` → ``demote_seen_shots`` composition below.
+engine's original ranking.  The helpers here perform that fold (as the
+profile re-ranker uses it) and the story-level aggregation used by the news
+recommender.  An adaptive session folds its evidence and demotes the shots
+it has seen in one dense pass instead:
+:func:`repro.core.adaptation_kernel.rerank_and_demote`.
 """
 
 from __future__ import annotations
@@ -75,39 +72,3 @@ def story_scores_from_shots(
         else:
             aggregated[story_id] = sum(values) / len(values)
     return aggregated
-
-
-def demote_seen_shots(
-    results: ResultList,
-    seen_shot_ids,
-    penalty: float = 0.5,
-    collection: Optional[Collection] = None,
-) -> ResultList:
-    """Demote shots the user has already seen in this session.
-
-    Interactive systems avoid re-presenting material the user has just
-    inspected; the penalty multiplies the (min-max normalised) score of seen
-    shots by ``1 - penalty``.
-    """
-    if not 0.0 <= penalty <= 1.0:
-        raise InvalidArgumentError(f"penalty must be in [0, 1], got {penalty}")
-    seen = set(seen_shot_ids)
-    scores = results.scores()
-    if not scores:
-        return results
-    low = min(scores.values())
-    high = max(scores.values())
-    span = (high - low) or 1.0
-    adjusted = {}
-    for shot_id, score in scores.items():
-        normalised = (score - low) / span
-        if shot_id in seen:
-            normalised *= 1.0 - penalty
-        adjusted[shot_id] = normalised
-    return ResultList.from_scores(
-        query_text=results.query_text,
-        scores=adjusted,
-        collection=collection,
-        limit=len(results),
-        topic_id=results.topic_id,
-    )

@@ -1,23 +1,25 @@
-"""Equivalence and regression tests for the adaptation fast path.
+"""Equivalence and regression tests for the adaptation path.
 
 The adaptive serving path (incremental ostensive evidence, memoised
 feedback derivations, dense fused re-ranking, shared O(1) session state)
-must be **bit-identical** to the retained reference implementations:
+must be **bit-identical** to the naive references in
+``tests/reference/adaptation.py``:
 
-* :meth:`OstensiveAccumulator.weighted_evidence` vs
-  :meth:`~repro.core.ostensive.OstensiveAccumulator.
-  weighted_evidence_reference` across all four discount profiles;
+* :meth:`OstensiveAccumulator.weighted_evidence` vs the full-recompute
+  :class:`ReferenceOstensiveFold` across all four discount profiles;
+* :class:`EvidenceAccumulator` vs the cache-free
+  :class:`ReferenceAccumulator`;
 * memoised :meth:`ImplicitFeedbackModel.expansion_term_weights` /
   :meth:`~repro.core.feedback_model.ImplicitFeedbackModel.rerank_scores`
   vs their ``*_uncached`` counterparts, including post-eviction reuse and
   index-generation invalidation;
 * :func:`~repro.core.adaptation_kernel.rerank_and_demote` vs the
-  ``rerank_with_scores`` → ``demote_seen_shots`` composition; and
-* whole fast-path sessions vs reference sessions (``fast_path=False``)
-  across policies × discount profiles × weighting schemes with
-  interleaved observe/query traffic.
+  two-stage ``rerank_with_scores`` → ``demote_seen_shots`` fold;
+* :func:`profile_affinity_shared` vs affinity read from shot objects; and
+* whole sessions vs :class:`ReferenceSession` across policies × discount
+  profiles × weighting schemes with interleaved observe/query traffic.
 
-Plus the scalability regression the fast path fixes: opening a session
+Plus the scalability regression the shared state fixes: opening a session
 must not iterate the collection's shots.
 """
 
@@ -40,7 +42,6 @@ from repro.core import (
     rerank_and_demote,
     standard_policies,
 )
-from repro.core.combination import EvidenceCombiner
 from repro.core.ostensive import DISCOUNT_PROFILES
 from repro.feedback import EventKind, InteractionEvent
 from repro.feedback.accumulator import EvidenceAccumulator
@@ -48,9 +49,17 @@ from repro.feedback.weighting import default_schemes
 from repro.index import InvertedIndex, VisualIndex
 from repro.profiles import UserProfile
 from repro.retrieval import VideoRetrievalEngine
-from repro.retrieval.reranking import demote_seen_shots, rerank_with_scores
 from repro.retrieval.results import ResultList
 from repro.workload import WorkloadSpec, generate_workload
+
+from reference.adaptation import (
+    ReferenceAccumulator,
+    ReferenceOstensiveFold,
+    demote_seen_shots,
+    profile_affinity,
+    reference_session,
+    rerank_then_demote,
+)
 
 #: Observation histories exercising overlap, drift and negative evidence.
 _HISTORIES = [
@@ -66,18 +75,21 @@ class TestOstensiveIncremental:
     @pytest.mark.parametrize("history", _HISTORIES)
     def test_fast_equals_reference_interleaved(self, profile, history):
         accumulator = OstensiveAccumulator.for_profile(profile, base=0.6, horizon=3)
+        reference = ReferenceOstensiveFold(profile, base=0.6, horizon=3)
         for iteration in history:
             accumulator.observe_iteration(iteration)
+            reference.observe_iteration(iteration)
             # Interleaved reads: the incremental totals / lazy cache must
             # agree with a full recompute at *every* step, not just the end.
-            assert accumulator.weighted_evidence() == (
-                accumulator.weighted_evidence_reference()
-            )
+            assert accumulator.weighted_evidence() == reference.weighted_evidence()
 
     def test_generic_callable_unchanged(self):
-        accumulator = OstensiveAccumulator(discount=make_discount("exponential", base=0.5))
+        discount = make_discount("exponential", base=0.5)
+        accumulator = OstensiveAccumulator(discount=discount)
+        reference = ReferenceOstensiveFold(discount=discount)
         for iteration in _HISTORIES[1]:
             accumulator.observe_iteration(iteration)
+            reference.observe_iteration(iteration)
         # The plain-callable path keeps the original factor-sum semantics.
         expected = {}
         latest = accumulator.iteration_count - 1
@@ -86,7 +98,7 @@ class TestOstensiveIncremental:
             for key, mass in iteration.items():
                 expected[key] = expected.get(key, 0.0) + factor * mass
         assert accumulator.weighted_evidence() == expected
-        assert accumulator.weighted_evidence() == accumulator.weighted_evidence_reference()
+        assert accumulator.weighted_evidence() == reference.weighted_evidence()
 
     def test_lazy_cache_invalidated_by_new_iteration(self):
         accumulator = OstensiveAccumulator.for_profile("reciprocal")
@@ -98,12 +110,13 @@ class TestOstensiveIncremental:
 
     def test_linear_profile_drops_old_ages(self):
         accumulator = OstensiveAccumulator.for_profile("linear", horizon=2)
-        accumulator.observe_iteration({"old": 1.0})
-        accumulator.observe_iteration({"mid": 1.0})
-        accumulator.observe_iteration({"new": 1.0})
+        reference = ReferenceOstensiveFold("linear", horizon=2)
+        for iteration in ({"old": 1.0}, {"mid": 1.0}, {"new": 1.0}):
+            accumulator.observe_iteration(iteration)
+            reference.observe_iteration(iteration)
         evidence = accumulator.weighted_evidence()
         assert "old" not in evidence  # age 2 >= horizon -> factor 0
-        assert evidence == accumulator.weighted_evidence_reference()
+        assert evidence == reference.weighted_evidence()
 
     def test_reset(self):
         accumulator = OstensiveAccumulator.for_profile("exponential", base=0.5)
@@ -121,43 +134,36 @@ class TestOstensiveIncremental:
             OstensiveAccumulator(discount=lambda age: 1.0, profile="uniform")
 
     @pytest.mark.parametrize("profile", ["uniform", "exponential"])
-    def test_unretained_history_stays_empty(self, profile):
-        accumulator = OstensiveAccumulator.for_profile(
-            profile, base=0.6, retain_history=False
-        )
-        retained = OstensiveAccumulator.for_profile(profile, base=0.6)
+    def test_foldable_profile_keeps_no_history(self, profile):
+        accumulator = OstensiveAccumulator.for_profile(profile, base=0.6)
+        reference = ReferenceOstensiveFold(profile, base=0.6)
         for iteration in _HISTORIES[1]:
             accumulator.observe_iteration(iteration)
-            retained.observe_iteration(iteration)
+            reference.observe_iteration(iteration)
         assert accumulator._history == []  # no per-batch memory growth
         assert accumulator.iteration_count == len(_HISTORIES[1])
-        assert accumulator.weighted_evidence() == retained.weighted_evidence()
-        with pytest.raises(RuntimeError):
-            accumulator.weighted_evidence_reference()
+        assert accumulator.weighted_evidence() == reference.weighted_evidence()
 
-    def test_unretained_linear_history_trimmed_to_horizon(self):
-        accumulator = OstensiveAccumulator.for_profile(
-            "linear", horizon=2, retain_history=False
-        )
-        retained = OstensiveAccumulator.for_profile("linear", horizon=2)
+    def test_linear_history_trimmed_to_horizon(self):
+        accumulator = OstensiveAccumulator.for_profile("linear", horizon=2)
+        reference = ReferenceOstensiveFold("linear", horizon=2)
         for index in range(7):
             iteration = {f"s{index}": 1.0}
             accumulator.observe_iteration(iteration)
-            retained.observe_iteration(iteration)
+            reference.observe_iteration(iteration)
             assert len(accumulator._history) <= 2
-            assert accumulator.weighted_evidence() == retained.weighted_evidence()
+            assert accumulator.weighted_evidence() == reference.weighted_evidence()
 
-    def test_unretained_reciprocal_keeps_full_history(self):
+    def test_reciprocal_keeps_full_history(self):
         # Every age keeps a nonzero reciprocal factor, so the history is
-        # structurally required; retain_history=False must not corrupt it.
-        accumulator = OstensiveAccumulator.for_profile(
-            "reciprocal", retain_history=False
-        )
+        # structurally required: nothing may be dropped.
+        accumulator = OstensiveAccumulator.for_profile("reciprocal")
+        reference = ReferenceOstensiveFold("reciprocal")
         for iteration in _HISTORIES[1]:
             accumulator.observe_iteration(iteration)
-        assert accumulator.weighted_evidence() == (
-            accumulator.weighted_evidence_reference()
-        )
+            reference.observe_iteration(iteration)
+        assert len(accumulator._history) == len(_HISTORIES[1])
+        assert accumulator.weighted_evidence() == reference.weighted_evidence()
 
 
 def _play_events(shot_ids, base=0.0):
@@ -183,9 +189,7 @@ class TestEvidenceAccumulatorProfiles:
     def test_fast_equals_reference_accumulator(self, profile, small_corpus):
         shots = small_corpus.collection.shot_ids()[:6]
         fast = EvidenceAccumulator(discount_profile=profile, decay=0.7, horizon=3)
-        naive = EvidenceAccumulator(
-            discount_profile=profile, decay=0.7, horizon=3, reference=True
-        )
+        naive = ReferenceAccumulator(discount_profile=profile, decay=0.7, horizon=3)
         for round_index in range(4):
             batch = _play_events(shots[round_index : round_index + 3], base=10.0 * round_index)
             for accumulator in (fast, naive):
@@ -222,12 +226,10 @@ class TestEvidenceAccumulatorProfiles:
             fast.observe_batch(_play_events(shots, base=10.0 * round_index))
         # The serving path folds in place: no per-batch history retained.
         assert fast._ostensive._history == []
-        naive = EvidenceAccumulator(
-            discount_profile="exponential", decay=0.7, reference=True
-        )
+        naive = ReferenceAccumulator(discount_profile="exponential", decay=0.7)
         for round_index in range(20):
             naive.observe_batch(_play_events(shots, base=10.0 * round_index))
-        assert len(naive._ostensive._history) == 20
+        assert len(naive.fold.history) == 20
         assert fast.evidence() == naive.evidence()
 
 
@@ -305,14 +307,6 @@ class TestFusedRerankDemote:
         topic = corpus.topics.topics()[0]
         return engine.search_text(" ".join(topic.query_terms[:2]), limit=limit), topic
 
-    def _reference(self, results, evidence, weight, seen, penalty, collection):
-        reranked = results
-        if evidence:
-            reranked = rerank_with_scores(reranked, evidence, weight, collection=collection)
-        if penalty > 0 and seen:
-            reranked = demote_seen_shots(reranked, seen, penalty=penalty, collection=collection)
-        return reranked
-
     @pytest.mark.parametrize("penalty", [0.0, 0.5])
     @pytest.mark.parametrize("weight", [0.0, 0.35, 0.9])
     def test_fused_matches_composition(self, small_corpus, engine, weight, penalty):
@@ -332,7 +326,7 @@ class TestFusedRerankDemote:
             index=engine.inverted_index,
             scratch=DenseScratch(),
         )
-        reference = self._reference(
+        reference = rerank_then_demote(
             results, evidence, weight, seen, penalty, small_corpus.collection
         )
         assert fused.shot_ids() == reference.shot_ids()
@@ -351,7 +345,7 @@ class TestFusedRerankDemote:
                 index=engine.inverted_index,
                 scratch=scratch,
             )
-            reference = self._reference(
+            reference = rerank_then_demote(
                 results, evidence, 0.4, shot_ids[:round_index], 0.3,
                 small_corpus.collection,
             )
@@ -370,7 +364,7 @@ class TestFusedRerankDemote:
             constant, evidence, 0.5, [results.shot_ids()[1]], 0.4,
             collection=None, index=engine.inverted_index, scratch=DenseScratch(),
         )
-        reference = self._reference(
+        reference = rerank_then_demote(
             constant, evidence, 0.5, [results.shot_ids()[1]], 0.4, None
         )
         assert fused.shot_ids() == reference.shot_ids()
@@ -393,10 +387,19 @@ class TestFusedRerankDemote:
             index=engine.inverted_index,
             scratch=DenseScratch(),
         )
-        reference = self._reference(
+        reference = rerank_then_demote(
             empty, {"X": 1.0}, 0.5, ["X"], 0.5, small_corpus.collection
         )
         assert fused.shot_ids() == reference.shot_ids() == []
+
+    def test_demote_seen_shots(self, engine):
+        results = ResultList.from_scores("q", {"a": 1.0, "b": 0.99, "c": 0.5})
+        demoted = rerank_and_demote(
+            results, {}, 0.0, ["a"], 0.9,
+            collection=None, index=engine.inverted_index, scratch=DenseScratch(),
+        )
+        assert demoted.shot_ids()[0] == "b"
+        assert demoted.shot_ids() == demote_seen_shots(results, ["a"], penalty=0.9).shot_ids()
 
 
 class TestSharedProfileAffinity:
@@ -409,7 +412,7 @@ class TestSharedProfileAffinity:
         shot_ids = corpus.collection.shot_ids()[:40] + ["MISSING"]
         assert profile_affinity_shared(
             profile, system.shared_state, shot_ids
-        ) == EvidenceCombiner.profile_affinity(profile, corpus.collection, shot_ids)
+        ) == profile_affinity(profile, corpus.collection, shot_ids)
 
 
 @pytest.fixture(scope="module")
@@ -419,7 +422,7 @@ def adaptive_system_shared(small_corpus):
 
 
 class TestSessionEquivalence:
-    """Whole-session fast path vs reference path, bit-identical rankings."""
+    """Whole sessions vs reference sessions, bit-identical rankings."""
 
     def _drive(self, session, topic, corpus, rounds=3):
         outputs = []
@@ -453,28 +456,36 @@ class TestSessionEquivalence:
             ostensive_profile=profile_name, demote_seen=0.25
         )
         profile = UserProfile.single_interest("u", topic.category, 0.8)
-        fast = system.create_session(
-            profile=profile, policy=policy, topic_id=topic.topic_id, fast_path=True
+        session = system.create_session(
+            profile=profile, policy=policy, topic_id=topic.topic_id
         )
-        reference = system.create_session(
-            profile=profile, policy=policy, topic_id=topic.topic_id, fast_path=False
+        reference = reference_session(
+            system, profile=profile, policy=policy, topic_id=topic.topic_id
         )
-        assert fast.is_fast_path and not reference.is_fast_path
-        assert self._drive(fast, topic, corpus) == self._drive(reference, topic, corpus)
+        assert self._drive(session, topic, corpus) == self._drive(reference, topic, corpus)
+
+    def _scheme_pair(self, system, corpus, scheme, profile, demote):
+        topic = corpus.topics.topics()[1]
+        policy = combined_policy().with_overrides(demote_seen=demote)
+        session = system.create_session(
+            profile=profile, policy=policy, scheme=scheme, topic_id=topic.topic_id
+        )
+        reference = reference_session(
+            system, profile=profile, policy=policy, scheme=scheme, topic_id=topic.topic_id
+        )
+        assert self._drive(session, topic, corpus) == self._drive(reference, topic, corpus)
 
     @pytest.mark.parametrize("scheme", default_schemes(), ids=lambda scheme: scheme.name)
     def test_weighting_schemes(self, adaptive_system_shared, scheme):
         system, corpus = adaptive_system_shared
-        topic = corpus.topics.topics()[1]
-        policy = combined_policy().with_overrides(demote_seen=0.3)
-        sessions = [
-            system.create_session(
-                policy=policy, scheme=scheme, topic_id=topic.topic_id, fast_path=flag
-            )
-            for flag in (True, False)
-        ]
-        driven = [self._drive(session, topic, corpus) for session in sessions]
-        assert driven[0] == driven[1]
+        self._scheme_pair(system, corpus, scheme, None, 0.3)
+
+    @pytest.mark.parametrize("scheme", default_schemes(), ids=lambda scheme: scheme.name)
+    def test_weighting_schemes_with_profile(self, adaptive_system_shared, scheme):
+        # The scheme sweep with a category profile in the gate (E14's combos).
+        system, corpus = adaptive_system_shared
+        profile = UserProfile.single_interest("u", corpus.topics.topics()[1].category, 0.8)
+        self._scheme_pair(system, corpus, scheme, profile, 0.25)
 
 
 class TestSessionBringUp:
@@ -503,10 +514,13 @@ class TestSessionBringUp:
 
     def test_reference_session_still_builds_its_own(self, adaptive_system_shared):
         system, _ = adaptive_system_shared
-        reference = system.create_session(fast_path=False)
-        assert reference._accumulator._shot_durations is not (
+        reference = reference_session(system)
+        assert reference._accumulator.shot_durations is not (
             system.shared_state.shot_durations
         )
+        assert reference.shot_categories is not system.shared_state.shot_categories
+        assert reference._accumulator.shot_durations == system.shared_state.shot_durations
+        assert reference.shot_categories == system.shared_state.shot_categories
 
 
 class TestAdaptationHeavyWorkload:

@@ -12,6 +12,7 @@ from repro.core import (
     EvidenceCombiner,
     ImplicitFeedbackModel,
     OstensiveAccumulator,
+    SharedAdaptationState,
     baseline_policy,
     combined_policy,
     compare_profiles,
@@ -20,6 +21,7 @@ from repro.core import (
     implicit_only_policy,
     linear_discount,
     make_discount,
+    profile_affinity_shared,
     profile_only_policy,
     reciprocal_discount,
     standard_policies,
@@ -180,8 +182,8 @@ class TestEvidenceCombiner:
         combined = combiner.combine(
             {},
             {sports_shot.shot_id: 1.0, other_shot.shot_id: 1.0},
-            collection=collection,
             profile=profile,
+            category_lookup=SharedAdaptationState.build(collection).shot_categories,
         )
         assert combined[sports_shot.shot_id] > combined[other_shot.shot_id]
 
@@ -189,7 +191,9 @@ class TestEvidenceCombiner:
         collection = small_corpus.collection
         profile = UserProfile.single_interest("u", "sports", 1.0)
         sports_ids = [s.shot_id for s in collection.shots_in_category("sports")[:3]]
-        affinity = EvidenceCombiner.profile_affinity(profile, collection, sports_ids)
+        affinity = profile_affinity_shared(
+            profile, SharedAdaptationState.build(collection), sports_ids
+        )
         assert all(value > 0 for value in affinity.values())
 
 

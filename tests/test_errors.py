@@ -30,15 +30,17 @@ from repro.core.ostensive import (
 )
 from repro.durability import DurabilityManager
 from repro.errors import InvalidArgumentError, ReproError
+from repro.core.policies import AdaptationPolicy
 from repro.evaluation import significance
+from repro.feedback.accumulator import EvidenceAccumulator
+from repro.feedback.indicators import IndicatorExtractor
+from repro.feedback.weighting import IndicatorWeightLearner
 from repro.index import fusion
 from repro.index.scoring import normalise_query
 from repro.replication import ChaosEvent, ChaosSchedule, run_replicated_loadtest
 from repro.retrieval import (
     EngineConfig,
-    ResultList,
     RocchioExpander,
-    demote_seen_shots,
     story_scores_from_shots,
 )
 from repro.utils import validation
@@ -189,10 +191,6 @@ RANKING_REFUSALS = {
     "story_scores_from_shots.aggregation": (
         lambda: story_scores_from_shots({}, None, aggregation="median"),
         "unknown aggregation 'median'",
-    ),
-    "demote_seen_shots.penalty": (
-        lambda: demote_seen_shots(ResultList(query_text="q", items=[]), (), penalty=2.0),
-        "penalty must be in [0, 1], got 2.0",
     ),
     "RocchioExpander.coefficients": (
         lambda: RocchioExpander(None, beta=-0.5),
@@ -364,6 +362,49 @@ ANALYSIS_REFUSALS = {
 @pytest.mark.parametrize("refusal", sorted(ANALYSIS_REFUSALS))
 def test_analysis_refusals_are_invalid_argument_errors(refusal):
     call, message = ANALYSIS_REFUSALS[refusal]
+    with pytest.raises(InvalidArgumentError) as refused:
+        call()
+    assert isinstance(refused.value, ValueError)
+    assert str(refused.value) == message
+
+
+#: Adaptation-layer refusals (evidence accumulation, indicator extraction,
+#: weight learning, policies): ``name -> (refused call, message)``.
+ADAPTATION_REFUSALS = {
+    "EvidenceAccumulator.decay": (
+        lambda: EvidenceAccumulator(decay=0.0), "decay must be greater than 0"
+    ),
+    "IndicatorExtractor.long_play_fraction": (
+        lambda: IndicatorExtractor(long_play_fraction=0.0),
+        "long_play_fraction must be in (0, 1]",
+    ),
+    "IndicatorExtractor.hover_threshold_seconds": (
+        lambda: IndicatorExtractor(hover_threshold_seconds=-1.0),
+        "hover_threshold_seconds must be non-negative",
+    ),
+    "IndicatorWeightLearner.smoothing": (
+        lambda: IndicatorWeightLearner(smoothing=-0.5),
+        "smoothing must be non-negative",
+    ),
+    "AdaptationPolicy.ostensive_profile": (
+        lambda: AdaptationPolicy(name="p", ostensive_profile="harmonic"),
+        "unknown ostensive profile 'harmonic'; expected one of "
+        "('uniform', 'exponential', 'reciprocal', 'linear')",
+    ),
+    "AdaptationPolicy.demote_seen": (
+        lambda: AdaptationPolicy(name="p", demote_seen=2.0),
+        "demote_seen must be in [0.0, 1.0], got 2.0",
+    ),
+    "AdaptationPolicy.expansion_terms": (
+        lambda: AdaptationPolicy(name="p", expansion_terms=-1),
+        "expansion_terms must be non-negative",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(ADAPTATION_REFUSALS))
+def test_adaptation_refusals_are_invalid_argument_errors(refusal):
+    call, message = ADAPTATION_REFUSALS[refusal]
     with pytest.raises(InvalidArgumentError) as refused:
         call()
     assert isinstance(refused.value, ValueError)

@@ -18,7 +18,6 @@ from repro.retrieval import (
     ResultList,
     RocchioExpander,
     VideoRetrievalEngine,
-    demote_seen_shots,
     extract_key_terms,
     merge_result_lists,
     rerank_with_scores,
@@ -337,10 +336,3 @@ class TestReranking:
         assert story_scores_from_shots(shot_scores, collection, "mean")[story.story_id] == 2.0
         with pytest.raises(ValueError):
             story_scores_from_shots(shot_scores, collection, "median")
-
-    def test_demote_seen_shots(self):
-        results = ResultList.from_scores("q", {"a": 1.0, "b": 0.99, "c": 0.5})
-        demoted = demote_seen_shots(results, ["a"], penalty=0.9)
-        assert demoted.shot_ids()[0] == "b"
-        with pytest.raises(ValueError):
-            demote_seen_shots(results, ["a"], penalty=1.5)
