@@ -64,9 +64,6 @@ from repro.serving import (
 from repro.utils.concurrency import checkpoint_if_cancelled
 from repro.workload import ServiceLoadDriver, WorkloadSpec
 
-#: Shard count of the serving configuration under test.
-BENCH_SHARDS = 2
-
 #: Per-request deadline of the straggler scenario.
 DEADLINE_SECONDS = 0.15
 
@@ -126,10 +123,8 @@ class _GatedScorer:
         return self.inner.score(query_terms)
 
 
-def _sharded_service(corpus) -> RetrievalService:
-    return RetrievalService.from_corpus(
-        corpus, config=ServiceConfig(num_shards=BENCH_SHARDS)
-    )
+def _service(corpus) -> RetrievalService:
+    return RetrievalService.from_corpus(corpus)
 
 
 def _wrapped_service(corpus, wrap):
@@ -147,7 +142,6 @@ def _wrapped_service(corpus, wrap):
             corpus,
             config=ServiceConfig(
                 engine=EngineConfig(scorer="e18-wrapped", result_limit=50),
-                num_shards=BENCH_SHARDS,
             ),
         )
     finally:
@@ -176,7 +170,7 @@ def _assert_digest_equivalence(corpus, users: int = 4) -> None:
     spec = WorkloadSpec(seed=97, users=users, queries_per_user=2)
 
     def factory():
-        return _sharded_service(corpus)
+        return _service(corpus)
 
     direct = ServiceLoadDriver(factory, max_workers=4).run(spec)
     served = ServiceLoadDriver(factory, serving=ServingConfig()).run(spec)
@@ -191,7 +185,7 @@ def _assert_digest_equivalence(corpus, users: int = 4) -> None:
 
 def _serve_row(corpus, rounds: int, request_count: int):
     """Clean serving-edge throughput (the guarded metric)."""
-    service = _sharded_service(corpus)
+    service = _service(corpus)
     requests = _requests(corpus, request_count)
     for request in requests:
         service.open_session(request.user_id, topic_id=request.topic_id)
@@ -365,7 +359,7 @@ BENCH = Bench(
     sanity_check=_sanity_check,
     guarded=lambda tables: {"serve_qps": tables["serve"]["qps"]},
     note=(
-        "Async serving edge over a 2-shard service. serve = "
+        "Async serving edge over an in-memory service. serve = "
         "clean-workload throughput through the frontend, evaluated inline "
         "on the event loop (digest verified byte-identical to the direct "
         "threaded driver before timing). deadline = the scorer stalls 2s on "

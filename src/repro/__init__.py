@@ -42,7 +42,6 @@ from repro.core import (
     profile_only_policy,
 )
 from repro.retrieval import EngineConfig, Query, ResultList, VideoRetrievalEngine
-from repro.sharding import ShardRouter
 from repro.service import (
     FeedbackBatch,
     RetrievalService,
@@ -94,7 +93,6 @@ __all__ = [
     "Query",
     "ResultList",
     "VideoRetrievalEngine",
-    "ShardRouter",
     # service facade
     "RetrievalService",
     "ServiceConfig",

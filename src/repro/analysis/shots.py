@@ -13,7 +13,7 @@ that precedes every TRECVID search run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.collection.documents import Collection
 from repro.utils.rng import RandomSource

@@ -192,10 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "steps per search (exercises session adaptation)")
     loadtest.add_argument("--feedback-per-query", type=_POSITIVE, default=None,
                           help="feedback steps per search step (overrides --mix)")
-    loadtest.add_argument("--shards", type=_POSITIVE, default=service.num_shards,
-                          help="segments a --durable directory's WAL and snapshot "
-                               "deltas are split into (the in-memory engine is the "
-                               "same for every count)")
     loadtest.add_argument("--seed", type=int, default=workload.seed)
     loadtest.add_argument("--log", default=None,
                           help="file to write the canonical event log to")
@@ -460,7 +456,6 @@ def _service_config(args: argparse.Namespace):
     """The one :class:`ServiceConfig` every loadtest arm serves from; the
     fsync and snapshot flags matter only with ``--durable``."""
     return ServiceConfig(
-        num_shards=args.shards,
         durability_dir=args.durable or None,
         fsync_policy=args.fsync,
         snapshot_interval_ops=args.snapshot_interval,
@@ -576,7 +571,7 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
     print(
         f"loadtest: {spec.users} users x {spec.queries_per_user} queries "
         f"x {spec.feedback_per_query} feedback "
-        f"({args.workers} workers, {args.shards} shard(s), policy "
+        f"({args.workers} workers, policy "
         f"{spec.policy}, seed {spec.seed}): "
         f"{result.request_count} requests in {result.wall_seconds:.3f}s "
         f"({result.throughput_rps:.1f} req/s)",
@@ -832,8 +827,7 @@ def _command_recover(args: argparse.Namespace, out) -> int:
     for segment, error in sorted(state.tail_errors.items()):
         print(f"torn tail on {segment}: {error}", file=out)
     print(
-        f"state: {state.text_count} documents, {state.shot_count} shots "
-        f"({state.num_shards} shard(s))",
+        f"state: {state.text_count} documents, {state.shot_count} shots",
         file=out,
     )
     print(f"ingested-ops: {state.ingested_ops}", file=out)

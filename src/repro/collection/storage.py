@@ -22,7 +22,7 @@ stay analysis-agnostic.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from repro.collection.documents import Collection, Keyframe, NewsStory, Shot, Video
 from repro.collection.qrels import Qrels

@@ -10,7 +10,7 @@ a dozen keyword arguments around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from repro.core.ostensive import DISCOUNT_PROFILES

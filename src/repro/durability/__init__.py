@@ -3,7 +3,7 @@
 The in-memory engine stays the system of record for serving; this package
 makes its *writes* durable.  Every mutating operation is appended to a
 checksummed :class:`~repro.durability.wal.WriteAheadLog` before it is
-applied, per-shard incremental snapshots (:class:`~repro.durability.
+applied, incremental snapshots (:class:`~repro.durability.
 snapshots.SnapshotStore`) bound replay time and compact the log, and
 :class:`~repro.durability.recovery.RecoveryManager` restores the exact
 pre-crash index state — byte-identical under the canonical state digest in

@@ -97,8 +97,7 @@ def engine_text_items(engine) -> Iterable[TextItem]:
     """A live engine's text state in global dense interning order.
 
     The :class:`~repro.index.inverted_index.InvertedIndex` holds its live
-    ids in slot order, which is the global insertion order for every
-    ``num_shards``.  Lazy, and each map is the index's own: nothing is
+    ids in slot order, which is the global insertion order.  Lazy, and each map is the index's own: nothing is
     copied.
     """
     index = engine.inverted_index
@@ -117,5 +116,5 @@ def engine_visual_items(engine) -> Iterable[VisualItem]:
 
 
 def engine_state_digest(engine) -> str:
-    """Canonical state digest of a live engine (monolithic or sharded)."""
+    """Canonical state digest of a live engine."""
     return state_digest(engine_text_items(engine), engine_visual_items(engine))

@@ -1,13 +1,13 @@
 """The durability manager: what a live engine calls on every mutation.
 
 :class:`DurabilityManager` owns one durability directory — the WAL
-segments, the snapshot chain, and the header — and exposes exactly the
+segment, the snapshot chain, and the header — and exposes exactly the
 hooks the engine's write path needs:
 
-* ``log_index_op`` appends an index-op record to the owning shard's WAL
-  segment after the engine has checked the write and *before* it applies
-  it (called inside the engine's ``exclusive_writer()``, so WAL order is
-  the serialization order);
+* ``log_index_op`` appends an index-op record to the WAL after the engine
+  has checked the write and *before* it applies it (called inside the
+  engine's ``exclusive_writer()``, so WAL order is the serialization
+  order);
 * ``should_checkpoint`` / ``checkpoint`` implement the snapshot cadence:
   every ``snapshot_interval_ops`` index mutations, a checkpoint moves the
   WAL's index-op records since the previous one into the snapshot chain
@@ -23,9 +23,9 @@ engine (writing a **bootstrap checkpoint** covering the corpus-built
 state, so recovery never needs the corpus files); :meth:`attach` resumes
 an existing directory from a :class:`~repro.durability.recovery.
 RecoveredState`, repairing the WAL past the recovered prefix before any
-new append.  The directory holds index state only: a service's sessions,
-and the feedback that adapts them, live in memory and start afresh after
-any restart.
+new append, and converts a directory an older build wrote.  The directory
+holds index state only: a service's sessions, and the feedback that adapts
+them, live in memory and start afresh after any restart.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ from repro.durability.snapshots import (
     _write_json_atomic,
     manifest_filename,
 )
-from repro.durability.wal import LEGACY_FEEDBACK_LOG, WriteAheadLog
+from repro.durability.wal import WriteAheadLog, legacy_files
 from repro.errors import InvalidArgumentError
-from repro.sharding.router import ShardRouter
 from repro.utils.serialization import PathLike
 
 
@@ -60,7 +59,6 @@ class DurabilityManager:
     def __init__(
         self,
         directory: PathLike,
-        num_shards: int,
         fsync_policy: str = "interval",
         snapshot_interval_ops: int = 256,
         fsync_interval_ops: int = 64,
@@ -71,15 +69,13 @@ class DurabilityManager:
                 f"snapshot_interval_ops must be positive, got {snapshot_interval_ops}"
             )
         self._directory = Path(directory)
-        self._router = ShardRouter(num_shards)
         self._wal = WriteAheadLog(
             self._directory,
-            num_shards,
             fsync_policy=fsync_policy,
             fsync_interval_ops=fsync_interval_ops,
             next_lsn=next_lsn,
         )
-        self._snapshots = SnapshotStore(self._directory, num_shards)
+        self._snapshots = SnapshotStore(self._directory)
         self._snapshot_interval_ops = snapshot_interval_ops
         self._ops_since_checkpoint = 0
         self._checkpoints_written = 0
@@ -102,7 +98,6 @@ class DurabilityManager:
         cls,
         directory: PathLike,
         engine,
-        num_shards: int,
         fsync_policy: str = "interval",
         snapshot_interval_ops: int = 256,
         fsync_interval_ops: int = 64,
@@ -131,13 +126,12 @@ class DurabilityManager:
             directory / HEADER_FILENAME,
             {
                 "format": DURABILITY_FORMAT,
-                "num_shards": num_shards,
+                "num_shards": 1,
                 "fsync_policy": fsync_policy,
             },
         )
         manager = cls(
             directory,
-            num_shards,
             fsync_policy=fsync_policy,
             snapshot_interval_ops=snapshot_interval_ops,
             fsync_interval_ops=fsync_interval_ops,
@@ -161,28 +155,24 @@ class DurabilityManager:
         dropped, so appends resume from exactly the state the engine was
         rebuilt to.
 
-        A format-2 directory logged feedback batches on
-        :data:`~repro.durability.wal.LEGACY_FEEDBACK_LOG`, so its shard
-        segments have LSN holes where those sat.  While that file exists it
+        An older build may have split the log over several segments, and a
+        format-2 one logged feedback batches on
+        :data:`~repro.durability.wal.LEGACY_FEEDBACK_LOG`, so the segment
+        has LSN holes where their records sat.  While any such file
+        (:func:`~repro.durability.wal.legacy_files`) exists the directory
         is converted before any append: a rebase at the recovered LSN, the
-        shard segments truncated behind it, the file unlinked.  Only then
-        is an older header rewritten to :data:`DURABILITY_FORMAT`, so a
-        build that cannot read what this one writes refuses the directory
-        in one line instead of failing inside replay.  A crash at any step
-        leaves a directory that recovers to the same state, and the next
-        attach finishes the conversion.
+        segment truncated behind it, every legacy file unlinked.  Only then
+        is an older header rewritten to :data:`DURABILITY_FORMAT` and one
+        segment (``"num_shards": 1``), so a build that cannot read what
+        this one writes refuses the directory in one line instead of
+        failing inside replay.  A crash at any step leaves a directory that
+        recovers to the same state, and the next attach finishes the
+        conversion.
         """
         directory = Path(directory)
         header = read_header(directory)
-        if header["num_shards"] != recovered.num_shards:
-            raise RecoveryError(
-                f"durability directory has {header['num_shards']} shards "
-                f"but the recovered state was built for "
-                f"{recovered.num_shards}"
-            )
         manager = cls(
             directory,
-            recovered.num_shards,
             fsync_policy=fsync_policy,
             snapshot_interval_ops=snapshot_interval_ops,
             fsync_interval_ops=fsync_interval_ops,
@@ -194,8 +184,8 @@ class DurabilityManager:
         # loop cannot defer compaction forever.
         manager._ops_since_checkpoint = recovered.wal_index_ops
         manager._chain_ops_since_rebase = recovered.chain_op_records
-        legacy = directory / LEGACY_FEEDBACK_LOG
-        if legacy.exists():
+        legacy = legacy_files(directory)
+        if legacy:
             manager._snapshots.write_full_checkpoint(
                 recovered.documents,
                 recovered.shots,
@@ -204,12 +194,12 @@ class DurabilityManager:
                 wal_lsn=recovered.applied_lsn,
             )
             manager._wal.truncate_through(recovered.applied_lsn)
-            legacy.unlink()
+            for path in legacy:
+                path.unlink()
             manager._ops_since_checkpoint = manager._chain_ops_since_rebase = 0
-        if header["format"] != DURABILITY_FORMAT:
-            _write_json_atomic(
-                directory / HEADER_FILENAME, {**header, "format": DURABILITY_FORMAT}
-            )
+        converted = {**header, "format": DURABILITY_FORMAT, "num_shards": 1}
+        if header != converted:
+            _write_json_atomic(directory / HEADER_FILENAME, converted)
         return manager
 
     def close(self) -> None:
@@ -232,11 +222,6 @@ class DurabilityManager:
     def snapshots(self) -> SnapshotStore:
         """The snapshot store."""
         return self._snapshots
-
-    @property
-    def num_shards(self) -> int:
-        """Shard count of the WAL routing and snapshot lineage."""
-        return self._router.num_shards
 
     @property
     def snapshot_interval_ops(self) -> int:
@@ -287,12 +272,12 @@ class DurabilityManager:
     # -- write-path hooks (called under the engine's exclusive writer) -------------
 
     def log_index_op(self, record: Dict[str, object]) -> int:
-        """WAL one index-op record on its owning shard's segment.
+        """WAL one index-op record.
 
         The engine builds ``record`` with :func:`~repro.durability.replay.
         op_record` after its checks pass and before it applies the op.
         """
-        lsn = self._wal.append(self._router.shard_of(record["id"]), record)
+        lsn = self._wal.append(record)
         self._ops_since_checkpoint += 1
         return lsn
 
@@ -341,7 +326,7 @@ class DurabilityManager:
         The first checkpoint of a directory and the one after a compaction
         are **full** (the live state); every other one is an **ops**
         checkpoint: the entries the WAL logged since the parent, taken from
-        the writer's in-memory copy of its segments, each written as the
+        the writer's in-memory copy of its segment, each written as the
         payload bytes the WAL framed.  The window must cover
         ``parent.wal_lsn + 1 .. cut`` without a hole, or nothing is written:
         that holds after ``attach`` (the recovered prefix is gap-free from

@@ -3,13 +3,13 @@
 :class:`RecoveryManager` rebuilds the index state a durable service held at
 its last durable write, from nothing but the durability directory:
 
-1. read the directory header (shard count, format),
+1. read and check the directory header (its format),
 2. fold the snapshot chain (:meth:`~repro.durability.snapshots.
    SnapshotStore.load_base`, the chain's one validated read path) into
    insertion-ordered item tables that cover the log through ``wal_lsn``,
-3. scan every WAL segment tolerantly, merge records by LSN, and replay the
-   **maximal gap-free prefix** starting at ``wal_lsn + 1`` into the same
-   tables.
+3. scan the WAL tolerantly (with an older directory's legacy files,
+   merged by LSN), and replay the **maximal gap-free prefix** starting at
+   ``wal_lsn + 1`` into the same tables.
 
 What the fold learnt about the chain rides along in
 :class:`RecoveredState` (``chain_op_records``), so a writer reopening the
@@ -103,7 +103,6 @@ class RecoveredState:
     chain's ops checkpoints hold since its last rebase.
     """
 
-    num_shards: int
     documents: List[Tuple[str, Dict[str, int]]] = field(default_factory=list)
     shots: List[Tuple[str, List[float], Dict[str, float]]] = field(default_factory=list)
     applied_lsn: int = 0
@@ -169,13 +168,13 @@ class RecoveryManager:
         if stop_lsn is not None and stop_lsn < 0:
             raise RecoveryError(f"stop_lsn must be non-negative, got {stop_lsn}")
         self._directory = Path(directory)
-        self._num_shards = read_header(self._directory)["num_shards"]
+        read_header(self._directory)
         self._stop_lsn = stop_lsn
 
     def recover(self) -> RecoveredState:
         """Snapshot chain + gap-free WAL prefix → :class:`RecoveredState`."""
         try:
-            fold = SnapshotStore(self._directory, self._num_shards).load_base()
+            fold = SnapshotStore(self._directory).load_base()
         except SnapshotError as error:
             raise RecoveryError(str(error)) from None
         if self._stop_lsn is not None and self._stop_lsn < fold.wal_lsn:
@@ -186,14 +185,13 @@ class RecoveryManager:
                 f"were compacted away and cannot be replayed to an earlier "
                 f"cut (feasible cuts are lsn >= {fold.wal_lsn})"
             )
-        wal = WriteAheadLog(self._directory, self._num_shards)
+        wal = WriteAheadLog(self._directory)
         try:
             records, tail_errors = wal.scan_all()
         finally:
             wal.close()
 
         state = RecoveredState(
-            num_shards=self._num_shards,
             applied_lsn=fold.wal_lsn,
             checkpoint_id=fold.checkpoint_id,
             snapshot_lsn=fold.wal_lsn,
@@ -216,7 +214,7 @@ class RecoveryManager:
             tail, beyond_stop = within, len(tail) - len(within)
         run, beyond_hole = gap_free_tail(tail, fold.wal_lsn)
         if beyond_hole:
-            # A hole: a record on some segment was lost (torn tail or
+            # A hole: a record in some log file was lost (torn tail or
             # corruption).  Everything behind it, past the cut or not, is
             # beyond the durable prefix, however intact it looks.
             state.wal_dropped_records = len(beyond_hole) + beyond_stop
@@ -240,8 +238,7 @@ def build_monolithic_indexes(state: RecoveredState, tokenizer=None):
     """Rebuild ``(InvertedIndex, VisualIndex)`` from a recovered state.
 
     Items are added in the state's order, the global insertion order, so
-    the dense slots are exactly the pre-crash ones whatever ``num_shards``
-    the directory was written with.
+    the dense slots are exactly the pre-crash ones.
     """
     from repro.index.inverted_index import InvertedIndex
     from repro.index.visual import VisualIndex

@@ -1,22 +1,19 @@
-"""Checkpoint manifests chaining per-shard delta files: state, then change.
+"""Checkpoint manifests chaining delta files: state, then change.
 
 A checkpoint is the durable image of the index state at one WAL watermark.
-Each one is a **manifest** naming one delta file per shard it touches — the
-per-shard split uses the same :class:`~repro.sharding.router.ShardRouter`
-hash that routed the WAL records — and links to
-its parent manifest.  There are exactly two kinds:
+Each one is a **manifest** naming its delta file (none when it holds no
+entry) and linking to its parent manifest.  There are exactly two kinds:
 
 * a **full** checkpoint (:meth:`SnapshotStore.write_full_checkpoint`)
   describes *state*: every live item with its **global sequence number**
-  (the live insertion index, from zero), so the per-shard files merge back
-  into the exact global insertion order — which is what makes the rebuilt
-  dense id tables, and therefore scores, byte-identical.  The bootstrap
+  (the live insertion index, from zero), so the rebuilt dense id tables,
+  and therefore scores, are byte-identical.  The bootstrap
   checkpoint of a fresh directory is one; with a parent it is a
   **rebase** (``"rebase": true``) and makes every older delta irrelevant.
-  It is **streamed**: one pass over the engine's item iterators routes
-  each entry to its shard's open delta file (:class:`_ShardDeltas`), and
-  an entry is built only when it joins that file's chunk, so the write
-  holds one chunk per shard, not the state.  The items streamed must
+  It is **streamed**: one pass over the engine's item iterators appends
+  each entry to the open delta file (:class:`_Delta`), and an entry is
+  built only when it joins that file's chunk, so the write holds one
+  chunk, not the state.  The items streamed must
   match the live counts the manifest declares, or nothing is renamed in.
 * an **ops** checkpoint (:meth:`SnapshotStore.write_ops_checkpoint`)
   describes *change*: its deltas hold, verbatim, the index-op records the
@@ -55,7 +52,9 @@ the ``"features"`` of a shot op record — is one
 Delta files carry no checksum, so a vector that does not decode is a
 :class:`SnapshotError` naming its file.
 
-Older files stay readable, and a chain may mix them: format 1 non-rebase
+Older files stay readable, and a chain may mix them.  A manifest of an
+older build may name one delta per shard of a multi-segment directory;
+the fold merges them back by sequence number and by LSN.  Format 1 non-rebase
 deltas are append-only *suffixes* of the sequence (entries numbered from
 the parent's counts), which the fold appends like any other full-state
 entries, and formats 1 and 2 store vectors as JSON lists, which
@@ -89,7 +88,6 @@ from repro.durability.replay import (
     apply_record,
 )
 from repro.errors import ReproError
-from repro.sharding.router import ShardRouter
 from repro.utils.serialization import (
     PathLike,
     canonical_json,
@@ -106,10 +104,9 @@ _MANIFEST_SUFFIX = ".json"
 
 #: List elements per encoder call in :class:`_JsonWriter`, and so the most
 #: entries of one list it holds.  A streamed full checkpoint builds an entry
-#: only when it joins its shard's chunk, so its transient memory is, per
-#: shard, one chunk, its encoded string and the file's buffer: a rebase
-#: peaks at 48-50 KiB of traced allocations on one shard and 115-121 KiB on
-#: four, at 500 and 2 000 live items alike (CPython 3.11).  A 1 178-document
+#: only when it joins the chunk, so its transient memory is one chunk, its
+#: encoded string and the file's buffer: a rebase peaks at 48-50 KiB of
+#: traced allocations, at 500 and 2 000 live items alike (CPython 3.11).  A 1 178-document
 #: + 1 178-shot full state (1.2 MB) took 32.1 ms at one element per call,
 #: 27.6 ms at 32 and 30.0 ms at 256, whose chunk strings peaked at 894 KiB
 #: of transient memory against 127 KiB at 32 (2-core x86-64 VM).
@@ -125,9 +122,14 @@ def manifest_filename(checkpoint_id: int) -> str:
     return f"{_MANIFEST_PREFIX}{checkpoint_id:06d}{_MANIFEST_SUFFIX}"
 
 
-def delta_filename(checkpoint_id: int, shard: int) -> str:
-    """File name of one shard's delta: ``delta-cp000003-shard0001.json``."""
-    return f"delta-cp{checkpoint_id:06d}-shard{shard:04d}.json"
+def delta_filename(checkpoint_id: int) -> str:
+    """File name of a checkpoint's delta: ``delta-cp000003-shard0000.json``.
+
+    ``shard0000`` (and a delta's ``"shard": 0``) is how older builds named
+    the first segment of a directory they split; keeping it keeps the bytes
+    of every one-segment directory as they were.
+    """
+    return f"delta-cp{checkpoint_id:06d}-shard0000.json"
 
 
 class _JsonWriter:
@@ -343,11 +345,8 @@ class SnapshotStore:
     from the tip it already holds.
     """
 
-    def __init__(self, directory: PathLike, num_shards: int) -> None:
-        if num_shards < 1:
-            raise SnapshotError(f"num_shards must be positive, got {num_shards}")
+    def __init__(self, directory: PathLike) -> None:
         self._directory = Path(directory)
-        self._router = ShardRouter(num_shards)
         ids = manifest_ids(self._directory)
         self._latest: Optional[Dict[str, object]] = (
             self._read_manifest(ids[-1]) if ids else None
@@ -415,9 +414,10 @@ class SnapshotStore:
         Manifests are folded in order from the last rebase, since a rebase
         re-snapshots the full live state and everything before it describes
         state that no longer exists.  A full-state manifest's entries are
-        merged across its shard files by global sequence number and
-        appended — each must land on exactly the next live slot; an ops
-        manifest's records are merged by LSN and replayed through
+        put in global sequence order (an older manifest may name several
+        delta files) and appended — each must land on exactly the next live
+        slot; an ops manifest's records are put in LSN order and replayed
+        through
         :func:`~repro.durability.replay.apply_record` into the same
         insertion-ordered item tables recovery replays the WAL tail into.
         After **every** manifest the live counts must equal the counts that
@@ -505,25 +505,21 @@ class SnapshotStore:
         ``text_items`` / ``visual_items`` yield the current live state in
         global insertion order (a term map is encoded as given, without a
         copy), and ``text_count`` / ``shot_count`` are how many they yield.  Each
-        is consumed once: an entry is built when it joins its shard's
+        is consumed once: an entry is built when it joins the delta's
         chunk, so what the write holds at once is bounded by the chunk
         size, not by the state.  A count that differs from the declared one
         raises :class:`SnapshotError`, and nothing is renamed into place.
         This is the bootstrap checkpoint of a fresh directory and, with a
         parent, a **rebase**: the manifest is marked so :meth:`load_base`
-        ignores everything before it.  One delta per shard that holds at
-        least one live item.
+        ignores everything before it.  An empty state writes no delta.
         """
-        def stream(deltas: _ShardDeltas) -> None:
+        def stream(delta: _Delta) -> None:
             documents = shots = 0
             for documents, (document_id, vector) in enumerate(text_items, 1):
-                deltas.append(
-                    document_id, "documents", [documents - 1, document_id, vector]
-                )
+                delta.append("documents", [documents - 1, document_id, vector])
             for shots, (shot_id, features, concepts) in enumerate(visual_items, 1):
-                deltas.append(
-                    shot_id, "shots",
-                    [shots - 1, shot_id, encode_vector(features), concepts],
+                delta.append(
+                    "shots", [shots - 1, shot_id, encode_vector(features), concepts]
                 )
             if (documents, shots) != (text_count, shot_count):
                 raise SnapshotError(
@@ -555,13 +551,13 @@ class SnapshotStore:
         lsn <= wal_lsn``, in LSN order; each record goes into its delta as
         the payload bytes the WAL framed, which are its canonical JSON.
         ``text_count`` / ``shot_count`` are the live counts at the cut,
-        which :meth:`load_base` checks the fold against.  One delta per
-        shard that logged at least one record; the chain must already have
-        a full checkpoint to replay them onto.
+        which :meth:`load_base` checks the fold against.  No records
+        write no delta; the chain must already have a full checkpoint to
+        replay them onto.
         """
-        def stream(deltas: _ShardDeltas) -> None:
-            for _, record, payload in entries:
-                deltas.append(str(record["id"]), "ops", payload)
+        def stream(delta: _Delta) -> None:
+            for entry in entries:
+                delta.append("ops", entry[2])
 
         return self._write_checkpoint(
             stream,
@@ -574,7 +570,7 @@ class SnapshotStore:
 
     def _write_checkpoint(
         self,
-        stream: Callable[["_ShardDeltas"], None],
+        stream: Callable[["_Delta"], None],
         wal_lsn: int,
         text_count: int,
         shot_count: int,
@@ -583,19 +579,19 @@ class SnapshotStore:
     ) -> Dict[str, object]:
         """Deltas first, then the manifest naming them (see module docstring).
 
-        ``stream`` appends the checkpoint's entries to its deltas; if it (or
-        a delta's commit) raises, every unfinished delta file is dropped and
+        ``stream`` appends the checkpoint's entries to its delta; if it (or
+        the delta's commit) raises, the unfinished delta file is dropped and
         no manifest is written.
         """
         parent = self._latest
         checkpoint_id = int(parent["checkpoint_id"]) + 1 if parent else 0
         self._directory.mkdir(parents=True, exist_ok=True)
-        deltas = _ShardDeltas(self._directory, self._router, checkpoint_id)
+        delta = _Delta(self._directory / delta_filename(checkpoint_id), checkpoint_id)
         try:
-            stream(deltas)
-            delta_names = deltas.commit()
+            stream(delta)
+            delta_names = delta.commit()
         except BaseException:
-            deltas.discard()
+            delta.discard()
             raise
         manifest: Dict[str, object] = {
             "format": SNAPSHOT_FORMAT,
@@ -615,33 +611,29 @@ class SnapshotStore:
         return manifest
 
 
-class _ShardDeltas:
-    """The per-shard delta files of one checkpoint, written in one pass.
+class _Delta:
+    """The delta file of one checkpoint, written in one pass.
 
-    :meth:`append` routes each entry by its item id with the same
-    :class:`~repro.sharding.router.ShardRouter` hash the WAL records were
-    routed by.  A shard's file is opened on its first entry and a list key
-    on its first entry there, so a shard with no documents has no
-    ``"documents"`` key and a shard with no entries at all has no file.
-    Entries must come key by key in sorted order (documents, then shots).
+    The file is opened on the first entry and a list key on its first
+    entry, so a delta with no documents has no ``"documents"`` key and a
+    checkpoint with no entries at all has no file.  Entries must come key
+    by key in sorted order (documents, then shots).
     """
 
-    def __init__(self, directory: Path, router: ShardRouter, checkpoint_id: int) -> None:
-        self._directory = directory
-        self._router = router
+    def __init__(self, path: Path, checkpoint_id: int) -> None:
+        self._path = path
         self._checkpoint_id = checkpoint_id
-        self._writers: Dict[int, _JsonWriter] = {}
+        self._writer: Optional[_JsonWriter] = None
 
-    def append(self, item_id: str, key: str, entry: object) -> None:
-        shard = self._router.shard_of(item_id)
-        writer = self._writers.get(shard)
+    def append(self, key: str, entry: object) -> None:
+        writer = self._writer
         if writer is None:
-            writer = self._writers[shard] = _JsonWriter(
-                self._directory / delta_filename(self._checkpoint_id, shard),
+            writer = self._writer = _JsonWriter(
+                self._path,
                 {
                     "format": SNAPSHOT_FORMAT,
                     "checkpoint_id": self._checkpoint_id,
-                    "shard": shard,
+                    "shard": 0,
                 },
             )
         if writer.list_key != key:
@@ -649,14 +641,13 @@ class _ShardDeltas:
         writer.append(entry)
 
     def commit(self) -> List[str]:
-        """Rename every delta into place; their names, in shard order."""
-        for shard in sorted(self._writers):
-            self._writers[shard].commit()
-        return [
-            delta_filename(self._checkpoint_id, shard) for shard in sorted(self._writers)
-        ]
+        """Rename the delta into place; the names the manifest lists."""
+        if self._writer is None:
+            return []
+        self._writer.commit()
+        return [self._path.name]
 
     def discard(self) -> None:
-        """Drop every delta file not yet renamed into place."""
-        for writer in self._writers.values():
-            writer.discard()
+        """Drop the delta file if it is not yet renamed into place."""
+        if self._writer is not None:
+            self._writer.discard()

@@ -3,7 +3,7 @@
 ``repro verify DIR`` (and the chaos harness) need a read-only answer to
 "how much of this directory is trustworthy?" without building an engine:
 
-* every WAL segment is scanned through the same checksummed-frame reader
+* every WAL file is scanned through the same checksummed-frame reader
   recovery uses, so torn or corrupt tails are found exactly where replay
   would stop;
 * the snapshot manifest chain is read through recovery's own path
@@ -39,7 +39,7 @@ from repro.utils.serialization import PathLike
 
 @dataclass
 class SegmentReport:
-    """One WAL segment's scan result."""
+    """One WAL file's scan result."""
 
     name: str
     records: int
@@ -61,7 +61,6 @@ class VerifyReport:
     """
 
     directory: str
-    num_shards: int = 0
     checkpoint_ids: List[int] = field(default_factory=list)
     snapshot_wal_lsn: int = 0
     snapshot_documents: int = 0
@@ -84,7 +83,7 @@ class VerifyReport:
 
     def lines(self) -> List[str]:
         """A human-readable report, one string per output line."""
-        out = [f"verify {self.directory}: {self.num_shards} shard(s)"]
+        out = [f"verify {self.directory}"]
         if self.checkpoint_ids:
             out.append(
                 f"snapshot chain: checkpoints "
@@ -132,16 +131,15 @@ def verify_directory(directory: PathLike) -> VerifyReport:
     durability_directory(directory)
     report = VerifyReport(directory=str(directory))
     try:
-        header = read_header(directory)
+        read_header(directory)
     except RecoveryError as error:
         report.problems.append(str(error))
         return report
-    report.num_shards = header["num_shards"]
 
     report.checkpoint_ids = manifest_ids(directory)
     fold = None
     try:
-        fold = SnapshotStore(directory, report.num_shards).load_base()
+        fold = SnapshotStore(directory).load_base()
         report.snapshot_wal_lsn = fold.wal_lsn
         report.snapshot_documents = len(fold.text)
         report.snapshot_shots = len(fold.visual)
@@ -153,7 +151,7 @@ def verify_directory(directory: PathLike) -> VerifyReport:
         # The WAL can still be scanned; gap analysis below treats the
         # watermark as 0, which is conservative (more records flagged).
 
-    wal = WriteAheadLog(Path(directory), report.num_shards)
+    wal = WriteAheadLog(Path(directory))
     try:
         merged = []
         for name, records, tail_error in wal.scan_segments():

@@ -1,29 +1,29 @@
-"""Append-only write-ahead log: per-shard segments with global LSNs.
+"""Append-only write-ahead log: one segment, global LSNs.
 
 Every index mutation against a durable engine — ``index_document``,
 ``index_shot``, deletes and updates — is framed (see
-:func:`repro.utils.serialization.encode_record`) and appended to a segment
-file before the in-memory state changes.  Records carry a **monotonic
-global log sequence number** allocated under one lock while the engine's
-exclusive writer is held, so the WAL order is exactly the serialization
-order of the writes.  The log holds index state only: sessions and the
-feedback that drives them stay in memory (the interaction log of
+:func:`repro.utils.serialization.encode_record`) and appended to the
+directory's one segment file (:data:`SEGMENT_FILENAME`) before the
+in-memory state changes.  Records carry a **monotonic global log sequence
+number** allocated under one lock while the engine's exclusive writer is
+held, so the segment's order is exactly the serialization order of the
+writes.  The log holds index state only: sessions and the feedback that
+drives them stay in memory (the interaction log of
 :mod:`repro.interfaces.logging` is the record of what a user did).
 
-Segment layout
---------------
+Older directories
+-----------------
 
-Index operations are routed onto one segment per shard
-(``wal-shard-0000.log`` ...) by the :class:`~repro.sharding.router.
-ShardRouter` hash of their document or shot id, the split the snapshot
-deltas use too, so a segment is exactly the mutation history of the ids
-it owns.  Segments are an on-disk layout only: the engine holds one index
-of each kind whatever the shard count.  Because every record carries its
-global LSN, recovery merges all segments back into one totally ordered
-stream and applies the **maximal gap-free LSN prefix**: a lost or torn
-record on any segment ends the durable prefix, so the recovered state is
-always a clean prefix of the true write history (never a subsequence with
-holes, which would perturb dense interning order).
+A build before this one could split the log over several segments
+(``wal-shard-0001.log`` ...) and, at format 2, logged feedback batches on
+:data:`LEGACY_FEEDBACK_LOG`, all on one LSN sequence.  Readers merge those
+files (:func:`legacy_files`) with the segment by LSN, and the first writer
+to attach converts the directory
+(:meth:`~repro.durability.manager.DurabilityManager.attach`).  Recovery
+applies the **maximal gap-free LSN prefix** of the merged stream: a lost or
+torn record ends the durable prefix, so the recovered state is always a
+clean prefix of the true write history (never a subsequence with holes,
+which would perturb dense interning order).
 
 Fsync policy
 ------------
@@ -38,12 +38,12 @@ lose flushed-but-unsynced records.
 Writer and readers
 ------------------
 
-The owning :class:`WriteAheadLog` never reads its segments after open.  It
-holds an exact in-memory copy of every record its segments carry — the
+The owning :class:`WriteAheadLog` never reads its segment after open.  It
+holds an exact in-memory copy of every record the segment carries — the
 LSN, the record and the payload bytes it framed — filled by one scan (the
 reopen repair, or the first checkpoint of a fresh log) and kept in step by
 ``append``, ``truncate_through`` and ``repair_to``.  A checkpoint takes its
-window from that copy and truncation rewrites a segment from the kept
+window from that copy and truncation rewrites the segment from the kept
 payloads, so neither reads, re-decodes or re-encodes what the writer
 produced under the same lock.  Scans (:meth:`WriteAheadLog.scan_all`,
 :meth:`WriteAheadLog.scan_segments`, :meth:`WalSegment.scan`) are for
@@ -57,7 +57,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Dict, IO, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, IO, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.utils.serialization import (
@@ -68,9 +68,13 @@ from repro.utils.serialization import (
     scan_records,
 )
 
+#: The log's one segment file, named as older builds named the first of
+#: their segments, so a one-segment directory's bytes are what they were.
+SEGMENT_FILENAME = "wal-shard-0000.log"
+
 #: Where a format-2 directory logged feedback batches, on the LSN sequence
-#: its index ops share.  Only :meth:`WriteAheadLog.scan_segments` reads it,
-#: to fill those LSNs, until the writer's attach converts the directory.
+#: its index ops share.  Only readers merge it (:func:`legacy_files`), to
+#: fill those LSNs, until the writer's attach converts the directory.
 LEGACY_FEEDBACK_LOG = "wal-meta.log"
 
 #: Accepted fsync policies.
@@ -81,9 +85,23 @@ class WalError(ValueError, ReproError):
     """The write-ahead log was used incorrectly or is unreadable."""
 
 
-def segment_filename(shard: int) -> str:
-    """File name of a shard's segment: ``wal-shard-0007.log``."""
-    return f"wal-shard-{int(shard):04d}.log"
+def legacy_files(directory: Path) -> List[Path]:
+    """The log files an older build wrote beside :data:`SEGMENT_FILENAME`.
+
+    The further segments of a multi-segment directory
+    (``wal-shard-0001.log`` ...) in name order, then
+    :data:`LEGACY_FEEDBACK_LOG`: the order readers merge them in.  Empty
+    once a writer has converted the directory.
+    """
+    files = sorted(
+        path
+        for path in directory.glob("wal-shard-*.log")
+        if path.name != SEGMENT_FILENAME
+    )
+    feedback = directory / LEGACY_FEEDBACK_LOG
+    if feedback.exists():
+        files.append(feedback)
+    return files
 
 
 def _decode_payload(payload: bytes) -> Dict[str, object]:
@@ -202,20 +220,18 @@ def encode_op(record: Dict[str, object]) -> bytes:
 
 
 class WriteAheadLog:
-    """Per-shard WAL segments sharing one monotonic LSN sequence.
+    """One WAL segment and its monotonic LSN sequence.
 
     ``append`` allocates the next LSN and writes the frame under one lock,
-    so per-segment record order is always LSN order and the union of all
-    segments is the total write order.  As a writer the log never reads
-    its shard segments after open: it holds their entries in memory (see
-    the module docstring) and checkpoints and truncation work from that
-    copy.  :meth:`scan_all` is the readers' view of the files.
+    so the segment's record order is always LSN order.  As a writer the log
+    never reads its segment after open: it holds the segment's entries in
+    memory (see the module docstring) and checkpoints and truncation work
+    from that copy.  :meth:`scan_all` is the readers' view of the files.
     """
 
     def __init__(
         self,
         directory: PathLike,
-        num_shards: int,
         fsync_policy: str = "interval",
         fsync_interval_ops: int = 64,
         next_lsn: int = 1,
@@ -225,14 +241,11 @@ class WriteAheadLog:
                 f"unknown fsync policy {fsync_policy!r}; "
                 f"expected one of {FSYNC_POLICIES}"
             )
-        if num_shards < 1:
-            raise WalError(f"num_shards must be positive, got {num_shards}")
         if fsync_interval_ops < 1:
             raise WalError(
                 f"fsync_interval_ops must be positive, got {fsync_interval_ops}"
             )
         self._directory = Path(directory)
-        self._num_shards = num_shards
         self._fsync_policy = fsync_policy
         self._fsync_interval_ops = fsync_interval_ops
         self._lock = threading.Lock()
@@ -244,30 +257,21 @@ class WriteAheadLog:
         # replica id -> highest LSN that replica has acknowledged applying;
         # truncate_through never drops records past the minimum of these.
         self._replica_acks: Dict[str, int] = {}
-        self._segments: Dict[str, WalSegment] = {}
-        for shard in range(num_shards):
-            self._segments[segment_filename(shard)] = WalSegment(
-                self._directory / segment_filename(shard)
-            )
-        # The writer's copy of each shard segment, filled by _held_entries
-        # on first use.  An entry is added only once its frame is written,
-        # so an append that raised leaves a hole here exactly as on disk.
-        self._held: Optional[Dict[str, List[WalEntry]]] = None
-        # Shard segments whose filling scan ended in a torn tail: the next
-        # truncation rewrites them even if it drops nothing.
-        self._torn: Set[str] = set()
+        self._segment = WalSegment(self._directory / SEGMENT_FILENAME)
+        # The writer's copy of the segment, filled by _held_entries on
+        # first use.  An entry is added only once its frame is written, so
+        # an append that raised leaves a hole here exactly as on disk.
+        self._held: Optional[List[WalEntry]] = None
+        # The filling scan ended in a torn tail: the next truncation
+        # rewrites the segment even if it drops nothing.
+        self._torn = False
 
     # -- accessors ---------------------------------------------------------------
 
     @property
     def directory(self) -> Path:
-        """The durability directory holding the segments."""
+        """The durability directory holding the segment."""
         return self._directory
-
-    @property
-    def num_shards(self) -> int:
-        """How many index-shard segments the log routes over."""
-        return self._num_shards
 
     @property
     def fsync_policy(self) -> str:
@@ -292,24 +296,20 @@ class WriteAheadLog:
         with self._lock:
             return self._records_appended
 
-    def held_entries(self) -> Dict[str, List[WalEntry]]:
-        """The writer's in-memory copy, by shard segment file name.
+    def held_entries(self) -> List[WalEntry]:
+        """The writer's in-memory copy of the segment.
 
         Equal, entry for entry, to what :meth:`WalSegment.scan_entries`
-        reads back from each shard segment.
+        reads back from the segment file.
         """
         with self._lock:
-            held = self._held_entries()
-            return {name: list(entries) for name, entries in held.items()}
+            return list(self._held_entries())
 
-    def _held_entries(self) -> Dict[str, List[WalEntry]]:
+    def _held_entries(self) -> List[WalEntry]:
         """The held copy, filled by one scan on first use (lock held)."""
         if self._held is None:
-            self._held = {}
-            for name, segment in self._segments.items():
-                self._held[name], tail_error = segment.scan_entries()
-                if tail_error is not None:
-                    self._torn.add(name)
+            self._held, tail_error = self._segment.scan_entries()
+            self._torn = tail_error is not None
         return self._held
 
     # -- replication guard ---------------------------------------------------------
@@ -359,16 +359,12 @@ class WriteAheadLog:
 
     # -- appending ---------------------------------------------------------------
 
-    def append(self, shard: int, record: Dict[str, object]) -> int:
+    def append(self, record: Dict[str, object]) -> int:
         """Allocate the next LSN, stamp it into ``record``, append it to
-        ``shard``'s segment; return the LSN.
+        the segment; return the LSN.
 
         The record must not carry an ``lsn`` of its own.
         """
-        name = segment_filename(shard)
-        target = self._segments.get(name)
-        if target is None:
-            raise WalError(f"unknown WAL segment {shard!r}")
         with self._lock:
             lsn = self._next_lsn
             self._next_lsn += 1
@@ -382,55 +378,51 @@ class WriteAheadLog:
             if fsync:
                 self._appends_since_sync = 0
             payload = encode_op(record)
-            self._bytes_appended += target.append(payload, fsync=fsync)
+            self._bytes_appended += self._segment.append(payload, fsync=fsync)
             self._records_appended += 1
             if self._held is not None:
-                self._held[name].append(WalEntry(lsn, record, payload))
+                self._held.append(WalEntry(lsn, record, payload))
             return lsn
 
     def sync(self) -> None:
-        """Flush and fsync every segment."""
+        """Flush and fsync the segment."""
         with self._lock:
-            for segment in self._segments.values():
-                segment.sync()
+            self._segment.sync()
             self._appends_since_sync = 0
 
     def close(self) -> None:
-        """Sync and close every segment (idempotent)."""
+        """Sync and close the segment (idempotent)."""
         with self._lock:
-            for segment in self._segments.values():
-                try:
-                    segment.sync()
-                finally:
-                    segment.close()
+            try:
+                self._segment.sync()
+            finally:
+                self._segment.close()
 
     # -- scanning & rewriting ------------------------------------------------------
 
     def scan_segments(
         self,
     ) -> List[Tuple[str, List[Dict[str, object]], "RecordError | None"]]:
-        """``(file name, records, tail_error)`` of every segment file.
+        """``(file name, records, tail_error)`` of every log file.
 
-        The shard segments, then a format-2 directory's
-        :data:`LEGACY_FEEDBACK_LOG` if the file is still there: its
-        feedback batches hold LSNs between the index ops, so without them
-        the gap check would end the durable prefix at the first one.
-        Replay skips them (:func:`~repro.durability.replay.apply_record`).
+        The segment, then whatever :func:`legacy_files` finds: an older
+        directory's further segments and feedback batches hold LSNs between
+        the segment's records, so without them the gap check would end the
+        durable prefix at the first one.  Replay skips the feedback batches
+        (:func:`~repro.durability.replay.apply_record`).
         """
-        segments = list(self._segments.values())
-        legacy = WalSegment(self._directory / LEGACY_FEEDBACK_LOG)
-        if legacy.path.exists():
-            segments.append(legacy)
+        segments = [self._segment]
+        segments.extend(WalSegment(path) for path in legacy_files(self._directory))
         return [(segment.path.name, *segment.scan()) for segment in segments]
 
     def scan_all(self) -> Tuple[List[Dict[str, object]], Dict[str, str]]:
-        """Every decodable record across all segments, sorted by LSN.
+        """Every decodable record across all log files, sorted by LSN.
 
         Returns ``(records, tail_errors)`` where ``tail_errors`` maps
-        segment file names to a description of the torn/corrupt tail that
-        ended that segment's clean prefix (empty when all segments are
-        clean).  Gap analysis over the merged stream is the recovery
-        manager's job, not this method's.
+        file names to a description of the torn/corrupt tail that ended
+        that file's clean prefix (empty when all files are clean).  Gap
+        analysis over the merged stream is the recovery manager's job, not
+        this method's.
         """
         merged: List[Dict[str, object]] = []
         tail_errors: Dict[str, str] = {}
@@ -444,23 +436,16 @@ class WriteAheadLog:
     def entries_since(self, lsn: int) -> List[WalEntry]:
         """Every held entry with ``entry.lsn > lsn``, in LSN order."""
         with self._lock:
-            merged = [
-                entry
-                for entries in self._held_entries().values()
-                for entry in entries
-                if entry.lsn > lsn
-            ]
-        merged.sort(key=lambda entry: entry.lsn)
-        return merged
+            return [entry for entry in self._held_entries() if entry.lsn > lsn]
 
     def truncate_through(self, lsn: int) -> int:
         """Drop every record with ``record.lsn <= lsn`` (log compaction).
 
         Returns how many records were dropped.  Called after a checkpoint
-        whose snapshot covers the log up to ``lsn``; the rewrite is atomic
-        per segment, and a crash between segments only leaves extra
-        already-snapshotted records, which recovery skips idempotently.
-        Segments are rewritten from the held payloads.
+        whose snapshot covers the log up to ``lsn``; the rewrite is
+        atomic, and a crash before it only leaves extra already-snapshotted
+        records, which recovery skips idempotently.  The segment is
+        rewritten from the held payloads.
 
         When replicas are registered (:meth:`register_replica`), the
         truncation point is clamped to the slowest replica's acknowledged
@@ -472,38 +457,26 @@ class WriteAheadLog:
         with self._lock:
             if self._replica_acks:
                 lsn = min(lsn, min(self._replica_acks.values()))
-            held = self._held_entries()
-            dropped = 0
-            for name, entries in held.items():
-                keep = [entry for entry in entries if entry.lsn > lsn]
-                dropped += _rewrite_kept(
-                    self._segments[name], entries, keep, name in self._torn
-                )
-                held[name] = keep
-            self._torn.clear()
+            entries = self._held_entries()
+            keep = [entry for entry in entries if entry.lsn > lsn]
+            dropped = _rewrite_kept(self._segment, entries, keep, self._torn)
+            self._held, self._torn = keep, False
             return dropped
 
     def repair_to(self, lsn: int) -> int:
         """Physically drop every record with ``record.lsn > lsn``.
 
         Called when reopening a log whose durable prefix ended at ``lsn``
-        (a torn tail, or records stranded past an LSN gap on another
-        segment): appending may only resume once nothing newer than the
-        recovered prefix remains on disk.  Returns how many records were
-        dropped.  Its scan is the one that fills the held copy.
+        (a torn tail, or records stranded past an LSN gap): appending may
+        only resume once nothing newer than the recovered prefix remains
+        in the segment.  Returns how many records were dropped.  Its scan
+        is the one that fills the held copy.
         """
         with self._lock:
-            held: Dict[str, List[WalEntry]] = {}
-            dropped = 0
-            for name, segment in self._segments.items():
-                entries, tail_error = segment.scan_entries()
-                keep = [entry for entry in entries if entry.lsn <= lsn]
-                dropped += _rewrite_kept(
-                    segment, entries, keep, tail_error is not None
-                )
-                held[name] = keep
-            self._held = held
-            self._torn.clear()
+            entries, tail_error = self._segment.scan_entries()
+            keep = [entry for entry in entries if entry.lsn <= lsn]
+            dropped = _rewrite_kept(self._segment, entries, keep, tail_error is not None)
+            self._held, self._torn = keep, False
             return dropped
 
 

@@ -37,7 +37,6 @@ from repro.simulation.population import (
 )
 from repro.simulation.session import SessionOutcome, SessionSimulator
 from repro.simulation.strategies import QueryStrategy, TitleQueryStrategy
-from repro.simulation.user import SimulatedUser
 from repro.utils.validation import ensure_positive
 
 

@@ -11,7 +11,7 @@ level summaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.collection.qrels import Qrels
 from repro.feedback.events import EventKind

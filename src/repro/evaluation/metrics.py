@@ -10,7 +10,7 @@ they work directly with :class:`~repro.collection.qrels.Qrels` output.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Union
+from typing import Dict, Iterable, Mapping, Sequence, Set, Union
 
 Relevance = Union[Set[str], Mapping[str, int]]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.collection.qrels import Qrels
 from repro.evaluation.metrics import evaluate_ranking, mean_metric

@@ -13,7 +13,7 @@ Section 2.2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.collection.qrels import Qrels
 from repro.errors import InvalidArgumentError

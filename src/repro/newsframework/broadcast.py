@@ -12,7 +12,7 @@ be exercised incrementally exactly as they would be in production.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 from repro.collection.documents import Collection, Video
 

@@ -22,7 +22,7 @@ from repro.feedback.graph import ImplicitGraph
 from repro.index.fusion import min_max_normalise
 from repro.profiles.profile import UserProfile
 from repro.retrieval.reranking import story_scores_from_shots
-from repro.utils.validation import ensure_in_range, ensure_positive
+from repro.utils.validation import ensure_positive
 
 
 @dataclass(frozen=True)

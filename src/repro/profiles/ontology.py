@@ -11,7 +11,7 @@ turns "watched a lot of football shots" into "interested in sports".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.collection.generator import CATEGORY_CONCEPTS

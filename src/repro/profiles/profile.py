@@ -11,7 +11,7 @@ within-session dynamics belong to the implicit feedback model instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.utils.validation import ensure_in_range
 

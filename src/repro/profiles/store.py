@@ -12,7 +12,7 @@ session's evidence, and saved back.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.profiles.profile import UserProfile
 from repro.utils.serialization import read_json, write_json

@@ -3,7 +3,7 @@
 A :class:`ReplicaServer` attaches **read-only** to a durable primary's
 durability directory.  It bootstraps through the normal recovery path
 (snapshot chain + gap-free WAL prefix), then tails the WAL incrementally:
-each :meth:`poll` scans the segments through the same checksummed-frame
+each :meth:`poll` scans the log through the same checksummed-frame
 reader recovery uses and applies the maximal contiguous LSN run past its
 applied position — a replica never applies past a hole, so its state is
 always a true prefix of the primary's write history and therefore
@@ -37,10 +37,10 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.durability.digest import engine_state_digest
-from repro.durability.recovery import RecoveryManager, read_header
+from repro.durability.recovery import RecoveryManager
 from repro.durability.replay import (
     ReplayCounts,
     ReplayError,
@@ -98,9 +98,8 @@ class ReplicaServer:
     ``collection`` decorates results exactly as on the primary; ``corpus``
     (optional, a stored/synthetic corpus) additionally lets a promotion
     hand back a fully equipped service (topics and qrels included).
-    ``config`` must agree with the directory's shard count; its
-    ``durability_dir`` is ignored — a replica never owns the directory it
-    tails.
+    ``config``'s ``durability_dir`` is ignored — a replica never owns the
+    directory it tails.
     """
 
     def __init__(
@@ -120,16 +119,7 @@ class ReplicaServer:
         if not replica_id:
             raise ReplicationError("replica_id must be non-empty")
         self._directory = Path(directory)
-        header = read_header(self._directory)
-        self._num_shards = int(header["num_shards"])
-        if config is None:
-            config = ServiceConfig(num_shards=self._num_shards)
-        if config.num_shards != self._num_shards:
-            raise ReplicationError(
-                f"durability directory {self._directory} was written with "
-                f"num_shards={self._num_shards} but the replica config asks "
-                f"for num_shards={config.num_shards}"
-            )
+        config = config or ServiceConfig()
         # A replica never owns the directory (attach would repair the WAL
         # tail).
         self._config = config.with_overrides(durability_dir=None)
@@ -140,9 +130,9 @@ class ReplicaServer:
         self._clock = clock
         self._lock = threading.RLock()
         self._closed = False
-        # Read-only scanner over the segments; scans read bytes directly,
-        # so one long-lived instance observes every later append/rewrite.
-        self._wal = WriteAheadLog(self._directory, self._num_shards)
+        # Read-only scanner over the log; scans read bytes directly, so one
+        # long-lived instance observes every later append/rewrite.
+        self._wal = WriteAheadLog(self._directory)
         self._applied_lsn = 0
         self._disk_last_lsn = 0
         self._records_applied = 0
@@ -244,7 +234,7 @@ class ReplicaServer:
         # scan misses was truncated by a checkpoint whose manifest was
         # renamed earlier, so the tip read below is guaranteed to cover it.
         records, _tail_errors = self._wal.scan_all()
-        tip_lsn = SnapshotStore(self._directory, self._num_shards).latest_wal_lsn
+        tip_lsn = SnapshotStore(self._directory).latest_wal_lsn
         if records:
             self._disk_last_lsn = max(
                 self._disk_last_lsn, int(records[-1]["lsn"])
@@ -390,7 +380,7 @@ class ReplicaServer:
 
         Rankings are bit-identical to the primary engine's
         ``search_text`` at the same applied LSN — the differential suite
-        pins this across scorers and shard counts.
+        pins this across scorers.
         """
         with self._lock:
             self._ensure_open()

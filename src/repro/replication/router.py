@@ -14,7 +14,7 @@ primary's durability directory:
   and falling through to the primary when every replica is exhausted.
 - **Replica registration** pins the primary's WAL compaction through the
   replication guard; :meth:`poll_replicas` advances every replica and
-  acknowledges its applied LSN back, releasing held-back segments and
+  acknowledges its applied LSN back, releasing held-back records and
   publishing per-replica lag gauges into a
   :class:`~repro.obs.MetricsRegistry`.
 - **Failover**: :meth:`kill_primary` simulates a primary crash
@@ -92,8 +92,8 @@ class ReplicatedService:
             config or primary.config.replication or ReplicationConfig()
         )
         # Remembered so replicas added after a primary crash (restarts in a
-        # chaos run) still build engines with the original scorer and
-        # segment configuration rather than bare defaults.
+        # chaos run) still build engines with the original scorer
+        # configuration rather than bare defaults.
         self._replica_config = primary.config
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock
@@ -235,7 +235,7 @@ class ReplicatedService:
 
         Applies whatever each replica can reach, acknowledges applied
         LSNs back to the primary's replication guard (releasing held-back
-        WAL segments at the next checkpoint), and publishes per-replica
+        WAL records at the next checkpoint), and publishes per-replica
         lag gauges.  A replica whose poll raises is counted as a failure
         but left registered — transient scan races heal on the next round.
         Returns records applied per replica id.

@@ -252,8 +252,7 @@ class VideoRetrievalEngine:
         holds the exclusive lock across WAL fsyncs and checkpoint writes,
         so a reader can wait on I/O — or when the text scorer may block (an
         absent attribute counts as ``True``).  The built-in in-memory
-        scorers make it ``False``, whatever ``num_shards`` the service was
-        configured with.  Read per request, so a scorer swapped in mid-run
+        scorers make it ``False``.  Read per request, so a scorer swapped in mid-run
         changes the answer for the next one.
         """
         return self._durability is not None or getattr(

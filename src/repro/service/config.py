@@ -44,12 +44,11 @@ class ServiceConfig:
         Capacity of the LRU session manager; the least recently used
         session is evicted when a new one would exceed it.
     num_shards:
-        How many segments a durable directory's write-ahead log and
-        snapshot deltas are split into, routed by
-        :class:`~repro.sharding.ShardRouter`.  It selects nothing in
-        memory: every engine holds one inverted index and one text scorer.
-        A directory reopens only with the count it was written with.
-        Must be positive.
+        Kept only because ``benchmarks/e2e/workloads.py`` (the E21
+        workload definitions) passes ``num_shards=4`` to an in-memory
+        service; it selects nothing.  Must be positive, and 1 with
+        ``durability_dir``: a durable directory holds one WAL segment.
+        The field goes once that caller drops it.
     executor:
         Kept only because ``benchmarks/e2e/workloads.py`` (the E21
         workload definitions) passes ``executor="thread"``; ``"thread"``
@@ -95,6 +94,11 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         for name in ("max_sessions", "num_shards", "snapshot_interval_ops"):
             ensure_number(getattr(self, name), name, positive=True, integer=True)
+        if self.num_shards != 1 and self.durability_dir is not None:
+            raise InvalidArgumentError(
+                f"num_shards={self.num_shards}: a durable directory holds one "
+                "WAL segment; leave num_shards at 1"
+            )
         if self.executor != "thread":
             raise InvalidArgumentError(
                 f"executor={self.executor!r}: the process executor was removed; "

@@ -42,6 +42,22 @@ from repro.index.registry import (
 )
 from repro.utils.registry import ComponentRegistry, UnknownComponentError
 
+__all__ = [
+    "POLICY_REGISTRY",
+    "SCORER_REGISTRY",
+    "WEIGHTING_SCHEME_REGISTRY",
+    "ComponentRegistry",
+    "UnknownComponentError",
+    "available_policies",
+    "available_scorers",
+    "available_weighting_schemes",
+    "create_policy",
+    "create_scorer",
+    "create_weighting_scheme",
+    "register_policy",
+    "register_scorer",
+    "register_weighting_scheme",
+]
 
 #: Adaptation policies: ``factory() -> AdaptationPolicy``.
 POLICY_REGISTRY = ComponentRegistry("policy")

@@ -109,8 +109,7 @@ def build_engine(
     same path, without owning sessions or a durability manager.
 
     Every engine holds one :class:`~repro.index.inverted_index.
-    InvertedIndex` and the one scorer ``config.engine`` names:
-    ``config.num_shards`` splits only the durable directory's segments.
+    InvertedIndex` and the one scorer ``config.engine`` names.
     """
     tokenizer = tokenizer or Tokenizer()
     if recovered is not None:
@@ -161,12 +160,6 @@ class RetrievalService:
         durability_dir = self._config.durability_dir
         if durability_dir is not None and DurabilityManager.has_state(durability_dir):
             recovered = RecoveryManager(durability_dir).recover()
-            if recovered.num_shards != self._config.num_shards:
-                raise InvalidArgumentError(
-                    f"durability directory {durability_dir!r} was written "
-                    f"with num_shards={recovered.num_shards} but the config "
-                    f"asks for num_shards={self._config.num_shards}"
-                )
 
         self._engine: VideoRetrievalEngine = build_engine(
             collection, self._config, recovered=recovered, tokenizer=tokenizer
@@ -184,7 +177,6 @@ class RetrievalService:
                 durability = DurabilityManager.create(
                     durability_dir,
                     self._engine,
-                    num_shards=self._config.num_shards,
                     fsync_policy=self._config.fsync_policy,
                     snapshot_interval_ops=self._config.snapshot_interval_ops,
                 )

@@ -11,7 +11,7 @@ internals (caching, sharding, remote transports) without breaking callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidArgumentError

@@ -11,7 +11,7 @@ topics they will be given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.collection.topics import Topic, TopicSet
 from repro.profiles.profile import Demographics, UserProfile

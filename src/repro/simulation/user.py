@@ -11,7 +11,7 @@ simulation-based evaluation methodology of Section 2.2 exists to sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from repro.utils.validation import ensure_in_range, ensure_positive

@@ -234,9 +234,9 @@ def run_continuous_mix(
     durability = service.engine.durability
     if stop_lsn is not None:
         if stop_lsn < 0:
-            raise ValueError(f"stop_lsn must be non-negative, got {stop_lsn}")
+            raise InvalidArgumentError(f"stop_lsn must be non-negative, got {stop_lsn}")
         if durability is None:
-            raise ValueError(
+            raise InvalidArgumentError(
                 "stop_lsn requires a durable service: the budget is "
                 "measured against its WAL"
             )

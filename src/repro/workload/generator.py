@@ -16,7 +16,7 @@ so the driver's canonical log is a pure function of the spec and corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.collection.topics import Topic, TopicSet
 from repro.simulation.population import PopulationMember, assign_topics, generate_population

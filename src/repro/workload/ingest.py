@@ -15,8 +15,8 @@ so an op is a pure function of its seed and key: a run killed after *k*
 ops and recovered must be byte-identical to a clean run told to apply
 exactly *k* ops.  :func:`synthetic_ingest_ops` keys them by op index and
 alternates transcript documents with visual shots, so both WAL record
-kinds, both indexes and (with ``num_shards`` above one) every WAL segment
-see traffic; the mix keys them by ``(salt, epoch, slot)``.
+kinds and both indexes see traffic; the mix keys them by ``(salt, epoch,
+slot)``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Sequence, Tuple
 
+from repro.errors import InvalidArgumentError
 from repro.utils.validation import ensure_positive
 
 #: Small closed vocabulary the synthetic transcripts draw from.
@@ -85,7 +86,7 @@ def synthetic_ingest_ops(
 ) -> List[IngestOp]:
     """The first ``count`` ops of the seed's deterministic ingest stream."""
     if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+        raise InvalidArgumentError(f"count must be non-negative, got {count}")
     ensure_positive(feature_dim, "feature_dim")
     ops: List[IngestOp] = []
     for i in range(count):
@@ -135,7 +136,7 @@ def apply_ingest(service, ops: Sequence[IngestOp], pause: float = 0.0) -> int:
         elif kind == "upd":
             service.update_document(op[1], op[2])
         else:
-            raise ValueError(f"unknown ingest op kind {kind!r}")
+            raise InvalidArgumentError(f"unknown ingest op kind {kind!r}")
         applied += 1
         if pause > 0.0:
             time.sleep(pause)

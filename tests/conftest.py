@@ -5,7 +5,7 @@ the slowest steps; tests must treat them as read-only (mutating tests build
 their own corpus).
 
 The module also hosts the seeded randomized (property-style) generators
-shared by the sharding-equivalence and concurrency suites:
+shared by the engine-equivalence and concurrency suites:
 :func:`random_queries` draws multimodal queries from a corpus's own
 vocabulary / shots / concepts, and :func:`random_documents` fabricates
 transcript documents for interleaved-write tests.  Both are pure functions
@@ -91,8 +91,8 @@ def random_documents(
 ) -> Dict[str, str]:
     """Seeded synthetic transcript documents in the corpus's vocabulary.
 
-    Used by interleaved-write tests: feeding the same mapping to a sharded
-    and an unsharded engine must leave both ranking identically.  Ids embed
+    Used by interleaved-write tests: feeding the same mapping to a service
+    and to a bare engine must leave both ranking identically.  Ids embed
     the seed so successive batches never collide.
     """
     root = RandomSource(seed).spawn("random-documents")
@@ -155,7 +155,7 @@ def make_random_documents():
 
 @pytest.fixture(scope="session")
 def sharding_corpus() -> SyntheticCorpus:
-    """An analysed corpus for the sharding differential suites.
+    """An analysed corpus for the engine-equivalence differential suites.
 
     Analysis fills in features and concept scores, so randomized queries
     can exercise the visual and concept fusion paths; session-scoped and

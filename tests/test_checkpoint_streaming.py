@@ -7,8 +7,8 @@ from the engine's own item iterators, so:
 
 * **The bytes are the materialised writer's.**  Every delta and manifest a
   streamed full checkpoint writes equals ``json.dumps`` of the payload the
-  whole state would have built, on 1 and 4 shards, with empty shards,
-  either item kind alone, lists at the 32-entry chunk edges and non-ASCII
+  whole state would have built, with an empty state, either item kind
+  alone, lists at the 32-entry chunk edges and non-ASCII
   ids and terms; every digest equals the hash of ``json.dumps`` of the
   whole canonical state.
 * **A short or long stream writes nothing.**  When the items streamed
@@ -17,7 +17,7 @@ from the engine's own item iterators, so:
   into place and the previous manifest stays the tip.
 * **The transient is bounded.**  A rebase's peak of traced allocations
   above the level before it is under one fixed bound at N and 4N live
-  items, on 1 and 4 shards.  ``tracemalloc`` counts allocation sizes,
+  items.  ``tracemalloc`` counts allocation sizes,
   which do not depend on the host's speed or load.
 
 All tests carry the ``durability`` marker (``pytest -m durability``).
@@ -46,7 +46,6 @@ from repro.durability.snapshots import (
 )
 from repro.retrieval import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
-from repro.sharding.router import ShardRouter
 from repro.utils.serialization import encode_vector
 from repro.workload.ingest import apply_ingest, synthetic_ingest_ops
 
@@ -57,27 +56,26 @@ def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _materialised_full_checkpoint(directory: Path, num_shards, documents, shots, wal_lsn):
+def _materialised_full_checkpoint(directory: Path, documents, shots, wal_lsn):
     """What the checkpoint writer wrote when it built the whole state first:
-    ``{file name: bytes}`` for the deltas and the manifest of the next
+    ``{file name: bytes}`` for the delta and the manifest of the next
     checkpoint in ``directory``."""
     ids = manifest_ids(directory)
     checkpoint_id = ids[-1] + 1 if ids else 0
-    router = ShardRouter(num_shards)
-    per_shard = {}
-    for seq, (document_id, vector) in enumerate(documents):
-        per_shard.setdefault(router.shard_of(document_id), {}).setdefault(
-            "documents", []
-        ).append([seq, document_id, dict(vector)])
-    for seq, (shot_id, features, concepts) in enumerate(shots):
-        per_shard.setdefault(router.shard_of(shot_id), {}).setdefault(
-            "shots", []
-        ).append([seq, shot_id, encode_vector(features), dict(concepts)])
+    payload = {"format": 3, "checkpoint_id": checkpoint_id, "shard": 0}
+    if documents:
+        payload["documents"] = [
+            [seq, document_id, dict(vector)]
+            for seq, (document_id, vector) in enumerate(documents)
+        ]
+    if shots:
+        payload["shots"] = [
+            [seq, shot_id, encode_vector(features), dict(concepts)]
+            for seq, (shot_id, features, concepts) in enumerate(shots)
+        ]
     files = {}
-    for shard in sorted(per_shard):
-        payload = {"format": 3, "checkpoint_id": checkpoint_id, "shard": shard}
-        payload.update(per_shard[shard])
-        files[delta_filename(checkpoint_id, shard)] = _dumps(payload) + "\n"
+    if documents or shots:
+        files[delta_filename(checkpoint_id)] = _dumps(payload) + "\n"
     manifest = {
         "format": 3,
         "checkpoint_id": checkpoint_id,
@@ -141,52 +139,39 @@ def _shots(ids):
     ]
 
 
-def _without_shard(ids, shard, num_shards=4):
-    router = ShardRouter(num_shards)
-    return [item_id for item_id in ids if router.shard_of(item_id) != shard]
-
-
-#: The chunk edges in one shard, either kind alone, and a 4-shard state one
-#: of whose shards holds nothing.
+#: An empty state, the chunk edges, either kind alone, several chunks of
+#: both, and non-ASCII ids.
 EDGE_STATES = [
     ([], []),
     (_documents(_numbered("d", 32)), []),
     ([], _shots(_numbered("s", 33))),
     (_documents(_numbered("d", 31)), _shots(_numbered("s", 65))),
-    (
-        _documents(_without_shard(_numbered("d", 90), 2)),
-        _shots(_without_shard(_numbered("s", 90), 2)),
-    ),
+    (_documents(_numbered("d", 90)), _shots(_numbered("s", 90))),
     (_documents(["é-日本", "ÿ"]), _shots(["fête-1"])),
 ]
 
 
-@pytest.mark.parametrize("num_shards", (1, 4))
 @pytest.mark.parametrize("state", range(len(EDGE_STATES)))
-def test_streamed_full_checkpoint_equals_the_materialised_bytes(
-    tmp_path, num_shards, state
-):
+def test_streamed_full_checkpoint_equals_the_materialised_bytes(tmp_path, state):
     documents, shots = EDGE_STATES[state]
-    _check_streamed_bytes(tmp_path / "d", num_shards, documents, shots)
+    _check_streamed_bytes(tmp_path / "d", documents, shots)
 
 
-@given(state=_states(), num_shards=st.sampled_from((1, 4)))
-@example(state=([], []), num_shards=4)
+@given(state=_states())
+@example(state=([], []))
 @settings(max_examples=60, deadline=None)
-def test_generated_full_checkpoints_equal_the_materialised_bytes(state, num_shards):
+def test_generated_full_checkpoints_equal_the_materialised_bytes(state):
     with tempfile.TemporaryDirectory(prefix="full-cp-") as directory:
-        _check_streamed_bytes(Path(directory) / "d", num_shards, *state)
+        _check_streamed_bytes(Path(directory) / "d", *state)
 
 
-def _check_streamed_bytes(directory: Path, num_shards, documents, shots):
+def _check_streamed_bytes(directory: Path, documents, shots):
     # The bootstrap, then a rebase of the same state on top of it.
     for wal_lsn in (0, 7):
         directory.mkdir(exist_ok=True)
-        expected = _materialised_full_checkpoint(
-            directory, num_shards, documents, shots, wal_lsn
-        )
+        expected = _materialised_full_checkpoint(directory, documents, shots, wal_lsn)
         before = _files(directory)
-        store = SnapshotStore(directory, num_shards)
+        store = SnapshotStore(directory)
         manifest = store.write_full_checkpoint(
             iter(documents),
             (shot for shot in shots),
@@ -199,20 +184,19 @@ def _check_streamed_bytes(directory: Path, num_shards, documents, shots):
         assert written == expected
         name = manifest_filename(manifest["checkpoint_id"])
         assert manifest == json.loads(expected[name])
-        fold = SnapshotStore(directory, num_shards).load_base()
+        fold = SnapshotStore(directory).load_base()
         assert list(fold.text.items()) == documents
         assert [(s, list(f), c) for s, (f, c) in fold.visual.items()] == [
             (s, list(f), c) for s, f, c in shots
         ]
 
 
-@pytest.mark.parametrize("num_shards", (1, 4))
 @pytest.mark.parametrize("declared", ((41, 40), (39, 40), (40, 41), (40, 39)))
-def test_a_count_mismatch_writes_nothing(tmp_path, num_shards, declared):
+def test_a_count_mismatch_writes_nothing(tmp_path, declared):
     directory = tmp_path / "d"
     documents = _documents(_numbered("d", 40))
     shots = _shots(_numbered("s", 40))
-    store = SnapshotStore(directory, num_shards)
+    store = SnapshotStore(directory)
     store.write_full_checkpoint(
         iter(documents[:5]), iter(shots[:5]), text_count=5, shot_count=5, wal_lsn=0
     )
@@ -229,7 +213,7 @@ def test_a_count_mismatch_writes_nothing(tmp_path, num_shards, declared):
         )
     assert _files(directory) == before
     assert store.latest_manifest is tip
-    reopened = SnapshotStore(directory, num_shards)
+    reopened = SnapshotStore(directory)
     assert reopened.latest_manifest == tip
     fold = reopened.load_base()
     assert list(fold.text.items()) == documents[:5]
@@ -289,11 +273,11 @@ def test_generated_digests_equal_the_materialised_digest(state):
 # -- the transient of a rebase ---------------------------------------------------------
 
 #: The bound on a rebase's traced peak above the level before it.  The
-#: streamed write holds one chunk and one open file per shard: 48-50 KiB on
-#: 1 shard and 115-121 KiB on 4, at N and 4N alike (CPython 3.11).  The
-#: writer that built the whole state first peaked at 255-271 KiB at N and
-#: 1 012-1 013 KiB at 4N.
-REBASE_PEAK_BOUND = 256 * 1024
+#: streamed write holds one chunk and one open file: 48-51 KiB at N and 4N
+#: alike (CPython 3.11); four open delta files, one a segment, took
+#: 115-121 KiB.  The writer that built the whole state first peaked at
+#: 255-271 KiB at N and 1 012-1 013 KiB at 4N.
+REBASE_PEAK_BOUND = 128 * 1024
 
 N = 500
 
@@ -328,10 +312,9 @@ def _collection() -> Collection:
     return Collection([Video("v0", "2008-01-01", story_ids=["story-0"])], [story], shots)
 
 
-def _rebase_peak(directory: Path, num_shards: int, items: int) -> int:
+def _rebase_peak(directory: Path, items: int) -> int:
     config = ServiceConfig(
         engine=EngineConfig(result_cache_size=0),
-        num_shards=num_shards,
         durability_dir=str(directory),
         snapshot_interval_ops=10**9,
         fsync_policy="never",
@@ -362,10 +345,6 @@ def _rebase_peak(directory: Path, num_shards: int, items: int) -> int:
     return peak
 
 
-@pytest.mark.parametrize("num_shards", (1, 4))
-def test_a_rebase_transient_is_bounded_whatever_the_state_size(tmp_path, num_shards):
-    peaks = {
-        items: _rebase_peak(tmp_path / str(items), num_shards, items)
-        for items in (N, 4 * N)
-    }
+def test_a_rebase_transient_is_bounded_whatever_the_state_size(tmp_path):
+    peaks = {items: _rebase_peak(tmp_path / str(items), items) for items in (N, 4 * N)}
     assert max(peaks.values()) < REBASE_PEAK_BOUND, peaks

@@ -249,7 +249,7 @@ class TestTracebacksBecomeOneLine:
     @pytest.fixture(scope="class")
     def workdir(self, three_topics, tmp_path_factory):
         """A directory holding a file where an output directory should go,
-        and a durability directory written with one shard."""
+        and a durability directory."""
         directory = tmp_path_factory.mktemp("refusals")
         (directory / "occupied").write_text("a file, not a directory\n")
         assert main(
@@ -264,14 +264,6 @@ class TestTracebacksBecomeOneLine:
         [
             (["search", "--query", "q", "--user", ""],
              "search failed: user_id must be non-empty"),
-            (["loadtest", "--users", "1", "--queries", "1", "--durable", "one-shard",
-              "--shards", "4"],
-             "loadtest failed: durability directory 'one-shard' was written with "
-             "num_shards=1 but the config asks for num_shards=4"),
-            (["loadtest", "--users", "1", "--queries", "1", "--durable", "one-shard",
-              "--ingest-ops", "3", "--replicas", "1", "--shards", "2"],
-             "loadtest failed: durability directory 'one-shard' was written with "
-             "num_shards=1 but the config asks for num_shards=2"),
             (["generate", "--output", "occupied/x"],
              "generate failed: --output 'occupied/x' cannot be written: "
              "'occupied' is not a directory"),
@@ -287,7 +279,7 @@ class TestTracebacksBecomeOneLine:
             (["loadtest", "--users", "1", "--queries", "1", "--log", "one-shard"],
              "loadtest failed: --log 'one-shard' cannot be written: it is a directory"),
         ],
-        ids=["empty-user", "durable-shards", "replicas-shards", "generate-output",
+        ids=["empty-user", "generate-output",
              "simulate-logs", "loadtest-log", "mix-log", "loadtest-log-is-dir"],
     )
     def test_refused_in_one_line_with_exit_2(self, three_topics, workdir, command, refusal):
@@ -478,7 +470,6 @@ OUT_OF_RANGE = [
     ("loadtest --corpus c --feedback-per-query 0", "must be positive"),
     ("loadtest --corpus c --ingest-ops -1", "must be non-negative"),
     ("loadtest --corpus c --durable d --snapshot-interval 0", "must be positive"),
-    ("loadtest --corpus c --shards 0", "must be positive"),
     ("loadtest --corpus c --serve-concurrency 0", "must be positive"),
     ("loadtest --corpus c --durable d --ingest-ops 4 --replicas -1", "must be non-negative"),
     ("loadtest --corpus c --mix-epochs -1", "must be non-negative"),

@@ -487,26 +487,26 @@ class TestWriterPath:
         assert any(item.shot_id == "MUTDOC001" for item in after)
 
 
-class TestShardedConcurrentServing:
-    """Concurrent serving over a service with shard segments.
+class TestConcurrentServingEquivalence:
+    """Concurrent serving over one service against a sequential twin.
 
     Reuses the seeded property-style generators from ``conftest``: many
-    threads fire randomized multimodal queries at a multi-shard service
-    while the single-shard service answers the same queries sequentially;
+    threads fire randomized multimodal queries at one service while a
+    second service answers the same queries sequentially;
     every response pair must be bit-identical, and nothing may deadlock
     against the session or engine locks.
     """
 
-    def test_concurrent_randomized_queries_match_unsharded(
+    def test_concurrent_randomized_queries_match_sequential(
         self, sharding_corpus, make_random_queries
     ):
         random_queries = make_random_queries
         baseline = RetrievalService.from_corpus(
             sharding_corpus, config=ServiceConfig(engine=UNCACHED)
         )
-        sharded = RetrievalService.from_corpus(
+        concurrent = RetrievalService.from_corpus(
             sharding_corpus,
-            config=ServiceConfig(engine=UNCACHED, num_shards=3),
+            config=ServiceConfig(engine=UNCACHED),
         )
         queries = random_queries(sharding_corpus, seed=424_242, count=24)
         expected = [
@@ -519,7 +519,7 @@ class TestShardedConcurrentServing:
         def worker(worker_index: int) -> None:
             try:
                 for query_index in range(worker_index, len(queries), 8):
-                    results[query_index] = sharded.engine.search(
+                    results[query_index] = concurrent.engine.search(
                         queries[query_index], limit=20
                     )
             except BaseException as error:  # noqa: BLE001 - collected for assert
@@ -527,7 +527,7 @@ class TestShardedConcurrentServing:
 
         _run_threads(
             [
-                threading.Thread(target=worker, args=(index,), name=f"shard-q{index}")
+                threading.Thread(target=worker, args=(index,), name=f"query-{index}")
                 for index in range(8)
             ]
         )
@@ -540,11 +540,9 @@ class TestShardedConcurrentServing:
                 item.score for item in expected_list.items
             ]
 
-    def test_sharded_writer_path_under_concurrent_searches(self, sharding_corpus):
-        """Writes land while searches hammer a 4-shard service's engine."""
-        service = RetrievalService.from_corpus(
-            sharding_corpus, config=ServiceConfig(num_shards=4)
-        )
+    def test_writer_path_under_concurrent_searches(self, sharding_corpus):
+        """Writes land while searches hammer a service's engine."""
+        service = RetrievalService.from_corpus(sharding_corpus)
         _topic, query = _topic_query(sharding_corpus)
         stop = threading.Event()
         errors: List[BaseException] = []

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import (
     AdaptationPolicy,
-    AdaptiveVideoRetrievalSystem,
     CombinationConfig,
     EvidenceCombiner,
     ImplicitFeedbackModel,
@@ -27,10 +26,9 @@ from repro.core import (
     standard_policies,
     uniform_discount,
 )
-from repro.feedback import EventKind, InteractionEvent, heuristic_scheme
+from repro.feedback import EventKind, InteractionEvent
 from repro.index import InvertedIndex, VisualIndex
 from repro.profiles import UserProfile
-from repro.retrieval import VideoRetrievalEngine
 from repro.utils.concurrency import OperationCancelledError
 
 

@@ -1,12 +1,11 @@
-"""Differential test: corpus save/load round-trip under sharding.
+"""Differential test: a corpus survives its save/load round-trip.
 
-``save_corpus`` / ``load_corpus`` were written long before the sharded
-engine existed; this suite pins that a reloaded corpus is a perfect
-substitute for the original **at every shard count** — same shard
-assignment, same dense interning, same scores — and that the reloaded
-corpus preserves the mono/sharded equivalence contract.
+This suite pins that a reloaded corpus is a perfect substitute for the
+original behind a service — same dense interning, same scores, at any
+in-memory ``num_shards`` (a field that selects nothing) — and keeps its
+relevance metadata.
 
-Carries the ``shard`` marker alongside the sharding equivalence suite.
+Carries the ``equivalence`` marker alongside ``test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -24,8 +23,9 @@ from repro.service import RetrievalService, ServiceConfig
 #: A service's default ranking (depth 50) with the result cache off.
 UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
-pytestmark = pytest.mark.shard
+pytestmark = pytest.mark.equivalence
 
+#: In-memory ``num_shards`` values every ranking check runs at.
 SHARD_COUNTS = (1, 4)
 
 
@@ -42,10 +42,9 @@ def reloaded_corpus(sharding_corpus, tmp_path_factory):
     return stored
 
 
-def _service(collection, num_shards: int) -> RetrievalService:
+def _service(collection, num_shards: int = 1) -> RetrievalService:
     return RetrievalService(
-        collection,
-        config=ServiceConfig(engine=UNCACHED, num_shards=num_shards),
+        collection, config=ServiceConfig(engine=UNCACHED, num_shards=num_shards)
     )
 
 
@@ -66,7 +65,7 @@ def assert_identical_rankings(
         ], query
 
 
-class TestShardedCorpusRoundTrip:
+class TestCorpusRoundTrip:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_reloaded_corpus_ranks_identically(
         self, sharding_corpus, reloaded_corpus, make_random_queries, num_shards
@@ -83,20 +82,20 @@ class TestShardedCorpusRoundTrip:
             original.close()
             reloaded.close()
 
-    def test_reloaded_corpus_preserves_mono_sharded_equivalence(
+    def test_reloaded_corpus_ranks_alike_whatever_num_shards(
         self, sharding_corpus, reloaded_corpus, make_random_queries
     ):
-        # The reloaded corpus must not only match the original per shard
-        # count — 1 and 4 shards must still rank alike over the *reloaded*
-        # collection.
+        # The reloaded corpus must not only match the original at each
+        # count — ``num_shards`` 1 and 4 must still rank alike over the
+        # *reloaded* collection.
         queries = make_random_queries(sharding_corpus, seed=990, count=12)
-        mono = _service(reloaded_corpus.collection, 1)
-        sharded = _service(reloaded_corpus.collection, 4)
+        one = _service(reloaded_corpus.collection, 1)
+        four = _service(reloaded_corpus.collection, 4)
         try:
-            assert_identical_rankings(mono.engine, sharded.engine, queries)
+            assert_identical_rankings(one.engine, four.engine, queries)
         finally:
-            mono.close()
-            sharded.close()
+            one.close()
+            four.close()
 
     def test_round_trip_preserves_relevance_metadata(
         self, sharding_corpus, reloaded_corpus

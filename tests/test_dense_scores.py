@@ -9,14 +9,15 @@ tests pin
 
 * the rankings, by ``float.hex()``, against the general path
   (``weighted_fusion`` + ``ResultList.from_scores`` over a plain dict) for
-  every scorer, the engine a service builds at one, two and four shards, a
-  dict-returning scorer, weight and limit, ties at the cut included;
+  every scorer, the engine a service builds at an in-memory ``num_shards``
+  of one, two and four (a field that selects nothing), a dict-returning
+  scorer, weight and limit, ties at the cut included;
 * the mapping contract: the dict a key read builds (items and order), ``==``
   both ways, ``len`` without a dict, and :class:`StaleScoresError` exactly
   when a candidate was deleted or updated before the first read;
 * that an uncached search builds no dict at all and keeps the traced call
-  boundaries (one ``text_scores`` and one ``score`` a search, at one shard
-  or four);
+  boundaries (one ``text_scores`` and one ``score`` a search, at
+  ``num_shards`` one or four);
 
 and show the differential has teeth against four mutants of the source.
 """
@@ -337,9 +338,7 @@ class TestStaleness:
         assert dict(scores) == expected  # built before the delete
 
     def test_engine_candidate_deleted_raises(self, sharding_corpus):
-        service = RetrievalService.from_corpus(
-            sharding_corpus, config=ServiceConfig(num_shards=4)
-        )
+        service = RetrievalService.from_corpus(sharding_corpus)
         engine = service.engine
         query = Query.from_text(sharding_corpus.topics.topics()[0].query_terms[0])
         scores = engine.text_scores(query)
@@ -368,7 +367,7 @@ class TestNoDictPerSearch:
     """Exact work counts that hold on any host.
 
     N uncached searches through the serving edge, on the inline and the
-    pool path, at one shard and four: no :class:`DenseScores` is ever
+    pool path, at ``num_shards`` one and four: no :class:`DenseScores` is ever
     turned into a dict, ``engine.text_scores`` runs once a search and the
     engine's one scorer ``score`` once a search (the call boundaries the
     end-to-end benchmark's tracer wraps).  The commit before dense score

@@ -57,17 +57,19 @@ from repro.durability.snapshots import (
     manifest_filename,
     manifest_ids,
 )
-from repro.durability.wal import WalSegment, encode_op, segment_filename
+from repro.durability.wal import SEGMENT_FILENAME, WalSegment, encode_op
 from repro import cli
 from repro.errors import InvalidArgumentError, ReproError
 from repro.retrieval import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
-from repro.utils.serialization import read_json
+from repro.utils.serialization import encode_record, read_json
 from repro.workload.ingest import (
     apply_ingest,
     service_feature_dim,
     synthetic_ingest_ops,
 )
+
+from legacy_layout import segment_filename, split_into_segments
 
 #: A service's default ranking (depth 50) with the result cache off.
 UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
@@ -77,10 +79,9 @@ pytestmark = pytest.mark.durability
 SEED = 13
 
 
-def _durable_config(directory, num_shards=1, interval=10_000) -> ServiceConfig:
+def _durable_config(directory, interval=10_000) -> ServiceConfig:
     return ServiceConfig(
         engine=UNCACHED,
-        num_shards=num_shards,
         durability_dir=str(directory),
         snapshot_interval_ops=interval,
         fsync_policy="never",
@@ -93,13 +94,10 @@ def _ops(service, count):
     )
 
 
-def _prefix_digests(corpus, count, num_shards=1):
+def _prefix_digests(corpus, count):
     """Digest of an uninterrupted in-memory run after each op: index 0 is
     the corpus-only state, index k the state after ops[:k]."""
-    service = RetrievalService(
-        corpus.collection,
-        config=ServiceConfig(engine=UNCACHED, num_shards=num_shards),
-    )
+    service = RetrievalService(corpus.collection, config=ServiceConfig(engine=UNCACHED))
     digests = [engine_state_digest(service.engine)]
     for op in _ops(service, count):
         apply_ingest(service, [op])
@@ -120,20 +118,19 @@ def _ten_ingests(corpus, directory):
 
 
 class TestKillAnywhere:
-    @pytest.mark.parametrize("num_shards", (1, 4))
-    def test_recovery_at_every_op_boundary(
-        self, analysed_corpus, tmp_path, num_shards
-    ):
+    @pytest.mark.parametrize("segments", (1, 4))
+    def test_recovery_at_every_op_boundary(self, analysed_corpus, tmp_path, segments):
         # Simulate a kill after every single op by copying the durability
         # directory as the run progresses; interval 4 makes the sweep
-        # cross two live compactions.  Every copy must recover to the
-        # reference prefix digest for its op count.
+        # cross two live compactions.  Every copy — also rewritten as an
+        # older build that split it over ``segments`` segments would have
+        # left it — must recover to the reference prefix digest for its op
+        # count.
         count = 12
-        references = _prefix_digests(analysed_corpus, count, num_shards)
+        references = _prefix_digests(analysed_corpus, count)
         live = tmp_path / "live"
         service = RetrievalService(
-            analysed_corpus.collection,
-            config=_durable_config(live, num_shards, interval=4),
+            analysed_corpus.collection, config=_durable_config(live, interval=4)
         )
         copies = [tmp_path / "kill-000"]
         shutil.copytree(live, copies[0])
@@ -145,6 +142,8 @@ class TestKillAnywhere:
         service.close()
 
         for index, copy in enumerate(copies):
+            if segments > 1:
+                split_into_segments(copy, segments)
             state = RecoveryManager(copy).recover()
             assert state.ingested_ops == index, copy.name
             assert state.state_digest() == references[index], copy.name
@@ -164,12 +163,12 @@ class TestTornAndCorruptRecords:
         apply_ingest(service, _ops(service, count))
         service.close()
 
-        # Tear bytes off the single WAL segment's tail: the final record
-        # no longer decodes, so the durable prefix is one op shorter.
-        segment = directory / segment_filename(0)
+        # Tear bytes off the WAL segment's tail: the final record no
+        # longer decodes, so the durable prefix is one op shorter.
+        segment = directory / SEGMENT_FILENAME
         segment.write_bytes(segment.read_bytes()[:-3])
         state = RecoveryManager(directory).recover()
-        assert state.tail_errors.keys() == {segment_filename(0)}
+        assert state.tail_errors.keys() == {SEGMENT_FILENAME}
         assert state.ingested_ops == count - 1
         assert state.state_digest() == references[count - 1]
 
@@ -184,24 +183,53 @@ class TestTornAndCorruptRecords:
         assert tail_errors is None
         assert len(repaired) == count - 1
 
-    def test_corruption_cascades_across_segments(self, analysed_corpus, tmp_path):
-        # num_shards=2: flip a byte inside the FIRST record of shard 0's
-        # segment.  Its whole segment prefix dies at the corruption, and
-        # the gap-free rule must then also drop every *intact* record with
-        # a higher LSN on the other segments.
+    def test_corruption_mid_segment_ends_the_prefix(self, analysed_corpus, tmp_path):
+        # Flip a byte inside the fifth record: the segment's clean prefix
+        # ends there, and every record behind it is lost with it, however
+        # intact its own frame.
         count = 12
-        references = _prefix_digests(analysed_corpus, count, num_shards=2)
+        references = _prefix_digests(analysed_corpus, count)
         directory = tmp_path / "d"
         service = RetrievalService(
-            analysed_corpus.collection,
-            config=_durable_config(directory, num_shards=2),
+            analysed_corpus.collection, config=_durable_config(directory)
         )
         apply_ingest(service, _ops(service, count))
         service.close()
 
+        victim = directory / SEGMENT_FILENAME
+        entries, _ = WalSegment(victim).scan_entries()
+        assert [entry.lsn for entry in entries] == list(range(1, count + 1))
+        offset = sum(len(encode_record(entry.payload)) for entry in entries[:4])
+        raw = bytearray(victim.read_bytes())
+        raw[offset + 8] ^= 0x40  # inside the fifth record's payload
+        victim.write_bytes(bytes(raw))
+
+        state = RecoveryManager(directory).recover()
+        assert state.applied_lsn == 4
+        assert state.ingested_ops == 4
+        assert state.state_digest() == references[4]
+        assert SEGMENT_FILENAME in state.tail_errors
+
+
+    def test_corruption_cascades_across_segments(self, analysed_corpus, tmp_path):
+        # A directory an older build split over two segments: flip a byte
+        # inside the FIRST record of segment 0.  Its whole segment prefix
+        # dies at the corruption, and the gap-free rule must then also
+        # drop every *intact* record with a higher LSN on the other
+        # segment.
+        count = 12
+        references = _prefix_digests(analysed_corpus, count)
+        directory = tmp_path / "d"
+        service = RetrievalService(
+            analysed_corpus.collection, config=_durable_config(directory)
+        )
+        apply_ingest(service, _ops(service, count))
+        service.close()
+        split_into_segments(directory, 2)
+
         victim = directory / segment_filename(0)
         victim_records, _ = WalSegment(victim).scan()
-        assert victim_records, "ingest stream left shard 0's segment empty"
+        assert victim_records, "ingest stream left segment 0 empty"
         first_lsn = int(victim_records[0]["lsn"])
         assert first_lsn < count  # records with higher LSNs exist elsewhere
         raw = bytearray(victim.read_bytes())
@@ -439,7 +467,7 @@ class TestOpsDeltaFaults:
             wal = service.engine.durability.wal
             held["checkpoints"] = service.engine.durability.checkpoints_written
             held["wal_records"] = len(wal.scan_all()[0])
-            held["held_entries"] = sum(map(len, wal.held_entries().values()))
+            held["held_entries"] = len(wal.held_entries())
 
         digest = self._mutating_run(
             analysed_corpus, directory, after_open=pin, before_close=look
@@ -524,7 +552,7 @@ class TestUndecodableVectors:
         delta["shots"][3][2] = damage(delta["shots"][3][2])
         _write_json_atomic(directory / name, delta)
         with pytest.raises(SnapshotError, match=f"^snapshot delta {name}: feature vector"):
-            SnapshotStore(directory, 1).load_base()
+            SnapshotStore(directory).load_base()
         self._refused(directory, f"^snapshot delta {name}: feature vector")
 
     @pytest.mark.parametrize("label, damage", VECTOR_DAMAGE, ids=DAMAGE_IDS)
@@ -541,7 +569,7 @@ class TestUndecodableVectors:
             f"shot '{record['id']}' at lsn {record['lsn']}: feature vector"
         )
         with pytest.raises(SnapshotError, match=where):
-            SnapshotStore(directory, 1).load_base()
+            SnapshotStore(directory).load_base()
         self._refused(directory, where)
 
     @pytest.mark.parametrize("label, damage", VECTOR_DAMAGE, ids=DAMAGE_IDS)
@@ -549,7 +577,7 @@ class TestUndecodableVectors:
         # Framed with a good CRC: the writer, not the disk, was broken.
         directory = tmp_path / "d"
         _ten_ingests(analysed_corpus, directory)
-        segment = WalSegment(directory / segment_filename(0))
+        segment = WalSegment(directory / SEGMENT_FILENAME)
         records, _ = segment.scan()
         assert [(record["lsn"], record["op"]) for record in records] == [
             (9, "doc"),
@@ -740,7 +768,7 @@ class TestDamagedFields:
         # Framed with a good CRC: the writer, not the disk, was broken.
         directory = tmp_path / "d"
         _ten_ingests(analysed_corpus, directory)
-        segment = WalSegment(directory / segment_filename(0))
+        segment = WalSegment(directory / SEGMENT_FILENAME)
         records, _ = segment.scan()
         del records[0]["tf"]
         segment.rewrite([encode_op(record) for record in records])

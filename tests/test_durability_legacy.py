@@ -1,15 +1,22 @@
 """A format-2 directory: read as written, converted by the first writer.
 
 ``tests/fixtures/durable-format2`` was written by a build that logged every
-feedback batch on ``wal-meta.log``, on the LSN sequence its index ops use:
-two shards, four checkpoints, and past the tip's watermark (lsn 21) index
-ops at lsns 23 and 25 with feedback batches at 22, 24 and 26 around them.
-Its shard segments have holes where the batches sat, so every reader —
-recovery, a replica, ``repro verify`` — still merges that file in, and the
-first writer to attach converts the directory: a rebase at the recovered
-LSN, the segments truncated behind it, the file unlinked, the header
-marked format 3.  A crash after any of those steps re-attaches to the same
-state, and a replica that was tailing the directory follows.
+feedback batch on ``wal-meta.log``, on the LSN sequence its index ops use,
+and split the log and the deltas over two segments: four checkpoints, and
+past the tip's watermark (lsn 21) index ops at lsns 23 and 25 with
+feedback batches at 22, 24 and 26 around them.  Each of its segments has
+holes where the other's records and the batches sat, so every reader —
+recovery, a replica, ``repro verify`` — still merges both legacy files in,
+and the first writer to attach converts the directory: a rebase at the
+recovered LSN, segment 0 truncated behind it, ``wal-shard-0001.log`` and
+``wal-meta.log`` unlinked, the header rewritten to format 3 and one
+segment.  A crash after any of those steps re-attaches to the same state,
+and a replica that was tailing the directory follows.
+
+The same holds for a directory this build wrote and :mod:`legacy_layout`
+then split over 2, 3, 4 or 8 segments, as an older build would have left
+it: read whole by recovery and ``repro verify``, converted by the first
+attach, and re-attached to the same state after a crash at any step.
 
 All tests carry the ``durability`` marker (``pytest -m durability``).
 """
@@ -29,12 +36,13 @@ from repro.durability import RecoveryManager, engine_state_digest
 from repro.durability import manager as manager_module
 from repro.durability.recovery import HEADER_FILENAME
 from repro.durability.snapshots import SnapshotStore
-from repro.durability.wal import LEGACY_FEEDBACK_LOG, WriteAheadLog
+from repro.durability.wal import LEGACY_FEEDBACK_LOG, SEGMENT_FILENAME, WriteAheadLog
 from repro.replication import ReplicaServer
 from repro.service import RetrievalService
 from repro.utils.serialization import read_json
 from repro.workload.ingest import apply_ingest, synthetic_ingest_ops
 
+from legacy_layout import split_into_segments
 from test_wal_writer_copy import FEATURE_DIM, _collection, _config
 
 pytestmark = pytest.mark.durability
@@ -49,6 +57,9 @@ FIXTURE_DIGEST = "4a6e2337a65ca897dc2ca5e1af3f7c784294d0ba2683847707124ffff398e8
 
 #: The last LSN the fixture allocated (a feedback batch).
 FIXTURE_LSN = 26
+
+#: The fixture's second segment, which only an older build writes.
+LEGACY_SEGMENT = "wal-shard-0001.log"
 
 
 class Crash(Exception):
@@ -71,18 +82,21 @@ def _copy(tmp_path: Path) -> Path:
 
 
 def _open(directory: Path, interval: int = 10_000) -> RetrievalService:
-    return RetrievalService(_collection(), config=_config(directory, 2, interval))
+    return RetrievalService(_collection(), config=_config(directory, interval))
 
 
 def _assert_converted(directory: Path) -> None:
-    assert not (directory / LEGACY_FEEDBACK_LOG).exists()
-    assert read_json(directory / HEADER_FILENAME)["format"] == 3
+    assert [path.name for path in directory.glob("wal-*.log")] == [SEGMENT_FILENAME]
+    header = read_json(directory / HEADER_FILENAME)
+    assert (header["format"], header["num_shards"]) == (3, 1)
 
 
 def test_the_fixture_is_as_committed():
     assert _sha256(FIXTURE) == FIXTURE_SHA256
-    assert read_json(FIXTURE / HEADER_FILENAME)["format"] == 2
+    header = read_json(FIXTURE / HEADER_FILENAME)
+    assert (header["format"], header["num_shards"]) == (2, 2)
     assert (FIXTURE / LEGACY_FEEDBACK_LOG).stat().st_size > 0
+    assert (FIXTURE / LEGACY_SEGMENT).stat().st_size > 0
 
 
 def test_it_recovers_to_the_digest_it_was_written_with():
@@ -108,9 +122,10 @@ def test_attach_converts_it(tmp_path):
     service = _open(directory)
     assert engine_state_digest(service.engine) == FIXTURE_DIGEST
     _assert_converted(directory)
-    tip = SnapshotStore(directory, 2).latest_manifest
+    tip = SnapshotStore(directory).latest_manifest
     assert (tip["rebase"], tip["wal_lsn"]) == (True, FIXTURE_LSN)
-    assert WriteAheadLog(directory, 2).scan_all() == ([], {})
+    assert tip["deltas"] == ["delta-cp000004-shard0000.json"]
+    assert WriteAheadLog(directory).scan_all() == ([], {})
     ops = synthetic_ingest_ops(6, seed=31, feature_dim=FEATURE_DIM)
     apply_ingest(service, ops)
     assert service.engine.durability.wal.last_lsn == FIXTURE_LSN + len(ops)
@@ -148,11 +163,12 @@ def _step(monkeypatch, step: str) -> None:
         monkeypatch.setattr(
             WriteAheadLog, "truncate_through", crash_after(WriteAheadLog.truncate_through)
         )
-    elif step == "unlink":
+    elif step in ("unlink_segment", "unlink"):
+        name = LEGACY_SEGMENT if step == "unlink_segment" else LEGACY_FEEDBACK_LOG
         monkeypatch.setattr(
             pathlib.Path,
             "unlink",
-            crash_after(pathlib.Path.unlink, lambda path: path.name == LEGACY_FEEDBACK_LOG),
+            crash_after(pathlib.Path.unlink, lambda path: path.name == name),
         )
     else:
         monkeypatch.setattr(
@@ -162,24 +178,23 @@ def _step(monkeypatch, step: str) -> None:
         )
 
 
-@pytest.mark.parametrize("step", ("repair", "rebase", "truncate", "unlink", "header"))
-def test_a_crash_after_each_conversion_step_reattaches_to_the_same_state(
-    tmp_path, monkeypatch, step
-):
-    directory = _copy(tmp_path)
+def _crash_then_reattach(directory: Path, monkeypatch, step: str, digest: str, lsn: int):
+    """Crash the first attach of ``directory`` after ``step`` of its
+    conversion; the directory, a replica that was tailing it, and the next
+    attach all hold ``digest``, the state as of ``lsn``."""
     # A replica tailing the directory from before the conversion.
-    replica = ReplicaServer(directory, collection=_collection(), config=_config(directory, 2, 4))
+    replica = ReplicaServer(directory, collection=_collection(), config=_config(directory, 4))
     try:
-        assert replica.state_digest() == FIXTURE_DIGEST
+        assert replica.state_digest() == digest
         with monkeypatch.context() as patched:
             _step(patched, step)
             with pytest.raises(Crash):
                 _open(directory)
-        assert RecoveryManager(directory).recover().state_digest() == FIXTURE_DIGEST
+        assert RecoveryManager(directory).recover().state_digest() == digest
         replica.catch_up()
-        assert replica.state_digest() == FIXTURE_DIGEST
+        assert replica.state_digest() == digest
         service = _open(directory, interval=4)
-        assert engine_state_digest(service.engine) == FIXTURE_DIGEST
+        assert engine_state_digest(service.engine) == digest
         _assert_converted(directory)
         # Four more ops reach the cadence: the checkpoint truncates the log
         # in front of the replica, which restarts from the new tip.
@@ -188,7 +203,76 @@ def test_a_crash_after_each_conversion_step_reattaches_to_the_same_state(
         service.close()
         replica.catch_up()
         assert replica.state_digest() == live
-        assert replica.applied_lsn == FIXTURE_LSN + 6
+        assert replica.applied_lsn == lsn + 6
         assert RecoveryManager(directory).recover().state_digest() == live
     finally:
         replica.close()
+
+
+@pytest.mark.parametrize(
+    "step", ("repair", "rebase", "truncate", "unlink_segment", "unlink", "header")
+)
+def test_a_crash_after_each_conversion_step_reattaches_to_the_same_state(
+    tmp_path, monkeypatch, step
+):
+    _crash_then_reattach(_copy(tmp_path), monkeypatch, step, FIXTURE_DIGEST, FIXTURE_LSN)
+
+
+# -- a directory an older build split over N segments -----------------------------
+
+
+def _split_directory(tmp_path: Path, segments: int):
+    """A directory this build wrote — ingests, a delete and an update, a
+    checkpoint every eight ops and a WAL tail of seven records — rewritten
+    as an older build that split it over ``segments`` segments left it:
+    ``(directory, state digest, last lsn)``."""
+    directory = tmp_path / "split"
+    service = _open(directory, interval=8)
+    ops = synthetic_ingest_ops(21, seed=41, feature_dim=FEATURE_DIM)
+    apply_ingest(service, ops)
+    documents = [op[1] for op in ops if op[0] == "doc"]
+    service.delete_document(documents[0])
+    service.update_document(documents[1], "verdict appeal rewrite")
+    digest = engine_state_digest(service.engine)
+    lsn = service.engine.durability.wal.last_lsn
+    service.close()
+    split_into_segments(directory, segments)
+    return directory, digest, lsn
+
+
+@pytest.mark.parametrize("segments", (2, 3, 4, 8))
+def test_an_older_split_directory_is_read_whole_and_converted(tmp_path, segments):
+    directory, digest, lsn = _split_directory(tmp_path, segments)
+    header = read_json(directory / HEADER_FILENAME)
+    assert (header["format"], header["num_shards"]) == (3, segments)
+    assert len(list(directory.glob("wal-*.log"))) == segments
+    tail, tail_errors = WriteAheadLog(directory).scan_all()
+    assert [record["lsn"] for record in tail] == list(range(lsn - 6, lsn + 1))
+    assert tail_errors == {}
+    assert RecoveryManager(directory).recover().state_digest() == digest
+    out = io.StringIO()
+    assert cli.main(["verify", str(directory)], out=out) == 0
+    assert "integrity: ok" in out.getvalue()
+    assert f"max-gap-free-lsn: {lsn}" in out.getvalue()
+
+    service = _open(directory)
+    assert engine_state_digest(service.engine) == digest
+    _assert_converted(directory)
+    assert WriteAheadLog(directory).scan_all() == ([], {})
+    apply_ingest(service, synthetic_ingest_ops(6, seed=31, feature_dim=FEATURE_DIM))
+    assert service.engine.durability.wal.last_lsn == lsn + 6
+    live = engine_state_digest(service.engine)
+    service.close()
+    assert RecoveryManager(directory).recover().state_digest() == live
+    out = io.StringIO()
+    assert cli.main(["verify", str(directory)], out=out) == 0
+    assert "integrity: ok" in out.getvalue()
+
+
+@pytest.mark.parametrize("step", ("repair", "rebase", "truncate", "unlink_segment", "header"))
+def test_a_crash_converting_a_split_directory_reattaches_to_the_same_state(
+    tmp_path, monkeypatch, step
+):
+    # Four segments: a crash after the first legacy unlink leaves two.
+    directory, digest, lsn = _split_directory(tmp_path, 4)
+    _crash_then_reattach(directory, monkeypatch, step, digest, lsn)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import shutil
 
 import pytest
 
@@ -54,24 +55,25 @@ from repro.workload.ingest import (
     synthetic_ingest_ops,
 )
 
+from legacy_layout import split_into_segments
+
 #: A service's default ranking (depth 50) with the result cache off.
 UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
 pytestmark = pytest.mark.durability
 
 
-def _durable_config(directory, num_shards=1, interval=10_000) -> ServiceConfig:
+def _durable_config(directory, interval=10_000) -> ServiceConfig:
     return ServiceConfig(
         engine=UNCACHED,
-        num_shards=num_shards,
         durability_dir=str(directory),
         snapshot_interval_ops=interval,
         fsync_policy="never",
     )
 
 
-def _memory_config(num_shards=1) -> ServiceConfig:
-    return ServiceConfig(engine=UNCACHED, num_shards=num_shards)
+def _memory_config() -> ServiceConfig:
+    return ServiceConfig(engine=UNCACHED)
 
 
 def _service(corpus, config) -> RetrievalService:
@@ -205,26 +207,33 @@ class TestRecoveryEdges:
         assert state.ingested_ops == 4
 
 
+def _split(directory, segments):
+    """Rewrite a closed directory as an older build that split it over
+    ``segments`` segments left it (nothing to do at one)."""
+    if segments > 1:
+        split_into_segments(directory, segments)
+
+
 class TestRecoveredServiceEquivalence:
-    @pytest.mark.parametrize("num_shards", (1, 4))
+    @pytest.mark.parametrize("segments", (1, 4))
     def test_reopened_service_matches_in_memory_reference(
-        self, analysed_corpus, make_random_queries, tmp_path, num_shards
+        self, analysed_corpus, make_random_queries, tmp_path, segments
     ):
-        # The acceptance property: a service recovered from disk ranks
-        # bit-identically to an in-memory service fed the same ops.
-        directory = tmp_path / f"d{num_shards}"
-        durable = _service(
-            analysed_corpus, _durable_config(directory, num_shards, interval=5)
-        )
+        # The acceptance property: a service recovered from disk — also
+        # from an older build's split layout — ranks bit-identically to an
+        # in-memory service fed the same ops.
+        directory = tmp_path / "d"
+        durable = _service(analysed_corpus, _durable_config(directory, interval=5))
         _ingest(durable, 12, seed=3)
         live = engine_state_digest(durable.engine)
         durable.close()
+        _split(directory, segments)
 
-        reference = _service(analysed_corpus, _memory_config(num_shards))
+        reference = _service(analysed_corpus, _memory_config())
         _ingest(reference, 12, seed=3)
         assert engine_state_digest(reference.engine) == live
 
-        reopened = _service(analysed_corpus, _durable_config(directory, num_shards))
+        reopened = _service(analysed_corpus, _durable_config(directory))
         try:
             assert engine_state_digest(reopened.engine) == live
             queries = make_random_queries(analysed_corpus, seed=500, count=8)
@@ -263,35 +272,38 @@ class TestRecoveredServiceEquivalence:
             == whole_digest
         )
 
-    def test_mono_and_sharded_recover_to_the_same_digest(
+    def test_an_older_split_recovers_to_the_same_digest(
         self, analysed_corpus, tmp_path
     ):
-        digests = set()
-        for num_shards in (1, 4):
-            directory = tmp_path / f"n{num_shards}"
-            service = _service(
-                analysed_corpus, _durable_config(directory, num_shards, interval=3)
-            )
-            _ingest(service, 10, seed=5)
-            service.close()
-            digests.add(RecoveryManager(directory).recover().state_digest())
-        assert len(digests) == 1
-
-    def test_sharded_reopen_holds_the_monolithic_indexes(
-        self, analysed_corpus, tmp_path
-    ):
-        # A 4-segment directory reopens into one plain InvertedIndex and
-        # one plain VisualIndex, in the global interning order.
         directory = tmp_path / "d"
-        service = _service(
-            analysed_corpus, _durable_config(directory, num_shards=4, interval=3)
-        )
+        service = _service(analysed_corpus, _durable_config(directory, interval=3))
+        _ingest(service, 10, seed=5)
+        live = engine_state_digest(service.engine)
+        service.close()
+        digests = {RecoveryManager(directory).recover().state_digest()}
+        for segments in (2, 4):
+            split = tmp_path / f"n{segments}"
+            shutil.copytree(directory, split)
+            split_into_segments(split, segments)
+            digests.add(RecoveryManager(split).recover().state_digest())
+        assert digests == {live}
+
+    @pytest.mark.parametrize("segments", (1, 4))
+    def test_reopen_holds_the_monolithic_indexes(
+        self, analysed_corpus, tmp_path, segments
+    ):
+        # A directory — also an older build's split one — reopens into one
+        # plain InvertedIndex and one plain VisualIndex, in the global
+        # interning order.
+        directory = tmp_path / "d"
+        service = _service(analysed_corpus, _durable_config(directory, interval=3))
         _ingest(service, 10, seed=5)
         service.delete_shot(service.engine.visual_index.shot_ids()[-1])
         service.close()
+        _split(directory, segments)
         state = RecoveryManager(directory).recover()
         mono_text, mono_visual = build_monolithic_indexes(state)
-        reopened = _service(analysed_corpus, _durable_config(directory, num_shards=4))
+        reopened = _service(analysed_corpus, _durable_config(directory))
         text, visual = reopened.engine.inverted_index, reopened.engine.visual_index
         reopened.close()
         assert type(text) is InvertedIndex
@@ -314,15 +326,13 @@ def _mutate_mix(service, ops):
 
 
 class TestMutableCorpusRecovery:
-    @pytest.mark.parametrize("num_shards", (1, 3))
+    @pytest.mark.parametrize("segments", (1, 3))
     def test_deletes_and_updates_replay_from_wal(
-        self, analysed_corpus, tmp_path, num_shards
+        self, analysed_corpus, tmp_path, segments
     ):
         # WAL-only arm: interval far above the op count, so recovery
         # replays every del/upd record over the bootstrap checkpoint.
-        service = _service(
-            analysed_corpus, _durable_config(tmp_path / "d", num_shards)
-        )
+        service = _service(analysed_corpus, _durable_config(tmp_path / "d"))
         ops = synthetic_ingest_ops(
             10, seed=3, feature_dim=service_feature_dim(service)
         )
@@ -330,6 +340,7 @@ class TestMutableCorpusRecovery:
         mutations = _mutate_mix(service, ops)
         live = engine_state_digest(service.engine)
         service.close()
+        _split(tmp_path / "d", segments)
         state = RecoveryManager(tmp_path / "d").recover()
         assert state.state_digest() == live
         assert state.wal_index_ops == 10 + mutations
@@ -337,18 +348,16 @@ class TestMutableCorpusRecovery:
         # Replay is deterministic: a second cold recovery agrees.
         assert RecoveryManager(tmp_path / "d").recover().state_digest() == live
 
-    @pytest.mark.parametrize("num_shards", (1, 3))
+    @pytest.mark.parametrize("segments", (1, 3))
     def test_mutations_replay_across_checkpoints(
-        self, analysed_corpus, tmp_path, num_shards
+        self, analysed_corpus, tmp_path, segments
     ):
         # Tight checkpoint cadence: mutations land both inside truncated
         # (checkpointed) prefixes and in the live WAL tail.  Checkpointed
         # deletes and updates sit in ops deltas as the records they were;
         # the chain fold replays them by id, so no earlier delta ever
         # resurrects a deleted item.
-        service = _service(
-            analysed_corpus, _durable_config(tmp_path / "d", num_shards, interval=4)
-        )
+        service = _service(analysed_corpus, _durable_config(tmp_path / "d", interval=4))
         ops = synthetic_ingest_ops(
             12, seed=3, feature_dim=service_feature_dim(service)
         )
@@ -363,6 +372,7 @@ class TestMutableCorpusRecovery:
                 service.delete_shot(shot_ids[0])
         live = engine_state_digest(service.engine)
         service.close()
+        _split(tmp_path / "d", segments)
         state = RecoveryManager(tmp_path / "d").recover()
         assert state.state_digest() == live
         assert not any(d == doc_ids[1] for d, _ in state.documents)
@@ -572,7 +582,7 @@ def test_atomic_writer_emits_canonical_json_bytes(tmp_path):
 class TestSnapshotFormatOne:
     def test_format_one_chain_loads_in_order(self, tmp_path):
         documents, shots = _write_format_one_directory(tmp_path / "d")
-        fold = SnapshotStore(tmp_path / "d", 2).load_base()
+        fold = SnapshotStore(tmp_path / "d").load_base()
         assert list(fold.text.items()) == documents
         assert [(s, *entry) for s, entry in fold.visual.items()] == shots
         assert (fold.wal_lsn, fold.checkpoint_id) == (30, 3)
@@ -588,9 +598,7 @@ class TestSnapshotFormatOne:
         # An old directory reopened: this build appends format-3 ops
         # checkpoints to the format-1 chain, and the mixed chain folds.
         _write_format_one_directory(tmp_path / "d")
-        service = _service(
-            analysed_corpus, _durable_config(tmp_path / "d", 2, interval=2)
-        )
+        service = _service(analysed_corpus, _durable_config(tmp_path / "d", interval=2))
         service.index_documents({"f": "ceasefire summit talks"})
         service.delete_document("d")
         service.update_document("c", "verdict appeal rewrite")
@@ -601,7 +609,7 @@ class TestSnapshotFormatOne:
         service.close()
         assert statistics["checkpoints"] == 2
         assert statistics["chain_ops_since_rebase"] == 4
-        chain = SnapshotStore(tmp_path / "d", 2).manifest_chain()
+        chain = SnapshotStore(tmp_path / "d").manifest_chain()
         assert [m["format"] for m in chain] == [1, 1, 1, 1, 3, 3]
         assert [m["op_records"] for m in chain] == [0, 0, 0, 0, 2, 2]
         state = RecoveryManager(tmp_path / "d").recover()
@@ -619,8 +627,10 @@ class TestSnapshotFormatOne:
         directory = tmp_path / "d"
         documents, shots = _write_format_one_directory(directory)
         header = read_json(directory / HEADER_FILENAME)
-        service = _service(analysed_corpus, _durable_config(directory, 2, interval=2))
-        assert read_json(directory / HEADER_FILENAME) == {**header, "format": 3}
+        service = _service(analysed_corpus, _durable_config(directory, interval=2))
+        assert read_json(directory / HEADER_FILENAME) == {
+            **header, "format": 3, "num_shards": 1
+        }
         ingested = [
             (f"t{index}", [0.125 * index, -0.0, 1e-310], {"crowd": 0.5})
             for index in range(3)
@@ -649,7 +659,7 @@ class TestSnapshotFormatOne:
             RecoveryManager(directory)
         assert "\n" not in str(caught.value)
         with pytest.raises(RecoveryError, match=refusal):
-            _service(analysed_corpus, _durable_config(directory, 2))
+            _service(analysed_corpus, _durable_config(directory))
         assert verify_directory(directory).problems == [str(caught.value)]
 
 
@@ -684,9 +694,9 @@ def _rewrite_vectors_as_lists(directory):
 
 
 class TestMixedVectorEncodings:
-    @pytest.mark.parametrize("num_shards", (1, 4))
+    @pytest.mark.parametrize("segments", (1, 4))
     def test_list_vectors_in_the_base_packed_in_the_tail(
-        self, analysed_corpus, tmp_path, num_shards
+        self, analysed_corpus, tmp_path, segments
     ):
         # A directory the decimal-list writer left — list vectors in its
         # bootstrap, its ops deltas and its WAL tail — reopened by this
@@ -694,7 +704,7 @@ class TestMixedVectorEncodings:
         # after a compaction.  Recovery, a replica and `repro verify` read
         # the mix, and every digest equals an in-memory run of the stream.
         directory = tmp_path / "d"
-        config = _durable_config(directory, num_shards, interval=4)
+        config = _durable_config(directory, interval=4)
         service = _service(analysed_corpus, config)
         ops = synthetic_ingest_ops(
             22, seed=3, feature_dim=service_feature_dim(service)
@@ -702,7 +712,8 @@ class TestMixedVectorEncodings:
         apply_ingest(service, ops[:10])
         service.close()
         _rewrite_vectors_as_lists(directory)
-        tail, _ = WriteAheadLog(directory, num_shards).scan_all()
+        _split(directory, segments)
+        tail, _ = WriteAheadLog(directory).scan_all()
         assert any(isinstance(r.get("features"), list) for r in tail)
 
         reopened = _service(analysed_corpus, config)
@@ -723,7 +734,7 @@ class TestMixedVectorEncodings:
             replica.close()
             reopened.close()
 
-        reference = _service(analysed_corpus, _memory_config(num_shards))
+        reference = _service(analysed_corpus, _memory_config())
         apply_ingest(reference, ops)
         reference.delete_shot(ops[1][1])
         assert engine_state_digest(reference.engine) == live

@@ -1,5 +1,5 @@
-"""WAL behaviour tests: LSN discipline, segment routing, compaction, repair,
-and the feedback log a format-2 directory may still hold.
+"""WAL behaviour tests: LSN discipline, compaction, repair, and the legacy
+files (further segments, the feedback log) an older directory may still hold.
 
 All tests carry the ``durability`` marker (``pytest -m durability``).
 """
@@ -11,24 +11,25 @@ import pytest
 from repro.durability.wal import (
     FSYNC_POLICIES,
     LEGACY_FEEDBACK_LOG,
+    SEGMENT_FILENAME,
     WalError,
     WalSegment,
     WriteAheadLog,
     encode_op,
-    segment_filename,
+    legacy_files,
 )
 from repro.feedback import EventKind, InteractionEvent
 from repro.service import RetrievalService, ServiceConfig
-from repro.sharding.router import ShardRouter
 from repro.utils.serialization import encode_record
 from repro.workload.ingest import apply_ingest, service_feature_dim, synthetic_ingest_ops
 
 pytestmark = pytest.mark.durability
 
 
-def test_segment_filenames():
-    assert segment_filename(0) == "wal-shard-0000.log"
-    assert segment_filename(17) == "wal-shard-0017.log"
+def test_one_segment_file_name():
+    # The name a multi-segment build gave its first segment: a one-segment
+    # directory's bytes stayed as they were.
+    assert SEGMENT_FILENAME == "wal-shard-0000.log"
 
 
 def test_feedback_appends_nothing(analysed_corpus, tmp_path):
@@ -102,36 +103,35 @@ class TestWalSegment:
 
 
 class TestWriteAheadLog:
-    def _wal(self, tmp_path, num_shards=2, **kwargs):
+    def _wal(self, tmp_path, **kwargs):
         kwargs.setdefault("fsync_policy", "never")
-        return WriteAheadLog(tmp_path, num_shards, **kwargs)
+        return WriteAheadLog(tmp_path, **kwargs)
+
+    def _fill(self, wal, count):
+        for index in range(count):
+            wal.append({"op": "doc", "id": f"d{index}", "tf": {}})
 
     def test_rejects_bad_parameters(self, tmp_path):
         with pytest.raises(WalError):
-            WriteAheadLog(tmp_path, 1, fsync_policy="sometimes")
+            WriteAheadLog(tmp_path, fsync_policy="sometimes")
         with pytest.raises(WalError):
-            WriteAheadLog(tmp_path, 0)
-        with pytest.raises(WalError):
-            WriteAheadLog(tmp_path, 1, fsync_interval_ops=0)
+            WriteAheadLog(tmp_path, fsync_interval_ops=0)
         assert set(FSYNC_POLICIES) == {"always", "interval", "never"}
 
     @pytest.mark.parametrize("policy", FSYNC_POLICIES)
     def test_all_policies_append_and_scan(self, tmp_path, policy):
-        wal = WriteAheadLog(tmp_path / policy, 1, fsync_policy=policy,
-                            fsync_interval_ops=2)
-        for index in range(5):
-            wal.append(0, {"op": "doc", "id": f"d{index}", "tf": {}})
+        wal = WriteAheadLog(tmp_path / policy, fsync_policy=policy, fsync_interval_ops=2)
+        self._fill(wal, 5)
         wal.close()
         records, tail_errors = wal.scan_all()
         assert [record["lsn"] for record in records] == [1, 2, 3, 4, 5]
         assert tail_errors == {}
+        assert [path.name for path in (tmp_path / policy).iterdir()] == [SEGMENT_FILENAME]
 
-    def test_lsns_are_globally_monotonic_across_segments(self, tmp_path):
-        wal = self._wal(tmp_path, num_shards=3)
-        router = ShardRouter(3)
-        ids = [f"doc-{index}" for index in range(20)]
-        for index, doc_id in enumerate(ids):
-            lsn = wal.append(router.shard_of(doc_id), {"op": "doc", "id": doc_id, "tf": {}})
+    def test_lsns_are_monotonic(self, tmp_path):
+        wal = self._wal(tmp_path)
+        for index in range(20):
+            lsn = wal.append({"op": "doc", "id": f"doc-{index}", "tf": {}})
             assert lsn == index + 1
         assert wal.last_lsn == 20
         records, _ = wal.scan_all()
@@ -139,94 +139,82 @@ class TestWriteAheadLog:
         wal.close()
 
     def test_append_stamps_lsn_without_mutating_caller(self, tmp_path):
-        wal = self._wal(tmp_path, num_shards=1)
+        wal = self._wal(tmp_path)
         record = {"op": "doc", "id": "d", "tf": {"a": 1}}
-        wal.append(0, record)
+        wal.append(record)
         assert "lsn" not in record
         wal.close()
 
-    def test_unknown_segment_rejected(self, tmp_path):
-        wal = self._wal(tmp_path, num_shards=2)
-        with pytest.raises(WalError):
-            wal.append(7, {"op": "doc", "id": "d", "tf": {}})
-        wal.close()
-
-    def test_truncate_through_compacts_every_segment(self, tmp_path):
-        wal = self._wal(tmp_path, num_shards=2)
-        for index in range(10):
-            wal.append(index % 2, {"op": "doc", "id": f"d{index}", "tf": {}})
+    def test_truncate_through_compacts_the_segment(self, tmp_path):
+        wal = self._wal(tmp_path)
+        self._fill(wal, 10)
         dropped = wal.truncate_through(6)
         assert dropped == 6
         records, _ = wal.scan_all()
         assert [record["lsn"] for record in records] == [7, 8, 9, 10]
         # Appending after compaction continues the same LSN sequence.
-        assert wal.append(0, {"op": "doc", "id": "late", "tf": {}}) == 11
+        assert wal.append({"op": "doc", "id": "late", "tf": {}}) == 11
         wal.close()
 
     def test_repair_to_drops_records_past_the_prefix(self, tmp_path):
-        wal = self._wal(tmp_path, num_shards=2)
-        for index in range(8):
-            wal.append(index % 2, {"op": "doc", "id": f"d{index}", "tf": {}})
+        wal = self._wal(tmp_path)
+        self._fill(wal, 8)
         wal.close()
-        reopened = WriteAheadLog(tmp_path, 2, fsync_policy="never", next_lsn=6)
+        reopened = WriteAheadLog(tmp_path, fsync_policy="never", next_lsn=6)
         dropped = reopened.repair_to(5)
         assert dropped == 3
         records, tail_errors = reopened.scan_all()
         assert [record["lsn"] for record in records] == [1, 2, 3, 4, 5]
         assert tail_errors == {}
-        assert reopened.append(0, {"op": "doc", "id": "resume", "tf": {}}) == 6
+        assert reopened.append({"op": "doc", "id": "resume", "tf": {}}) == 6
         reopened.close()
 
     def test_truncation_rewrites_a_segment_found_torn_once(self, tmp_path):
-        wal = self._wal(tmp_path, num_shards=2)
-        for index in range(6):
-            wal.append(index % 2, {"op": "doc", "id": f"d{index}", "tf": {}})
+        wal = self._wal(tmp_path)
+        self._fill(wal, 6)
         wal.close()
-        victim = tmp_path / segment_filename(1)
+        victim = tmp_path / SEGMENT_FILENAME
         victim.write_bytes(victim.read_bytes()[:-2])
-        reopened = WriteAheadLog(tmp_path, 2, fsync_policy="never", next_lsn=7)
+        reopened = WriteAheadLog(tmp_path, fsync_policy="never", next_lsn=7)
         assert reopened.truncate_through(0) == 0
         assert WalSegment(victim).scan()[1] is None
         inode = victim.stat().st_ino
         assert reopened.truncate_through(0) == 0
         assert victim.stat().st_ino == inode  # not rewritten (renamed over) again
-        for name, entries in reopened.held_entries().items():
-            assert entries == WalSegment(tmp_path / name).scan_entries()[0]
+        assert reopened.held_entries() == WalSegment(victim).scan_entries()[0]
         reopened.close()
 
     def test_a_failed_append_is_not_held(self, tmp_path, monkeypatch):
-        wal = self._wal(tmp_path, num_shards=1)
-        wal.append(0, {"op": "doc", "id": "kept", "tf": {}})
-        assert [entry.lsn for entry in wal.held_entries()[segment_filename(0)]] == [1]
+        wal = self._wal(tmp_path)
+        wal.append({"op": "doc", "id": "kept", "tf": {}})
+        assert [entry.lsn for entry in wal.held_entries()] == [1]
 
         def full_disk(segment, payload, fsync, flush=True):
             raise OSError("disk full")
 
         monkeypatch.setattr(WalSegment, "append", full_disk)
         with pytest.raises(OSError):
-            wal.append(0, {"op": "doc", "id": "lost", "tf": {}})
+            wal.append({"op": "doc", "id": "lost", "tf": {}})
         assert wal.last_lsn == 2  # allocated: a hole, never reused
-        assert [entry.lsn for entry in wal.held_entries()[segment_filename(0)]] == [1]
+        assert [entry.lsn for entry in wal.held_entries()] == [1]
         wal.close()
 
-    def test_scan_all_reports_torn_segment_but_keeps_others(self, tmp_path):
-        wal = self._wal(tmp_path, num_shards=2)
-        for index in range(6):
-            wal.append(index % 2, {"op": "doc", "id": f"d{index}", "tf": {}})
+    def test_scan_all_reports_a_torn_segment(self, tmp_path):
+        wal = self._wal(tmp_path)
+        self._fill(wal, 6)
         wal.close()
-        victim = tmp_path / segment_filename(1)
+        victim = tmp_path / SEGMENT_FILENAME
         victim.write_bytes(victim.read_bytes()[:-2])
         records, tail_errors = wal.scan_all()
-        assert set(tail_errors) == {segment_filename(1)}
-        lsns = [record["lsn"] for record in records]
-        assert lsns == sorted(lsns)
-        assert len(lsns) == 5  # one record lost to the tear
+        assert set(tail_errors) == {SEGMENT_FILENAME}
+        assert [record["lsn"] for record in records] == [1, 2, 3, 4, 5]
 
 
-def test_a_legacy_feedback_log_fills_lsns_and_is_never_written(tmp_path):
-    # Feedback batches a format-2 writer logged hold LSNs 2 and 4, between
-    # index ops.  Readers merge them in, so the stream has no hole; the
-    # writer neither holds, appends to nor rewrites the file.
+def test_legacy_files_fill_lsns_and_are_never_written(tmp_path):
+    # An older writer split its log over two segments and logged feedback
+    # batches (LSNs 2 and 4) on a third file.  Readers merge them in, so the
+    # stream has no hole; the writer neither holds, appends to nor rewrites
+    # them.
     def frame(name, records):
         segment = WalSegment(tmp_path / name)
         for record in records:
@@ -234,18 +222,44 @@ def test_a_legacy_feedback_log_fills_lsns_and_is_never_written(tmp_path):
         segment.close()
 
     doc = lambda lsn: {"op": "doc", "id": f"d{lsn}", "tf": {}, "lsn": lsn}
-    frame(segment_filename(0), [doc(1), doc(5)])
-    frame(segment_filename(1), [doc(3)])
+    frame(SEGMENT_FILENAME, [doc(1), doc(5)])
+    frame("wal-shard-0001.log", [doc(3)])
     frame(LEGACY_FEEDBACK_LOG, [{"op": "feedback", "lsn": lsn, "events": []} for lsn in (2, 4)])
-    legacy = (tmp_path / LEGACY_FEEDBACK_LOG).read_bytes()
-    wal = WriteAheadLog(tmp_path, 2, fsync_policy="never", next_lsn=6)
+    legacy = {path.name: path.read_bytes() for path in legacy_files(tmp_path)}
+    assert list(legacy) == ["wal-shard-0001.log", LEGACY_FEEDBACK_LOG]
+    wal = WriteAheadLog(tmp_path, fsync_policy="never", next_lsn=6)
     names = [name for name, _, _ in wal.scan_segments()]
-    assert names == [segment_filename(0), segment_filename(1), LEGACY_FEEDBACK_LOG]
+    assert names == [SEGMENT_FILENAME, "wal-shard-0001.log", LEGACY_FEEDBACK_LOG]
     records, tail_errors = wal.scan_all()
     assert [record["lsn"] for record in records] == [1, 2, 3, 4, 5]
     assert tail_errors == {}
-    assert [entry.lsn for entry in wal.entries_since(0)] == [1, 3, 5]
-    assert wal.truncate_through(4) == 2
+    assert [entry.lsn for entry in wal.entries_since(0)] == [1, 5]
+    assert wal.truncate_through(4) == 1
     assert wal.repair_to(4) == 1
     wal.close()
-    assert (tmp_path / LEGACY_FEEDBACK_LOG).read_bytes() == legacy
+    assert {path.name: path.read_bytes() for path in legacy_files(tmp_path)} == legacy
+
+
+@pytest.mark.parametrize(
+    "torn", (SEGMENT_FILENAME, "wal-shard-0001.log", "wal-shard-0002.log")
+)
+def test_scan_all_reports_a_torn_legacy_segment_but_keeps_the_others(tmp_path, torn):
+    # An older writer split its log over three segments, one LSN in three
+    # each.  Whichever file lost its last frame is the one reported, and
+    # every intact record of the others is still read; the gap its lost
+    # record leaves is recovery's to handle.
+    doc = lambda lsn: {"op": "doc", "id": f"d{lsn}", "tf": {}, "lsn": lsn}
+    names = (SEGMENT_FILENAME, "wal-shard-0001.log", "wal-shard-0002.log")
+    for offset, name in enumerate(names):
+        segment = WalSegment(tmp_path / name)
+        for lsn in (1 + offset, 4 + offset):
+            segment.append(encode_op(doc(lsn)), fsync=False)
+        segment.close()
+    victim = tmp_path / torn
+    victim.write_bytes(victim.read_bytes()[:-2])
+    records, tail_errors = WriteAheadLog(tmp_path, fsync_policy="never").scan_all()
+    assert set(tail_errors) == {torn}
+    lost = 4 + names.index(torn)
+    assert [record["lsn"] for record in records] == [
+        lsn for lsn in range(1, 7) if lsn != lost
+    ]

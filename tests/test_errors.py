@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,9 +44,12 @@ from repro.retrieval import (
     RocchioExpander,
     story_scores_from_shots,
 )
+from repro.service import ServiceConfig
 from repro.utils import validation
 from repro.utils.registry import ComponentRegistry
 from repro.utils.serialization import encode_uvarint, write_json
+from repro.workload import ContinuousMixSpec, run_continuous_mix
+from repro.workload.ingest import apply_ingest, synthetic_ingest_ops
 
 #: The builtin base each error class kept when it took ReproError as a root.
 BUILTIN_BASES = {
@@ -163,6 +167,49 @@ def test_module_refusals_are_invalid_argument_errors(refusal):
     with pytest.raises(InvalidArgumentError) as refused:
         MODULE_REFUSALS[refusal]()
     assert isinstance(refused.value, ValueError)
+
+
+#: A service with no durability manager, for refusals that check before they
+#: touch anything else.
+_IN_MEMORY = SimpleNamespace(engine=SimpleNamespace(durability=None))
+
+#: Workload and service-config refusals: ``name -> (refused call, message)``.
+WORKLOAD_REFUSALS = {
+    "synthetic_ingest_ops.count": (
+        lambda: synthetic_ingest_ops(-1),
+        "count must be non-negative, got -1",
+    ),
+    "apply_ingest.kind": (
+        lambda: apply_ingest(None, [("rename", "d1", "text")]),
+        "unknown ingest op kind 'rename'",
+    ),
+    "run_continuous_mix.negative_stop_lsn": (
+        lambda: run_continuous_mix(_IN_MEMORY, ContinuousMixSpec(), stop_lsn=-1),
+        "stop_lsn must be non-negative, got -1",
+    ),
+    "run_continuous_mix.stop_lsn_in_memory": (
+        lambda: run_continuous_mix(_IN_MEMORY, ContinuousMixSpec(), stop_lsn=3),
+        "stop_lsn requires a durable service: the budget is measured against its WAL",
+    ),
+    "ServiceConfig.durable_num_shards": (
+        lambda: ServiceConfig(num_shards=4, durability_dir="unused"),
+        "num_shards=4: a durable directory holds one WAL segment; leave num_shards at 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(WORKLOAD_REFUSALS))
+def test_workload_refusals_are_invalid_argument_errors(refusal):
+    call, message = WORKLOAD_REFUSALS[refusal]
+    with pytest.raises(InvalidArgumentError) as refused:
+        call()
+    assert isinstance(refused.value, ValueError)
+    assert str(refused.value) == message
+
+
+def test_an_in_memory_config_still_takes_num_shards():
+    # It selects nothing; the E21 benchmark's in-memory workload passes it.
+    assert ServiceConfig(num_shards=4).num_shards == 4
 
 
 #: Fusion, scoring and retrieval refusals: ``name -> (refused call, message)``.

@@ -9,7 +9,6 @@ from repro.core import (
     baseline_policy,
     combined_policy,
     implicit_only_policy,
-    profile_only_policy,
 )
 from repro.evaluation import (
     ExperimentCondition,

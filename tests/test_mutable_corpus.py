@@ -7,7 +7,8 @@ surviving documents.  Covered layers: the dense-id indexes themselves
 (one lifecycle contract over the three classes that share a slot table),
 the engine writer path (atomic batches, result-cache invalidation,
 near-duplicate screening), the background compactor, and a differential
-matrix across scorers × shard counts.
+matrix across scorers × in-memory ``num_shards`` (a field that selects
+nothing, pinned here to stay so).
 """
 
 from __future__ import annotations
@@ -297,13 +298,12 @@ class TestEngineMutations:
         assert not engine.inverted_index.has_document("eng-a")
         assert engine.inverted_index.document_count == count
 
-    def test_sharded_service_batch_is_atomic(self, small_corpus):
-        # A 4-shard service validates the whole batch before anything is
-        # logged or applied: "svc-a" and "svc-b" route to other WAL
-        # segments than the duplicate, and none of them may land.
+    def test_service_batch_is_atomic(self, small_corpus):
+        # A service validates the whole batch before anything is logged or
+        # applied: "svc-a" and "svc-b" sit beside the duplicate, and none
+        # of them may land.
         service = RetrievalService(
-            small_corpus.collection,
-            config=ServiceConfig(engine=UNCACHED, num_shards=4),
+            small_corpus.collection, config=ServiceConfig(engine=UNCACHED)
         )
         try:
             index = service.engine.inverted_index
@@ -621,7 +621,7 @@ def _assert_same_rankings(reference, candidate, queries):
 
 
 class TestDifferentialMatrix:
-    """Satellite: delete+compact ≡ rebuild, across scorers × shards."""
+    """Satellite: delete+compact ≡ rebuild, across scorers × ``num_shards``."""
 
     def _run(self, corpus, scorer, num_shards):
         config = ServiceConfig(

@@ -210,8 +210,9 @@ class TestSimilarToShotContract:
 
 @pytest.mark.parametrize("num_shards", (1, 4))
 def test_engine_writes_keep_its_one_table_exact(small_corpus, num_shards):
-    """Writes through a service's writer path, sharded or not, correct the
-    engine's one table in place and stay exact through compaction."""
+    """Writes through a service's writer path, whatever its in-memory
+    ``num_shards``, correct the engine's one table in place and stay exact
+    through compaction."""
     service = RetrievalService(
         small_corpus.collection, config=ServiceConfig(num_shards=num_shards)
     )

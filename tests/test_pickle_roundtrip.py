@@ -1,4 +1,4 @@
-"""Pickle round-trip regression tests for the index, config, router and query types.
+"""Pickle round-trip regression tests for the index, config and query types.
 
 They guard the ``__getstate__`` / ``__reduce__`` hooks that keep these
 values copyable: anything that silently stops round-tripping (an added lock
@@ -18,7 +18,6 @@ from repro.index.visual import VisualIndex
 from repro.retrieval import Query
 from repro.retrieval.engine import EngineConfig
 from repro.service import ServiceConfig
-from repro.sharding import ShardRouter
 
 PROTOCOLS = (2, pickle.HIGHEST_PROTOCOL)
 
@@ -39,25 +38,10 @@ class TestPickleRoundTrip:
         assert clone.lm_mu == 1500.0
 
     def test_service_config(self, protocol):
-        config = ServiceConfig(engine=EngineConfig(scorer="tfidf"), num_shards=4)
+        config = ServiceConfig(engine=EngineConfig(scorer="tfidf"), max_sessions=7)
         clone = _roundtrip(config, protocol)
         assert clone == config
-        assert clone.num_shards == 4
-
-    def test_shard_router(self, protocol):
-        router = ShardRouter(num_shards=5)
-        clone = _roundtrip(router, protocol)
-        assert clone == router
-        assert hash(clone) == hash(router)
-        # The clone must route identically, not just compare equal.
-        for shot_id in ("shot-001", "d3/s4/shot-17", "x"):
-            assert clone.shard_of(shot_id) == router.shard_of(shot_id)
-
-    def test_shard_router_inequality(self, protocol):
-        assert ShardRouter(num_shards=2) != ShardRouter(num_shards=3)
-        assert ShardRouter(num_shards=2) != object()
-        clone = _roundtrip(ShardRouter(num_shards=2), protocol)
-        assert clone != ShardRouter(num_shards=3)
+        assert clone.max_sessions == 7
 
     def test_query_terms_values(self, protocol):
         # Both admitted QueryTerms shapes: a term sequence and a weight map.

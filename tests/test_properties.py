@@ -20,7 +20,6 @@ from repro.index.fusion import (
     min_max_normalise,
     reciprocal_rank_fusion,
     top_documents,
-    weighted_fusion,
 )
 from repro.index.inverted_index import InvertedIndex
 from repro.index.scoring import Bm25Scorer, TfIdfScorer

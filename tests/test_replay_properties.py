@@ -108,11 +108,10 @@ def _apply(service, op, documents, shots, feature_dim) -> None:
         durability.log_index_op(op_record("del", shot_id, "shot"))
 
 
-@pytest.mark.parametrize("num_shards", (1, 4))
 @given(ops=operations, interval=snapshot_intervals)
 @settings(max_examples=20, deadline=None)
 def test_live_recovered_and_replica_digests_agree_at_every_prefix(
-    small_corpus, num_shards, ops, interval
+    small_corpus, ops, interval
 ):
     collection = small_corpus.collection
     corpus_shots = collection.shot_ids()[:2]
@@ -123,7 +122,6 @@ def test_live_recovered_and_replica_digests_agree_at_every_prefix(
             collection,
             config=ServiceConfig(
                 engine=UNCACHED,
-                num_shards=num_shards,
                 durability_dir=directory,
                 snapshot_interval_ops=interval,
                 fsync_policy="never",

@@ -27,7 +27,7 @@ from repro.durability import (
     engine_state_digest,
     verify_directory,
 )
-from repro.durability.wal import WalSegment, encode_op, segment_filename
+from repro.durability.wal import SEGMENT_FILENAME, WalSegment, encode_op
 from repro.feedback import EventKind, InteractionEvent
 from repro.obs import MetricsRegistry
 from repro.replication import (
@@ -55,6 +55,8 @@ from repro.workload.ingest import (
     synthetic_ingest_ops,
 )
 
+from legacy_layout import split_into_segments
+
 #: A service's default ranking (depth 50) with the result cache off.
 UNCACHED = EngineConfig(result_limit=50, result_cache_size=0)
 
@@ -65,10 +67,9 @@ SEED = 13
 QUERIES = ("election protest flood", "summit economy", "wildfire strike")
 
 
-def _durable_config(directory, num_shards=1, interval=10_000, scorer="bm25"):
+def _durable_config(directory, interval=10_000, scorer="bm25"):
     return ServiceConfig(
         engine=EngineConfig(scorer=scorer, result_limit=50, result_cache_size=0),
-        num_shards=num_shards,
         durability_dir=str(directory),
         snapshot_interval_ops=interval,
         fsync_policy="never",
@@ -81,12 +82,9 @@ def _ops(service, count, seed=SEED):
     )
 
 
-def _prefix_digests(corpus, count, num_shards=1):
+def _prefix_digests(corpus, count):
     """Digest of an uninterrupted in-memory run after each op prefix."""
-    service = RetrievalService(
-        corpus.collection,
-        config=ServiceConfig(engine=UNCACHED, num_shards=num_shards),
-    )
+    service = RetrievalService(corpus.collection, config=ServiceConfig(engine=UNCACHED))
     digests = [engine_state_digest(service.engine)]
     for op in _ops(service, count):
         apply_ingest(service, [op])
@@ -114,18 +112,28 @@ def _corpus_queries(corpus, count=3):
 
 class TestReplicaTailing:
     @pytest.mark.parametrize("scorer", ("bm25", "tfidf", "lm"))
-    @pytest.mark.parametrize("num_shards", (1, 4))
+    @pytest.mark.parametrize("segments", (1, 4))
     def test_replica_reads_bit_identical(
-        self, analysed_corpus, tmp_path, scorer, num_shards
+        self, analysed_corpus, tmp_path, scorer, segments
     ):
         # The acceptance differential: at the same applied LSN, replica
         # rankings and state digest must be byte-identical to the
-        # primary's, across scorers and shard counts.
-        config = _durable_config(tmp_path / "dur", num_shards, scorer=scorer)
+        # primary's, across scorers — also for a replica that opened the
+        # directory in an older build's split layout before the primary's
+        # attach converted it.
+        config = _durable_config(tmp_path / "dur", scorer=scorer)
+        replica = None
+        if segments > 1:
+            older = RetrievalService.from_corpus(analysed_corpus, config=config)
+            apply_ingest(older, _ops(older, 4, seed=SEED + 1))
+            older.close()
+            split_into_segments(tmp_path / "dur", segments)
+            replica = ReplicaServer(tmp_path / "dur", corpus=analysed_corpus, config=config)
         primary = RetrievalService.from_corpus(analysed_corpus, config=config)
-        replica = ReplicaServer(
-            tmp_path / "dur", corpus=analysed_corpus, config=config
-        )
+        if replica is None:
+            replica = ReplicaServer(
+                tmp_path / "dur", corpus=analysed_corpus, config=config
+            )
         try:
             apply_ingest(primary, _ops(primary, 10))
             replica.catch_up()
@@ -175,7 +183,7 @@ class TestReplicaTailing:
         apply_ingest(primary, _ops(primary, 6))
         # Abandon the primary (simulated kill: no close, no checkpoint),
         # then tear the last record's frame.
-        segment_path = directory / segment_filename(0)
+        segment_path = directory / SEGMENT_FILENAME
         data = segment_path.read_bytes()
         segment_path.write_bytes(data[:-7])
         replica = ReplicaServer(directory, corpus=analysed_corpus)
@@ -336,7 +344,7 @@ class TestCompactionGuard:
         # Checkpoint-while-tailing, guarded arm: a registered replica
         # polling across concurrent compactions finishes every segment it
         # reads — no snapshot restarts, digest equality at the end.
-        config = _durable_config(tmp_path / "dur", num_shards=2, interval=6)
+        config = _durable_config(tmp_path / "dur", interval=6)
         primary = RetrievalService.from_corpus(analysed_corpus, config=config)
         service = ReplicatedService(primary)
         try:
@@ -380,7 +388,7 @@ class TestPromotion:
     def test_promotion_after_kill_preserves_digest(
         self, analysed_corpus, tmp_path
     ):
-        config = _durable_config(tmp_path / "dur", num_shards=2)
+        config = _durable_config(tmp_path / "dur")
         primary = RetrievalService.from_corpus(analysed_corpus, config=config)
         service = ReplicatedService(primary)
         try:
@@ -413,7 +421,7 @@ class TestPromotion:
         )
         apply_ingest(primary, _ops(primary, 8))
         # Abandoned mid-append: torn final record on disk.
-        segment_path = directory / segment_filename(0)
+        segment_path = directory / SEGMENT_FILENAME
         segment_path.write_bytes(segment_path.read_bytes()[:-5])
         replica = ReplicaServer(directory, corpus=analysed_corpus)
         result = replica.promote()
@@ -641,7 +649,7 @@ class TestPointInTimeRecovery:
         )
         apply_ingest(primary, _ops(primary, 6))
         primary.close()
-        segment = WalSegment(directory / segment_filename(0))
+        segment = WalSegment(directory / SEGMENT_FILENAME)
         entries, _ = segment.scan_entries()
         segment.rewrite([e.payload for e in entries if e.lsn != 4])  # hole at 4
 
@@ -700,7 +708,7 @@ class TestVerifyCommand:
 
         directory = tmp_path / "dur"
         self._ingested_directory(analysed_corpus, directory)
-        segment_path = directory / segment_filename(0)
+        segment_path = directory / SEGMENT_FILENAME
         segment_path.write_bytes(segment_path.read_bytes()[:-3])
         report = verify_directory(directory)
         assert not report.ok
@@ -712,7 +720,7 @@ class TestVerifyCommand:
     def test_detects_wal_hole(self, analysed_corpus, tmp_path):
         directory = tmp_path / "dur"
         self._ingested_directory(analysed_corpus, directory)
-        segment = WalSegment(directory / segment_filename(0))
+        segment = WalSegment(directory / SEGMENT_FILENAME)
         records, _ = segment.scan()
         assert len(records) >= 3
         payloads = [encode_op(record) for record in records]
@@ -810,7 +818,6 @@ class TestChaosHarness:
     def test_chaos_run_oracle_holds(self, analysed_corpus, tmp_path):
         config = ServiceConfig(
             engine=UNCACHED,
-            num_shards=2,
             fsync_policy="never",
             snapshot_interval_ops=16,
         )

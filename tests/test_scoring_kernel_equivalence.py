@@ -342,9 +342,13 @@ class TestEndToEndEquivalence:
 
 WRITE_VOCABULARY = tuple(f"w{number:02d}" for number in range(12))
 WRITE_WEIGHTS = (0.25, 0.5, 1.0, 2.0, 4.0, -0.5)
-#: 0: the scorer class over a bare index; 4: the scorer a 4-shard
+#: "class": the scorer class over a bare index; "service": the scorer a
 #: service builds through the registry, with the service's parameters.
-WRITE_SHARDS = (0, 4)
+WRITE_BUILDS = ("class", "service")
+#: Each build's label in the generator's seed string, as it was when the
+#: builds were numbered by shard count: the streams stay the ones whose
+#: every term reaches its first, second and warm use.
+WRITE_STREAM_LABELS = {"class": 0, "service": 4}
 WRITE_SEEDS = range(4)
 WRITE_STEPS = 60
 
@@ -388,21 +392,21 @@ def _touch(scorer, term):
     return "first" if entry is None else "warm" if entry else "second"
 
 
-def _write_scorer(scorer_name, shards, index):
+def _write_scorer(scorer_name, built, index):
     scorer_class = WRITE_SCORERS[scorer_name][0]
-    if not shards:
+    if built == "class":
         return scorer_class(index)
-    scorer = create_scorer(scorer_name, index, ServiceConfig(num_shards=shards).engine)
+    scorer = create_scorer(scorer_name, index, ServiceConfig().engine)
     assert type(scorer) is scorer_class
     return scorer
 
 
-def run_under_writes(scorer_name, shards, seed, steps=WRITE_STEPS):
+def run_under_writes(scorer_name, built, seed, steps=WRITE_STEPS):
     """Run one generated sequence; returns the ``(term, use)`` pairs scored."""
     reference_class = WRITE_SCORERS[scorer_name][1]
-    rng = random.Random(f"{scorer_name}:{shards}:{seed}")
+    rng = random.Random(f"{scorer_name}:{WRITE_STREAM_LABELS[built]}:{seed}")
     index = InvertedIndex()
-    scorer = _write_scorer(scorer_name, shards, index)
+    scorer = _write_scorer(scorer_name, built, index)
     live = {}
     for number in range(12):
         live[f"d{number:03d}"] = _frequencies(rng)
@@ -444,22 +448,22 @@ def run_under_writes(scorer_name, shards, seed, steps=WRITE_STEPS):
                 if index.document_frequency(term):
                     touched.add((term, _touch(scorer, term)))
             actual = {doc: score.hex() for doc, score in scorer.score(query).items()}
-            assert actual == expected, (scorer_name, shards, seed, step, query)
+            assert actual == expected, (scorer_name, built, seed, step, query)
     return touched
 
 
 class TestScoringUnderWrites:
     @pytest.mark.parametrize("seed", WRITE_SEEDS)
-    @pytest.mark.parametrize("shards", WRITE_SHARDS)
+    @pytest.mark.parametrize("built", WRITE_BUILDS)
     @pytest.mark.parametrize("scorer_name", sorted(WRITE_SCORERS))
-    def test_generated_writes_match_reference(self, scorer_name, shards, seed):
-        touched = run_under_writes(scorer_name, shards, seed)
+    def test_generated_writes_match_reference(self, scorer_name, built, seed):
+        touched = run_under_writes(scorer_name, built, seed)
         for term in WRITE_VOCABULARY:
             assert {use for name, use in touched if name == term} == {
                 "first", "second", "warm"
             }, term
 
-    @pytest.mark.parametrize("shards", WRITE_SHARDS)
+    @pytest.mark.parametrize("built", WRITE_BUILDS)
     @pytest.mark.parametrize(
         "owner, function, replacements",
         [
@@ -508,7 +512,7 @@ class TestScoringUnderWrites:
         ],
     )
     def test_differential_fails_on_mutants(
-        self, monkeypatch, owner, function, replacements, shards
+        self, monkeypatch, owner, function, replacements, built
     ):
         owner = getattr(scoring_module, owner)
         source = textwrap.dedent(inspect.getsource(getattr(owner, function)))
@@ -519,4 +523,4 @@ class TestScoringUnderWrites:
         exec(source, namespace)
         monkeypatch.setattr(owner, function, namespace[function])
         with pytest.raises(AssertionError):
-            run_under_writes("bm25", shards, seed=0)
+            run_under_writes("bm25", built, seed=0)

@@ -439,11 +439,9 @@ class TestServingConfig:
 
 
 @pytest.fixture()
-def sharded_service(small_corpus) -> RetrievalService:
-    """A fresh 2-shard in-memory service over the shared corpus."""
-    service = RetrievalService.from_corpus(
-        small_corpus, config=ServiceConfig(num_shards=2)
-    )
+def fresh_service(small_corpus) -> RetrievalService:
+    """A fresh in-memory service over the shared corpus."""
+    service = RetrievalService.from_corpus(small_corpus)
     yield service
     service.close()
 
@@ -511,12 +509,12 @@ class TestDeadlines:
         )
         return gate, started, original
 
-    def test_running_deadline_cancels_straggler(self, small_corpus, sharded_service):
+    def test_running_deadline_cancels_straggler(self, small_corpus, fresh_service):
         topic, query = _topic_query(small_corpus)
-        sharded_service.open_session("alice", topic_id=topic.topic_id)
-        gate, started, _ = self._install_straggler(sharded_service)
+        fresh_service.open_session("alice", topic_id=topic.topic_id)
+        gate, started, _ = self._install_straggler(fresh_service)
         try:
-            with ServingFrontend(sharded_service) as frontend:
+            with ServingFrontend(fresh_service) as frontend:
                 begin = time.monotonic()
                 with pytest.raises(DeadlineExceededError) as excinfo:
                     asyncio.run(
@@ -543,9 +541,7 @@ class TestDeadlines:
         topic, query = _topic_query(small_corpus)
 
         def build():
-            service = RetrievalService.from_corpus(
-                small_corpus, config=ServiceConfig(num_shards=2)
-            )
+            service = RetrievalService.from_corpus(small_corpus)
             service.open_session("alice", topic_id=topic.topic_id)
             return service
 
@@ -585,9 +581,7 @@ class TestDeadlines:
     def test_aborted_query_does_not_corrupt_refresh(self, small_corpus):
         """A cancelled query must not become the session's 'last query'."""
         topic, query = _topic_query(small_corpus)
-        service = RetrievalService.from_corpus(
-            small_corpus, config=ServiceConfig(num_shards=2)
-        )
+        service = RetrievalService.from_corpus(small_corpus)
         info = service.open_session("alice", topic_id=topic.topic_id)
         good = service.search(
             SearchRequest(user_id="alice", query=query, topic_id=topic.topic_id)
@@ -612,14 +606,14 @@ class TestDeadlines:
         assert [hit.shot_id for hit in good.hits][:10] == refreshed.shot_ids()[:10]
         service.close()
 
-    def test_queued_deadline_never_touches_engine(self, small_corpus, sharded_service):
+    def test_queued_deadline_never_touches_engine(self, small_corpus, fresh_service):
         topic, query = _topic_query(small_corpus)
-        sharded_service.open_session("alice", topic_id=topic.topic_id)
-        sharded_service.open_session("bob", topic_id=topic.topic_id)
-        gate, started, _ = self._install_straggler(sharded_service)
+        fresh_service.open_session("alice", topic_id=topic.topic_id)
+        fresh_service.open_session("bob", topic_id=topic.topic_id)
+        gate, started, _ = self._install_straggler(fresh_service)
         config = ServingConfig(max_concurrency=1)
         try:
-            with ServingFrontend(sharded_service, config) as frontend:
+            with ServingFrontend(fresh_service, config) as frontend:
 
                 async def scenario():
                     occupier = asyncio.create_task(
@@ -755,10 +749,8 @@ def _outcome(awaitable):
         return error
 
 
-def _in_memory_service(corpus, num_shards=4):
-    service = RetrievalService.from_corpus(
-        corpus, config=ServiceConfig(num_shards=num_shards)
-    )
+def _in_memory_service(corpus):
+    service = RetrievalService.from_corpus(corpus)
     service.open_session("alice", policy="baseline")
     return service
 
@@ -932,22 +924,21 @@ class TestEvaluationPath:
 
     def test_may_block_reads_durability_and_the_scorer(self, small_corpus, tmp_path):
         monolithic = RetrievalService.from_corpus(small_corpus)
-        sharded = _in_memory_service(small_corpus)
+        in_memory = _in_memory_service(small_corpus)
         durable = RetrievalService.from_corpus(
-            small_corpus,
-            config=ServiceConfig(num_shards=2, durability_dir=str(tmp_path / "d")),
+            small_corpus, config=ServiceConfig(durability_dir=str(tmp_path / "d"))
         )
         try:
             assert not monolithic.engine.may_block
-            assert not sharded.engine.may_block
+            assert not in_memory.engine.may_block
             assert durable.engine.may_block
             assert not durable.engine._text_scorer.may_block
-            original = _swap_scorer(sharded, _PassThroughScorer)
-            assert sharded.engine.may_block
-            _swap_scorer(sharded, lambda _: original)
-            assert not sharded.engine.may_block
+            original = _swap_scorer(in_memory, _PassThroughScorer)
+            assert in_memory.engine.may_block
+            _swap_scorer(in_memory, lambda _: original)
+            assert not in_memory.engine.may_block
         finally:
-            for service in (monolithic, sharded, durable):
+            for service in (monolithic, in_memory, durable):
                 service.close()
 
     def test_durable_service_uses_the_pool(self, small_corpus, tmp_path):
@@ -1090,17 +1081,17 @@ class TestDeadlineValidation:
 
 
 class TestAdmission:
-    def test_queue_full_is_typed_and_counted(self, small_corpus, sharded_service):
+    def test_queue_full_is_typed_and_counted(self, small_corpus, fresh_service):
         topic, query = _topic_query(small_corpus)
-        sharded_service.open_session("alice", topic_id=topic.topic_id)
-        sharded_service.open_session("bob", topic_id=topic.topic_id)
-        sharded_service.open_session("carol", topic_id=topic.topic_id)
-        gate, started, _ = self._straggler(sharded_service)
+        fresh_service.open_session("alice", topic_id=topic.topic_id)
+        fresh_service.open_session("bob", topic_id=topic.topic_id)
+        fresh_service.open_session("carol", topic_id=topic.topic_id)
+        gate, started, _ = self._straggler(fresh_service)
         # One slot, a waiting room of one: request #1 runs (parked on the
         # straggler), #2 fills the queue, #3 must be refused, not buffered.
         config = ServingConfig(max_concurrency=1, max_queue_depth=1)
         try:
-            with ServingFrontend(sharded_service, config) as frontend:
+            with ServingFrontend(fresh_service, config) as frontend:
 
                 async def scenario():
                     occupier = asyncio.create_task(
@@ -1195,12 +1186,12 @@ class TestAdmission:
             assert frontend.metrics.counter("rejected_draining") == 1
         service.close()
 
-    def test_drain_waits_for_in_flight_work(self, small_corpus, sharded_service):
+    def test_drain_waits_for_in_flight_work(self, small_corpus, fresh_service):
         topic, query = _topic_query(small_corpus)
-        sharded_service.open_session("alice", topic_id=topic.topic_id)
-        gate, started, _ = self._straggler(sharded_service)
+        fresh_service.open_session("alice", topic_id=topic.topic_id)
+        gate, started, _ = self._straggler(fresh_service)
         try:
-            with ServingFrontend(sharded_service) as frontend:
+            with ServingFrontend(fresh_service) as frontend:
 
                 async def scenario():
                     in_flight = asyncio.create_task(
@@ -1289,7 +1280,7 @@ class TestEvictionCancellationRace:
         """
         topic, query = _topic_query(small_corpus)
         service = RetrievalService.from_corpus(
-            small_corpus, config=ServiceConfig(num_shards=2, max_sessions=2)
+            small_corpus, config=ServiceConfig(max_sessions=2)
         )
         info_a = service.open_session("alice", topic_id=topic.topic_id)
         gate = threading.Event()
@@ -1357,9 +1348,7 @@ class TestEvictionCancellationRace:
 
 class TestDriverServeMode:
     def _factory(self, corpus):
-        return lambda: RetrievalService.from_corpus(
-            corpus, config=ServiceConfig(num_shards=2)
-        )
+        return lambda: RetrievalService.from_corpus(corpus)
 
     def test_serve_digest_matches_threaded_digest(self, small_corpus):
         spec = WorkloadSpec(seed=5, users=3, queries_per_user=2)
@@ -1423,7 +1412,7 @@ class TestServeCli:
         from repro.cli import main
 
         base = ["loadtest", "--corpus", corpus_dir, "--users", "3",
-                "--queries", "2", "--seed", "7", "--shards", "2"]
+                "--queries", "2", "--seed", "7"]
         direct_out, serve_out = io.StringIO(), io.StringIO()
         assert main(base, out=direct_out) == 0
         assert main(base + ["--serve"], out=serve_out) == 0
@@ -1440,8 +1429,7 @@ class TestServeCli:
         out = io.StringIO()
         code = main(
             ["loadtest", "--corpus", corpus_dir, "--users", "2",
-             "--queries", "2", "--seed", "7", "--shards", "2",
-             "--serve-stats"],
+             "--queries", "2", "--seed", "7", "--serve-stats"],
             out=out,
         )
         assert code == 0

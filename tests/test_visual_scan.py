@@ -35,6 +35,8 @@ from repro.index.visual import VisualIndex
 from repro.service import RetrievalService, ServiceConfig
 from repro.workload.ingest import service_feature_dim
 
+from legacy_layout import split_into_segments
+
 #: Norms from 1e-3 to 1e3; the powers of two keep cosines exactly equal.
 SCALES = (1e-3, 2.0 ** -10, 0.1, 0.5, 1.0, 2.0, 3.0, 2.0 ** 10, 1e3)
 
@@ -232,14 +234,19 @@ class TestNonFiniteFeatures:
                 index.add_shot(shot_id, features)
         assert index.similar_to_shot("a", limit=3) == [("b", 0.7071067811865475)]
 
-    @pytest.mark.parametrize("shards", (1, 4))
+    @pytest.mark.parametrize("segments", (1, 4))
     @pytest.mark.parametrize("label, features", NON_FINITE[:2])
-    def test_durable_service_logs_nothing(self, small_corpus, tmp_path, shards, label, features):
+    def test_durable_service_logs_nothing(
+        self, small_corpus, tmp_path, segments, label, features
+    ):
         directory = tmp_path / "durable"
-        service = RetrievalService(
-            small_corpus.collection,
-            config=ServiceConfig(num_shards=shards, durability_dir=str(directory)),
-        )
+        config = ServiceConfig(durability_dir=str(directory))
+        if segments > 1:
+            # Reopened from the layout of an older build that split the
+            # directory over ``segments`` segments; the attach converts it.
+            RetrievalService(small_corpus.collection, config=config).close()
+            split_into_segments(directory, segments)
+        service = RetrievalService(small_corpus.collection, config=config)
         try:
             dimensions = service_feature_dim(service)
             wal = service.engine.durability.wal

@@ -1,16 +1,15 @@
 """The WAL writer's in-memory copy: equal to the disk, bounded, and byte-neutral.
 
 The owning ``WriteAheadLog`` keeps ``(lsn, record, payload)`` for every
-index-op record on its shard segments, and checkpoints and truncation work
+index-op record in its segment, and checkpoints and truncation work
 from that copy instead of re-reading the files.  Four properties hold it
 to the files it replaces:
 
 * **Equal to the disk.**  For generated sequences of ingest / update /
   delete / feedback / compact / checkpoint / replica register-ack-unregister
-  / close-and-reopen-over-a-torn-tail, over 1 and 4 shards, each shard
-  segment's held entries equal, ``(lsn, payload)`` for ``(lsn, payload)``,
-  what a fresh :class:`WalSegment` reads back from the file after every
-  step — and a cold recovery of the directory lands on the live digest.
+  / close-and-reopen-over-a-torn-tail, the segment's held entries equal,
+  ``(lsn, payload)`` for ``(lsn, payload)``, what a fresh
+  :class:`WalSegment` reads back from the file after every step — and a cold recovery of the directory lands on the live digest.
   A feedback step appends nothing.
 * **Byte-neutral.**  A fixed stream (one replica pin, two compactions,
   feedback batches) leaves a durability directory whose sha256 over every
@@ -35,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.collection.documents import Collection, Keyframe, NewsStory, Shot, Video
 from repro.durability import RecoveryManager, engine_state_digest
-from repro.durability.wal import WalSegment, segment_filename
+from repro.durability.wal import SEGMENT_FILENAME, WalSegment
 from repro.feedback import EventKind, InteractionEvent
 from repro.retrieval import EngineConfig
 from repro.service import RetrievalService, ServiceConfig
@@ -83,10 +82,9 @@ def _collection() -> Collection:
     return Collection([video], stories, shots)
 
 
-def _config(directory, num_shards, interval) -> ServiceConfig:
+def _config(directory, interval) -> ServiceConfig:
     return ServiceConfig(
         engine=UNCACHED,
-        num_shards=num_shards,
         durability_dir=str(directory),
         snapshot_interval_ops=interval,
         fsync_policy="never",
@@ -119,25 +117,20 @@ def _directory_sha256(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def _assert_copy_matches_disk(service, directory: Path, num_shards: int) -> None:
+def _assert_copy_matches_disk(service, directory: Path) -> None:
     held = service.engine.durability.wal.held_entries()
-    assert sorted(held) == [segment_filename(shard) for shard in range(num_shards)]
-    for name, entries in held.items():
-        disk, tail_error = WalSegment(directory / name).scan_entries()
-        assert tail_error is None, name
-        assert [(e.lsn, e.payload) for e in entries] == [
-            (e.lsn, e.payload) for e in disk
-        ], name
+    disk, tail_error = WalSegment(directory / SEGMENT_FILENAME).scan_entries()
+    assert tail_error is None
+    assert [(e.lsn, e.payload) for e in held] == [(e.lsn, e.payload) for e in disk]
 
 
 class _Run:
     """One durable service driven step by step, reopened over torn tails."""
 
-    def __init__(self, directory: Path, num_shards: int, interval: int) -> None:
+    def __init__(self, directory: Path, interval: int) -> None:
         self.collection = _collection()
         self.directory = directory
-        self.num_shards = num_shards
-        self.config = _config(directory, num_shards, interval)
+        self.config = _config(directory, interval)
         self.service = RetrievalService(self.collection, config=self.config)
         self.ops = synthetic_ingest_ops(200, seed=INGEST_SEED, feature_dim=FEATURE_DIM)
         self.next_op = 0
@@ -199,18 +192,13 @@ class _Run:
             self.durability.unregister_replica("replica")
         elif kind == "reopen_torn":
             self.service.close()
-            torn = [
-                path
-                for path in sorted(self.directory.glob("wal-shard-*.log"))
-                if path.stat().st_size
-            ]
-            if torn:
-                victim = torn[op[1] % len(torn)]
+            victim = self.directory / SEGMENT_FILENAME
+            if victim.exists() and victim.stat().st_size:
                 victim.write_bytes(victim.read_bytes()[:-3])
             self.service = RetrievalService(self.collection, config=self.config)
 
     def check(self) -> None:
-        _assert_copy_matches_disk(self.service, self.directory, self.num_shards)
+        _assert_copy_matches_disk(self.service, self.directory)
         live = engine_state_digest(self.service.engine)
         assert RecoveryManager(self.directory).recover().state_digest() == live
 
@@ -226,22 +214,21 @@ steps = st.lists(
         st.tuples(st.just("register")),
         st.tuples(st.just("ack"), st.integers(0, 4)),
         st.tuples(st.just("unregister")),
-        st.tuples(st.just("reopen_torn"), st.integers(0, 3)),
+        st.tuples(st.just("reopen_torn")),
     ),
     min_size=1,
     max_size=14,
 )
 
 
-@pytest.mark.parametrize("num_shards", (1, 4))
 @given(ops=steps, interval=st.sampled_from((2, 3, 5, 10_000)))
-# A tear on one shard strands intact records of later LSNs on the others:
-# the reopen's repair must drop them from the copy as well as the files.
-@example(ops=[("ingest", 6), ("reopen_torn", 0), ("ingest", 2)], interval=10_000)
+# A torn last record: the reopen's repair must drop it from the copy as
+# well as the file, and the next append takes its LSN.
+@example(ops=[("ingest", 6), ("reopen_torn",), ("ingest", 2)], interval=10_000)
 @settings(max_examples=60, deadline=None)
-def test_held_copy_equals_the_disk_after_every_step(num_shards, ops, interval):
+def test_held_copy_equals_the_disk_after_every_step(ops, interval):
     with tempfile.TemporaryDirectory(prefix="wal-copy-") as directory:
-        run = _Run(Path(directory) / "d", num_shards, interval)
+        run = _Run(Path(directory) / "d", interval)
         try:
             run.check()
             for op in ops:
@@ -259,19 +246,17 @@ def test_held_copy_equals_the_disk_after_every_step(num_shards, ops, interval):
 #: feedback-logging writer left converts to exactly these bytes by
 #: dropping ``wal-meta.log``, lowering every LSN (in the segments, the ops
 #: deltas and the manifests' ``wal_lsn``) by the feedback LSNs below it,
-#: and bumping the header's format.
-DIRECTORY_SHA256 = {
-    1: "80de04be5e8b2d76b3eb573e097ac05590d72b9f8203df34e7eebb32a390cd1d",
-    4: "37f6ef4c853857ba2eff8377fa1152ab44915b2384b58d5074aefdee1cd8338d",
-}
+#: and bumping the header's format.  A one-segment directory's bytes did
+#: not change when the log stopped splitting over several segments.
+DIRECTORY_SHA256 = "80de04be5e8b2d76b3eb573e097ac05590d72b9f8203df34e7eebb32a390cd1d"
 
 
-def _fixed_stream(directory: Path, num_shards: int) -> str:
+def _fixed_stream(directory: Path) -> str:
     """96 ingests with a delete and an update every tenth op, feedback every
     sixteenth, a replica that pins the log, acknowledges part of it and
     leaves, and two compactions (hence two rebases); returns the live
     digest."""
-    service = RetrievalService(_collection(), config=_config(directory, num_shards, 8))
+    service = RetrievalService(_collection(), config=_config(directory, 8))
     durability = service.engine.durability
     durability.register_replica("pin", 0)
     ops = synthetic_ingest_ops(96, seed=INGEST_SEED, feature_dim=FEATURE_DIM)
@@ -293,19 +278,18 @@ def _fixed_stream(directory: Path, num_shards: int) -> str:
     return digest
 
 
-@pytest.mark.parametrize("num_shards", (1, 4))
-def test_fixed_stream_directory_bytes_are_pinned(tmp_path, num_shards):
+def test_fixed_stream_directory_bytes_are_pinned(tmp_path):
     directory = tmp_path / "d"
-    digest = _fixed_stream(directory, num_shards)
+    digest = _fixed_stream(directory)
     assert RecoveryManager(directory).recover().state_digest() == digest
-    assert _directory_sha256(directory) == DIRECTORY_SHA256[num_shards]
+    assert _directory_sha256(directory) == DIRECTORY_SHA256
 
 
 @pytest.mark.parametrize("reopen", (False, True))
 def test_an_ops_checkpoint_reads_no_segment(tmp_path, monkeypatch, reopen):
     # Its window is the writer's held copy and its truncation rewrites from
     # that copy: neither scans a file, after a fresh start or a reopen.
-    config = _config(tmp_path / "d", 4, 10_000)
+    config = _config(tmp_path / "d", 10_000)
     service = RetrievalService(_collection(), config=config)
     ops = synthetic_ingest_ops(24, seed=INGEST_SEED, feature_dim=FEATURE_DIM)
     apply_ingest(service, ops[:12])
@@ -331,13 +315,13 @@ def test_an_ops_checkpoint_reads_no_segment(tmp_path, monkeypatch, reopen):
     assert (manifest["rebase"], manifest["op_records"]) == (False, 24)
     assert calls == []
     monkeypatch.undo()
-    _assert_copy_matches_disk(service, tmp_path / "d", 4)
+    _assert_copy_matches_disk(service, tmp_path / "d")
     service.close()
 
 
 class TestPlateau:
     def test_feedback_leaves_the_directory_as_it_was(self, tmp_path):
-        config = _config(tmp_path / "d", 1, 256)
+        config = _config(tmp_path / "d", 256)
         service = RetrievalService(_collection(), config=config)
         apply_ingest(
             service, synthetic_ingest_ops(5, seed=INGEST_SEED, feature_dim=FEATURE_DIM)
@@ -350,25 +334,23 @@ class TestPlateau:
         assert after == before
 
     def test_index_ops_are_held_until_their_checkpoint(self, tmp_path):
-        config = _config(tmp_path / "d", 4, 256)
+        config = _config(tmp_path / "d", 256)
         service = RetrievalService(_collection(), config=config)
         durability = service.engine.durability
         most = 0
         ops = synthetic_ingest_ops(2_000, seed=INGEST_SEED, feature_dim=FEATURE_DIM)
         for op in ops:
             apply_ingest(service, [op])
-            held = durability.wal.held_entries()
-            most = max(most, sum(len(entries) for entries in held.values()))
+            most = max(most, len(durability.wal.held_entries()))
         assert durability.checkpoints_written == 1 + 2_000 // 256
         service.close()
         assert most <= 256
 
 
 if __name__ == "__main__":
-    # The fixed stream's directory digest and state digest at 1 and 4
-    # shards, one line each: CI compares the output under two hash seeds.
+    # The fixed stream's directory digest and state digest on one line: CI
+    # compares the output under two hash seeds.
     with tempfile.TemporaryDirectory(prefix="wal-copy-") as scratch:
-        for num_shards in (1, 4):
-            directory = Path(scratch) / f"shards-{num_shards}"
-            digest = _fixed_stream(directory, num_shards)
-            print(num_shards, _directory_sha256(directory), digest)
+        directory = Path(scratch) / "d"
+        digest = _fixed_stream(directory)
+        print(_directory_sha256(directory), digest)
