@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.errors import InvalidArgumentError
+
 
 @dataclass
 class Keyframe:
@@ -129,17 +131,17 @@ class Collection:
     def _validate(self) -> None:
         for story in self._stories.values():
             if story.video_id not in self._videos:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"story {story.story_id} references unknown video {story.video_id}"
                 )
             for shot_id in story.shot_ids:
                 if shot_id not in self._shots:
-                    raise ValueError(
+                    raise InvalidArgumentError(
                         f"story {story.story_id} references unknown shot {shot_id}"
                     )
         for shot in self._shots.values():
             if shot.story_id not in self._stories:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"shot {shot.shot_id} references unknown story {shot.story_id}"
                 )
 

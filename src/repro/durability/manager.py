@@ -41,7 +41,7 @@ from repro.durability.recovery import (
     RecoveryError,
     read_header,
 )
-from repro.durability.replay import gap_free_tail
+from repro.durability.replay import split_log
 from repro.durability.snapshots import (
     SnapshotError,
     SnapshotStore,
@@ -61,7 +61,6 @@ class DurabilityManager:
         directory: PathLike,
         fsync_policy: str = "interval",
         snapshot_interval_ops: int = 256,
-        fsync_interval_ops: int = 64,
         next_lsn: int = 1,
     ) -> None:
         if snapshot_interval_ops < 1:
@@ -70,10 +69,7 @@ class DurabilityManager:
             )
         self._directory = Path(directory)
         self._wal = WriteAheadLog(
-            self._directory,
-            fsync_policy=fsync_policy,
-            fsync_interval_ops=fsync_interval_ops,
-            next_lsn=next_lsn,
+            self._directory, fsync_policy=fsync_policy, next_lsn=next_lsn
         )
         self._snapshots = SnapshotStore(self._directory)
         self._snapshot_interval_ops = snapshot_interval_ops
@@ -100,7 +96,6 @@ class DurabilityManager:
         engine,
         fsync_policy: str = "interval",
         snapshot_interval_ops: int = 256,
-        fsync_interval_ops: int = 64,
     ) -> "DurabilityManager":
         """Initialise a fresh durability directory around a live engine.
 
@@ -134,9 +129,8 @@ class DurabilityManager:
             directory,
             fsync_policy=fsync_policy,
             snapshot_interval_ops=snapshot_interval_ops,
-            fsync_interval_ops=fsync_interval_ops,
         )
-        manager._write_checkpoint(engine)
+        manager.checkpoint(engine)
         return manager
 
     @classmethod
@@ -146,7 +140,6 @@ class DurabilityManager:
         recovered: RecoveredState,
         fsync_policy: str = "interval",
         snapshot_interval_ops: int = 256,
-        fsync_interval_ops: int = 64,
     ) -> "DurabilityManager":
         """Resume an existing directory from its recovered state.
 
@@ -175,7 +168,6 @@ class DurabilityManager:
             directory,
             fsync_policy=fsync_policy,
             snapshot_interval_ops=snapshot_interval_ops,
-            fsync_interval_ops=fsync_interval_ops,
             next_lsn=recovered.applied_lsn + 1,
         )
         manager._wal.repair_to(recovered.applied_lsn)
@@ -302,6 +294,12 @@ class DurabilityManager:
         """True when the snapshot cadence says it is time to checkpoint."""
         return self._ops_since_checkpoint >= self._snapshot_interval_ops
 
+    def maybe_checkpoint(self, engine) -> Optional[Dict[str, object]]:
+        """Checkpoint if the cadence is due; returns the manifest if so."""
+        if not self.should_checkpoint():
+            return None
+        return self.checkpoint(engine)
+
     def checkpoint(self, engine) -> Dict[str, object]:
         """Checkpoint the engine state and compact the WAL behind it.
 
@@ -311,24 +309,14 @@ class DurabilityManager:
         written and truncated only after — a crash at any point leaves
         either the old chain + full WAL, or the new chain + (possibly
         partially) compacted WAL, both of which recover to the same state.
-        """
-        return self._write_checkpoint(engine)
-
-    def maybe_checkpoint(self, engine) -> Optional[Dict[str, object]]:
-        """Checkpoint if the cadence is due; returns the manifest if so."""
-        if not self.should_checkpoint():
-            return None
-        return self._write_checkpoint(engine)
-
-    def _write_checkpoint(self, engine) -> Dict[str, object]:
-        """Write one checkpoint of either kind, then truncate the WAL.
 
         The first checkpoint of a directory and the one after a compaction
         are **full** (the live state); every other one is an **ops**
         checkpoint: the entries the WAL logged since the parent, taken from
         the writer's in-memory copy of its segment, each written as the
-        payload bytes the WAL framed.  The window must cover
-        ``parent.wal_lsn + 1 .. cut`` without a hole, or nothing is written:
+        payload bytes the WAL framed.  The window must be the durable
+        prefix (:func:`~repro.durability.replay.split_log`) from
+        ``parent.wal_lsn + 1`` through ``cut``, or nothing is written:
         that holds after ``attach`` (the recovered prefix is gap-free from
         the tip's watermark), after a crash between manifest rename and
         truncation and under replica hold-back (leftovers at or below the
@@ -352,11 +340,11 @@ class DurabilityManager:
         else:
             parent_lsn = int(parent["wal_lsn"])
             entries = self._wal.entries_since(parent_lsn)
-            run, _ = gap_free_tail([entry.record for entry in entries], parent_lsn)
-            if len(run) < cut - parent_lsn:
+            split = split_log([entry.record for entry in entries], parent_lsn)
+            if split.last_lsn < cut:
                 raise SnapshotError(
                     f"cannot checkpoint through lsn {cut}: the WAL covers "
-                    f"lsn {parent_lsn + 1}..{parent_lsn + len(run)} since "
+                    f"lsn {parent_lsn + 1}..{split.last_lsn} since "
                     f"{manifest_filename(int(parent['checkpoint_id']))} — "
                     f"records are missing, so no manifest was written"
                 )

@@ -1,27 +1,30 @@
-"""Crash recovery: snapshot chain + gap-free WAL tail → identical state.
+"""Crash recovery: snapshot chain + durable WAL prefix → identical state.
 
 :class:`RecoveryManager` rebuilds the index state a durable service held at
 its last durable write, from nothing but the durability directory:
 
 1. read and check the directory header (its format),
-2. fold the snapshot chain (:meth:`~repro.durability.snapshots.
-   SnapshotStore.load_base`, the chain's one validated read path) into
-   insertion-ordered item tables that cover the log through ``wal_lsn``,
+2. fold the snapshot chain (:func:`fold_chain`, the chain's one validated
+   read path) into insertion-ordered item tables that cover the log
+   through ``wal_lsn``,
 3. scan the WAL tolerantly (with an older directory's legacy files,
-   merged by LSN), and replay the **maximal gap-free prefix** starting at
-   ``wal_lsn + 1`` into the same tables.
+   merged by LSN), split it with :func:`~repro.durability.replay.
+   split_log` and replay the durable prefix into the same tables
+   (:func:`replay_tail`).
+
+``repro verify`` calls the same two steps, and the WAL-tailing replicas
+and the checkpoint writer the same split.  Its one rule: the durable
+prefix is the maximal contiguous LSN run past the watermark, ended by a
+missing LSN and by an LSN the log holds twice (before its first copy).
+So the recovered state is a true prefix of the write history — the
+crash-consistency contract the fault injection suite pins — a replica
+tailing from any LSN stops where recovery does, and recovering twice
+converges to the same digest.
 
 What the fold learnt about the chain rides along in
 :class:`RecoveredState` (``chain_op_records``), so a writer reopening the
 directory (:meth:`~repro.durability.manager.DurabilityManager.attach`)
 does not walk the chain a second time.
-
-The gap-free walk and the idempotent per-record replay live in
-:mod:`repro.durability.replay`, shared with the WAL-tailing replicas:
-stopping at the first gap guarantees the recovered state is a true prefix
-of the write history — exactly the crash-consistency contract the fault
-injection suite pins — and recovering twice, or recovering a directory
-whose compaction was interrupted, converges to the same digest.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.durability.digest import state_digest
-from repro.durability.replay import ReplayError, apply_record, gap_free_tail
-from repro.durability.snapshots import SnapshotError, SnapshotStore
+from repro.durability.replay import LogSplit, ReplayError, apply_record, split_log
+from repro.durability.snapshots import ChainFold, SnapshotError, SnapshotStore
 from repro.durability.wal import WriteAheadLog
 from repro.errors import ReproError
 from repro.utils.serialization import PathLike, read_json
@@ -172,11 +175,8 @@ class RecoveryManager:
         self._stop_lsn = stop_lsn
 
     def recover(self) -> RecoveredState:
-        """Snapshot chain + gap-free WAL prefix → :class:`RecoveredState`."""
-        try:
-            fold = SnapshotStore(self._directory).load_base()
-        except SnapshotError as error:
-            raise RecoveryError(str(error)) from None
+        """Snapshot chain + durable WAL prefix → :class:`RecoveredState`."""
+        fold = fold_chain(self._directory)
         if self._stop_lsn is not None and self._stop_lsn < fold.wal_lsn:
             raise RecoveryError(
                 f"cannot recover to lsn {self._stop_lsn}: the snapshot "
@@ -190,48 +190,48 @@ class RecoveryManager:
             records, tail_errors = wal.scan_all()
         finally:
             wal.close()
-
+        if records and fold.checkpoint_id < 0 and int(records[0]["lsn"]) != 1:
+            raise RecoveryError(
+                f"WAL begins at lsn {int(records[0]['lsn'])} but no snapshot "
+                f"covers the preceding records — the snapshot chain is "
+                f"missing"
+            )
+        split = split_log(records, fold.wal_lsn, self._stop_lsn)
         state = RecoveredState(
-            applied_lsn=fold.wal_lsn,
+            applied_lsn=split.last_lsn,
             checkpoint_id=fold.checkpoint_id,
             snapshot_lsn=fold.wal_lsn,
+            wal_dropped_records=len(split.beyond_hole),
+            wal_records_beyond_stop=len(split.beyond_stop),
             tail_errors=tail_errors,
             baseline_text_count=fold.baseline_text_count,
             baseline_shot_count=fold.baseline_shot_count,
             chain_op_records=fold.op_records,
             stop_lsn=self._stop_lsn,
         )
-        tail = [record for record in records if int(record["lsn"]) > fold.wal_lsn]
-        if tail and fold.checkpoint_id < 0 and int(tail[0]["lsn"]) != 1:
-            raise RecoveryError(
-                f"WAL begins at lsn {int(tail[0]['lsn'])} but no snapshot "
-                f"covers the preceding records — the snapshot chain is "
-                f"missing"
-            )
-        beyond_stop = 0
-        if self._stop_lsn is not None:
-            within = [r for r in tail if int(r["lsn"]) <= self._stop_lsn]
-            tail, beyond_stop = within, len(tail) - len(within)
-        run, beyond_hole = gap_free_tail(tail, fold.wal_lsn)
-        if beyond_hole:
-            # A hole: a record in some log file was lost (torn tail or
-            # corruption).  Everything behind it, past the cut or not, is
-            # beyond the durable prefix, however intact it looks.
-            state.wal_dropped_records = len(beyond_hole) + beyond_stop
-        else:
-            # The point-in-time cut: everything past it is intact on disk
-            # but deliberately excluded from this recovery.
-            state.wal_records_beyond_stop = beyond_stop
         try:
-            for record in run:
-                apply_record(record, fold.text, fold.visual, state)
+            replay_tail(fold, split, state)
         except ReplayError as error:
             raise RecoveryError(str(error)) from None
-        if run:
-            state.applied_lsn = int(run[-1]["lsn"])
         state.documents = list(fold.text.items())
         state.shots = [(shot_id, *entry) for shot_id, entry in fold.visual.items()]
         return state
+
+
+def fold_chain(directory: PathLike) -> ChainFold:
+    """Recovery's first step: :meth:`~repro.durability.snapshots.
+    SnapshotStore.load_base`, a damaged chain a :class:`RecoveryError`."""
+    try:
+        return SnapshotStore(directory).load_base()
+    except SnapshotError as error:
+        raise RecoveryError(str(error)) from None
+
+
+def replay_tail(fold: ChainFold, split: LogSplit, counts) -> None:
+    """Recovery's second step: the split's run replayed on into the fold's
+    tables; a record that does not replay raises ``ReplayError``."""
+    for record in split.run:
+        apply_record(record, fold.text, fold.visual, counts)
 
 
 def build_monolithic_indexes(state: RecoveredState, tokenizer=None):

@@ -3,11 +3,12 @@
 The one owner of the op-record schema and of the one function that
 applies an op.  A write is an op ``(op, item_id, payload)``: the live
 engine checks it, logs :func:`op_record` when durable and applies it with
-:func:`apply_op`.  Crash recovery, the WAL-tailing replicas and the
-checkpoint writer select a gap-free run with :func:`gap_free_tail`, and
-recovery, replicas and the snapshot chain's fold (an ops checkpoint is a
-slice of the WAL) replay it with :func:`apply_record` — :func:`read_op`,
-then the same :func:`apply_op` — so none of them can drift apart.
+:func:`apply_op`.  Crash recovery, ``repro verify``, the WAL-tailing
+replicas and the checkpoint writer split the log with :func:`split_log`,
+and recovery, verify, replicas and the snapshot chain's fold (an ops
+checkpoint is a slice of the WAL) replay it with :func:`apply_record` —
+:func:`read_op`, then the same :func:`apply_op` — so none of them can
+drift apart.
 
 Replay is idempotent: a record whose effect is already present (a crash
 landed between a checkpoint's manifest rename and its WAL truncation, or
@@ -28,6 +29,7 @@ and the live engine apply to their live indexes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -69,23 +71,46 @@ def shot_record(
     }
 
 
-def gap_free_tail(
-    records: Sequence[Record], applied_lsn: int
-) -> Tuple[List[Record], List[Record]]:
-    """Split the LSN-sorted records past ``applied_lsn`` into ``(run, rest)``.
+@dataclass
+class LogSplit:
+    """:func:`split_log`'s parts of the log: ``below`` the watermark, the
+    ``run`` to apply (ending at ``last_lsn``), ``beyond_stop`` a cut, and
+    ``beyond_hole``, where ``hole`` is the ``(expected, found)`` LSN pair
+    (equal for a duplicated LSN)."""
 
-    ``run`` is the maximal contiguous LSN run starting at ``applied_lsn +
-    1``; ``rest`` is everything behind the first hole.  Dense interning
-    order — and therefore every score and tie-break — is defined by
-    insertion order, so applying a subsequence with a hole would silently
-    shift every later dense index; only ``run`` is ever a true prefix of
-    the write history.
-    """
-    tail = [record for record in records if int(record["lsn"]) > applied_lsn]
-    for position, record in enumerate(tail):
-        if int(record["lsn"]) != applied_lsn + 1 + position:
-            return tail[:position], tail[position:]
-    return tail, []
+    below: List[Record]
+    run: List[Record]
+    last_lsn: int
+    beyond_stop: List[Record]
+    beyond_hole: List[Record]
+    hole: Optional[Tuple[int, int]]
+
+
+def split_log(
+    records: List[Record], watermark: int, stop_lsn: Optional[int] = None
+) -> LogSplit:
+    """Split the LSN-sorted ``records`` at ``watermark``: the one definition
+    of the durable prefix, the maximal contiguous LSN run from ``watermark
+    + 1`` (through ``stop_lsn`` at most).  Dense interning is insertion
+    order, so a subsequence with a hole would shift every later dense
+    index.  A missing LSN ends the run, and so does an LSN logged twice,
+    before its first copy: a reader starting below it stops where recovery
+    from 0 stops."""
+    lsns = [int(record["lsn"]) for record in records]
+    start = end = bisect_right(lsns, watermark)
+    hole = None
+    while end < len(lsns) and (stop_lsn is None or lsns[end] <= stop_lsn):
+        expected = watermark + 1 + end - start
+        twice = end + 1 < len(lsns) and lsns[end + 1] == expected
+        if lsns[end] != expected or twice:
+            hole = (expected, lsns[end])
+            break
+        end += 1
+    rest = records[end:]
+    return LogSplit(
+        records[:start], records[start:end], watermark + end - start,
+        [] if hole else rest, rest if hole else [], hole,
+    )
 
 
 class TextItems(dict):

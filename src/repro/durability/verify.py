@@ -1,23 +1,26 @@
 """Offline integrity verification of a durability directory.
 
 ``repro verify DIR`` (and the chaos harness) need a read-only answer to
-"how much of this directory is trustworthy?" without building an engine:
+"how much of this directory is trustworthy?" without building an engine.
+It reads the directory through recovery's own steps and reports what
+each finds instead of raising:
 
-* every WAL file is scanned through the same checksummed-frame reader
-  recovery uses, so torn or corrupt tails are found exactly where replay
-  would stop;
-* the snapshot manifest chain is read through recovery's own path
-  (:meth:`~repro.durability.snapshots.SnapshotStore.load_base`): one
-  checked walk, then the fold — full-state entries appended, ops deltas
-  replayed — so a missing or damaged link, a dropped op record or a
-  non-dense sequence is reported rather than discovered at recovery time,
-  along with how many op records recovery replays on top of the last
-  rebase;
-* the merged LSN stream is checked for holes above the snapshot
-  watermark, and the **maximal gap-free LSN** — the point recovery (and a
-  tailing replica) would stop at — is reported;
-* the shots recovery would restore must share one vector length, or every
-  query-by-example search on the recovered engine fails.
+* the snapshot manifest chain is folded by :func:`~repro.durability.
+  recovery.fold_chain`, so a missing or damaged link, a dropped op record
+  or a non-dense sequence is reported rather than discovered at recovery
+  time, along with how many op records recovery replays on top of the
+  last rebase;
+* every WAL file is scanned through the checksummed-frame reader recovery
+  uses, so torn or corrupt tails are found exactly where replay stops;
+* the merged LSN stream is split by :func:`~repro.durability.replay.
+  split_log`, the one definition of the durable prefix: the maximal
+  contiguous LSN run past the snapshot watermark, ended by a missing LSN
+  and before an LSN logged twice.  Its end is the **maximal gap-free
+  LSN**, where recovery and a tailing replica stop;
+* the prefix is replayed by :func:`~repro.durability.recovery.
+  replay_tail` into the folded tables: a record recovery would refuse is
+  reported, and the shots restored must share one vector length, or
+  every query-by-example search on the recovered engine fails.
 
 Verification never writes: it is safe against a live primary's directory
 (it may observe a checkpoint mid-flight, in which case a re-run converges)
@@ -30,11 +33,24 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.durability.recovery import RecoveryError, durability_directory, read_header
-from repro.durability.replay import Record, ReplayError, read_op
-from repro.durability.snapshots import SnapshotError, SnapshotStore, manifest_ids
+from repro.durability.recovery import (
+    RecoveryError,
+    durability_directory,
+    fold_chain,
+    read_header,
+    replay_tail,
+)
+from repro.durability.replay import ReplayCounts, ReplayError, split_log
+from repro.durability.snapshots import ChainFold, manifest_ids
 from repro.durability.wal import WriteAheadLog
 from repro.utils.serialization import PathLike
+
+
+def _hole(hole: Tuple[int, int]) -> str:
+    """``VerifyReport.gap`` in words; a duplicated LSN is found twice."""
+    expected, found = hole
+    twice = " twice" if found == expected else ""
+    return f"expected lsn {expected}, found {found}{twice}"
 
 
 @dataclass
@@ -53,11 +69,13 @@ class VerifyReport:
 
     ``problems`` is the damage list; an empty list means every byte the
     durability contract relies on checked out.  ``max_gap_free_lsn`` is
-    the LSN recovery would restore through — snapshot watermark plus the
-    longest contiguous WAL run above it.  ``chain_base_id`` /
-    ``chain_manifests`` / ``chain_op_records`` describe the part of the
-    chain recovery folds: from the last rebase (or the bootstrap) to the
-    tip, and the op records its ops checkpoints replay.
+    the LSN recovery would restore through — the end of the durable
+    prefix past the snapshot watermark — and ``gap`` the ``(expected,
+    found)`` LSNs where that prefix broke (equal for a duplicated LSN).
+    ``chain_base_id`` / ``chain_manifests`` / ``chain_op_records``
+    describe the part of the chain recovery folds: from the last rebase
+    (or the bootstrap) to the tip, and the op records its ops checkpoints
+    replay.
     """
 
     directory: str
@@ -112,8 +130,7 @@ class VerifyReport:
         )
         if self.gap is not None:
             out.append(
-                f"gap: expected lsn {self.gap[0]}, found {self.gap[1]} — "
-                f"the durable prefix ends before the hole"
+                f"gap: {_hole(self.gap)} — the durable prefix ends before the hole"
             )
         out.append(f"max-gap-free-lsn: {self.max_gap_free_lsn}")
         for problem in self.problems:
@@ -125,8 +142,9 @@ class VerifyReport:
 def verify_directory(directory: PathLike) -> VerifyReport:
     """Check a durability directory's integrity without recovering it.
 
-    A path that is not an existing directory raises :class:`RecoveryError`;
-    everything found inside one is reported.
+    Folds, splits and replays as recovery does, recording each refusal as
+    a problem.  A path that is not an existing directory raises
+    :class:`RecoveryError`; everything found inside one is reported.
     """
     durability_directory(directory)
     report = VerifyReport(directory=str(directory))
@@ -137,92 +155,56 @@ def verify_directory(directory: PathLike) -> VerifyReport:
         return report
 
     report.checkpoint_ids = manifest_ids(directory)
-    fold = None
     try:
-        fold = SnapshotStore(directory).load_base()
-        report.snapshot_wal_lsn = fold.wal_lsn
-        report.snapshot_documents = len(fold.text)
-        report.snapshot_shots = len(fold.visual)
-        report.chain_base_id = fold.base_id
-        report.chain_manifests = fold.manifests
-        report.chain_op_records = fold.op_records
-    except SnapshotError as error:
+        fold = fold_chain(directory)
+    except RecoveryError as error:
         report.problems.append(f"snapshot chain: {error}")
-        # The WAL can still be scanned; gap analysis below treats the
-        # watermark as 0, which is conservative (more records flagged).
+        # The WAL can still be scanned; the split below takes watermark
+        # 0, which is conservative (more records flagged).
+        fold = ChainFold()
+    report.snapshot_wal_lsn = fold.wal_lsn
+    report.snapshot_documents = len(fold.text)
+    report.snapshot_shots = len(fold.visual)
+    report.chain_base_id = fold.base_id
+    report.chain_manifests = fold.manifests
+    report.chain_op_records = fold.op_records
 
     wal = WriteAheadLog(Path(directory))
     try:
         merged = []
         for name, records, tail_error in wal.scan_segments():
             last_lsn = int(records[-1]["lsn"]) if records else 0
-            report.segments.append(
-                SegmentReport(
-                    name=name,
-                    records=len(records),
-                    last_lsn=last_lsn,
-                    tail_error=str(tail_error) if tail_error is not None else None,
-                )
-            )
             if tail_error is not None:
+                tail_error = str(tail_error)
                 report.problems.append(f"torn/corrupt tail on {name}: {tail_error}")
+            report.segments.append(SegmentReport(name, len(records), last_lsn, tail_error))
             merged.extend(records)
     finally:
         wal.close()
 
     merged.sort(key=lambda record: int(record["lsn"]))
-    prefix: List[Record] = []
-    watermark = report.snapshot_wal_lsn
-    report.max_gap_free_lsn = watermark
-    seen = set()
-    expected = watermark + 1
-    for record in merged:
-        lsn = int(record["lsn"])
-        if lsn in seen:
-            report.problems.append(f"duplicate WAL record at lsn {lsn}")
-            continue
-        seen.add(lsn)
-        if lsn <= watermark:
-            # Compaction holdback (e.g. the replication guard) or a crash
-            # between manifest rename and truncation; recovery skips these
-            # idempotently, so they are not damage.
-            report.records_below_watermark += 1
-        elif report.gap is None and lsn == expected:
-            report.records_in_prefix += 1
-            report.max_gap_free_lsn = lsn
-            expected += 1
-            prefix.append(record)
-        else:
-            if report.gap is None:
-                report.gap = (expected, lsn)
-                report.problems.append(
-                    f"hole in the WAL LSN stream: expected lsn {expected}, "
-                    f"found {lsn} — records past the hole are beyond the "
-                    f"durable prefix"
-                )
-            report.records_beyond_prefix += 1
-    _check_vector_lengths(report, fold.visual if fold is not None else {}, prefix)
-    return report
-
-
-def _check_vector_lengths(report: VerifyReport, shots, prefix: List[Record]) -> None:
-    """Report a problem unless the shots recovery restores share one vector length."""
-    lengths = {shot_id: len(features) for shot_id, (features, _) in shots.items()}
-    for record in prefix:
-        if record.get("op") not in ("shot", "del"):
-            continue
-        try:
-            op, item_id, payload = read_op(record)
-        except ReplayError as error:  # recovery refuses the same record
-            report.problems.append(str(error))
-            continue
-        if op == "shot":
-            lengths.setdefault(item_id, len(payload[0]))
-        elif payload == "shot":
-            lengths.pop(item_id, None)
-    distinct = sorted(set(lengths.values()))
-    if len(distinct) > 1:
+    split = split_log(merged, fold.wal_lsn)
+    # Records at or below the watermark are a compaction holdback (e.g.
+    # the replication guard) or a crash between manifest rename and
+    # truncation; recovery skips them, so they are not damage.
+    report.records_below_watermark = len(split.below)
+    report.records_in_prefix = len(split.run)
+    report.records_beyond_prefix = len(split.beyond_hole)
+    report.max_gap_free_lsn = split.last_lsn
+    report.gap = split.hole
+    if split.hole is not None:
         report.problems.append(
-            f"shots have {len(distinct)} vector lengths "
-            f"({', '.join(map(str, distinct))})"
+            f"hole in the WAL LSN stream: {_hole(split.hole)} — records past "
+            f"the hole are beyond the durable prefix"
         )
+    try:
+        replay_tail(fold, split, ReplayCounts())
+    except ReplayError as error:  # recovery refuses the same record
+        report.problems.append(str(error))
+    lengths = sorted({len(features) for features, _ in fold.visual.values()})
+    if len(lengths) > 1:
+        report.problems.append(
+            f"shots have {len(lengths)} vector lengths "
+            f"({', '.join(map(str, lengths))})"
+        )
+    return report

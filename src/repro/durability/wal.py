@@ -30,7 +30,7 @@ Fsync policy
 
 ``always`` flushes and fsyncs every append (crash-proof against OS
 failure), ``interval`` flushes every append and fsyncs every
-``fsync_interval_ops`` appends, ``never`` only flushes to the OS page
+:data:`FSYNC_INTERVAL_OPS` appends, ``never`` only flushes to the OS page
 cache.  All three survive a *process* crash (``kill -9``) for everything
 already appended, modulo a torn final record; only an OS/power failure can
 lose flushed-but-unsynced records.
@@ -79,6 +79,9 @@ LEGACY_FEEDBACK_LOG = "wal-meta.log"
 
 #: Accepted fsync policies.
 FSYNC_POLICIES = ("always", "interval", "never")
+
+#: Appends between fsyncs under the ``interval`` policy.
+FSYNC_INTERVAL_OPS = 64
 
 
 class WalError(ValueError, ReproError):
@@ -233,7 +236,6 @@ class WriteAheadLog:
         self,
         directory: PathLike,
         fsync_policy: str = "interval",
-        fsync_interval_ops: int = 64,
         next_lsn: int = 1,
     ) -> None:
         if fsync_policy not in FSYNC_POLICIES:
@@ -241,13 +243,8 @@ class WriteAheadLog:
                 f"unknown fsync policy {fsync_policy!r}; "
                 f"expected one of {FSYNC_POLICIES}"
             )
-        if fsync_interval_ops < 1:
-            raise WalError(
-                f"fsync_interval_ops must be positive, got {fsync_interval_ops}"
-            )
         self._directory = Path(directory)
         self._fsync_policy = fsync_policy
-        self._fsync_interval_ops = fsync_interval_ops
         self._lock = threading.Lock()
         self._next_lsn = next_lsn
         self._appends_since_sync = 0
@@ -373,7 +370,7 @@ class WriteAheadLog:
             self._appends_since_sync += 1
             fsync = self._fsync_policy == "always" or (
                 self._fsync_policy == "interval"
-                and self._appends_since_sync >= self._fsync_interval_ops
+                and self._appends_since_sync >= FSYNC_INTERVAL_OPS
             )
             if fsync:
                 self._appends_since_sync = 0

@@ -19,7 +19,8 @@ class InvalidArgumentError(ReproError, ValueError):
 
 
 class NotIndexedError(ReproError, KeyError):
-    """A write names a document or shot the index does not hold."""
+    """A write names a document or shot the index does not hold, or a
+    lookup an action the interface does not offer."""
 
     def __str__(self) -> str:  # KeyError quotes its argument; keep the message readable
         return self.args[0]

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Mapping, Sequence, Set, Union
 
+from repro.utils.validation import ensure_positive
+
 Relevance = Union[Set[str], Mapping[str, int]]
 
 
@@ -29,8 +31,7 @@ def _grade(relevance: Relevance, doc_id: str) -> int:
 
 def precision_at_k(ranking: Sequence[str], relevance: Relevance, k: int) -> float:
     """Fraction of the top ``k`` results that are relevant."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    ensure_positive(k, "k")
     if not ranking:
         return 0.0
     relevant = _relevant_set(relevance)
@@ -40,8 +41,7 @@ def precision_at_k(ranking: Sequence[str], relevance: Relevance, k: int) -> floa
 
 def recall_at_k(ranking: Sequence[str], relevance: Relevance, k: int) -> float:
     """Fraction of all relevant documents retrieved in the top ``k``."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    ensure_positive(k, "k")
     relevant = _relevant_set(relevance)
     if not relevant:
         return 0.0
@@ -74,8 +74,7 @@ def reciprocal_rank(ranking: Sequence[str], relevance: Relevance) -> float:
 
 def dcg_at_k(ranking: Sequence[str], relevance: Relevance, k: int) -> float:
     """Discounted cumulative gain with graded relevance (gain = 2^grade - 1)."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    ensure_positive(k, "k")
     total = 0.0
     for rank, doc_id in enumerate(ranking[:k], start=1):
         grade = _grade(relevance, doc_id)
@@ -102,8 +101,7 @@ def ndcg_at_k(ranking: Sequence[str], relevance: Relevance, k: int) -> float:
 
 def success_at_k(ranking: Sequence[str], relevance: Relevance, k: int) -> float:
     """1.0 if any relevant document appears in the top ``k``, else 0.0."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    ensure_positive(k, "k")
     relevant = _relevant_set(relevance)
     return 1.0 if any(doc_id in relevant for doc_id in ranking[:k]) else 0.0
 

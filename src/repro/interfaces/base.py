@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping
 
+from repro.errors import InvalidArgumentError, NotIndexedError
 from repro.feedback.events import EventKind
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import ensure_number, ensure_positive, ensure_probability
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,8 @@ class ActionCost:
     effort: float
 
     def __post_init__(self) -> None:
-        if self.time_seconds < 0:
-            raise ValueError("time_seconds must be non-negative")
-        if not 0.0 <= self.effort <= 1.0:
-            raise ValueError("effort must be in [0, 1]")
+        ensure_number(self.time_seconds, "time_seconds")
+        ensure_probability(self.effort, "effort")
 
 
 class InterfaceModel:
@@ -60,7 +59,7 @@ class InterfaceModel:
         self.description = description
         missing = self._supported - set(self._costs)
         if missing:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"actions missing a cost definition: {sorted(kind.value for kind in missing)}"
             )
 
@@ -85,9 +84,10 @@ class InterfaceModel:
         return kind in self._supported
 
     def cost_of(self, kind: EventKind) -> ActionCost:
-        """The cost of an action; unsupported actions raise ``KeyError``."""
+        """The cost of an action; an unsupported one is a
+        :class:`~repro.errors.NotIndexedError` (a ``KeyError``)."""
         if kind not in self._supported:
-            raise KeyError(f"{self.name} interface does not support {kind.value}")
+            raise NotIndexedError(f"{self.name} interface does not support {kind.value}")
         return self._costs[kind]
 
     def implicit_action_kinds(self) -> List[EventKind]:

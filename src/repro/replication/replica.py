@@ -2,13 +2,14 @@
 
 A :class:`ReplicaServer` attaches **read-only** to a durable primary's
 durability directory.  It bootstraps through the normal recovery path
-(snapshot chain + gap-free WAL prefix), then tails the WAL incrementally:
+(snapshot chain + durable WAL prefix), then tails the WAL incrementally:
 each :meth:`poll` scans the log through the same checksummed-frame
-reader recovery uses and applies the maximal contiguous LSN run past its
-applied position — a replica never applies past a hole, so its state is
-always a true prefix of the primary's write history and therefore
+reader recovery uses and applies the durable prefix past its applied
+position, split by recovery's own :func:`~repro.durability.replay.
+split_log`: it ends at a missing LSN and before an LSN logged twice.  So
+the state is always a true prefix of the primary's write history —
 bit-identical (same dense interning, same scores) to the primary at the
-same applied LSN.
+same applied LSN — and stops where a restart of the primary stops.
 
 The replica deliberately never constructs a
 :class:`~repro.durability.manager.DurabilityManager`: attaching one
@@ -41,12 +42,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.durability.digest import engine_state_digest
 from repro.durability.recovery import RecoveryManager
-from repro.durability.replay import (
-    ReplayCounts,
-    ReplayError,
-    apply_record,
-    gap_free_tail,
-)
+from repro.durability.replay import ReplayCounts, ReplayError, apply_record, split_log
 from repro.durability.snapshots import SnapshotStore
 from repro.durability.wal import WriteAheadLog
 from repro.replication.config import ReplicationConfig
@@ -252,7 +248,7 @@ class ReplicaServer:
         return applied
 
     def _apply_contiguous(self, records: List[Dict[str, object]]) -> int:
-        """Replay the gap-free run past the applied LSN into the live engine.
+        """Replay the durable run past the applied LSN into the live engine.
 
         WAL records carry tokenised frequencies / feature vectors, which go
         straight into the live indexes exactly as recovery replays them
@@ -261,7 +257,7 @@ class ReplicaServer:
         holds until its writer converts it: they advance the applied LSN
         and change nothing.
         """
-        run, _beyond_hole = gap_free_tail(records, self._applied_lsn)
+        run = split_log(records, self._applied_lsn).run
         if not run:
             return 0
         engine = self._engine

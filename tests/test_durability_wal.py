@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.durability import wal as wal_module
 from repro.durability.wal import (
     FSYNC_POLICIES,
     LEGACY_FEEDBACK_LOG,
@@ -114,13 +115,13 @@ class TestWriteAheadLog:
     def test_rejects_bad_parameters(self, tmp_path):
         with pytest.raises(WalError):
             WriteAheadLog(tmp_path, fsync_policy="sometimes")
-        with pytest.raises(WalError):
-            WriteAheadLog(tmp_path, fsync_interval_ops=0)
         assert set(FSYNC_POLICIES) == {"always", "interval", "never"}
 
     @pytest.mark.parametrize("policy", FSYNC_POLICIES)
-    def test_all_policies_append_and_scan(self, tmp_path, policy):
-        wal = WriteAheadLog(tmp_path / policy, fsync_policy=policy, fsync_interval_ops=2)
+    def test_all_policies_append_and_scan(self, tmp_path, monkeypatch, policy):
+        # Five appends cross an interval of two twice.
+        monkeypatch.setattr(wal_module, "FSYNC_INTERVAL_OPS", 2)
+        wal = WriteAheadLog(tmp_path / policy, fsync_policy=policy)
         self._fill(wal, 5)
         wal.close()
         records, tail_errors = wal.scan_all()

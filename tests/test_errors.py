@@ -30,14 +30,18 @@ from repro.core.ostensive import (
     uniform_discount,
 )
 from repro.durability import DurabilityManager
-from repro.errors import InvalidArgumentError, ReproError
+from repro.collection.documents import Collection, Keyframe, NewsStory, Shot, Video
+from repro.errors import InvalidArgumentError, NotIndexedError, ReproError
 from repro.core.policies import AdaptationPolicy
-from repro.evaluation import significance
+from repro.evaluation import metrics, significance
+from repro.feedback.events import EventKind
 from repro.feedback.accumulator import EvidenceAccumulator
 from repro.feedback.indicators import IndicatorExtractor
 from repro.feedback.weighting import IndicatorWeightLearner
 from repro.index import fusion
 from repro.index.scoring import normalise_query
+from repro.interfaces import ItvInterface
+from repro.interfaces.base import ActionCost, InterfaceModel
 from repro.replication import ChaosEvent, ChaosSchedule, run_replicated_loadtest
 from repro.retrieval import (
     EngineConfig,
@@ -456,3 +460,69 @@ def test_adaptation_refusals_are_invalid_argument_errors(refusal):
         call()
     assert isinstance(refused.value, ValueError)
     assert str(refused.value) == message
+
+
+def _shot(shot_id, story_id):
+    return Shot(
+        shot_id, "v1", story_id, 0.0, 1.0, "", Keyframe(f"k-{shot_id}", shot_id, ()), "news"
+    )
+
+
+#: Metric, interface and collection refusals: ``name -> (refused call,
+#: message)``.
+MODEL_REFUSALS = {
+    "precision_at_k.k": (
+        lambda: metrics.precision_at_k(["s1"], {"s1"}, 0), "k must be positive, got 0"
+    ),
+    "recall_at_k.k": (
+        lambda: metrics.recall_at_k(["s1"], {"s1"}, -1), "k must be positive, got -1"
+    ),
+    "dcg_at_k.k": (
+        lambda: metrics.dcg_at_k(["s1"], {"s1": 2}, 0), "k must be positive, got 0"
+    ),
+    "success_at_k.k": (
+        lambda: metrics.success_at_k(["s1"], {"s1"}, 0), "k must be positive, got 0"
+    ),
+    "ActionCost.time_seconds": (
+        lambda: ActionCost(time_seconds=-1.0, effort=0.5),
+        "time_seconds must be non-negative and finite, got -1.0",
+    ),
+    "ActionCost.effort": (
+        lambda: ActionCost(time_seconds=1.0, effort=1.5),
+        "effort must be in [0, 1], got 1.5",
+    ),
+    "InterfaceModel.missing_cost": (
+        lambda: InterfaceModel(5, frozenset({EventKind.PLAY_CLICK}), {}),
+        "actions missing a cost definition: ['play_click']",
+    ),
+    "Collection.story_video": (
+        lambda: Collection([], [NewsStory("st1", "v9", "news", "")], []),
+        "story st1 references unknown video v9",
+    ),
+    "Collection.story_shot": (
+        lambda: Collection(
+            [Video("v1", "2008-01-01")], [NewsStory("st1", "v1", "news", "", ["s9"])], []
+        ),
+        "story st1 references unknown shot s9",
+    ),
+    "Collection.shot_story": (
+        lambda: Collection([Video("v1", "2008-01-01")], [], [_shot("s1", "st9")]),
+        "shot s1 references unknown story st9",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(MODEL_REFUSALS))
+def test_model_refusals_are_invalid_argument_errors(refusal):
+    call, message = MODEL_REFUSALS[refusal]
+    with pytest.raises(InvalidArgumentError) as refused:
+        call()
+    assert isinstance(refused.value, ValueError)
+    assert str(refused.value) == message
+
+
+def test_an_unsupported_action_has_no_cost():
+    with pytest.raises(NotIndexedError) as refused:
+        ItvInterface().cost_of(EventKind.ADD_TO_PLAYLIST)
+    assert isinstance(refused.value, KeyError)
+    assert str(refused.value) == "itv interface does not support add_to_playlist"

@@ -774,6 +774,67 @@ class TestVerifyCommand:
         assert "chain: 2 manifests since rebase cp2, 3 op records" in out.getvalue()
 
 
+class TestOneDurablePrefix:
+    """Recovery, ``repro verify`` and a tailing replica split the log with
+    one function, so on a damaged log all three stop at the same LSN: a
+    promoted replica holds the state a restart of the primary recovers."""
+
+    @staticmethod
+    def _damaged(corpus, directory, damage):
+        """Six ingests (LSNs 1..6), then one kind of damage to the log."""
+        primary = RetrievalService.from_corpus(corpus, config=_durable_config(directory))
+        apply_ingest(primary, _ops(primary, 6))
+        primary.close()
+        path = directory / SEGMENT_FILENAME
+        payloads = [encode_op(record) for record in WalSegment(path).scan()[0]]
+        assert len(payloads) == 6
+        if damage == "hole":
+            WalSegment(path).rewrite(payloads[:2] + payloads[3:])
+        elif damage == "torn-tail":
+            path.write_bytes(path.read_bytes()[:-3])
+        else:  # a second copy of LSN 3, in an older build's second segment
+            WalSegment(directory / "wal-shard-0001.log").rewrite([payloads[2]])
+
+    @pytest.mark.parametrize(
+        "damage, prefix", [("hole", 2), ("torn-tail", 5), ("duplicate", 2)]
+    )
+    def test_recovery_verify_and_a_replica_agree(
+        self, analysed_corpus, tmp_path, damage, prefix
+    ):
+        directory = tmp_path / "dur"
+        self._damaged(analysed_corpus, directory, damage)
+        recovered = RecoveryManager(directory).recover().applied_lsn
+        report = verify_directory(directory)
+        replica = ReplicaServer(directory, corpus=analysed_corpus)
+        try:
+            bootstrapped = replica.applied_lsn
+            replica.catch_up()
+            polled = replica.applied_lsn
+        finally:
+            replica.close()
+        assert (recovered, report.max_gap_free_lsn, bootstrapped, polled) == (
+            prefix, prefix, prefix, prefix,
+        )
+        assert not report.ok
+
+    def test_a_duplicate_is_reported_where_the_prefix_ends(
+        self, analysed_corpus, tmp_path
+    ):
+        directory = tmp_path / "dur"
+        self._damaged(analysed_corpus, directory, "duplicate")
+        report = verify_directory(directory)
+        assert report.gap == (3, 3)
+        assert report.problems == [
+            "hole in the WAL LSN stream: expected lsn 3, found 3 twice — records "
+            "past the hole are beyond the durable prefix"
+        ]
+        assert (report.records_in_prefix, report.records_beyond_prefix) == (2, 5)
+        assert (
+            "gap: expected lsn 3, found 3 twice — the durable prefix ends before "
+            "the hole"
+        ) in report.lines()
+
+
 class TestChaosHarness:
     def test_schedule_is_deterministic(self):
         first = ChaosSchedule.generate(23, 80, ["replica-1", "replica-2"])

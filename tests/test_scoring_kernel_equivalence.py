@@ -345,12 +345,11 @@ WRITE_WEIGHTS = (0.25, 0.5, 1.0, 2.0, 4.0, -0.5)
 #: "class": the scorer class over a bare index; "service": the scorer a
 #: service builds through the registry, with the service's parameters.
 WRITE_BUILDS = ("class", "service")
-#: Each build's label in the generator's seed string, as it was when the
-#: builds were numbered by shard count: the streams stay the ones whose
-#: every term reaches its first, second and warm use.
-WRITE_STREAM_LABELS = {"class": 0, "service": 4}
 WRITE_SEEDS = range(4)
+#: Steps a sequence takes at least; it draws on until every term has been
+#: scored on its first use, its second use and warm, within the limit.
 WRITE_STEPS = 60
+WRITE_STEP_LIMIT = 1000
 
 WRITE_SCORERS = {
     "bm25": (Bm25Scorer, ReferenceBm25Scorer),
@@ -402,9 +401,11 @@ def _write_scorer(scorer_name, built, index):
 
 
 def run_under_writes(scorer_name, built, seed, steps=WRITE_STEPS):
-    """Run one generated sequence; returns the ``(term, use)`` pairs scored."""
+    """Run one generated sequence of at least ``steps`` steps, on until
+    every term of the vocabulary has been scored in each of its three
+    uses; returns the ``(term, use)`` pairs scored."""
     reference_class = WRITE_SCORERS[scorer_name][1]
-    rng = random.Random(f"{scorer_name}:{WRITE_STREAM_LABELS[built]}:{seed}")
+    rng = random.Random(f"{scorer_name}:{built}:{seed}")
     index = InvertedIndex()
     scorer = _write_scorer(scorer_name, built, index)
     live = {}
@@ -414,7 +415,10 @@ def run_under_writes(scorer_name, built, seed, steps=WRITE_STEPS):
     reference = None
     touched = set()
     added, writes = 12, 0
-    for step in range(steps):
+    step = 0
+    while step < steps or len(touched) < 3 * len(WRITE_VOCABULARY):
+        assert step < WRITE_STEP_LIMIT, (scorer_name, built, seed, sorted(touched))
+        step += 1
         roll = rng.random()
         if roll < 0.5:
             repeats = 1
