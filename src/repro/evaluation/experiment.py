@@ -70,7 +70,9 @@ def make_interface(name: str) -> InterfaceModel:
         return DesktopInterface()
     if name == "itv":
         return ItvInterface()
-    raise ValueError(f"unknown interface {name!r}; expected 'desktop' or 'itv'")
+    raise InvalidArgumentError(
+        f"unknown interface {name!r}; expected 'desktop' or 'itv'"
+    )
 
 
 @dataclass

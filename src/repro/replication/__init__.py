@@ -1,20 +1,23 @@
 """Replication tier: WAL-shipping read replicas, routing, and failover.
 
-The package splits along the import graph deliberately:
+- :class:`ReplicaServer` tails a durable primary's directory read-only
+  and serves ranked reads behind the staleness bounds each call passes.
+- :class:`ReplicatedService` writes to the primary, fans stateless reads
+  across its replicas behind the bounds it was built with, and promotes
+  the freshest replica when the primary dies.
+- :func:`run_replicated_loadtest` drives both under a seeded
+  :class:`ChaosSchedule` and checks every acknowledged write survived.
 
-- :mod:`repro.replication.config` and :mod:`repro.replication.errors`
-  are leaf modules (stdlib + validation helpers only) imported eagerly —
-  :class:`~repro.service.config.ServiceConfig` embeds
-  :class:`ReplicationConfig`, so these must not pull the service layer in.
-- The heavy machinery (:class:`ReplicaServer`, :class:`ReplicatedService`,
-  the chaos harness) *does* import :mod:`repro.service`, so it is exposed
-  lazily via module ``__getattr__`` to keep the package importable from
-  inside the service layer without a cycle.
+Each setting has one owner: a staleness bound is an argument of the
+call or the router that applies it, and the values nobody tunes are
+module constants (:data:`~repro.replication.replica.POLL_INTERVAL_SECONDS`,
+:data:`~repro.replication.replica.CATCH_UP_TIMEOUT_SECONDS`,
+:data:`~repro.replication.router.READ_RETRIES`).
 """
 
 from __future__ import annotations
 
-from repro.replication.config import ReplicationConfig
+from repro.replication.chaos import ChaosEvent, ChaosSchedule, run_replicated_loadtest
 from repro.replication.errors import (
     NoReplicaAvailableError,
     PrimaryUnavailableError,
@@ -23,37 +26,20 @@ from repro.replication.errors import (
     ReplicaLaggingError,
     ReplicationError,
 )
-
-#: Lazily exposed symbols -> the submodule that defines them.
-_LAZY = {
-    "ReplicaServer": "repro.replication.replica",
-    "PromotionResult": "repro.replication.replica",
-    "ReplicatedService": "repro.replication.router",
-    "ReplicaInfo": "repro.replication.router",
-    "ChaosEvent": "repro.replication.chaos",
-    "ChaosSchedule": "repro.replication.chaos",
-    "run_replicated_loadtest": "repro.replication.chaos",
-}
+from repro.replication.replica import PromotionResult, ReplicaServer
+from repro.replication.router import ReplicatedService
 
 __all__ = [
-    "ReplicationConfig",
-    "ReplicationError",
-    "ReplicaLaggingError",
-    "ReplicaClosedError",
+    "ChaosEvent",
+    "ChaosSchedule",
+    "NoReplicaAvailableError",
     "PrimaryUnavailableError",
     "PromotionError",
-    "NoReplicaAvailableError",
-] + sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(target), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+    "PromotionResult",
+    "ReplicaClosedError",
+    "ReplicaLaggingError",
+    "ReplicaServer",
+    "ReplicatedService",
+    "ReplicationError",
+    "run_replicated_loadtest",
+]

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.durability.digest import engine_state_digest
 from repro.errors import InvalidArgumentError
 from repro.obs import MetricsRegistry, exact_quantile
-from repro.replication.config import ReplicationConfig
 from repro.replication.errors import (
     NoReplicaAvailableError,
     PrimaryUnavailableError,
@@ -144,7 +143,6 @@ def run_replicated_loadtest(
     reads_per_op: int = 1,
     poll_every: int = 1,
     chaos: Optional[ChaosSchedule] = None,
-    replication: Optional[ReplicationConfig] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Dict[str, object]:
     """One replicated loadtest round; returns a JSON-serialisable report.
@@ -169,9 +167,7 @@ def run_replicated_loadtest(
     durable_config = base_config.with_overrides(durability_dir=str(directory))
     primary = RetrievalService.from_corpus(corpus, config=durable_config)
     registry = metrics if metrics is not None else MetricsRegistry()
-    service = ReplicatedService(
-        primary, config=replication, metrics=registry
-    )
+    service = ReplicatedService(primary, metrics=registry)
     report: Dict[str, object] = {
         "ingest_ops": ingest_ops,
         "num_replicas": num_replicas,
@@ -216,10 +212,10 @@ def run_replicated_loadtest(
                 failed.append(op_index)
             if (op_index + 1) % max(1, poll_every) == 0:
                 service.poll_replicas()
-                for info in service.replica_report():
-                    lag_samples.setdefault(info.replica_id, []).append(
-                        float(info.lag_lsn)
-                    )
+                primary_lsn = service.primary_lsn()
+                for replica_id in service.replica_ids:
+                    lag = service.replica(replica_id).lag(primary_lsn)
+                    lag_samples.setdefault(replica_id, []).append(float(lag))
             for read in range(reads_per_op):
                 query = queries[(op_index * reads_per_op + read) % len(queries)]
                 try:

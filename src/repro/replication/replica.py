@@ -11,6 +11,12 @@ the state is always a true prefix of the primary's write history —
 bit-identical (same dense interning, same scores) to the primary at the
 same applied LSN — and stops where a restart of the primary stops.
 
+A read is bounded only by what its caller passes: the ``max_lag_lsn``
+and ``max_lag_seconds`` arguments of :meth:`ReplicaServer.search`, where
+``None`` means unbounded (the router passes its own on every routed read).
+Blocking catch-up polls every :data:`POLL_INTERVAL_SECONDS` and gives up
+after :data:`CATCH_UP_TIMEOUT_SECONDS`.
+
 The replica deliberately never constructs a
 :class:`~repro.durability.manager.DurabilityManager`: attaching one
 repairs the WAL tail (a physical rewrite), which only the owner — or a
@@ -45,7 +51,6 @@ from repro.durability.recovery import RecoveryManager
 from repro.durability.replay import ReplayCounts, ReplayError, apply_record, split_log
 from repro.durability.snapshots import SnapshotStore
 from repro.durability.wal import WriteAheadLog
-from repro.replication.config import ReplicationConfig
 from repro.replication.errors import (
     PromotionError,
     ReplicaClosedError,
@@ -57,9 +62,13 @@ from repro.service.config import ServiceConfig
 from repro.service.service import RetrievalService, build_engine
 from repro.utils.serialization import PathLike
 
-#: Sentinel distinguishing "use the configured bound" from an explicit
-#: ``None`` ("disable the bound for this call").
-_UNSET = object()
+#: How long :meth:`ReplicaServer.catch_up` sleeps after a poll that
+#: applied nothing.
+POLL_INTERVAL_SECONDS = 0.01
+
+#: How long :meth:`ReplicaServer.catch_up` (and so a promotion's final
+#: drain) keeps polling for a target LSN before it gives up.
+CATCH_UP_TIMEOUT_SECONDS = 10.0
 
 
 @dataclass
@@ -91,27 +100,22 @@ class PromotionResult:
 class ReplicaServer:
     """A read-only follower of one durability directory.
 
-    ``collection`` decorates results exactly as on the primary; ``corpus``
-    (optional, a stored/synthetic corpus) additionally lets a promotion
-    hand back a fully equipped service (topics and qrels included).
-    ``config``'s ``durability_dir`` is ignored — a replica never owns the
-    directory it tails.
+    ``corpus`` is what the primary serves: anything with ``collection``,
+    ``topics`` and ``qrels`` (a stored or synthetic corpus).  Its
+    collection decorates results exactly as on the primary, and a
+    promotion hands back a service over all three.  ``config``'s
+    ``durability_dir`` is ignored — a replica never owns the directory it
+    tails.
     """
 
     def __init__(
         self,
         directory: PathLike,
-        collection=None,
-        corpus=None,
+        corpus,
         config: Optional[ServiceConfig] = None,
         replica_id: str = "replica",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if collection is None and corpus is None:
-            raise ReplicationError(
-                "ReplicaServer needs the collection (or corpus) the primary "
-                "serves: recovered ids decorate results through it"
-            )
         if not replica_id:
             raise ReplicationError("replica_id must be non-empty")
         self._directory = Path(directory)
@@ -119,9 +123,7 @@ class ReplicaServer:
         # A replica never owns the directory (attach would repair the WAL
         # tail).
         self._config = config.with_overrides(durability_dir=None)
-        self._replication = config.replication or ReplicationConfig()
         self._corpus = corpus
-        self._collection = collection if collection is not None else corpus.collection
         self._replica_id = replica_id
         self._clock = clock
         self._lock = threading.RLock()
@@ -149,7 +151,9 @@ class ReplicaServer:
         arm of the checkpoint-while-tailing contract).
         """
         recovered = RecoveryManager(self._directory).recover()
-        engine = build_engine(self._collection, self._config, recovered=recovered)
+        engine = build_engine(
+            self._corpus.collection, self._config, recovered=recovered
+        )
         old_engine = self._engine
         self._engine = engine
         self._applied_lsn = recovered.applied_lsn
@@ -272,27 +276,18 @@ class ReplicaServer:
                 raise ReplicationError(str(error)) from None
         return len(run)
 
-    def catch_up(
-        self,
-        target_lsn: Optional[int] = None,
-        timeout_seconds: Optional[float] = None,
-    ) -> int:
+    def catch_up(self, target_lsn: Optional[int] = None) -> int:
         """Poll until caught up; returns the applied LSN.
 
         With ``target_lsn`` the replica keeps polling (sleeping
-        ``poll_interval_seconds`` between empty rounds) until its applied
-        LSN reaches the target, raising :class:`ReplicaLaggingError` with
-        the remaining lag when ``timeout_seconds`` (default: the config's
-        ``catch_up_timeout_seconds``) expires first.  Without a target it
-        drains whatever is on disk: it returns after the first round that
-        neither applied records nor restarted from a snapshot.
+        :data:`POLL_INTERVAL_SECONDS` between empty rounds) until its
+        applied LSN reaches the target, raising :class:`ReplicaLaggingError`
+        with the remaining lag when :data:`CATCH_UP_TIMEOUT_SECONDS` pass
+        first.  Without a target it drains whatever is on disk: it returns
+        after the first round that neither applied records nor restarted
+        from a snapshot.
         """
-        timeout = (
-            timeout_seconds
-            if timeout_seconds is not None
-            else self._replication.catch_up_timeout_seconds
-        )
-        deadline = self._clock() + timeout
+        deadline = self._clock() + CATCH_UP_TIMEOUT_SECONDS
         while True:
             applied = self.poll()
             with self._lock:
@@ -307,12 +302,12 @@ class ReplicaServer:
                     return reached
                 raise ReplicaLaggingError(
                     f"replica {self._replica_id!r} did not reach lsn "
-                    f"{target_lsn} within {timeout:.3f}s (applied lsn "
-                    f"{reached})",
+                    f"{target_lsn} within {CATCH_UP_TIMEOUT_SECONDS:.3f}s "
+                    f"(applied lsn {reached})",
                     lag_lsn=max(0, target_lsn - reached),
                 )
             if applied == 0:
-                time.sleep(self._replication.poll_interval_seconds)
+                time.sleep(POLL_INTERVAL_SECONDS)
 
     # -- bounded-staleness reads ---------------------------------------------------
 
@@ -327,39 +322,31 @@ class ReplicaServer:
     def check_staleness(
         self,
         primary_lsn: Optional[int] = None,
-        max_lag_lsn: object = _UNSET,
-        max_lag_seconds: object = _UNSET,
+        max_lag_lsn: Optional[int] = None,
+        max_lag_seconds: Optional[float] = None,
     ) -> None:
         """Raise :class:`ReplicaLaggingError` when a staleness bound is violated.
 
         ``primary_lsn`` is the primary's last allocated LSN when the
         caller knows it (the router does); otherwise the newest LSN the
-        replica has observed on disk stands in.  Bounds default to the
-        replication config; pass ``None`` explicitly to disable one.
+        replica has observed on disk stands in.  A bound of ``None``
+        leaves that dimension unbounded.
         """
-        lsn_bound = (
-            self._replication.max_lag_lsn if max_lag_lsn is _UNSET else max_lag_lsn
-        )
-        seconds_bound = (
-            self._replication.max_lag_seconds
-            if max_lag_seconds is _UNSET
-            else max_lag_seconds
-        )
-        if lsn_bound is not None:
+        if max_lag_lsn is not None:
             lag = self.lag(primary_lsn)
-            if lag > int(lsn_bound):
+            if lag > int(max_lag_lsn):
                 raise ReplicaLaggingError(
                     f"replica {self._replica_id!r} lags {lag} LSNs behind "
-                    f"(bound: {int(lsn_bound)})",
+                    f"(bound: {int(max_lag_lsn)})",
                     lag_lsn=lag,
                 )
-        if seconds_bound is not None:
+        if max_lag_seconds is not None:
             with self._lock:
                 staleness = self._clock() - self._last_poll_clock
-            if staleness > float(seconds_bound):
+            if staleness > float(max_lag_seconds):
                 raise ReplicaLaggingError(
                     f"replica {self._replica_id!r} last polled "
-                    f"{staleness:.3f}s ago (bound: {float(seconds_bound)}s)",
+                    f"{staleness:.3f}s ago (bound: {float(max_lag_seconds)}s)",
                     lag_seconds=staleness,
                 )
 
@@ -369,8 +356,8 @@ class ReplicaServer:
         limit: Optional[int] = None,
         topic_id: Optional[str] = None,
         primary_lsn: Optional[int] = None,
-        max_lag_lsn: object = _UNSET,
-        max_lag_seconds: object = _UNSET,
+        max_lag_lsn: Optional[int] = None,
+        max_lag_seconds: Optional[float] = None,
     ) -> ResultList:
         """One stateless ranked read, bounded-staleness checked first.
 
@@ -413,10 +400,7 @@ class ReplicaServer:
             config = self._config.with_overrides(
                 durability_dir=str(self._directory)
             )
-            if self._corpus is not None:
-                service = RetrievalService.from_corpus(self._corpus, config=config)
-            else:
-                service = RetrievalService(self._collection, config=config)
+            service = RetrievalService.from_corpus(self._corpus, config=config)
             promoted_lsn = service.engine.durability.wal.last_lsn
             promoted_digest = engine_state_digest(service.engine)
             if promoted_lsn < replica_lsn:

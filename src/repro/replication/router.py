@@ -9,9 +9,11 @@ primary's durability directory:
   alive (crashed, not yet promoted) they raise
   :class:`PrimaryUnavailableError`.
 - **Stateless ranked reads** (:meth:`search_ranked`) rotate round-robin
-  across healthy replicas with bounded-staleness checks, retrying the
-  next replica (with linear backoff) when one fails or refuses for lag,
-  and falling through to the primary when every replica is exhausted.
+  across healthy replicas behind the router's staleness bounds
+  (``max_lag_lsn`` / ``max_lag_seconds``, given at construction),
+  trying up to :data:`READ_RETRIES` further replicas when one fails or
+  refuses for lag, and falling through to the primary when every
+  attempt is exhausted.
 - **Replica registration** pins the primary's WAL compaction through the
   replication guard; :meth:`poll_replicas` advances every replica and
   acknowledges its applied LSN back, releasing held-back records and
@@ -27,12 +29,10 @@ primary's durability directory:
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs import MetricsRegistry
-from repro.replication.config import ReplicationConfig
 from repro.replication.errors import (
     NoReplicaAvailableError,
     PrimaryUnavailableError,
@@ -42,6 +42,11 @@ from repro.replication.errors import (
 from repro.replication.replica import PromotionResult, ReplicaServer
 from repro.retrieval.results import ResultList
 from repro.service.service import RetrievalService
+from repro.utils.validation import ensure_number, ensure_positive
+
+#: How many further replicas a routed read tries after its first attempt
+#: fails or refuses for staleness, before it falls through to the primary.
+READ_RETRIES = 2
 
 
 @dataclass
@@ -53,28 +58,25 @@ class _CorpusView:
     qrels: object
 
 
-@dataclass
-class ReplicaInfo:
-    """One replica's health as the router sees it."""
-
-    replica_id: str
-    applied_lsn: int
-    lag_lsn: int
-    closed: bool
-    failures: int
-
-
 class ReplicatedService:
-    """Primary + replicas behind one read/write facade."""
+    """Primary + replicas behind one read/write facade.
+
+    ``max_lag_lsn`` and ``max_lag_seconds`` bound every routed read (see
+    :meth:`ReplicaServer.check_staleness`); ``None`` leaves that
+    dimension unbounded.
+    """
 
     def __init__(
         self,
         primary: RetrievalService,
-        config: Optional[ReplicationConfig] = None,
+        max_lag_lsn: Optional[int] = None,
+        max_lag_seconds: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        if max_lag_lsn is not None:
+            ensure_number(max_lag_lsn, "max_lag_lsn", integer=True)
+        if max_lag_seconds is not None:
+            ensure_positive(max_lag_seconds, "max_lag_seconds")
         if primary.engine.durability is None:
             raise ReplicationError(
                 "ReplicatedService needs a durable primary (set "
@@ -88,19 +90,15 @@ class ReplicatedService:
             topics=primary.topics,
             qrels=primary.qrels,
         )
-        self._replication = (
-            config or primary.config.replication or ReplicationConfig()
-        )
+        self._max_lag_lsn = max_lag_lsn
+        self._max_lag_seconds = max_lag_seconds
         # Remembered so replicas added after a primary crash (restarts in a
         # chaos run) still build engines with the original scorer
         # configuration rather than bare defaults.
         self._replica_config = primary.config
         self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._clock = clock
-        self._sleep = sleep
         self._lock = threading.RLock()
         self._replicas: Dict[str, ReplicaServer] = {}
-        self._failures: Dict[str, int] = {}
         # Which durability manager holds each replica's compaction pin.
         # Tracked explicitly so removal always releases the pin from the
         # manager that holds it — releasing against "the current primary"
@@ -108,7 +106,6 @@ class ReplicatedService:
         # removed replica's acked LSN then clamps truncate_through forever).
         self._pinned: Dict[str, object] = {}
         self._rotation = 0
-        self._replica_seq = 0
         self._last_known_primary_lsn = primary.engine.durability.wal.last_lsn
 
     # -- accessors -----------------------------------------------------------------
@@ -155,28 +152,9 @@ class ReplicatedService:
                     )
             return self._last_known_primary_lsn
 
-    def replica_report(self) -> List[ReplicaInfo]:
-        """Health of every registered replica."""
-        reference = self.primary_lsn()
-        with self._lock:
-            return [
-                ReplicaInfo(
-                    replica_id=replica_id,
-                    applied_lsn=replica.applied_lsn,
-                    lag_lsn=max(0, reference - replica.applied_lsn),
-                    closed=replica.closed,
-                    failures=self._failures.get(replica_id, 0),
-                )
-                for replica_id, replica in self._replicas.items()
-            ]
-
     # -- replica lifecycle ---------------------------------------------------------
 
-    def add_replica(
-        self,
-        replica_id: Optional[str] = None,
-        config: Optional[object] = None,
-    ) -> ReplicaServer:
+    def add_replica(self, replica_id: str) -> ReplicaServer:
         """Attach a new replica to the primary's durability directory.
 
         The replica bootstraps from the snapshot chain + WAL prefix and is
@@ -184,23 +162,17 @@ class ReplicatedService:
         LSN, pinning compaction until it acknowledges progress.
         """
         with self._lock:
-            if replica_id is None:
-                self._replica_seq += 1
-                replica_id = f"replica-{self._replica_seq}"
             if replica_id in self._replicas:
                 raise ReplicationError(
                     f"replica id {replica_id!r} is already registered"
                 )
-            base_config = config if config is not None else self._replica_config
             replica = ReplicaServer(
                 self._directory,
                 corpus=self._corpus,
-                config=base_config,
+                config=self._replica_config,
                 replica_id=replica_id,
-                clock=self._clock,
             )
             self._replicas[replica_id] = replica
-            self._failures[replica_id] = 0
             if self._primary_alive and self._primary is not None:
                 durability = self._primary.engine.durability
                 if durability is not None:
@@ -220,7 +192,6 @@ class ReplicatedService:
         """
         with self._lock:
             replica = self._replicas.pop(replica_id, None)
-            self._failures.pop(replica_id, None)
             pinned = self._pinned.pop(replica_id, None)
             if replica is None:
                 raise ReplicationError(
@@ -236,8 +207,8 @@ class ReplicatedService:
         Applies whatever each replica can reach, acknowledges applied
         LSNs back to the primary's replication guard (releasing held-back
         WAL records at the next checkpoint), and publishes per-replica
-        lag gauges.  A replica whose poll raises is counted as a failure
-        but left registered — transient scan races heal on the next round.
+        lag gauges.  A replica whose poll raises is left registered and
+        reports 0 applied — transient scan races heal on the next round.
         Returns records applied per replica id.
         """
         applied: Dict[str, int] = {}
@@ -247,10 +218,6 @@ class ReplicatedService:
             try:
                 applied[replica_id] = replica.poll()
             except ReplicationError:
-                with self._lock:
-                    self._failures[replica_id] = (
-                        self._failures.get(replica_id, 0) + 1
-                    )
                 applied[replica_id] = 0
                 continue
             with self._lock:
@@ -269,13 +236,7 @@ class ReplicatedService:
         return applied
 
     def _publish_lag_locked(self, replica_id: str, replica: ReplicaServer) -> None:
-        reference = self._last_known_primary_lsn
-        if self._primary_alive and self._primary is not None:
-            durability = self._primary.engine.durability
-            if durability is not None:
-                reference = max(reference, durability.wal.last_lsn)
-                self._last_known_primary_lsn = reference
-        lag = max(0, reference - replica.applied_lsn)
+        lag = replica.lag(self.primary_lsn())
         self._metrics.set_gauge(f"replica_lag.{replica_id}", float(lag))
         self._metrics.set_gauge(
             f"replica_applied_lsn.{replica_id}", float(replica.applied_lsn)
@@ -333,51 +294,38 @@ class ReplicatedService:
     ) -> ResultList:
         """One stateless ranked read, fanned across the replica set.
 
-        Tries up to ``1 + read_retries`` distinct healthy replicas in
-        round-robin order, each behind the configured staleness bounds
-        (with the primary's last allocated LSN as the lag reference),
-        sleeping the linear backoff between attempts.  When every attempt
-        fails the read falls through to the primary; with the primary
-        dead too, raises :class:`NoReplicaAvailableError` carrying the
-        last replica error as its cause.
+        Tries up to ``1 + READ_RETRIES`` distinct healthy replicas in
+        round-robin order, each behind the router's staleness bounds
+        (with the primary's last allocated LSN as the lag reference).
+        When every attempt fails the read falls through to the primary;
+        with the primary dead too, raises :class:`NoReplicaAvailableError`
+        carrying the last replica error as its cause.
         """
         reference = self.primary_lsn()
         with self._lock:
             candidates = [
-                (replica_id, replica)
-                for replica_id, replica in self._replicas.items()
-                if not replica.closed
+                replica for replica in self._replicas.values() if not replica.closed
             ]
             if candidates:
                 start = self._rotation % len(candidates)
                 self._rotation += 1
                 candidates = candidates[start:] + candidates[:start]
-        attempts = min(len(candidates), 1 + self._replication.read_retries)
+        attempts = min(len(candidates), 1 + READ_RETRIES)
         last_error: Optional[Exception] = None
-        for attempt in range(attempts):
-            replica_id, replica = candidates[attempt]
+        for attempt, replica in enumerate(candidates[:attempts]):
             if attempt > 0:
                 self._metrics.increment("replica_read_retries")
-                backoff = attempt * self._replication.retry_backoff_seconds
-                if backoff > 0:
-                    self._sleep(backoff)
             try:
-                # The router's bounds govern routed reads (a replica's own
-                # config only applies to reads addressed to it directly).
                 results = replica.search(
                     text,
                     limit=limit,
                     topic_id=topic_id,
                     primary_lsn=reference,
-                    max_lag_lsn=self._replication.max_lag_lsn,
-                    max_lag_seconds=self._replication.max_lag_seconds,
+                    max_lag_lsn=self._max_lag_lsn,
+                    max_lag_seconds=self._max_lag_seconds,
                 )
             except ReplicationError as error:
                 last_error = error
-                with self._lock:
-                    self._failures[replica_id] = (
-                        self._failures.get(replica_id, 0) + 1
-                    )
                 if isinstance(error, ReplicaLaggingError):
                     self._metrics.increment("replica_read_stale")
                 else:
@@ -405,15 +353,11 @@ class ReplicatedService:
         SIGKILL leaves behind.  Writes raise until :meth:`promote`.
         """
         with self._lock:
-            primary = self._require_primary()
-            durability = primary.engine.durability
-            if durability is not None:
-                self._last_known_primary_lsn = max(
-                    self._last_known_primary_lsn, durability.wal.last_lsn
-                )
+            self._require_primary()
+            last_lsn = self.primary_lsn()
             self._primary = None
             self._primary_alive = False
-            return self._last_known_primary_lsn
+            return last_lsn
 
     def promote(self, replica_id: Optional[str] = None) -> PromotionResult:
         """Elect and promote a replica into the new writable primary.
@@ -451,7 +395,6 @@ class ReplicatedService:
                     )
                 replica_id = freshest
             replica = self._replicas.pop(replica_id, None)
-            self._failures.pop(replica_id, None)
             self._pinned.pop(replica_id, None)
             if replica is None:
                 raise ReplicationError(
@@ -483,7 +426,6 @@ class ReplicatedService:
         with self._lock:
             replicas = list(self._replicas.values())
             self._replicas.clear()
-            self._failures.clear()
             self._pinned.clear()
             primary = self._primary if self._primary_alive else None
             self._primary = None

@@ -5,8 +5,8 @@ A :class:`ServiceConfig` embeds the engine's
 weights, result depth, scorer parameters, result cache and near-duplicate
 screening, each declared and validated there once — and adds what only a
 service has: the default adaptation policy and weighting scheme (resolved
-through :mod:`repro.service.registry`), the session capacity, the durable
-directory's layout and the replication bounds.  Entry points construct a
+through :mod:`repro.service.registry`), the session capacity and the
+durable directory's layout.  Entry points construct a
 service from a config instead of assembling engine + adaptive system +
 sessions by hand::
 
@@ -20,7 +20,6 @@ from typing import Optional
 
 from repro.durability.wal import FSYNC_POLICIES
 from repro.errors import InvalidArgumentError
-from repro.replication.config import ReplicationConfig
 from repro.retrieval.engine import EngineConfig
 from repro.utils.validation import ensure_number
 
@@ -71,13 +70,6 @@ class ServiceConfig:
     snapshot_interval_ops:
         Index mutations between automatic incremental snapshots (each
         snapshot also truncates the WAL behind its watermark).
-    replication:
-        Optional :class:`~repro.replication.config.ReplicationConfig`
-        carrying the replication tier's staleness bounds, polling cadence
-        and read-retry policy.  ``None`` (the default) leaves replicas and
-        routers on :class:`ReplicationConfig`'s own defaults; the field
-        only makes sense together with ``durability_dir`` (a replica tails
-        the WAL of a durable primary).
     """
 
     engine: EngineConfig = EngineConfig(result_limit=50)
@@ -89,7 +81,6 @@ class ServiceConfig:
     durability_dir: Optional[str] = None
     fsync_policy: str = "interval"
     snapshot_interval_ops: int = 256
-    replication: Optional[ReplicationConfig] = None
 
     def __post_init__(self) -> None:
         for name in ("max_sessions", "num_shards", "snapshot_interval_ops"):

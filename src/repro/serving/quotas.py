@@ -17,7 +17,9 @@ import threading
 import time
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.errors import InvalidArgumentError
 from repro.serving.config import ServingConfig, TenantQuota
+from repro.utils.validation import ensure_positive
 
 Clock = Callable[[], float]
 
@@ -26,10 +28,9 @@ class TokenBucket:
     """A thread-safe token bucket: ``rate`` tokens/s refill, ``burst`` cap."""
 
     def __init__(self, rate: float, burst: int, clock: Clock = time.monotonic) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        ensure_positive(rate, "rate")
         if burst < 1:
-            raise ValueError(f"burst must be at least 1, got {burst}")
+            raise InvalidArgumentError(f"burst must be at least 1, got {burst}")
         self._rate = float(rate)
         self._burst = float(burst)
         self._clock = clock

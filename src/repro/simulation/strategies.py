@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 from repro.collection.topics import Topic
 from repro.utils.rng import RandomSource
-from repro.utils.validation import ensure_probability
+from repro.utils.validation import ensure_number, ensure_probability
 
 
 class QueryStrategy:
@@ -106,8 +106,7 @@ class DriftingQueryStrategy(QueryStrategy):
     base: QueryStrategy = None
 
     def __post_init__(self) -> None:
-        if self.shift_after < 1:
-            raise ValueError("shift_after must be at least 1")
+        ensure_number(self.shift_after, "shift_after", positive=True, integer=True)
         if self.base is None:
             self.base = TitleQueryStrategy()
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
-from repro.utils.validation import ensure_in_range, ensure_positive
+from repro.utils.validation import ensure_in_range, ensure_number, ensure_positive
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,11 @@ class SimulatedUser:
         ):
             ensure_in_range(getattr(self, name), 0.0, 1.0, name)
         ensure_positive(self.query_terms_initial, "query_terms_initial")
-        if self.query_terms_per_reformulation < 0:
-            raise ValueError("query_terms_per_reformulation must be non-negative")
+        ensure_number(
+            self.query_terms_per_reformulation,
+            "query_terms_per_reformulation",
+            integer=True,
+        )
 
     def with_overrides(self, **overrides: object) -> "SimulatedUser":
         """A copy of this user with some parameters replaced."""

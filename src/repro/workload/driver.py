@@ -36,6 +36,7 @@ from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
 
 from repro.collection.qrels import Qrels
+from repro.errors import InvalidArgumentError
 from repro.feedback.events import EventKind, InteractionEvent
 from repro.service.service import RetrievalService
 from repro.service.types import FeedbackBatch, SearchRequest, SearchResponse
@@ -310,7 +311,7 @@ class ServiceLoadDriver:
         """
         service = self._service_factory()
         if spec.users > service.config.max_sessions:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"workload drives {spec.users} concurrent users but the "
                 f"service holds at most {service.config.max_sessions} "
                 f"sessions; raise ServiceConfig.max_sessions or shrink the "
@@ -318,7 +319,7 @@ class ServiceLoadDriver:
             )
         if workloads is None:
             if service.topics is None:
-                raise ValueError(
+                raise InvalidArgumentError(
                     "service has no topics; pass explicit workloads instead"
                 )
             workloads = generate_workload(spec, service.topics)

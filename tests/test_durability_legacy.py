@@ -28,6 +28,7 @@ import io
 import pathlib
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -183,7 +184,8 @@ def _crash_then_reattach(directory: Path, monkeypatch, step: str, digest: str, l
     conversion; the directory, a replica that was tailing it, and the next
     attach all hold ``digest``, the state as of ``lsn``."""
     # A replica tailing the directory from before the conversion.
-    replica = ReplicaServer(directory, collection=_collection(), config=_config(directory, 4))
+    corpus = SimpleNamespace(collection=_collection(), topics=None, qrels=None)
+    replica = ReplicaServer(directory, corpus=corpus, config=_config(directory, 4))
     try:
         assert replica.state_digest() == digest
         with monkeypatch.context() as patched:

@@ -34,6 +34,7 @@ from repro.collection.documents import Collection, Keyframe, NewsStory, Shot, Vi
 from repro.errors import InvalidArgumentError, NotIndexedError, ReproError
 from repro.core.policies import AdaptationPolicy
 from repro.evaluation import metrics, significance
+from repro.evaluation.experiment import make_interface
 from repro.feedback.events import EventKind
 from repro.feedback.accumulator import EvidenceAccumulator
 from repro.feedback.indicators import IndicatorExtractor
@@ -42,17 +43,27 @@ from repro.index import fusion
 from repro.index.scoring import normalise_query
 from repro.interfaces import ItvInterface
 from repro.interfaces.base import ActionCost, InterfaceModel
-from repro.replication import ChaosEvent, ChaosSchedule, run_replicated_loadtest
+from repro.replication import (
+    ChaosEvent,
+    ChaosSchedule,
+    ReplicatedService,
+    run_replicated_loadtest,
+)
 from repro.retrieval import (
     EngineConfig,
     RocchioExpander,
     story_scores_from_shots,
 )
 from repro.service import ServiceConfig
+from repro.serving.quotas import TokenBucket
+from repro.simulation import SimulatedUser
+from repro.simulation.strategies import DriftingQueryStrategy
 from repro.utils import validation
 from repro.utils.registry import ComponentRegistry
 from repro.utils.serialization import encode_uvarint, write_json
 from repro.workload import ContinuousMixSpec, run_continuous_mix
+from repro.workload.driver import ServiceLoadDriver
+from repro.workload.spec import WorkloadSpec
 from repro.workload.ingest import apply_ingest, synthetic_ingest_ops
 
 #: The builtin base each error class kept when it took ReproError as a root.
@@ -157,6 +168,10 @@ MODULE_REFUSALS = {
     ),
     "run_replicated_loadtest.ingest_ops": lambda: run_replicated_loadtest(
         None, "unused", ingest_ops=0
+    ),
+    "ReplicatedService.max_lag_lsn": lambda: ReplicatedService(None, max_lag_lsn=-1),
+    "ReplicatedService.max_lag_seconds": lambda: ReplicatedService(
+        None, max_lag_seconds=0
     ),
     "ComponentRegistry.register.empty_name": lambda: ComponentRegistry(
         "thing"
@@ -520,6 +535,56 @@ def test_model_refusals_are_invalid_argument_errors(refusal):
     assert isinstance(refused.value, ValueError)
     assert str(refused.value) == message
 
+
+
+def _driven(max_sessions, users):
+    """Run a load driver whose service holds ``max_sessions`` and no topics."""
+    service = SimpleNamespace(
+        config=SimpleNamespace(max_sessions=max_sessions), topics=None
+    )
+    return ServiceLoadDriver(lambda: service).run(WorkloadSpec(users=users))
+
+
+#: Token-bucket, load-driver, experiment and simulated-user refusals:
+#: ``name -> (refused call, message)``.
+SIMULATION_REFUSALS = {
+    "TokenBucket.rate": (
+        lambda: TokenBucket(rate=0, burst=1), "rate must be positive, got 0"
+    ),
+    "TokenBucket.burst": (
+        lambda: TokenBucket(rate=1.0, burst=0), "burst must be at least 1, got 0"
+    ),
+    "ServiceLoadDriver.run.max_sessions": (
+        lambda: _driven(max_sessions=2, users=3),
+        "workload drives 3 concurrent users but the service holds at most 2 "
+        "sessions; raise ServiceConfig.max_sessions or shrink the workload",
+    ),
+    "ServiceLoadDriver.run.no_topics": (
+        lambda: _driven(max_sessions=2, users=2),
+        "service has no topics; pass explicit workloads instead",
+    ),
+    "make_interface.name": (
+        lambda: make_interface("tablet"),
+        "unknown interface 'tablet'; expected 'desktop' or 'itv'",
+    ),
+    "DriftingQueryStrategy.shift_after": (
+        lambda: DriftingQueryStrategy(None, None, shift_after=0),
+        "shift_after must be positive, got 0",
+    ),
+    "SimulatedUser.query_terms_per_reformulation": (
+        lambda: SimulatedUser("u", query_terms_per_reformulation=-1),
+        "query_terms_per_reformulation must be non-negative, got -1",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(SIMULATION_REFUSALS))
+def test_simulation_refusals_are_invalid_argument_errors(refusal):
+    call, message = SIMULATION_REFUSALS[refusal]
+    with pytest.raises(InvalidArgumentError) as refused:
+        call()
+    assert isinstance(refused.value, ValueError)
+    assert str(refused.value) == message
 
 def test_an_unsupported_action_has_no_cost():
     with pytest.raises(NotIndexedError) as refused:

@@ -6,6 +6,9 @@ an interest shift).  These literals pin the *values*: every MAP, P@10,
 relative improvement and significance verdict of
 
 - E1, implicit feedback vs the no-feedback baseline;
+- E2, the precision of each implicit indicator in a simulated log study;
+- E3, the retrieval quality of each indicator weighting scheme, the one
+  learned from logged sessions included;
 - E7, the ostensive discount profiles under a mid-session interest shift;
 - A1, the ASR-noise, user-error and ostensive-decay ablations;
 
@@ -31,6 +34,8 @@ sys.path.insert(0, str(BENCH_DIR))
 
 import bench_a1_ablations as a1  # noqa: E402
 import bench_e1_implicit_vs_baseline as e1  # noqa: E402
+import bench_e2_indicator_precision as e2  # noqa: E402
+import bench_e3_weighting_schemes as e3  # noqa: E402
 import bench_e7_ostensive_drift as e7  # noqa: E402
 from _common import standard_corpus  # noqa: E402
 
@@ -57,6 +62,16 @@ def implicit_vs_baseline(corpus, runner):
     outcomes["significance.p_value"] = significance.p_value.hex()
     outcomes["significance.significant"] = significance.significant()
     return outcomes
+
+
+def indicator_precision(corpus, runner):
+    rows, _report = e2.run_experiment(runner, corpus)
+    return _hexed(rows, "indicator", ("precision",))
+
+
+def weighting_schemes(corpus, runner):
+    rows, _learned = e3.run_experiment(runner, corpus)
+    return _hexed(rows, "scheme", ("map",))
 
 
 def ostensive_drift(corpus, runner):
@@ -99,6 +114,52 @@ PINNED = {
             "significance.mean_difference": "0x1.95ce0ae9889dap-4",
             "significance.p_value": "0x1.a358b63c4d31bp-12",
             "significance.significant": True,
+        },
+    }),
+    "e2_indicator_precision": (indicator_precision, {
+        "<3.12": {
+            "browse.precision": "0x1.9a3efd93c915dp-2",
+            "explicit_negative.precision": "0x1.acccccccccccdp-1",
+            "explicit_positive.precision": "0x1.f82ee6986d6f6p-1",
+            "hover.precision": "0x1.e26af37c048d1p-2",
+            "metadata.precision": "0x1.e3e7063e7063ep-1",
+            "play_click.precision": "0x1.31dec0d4c77b0p-1",
+            "play_complete.precision": "0x1.e17f748fcbb5fp-1",
+            "play_duration.precision": "0x1.31dec0d4c77b0p-1",
+            "playlist.precision": "0x1.f73f73f73f73fp-1",
+            "seek.precision": "0x1.f69b02593f69bp-1",
+            "skip.precision": "0x1.95d32ba6574cbp-1",
+        },
+        ">=3.12": {
+            "browse.precision": "0x1.9a3efd93c915dp-2",
+            "explicit_negative.precision": "0x1.acccccccccccdp-1",
+            "explicit_positive.precision": "0x1.f82ee6986d6f6p-1",
+            "hover.precision": "0x1.e26af37c048d1p-2",
+            "metadata.precision": "0x1.e3e7063e7063ep-1",
+            "play_click.precision": "0x1.31dec0d4c77b0p-1",
+            "play_complete.precision": "0x1.e17f748fcbb5fp-1",
+            "play_duration.precision": "0x1.31dec0d4c77b0p-1",
+            "playlist.precision": "0x1.f73f73f73f73fp-1",
+            "seek.precision": "0x1.f69b02593f69bp-1",
+            "skip.precision": "0x1.95d32ba6574cbp-1",
+        },
+    }),
+    "e3_weighting_schemes": (weighting_schemes, {
+        "<3.12": {
+            "binary_click.map": "0x1.f67afb0b0232ap-2",
+            "dwell_only.map": "0x1.0775bf53d3b52p-1",
+            "explicit_only.map": "0x1.9b5990ac18b7ep-2",
+            "heuristic.map": "0x1.0665acd30d17bp-1",
+            "learned.map": "0x1.05dbed7b01118p-1",
+            "uniform.map": "0x1.0068449aa8e53p-1",
+        },
+        ">=3.12": {
+            "binary_click.map": "0x1.f67afb0b0232bp-2",
+            "dwell_only.map": "0x1.0775bf53d3b52p-1",
+            "explicit_only.map": "0x1.9b5990ac18b7ep-2",
+            "heuristic.map": "0x1.0665acd30d17ap-1",
+            "learned.map": "0x1.05dbed7b01118p-1",
+            "uniform.map": "0x1.0068449aa8e53p-1",
         },
     }),
     "e7_ostensive_drift": (ostensive_drift, {

@@ -127,7 +127,7 @@ def test_live_recovered_and_replica_digests_agree_at_every_prefix(
                 fsync_policy="never",
             ),
         )
-        replica = ReplicaServer(directory, collection=collection)
+        replica = ReplicaServer(directory, corpus=small_corpus)
         try:
             feature_dim = service_feature_dim(service)
             durability = service.engine.durability

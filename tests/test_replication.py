@@ -14,6 +14,7 @@ All tests carry the ``replication`` marker (``pytest -m replication``).
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import pytest
@@ -38,10 +39,10 @@ from repro.replication import (
     ReplicaLaggingError,
     ReplicaServer,
     ReplicatedService,
-    ReplicationConfig,
     ReplicationError,
     run_replicated_loadtest,
 )
+from repro.replication.replica import CATCH_UP_TIMEOUT_SECONDS
 from repro.retrieval import EngineConfig
 from repro.service import (
     FeedbackBatch,
@@ -286,25 +287,28 @@ class TestBoundedStaleness:
             replica.close()
             primary.close()
 
-    def test_config_bounds_are_the_default(self, analysed_corpus, tmp_path):
-        config = _durable_config(tmp_path / "dur").with_overrides(
-            replication=ReplicationConfig(max_lag_lsn=1)
-        )
+    def test_catch_up_gives_up_after_the_timeout(self, analysed_corpus, tmp_path):
+        # A target past anything on disk is never reached.  Each reading
+        # of the injected clock jumps a quarter of the timeout, so a few
+        # empty rounds pass CATCH_UP_TIMEOUT_SECONDS and the replica
+        # refuses with the lag that remains.
+        config = _durable_config(tmp_path / "dur")
         primary = RetrievalService.from_corpus(analysed_corpus, config=config)
+        apply_ingest(primary, _ops(primary, 3))
+        ticks = itertools.count(step=CATCH_UP_TIMEOUT_SECONDS / 4)
         replica = ReplicaServer(
-            tmp_path / "dur", corpus=analysed_corpus, config=config
+            tmp_path / "dur",
+            corpus=analysed_corpus,
+            config=config,
+            replica_id="r1",
+            clock=lambda: next(ticks),
         )
         try:
-            apply_ingest(primary, _ops(primary, 4))
-            primary_lsn = primary.engine.durability.wal.last_lsn
-            with pytest.raises(ReplicaLaggingError):
-                replica.search(QUERIES[0], primary_lsn=primary_lsn)
-            # An explicit None disables the configured bound per call.
-            assert (
-                replica.search(
-                    QUERIES[0], primary_lsn=primary_lsn, max_lag_lsn=None
-                )
-                is not None
+            with pytest.raises(ReplicaLaggingError) as excinfo:
+                replica.catch_up(target_lsn=10)
+            assert excinfo.value.lag_lsn == 7
+            assert str(excinfo.value) == (
+                "replica 'r1' did not reach lsn 10 within 10.000s (applied lsn 3)"
             )
         finally:
             replica.close()
@@ -543,11 +547,7 @@ class TestRouterReads:
         config = _durable_config(tmp_path / "dur")
         primary = RetrievalService.from_corpus(analysed_corpus, config=config)
         metrics = MetricsRegistry()
-        service = ReplicatedService(
-            primary,
-            config=ReplicationConfig(max_lag_lsn=0, read_retries=2),
-            metrics=metrics,
-        )
+        service = ReplicatedService(primary, max_lag_lsn=0, metrics=metrics)
         try:
             service.add_replica("r1")
             service.add_replica("r2")
@@ -876,22 +876,26 @@ class TestChaosHarness:
         with pytest.raises(ValueError):
             ChaosEvent(at_op=0, action="meteor")
 
-    def test_chaos_run_oracle_holds(self, analysed_corpus, tmp_path):
+    @pytest.fixture(scope="class")
+    def chaos_report(self, analysed_corpus, tmp_path_factory):
         config = ServiceConfig(
             engine=UNCACHED,
             fsync_policy="never",
             snapshot_interval_ops=16,
         )
         schedule = ChaosSchedule.generate(23, 50, ["replica-1", "replica-2"])
-        report = run_replicated_loadtest(
+        return run_replicated_loadtest(
             analysed_corpus,
-            tmp_path / "dur",
+            tmp_path_factory.mktemp("chaos") / "dur",
             config=config,
             num_replicas=2,
             ingest_ops=50,
             seed=5,
             chaos=schedule,
         )
+
+    def test_chaos_run_oracle_holds(self, chaos_report):
+        report = chaos_report
         assert report["replicas_match"]
         assert report["oracle_match"]
         assert report["acked_ops"] + report["failed_ops"] == 50
@@ -903,6 +907,55 @@ class TestChaosHarness:
         }
         assert ("kill_primary", "killed") in outcomes
         assert ("promote", "promoted") in outcomes
+
+    def test_chaos_run_report_is_pinned(self, chaos_report):
+        # The whole observable outcome of the seeded run above: op and read
+        # counts, lag summaries, fired events, the promotion, and the
+        # router's counters and gauges.  A routing or lag-reporting change
+        # that moves any of them is a behaviour change.
+        report = chaos_report
+        assert {
+            key: report[key]
+            for key in ("acked_ops", "failed_ops", "reads_ok", "reads_failed", "final_lsn")
+        } == {
+            "acked_ops": 46,
+            "failed_ops": 4,
+            "reads_ok": 50,
+            "reads_failed": 0,
+            "final_lsn": 46,
+        }
+        settled = {"count": 0.0, "min": 0.0, "mean": 0.0, "p95": 0.0, "max": 0.0}
+        assert report["lag"] == {
+            "replica-1": dict(settled, count=30.0),
+            "replica-2": dict(settled, count=38.0),
+        }
+        assert report["chaos_events"] == [
+            {"at_op": 3, "action": "kill_replica", "target": "replica-1", "outcome": "killed"},
+            {"at_op": 11, "action": "restart_replica", "target": "replica-1", "outcome": "restarted"},
+            {"at_op": 13, "action": "kill_replica", "target": "replica-2", "outcome": "killed"},
+            {"at_op": 25, "action": "restart_replica", "target": "replica-2", "outcome": "restarted"},
+            {"at_op": 34, "action": "kill_primary", "target": None, "outcome": "killed"},
+            {"at_op": 38, "action": "promote", "target": None, "outcome": "promoted"},
+        ]
+        assert report["promotions"] == [
+            {
+                "replica_id": "replica-1",
+                "replica_lsn": 34,
+                "promoted_lsn": 34,
+                "digests_match": True,
+                "records_dropped": 0,
+            }
+        ]
+        metrics = report["metrics"]
+        assert metrics["counters"] == {"promotions": 1, "replica_reads": 50}
+        # replica-1 was promoted at lsn 34: its gauges stop there.
+        assert metrics["gauges"] == {
+            "promoted_lsn": 34.0,
+            "replica_applied_lsn.replica-1": 34.0,
+            "replica_applied_lsn.replica-2": 46.0,
+            "replica_lag.replica-1": 0.0,
+            "replica_lag.replica-2": 0.0,
+        }
 
     def test_clean_run_matches_full_ingest(self, analysed_corpus, tmp_path):
         # Without chaos every op is acked, so the oracle covers the full
