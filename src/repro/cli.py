@@ -19,18 +19,30 @@ writing Python:
     Analyse a directory of interaction logs against the stored qrels and
     print per-indicator precision.
 ``repro loadtest``
-    Drive N concurrent simulated users through a live service and print the
-    canonical event-log digest; the same seed always yields the same digest
+    Drive N concurrent simulated users through a live service (threaded, or
+    through the async serving edge with ``--serve``) and print the canonical
+    event-log digest; the same seed always yields the same digest
     (``--verify`` re-runs the workload and checks).  With ``--durable DIR``
     the service write-ahead-logs every mutation into ``DIR`` (plus optional
     ``--ingest-ops`` deterministic index writes before the workload) and
     prints the canonical index state digest.
+``repro mix``
+    Run the continuous-ingest mix (ingest, delete, update, feedback and
+    compaction beside concurrent searches) and print its digests.
+``repro replicate``
+    Ingest into a ``--durable`` primary while reads fan out across WAL-
+    shipping replicas (``--chaos`` adds seeded kills and a promotion), and
+    check every replica and a clean run against the primary's digest.
 ``repro recover``
     Recover a durability directory (snapshot chain + WAL tail) and print
     the recovered counts and canonical state digest — the oracle the
     crash-recovery smoke compares against a clean run.
+``repro verify``
+    Check a durability directory offline and exit nonzero on damage.
 
-Every command takes ``--seed`` so runs are reproducible.  Invoke as
+The three drivers share the service flags, and each accepts only the
+flags its driver reads.  Every command that draws random numbers takes
+``--seed`` so runs are reproducible.  Invoke as
 ``repro <command> ...`` (installed entry point) or ``python -m repro ...``.
 
 All retrieval goes through the :class:`~repro.service.RetrievalService`
@@ -172,17 +184,42 @@ def build_parser() -> argparse.ArgumentParser:
     analyse.add_argument("--corpus", required=True)
     analyse.add_argument("--logs", required=True)
 
-    loadtest = subparsers.add_parser(
-        "loadtest", help="drive a deterministic concurrent workload"
-    )
     # Each default is read from the config it sets, so it has one copy.
-    service, workload, mix = ServiceConfig(), WorkloadSpec(), ContinuousMixSpec()
-    loadtest.add_argument("--corpus", required=True, help="directory written by 'generate'")
+    service, workload, mix_spec = ServiceConfig(), WorkloadSpec(), ContinuousMixSpec()
+
+    def service_flags(*, durable_required: bool) -> argparse.ArgumentParser:
+        """The flags :func:`_service_config` reads, a parent of each driver verb."""
+        flags = argparse.ArgumentParser(add_help=False)
+        flags.add_argument("--corpus", required=True, help="directory written by 'generate'")
+        flags.add_argument("--seed", type=int, default=workload.seed)
+        flags.add_argument("--durable", required=durable_required, metavar="DIR",
+                           help="durability directory: WAL every index mutation "
+                                "into DIR and print the canonical state digest")
+        flags.add_argument("--fsync", choices=FSYNC_POLICIES, default=service.fsync_policy,
+                           help="WAL fsync policy for --durable (default: %(default)s)")
+        flags.add_argument("--snapshot-interval", type=_POSITIVE,
+                           default=service.snapshot_interval_ops,
+                           help="index ops between incremental snapshots "
+                                "(default: %(default)s)")
+        return flags
+
+    # The flags of the two drivers that run client threads: loadtest and mix.
+    threaded = argparse.ArgumentParser(add_help=False)
+    threaded.add_argument("--workers", type=_POSITIVE, default=4,
+                          help="client-side thread count")
+    threaded.add_argument("--ingest-pause", type=_SECONDS, default=0.0,
+                          help="seconds to sleep between ingest ops (stretches "
+                               "the crash window for the recovery smoke)")
+    threaded.add_argument("--log", default=None, metavar="PATH",
+                          help="file to write the run's canonical log to")
+
+    loadtest = subparsers.add_parser(
+        "loadtest", parents=[service_flags(durable_required=False), threaded],
+        allow_abbrev=False, help="drive a deterministic concurrent user workload",
+    )
     loadtest.add_argument("--users", type=_POSITIVE, default=workload.users)
     loadtest.add_argument("--queries", type=_POSITIVE, default=workload.queries_per_user,
                           help="query iterations per user")
-    loadtest.add_argument("--workers", type=_POSITIVE, default=4,
-                          help="client-side thread count")
     loadtest.add_argument("--policy", type=policy, default=workload.policy,
                           help="registered adaptation policy name (default: %(default)s)")
     loadtest.add_argument("--mix", choices=("balanced", "adaptive-heavy"),
@@ -192,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "steps per search (exercises session adaptation)")
     loadtest.add_argument("--feedback-per-query", type=_POSITIVE, default=None,
                           help="feedback steps per search step (overrides --mix)")
-    loadtest.add_argument("--seed", type=int, default=workload.seed)
-    loadtest.add_argument("--log", default=None,
-                          help="file to write the canonical event log to")
     loadtest.add_argument("--verify", action="store_true",
                           help="run the workload twice and require identical digests")
     loadtest.add_argument("--serve", action="store_true",
@@ -207,72 +241,66 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-request deadline for --serve; timed-out requests "
                                "are cancelled cooperatively and kept out of the "
                                "canonical log (implies --serve)")
-    loadtest.add_argument("--serve-concurrency", type=_POSITIVE,
-                          default=ServingConfig().max_concurrency,
+    loadtest.add_argument("--serve-concurrency", type=_POSITIVE, default=None,
+                          metavar="N",
                           help="concurrent evaluation slots of the serving edge "
-                               "(default: %(default)s)")
+                               f"(default: {ServingConfig().max_concurrency}; "
+                               "implies --serve)")
     loadtest.add_argument("--serve-stats", action="store_true",
                           help="print the serving metrics snapshot — per-endpoint "
                                "p50/p95/p99, queue wait, cache hit "
                                "rates, admission counters (implies --serve)")
-    loadtest.add_argument("--durable", default=None, metavar="DIR",
-                          help="durability directory: WAL every index mutation "
-                               "into DIR and print the canonical state digest")
-    loadtest.add_argument("--fsync", choices=FSYNC_POLICIES, default=service.fsync_policy,
-                          help="WAL fsync policy for --durable (default: %(default)s)")
-    loadtest.add_argument("--snapshot-interval", type=_POSITIVE,
-                          default=service.snapshot_interval_ops,
-                          help="index ops between incremental snapshots "
-                               "(default: %(default)s)")
     loadtest.add_argument("--ingest-ops", type=_NON_NEGATIVE, default=0,
                           help="deterministic synthetic index writes (docs and "
                                "shots) applied before the workload phase")
-    loadtest.add_argument("--ingest-pause", type=_SECONDS, default=0.0,
-                          help="seconds to sleep between ingest ops (stretches "
-                               "the crash window for the recovery smoke)")
-    loadtest.add_argument("--replicas", type=_NON_NEGATIVE, default=0, metavar="N",
-                          help="attach N WAL-shipping read replicas to the "
-                               "--durable directory and run the replicated "
-                               "ingest loadtest (reads fan out across the "
-                               "replica set; requires --durable and "
-                               "--ingest-ops)")
-    loadtest.add_argument("--chaos", action="store_true",
-                          help="inject the seeded chaos schedule into the "
-                               "replicated loadtest: replica kills/restarts, "
-                               "a primary kill and a failover promotion, with "
-                               "the kill-anywhere ingest oracle proving digest "
-                               "equality (requires --replicas)")
-    loadtest.add_argument("--mix-epochs", type=_NON_NEGATIVE, default=0, metavar="N",
-                          help="run the continuous-ingest mix instead of the "
-                               "user workload: N epochs of interleaved "
-                               "ingest/delete/update/feedback mutations with "
-                               "concurrent searches and periodic compaction "
-                               "(digest-deterministic across --workers)")
-    loadtest.add_argument("--mix-mutations", type=_POSITIVE,
-                          default=mix.mutations_per_epoch, metavar="N",
-                          help="mutation slots per mix epoch (default: %(default)s)")
-    loadtest.add_argument("--mix-searches", type=_NON_NEGATIVE,
-                          default=mix.searches_per_epoch, metavar="N",
-                          help="concurrent searches per mix epoch (default: %(default)s)")
-    loadtest.add_argument("--mix-delete-ratio", type=_PROBABILITY, default=mix.delete_ratio,
-                          help="fraction of mutation slots that delete "
-                               "(default: %(default)s)")
-    loadtest.add_argument("--mix-update-ratio", type=_PROBABILITY, default=mix.update_ratio,
-                          help="fraction of mutation slots that re-index an "
-                               "existing document (default: %(default)s)")
-    loadtest.add_argument("--mix-feedback", type=_NON_NEGATIVE,
-                          default=mix.feedback_per_epoch, metavar="N",
-                          help="feedback batches per mix epoch (default: %(default)s)")
-    loadtest.add_argument("--mix-compact-every", type=_NON_NEGATIVE,
-                          default=mix.compact_every, metavar="N",
-                          help="compact tombstones after every Nth mix epoch "
-                               "(0 disables; default: %(default)s)")
-    loadtest.add_argument("--mix-stop-lsn", type=_NON_NEGATIVE, default=None, metavar="N",
-                          help="stop applying durable mix ops once the WAL "
-                               "reaches lsn N (the clean-prefix arm of the "
-                               "SIGKILL oracle; requires --durable)")
-    loadtest.add_argument("--mix-log", default=None, metavar="PATH",
-                          help="write the mix's canonical op log to PATH")
+
+    mix = subparsers.add_parser(
+        "mix", parents=[service_flags(durable_required=False), threaded],
+        allow_abbrev=False, help="run the continuous-ingest mix",
+    )
+    mix.add_argument("--epochs", type=_POSITIVE, default=mix_spec.epochs, metavar="N",
+                     help="mix epochs (default: %(default)s)")
+    mix.add_argument("--mutations", type=_POSITIVE,
+                     default=mix_spec.mutations_per_epoch, metavar="N",
+                     help="mutation slots per epoch (default: %(default)s)")
+    mix.add_argument("--searches", type=_NON_NEGATIVE,
+                     default=mix_spec.searches_per_epoch, metavar="N",
+                     help="concurrent searches per epoch (default: %(default)s)")
+    mix.add_argument("--delete-ratio", type=_PROBABILITY, default=mix_spec.delete_ratio,
+                     help="fraction of mutation slots that delete "
+                          "(default: %(default)s)")
+    mix.add_argument("--update-ratio", type=_PROBABILITY, default=mix_spec.update_ratio,
+                     help="fraction of mutation slots that re-index an "
+                          "existing document (default: %(default)s)")
+    mix.add_argument("--feedback", type=_NON_NEGATIVE,
+                     default=mix_spec.feedback_per_epoch, metavar="N",
+                     help="feedback batches per epoch (default: %(default)s)")
+    mix.add_argument("--compact-every", type=_NON_NEGATIVE,
+                     default=mix_spec.compact_every, metavar="N",
+                     help="compact tombstones after every Nth epoch "
+                          "(0 disables; default: %(default)s)")
+    mix.add_argument("--stop-lsn", type=_NON_NEGATIVE, default=None, metavar="N",
+                     help="stop applying durable mix ops once the WAL "
+                          "reaches lsn N (the clean-prefix arm of the "
+                          "SIGKILL oracle; requires --durable)")
+
+    replicate = subparsers.add_parser(
+        "replicate", parents=[service_flags(durable_required=True)],
+        allow_abbrev=False, help="run the replicated ingest loadtest",
+    )
+    replicate.add_argument("--replicas", type=_POSITIVE, required=True, metavar="N",
+                           help="WAL-shipping read replicas to attach")
+    replicate.add_argument("--ingest-ops", type=_POSITIVE, required=True,
+                           help="deterministic synthetic index writes (docs and "
+                                "shots) that ship to the replicas")
+    replicate.add_argument("--chaos", action="store_true",
+                           help="inject the seeded chaos schedule: replica "
+                                "kills/restarts, a primary kill and a failover "
+                                "promotion, with the kill-anywhere ingest oracle "
+                                "proving digest equality")
+    replicate.add_argument("--serve-stats", action="store_true",
+                           help="print the run's metrics snapshot (read "
+                                "routing and promotion counters)")
 
     recover = subparsers.add_parser(
         "recover", help="recover a durability directory and print its digest"
@@ -452,9 +480,11 @@ def _command_analyse_logs(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _service_config(args: argparse.Namespace):
-    """The one :class:`ServiceConfig` every loadtest arm serves from; the
-    fsync and snapshot flags matter only with ``--durable``."""
+def _service_config(args: argparse.Namespace) -> ServiceConfig:
+    """The one :class:`ServiceConfig` every driver serves from, after
+    refusing an unwritable ``--durable``; the fsync and snapshot flags
+    matter only with ``--durable``."""
+    _refuse_unwritable("--durable", args.durable, directory=True)
     return ServiceConfig(
         durability_dir=args.durable or None,
         fsync_policy=args.fsync,
@@ -471,59 +501,13 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
             "durability directory already holding state would refuse; use "
             "--verify without --durable"
         )
-    serve = args.serve or args.serve_stats or args.serve_deadline is not None
-    if args.chaos and not args.replicas:
-        raise ReproError("--chaos requires --replicas (it faults the replica set)")
-    if args.mix_epochs:
-        if args.replicas or serve or args.verify or args.ingest_ops:
-            raise ReproError(
-                "--mix-epochs runs the continuous-ingest mix and is "
-                "mutually exclusive with --replicas, --serve*, --verify "
-                "and --ingest-ops"
-            )
-        if args.mix_stop_lsn is not None and not args.durable:
-            raise ReproError(
-                "--mix-stop-lsn requires --durable: the stop point is "
-                "measured against the service's WAL"
-            )
-    elif args.mix_log is not None or args.mix_stop_lsn is not None:
-        raise ReproError(
-            "--mix-log and --mix-stop-lsn require --mix-epochs: they belong "
-            "to the continuous-ingest mix"
-        )
-    if args.replicas:
-        if not args.durable:
-            raise ReproError(
-                "--replicas requires --durable: replicas tail the primary's "
-                "WAL out of the durability directory"
-            )
-        if not args.ingest_ops:
-            raise ReproError(
-                "--replicas requires --ingest-ops: the replicated loadtest "
-                "is ingest-driven (writes ship to replicas through the WAL)"
-            )
-        if args.serve or args.serve_deadline is not None:
-            raise ReproError(
-                "--replicas and --serve are mutually exclusive: the "
-                "replicated loadtest routes reads itself (--serve-stats "
-                "still prints its metrics snapshot)"
-            )
-        if args.log is not None:
-            raise ReproError(
-                "--replicas and --log are mutually exclusive: the replicated "
-                "loadtest runs no user workload to log"
-            )
-    _refuse_unwritable("--durable", args.durable, directory=True)
-    _refuse_unwritable("--log", args.log, directory=False)
-    _refuse_unwritable("--mix-log", args.mix_log, directory=False)
-    stored = load_corpus(args.corpus)
+    serve = (
+        args.serve or args.serve_stats or args.serve_deadline is not None
+        or args.serve_concurrency is not None
+    )
     service_config = _service_config(args)
-
-    if args.replicas:
-        return _run_replicated_loadtest(args, stored, service_config, out)
-
-    if args.mix_epochs:
-        return _run_continuous_mix_command(args, stored, service_config, out)
+    _refuse_unwritable("--log", args.log, directory=False)
+    stored = load_corpus(args.corpus)
 
     def factory() -> RetrievalService:
         return RetrievalService.from_corpus(stored, config=service_config)
@@ -541,7 +525,7 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
     serving = None
     if serve:
         serving = ServingConfig(
-            max_concurrency=args.serve_concurrency,
+            max_concurrency=args.serve_concurrency or ServingConfig().max_concurrency,
             default_deadline_seconds=args.serve_deadline,
         )
     driver = ServiceLoadDriver(factory, max_workers=args.workers, serving=serving)
@@ -590,7 +574,7 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
         print(
             f"serving edge: deadline "
             f"{args.serve_deadline if args.serve_deadline is not None else 'none'}, "
-            f"{args.serve_concurrency} slot(s); failures: {failure_note}; "
+            f"{serving.max_concurrency} slot(s); failures: {failure_note}; "
             f"drained cleanly: {'yes' if drained else 'no'}",
             file=out,
         )
@@ -612,24 +596,32 @@ def _command_loadtest(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_continuous_mix_command(args: argparse.Namespace, stored, service_config, out) -> int:
+def _command_mix(args: argparse.Namespace, out) -> int:
     from repro.workload import run_continuous_mix
 
+    if args.stop_lsn is not None and not args.durable:
+        raise ReproError(
+            "--stop-lsn requires --durable: the stop point is measured "
+            "against the service's WAL"
+        )
+    service_config = _service_config(args)
+    _refuse_unwritable("--log", args.log, directory=False)
     spec = ContinuousMixSpec(
-        epochs=args.mix_epochs,
-        mutations_per_epoch=args.mix_mutations,
-        searches_per_epoch=args.mix_searches,
-        delete_ratio=args.mix_delete_ratio,
-        update_ratio=args.mix_update_ratio,
-        feedback_per_epoch=args.mix_feedback,
-        compact_every=args.mix_compact_every,
+        epochs=args.epochs,
+        mutations_per_epoch=args.mutations,
+        searches_per_epoch=args.searches,
+        delete_ratio=args.delete_ratio,
+        update_ratio=args.update_ratio,
+        feedback_per_epoch=args.feedback,
+        compact_every=args.compact_every,
         search_workers=args.workers,
         seed=args.seed,
     )
+    stored = load_corpus(args.corpus)
     service = RetrievalService.from_corpus(stored, config=service_config)
     try:
         result = run_continuous_mix(
-            service, spec, stop_lsn=args.mix_stop_lsn, pause=args.ingest_pause
+            service, spec, stop_lsn=args.stop_lsn, pause=args.ingest_pause
         )
         counts = result.counts
         mutations = (
@@ -656,7 +648,7 @@ def _run_continuous_mix_command(args: argparse.Namespace, stored, service_config
         if result.stopped_early:
             print(
                 f"stopped early at the durable-prefix budget "
-                f"(--mix-stop-lsn {args.mix_stop_lsn})",
+                f"(--stop-lsn {args.stop_lsn})",
                 file=out,
             )
         durability = service.engine.durability
@@ -664,20 +656,19 @@ def _run_continuous_mix_command(args: argparse.Namespace, stored, service_config
             print(f"wal-lsn: {durability.wal.last_lsn}", file=out)
         print(f"mix-digest: {result.digest()}", file=out)
         print(f"state-digest: {result.state_digest}", file=out)
-        if args.mix_log:
-            path = result.write_log(args.mix_log)
+        if args.log:
+            path = result.write_log(args.log)
             print(f"mix log written to {path}", file=out)
     finally:
         service.close()
     return 0
 
 
-def _run_replicated_loadtest(
-    args: argparse.Namespace, stored, service_config, out
-) -> int:
-    """The --replicas arm of loadtest: replicated ingest + read fan-out."""
+def _command_replicate(args: argparse.Namespace, out) -> int:
     from repro.replication import ChaosSchedule, run_replicated_loadtest
 
+    service_config = _service_config(args)
+    stored = load_corpus(args.corpus)
     schedule = None
     if args.chaos:
         schedule = ChaosSchedule.generate(
@@ -899,6 +890,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         "experiment": _command_experiment,
         "analyse-logs": _command_analyse_logs,
         "loadtest": _command_loadtest,
+        "mix": _command_mix,
+        "replicate": _command_replicate,
         "recover": _command_recover,
         "verify": _command_verify,
     }

@@ -12,6 +12,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Set, Tuple, Union
 
+from repro.errors import InvalidArgumentError
+
 PathLike = Union[str, Path]
 
 
@@ -30,7 +32,7 @@ class Qrels:
     def add(self, topic_id: str, shot_id: str, grade: int) -> None:
         """Record a judgement; higher grades overwrite lower ones."""
         if grade < 0:
-            raise ValueError(f"relevance grade must be non-negative, got {grade}")
+            raise InvalidArgumentError(f"relevance grade must be non-negative, got {grade}")
         topic_judgements = self._judgements.setdefault(topic_id, {})
         existing = topic_judgements.get(shot_id, 0)
         topic_judgements[shot_id] = max(existing, int(grade))
@@ -101,8 +103,8 @@ class Qrels:
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"malformed qrels line: {line!r}")
+            if len(parts) != 4 or not parts[3].isdecimal():
+                raise InvalidArgumentError(f"malformed qrels line: {line!r}")
             topic_id, _iteration, shot_id, grade = parts
             qrels.add(topic_id, shot_id, int(grade))
         return qrels

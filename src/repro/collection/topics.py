@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence
 
+from repro.errors import InvalidArgumentError, NotIndexedError
+
 
 @dataclass
 class Topic:
@@ -51,7 +53,7 @@ class TopicSet:
         self._order: List[str] = []
         for topic in topics:
             if topic.topic_id in self._topics:
-                raise ValueError(f"duplicate topic id {topic.topic_id!r}")
+                raise InvalidArgumentError(f"duplicate topic id {topic.topic_id!r}")
             self._topics[topic.topic_id] = topic
             self._order.append(topic.topic_id)
 
@@ -68,7 +70,7 @@ class TopicSet:
     def topic(self, topic_id: str) -> Topic:
         """Look up a topic by id."""
         if topic_id not in self._topics:
-            raise KeyError(f"unknown topic {topic_id!r}")
+            raise NotIndexedError(f"unknown topic {topic_id!r}")
         return self._topics[topic_id]
 
     def topic_ids(self) -> List[str]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
+from repro.errors import InvalidArgumentError
 from repro.feedback.events import EventStream, InteractionEvent
 from repro.utils.serialization import read_jsonl, write_jsonl
 
@@ -86,10 +87,12 @@ class InteractionLogger:
         """Read one session log file."""
         records = list(read_jsonl(path))
         if not records:
-            raise ValueError(f"log file {path} is empty")
+            raise InvalidArgumentError(f"log file {path} is empty")
         header = records[0]
         if header.get("kind") != _HEADER_KIND:
-            raise ValueError(f"log file {path} does not start with a session header")
+            raise InvalidArgumentError(
+                f"log file {path} does not start with a session header"
+            )
         events = [InteractionEvent.from_dict(record) for record in records[1:]]
         return SessionLog(
             session_id=str(header["session_id"]),

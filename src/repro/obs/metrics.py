@@ -172,7 +172,8 @@ class MetricsRegistry:
     * ``observe_queue_wait(seconds)`` — a dedicated track for
       admission-queue wait.
     * ``set_gauge(name, value)`` — instantaneous values (queue depth,
-      in-flight count) sampled at snapshot time by the frontend.
+      in-flight count) sampled at snapshot time by the frontend;
+      ``drop_gauges(*names)`` forgets those whose source is gone.
 
     :meth:`snapshot` returns one nested plain-``dict``/``float`` structure
     (JSON-serialisable as-is) so the CLI and tests can consume it directly.
@@ -249,6 +250,12 @@ class MetricsRegistry:
         """Set an instantaneous gauge value."""
         with self._lock:
             self._gauges[name] = float(value)
+
+    def drop_gauges(self, *names: str) -> None:
+        """Forget gauges whose source is gone; an unknown name is ignored."""
+        with self._lock:
+            for name in names:
+                self._gauges.pop(name, None)
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-serialisable view of every metric."""

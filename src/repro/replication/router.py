@@ -18,7 +18,8 @@ primary's durability directory:
   replication guard; :meth:`poll_replicas` advances every replica and
   acknowledges its applied LSN back, releasing held-back records and
   publishing per-replica lag gauges into a
-  :class:`~repro.obs.MetricsRegistry`.
+  :class:`~repro.obs.MetricsRegistry`; a removed or promoted replica's
+  gauges are dropped.
 - **Failover**: :meth:`kill_primary` simulates a primary crash
   (abandoning the service object exactly as a SIGKILL would — nothing is
   flushed or closed); :meth:`promote` then elects the freshest replica
@@ -199,6 +200,7 @@ class ReplicatedService:
                 )
             if pinned is not None:
                 pinned.unregister_replica(replica_id)
+            self._drop_lag_locked(replica_id)
         replica.close()
 
     def poll_replicas(self) -> Dict[str, int]:
@@ -240,6 +242,12 @@ class ReplicatedService:
         self._metrics.set_gauge(f"replica_lag.{replica_id}", float(lag))
         self._metrics.set_gauge(
             f"replica_applied_lsn.{replica_id}", float(replica.applied_lsn)
+        )
+
+    def _drop_lag_locked(self, replica_id: str) -> None:
+        """A departed replica's gauges go with it, not frozen at their last value."""
+        self._metrics.drop_gauges(
+            f"replica_lag.{replica_id}", f"replica_applied_lsn.{replica_id}"
         )
 
     # -- writes (primary only) -----------------------------------------------------
@@ -400,6 +408,7 @@ class ReplicatedService:
                 raise ReplicationError(
                     f"no replica registered as {replica_id!r}"
                 )
+            self._drop_lag_locked(replica_id)
             result = replica.promote()
             self._primary = result.service
             self._primary_alive = True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import os
 import shutil
@@ -249,9 +250,15 @@ class TestTracebacksBecomeOneLine:
     @pytest.fixture(scope="class")
     def workdir(self, three_topics, tmp_path_factory):
         """A directory holding a file where an output directory should go,
-        and a durability directory."""
+        a durability directory, an empty session log and a corpus whose
+        qrels end in a malformed line."""
         directory = tmp_path_factory.mktemp("refusals")
         (directory / "occupied").write_text("a file, not a directory\n")
+        (directory / "empty-log").mkdir()
+        (directory / "empty-log" / "s.jsonl").write_text("")
+        shutil.copytree(three_topics, directory / "bad-qrels")
+        with open(directory / "bad-qrels" / "qrels.txt", "a", encoding="utf-8") as qrels:
+            qrels.write("garbage\n")
         assert main(
             ["loadtest", "--corpus", str(three_topics), "--users", "1", "--queries", "1",
              "--durable", str(directory / "one-shard")],
@@ -273,17 +280,21 @@ class TestTracebacksBecomeOneLine:
             (["loadtest", "--users", "1", "--queries", "1", "--log", "occupied/x"],
              "loadtest failed: --log 'occupied/x' cannot be written: "
              "'occupied' is not a directory"),
-            (["loadtest", "--mix-epochs", "1", "--mix-log", "occupied/x"],
-             "loadtest failed: --mix-log 'occupied/x' cannot be written: "
+            (["mix", "--epochs", "1", "--log", "occupied/x"],
+             "mix failed: --log 'occupied/x' cannot be written: "
              "'occupied' is not a directory"),
             (["loadtest", "--users", "1", "--queries", "1", "--log", "one-shard"],
              "loadtest failed: --log 'one-shard' cannot be written: it is a directory"),
+            (["analyse-logs", "--logs", "empty-log"],
+             "analyse-logs failed: log file empty-log/s.jsonl is empty"),
+            (["search", "--corpus", "bad-qrels", "--query", "q"],
+             "search failed: malformed qrels line: 'garbage'"),
         ],
-        ids=["empty-user", "generate-output",
-             "simulate-logs", "loadtest-log", "mix-log", "loadtest-log-is-dir"],
+        ids=["empty-user", "generate-output", "simulate-logs", "loadtest-log",
+             "mix-log", "loadtest-log-is-dir", "empty-session-log", "malformed-qrels"],
     )
     def test_refused_in_one_line_with_exit_2(self, three_topics, workdir, command, refusal):
-        if command[0] != "generate":
+        if command[0] != "generate" and "--corpus" not in command:
             command = [command[0], "--corpus", str(three_topics), *command[1:]]
         completed = _run_cli(command, workdir)
         assert completed.returncode == 2
@@ -425,6 +436,8 @@ CORPUS_VERBS = {
     "experiment": [],
     "analyse-logs": ["--logs", "unused-logs"],
     "loadtest": ["--users", "1", "--queries", "1"],
+    "mix": ["--epochs", "1"],
+    "replicate": ["--durable", "unused-durable", "--replicas", "1", "--ingest-ops", "1"],
 }
 
 
@@ -471,23 +484,25 @@ OUT_OF_RANGE = [
     ("loadtest --corpus c --ingest-ops -1", "must be non-negative"),
     ("loadtest --corpus c --durable d --snapshot-interval 0", "must be positive"),
     ("loadtest --corpus c --serve-concurrency 0", "must be positive"),
-    ("loadtest --corpus c --durable d --ingest-ops 4 --replicas -1", "must be non-negative"),
-    ("loadtest --corpus c --mix-epochs -1", "must be non-negative"),
-    ("loadtest --corpus c --mix-epochs 2 --durable d --mix-stop-lsn -1",
-     "must be non-negative"),
+    ("replicate --corpus c --durable d --ingest-ops 4 --replicas 0", "must be positive"),
+    ("replicate --corpus c --durable d --replicas 2 --ingest-ops 0", "must be positive"),
+    ("mix --corpus c --epochs 0", "must be positive"),
+    ("mix --corpus c --durable d --stop-lsn -1", "must be non-negative"),
+    ("mix --corpus c --workers 0", "must be positive"),
+    ("mix --corpus c --ingest-pause -1", "must be non-negative and finite"),
     ("loadtest --corpus c --ingest-pause -1", "must be non-negative and finite"),
     ("loadtest --corpus c --ingest-pause nan", "must be non-negative and finite"),
     ("loadtest --corpus c --ingest-pause inf", "must be non-negative and finite"),
     ("loadtest --corpus c --serve-deadline 0", "must be positive and finite"),
     ("loadtest --corpus c --serve-deadline nan", "must be positive and finite"),
     ("loadtest --corpus c --serve-deadline inf", "must be positive and finite"),
-    ("loadtest --corpus c --mix-epochs 2 --mix-mutations 0", "must be positive"),
-    ("loadtest --corpus c --mix-epochs 2 --mix-searches -1", "must be non-negative"),
-    ("loadtest --corpus c --mix-epochs 2 --mix-delete-ratio 1.5", "must be in [0, 1]"),
-    ("loadtest --corpus c --mix-epochs 2 --mix-delete-ratio nan", "must be in [0, 1]"),
-    ("loadtest --corpus c --mix-epochs 2 --mix-update-ratio -0.1", "must be in [0, 1]"),
-    ("loadtest --corpus c --mix-epochs 2 --mix-feedback -1", "must be non-negative"),
-    ("loadtest --corpus c --mix-epochs 2 --mix-compact-every -1", "must be non-negative"),
+    ("mix --corpus c --mutations 0", "must be positive"),
+    ("mix --corpus c --searches -1", "must be non-negative"),
+    ("mix --corpus c --delete-ratio 1.5", "must be in [0, 1]"),
+    ("mix --corpus c --delete-ratio nan", "must be in [0, 1]"),
+    ("mix --corpus c --update-ratio -0.1", "must be in [0, 1]"),
+    ("mix --corpus c --feedback -1", "must be non-negative"),
+    ("mix --corpus c --compact-every -1", "must be non-negative"),
     ("search --corpus c --query q --policy nosuch",
      f"must be a registered policy ({REGISTERED})"),
     ("simulate --corpus c --logs l --policy nosuch",
@@ -520,31 +535,129 @@ def test_out_of_range_value_is_a_usage_error(command, problem, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, refusal",
+    "command, refusal",
     [
-        (["--mix-log", "{tmp}/mix.jsonl"], "--mix-log and --mix-stop-lsn require --mix-epochs"),
-        (["--durable", "{tmp}/durable", "--mix-stop-lsn", "3"],
-         "--mix-log and --mix-stop-lsn require --mix-epochs"),
-        (["--durable", "{tmp}/durable", "--ingest-ops", "4", "--replicas", "1",
-          "--log", "{tmp}/load.jsonl"], "--replicas and --log are mutually exclusive"),
-        # --replicas needs --durable, and --durable already refuses --verify.
-        (["--durable", "{tmp}/durable", "--ingest-ops", "4", "--replicas", "1",
-          "--verify"], "--verify re-runs the workload against a fresh service"),
+        (["loadtest", "--users", "1", "--queries", "1", "--durable", "{tmp}/durable",
+          "--verify"], "loadtest failed: --verify re-runs the workload against a fresh service"),
+        (["mix", "--epochs", "1", "--stop-lsn", "3", "--log", "{tmp}/mix.jsonl"],
+         "mix failed: --stop-lsn requires --durable"),
         # The spec's cross-field check, not a parse-time type.
-        (["--mix-epochs", "1", "--mix-delete-ratio", "0.7", "--mix-update-ratio", "0.7"],
-         "delete_ratio + update_ratio must not exceed 1"),
+        (["mix", "--epochs", "1", "--delete-ratio", "0.7", "--update-ratio", "0.7",
+          "--durable", "{tmp}/durable"],
+         "mix failed: delete_ratio + update_ratio must not exceed 1"),
     ],
-    ids=["mix-log", "mix-stop-lsn", "replicas-log", "replicas-verify", "mix-ratios"],
+    ids=["durable-verify", "stop-lsn-without-durable", "mix-ratios"],
 )
-def test_loadtest_refuses_a_flag_it_would_ignore(corpus_dir, tmp_path, capsys, flags, refusal):
+def test_a_driver_refuses_a_flag_combination(corpus_dir, tmp_path, capsys, command, refusal):
     """One stderr line and exit 2, before any work: no log, no directory."""
-    argv = ["loadtest", "--corpus", str(corpus_dir), "--users", "1", "--queries", "1"]
-    argv += [flag.format(tmp=tmp_path) for flag in flags]
+    argv = [command[0], "--corpus", str(corpus_dir)]
+    argv += [flag.format(tmp=tmp_path) for flag in command[1:]]
     assert main(argv, out=io.StringIO()) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"loadtest failed: {refusal}")
+    assert err.startswith(refusal)
     assert err.strip().count("\n") == 0
     assert list(tmp_path.iterdir()) == []
+
+
+#: The three workload drivers, each with the rest of a valid command line.
+DRIVERS = {
+    "loadtest": [],
+    "mix": [],
+    "replicate": ["--durable", "d", "--replicas", "1", "--ingest-ops", "1"],
+}
+
+
+def _driver_flags():
+    """``verb -> {option string: a valid value, or None for a switch}``."""
+    [verbs] = [
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    flags = {}
+    for verb in DRIVERS:
+        flags[verb] = {}
+        for action in verbs[verb]._actions:
+            for option in action.option_strings:
+                if action.nargs == 0:
+                    flags[verb][option] = None
+                else:
+                    value = action.default if action.default is not None else 1
+                    flags[verb][option] = (action.choices or [value])[0]
+    return flags
+
+
+def _foreign_flags():
+    """``(verb, flag, value)`` for each flag another driver defines and
+    ``verb`` does not."""
+    flags = _driver_flags()
+    foreign = {
+        (verb, flag): value
+        for verb in DRIVERS
+        for other in DRIVERS
+        for flag, value in flags[other].items()
+        if flag not in flags[verb]
+    }
+    return [(verb, flag, value) for (verb, flag), value in foreign.items()]
+
+
+@pytest.mark.parametrize(
+    "verb, flag, value", _foreign_flags(),
+    ids=[f"{verb}{flag}" for verb, flag, _ in _foreign_flags()],
+)
+def test_a_flag_of_another_driver_is_a_usage_error(verb, flag, value, capsys):
+    """No driver accepts a flag it would not read, nor an abbreviation of
+    one of its own flags that spells another driver's flag."""
+    argv = [verb, "--corpus", "c", *DRIVERS[verb]]
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(argv + [flag] + ([] if value is None else [str(value)]))
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that adds the name of every attribute read from it to
+    the set ``read``."""
+
+    def __init__(self, values, read):
+        super().__init__(**values)
+        object.__setattr__(self, "_read", read)
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["loadtest", "--users", "1", "--queries", "1", "--durable", "{tmp}/d",
+         "--ingest-ops", "2", "--serve-concurrency", "2", "--log", "{tmp}/load.jsonl"],
+        ["mix", "--epochs", "1", "--mutations", "2", "--searches", "1",
+         "--durable", "{tmp}/d", "--stop-lsn", "1000", "--log", "{tmp}/mix.jsonl"],
+        ["replicate", "--durable", "{tmp}/d", "--replicas", "1", "--ingest-ops", "4"],
+    ],
+    ids=["loadtest", "mix", "replicate"],
+)
+def test_a_driver_reads_every_flag_it_accepts(
+    three_topics, tmp_path, monkeypatch, command
+):
+    """Run each driver once and record which parsed flags its handler read:
+    a flag it accepts and never reads would be silently ignored."""
+    argv = [command[0], "--corpus", str(three_topics)]
+    argv += [flag.format(tmp=tmp_path) for flag in command[1:]]
+    parse_args = argparse.ArgumentParser.parse_args
+    accepted, read = set(), set()
+
+    def recording(parser, *args, **kwargs):
+        parsed = vars(parse_args(parser, *args, **kwargs))
+        accepted.update(parsed)
+        return _ReadRecorder(parsed, read)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert main(argv, out=io.StringIO()) == 0
+    assert accepted - read == set()
 
 
 def test_non_integer_keeps_the_argparse_wording(capsys):

@@ -19,7 +19,9 @@ from repro.analysis.features import (
     euclidean_distance,
     histogram_intersection,
 )
+from repro.collection.qrels import Qrels
 from repro.collection.storage import load_collection, load_corpus, load_topics
+from repro.collection.topics import Topic, TopicSet
 from repro.collection.vocabulary import CategoryLanguageModel, Vocabulary
 from repro.core.ostensive import (
     OstensiveAccumulator,
@@ -41,7 +43,7 @@ from repro.feedback.indicators import IndicatorExtractor
 from repro.feedback.weighting import IndicatorWeightLearner
 from repro.index import fusion
 from repro.index.scoring import normalise_query
-from repro.interfaces import ItvInterface
+from repro.interfaces import InteractionLogger, ItvInterface
 from repro.interfaces.base import ActionCost, InterfaceModel
 from repro.replication import (
     ChaosEvent,
@@ -319,6 +321,67 @@ def test_storage_refusals_are_invalid_argument_errors(tmp_path, refusal):
     assert isinstance(refused.value, ValueError)
     assert str(refused.value) == message.format(d=tmp_path)
     assert not (tmp_path / "durable").exists()
+
+
+def _text_file(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _topic(topic_id):
+    return Topic(topic_id, "title", "description", "news")
+
+
+#: Refusals of the log, qrels and topic readers: ``name -> (refused call in
+#: a scratch directory, error class, message with that directory as {d})``.
+#: The CLI prints each as one ``<verb> failed`` line.
+READER_REFUSALS = {
+    "InteractionLogger.read_session.empty": (
+        lambda d: InteractionLogger().read_session(_text_file(d / "s.jsonl", "")),
+        InvalidArgumentError,
+        "log file {d}/s.jsonl is empty",
+    ),
+    "InteractionLogger.read_session.header": (
+        lambda d: InteractionLogger().read_session(
+            _text_file(d / "s.jsonl", '{"kind": "play_click"}\n')
+        ),
+        InvalidArgumentError,
+        "log file {d}/s.jsonl does not start with a session header",
+    ),
+    "Qrels.add.grade": (
+        lambda d: Qrels().add("T1", "s1", -1),
+        InvalidArgumentError,
+        "relevance grade must be non-negative, got -1",
+    ),
+    "Qrels.load.fields": (
+        lambda d: Qrels.load(_text_file(d / "qrels.txt", "T1 0 s1 1\ngarbage\n")),
+        InvalidArgumentError,
+        "malformed qrels line: 'garbage'",
+    ),
+    "Qrels.load.grade": (
+        lambda d: Qrels.load(_text_file(d / "qrels.txt", "T1 0 s1 high\n")),
+        InvalidArgumentError,
+        "malformed qrels line: 'T1 0 s1 high'",
+    ),
+    "TopicSet.duplicate": (
+        lambda d: TopicSet([_topic("T1"), _topic("T1")]),
+        InvalidArgumentError,
+        "duplicate topic id 'T1'",
+    ),
+    "TopicSet.topic.unknown": (
+        lambda d: TopicSet([_topic("T1")]).topic("T9"),
+        NotIndexedError,
+        "unknown topic 'T9'",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(READER_REFUSALS))
+def test_reader_refusals_are_typed(tmp_path, refusal):
+    call, error, message = READER_REFUSALS[refusal]
+    with pytest.raises(error) as refused:
+        call(tmp_path)
+    assert str(refused.value) == message.format(d=tmp_path)
 
 
 def _mixture_over_one(category_weight, extra_weight):

@@ -595,6 +595,25 @@ class TestRouterReads:
         finally:
             service.close()
 
+    def test_a_removed_replica_takes_its_gauges(self, analysed_corpus, tmp_path):
+        primary = RetrievalService.from_corpus(
+            analysed_corpus, config=_durable_config(tmp_path / "dur")
+        )
+        metrics = MetricsRegistry()
+        service = ReplicatedService(primary, metrics=metrics)
+        try:
+            service.add_replica("r1")
+            service.add_replica("r2")
+            apply_ingest(service, _ops(primary, 4))
+            service.poll_replicas()
+            service.remove_replica("r1")
+            assert metrics.snapshot()["gauges"] == {
+                "replica_applied_lsn.r2": 4.0,
+                "replica_lag.r2": 0.0,
+            }
+        finally:
+            service.close()
+
 
 class TestPointInTimeRecovery:
     def test_digest_at_every_feasible_cut(self, analysed_corpus, tmp_path):
@@ -948,12 +967,11 @@ class TestChaosHarness:
         ]
         metrics = report["metrics"]
         assert metrics["counters"] == {"promotions": 1, "replica_reads": 50}
-        # replica-1 was promoted at lsn 34: its gauges stop there.
+        # replica-1 became the primary at lsn 34: its follower gauges went
+        # with it, and only the surviving follower reports lag.
         assert metrics["gauges"] == {
             "promoted_lsn": 34.0,
-            "replica_applied_lsn.replica-1": 34.0,
             "replica_applied_lsn.replica-2": 46.0,
-            "replica_lag.replica-1": 0.0,
             "replica_lag.replica-2": 0.0,
         }
 

@@ -1421,6 +1421,19 @@ class TestServeCli:
         assert "failures: none" in serve_out.getvalue()
         assert "drained cleanly: yes" in serve_out.getvalue()
 
+    def test_serve_concurrency_implies_serve(self, corpus_dir):
+        import io
+
+        from repro.cli import main
+
+        base = ["loadtest", "--corpus", corpus_dir, "--users", "3",
+                "--queries", "2", "--seed", "7"]
+        direct_out, serve_out = io.StringIO(), io.StringIO()
+        assert main(base, out=direct_out) == 0
+        assert main(base + ["--serve-concurrency", "2"], out=serve_out) == 0
+        assert self._digest(direct_out.getvalue()) == self._digest(serve_out.getvalue())
+        assert "serving edge: deadline none, 2 slot(s); failures: none" in serve_out.getvalue()
+
     def test_serve_stats_report(self, corpus_dir):
         import io
 
